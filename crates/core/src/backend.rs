@@ -419,21 +419,20 @@ fn cagnet_exchange(
             for (t, fat_h) in &stored {
                 accumulate(&mut z, *t, fat_h);
             }
-            let res = dev.begin_op().and_then(|op| {
+            dev.with_op(|op| {
                 let key: MsgKey = (op, 0, 0, 0);
                 dev.fabric().wait_ready(rank + 1, op, rank)?;
                 dev.fabric()
                     .send(rank, rank + 1, key, z.as_slice().to_vec())
-            });
-            dev.poison_on_err(res)?;
+            })?;
         } else if col_j == hop + 1 {
-            let res = dev.begin_op().and_then(|op| {
+            let payload = dev.with_op(|op| {
                 let key: MsgKey = (op, 0, 0, 0);
                 let payload = dev.fabric().recv(rank - 1, rank, key)?;
                 expect_payload(rank, payload.len(), my_fat * cols, key)?;
                 Ok(payload)
-            });
-            z = Matrix::from_vec(my_fat, cols, dev.poison_on_err(res)?);
+            })?;
+            z = Matrix::from_vec(my_fat, cols, payload);
         } else {
             dev.align_op()?;
         }
@@ -446,7 +445,7 @@ fn cagnet_exchange(
     // Return: the chain tail owns the finished fat panel and hands each
     // grid-row mate its thin slice.
     if col_j == c - 1 {
-        let res = dev.begin_op().and_then(|op| {
+        dev.with_op(|op| {
             let key: MsgKey = (op, 0, 0, 0);
             let mut mine = Matrix::zeros(num_local, cols);
             let mut off = 0usize;
@@ -462,16 +461,14 @@ fn cagnet_exchange(
                 off += len(m);
             }
             Ok(mine)
-        });
-        dev.poison_on_err(res)
+        })
     } else {
-        let res = dev.begin_op().and_then(|op| {
+        dev.with_op(|op| {
             let key: MsgKey = (op, 0, 0, 0);
             let tail = row_f * c + c - 1;
             let payload = dev.fabric().recv(tail, rank, key)?;
             expect_payload(rank, payload.len(), num_local * cols, key)?;
             Ok(Matrix::from_vec(num_local, cols, payload))
-        });
-        dev.poison_on_err(res)
+        })
     }
 }

@@ -385,7 +385,7 @@ pub fn halo_gather(
     let cols = h_local.cols();
     debug_assert_eq!(h_local.rows(), lg.num_local, "expected owned rows only");
     let rank = dev.rank;
-    let res = dev.begin_op().and_then(|op| {
+    dev.with_op(|op| {
         let key: MsgKey = (op, 0, 0, 0);
         let fabric = dev.fabric();
         for (peer, rows) in &halo.sends {
@@ -411,8 +411,7 @@ pub fn halo_gather(
             .stats
             .record(halo.cached_fill.len() as u64, fetched, cols);
         Ok(full)
-    });
-    dev.poison_on_err(res)
+    })
 }
 
 /// A rank's bundled layer-0 state for the full-batch planned path: the

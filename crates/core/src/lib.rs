@@ -66,7 +66,7 @@ pub mod error;
 pub mod fabric;
 pub mod fault;
 pub mod featcache;
-pub mod overlap;
+pub(crate) mod overlap;
 pub mod pipeline;
 pub mod recovery;
 pub mod runtime;
@@ -91,7 +91,6 @@ pub use fault::{FaultEvent, FaultPlan};
 pub use featcache::{
     CachePolicy, CacheStats, CacheStatsSnapshot, ClusterCache, FeatureCache, FeatureCacheSets,
 };
-pub use overlap::{OverlapWorker, Pending};
 pub use pipeline::PipelineSchedule;
 pub use recovery::{train_elastic, ElasticReport, RecoveryConfig, RecoveryEvent, ResumePolicy};
 pub use runtime::{run_cluster, run_cluster_with, DeviceHandle, ExecStrategy};

@@ -37,7 +37,7 @@ use dgcl_tensor::Matrix;
 use crate::collectives::CollectiveEngine;
 use crate::error::{ClusterFailure, RuntimeError};
 use crate::fabric::Fabric;
-use crate::pipeline::{self, PipelineSchedule, PipelineScratch};
+use crate::pipeline::{self, Driver, PipelineSchedule, PipelineScratch};
 use crate::schedule::DeviceSchedule;
 
 /// One background collective.
@@ -148,12 +148,11 @@ impl OverlapWorker {
                             rank,
                             op,
                             &sched,
-                            &pipe,
                             &ios,
                             num_local,
                             num_total,
                             &local,
-                            &mut scratch,
+                            Driver::Chunked(&pipe, &mut scratch),
                         );
                         poison_own(&fabric, rank, &r);
                         // The submitted features are no longer needed;

@@ -1,12 +1,12 @@
 //! Chunk-pipelined execution of the compiled device schedules.
 //!
-//! The barriered executor in `runtime.rs` moves each `(stage, substage,
-//! peer)` payload as one message and blocks on an entire stage before
-//! forwarding a single row — link time and relay time add up. NCCL-style
-//! collectives get their bandwidth from the missing ingredient: payloads
-//! split into fixed-size chunks that stream through relays, so a relay
-//! forwards chunk `k` the moment it arrives while chunk `k + 1` is still
-//! in flight.
+//! The stage-barriered driver (`Driver::Staged`) moves each `(stage,
+//! substage, peer)` payload as one message and blocks on an entire stage
+//! before forwarding a single row — link time and relay time add up.
+//! NCCL-style collectives get their bandwidth from the missing
+//! ingredient: payloads split into fixed-size chunks that stream through
+//! relays, so a relay forwards chunk `k` the moment it arrives while
+//! chunk `k + 1` is still in flight.
 //!
 //! This module compiles a [`DeviceSchedule`] into a [`PipelineSchedule`]:
 //! a flat list of per-chunk send/receive [`ChunkAction`]s plus a packed
@@ -362,21 +362,98 @@ where
     Ok(())
 }
 
-/// Pipelined `graph_allgather` over precompiled schedules: the forward
-/// row-reference encoding of [`DeviceSchedule::forward`] driven by the
-/// chunk executor. Bitwise identical to the barriered path.
+/// Which compiled executor moves a schedule's rows. Both call the same
+/// row closure, so payloads and results are bitwise identical; they
+/// differ in message granularity and in what a device waits for.
+pub(crate) enum Driver<'a> {
+    /// Dependency-driven chunks ([`execute`]).
+    Chunked(&'a PipelineSchedule, &'a mut PipelineScratch),
+    /// One message per (stage, substage, peer), each stage's receives
+    /// drained before the next stage's sends ([`execute_staged`]).
+    Staged,
+}
+
+/// Runs one compiled operation under `driver`.
+#[allow(clippy::too_many_arguments)]
+fn drive<F: FnMut(ChunkIo<'_>)>(
+    fabric: &Fabric,
+    rank: usize,
+    op: u64,
+    sched: &DeviceSchedule,
+    ios: &[StageIo],
+    cols: usize,
+    driver: Driver<'_>,
+    io: F,
+) -> Result<(), RuntimeError> {
+    match driver {
+        Driver::Chunked(pipe, scratch) => {
+            execute(fabric, rank, op, sched, pipe, ios, cols, scratch, io)
+        }
+        Driver::Staged => execute_staged(fabric, rank, op, sched, ios, cols, io),
+    }
+}
+
+/// The stage-barriered walk over `sched.groups`: per group, sends are
+/// posted first and receives drained second, so no cycle of blocking
+/// receives can form within a stage.
+fn execute_staged<F: FnMut(ChunkIo<'_>)>(
+    fabric: &Fabric,
+    rank: usize,
+    op: u64,
+    sched: &DeviceSchedule,
+    ios: &[StageIo],
+    cols: usize,
+    mut io: F,
+) -> Result<(), RuntimeError> {
+    for group in &sched.groups {
+        let key: MsgKey = (op, group.stage as u32, group.substage as u32, 0);
+        for entry in group.ios.clone() {
+            let refs = &sched.send_refs[entry][..];
+            if refs.is_empty() {
+                continue;
+            }
+            let peer = ios[entry].peer;
+            fabric.wait_ready(peer, op, rank)?;
+            let mut payload = fabric.checkout(refs.len() * cols);
+            io(ChunkIo::Pack {
+                entry: entry as u32,
+                refs,
+                payload: &mut payload,
+            });
+            fabric.send(rank, peer, key, payload)?;
+        }
+        for entry in group.ios.clone() {
+            let refs = &sched.recv_refs[entry][..];
+            if refs.is_empty() {
+                continue;
+            }
+            let payload = fabric.recv(ios[entry].peer, rank, key)?;
+            expect_payload(rank, payload.len(), refs.len() * cols, key)?;
+            io(ChunkIo::Apply {
+                entry: entry as u32,
+                refs,
+                payload: &payload,
+            });
+            fabric.recycle(payload);
+        }
+    }
+    Ok(())
+}
+
+/// The compiled `graph_allgather`: the forward (overwrite)
+/// row-reference encoding of [`DeviceSchedule::forward`], moved by
+/// `driver`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_allgather(
     fabric: &Fabric,
     rank: usize,
     op: u64,
     sched: &DeviceSchedule,
-    pipe: &PipelineSchedule,
     ios: &[StageIo],
     num_local: usize,
     num_total: usize,
     local: &Matrix,
-    scratch: &mut PipelineScratch,
+    driver: Driver<'_>,
 ) -> Result<Matrix, RuntimeError> {
     assert_eq!(local.rows(), num_local, "expected local rows only");
     let cols = local.cols();
@@ -385,66 +462,59 @@ pub(crate) fn forward_allgather(
     // Rows this device relays without consuming.
     let mut relay = fabric.checkout(sched.scratch_rows * cols);
     relay.resize(sched.scratch_rows * cols, 0.0);
-    let result = {
-        let out = &mut out;
-        let relay = &mut relay;
-        execute(
-            fabric,
-            rank,
-            op,
-            sched,
-            pipe,
-            ios,
-            cols,
-            scratch,
-            |req| match req {
-                ChunkIo::Pack { refs, payload, .. } => {
-                    for &r in refs {
-                        let r = r as usize;
-                        let row = if r < num_total {
-                            out.row(r)
-                        } else {
-                            let start = (r - num_total) * cols;
-                            &relay[start..start + cols]
-                        };
-                        payload.extend_from_slice(row);
+    drive(
+        fabric,
+        rank,
+        op,
+        sched,
+        ios,
+        cols,
+        driver,
+        |req| match req {
+            ChunkIo::Pack { refs, payload, .. } => {
+                for &r in refs {
+                    let r = r as usize;
+                    let row = if r < num_total {
+                        out.row(r)
+                    } else {
+                        let start = (r - num_total) * cols;
+                        &relay[start..start + cols]
+                    };
+                    payload.extend_from_slice(row);
+                }
+            }
+            ChunkIo::Apply { refs, payload, .. } => {
+                for (i, &r) in refs.iter().enumerate() {
+                    let row = &payload[i * cols..(i + 1) * cols];
+                    let r = r as usize;
+                    if r < num_total {
+                        out.set_row(r, row);
+                    } else {
+                        let start = (r - num_total) * cols;
+                        relay[start..start + cols].copy_from_slice(row);
                     }
                 }
-                ChunkIo::Apply { refs, payload, .. } => {
-                    for (i, &r) in refs.iter().enumerate() {
-                        let row = &payload[i * cols..(i + 1) * cols];
-                        let r = r as usize;
-                        if r < num_total {
-                            out.set_row(r, row);
-                        } else {
-                            let start = (r - num_total) * cols;
-                            relay[start..start + cols].copy_from_slice(row);
-                        }
-                    }
-                }
-            },
-        )
-    };
-    result?;
+            }
+        },
+    )?;
     fabric.recycle(relay);
     Ok(out)
 }
 
-/// Pipelined `scatter_backward`: the backward (accumulating)
-/// row-reference encoding of [`DeviceSchedule::backward`] driven by the
-/// chunk executor. Bitwise identical to the barriered path.
+/// The compiled `scatter_backward`: the backward (accumulate)
+/// row-reference encoding of [`DeviceSchedule::backward`], moved by
+/// `driver`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_scatter(
     fabric: &Fabric,
     rank: usize,
     op: u64,
     sched: &DeviceSchedule,
-    pipe: &PipelineSchedule,
     ios: &[StageIo],
     num_local: usize,
     num_total: usize,
     grad_full: &Matrix,
-    scratch: &mut PipelineScratch,
+    driver: Driver<'_>,
 ) -> Result<Matrix, RuntimeError> {
     assert_eq!(grad_full.rows(), num_total, "expected full rows");
     let cols = grad_full.cols();
@@ -456,50 +526,44 @@ pub(crate) fn backward_scatter(
     acc.resize(sched.scratch_rows * cols, 0.0);
     let seeded = (num_total - num_local) * cols;
     acc[..seeded].copy_from_slice(&grad_full.as_slice()[num_local * cols..]);
-    let result = {
-        let grad_local = &mut grad_local;
-        let acc = &mut acc;
-        execute(
-            fabric,
-            rank,
-            op,
-            sched,
-            pipe,
-            ios,
-            cols,
-            scratch,
-            |req| match req {
-                ChunkIo::Pack { refs, payload, .. } => {
-                    for &r in refs {
-                        let r = r as usize;
-                        let row = if r < num_local {
-                            grad_local.row(r)
-                        } else {
-                            let start = (r - num_local) * cols;
-                            &acc[start..start + cols]
-                        };
-                        payload.extend_from_slice(row);
+    drive(
+        fabric,
+        rank,
+        op,
+        sched,
+        ios,
+        cols,
+        driver,
+        |req| match req {
+            ChunkIo::Pack { refs, payload, .. } => {
+                for &r in refs {
+                    let r = r as usize;
+                    let row = if r < num_local {
+                        grad_local.row(r)
+                    } else {
+                        let start = (r - num_local) * cols;
+                        &acc[start..start + cols]
+                    };
+                    payload.extend_from_slice(row);
+                }
+            }
+            ChunkIo::Apply { refs, payload, .. } => {
+                for (i, &r) in refs.iter().enumerate() {
+                    let row = &payload[i * cols..(i + 1) * cols];
+                    let r = r as usize;
+                    let dst = if r < num_local {
+                        &mut grad_local.row_mut(r)[..]
+                    } else {
+                        let start = (r - num_local) * cols;
+                        &mut acc[start..start + cols]
+                    };
+                    for (g, &x) in dst.iter_mut().zip(row) {
+                        *g += x;
                     }
                 }
-                ChunkIo::Apply { refs, payload, .. } => {
-                    for (i, &r) in refs.iter().enumerate() {
-                        let row = &payload[i * cols..(i + 1) * cols];
-                        let r = r as usize;
-                        let dst = if r < num_local {
-                            &mut grad_local.row_mut(r)[..]
-                        } else {
-                            let start = (r - num_local) * cols;
-                            &mut acc[start..start + cols]
-                        };
-                        for (g, &x) in dst.iter_mut().zip(row) {
-                            *g += x;
-                        }
-                    }
-                }
-            },
-        )
-    };
-    result?;
+            }
+        },
+    )?;
     fabric.recycle(acc);
     Ok(grad_local)
 }

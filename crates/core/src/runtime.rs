@@ -21,7 +21,7 @@ use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, FabricConfig, MsgKey};
 use crate::overlap::{OverlapWorker, Pending};
-use crate::pipeline::{self, PipelineScratch};
+use crate::pipeline::{self, Driver, PipelineSchedule, PipelineScratch};
 
 /// A device's view of the cluster: its rank, its local graph and the
 /// collective operations of the paper's client API.
@@ -42,7 +42,8 @@ pub struct DeviceHandle<'a> {
 ///   relays, driven by the precompiled dependency list (the shipping
 ///   path).
 /// * [`Barriered`](ExecStrategy::Barriered) — one message per (stage,
-///   substage, peer), blocking on an entire stage before forwarding.
+///   substage, peer), blocking on an entire stage before forwarding;
+///   the same compiled row closures under `pipeline::Driver::Staged`.
 /// * [`Reference`](ExecStrategy::Reference) — uncompiled table walking
 ///   that resolves every vertex id per operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,6 +67,19 @@ fn stage_keys(tables: &SendRecvTables, rank: usize) -> Vec<(usize, usize)> {
     keys.sort_unstable();
     keys.dedup();
     keys
+}
+
+/// The compiled driver `strategy` names (the caller has already routed
+/// [`ExecStrategy::Reference`] to the table walkers).
+fn driver<'s>(
+    strategy: ExecStrategy,
+    pipe: &'s PipelineSchedule,
+    scratch: &'s mut PipelineScratch,
+) -> Driver<'s> {
+    match strategy {
+        ExecStrategy::Pipelined => Driver::Chunked(pipe, scratch),
+        _ => Driver::Staged,
+    }
 }
 
 impl<'a> DeviceHandle<'a> {
@@ -143,6 +157,21 @@ impl<'a> DeviceHandle<'a> {
         result
     }
 
+    /// Runs one collective: enters the next op
+    /// ([`DeviceHandle::begin_op`]), hands its id to `body`, and poisons
+    /// the fabric with any error this device originated. `body` may
+    /// instead hand the op to an [`OverlapWorker`] and return at once:
+    /// the id is assigned here, on the calling thread, so submission
+    /// order (identical across ranks) fixes the rendezvous order
+    /// regardless of when the worker executes.
+    pub(crate) fn with_op<T>(
+        &self,
+        body: impl FnOnce(u64) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
+        let r = self.begin_op().and_then(body);
+        self.poison_on_err(r)
+    }
+
     /// The paper's `graph_allgather`: sends the embeddings other devices
     /// need, receives (and forwards) the embeddings of this device's
     /// remote vertices, and returns the full visible embedding matrix
@@ -190,14 +219,17 @@ impl<'a> DeviceHandle<'a> {
         local: &Matrix,
     ) -> Result<Matrix, RuntimeError> {
         let r = match strategy {
-            ExecStrategy::Pipelined => self.graph_allgather_pipelined_inner(local),
-            ExecStrategy::Barriered => self.graph_allgather_barriered_inner(local),
             ExecStrategy::Reference => self.graph_allgather_reference_inner(local),
+            compiled => self.graph_allgather_compiled(compiled, local),
         };
         self.poison_on_err(r)
     }
 
-    fn graph_allgather_pipelined_inner(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
+    fn graph_allgather_compiled(
+        &self,
+        strategy: ExecStrategy,
+        local: &Matrix,
+    ) -> Result<Matrix, RuntimeError> {
         let lg = self.local_graph();
         let op = self.begin_op()?;
         pipeline::forward_allgather(
@@ -205,12 +237,15 @@ impl<'a> DeviceHandle<'a> {
             self.rank,
             op,
             &self.info.forward_schedules[self.rank],
-            &self.info.forward_pipelines[self.rank],
             &self.info.forward_tables.per_device[self.rank],
             lg.num_local,
             lg.num_total(),
             local,
-            &mut self.scratch.borrow_mut(),
+            driver(
+                strategy,
+                &self.info.forward_pipelines[self.rank],
+                &mut self.scratch.borrow_mut(),
+            ),
         )
     }
 
@@ -229,65 +264,6 @@ impl<'a> DeviceHandle<'a> {
     /// Panics if `local` does not have exactly `num_local` rows.
     pub fn graph_allgather_barriered(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
         self.graph_allgather_with(ExecStrategy::Barriered, local)
-    }
-
-    fn graph_allgather_barriered_inner(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
-        let lg = self.local_graph();
-        assert_eq!(local.rows(), lg.num_local, "expected local rows only");
-        let cols = local.cols();
-        let op = self.begin_op()?;
-        let num_total = lg.num_total();
-        let mut out = Matrix::zeros(num_total, cols);
-        out.as_mut_slice()[..lg.num_local * cols].copy_from_slice(local.as_slice());
-        let sched = &self.info.forward_schedules[self.rank];
-        let ios = &self.info.forward_tables.per_device[self.rank];
-        // Rows this device relays without consuming.
-        let mut relay = self.fabric.checkout(sched.scratch_rows * cols);
-        relay.resize(sched.scratch_rows * cols, 0.0);
-        for group in &sched.groups {
-            let key: MsgKey = (op, group.stage as u32, group.substage as u32, 0);
-            for idx in group.ios.clone() {
-                let refs = &sched.send_refs[idx];
-                if refs.is_empty() {
-                    continue;
-                }
-                let peer = ios[idx].peer;
-                self.fabric.wait_ready(peer, op, self.rank)?;
-                let mut payload = self.fabric.checkout(refs.len() * cols);
-                for &r in refs {
-                    let r = r as usize;
-                    let row = if r < num_total {
-                        out.row(r)
-                    } else {
-                        let start = (r - num_total) * cols;
-                        &relay[start..start + cols]
-                    };
-                    payload.extend_from_slice(row);
-                }
-                self.fabric.send(self.rank, peer, key, payload)?;
-            }
-            for idx in group.ios.clone() {
-                let refs = &sched.recv_refs[idx];
-                if refs.is_empty() {
-                    continue;
-                }
-                let payload = self.fabric.recv(ios[idx].peer, self.rank, key)?;
-                expect_payload(self.rank, payload.len(), refs.len() * cols, key)?;
-                for (i, &r) in refs.iter().enumerate() {
-                    let row = &payload[i * cols..(i + 1) * cols];
-                    let r = r as usize;
-                    if r < num_total {
-                        out.set_row(r, row);
-                    } else {
-                        let start = (r - num_total) * cols;
-                        relay[start..start + cols].copy_from_slice(row);
-                    }
-                }
-                self.fabric.recycle(payload);
-            }
-        }
-        self.fabric.recycle(relay);
-        Ok(out)
     }
 
     /// The uncompiled table-walking `graph_allgather` this runtime
@@ -405,14 +381,17 @@ impl<'a> DeviceHandle<'a> {
         grad_full: &Matrix,
     ) -> Result<Matrix, RuntimeError> {
         let r = match strategy {
-            ExecStrategy::Pipelined => self.scatter_backward_pipelined_inner(grad_full),
-            ExecStrategy::Barriered => self.scatter_backward_barriered_inner(grad_full),
             ExecStrategy::Reference => self.scatter_backward_reference_inner(grad_full),
+            compiled => self.scatter_backward_compiled(compiled, grad_full),
         };
         self.poison_on_err(r)
     }
 
-    fn scatter_backward_pipelined_inner(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {
+    fn scatter_backward_compiled(
+        &self,
+        strategy: ExecStrategy,
+        grad_full: &Matrix,
+    ) -> Result<Matrix, RuntimeError> {
         let lg = self.local_graph();
         let op = self.begin_op()?;
         pipeline::backward_scatter(
@@ -420,12 +399,15 @@ impl<'a> DeviceHandle<'a> {
             self.rank,
             op,
             &self.info.backward_schedules[self.rank],
-            &self.info.backward_pipelines[self.rank],
             &self.info.backward_tables.per_device[self.rank],
             lg.num_local,
             lg.num_total(),
             grad_full,
-            &mut self.scratch.borrow_mut(),
+            driver(
+                strategy,
+                &self.info.backward_pipelines[self.rank],
+                &mut self.scratch.borrow_mut(),
+            ),
         )
     }
 
@@ -441,71 +423,6 @@ impl<'a> DeviceHandle<'a> {
     /// Panics if `grad_full` does not have `num_total` rows.
     pub fn scatter_backward_barriered(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {
         self.scatter_backward_with(ExecStrategy::Barriered, grad_full)
-    }
-
-    fn scatter_backward_barriered_inner(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {
-        let lg = self.local_graph();
-        assert_eq!(grad_full.rows(), lg.num_total(), "expected full rows");
-        let cols = grad_full.cols();
-        let op = self.begin_op()?;
-        let num_local = lg.num_local;
-        let mut grad_local = grad_full.head_rows(num_local);
-        let sched = &self.info.backward_schedules[self.rank];
-        let ios = &self.info.backward_tables.per_device[self.rank];
-        // Accumulator scratch: `num_remote` rows seeded with this
-        // device's own consumption gradient, then relay rows (and the
-        // optional always-zero row) from zero.
-        let mut acc = self.fabric.checkout(sched.scratch_rows * cols);
-        acc.resize(sched.scratch_rows * cols, 0.0);
-        let seeded = (lg.num_total() - num_local) * cols;
-        acc[..seeded].copy_from_slice(&grad_full.as_slice()[num_local * cols..]);
-        for group in &sched.groups {
-            let key: MsgKey = (op, group.stage as u32, group.substage as u32, 0);
-            for idx in group.ios.clone() {
-                let refs = &sched.send_refs[idx];
-                if refs.is_empty() {
-                    continue;
-                }
-                let peer = ios[idx].peer;
-                self.fabric.wait_ready(peer, op, self.rank)?;
-                let mut payload = self.fabric.checkout(refs.len() * cols);
-                for &r in refs {
-                    let r = r as usize;
-                    let row = if r < num_local {
-                        grad_local.row(r)
-                    } else {
-                        let start = (r - num_local) * cols;
-                        &acc[start..start + cols]
-                    };
-                    payload.extend_from_slice(row);
-                }
-                self.fabric.send(self.rank, peer, key, payload)?;
-            }
-            for idx in group.ios.clone() {
-                let refs = &sched.recv_refs[idx];
-                if refs.is_empty() {
-                    continue;
-                }
-                let payload = self.fabric.recv(ios[idx].peer, self.rank, key)?;
-                expect_payload(self.rank, payload.len(), refs.len() * cols, key)?;
-                for (i, &r) in refs.iter().enumerate() {
-                    let row = &payload[i * cols..(i + 1) * cols];
-                    let r = r as usize;
-                    let dst = if r < num_local {
-                        &mut grad_local.row_mut(r)[..]
-                    } else {
-                        let start = (r - num_local) * cols;
-                        &mut acc[start..start + cols]
-                    };
-                    for (g, &x) in dst.iter_mut().zip(row) {
-                        *g += x;
-                    }
-                }
-                self.fabric.recycle(payload);
-            }
-        }
-        self.fabric.recycle(acc);
-        Ok(grad_local)
     }
 
     /// The uncompiled table-walking backward pass (see
@@ -615,12 +532,11 @@ impl<'a> DeviceHandle<'a> {
         algo: AllreduceAlgo,
         mats: Vec<Matrix>,
     ) -> Result<Vec<Matrix>, RuntimeError> {
-        let r = self.begin_op().and_then(|op| {
+        self.with_op(|op| {
             self.engine
                 .borrow_mut()
                 .allreduce(&self.fabric, op, algo, mats)
-        });
-        self.poison_on_err(r)
+        })
     }
 
     /// Broadcasts `root`'s matrix to every rank (binomial tree). All
@@ -646,12 +562,11 @@ impl<'a> DeviceHandle<'a> {
         root: usize,
         mat: Matrix,
     ) -> Result<Matrix, RuntimeError> {
-        let r = self.begin_op().and_then(|op| {
+        self.with_op(|op| {
             self.engine
                 .borrow_mut()
                 .broadcast(&self.fabric, op, algo, root, mat)
-        });
-        self.poison_on_err(r)
+        })
     }
 
     /// Broadcasts the matrix of the member at `root_pos` to every
@@ -674,12 +589,11 @@ impl<'a> DeviceHandle<'a> {
         root_pos: usize,
         mat: Matrix,
     ) -> Result<Matrix, RuntimeError> {
-        let r = self.begin_op().and_then(|op| {
+        self.with_op(|op| {
             self.engine
                 .borrow_mut()
                 .broadcast_group(&self.fabric, op, algo, group, root_pos, mat)
-        });
-        self.poison_on_err(r)
+        })
     }
 
     /// Bumps the op counter without communicating — the no-op a rank
@@ -691,15 +605,14 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// Any [`RuntimeError`] raised on entry (poison, injected crash).
     pub fn align_op(&self) -> Result<(), RuntimeError> {
-        let r = self.begin_op().map(|_| ());
-        self.poison_on_err(r)
+        self.with_op(|_| Ok(()))
     }
 
     /// Spawns this device's background collective worker (see
     /// [`crate::overlap`]). One worker per device is enough: it executes
     /// submitted collectives FIFO, overlapping them with whatever the
     /// calling thread computes in the meantime.
-    pub fn overlap_worker(&self) -> OverlapWorker {
+    pub(crate) fn overlap_worker(&self) -> OverlapWorker {
         let lg = self.local_graph();
         OverlapWorker::spawn(
             self.fabric.clone(),
@@ -710,44 +623,6 @@ impl<'a> DeviceHandle<'a> {
             lg.num_local,
             lg.num_total(),
         )
-    }
-
-    /// Submits a gradient-bucket allreduce to `worker` and returns
-    /// immediately. The op id is assigned here, on the calling thread, so
-    /// submission order (identical across ranks) fixes the rendezvous
-    /// order regardless of when the worker executes.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`] raised on entry (poison, injected crash, dead
-    /// worker); an error originated here also poisons the fabric.
-    pub fn submit_allreduce(
-        &self,
-        worker: &OverlapWorker,
-        mats: Vec<Matrix>,
-    ) -> Result<Pending<Vec<Matrix>>, RuntimeError> {
-        let r = self
-            .begin_op()
-            .and_then(|op| worker.submit_allreduce(op, mats));
-        self.poison_on_err(r)
-    }
-
-    /// Submits a pipelined embedding allgather of `local` to `worker`
-    /// and returns immediately — the next layer's (or next epoch's)
-    /// exchange proceeds while this thread keeps computing.
-    ///
-    /// # Errors
-    ///
-    /// See [`DeviceHandle::submit_allreduce`].
-    pub fn submit_allgather(
-        &self,
-        worker: &OverlapWorker,
-        local: Matrix,
-    ) -> Result<Pending<Matrix>, RuntimeError> {
-        let r = self
-            .begin_op()
-            .and_then(|op| worker.submit_allgather(op, local));
-        self.poison_on_err(r)
     }
 
     /// Assembles the full value matrix for a batch row list from its
@@ -763,10 +638,7 @@ impl<'a> DeviceHandle<'a> {
         &self,
         plan: &crate::sampling::GatherPlan,
     ) -> Result<Matrix, RuntimeError> {
-        let r = self
-            .begin_op()
-            .and_then(|op| crate::sampling::execute_gather(&self.fabric, self.rank, op, plan));
-        self.poison_on_err(r)
+        self.with_op(|op| crate::sampling::execute_gather(&self.fabric, self.rank, op, plan))
     }
 
     /// Reduces per-row gradient contributions back to the rows' owners
@@ -784,29 +656,9 @@ impl<'a> DeviceHandle<'a> {
         rows: &[VertexId],
         partition: &[u32],
     ) -> Result<Matrix, RuntimeError> {
-        let r = self.begin_op().and_then(|op| {
+        self.with_op(|op| {
             crate::sampling::execute_reduce(&self.fabric, self.rank, op, contrib, rows, partition)
-        });
-        self.poison_on_err(r)
-    }
-
-    /// Submits a batch row exchange to `worker` and returns immediately
-    /// — the sampled trainer prefetches the next batch's feature rows
-    /// this way while the current batch computes. The op id is assigned
-    /// here, in program order, like every other submission.
-    ///
-    /// # Errors
-    ///
-    /// See [`DeviceHandle::submit_allreduce`].
-    pub fn submit_exchange(
-        &self,
-        worker: &OverlapWorker,
-        plan: crate::sampling::GatherPlan,
-    ) -> Result<Pending<Matrix>, RuntimeError> {
-        let r = self
-            .begin_op()
-            .and_then(|op| worker.submit_exchange(op, plan));
-        self.poison_on_err(r)
+        })
     }
 
     /// Blocks on a background collective submitted earlier, poisoning
@@ -817,7 +669,7 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// The collective's [`RuntimeError`], or a timeout if the worker
     /// vanished.
-    pub fn wait_pending<T>(&self, pending: Pending<T>) -> Result<T, RuntimeError> {
+    pub(crate) fn wait_pending<T>(&self, pending: Pending<T>) -> Result<T, RuntimeError> {
         let r = pending.wait();
         self.poison_on_err(r)
     }

@@ -12,35 +12,35 @@
 //!   reduces per-row gradient contributions back to the owners
 //!   (backward). Both run over the raw fabric with op-aligned keys, so
 //!   they compose with the poison protocol and the fault injector.
-//! * Device bodies called by the trainer: the **block path** (finite
-//!   fanouts, compact per-batch compute, optional [`OverlapWorker`]
-//!   prefetch of batch `k+1`'s features while batch `k` computes) and
-//!   the **exact path** (all fanouts ∞): full-neighborhood forward with
-//!   the loss masked to the batch. With one batch covering every vertex
-//!   the exact path is *bitwise identical* to full-batch training — the
-//!   parity criterion the test suite enforces.
+//! * `BlockSteps` — the trainer's **sampled-blocks** step kind (finite
+//!   fanouts, compact per-batch compute, optional overlap-worker
+//!   prefetch of batch `k+1`'s features while batch `k` computes). With
+//!   all fanouts ∞ the trainer instead runs its full-neighbourhood step
+//!   with the loss masked to the batch; one batch covering every vertex
+//!   is then *bitwise identical* to full-batch training — the parity
+//!   criterion the test suite enforces.
 //!
 //! Determinism: samples are pure functions of `(seed, epoch, batch)`, so
 //! every rank reconstructs every peer's blocks without communication;
 //! row exchanges assemble and reduce in ascending rank order; and resumed
 //! runs replay the same batches from the checkpoint epoch.
 
-use dgcl_gnn::AggKind;
+use dgcl_gnn::{AggKind, GnnNetwork};
 use dgcl_graph::khop::GraphError;
-use dgcl_graph::sample::{round_seed, seed_batches, BlockPool, LayerBlock};
+use dgcl_graph::sample::{round_seed, BlockPool, LayerBlock};
 use dgcl_graph::{CsrGraph, VertexId};
 use dgcl_tensor::Matrix;
 
 use crate::backend::CommBackend;
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, Fabric, MsgKey};
-use crate::featcache::{ClusterCache, HaloGatherCtx};
-use crate::overlap::Pending;
+use crate::featcache::ClusterCache;
+use crate::overlap::{OverlapWorker, Pending};
 use crate::runtime::DeviceHandle;
-use crate::trainer::{EpochCtx, TrainConfig};
+use crate::trainer::{input_learns, EpochCtx, GradSync};
 
 /// How the trainer samples mini-batches. Attach to
-/// [`TrainConfig::sampling`] to switch the distributed trainer from
+/// [`crate::trainer::TrainConfig::sampling`] to switch the trainer from
 /// full-batch epochs to sampled mini-batch epochs.
 #[derive(Debug, Clone)]
 pub struct SamplingConfig {
@@ -52,9 +52,9 @@ pub struct SamplingConfig {
     /// Seed for batch shuffling and neighbor draws; identical across
     /// ranks by construction (it lives in the shared config).
     pub seed: u64,
-    /// Prefetch the next batch's input-layer feature rows on the
-    /// [`crate::OverlapWorker`] while the current batch computes
-    /// (block path only).
+    /// Prefetch the next batch's input-layer feature rows on a
+    /// background worker while the current batch computes (finite
+    /// fanouts only).
     pub prefetch: bool,
     /// The training seed set; `None` means every vertex. Out-of-range
     /// ids surface as a typed [`RuntimeError::Protocol`] through
@@ -82,7 +82,8 @@ impl SamplingConfig {
         Self::new(batch_size, vec![None; layers])
     }
 
-    /// Whether every fanout is ∞ (routes to the exact masked path).
+    /// Whether every fanout is ∞ (the trainer then runs full-neighbourhood
+    /// steps with a masked loss instead of sampled blocks).
     pub(crate) fn is_exact(&self) -> bool {
         self.fanouts.iter().all(Option::is_none)
     }
@@ -111,7 +112,7 @@ pub(crate) fn graph_err(rank: usize, e: &GraphError) -> RuntimeError {
 /// * **Feature cache** — rows resident in the requester's
 ///   [`ClusterCache`] never cross the wire at all: their values are
 ///   embedded in the plan at build time (so the plan stays
-///   self-contained on the [`crate::OverlapWorker`]), and senders skip
+///   self-contained on the prefetch worker), and senders skip
 ///   them because cache sets are shared knowledge.
 #[derive(Debug)]
 pub struct GatherPlan {
@@ -292,20 +293,11 @@ impl GatherPlan {
     }
 }
 
-/// Adds `m` into `acc` row-wise (shapes must match).
-fn add_into(acc: &mut Matrix, m: &Matrix) {
-    for r in 0..acc.rows() {
-        for (a, &b) in acc.row_mut(r).iter_mut().zip(m.row(r)) {
-            *a += b;
-        }
-    }
-}
-
 /// Executes a [`GatherPlan`] under a pre-assigned op: posts each peer
 /// its filtered unique owned rows, then assembles the full matrix from
 /// its own rows, the cache-served rows embedded in the plan, and each
 /// contributing peer's wire block, receives drained in ascending rank
-/// order. Runs on the main thread or on the [`crate::OverlapWorker`]
+/// order. Runs on the main thread or on the [`OverlapWorker`]
 /// (prefetch) — op-tagged keys keep the two from colliding.
 pub(crate) fn execute_gather(
     fabric: &Fabric,
@@ -375,11 +367,11 @@ pub(crate) fn execute_reduce(
     let mut out = Matrix::zeros(own_pos.len(), cols);
     for peer in 0..num_parts {
         if peer == rank {
-            add_into(&mut out, &contrib.gather_rows(own_pos));
+            out.add_assign(&contrib.gather_rows(own_pos));
         } else if !own_pos.is_empty() {
             let payload = fabric.recv(peer, rank, key)?;
             expect_payload(rank, payload.len(), own_pos.len() * cols, key)?;
-            add_into(&mut out, &Matrix::from_vec(own_pos.len(), cols, payload));
+            out.add_assign(&Matrix::from_vec(own_pos.len(), cols, payload));
         }
     }
     Ok(out)
@@ -444,206 +436,163 @@ pub(crate) fn block_scatter_grad(
 }
 
 /// The training seed set: the configured subset, or every vertex.
-fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId> {
+pub(crate) fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId> {
     match &scfg.train_vertices {
         Some(v) => v.clone(),
         None => (0..graph.num_vertices() as VertexId).collect(),
     }
 }
 
-/// The barriered full-graph forward shared by both sampled bodies' final
-/// inference pass (and the exact path's per-batch forward): per layer,
-/// the backend's aggregate exchange then the local layer. When a layer-0
-/// halo context is supplied (planned backend + feature cache), layer 0's
-/// exchange routes through the cache instead.
-fn full_forward(
-    handle: &DeviceHandle<'_>,
-    net: &mut dgcl_gnn::GnnNetwork,
-    backend: &dyn CommBackend,
-    kind: AggKind,
-    features: &Matrix,
-    l0: Option<&HaloGatherCtx<'_>>,
-) -> Result<Matrix, RuntimeError> {
-    let mut h = features.clone();
-    for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-        let agg = match (l, l0) {
-            (0, Some(ctx)) => ctx.agg_forward(handle, &h, kind)?,
-            _ => backend.agg_forward(handle, &h, kind)?,
+/// The sampled-blocks step kind of [`crate::trainer`]'s device body:
+/// finite fanouts, compact per-batch blocks, row exchanges between
+/// layers, gradient row reductions on the way back, and (when
+/// configured) the next batch's feature gather prefetched on an
+/// [`OverlapWorker`]. Holds what outlives a step: the recycle pool for
+/// block-chain scratch (with prefetch on, steady state holds two chains'
+/// carcasses) and the blocks + pending feature gather of the *next*
+/// batch, posted while the current one computes.
+pub(crate) struct BlockSteps<'a> {
+    handle: &'a DeviceHandle<'a>,
+    ctx: &'a EpochCtx<'a>,
+    scfg: &'a SamplingConfig,
+    backend: &'a dyn CommBackend,
+    worker: Option<OverlapWorker>,
+    pool: BlockPool,
+    prefetched: Option<(Vec<LayerBlock>, Pending<Matrix>)>,
+}
+
+impl<'a> BlockSteps<'a> {
+    pub(crate) fn new(
+        handle: &'a DeviceHandle<'a>,
+        ctx: &'a EpochCtx<'a>,
+        scfg: &'a SamplingConfig,
+        backend: &'a dyn CommBackend,
+    ) -> Self {
+        Self {
+            handle,
+            ctx,
+            scfg,
+            backend,
+            worker: scfg.prefetch.then(|| handle.overlap_worker()),
+            pool: BlockPool::new(),
+            prefetched: None,
+        }
+    }
+
+    /// Batch `bi`'s block chain; a bad seed unwinds through the poison
+    /// protocol.
+    fn sample(
+        &mut self,
+        epoch: usize,
+        batches: &[Vec<VertexId>],
+        bi: usize,
+    ) -> Result<Vec<LayerBlock>, RuntimeError> {
+        let blocks = self.pool.sample_blocks(
+            self.ctx.graph,
+            &batches[bi],
+            &self.scfg.fanouts,
+            round_seed(self.scfg.seed, epoch, bi),
+        );
+        self.handle
+            .poison_on_err(blocks.map_err(|e| graph_err(self.handle.rank, &e)))
+    }
+
+    /// The plan of a layer-0 feature gather — the only gather over *raw*
+    /// features, the immutable rows the cache holds, so it consults the
+    /// cache; inter-layer gathers move activations and always build
+    /// uncached plans.
+    fn feature_plan(&self, src: &[VertexId]) -> GatherPlan {
+        let rank = self.handle.rank;
+        let pg = &self.handle.comm_info().pg;
+        GatherPlan::build_inner(
+            src,
+            &pg.partition,
+            pg.num_parts,
+            rank,
+            &pg.local[rank],
+            &self.ctx.features[rank],
+            self.ctx.cache,
+        )
+    }
+
+    /// Forward, loss and backward of batch `bi`, reporting to `sync`.
+    pub(crate) fn step(
+        &mut self,
+        net: &mut GnnNetwork,
+        sync: &mut GradSync<'_>,
+        epoch: usize,
+        batches: &[Vec<VertexId>],
+        bi: usize,
+    ) -> Result<(), RuntimeError> {
+        let (handle, backend) = (self.handle, self.backend);
+        let rank = handle.rank;
+        let pg = &handle.comm_info().pg;
+        let partition: &[u32] = &pg.partition;
+        let owned: &[VertexId] = &pg.local[rank];
+        let agg_kind = self.ctx.cfg.arch.agg_kind();
+        let num_layers = net.num_layers();
+        let (blocks, mut h) = match self.prefetched.take() {
+            Some((blocks, pending)) => (blocks, handle.wait_pending(pending)?),
+            None => {
+                let blocks = self.sample(epoch, batches, bi)?;
+                let plan = self.feature_plan(&blocks[0].src);
+                let h = backend.fetch_rows(handle, &plan)?;
+                (blocks, h)
+            }
         };
-        h = layer.forward_agg(&h, agg);
-    }
-    Ok(h)
-}
-
-/// Allreduces parameter gradients plus the scalar batch loss, applies
-/// the summed gradients and steps — the per-batch tail shared by both
-/// sampled bodies (identical to the full-batch epoch tail).
-fn reduce_and_step(
-    handle: &DeviceHandle<'_>,
-    net: &mut dgcl_gnn::GnnNetwork,
-    lr: f32,
-    local_loss: f32,
-) -> Result<f32, RuntimeError> {
-    let mut mats: Vec<Matrix> = net
-        .layers()
-        .iter()
-        .flat_map(|l| l.gradients().into_iter().cloned())
-        .collect();
-    mats.push(Matrix::full(1, 1, local_loss));
-    let reduced = handle.allreduce(mats)?;
-    let (loss_mat, grads) = reduced.split_last().expect("loss entry present");
-    let mut cursor = 0;
-    for layer in net.layers_mut() {
-        let count = layer.gradients().len();
-        layer.set_gradients(&grads[cursor..cursor + count]);
-        cursor += count;
-    }
-    net.step(lr);
-    Ok(loss_mat[(0, 0)])
-}
-
-/// The block path: finite fanouts, compact per-batch blocks, row
-/// exchanges between layers, gradient row reductions on the way back,
-/// and (when configured) the next batch's feature gather prefetched on
-/// the overlap worker.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn device_body_sampled(
-    handle: &DeviceHandle<'_>,
-    cfg: &TrainConfig,
-    ctx: &EpochCtx<'_>,
-    net0: &dgcl_gnn::GnnNetwork,
-    scfg: &SamplingConfig,
-    graph: &CsrGraph,
-    backend: &dyn CommBackend,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    cache: Option<&ClusterCache>,
-    use_halo: bool,
-) -> Result<(Vec<f32>, Matrix), RuntimeError> {
-    let rank = handle.rank;
-    let info = handle.comm_info();
-    let partition: &[u32] = &info.pg.partition;
-    let num_parts = info.pg.num_parts;
-    let owned: &[VertexId] = &info.pg.local[rank];
-    let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
-    let num_layers = net.num_layers();
-    let seeds = train_set(scfg, graph);
-    let worker = scfg.prefetch.then(|| handle.overlap_worker());
-    // Layer-0 feature gathers (the only gathers over *raw* features, the
-    // immutable rows the cache holds) consult the cache; inter-layer
-    // gathers move activations and always build uncached plans.
-    let feature_plan = |src: &[VertexId]| match cache {
-        Some(c) => GatherPlan::build_cached(
-            src,
-            partition,
-            num_parts,
-            rank,
-            owned,
-            &per_device_features[rank],
-            c,
-        ),
-        None => GatherPlan::build(
-            src,
-            partition,
-            num_parts,
-            rank,
-            owned,
-            &per_device_features[rank],
-        ),
-    };
-    let halo = HaloGatherCtx::build(info, rank, if use_halo { cache } else { None });
-    // Per-batch block-chain scratch recycles across batches; with
-    // prefetch on, steady state holds two chains' carcasses.
-    let mut pool = BlockPool::new();
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    // Blocks + pending feature gather for the *next* batch, posted while
-    // the current batch computes.
-    let mut prefetched: Option<(Vec<LayerBlock>, Pending<Matrix>)> = None;
-    for epoch in ctx.start_epoch..ctx.end_epoch {
-        handle.check_epoch_fault(epoch)?;
-        let batches = seed_batches(&seeds, scfg.batch_size, scfg.seed, epoch);
-        let mut epoch_loss = 0.0f32;
-        for (bi, batch) in batches.iter().enumerate() {
-            let (blocks, mut h) = match prefetched.take() {
-                Some((blocks, pending)) => (blocks, handle.wait_pending(pending)?),
-                None => {
-                    let blocks = handle.poison_on_err(
-                        pool.sample_blocks(
-                            graph,
-                            batch,
-                            &scfg.fanouts,
-                            round_seed(scfg.seed, epoch, bi),
-                        )
-                        .map_err(|e| graph_err(rank, &e)),
-                    )?;
-                    let plan = feature_plan(&blocks[0].src);
-                    let h = backend.fetch_rows(handle, &plan)?;
-                    (blocks, h)
-                }
-            };
-            if let Some(w) = &worker {
-                if bi + 1 < batches.len() {
-                    let next = handle.poison_on_err(
-                        pool.sample_blocks(
-                            graph,
-                            &batches[bi + 1],
-                            &scfg.fanouts,
-                            round_seed(scfg.seed, epoch, bi + 1),
-                        )
-                        .map_err(|e| graph_err(rank, &e)),
-                    )?;
-                    let plan = feature_plan(&next[0].src);
-                    let pending = handle.submit_exchange(w, plan)?;
-                    prefetched = Some((next, pending));
-                }
-            }
-            // Forward: each rank computes only the block rows it owns;
-            // between layers the owners' outputs reassemble into the next
-            // block's full source matrix.
-            let mut rows_mine_per_layer: Vec<Vec<usize>> = Vec::with_capacity(num_layers);
-            for (l, block) in blocks.iter().enumerate().take(num_layers) {
-                let rows_mine: Vec<usize> = (0..block.num_dst())
-                    .filter(|&i| partition[block.dst[i] as usize] as usize == rank)
-                    .collect();
-                let self_pos: Vec<usize> = rows_mine
-                    .iter()
-                    .map(|&i| block.dst_pos[i] as usize)
-                    .collect();
-                let h_self = h.gather_rows(&self_pos);
-                let agg = block_aggregate(block, &rows_mine, &h, agg_kind);
-                let h_mine = net.layers_mut()[l].forward_agg(&h_self, agg);
-                if l + 1 < num_layers {
-                    let my_dst: Vec<VertexId> = rows_mine.iter().map(|&i| block.dst[i]).collect();
-                    let plan =
-                        GatherPlan::build(&block.dst, partition, num_parts, rank, &my_dst, &h_mine);
-                    h = backend.fetch_rows(handle, &plan)?;
-                } else {
-                    h = h_mine;
-                }
-                rows_mine_per_layer.push(rows_mine);
-            }
-            // Loss over this rank's batch rows. mse is a *sum*, so batch
-            // losses add across ranks and across batches.
-            let final_block = blocks.last().expect("at least one layer");
-            let target_rows: Vec<usize> = rows_mine_per_layer[num_layers - 1]
-                .iter()
-                .map(|&i| {
-                    owned
-                        .binary_search(&final_block.dst[i])
-                        .expect("dst row is owned")
-                })
+        if self.worker.is_some() && bi + 1 < batches.len() {
+            let next = self.sample(epoch, batches, bi + 1)?;
+            let plan = self.feature_plan(&next[0].src);
+            let worker = self.worker.as_ref().expect("checked above");
+            let pending = handle.with_op(|op| worker.submit_exchange(op, plan))?;
+            self.prefetched = Some((next, pending));
+        }
+        // Forward: each rank computes only the block rows it owns;
+        // between layers the owners' outputs reassemble into the next
+        // block's full source matrix.
+        let mut rows_mine_per_layer: Vec<Vec<usize>> = Vec::with_capacity(num_layers);
+        for (l, block) in blocks.iter().enumerate().take(num_layers) {
+            let rows_mine: Vec<usize> = (0..block.num_dst())
+                .filter(|&i| partition[block.dst[i] as usize] as usize == rank)
                 .collect();
-            let tgt = per_device_targets[rank].gather_rows(&target_rows);
-            let diff = h.sub(&tgt);
-            let local_loss = 0.5 * diff.norm_sq();
-            // Backward: scatter aggregate gradients over the block edges,
-            // reduce rows to their owners, fold the self-path locally.
-            let mut grad = diff;
-            for l in (0..num_layers).rev() {
-                let block = &blocks[l];
-                let rows_mine = &rows_mine_per_layer[l];
-                let (grad_agg, direct) = net.layers_mut()[l].backward_agg(&grad);
+            let self_pos: Vec<usize> = rows_mine
+                .iter()
+                .map(|&i| block.dst_pos[i] as usize)
+                .collect();
+            let h_self = h.gather_rows(&self_pos);
+            let agg = block_aggregate(block, &rows_mine, &h, agg_kind);
+            let h_mine = net.layers_mut()[l].forward_agg(&h_self, agg);
+            if l + 1 < num_layers {
+                let my_dst: Vec<VertexId> = rows_mine.iter().map(|&i| block.dst[i]).collect();
+                let plan =
+                    GatherPlan::build(&block.dst, partition, pg.num_parts, rank, &my_dst, &h_mine);
+                h = backend.fetch_rows(handle, &plan)?;
+            } else {
+                h = h_mine;
+            }
+            rows_mine_per_layer.push(rows_mine);
+        }
+        // Loss over this rank's batch rows.
+        let final_block = blocks.last().expect("at least one layer");
+        let target_rows: Vec<usize> = rows_mine_per_layer[num_layers - 1]
+            .iter()
+            .map(|&i| {
+                owned
+                    .binary_search(&final_block.dst[i])
+                    .expect("dst row is owned")
+            })
+            .collect();
+        let tgt = self.ctx.targets[rank].gather_rows(&target_rows);
+        let diff = h.sub(&tgt);
+        sync.loss(handle, 0.5 * diff.norm_sq())?;
+        // Backward: scatter aggregate gradients over the block edges,
+        // reduce rows to their owners, fold the self-path locally.
+        let mut grad = diff;
+        for l in (0..num_layers).rev() {
+            let block = &blocks[l];
+            let rows_mine = &rows_mine_per_layer[l];
+            let (grad_agg, direct) = net.layers_mut()[l].backward_agg(&grad);
+            if input_learns(l) {
                 let mut grad_src = block_scatter_grad(block, rows_mine, &grad_agg, agg_kind);
                 if let Some(direct) = direct {
                     for (j, &i) in rows_mine.iter().enumerate() {
@@ -653,124 +602,15 @@ pub(crate) fn device_body_sampled(
                         }
                     }
                 }
-                if l > 0 {
-                    // Owners of this block's source rows (= the previous
-                    // block's destination rows) collect their gradients.
-                    grad = backend.push_rows(handle, &grad_src, &block.src, partition)?;
-                }
+                // Owners of this block's source rows (= the previous
+                // block's destination rows) collect their gradients.
+                grad = backend.push_rows(handle, &grad_src, &block.src, partition)?;
             }
-            epoch_loss += reduce_and_step(handle, &mut net, cfg.lr, local_loss)?;
-            pool.recycle(blocks);
+            sync.layer_done(handle, &net.layers()[l])?;
         }
-        losses.push(epoch_loss);
-        ctx.publish(rank, &net, &losses);
+        self.pool.recycle(blocks);
+        Ok(())
     }
-    let out = full_forward(
-        handle,
-        &mut net,
-        backend,
-        agg_kind,
-        &per_device_features[rank],
-        halo.as_ref(),
-    )?;
-    Ok((losses, out))
-}
-
-/// The exact path (every fanout ∞): full-neighborhood forward with the
-/// loss and its gradient masked to the batch rows. With a single batch
-/// covering every seed this is instruction-for-instruction the
-/// full-batch barriered epoch — the bitwise parity anchor for the
-/// sampled pipeline.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn device_body_masked(
-    handle: &DeviceHandle<'_>,
-    cfg: &TrainConfig,
-    ctx: &EpochCtx<'_>,
-    net0: &dgcl_gnn::GnnNetwork,
-    scfg: &SamplingConfig,
-    graph: &CsrGraph,
-    backend: &dyn CommBackend,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    cache: Option<&ClusterCache>,
-    use_halo: bool,
-) -> Result<(Vec<f32>, Matrix), RuntimeError> {
-    let rank = handle.rank;
-    let owned: &[VertexId] = &handle.comm_info().pg.local[rank];
-    let halo = HaloGatherCtx::build(
-        handle.comm_info(),
-        rank,
-        if use_halo { cache } else { None },
-    );
-    let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
-    let seeds = train_set(scfg, graph);
-    if let Some(&bad) = seeds
-        .iter()
-        .find(|&&v| (v as usize) >= graph.num_vertices())
-    {
-        let e = GraphError::SeedOutOfRange {
-            seed: bad,
-            num_vertices: graph.num_vertices(),
-        };
-        return handle.poison_on_err(Err(graph_err(rank, &e)));
-    }
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    for epoch in ctx.start_epoch..ctx.end_epoch {
-        handle.check_epoch_fault(epoch)?;
-        let batches = seed_batches(&seeds, scfg.batch_size, scfg.seed, epoch);
-        let mut epoch_loss = 0.0f32;
-        for batch in &batches {
-            let out = full_forward(
-                handle,
-                &mut net,
-                backend,
-                agg_kind,
-                &per_device_features[rank],
-                halo.as_ref(),
-            )?;
-            // Masked sum-squared loss: diff rows outside the batch are
-            // zeroed *before* the norm, so with a full mask this is
-            // exactly `mse_loss` (same element order, same single
-            // accumulator) and bitwise parity follows.
-            let mut batch_sorted = batch.clone();
-            batch_sorted.sort_unstable();
-            let mut diff = out.sub(&per_device_targets[rank]);
-            for (j, &v) in owned.iter().enumerate() {
-                if batch_sorted.binary_search(&v).is_err() {
-                    for x in diff.row_mut(j) {
-                        *x = 0.0;
-                    }
-                }
-            }
-            let local_loss = 0.5 * diff.norm_sq();
-            let mut grad = diff;
-            for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
-                let (grad_agg, direct) = layer.backward_agg(&grad);
-                if l == 0 && halo.is_some() {
-                    // Layer 0's aggregate gradient would flow only into
-                    // the raw input features, which don't learn; with
-                    // the halo active every rank skips the dead exchange
-                    // together, keeping op counters aligned.
-                    break;
-                }
-                let back = backend.agg_backward(handle, &grad_agg, agg_kind)?;
-                grad = crate::trainer::fold_direct(back, direct);
-            }
-            epoch_loss += reduce_and_step(handle, &mut net, cfg.lr, local_loss)?;
-        }
-        losses.push(epoch_loss);
-        ctx.publish(rank, &net, &losses);
-    }
-    let out = full_forward(
-        handle,
-        &mut net,
-        backend,
-        agg_kind,
-        &per_device_features[rank],
-        halo.as_ref(),
-    )?;
-    Ok((losses, out))
 }
 
 #[cfg(test)]

@@ -15,19 +15,23 @@
 
 use dgcl_gnn::aggregate::{aggregate_mean, aggregate_sum};
 use dgcl_gnn::loss::mse_loss;
-use dgcl_gnn::{AggKind, Architecture, GnnNetwork};
+use dgcl_gnn::{AggKind, Architecture, GnnNetwork, Layer};
+use dgcl_graph::khop::GraphError;
+use dgcl_graph::sample::seed_batches;
 use dgcl_graph::CsrGraph;
 use dgcl_sim::BackendKind;
 use dgcl_tensor::Matrix;
 
-use crate::backend::{backend_for, CommBackend};
+use crate::backend::backend_for;
 use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::collectives::{AlgorithmSelector, AllreduceAlgo, AllreducePolicy};
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
 use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache, HaloGatherCtx};
-use crate::runtime::{run_cluster_with, ExecStrategy};
+use crate::overlap::{OverlapWorker, Pending};
+use crate::runtime::{run_cluster_with, DeviceHandle, ExecStrategy};
+use crate::sampling::{graph_err, train_set, BlockSteps};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -42,12 +46,16 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Seed for weight initialisation (shared by all replicas).
     pub weight_seed: u64,
-    /// Whether to overlap communication with compute: per-layer gradient
-    /// allreduce buckets launched as each layer's backward completes, and
-    /// the next epoch's first allgather posted eagerly, all on a
-    /// background worker. Bitwise identical to the serial schedule (fixed
-    /// bucket order, rank-ordered sums); `false` runs the fully
-    /// barriered reference.
+    /// Whether full-neighbourhood steps (full-batch, and sampling with
+    /// every fanout ∞) overlap communication with compute: pipelined
+    /// gather / scatter, per-layer gradient allreduce buckets launched
+    /// as each layer's backward completes, and the next step's first
+    /// allgather posted eagerly, all on a background worker. `false`
+    /// issues the same program inline: stage-barriered gather / scatter
+    /// and one allreduce per step. Bitwise identical either way (fixed
+    /// bucket order, rank-ordered sums). Finite-fanout steps always run
+    /// inline; their feature prefetch is
+    /// [`crate::sampling::SamplingConfig::prefetch`].
     pub overlap: bool,
     /// Allreduce algorithm override for the gradient buckets. `None`
     /// (the default) lets the cost-model autotuner pick per bucket
@@ -194,13 +202,24 @@ pub fn train_distributed_with(
     )
 }
 
-/// Per-epoch context shared by both device bodies: where in the global
-/// epoch range this attempt runs, the losses of epochs completed before
-/// it (from the resumed checkpoint), and where rank 0 publishes
-/// checkpoints.
+/// Per-run context shared by every rank's [`device_body`]: the inputs,
+/// the resolved backend and cache, where in the global epoch range this
+/// attempt starts, the losses of epochs completed before it (from the
+/// resumed checkpoint), and where rank 0 publishes checkpoints.
 pub(crate) struct EpochCtx<'a> {
-    pub(crate) start_epoch: usize,
-    pub(crate) end_epoch: usize,
+    pub(crate) cfg: &'a TrainConfig,
+    pub(crate) graph: &'a CsrGraph,
+    /// Per-rank feature and target rows ([`CommInfo::dispatch_features`]).
+    pub(crate) features: &'a [Matrix],
+    pub(crate) targets: &'a [Matrix],
+    /// The initial replica every rank clones, built once at the driver
+    /// so a resumed attempt restores the checkpoint exactly once.
+    net0: &'a GnnNetwork,
+    backend_kind: BackendKind,
+    /// The per-rank feature caches, materialised once at the driver;
+    /// every rank reads the same copies.
+    pub(crate) cache: Option<&'a ClusterCache>,
+    start_epoch: usize,
     prior_losses: &'a [f32],
     checkpoints: Option<&'a CheckpointConfig>,
 }
@@ -211,7 +230,7 @@ impl EpochCtx<'_> {
     /// Weights are identical on all ranks after the allreduce-then-step,
     /// so one publisher suffices; any crash earlier in the epoch fails
     /// the allreduce and never reaches this point.
-    pub(crate) fn publish(&self, rank: usize, net: &GnnNetwork, new_losses: &[f32]) {
+    fn publish(&self, rank: usize, net: &GnnNetwork, new_losses: &[f32]) {
         let Some(ck) = self.checkpoints else { return };
         if rank != 0 {
             return;
@@ -296,20 +315,8 @@ pub fn train_distributed_resumable(
             info.num_devices()
         );
     }
-    // Resolve the feature-cache policy and materialise the per-rank
-    // caches once at the driver; every rank reads the same copies.
     let cache_policy = cfg.feature_cache.unwrap_or(info.feature_cache.policy);
     let cache = ClusterCache::build(info, features, cache_policy);
-    // With a cache active on the planned backend, full-batch layer 0
-    // routes through the cache-aware halo exchange.
-    let use_halo = cache.is_some() && backend_kind == BackendKind::Planned;
-    let halo_cache = if use_halo { cache.as_ref() } else { None };
-    // The eager next-epoch allgather only makes sense on the planned
-    // backend (CAGNET never runs the vertex-cut exchange), and is
-    // superseded by the halo exchange when the cache is on.
-    let eager_gather = backend_kind == BackendKind::Planned && !use_halo;
-    // The initial replica is built once at the driver: every rank clones
-    // it, so a resumed attempt restores the checkpoint exactly once.
     let mut net0 = GnnNetwork::new(cfg.arch, &cfg.dims, cfg.weight_seed);
     let (start_epoch, prior_losses) = match resume {
         Some(ckpt) => {
@@ -325,75 +332,18 @@ pub fn train_distributed_resumable(
         None => (0, Vec::new()),
     };
     let ctx = EpochCtx {
+        cfg,
+        graph,
+        features: &info.dispatch_features(features),
+        targets: &info.dispatch_features(targets),
+        net0: &net0,
+        backend_kind,
+        cache: cache.as_ref(),
         start_epoch,
-        end_epoch: cfg.epochs,
         prior_losses: &prior_losses,
         checkpoints,
     };
-    let per_device_features = info.dispatch_features(features);
-    let per_device_targets = info.dispatch_features(targets);
-    let results = run_cluster_with(info, fabric_config, |handle| {
-        if let Some(scfg) = &cfg.sampling {
-            // Sampled bodies run their collectives inline (barriered);
-            // the overlap flag only governs the feature prefetch inside
-            // the block path.
-            let backend = backend_for(backend_kind, ExecStrategy::Barriered);
-            if scfg.is_exact() {
-                crate::sampling::device_body_masked(
-                    &handle,
-                    cfg,
-                    &ctx,
-                    &net0,
-                    scfg,
-                    graph,
-                    backend.as_ref(),
-                    &per_device_features,
-                    &per_device_targets,
-                    cache.as_ref(),
-                    use_halo,
-                )
-            } else {
-                crate::sampling::device_body_sampled(
-                    &handle,
-                    cfg,
-                    &ctx,
-                    &net0,
-                    scfg,
-                    graph,
-                    backend.as_ref(),
-                    &per_device_features,
-                    &per_device_targets,
-                    cache.as_ref(),
-                    use_halo,
-                )
-            }
-        } else if cfg.overlap {
-            let backend = backend_for(backend_kind, ExecStrategy::Pipelined);
-            device_body_overlapped(
-                &handle,
-                cfg,
-                &ctx,
-                &net0,
-                backend.as_ref(),
-                eager_gather,
-                &per_device_features,
-                &per_device_targets,
-                halo_cache,
-            )
-        } else {
-            let backend = backend_for(backend_kind, ExecStrategy::Barriered);
-            device_body_barriered(
-                &handle,
-                cfg,
-                &ctx,
-                &net0,
-                backend.as_ref(),
-                &per_device_features,
-                &per_device_targets,
-                halo_cache,
-            )
-        }
-    })?;
+    let results = run_cluster_with(info, fabric_config, |handle| device_body(&handle, &ctx))?;
     let mut losses = prior_losses;
     losses.extend_from_slice(&results[0].0);
     let blocks: Vec<Matrix> = results.into_iter().map(|(_, out)| out).collect();
@@ -405,149 +355,180 @@ pub fn train_distributed_resumable(
     })
 }
 
-/// The gradient with respect to a layer's aggregate input combined with
-/// its direct (self-path) contribution: `backward_agg` splits the two,
-/// the backend folds remote consumers into the aggregate half, and the
-/// direct half lands on the local rows afterwards.
-pub(crate) fn fold_direct(mut grad_agg_back: Matrix, direct: Option<Matrix>) -> Matrix {
-    if let Some(direct) = direct {
-        for v in 0..grad_agg_back.rows() {
-            for (g, &x) in grad_agg_back.row_mut(v).iter_mut().zip(direct.row(v)) {
-                *g += x;
-            }
-        }
-    }
-    grad_agg_back
+/// The layer-0 rule, for every step kind: a layer's aggregate gradient
+/// is exchanged back to the owners of its input rows only if that input
+/// learns. Layer 0 reads the raw features, which don't, so no rank ever
+/// runs its backward exchange and op counters stay aligned.
+pub(crate) fn input_learns(layer: usize) -> bool {
+    layer > 0
 }
 
-/// The serial reference schedule: barriered collectives, one monolithic
-/// allreduce per epoch. Communication and compute strictly alternate.
-#[allow(clippy::too_many_arguments)]
-fn device_body_barriered(
-    handle: &crate::runtime::DeviceHandle<'_>,
-    cfg: &TrainConfig,
-    ctx: &EpochCtx<'_>,
-    net0: &GnnNetwork,
-    backend: &dyn CommBackend,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    halo_cache: Option<&ClusterCache>,
-) -> Result<(Vec<f32>, Matrix), RuntimeError> {
-    let rank = handle.rank;
-    let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
-    let halo = HaloGatherCtx::build(handle.comm_info(), rank, halo_cache);
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    let forward = |net: &mut GnnNetwork,
-                   handle: &crate::runtime::DeviceHandle<'_>|
-     -> Result<Matrix, RuntimeError> {
-        let mut h = per_device_features[rank].clone();
-        for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-            let agg = match (l, &halo) {
-                // Layer 0 reads the immutable raw features: with a cache
-                // active, the halo exchange fills cached rows locally.
-                (0, Some(hctx)) => hctx.agg_forward(handle, &h, agg_kind)?,
-                _ => backend.agg_forward(handle, &h, agg_kind)?,
-            };
-            h = layer.forward_agg(&h, agg);
-        }
-        Ok(h)
-    };
-    for epoch in ctx.start_epoch..ctx.end_epoch {
-        handle.check_epoch_fault(epoch)?;
-        let out = forward(&mut net, handle)?;
-        let (local_loss, grad_out) = mse_loss(&out, &per_device_targets[rank]);
-        // Backward through the layers, routing each layer's aggregate
-        // gradient through the backend's adjoint exchange.
-        let mut grad = grad_out;
-        for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
-            let (grad_agg, direct) = layer.backward_agg(&grad);
-            if l == 0 && halo.is_some() {
-                // Layer 0's aggregate gradient flows only into the raw
-                // features, which don't learn; every rank skips the dead
-                // exchange together, keeping op counters aligned.
-                break;
-            }
-            let back = backend.agg_backward(handle, &grad_agg, agg_kind)?;
-            grad = fold_direct(back, direct);
-        }
-        // Allreduce: parameter gradients plus the scalar loss.
-        let mut mats: Vec<Matrix> = net
-            .layers()
-            .iter()
-            .flat_map(|l| l.gradients().into_iter().cloned())
-            .collect();
-        mats.push(Matrix::full(1, 1, local_loss));
-        let reduced = handle.allreduce(mats)?;
-        let (loss_mat, grads) = reduced.split_last().expect("loss entry present");
-        losses.push(loss_mat[(0, 0)]);
-        let mut cursor = 0;
-        for layer in net.layers_mut() {
-            let count = layer.gradients().len();
-            layer.set_gradients(&grads[cursor..cursor + count]);
-            cursor += count;
-        }
-        net.step(cfg.lr);
-        ctx.publish(rank, &net, &losses);
-    }
-    let out = forward(&mut net, handle)?;
-    Ok((losses, out))
-}
-
-/// The overlapped schedule: pipelined collectives, per-layer gradient
-/// buckets launched on a background worker as soon as each layer's
-/// backward completes, and — on the planned backend — the next epoch's
-/// first allgather (whose input, the raw features, never changes)
-/// posted eagerly while gradients drain and the weights step. The
-/// CAGNET backend interleaves its broadcasts with SpMM on the calling
-/// thread, so only the gradient buckets overlap there.
+/// Gradient synchronisation of one optimiser step. Every rank calls
+/// [`GradSync::loss`] once its local loss is known, then
+/// [`GradSync::layer_done`] after each layer's backward (deepest layer
+/// first), then [`GradSync::finish`].
 ///
-/// Bitwise identical to [`device_body_barriered`]: buckets keep a fixed
-/// submission order, the fabric sums each matrix in rank order
-/// independently of bucketing, and layer-`L` gradients are final the
-/// moment layer `L`'s backward returns (later backward calls touch other
-/// layers only).
-#[allow(clippy::too_many_arguments)]
-fn device_body_overlapped(
-    handle: &crate::runtime::DeviceHandle<'_>,
-    cfg: &TrainConfig,
+/// With an [`OverlapWorker`] each call submits its bucket at once, so a
+/// layer's gradients reduce while the next layer's backward computes;
+/// without one, `finish` reduces everything in a single inline
+/// allreduce. The two are bitwise identical: the fabric sums each matrix
+/// in rank order independently of bucketing, buckets keep a fixed
+/// submission order, and a layer's gradients are final the moment its
+/// backward returns (later backward calls touch other layers only).
+pub(crate) struct GradSync<'w> {
+    worker: Option<&'w OverlapWorker>,
+    local_loss: f32,
+    buckets: Vec<Pending<Vec<Matrix>>>,
+}
+
+impl GradSync<'_> {
+    pub(crate) fn loss(
+        &mut self,
+        handle: &DeviceHandle<'_>,
+        local_loss: f32,
+    ) -> Result<(), RuntimeError> {
+        self.local_loss = local_loss;
+        self.submit(handle, || vec![Matrix::full(1, 1, local_loss)])
+    }
+
+    pub(crate) fn layer_done(
+        &mut self,
+        handle: &DeviceHandle<'_>,
+        layer: &Layer,
+    ) -> Result<(), RuntimeError> {
+        self.submit(handle, || layer.gradients().into_iter().cloned().collect())
+    }
+
+    fn submit(
+        &mut self,
+        handle: &DeviceHandle<'_>,
+        mats: impl FnOnce() -> Vec<Matrix>,
+    ) -> Result<(), RuntimeError> {
+        if let Some(w) = self.worker {
+            let mats = mats();
+            self.buckets
+                .push(handle.with_op(|op| w.submit_allreduce(op, mats))?);
+        }
+        Ok(())
+    }
+
+    /// Installs the cluster-summed gradients, steps, and returns the
+    /// cluster-summed loss.
+    pub(crate) fn finish(
+        &mut self,
+        handle: &DeviceHandle<'_>,
+        net: &mut GnnNetwork,
+        lr: f32,
+    ) -> Result<f32, RuntimeError> {
+        let loss = if self.worker.is_some() {
+            // Buckets drain in submission order.
+            let mut buckets = self.buckets.drain(..);
+            let loss = handle.wait_pending(buckets.next().expect("loss bucket"))?;
+            for (layer, pending) in net.layers_mut().iter_mut().rev().zip(buckets) {
+                layer.set_gradients(&handle.wait_pending(pending)?);
+            }
+            loss[0][(0, 0)]
+        } else {
+            let mut mats: Vec<Matrix> = net
+                .layers()
+                .iter()
+                .flat_map(|l| l.gradients().into_iter().cloned())
+                .collect();
+            mats.push(Matrix::full(1, 1, self.local_loss));
+            let reduced = handle.allreduce(mats)?;
+            let (loss_mat, grads) = reduced.split_last().expect("loss entry present");
+            let mut cursor = 0;
+            for layer in net.layers_mut() {
+                let count = layer.gradients().len();
+                layer.set_gradients(&grads[cursor..cursor + count]);
+                cursor += count;
+            }
+            loss_mat[(0, 0)]
+        };
+        net.step(lr);
+        Ok(loss)
+    }
+}
+
+/// One rank's training program — the paper's Listing 1 as a single
+/// scaffold: per epoch, the fault check, the epoch's steps (each ending
+/// in [`GradSync::finish`]), loss accumulation and
+/// [`EpochCtx::publish`]; then the final inference forward. Two things
+/// parameterise it:
+///
+/// * the **step kind** — *full-neighbourhood* (full-batch, or sampling
+///   with every fanout ∞: whole-graph forward and backward, the loss
+///   masked to the step's seed batch; no sampling is one unmasked step
+///   per epoch) or *sampled blocks* (finite fanouts:
+///   [`BlockSteps::step`]);
+/// * an **optional [`OverlapWorker`]** ([`TrainConfig::overlap`] on a
+///   full-neighbourhood run): with one, gather / scatter run the
+///   pipelined executor, gradient buckets go to the worker as each
+///   layer's backward completes and — on the planned backend without a
+///   feature cache — the next step's first allgather (whose input, the
+///   raw features, never changes) is posted eagerly while gradients
+///   drain and the weights step. Without one the same collectives are
+///   issued inline on the stage-barriered executor. Overlap moves where
+///   communication runs, never what is computed: the two are bitwise
+///   identical.
+fn device_body(
+    handle: &DeviceHandle<'_>,
     ctx: &EpochCtx<'_>,
-    net0: &GnnNetwork,
-    backend: &dyn CommBackend,
-    eager_gather: bool,
-    per_device_features: &[Matrix],
-    per_device_targets: &[Matrix],
-    halo_cache: Option<&ClusterCache>,
 ) -> Result<(Vec<f32>, Matrix), RuntimeError> {
     let rank = handle.rank;
+    let cfg = ctx.cfg;
     let lg = handle.local_graph();
-    let adj = &lg.graph;
-    let num_local = lg.num_local;
     let agg_kind = cfg.arch.agg_kind();
-    let mut net = net0.clone();
-    let halo = HaloGatherCtx::build(handle.comm_info(), rank, halo_cache);
-    let num_layers = net.num_layers();
-    let mut losses = Vec::with_capacity(ctx.end_epoch - ctx.start_epoch);
-    let worker = handle.overlap_worker();
+    let (features, targets) = (&ctx.features[rank], &ctx.targets[rank]);
+    let mut net = ctx.net0.clone();
+    let scfg = cfg.sampling.as_ref();
+    let seeds = scfg.map_or_else(Vec::new, |s| train_set(s, ctx.graph));
+    if let Some(&bad) = seeds
+        .iter()
+        .find(|&&v| v as usize >= ctx.graph.num_vertices())
+    {
+        let e = GraphError::SeedOutOfRange {
+            seed: bad,
+            num_vertices: ctx.graph.num_vertices(),
+        };
+        return handle.poison_on_err(Err(graph_err(rank, &e)));
+    }
+    let block_cfg = scfg.filter(|s| !s.is_exact());
+    let worker = (cfg.overlap && block_cfg.is_none()).then(|| handle.overlap_worker());
+    let strategy = match worker {
+        Some(_) => ExecStrategy::Pipelined,
+        None => ExecStrategy::Barriered,
+    };
+    let backend = backend_for(ctx.backend_kind, strategy);
+    let mut blocks = block_cfg.map(|s| BlockSteps::new(handle, ctx, s, backend.as_ref()));
+    // Layer 0 reads the immutable raw features: with a cache active on
+    // the planned backend its exchange routes through the cache-aware
+    // halo, which fills cached rows locally.
+    let planned = ctx.backend_kind == BackendKind::Planned;
+    let halo = HaloGatherCtx::build(handle.comm_info(), rank, ctx.cache.filter(|_| planned));
+    // CAGNET never runs the vertex-cut exchange, and the halo exchange
+    // supersedes the eager one.
+    let eager = worker.as_ref().filter(|_| planned && halo.is_none());
+    let submit_eager = || -> Result<Option<Pending<Matrix>>, RuntimeError> {
+        eager
+            .map(|w| handle.with_op(|op| w.submit_allgather(op, features.clone())))
+            .transpose()
+    };
     let forward = |net: &mut GnnNetwork,
-                   handle: &crate::runtime::DeviceHandle<'_>,
-                   first: Option<crate::overlap::Pending<Matrix>>|
+                   mut first: Option<Pending<Matrix>>|
      -> Result<Matrix, RuntimeError> {
-        let mut h = per_device_features[rank].clone();
-        let mut first = first;
+        let mut h = features.clone();
         for (l, layer) in net.layers_mut().iter_mut().enumerate() {
             let agg = match (first.take(), l, &halo) {
-                // The eagerly posted allgather runs the same pipelined
+                // The eagerly posted allgather ran the same pipelined
                 // executor the planned backend would invoke here.
                 (Some(p), _, _) => {
                     let full = handle.wait_pending(p)?;
                     match agg_kind {
-                        AggKind::Sum => aggregate_sum(adj, &full, num_local),
-                        AggKind::Mean => aggregate_mean(adj, &full, num_local),
+                        AggKind::Sum => aggregate_sum(&lg.graph, &full, lg.num_local),
+                        AggKind::Mean => aggregate_mean(&lg.graph, &full, lg.num_local),
                     }
                 }
-                // With a cache active (which disables the eager gather),
-                // layer 0's exchange routes through the cache-aware halo.
                 (None, 0, Some(hctx)) => hctx.agg_forward(handle, &h, agg_kind)?,
                 _ => backend.agg_forward(handle, &h, agg_kind)?,
             };
@@ -555,54 +536,66 @@ fn device_body_overlapped(
         }
         Ok(h)
     };
-    let submit_eager = |handle: &crate::runtime::DeviceHandle<'_>|
-     -> Result<Option<crate::overlap::Pending<Matrix>>, RuntimeError> {
-        if eager_gather {
-            Ok(Some(handle.submit_allgather(
-                &worker,
-                per_device_features[rank].clone(),
-            )?))
-        } else {
-            Ok(None)
-        }
+    let mut sync = GradSync {
+        worker: worker.as_ref(),
+        local_loss: 0.0,
+        buckets: Vec::new(),
     };
-    let mut next_gather = submit_eager(handle)?;
-    for epoch in ctx.start_epoch..ctx.end_epoch {
+    let mut losses = Vec::with_capacity(cfg.epochs - ctx.start_epoch);
+    let mut next_gather = submit_eager()?;
+    for epoch in ctx.start_epoch..cfg.epochs {
         handle.check_epoch_fault(epoch)?;
-        let out = forward(&mut net, handle, next_gather)?;
-        let (local_loss, grad_out) = mse_loss(&out, &per_device_targets[rank]);
-        let mut buckets = Vec::with_capacity(num_layers + 1);
-        buckets.push(handle.submit_allreduce(&worker, vec![Matrix::full(1, 1, local_loss)])?);
-        // Backward deepest layer first; each layer's gradient bucket
-        // reduces while the next layer's backward computes.
-        let mut grad = grad_out;
-        for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
-            let (grad_agg, direct) = layer.backward_agg(&grad);
-            if !(l == 0 && halo.is_some()) {
-                let back = backend.agg_backward(handle, &grad_agg, agg_kind)?;
-                grad = fold_direct(back, direct);
+        // One step per mini-batch; plain full-batch is one unmasked step.
+        let batches = scfg.map(|s| seed_batches(&seeds, s.batch_size, s.seed, epoch));
+        // mse is a *sum*, so step losses add across ranks and batches.
+        let mut epoch_loss = 0.0f32;
+        for bi in 0..batches.as_ref().map_or(1, Vec::len) {
+            if let (Some(blocks), Some(batches)) = (&mut blocks, &batches) {
+                blocks.step(&mut net, &mut sync, epoch, batches, bi)?;
+            } else {
+                let out = forward(&mut net, next_gather.take())?;
+                // `mse_loss` with the rows outside the batch zeroed
+                // *before* the norm: same element order, same single
+                // accumulator, so an all-covering (or absent) mask is
+                // bitwise the unmasked loss.
+                let mut grad = out.sub(targets);
+                if let Some(batch) = batches.as_ref().map(|b| &b[bi]) {
+                    let mut batch = batch.clone();
+                    batch.sort_unstable();
+                    let owned = &handle.comm_info().pg.local[rank];
+                    for (j, v) in owned.iter().enumerate() {
+                        if batch.binary_search(v).is_err() {
+                            grad.row_mut(j).fill(0.0);
+                        }
+                    }
+                }
+                sync.loss(handle, 0.5 * grad.norm_sq())?;
+                // Backward deepest layer first, routing each layer's
+                // aggregate gradient through the backend's adjoint
+                // exchange.
+                for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
+                    let (grad_agg, direct) = layer.backward_agg(&grad);
+                    if input_learns(l) {
+                        // The backend folds remote consumers into the
+                        // aggregate half; the direct (self-path) half
+                        // lands on the local rows afterwards.
+                        grad = backend.agg_backward(handle, &grad_agg, agg_kind)?;
+                        if let Some(direct) = direct {
+                            grad.add_assign(&direct);
+                        }
+                    }
+                    sync.layer_done(handle, layer)?;
+                }
+                // The next step's first exchange streams while the
+                // gradients drain.
+                next_gather = submit_eager()?;
             }
-            // Layer 0's aggregate gradient (skipped above with the halo
-            // active — it flows only into the non-learning raw features)
-            // never feeds the parameter gradients, so the bucket still
-            // submits in the fixed order.
-            let mats: Vec<Matrix> = layer.gradients().into_iter().cloned().collect();
-            buckets.push(handle.submit_allreduce(&worker, mats)?);
+            epoch_loss += sync.finish(handle, &mut net, cfg.lr)?;
         }
-        // Next epoch's first exchange streams while gradients drain.
-        next_gather = submit_eager(handle)?;
-        let mut buckets = buckets.into_iter();
-        let loss = handle.wait_pending(buckets.next().expect("loss bucket"))?;
-        losses.push(loss[0][(0, 0)]);
-        for (offset, pending) in buckets.enumerate() {
-            let li = num_layers - 1 - offset;
-            let grads = handle.wait_pending(pending)?;
-            net.layers_mut()[li].set_gradients(&grads);
-        }
-        net.step(cfg.lr);
+        losses.push(epoch_loss);
         ctx.publish(rank, &net, &losses);
     }
-    let out = forward(&mut net, handle, next_gather)?;
+    let out = forward(&mut net, next_gather)?;
     Ok((losses, out))
 }
 

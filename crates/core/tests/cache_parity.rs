@@ -17,11 +17,13 @@
 //!   per-run override (`TrainConfig::feature_cache`) agree.
 //! * On a hub-skewed graph the cache actually pays: `Auto` fetches fewer
 //!   bytes than capacity 0, and volume is monotone in capacity.
+//! * A full-batch run issues a number of collectives that is a formula in
+//!   layers and epochs, the same with the cache on or off.
 
 use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
-use dgcl::trainer::{train_distributed, TrainConfig};
-use dgcl::{build_comm_info, BackendKind, BuildOptions};
+use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
+use dgcl::{build_comm_info, BackendKind, BuildOptions, FabricConfig, FaultPlan};
 use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
 use dgcl_tensor::{Matrix, XavierInit};
@@ -218,6 +220,53 @@ fn build_time_policy_matches_run_override() {
     );
     assert_eq!(sa.capacity_rows, sb.capacity_rows);
     assert_eq!(sa.bytes_fetched, sb.bytes_fetched);
+}
+
+#[test]
+fn full_batch_collective_count_is_pinned_and_cache_independent() {
+    // Every collective bumps each rank's op counter once and
+    // `FaultPlan::crash(rank, k)` kills `rank` entering op `k`, so a run
+    // of exactly N ops completes under `crash(_, N + 1)` and fails under
+    // `crash(_, N)`. On the planned backend, L layers, E epochs:
+    //
+    // * overlap off — per epoch L gathers, L − 1 scatters (layer 0's
+    //   aggregate gradient feeds only the raw features and is never
+    //   exchanged) and one allreduce; then the final forward's L
+    //   gathers: N = 2·L·E + L.
+    // * overlap on — the allreduce becomes a loss bucket plus L layer
+    //   buckets (the eager next-step gather replaces the step's first
+    //   gather, it does not add one): N = 3·L·E + L.
+    //
+    // The cache swaps layer 0's gather for the halo exchange, op for op,
+    // and the layer-0 rule does not depend on it: same N on or off.
+    let c = case(3);
+    let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
+    let (layers, epochs) = (2u64, 3u64);
+    for (overlap, ops) in [
+        (false, 2 * layers * epochs + layers),
+        (true, 3 * layers * epochs + layers),
+    ] {
+        for policy in [CachePolicy::Off, CachePolicy::Auto] {
+            let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
+            cfg.overlap = overlap;
+            cfg.feature_cache = Some(policy);
+            let run = |at_op: u64| {
+                let fabric = FabricConfig {
+                    faults: FaultPlan::crash(1, at_op),
+                    ..FabricConfig::default()
+                };
+                train_distributed_with(&info, &c.graph, &c.features, &c.targets, &cfg, fabric)
+            };
+            assert!(
+                run(ops + 1).is_ok(),
+                "overlap={overlap}, {policy:?}: more than {ops} collectives"
+            );
+            assert!(
+                run(ops).is_err(),
+                "overlap={overlap}, {policy:?}: fewer than {ops} collectives"
+            );
+        }
+    }
 }
 
 #[test]

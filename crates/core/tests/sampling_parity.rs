@@ -12,10 +12,13 @@
 //!
 //! * Finite-fanout runs are deterministic (run-to-run bitwise equal) and
 //!   independent of whether feature prefetch rides the overlap worker.
+//! * Exact multi-batch runs are bitwise independent of
+//!   `TrainConfig::overlap`, which moves their collectives to the worker.
 //! * Sampled training still trains: losses decrease over epochs.
 //! * An out-of-range training vertex surfaces as a typed
 //!   [`ClusterError`] through `run_cluster` — never a rank-thread abort.
 
+use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_single, TrainConfig};
 use dgcl::{build_comm_info, BackendKind, BuildOptions};
@@ -55,8 +58,9 @@ fn case(seed: u64) -> Case {
 
 fn base_cfg(arch: Architecture, epochs: usize) -> TrainConfig {
     let mut cfg = TrainConfig::new(arch, &[6, 5, 3], epochs);
-    // Barriered reference: the overlap flag must not be a variable in
-    // the bitwise comparison (the sampled paths run barriered anyway).
+    // Inline reference: the overlap flag must not be a variable in the
+    // bitwise comparisons (`exact_multi_batch_is_overlap_neutral` varies
+    // it on purpose).
     cfg.overlap = false;
     if arch == Architecture::Gin {
         cfg.lr = 1e-6;
@@ -179,6 +183,40 @@ fn exact_multi_batch_matches_single_device_masked_sgd() {
             (a - b).abs() < 1e-2 * a.abs().max(1.0),
             "epoch {e}: single-device masked loss {a} vs distributed {b}"
         );
+    }
+}
+
+#[test]
+fn exact_multi_batch_is_overlap_neutral() {
+    // Exact batches are full-neighbourhood steps, so `overlap` puts
+    // their collectives on the worker: pipelined gather / scatter,
+    // per-layer gradient buckets and the eager next-step gather (or,
+    // with a cache, the halo exchange in its place). Where communication
+    // runs must not move a bit, on either backend.
+    let c = case(9);
+    let n = c.graph.num_vertices();
+    let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
+    for backend in BACKENDS {
+        for cache in [CachePolicy::Off, CachePolicy::Auto] {
+            let mut cfg = base_cfg(Architecture::Gcn, 3);
+            cfg.backend = Some(backend);
+            cfg.feature_cache = Some(cache);
+            cfg.sampling = Some(SamplingConfig::exact(n / 3, 2));
+            let inline = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
+                .expect("healthy cluster");
+            cfg.overlap = true;
+            let overlapped = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
+                .expect("healthy cluster");
+            assert_eq!(
+                inline.epoch_losses, overlapped.epoch_losses,
+                "{backend:?}, {cache:?}: overlap changed losses"
+            );
+            assert_eq!(
+                inline.outputs.max_abs_diff(&overlapped.outputs),
+                0.0,
+                "{backend:?}, {cache:?}: overlap changed outputs"
+            );
+        }
     }
 }
 
