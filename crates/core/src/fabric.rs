@@ -557,6 +557,11 @@ impl Fabric {
     /// [`RuntimeError::Poisoned`]/[`RuntimeError::Timeout`] if the
     /// rendezvous cannot complete.
     pub fn allreduce(&self, rank: usize, mats: Vec<Matrix>) -> Result<Vec<Matrix>, RuntimeError> {
+        // A rank whose previous round was aborted by poison still has its
+        // contribution in the slot; an overlap worker draining its queued
+        // buckets must not deposit on top of it and complete a round that
+        // a dead rank never joined.
+        self.check_poison()?;
         let start = Instant::now();
         let rendezvous = || "rendezvous never completed".to_string();
         let mut st = self.reduce.lock();
@@ -745,6 +750,26 @@ mod tests {
             matches!(err, RuntimeError::Poisoned { origin: 2, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn allreduce_after_poison_contributes_nothing() {
+        // A survivor's worker drains its queued gradient buckets after a
+        // peer died: every call must fail, none may fill the rendezvous.
+        let f = Fabric::new(2);
+        f.poison(
+            1,
+            ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 1 }),
+        );
+        for _ in 0..2 {
+            let err = f
+                .allreduce(0, vec![Matrix::full(1, 1, 1.0)])
+                .expect_err("poisoned");
+            assert!(
+                matches!(err, RuntimeError::Poisoned { origin: 1, .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! bitwise-neutral.
 //!
 //! Layer-0 feature rows never change during training, yet every sampled
-//! mini-batch and every full-batch epoch re-fetches the same hot remote
-//! rows over the wire. This module caches the hottest ones per rank:
+//! mini-batch re-fetches the same hot remote rows over the wire (a
+//! full-neighbourhood run fetches each remote row once per run and has
+//! nothing left to cache). This module caches the hottest ones per rank:
 //!
 //! * **Admission is offline and deterministic.** Each rank ranks every
 //!   non-owned vertex by `(1 + halo refs) × degree` — the number of its
@@ -33,17 +34,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dgcl_gnn::aggregate::{aggregate_mean, aggregate_sum};
-use dgcl_gnn::AggKind;
 use dgcl_graph::{CsrGraph, VertexId};
 use dgcl_partition::PartitionedGraph;
 use dgcl_sim::CacheModel;
 use dgcl_tensor::Matrix;
 
 use crate::comm_info::CommInfo;
-use crate::error::RuntimeError;
-use crate::fabric::{expect_payload, MsgKey};
-use crate::runtime::DeviceHandle;
 
 /// How much of the ranked remote set each rank caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,161 +294,6 @@ impl ClusterCache {
     }
 }
 
-/// One rank's precomputed full-batch layer-0 halo exchange under a
-/// cache: which local rows to send each peer (the peer's demand minus
-/// its cache), which full-matrix positions each peer's payload fills
-/// (this rank's demand minus its own cache), and which positions the
-/// resident cache fills directly. All three derive from the shared
-/// demands and cache sets, so the sends and receives pair up across
-/// ranks without negotiation — the cached analogue of the SPST tables.
-#[derive(Debug)]
-pub struct HaloExchange {
-    /// Ascending peers and the `h_local` row indices to send each.
-    sends: Vec<(usize, Vec<usize>)>,
-    /// Ascending peers and the full-matrix row positions their payload
-    /// fills, in the sender's (ascending global id) order.
-    recvs: Vec<(usize, Vec<usize>)>,
-    /// `(full-matrix row, cache row)` pairs the resident cache fills.
-    cached_fill: Vec<(usize, usize)>,
-}
-
-impl HaloExchange {
-    /// Builds `rank`'s exchange against the cluster's cache sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was built for a different partition.
-    pub fn build(info: &CommInfo, rank: usize, cache: &ClusterCache) -> Self {
-        let pg = &info.pg;
-        let lg = pg.local_graph(rank);
-        let locals = &pg.local[rank];
-        let mine = &cache.caches[rank];
-        let mut sends = Vec::new();
-        let mut recvs = Vec::new();
-        for peer in 0..pg.num_parts {
-            if peer == rank {
-                continue;
-            }
-            let out: Vec<usize> = pg.demands[rank][peer]
-                .iter()
-                .filter(|&&v| !cache.contains(peer, v))
-                .map(|&v| locals.binary_search(&v).expect("demand rows are owned"))
-                .collect();
-            if !out.is_empty() {
-                sends.push((peer, out));
-            }
-            let fill: Vec<usize> = pg.demands[peer][rank]
-                .iter()
-                .filter(|&&v| mine.lookup(v).is_none())
-                .map(|&v| lg.local_id(v).expect("demanded row is visible"))
-                .collect();
-            if !fill.is_empty() {
-                recvs.push((peer, fill));
-            }
-        }
-        let cached_fill: Vec<(usize, usize)> = pg.remote[rank]
-            .iter()
-            .filter_map(|&v| {
-                let ci = mine.lookup(v)?;
-                Some((lg.local_id(v).expect("remote row is visible"), ci))
-            })
-            .collect();
-        Self {
-            sends,
-            recvs,
-            cached_fill,
-        }
-    }
-}
-
-/// The cached replacement for the planned layer-0 allgather: assembles
-/// the full `num_total × cols` visible matrix from local rows, resident
-/// cache rows and one op-aligned pairwise exchange of the leftover
-/// misses. Every filled row is an `f32` copy of the owner's row — the
-/// exact matrix [`graph_allgather`](DeviceHandle::graph_allgather)
-/// produces — so downstream aggregation is bitwise unchanged.
-///
-/// # Errors
-///
-/// Any [`RuntimeError`]; errors poison the fabric so peers unwind.
-pub fn halo_gather(
-    dev: &DeviceHandle<'_>,
-    h_local: &Matrix,
-    halo: &HaloExchange,
-    cache: &FeatureCache,
-) -> Result<Matrix, RuntimeError> {
-    let lg = dev.local_graph();
-    let cols = h_local.cols();
-    debug_assert_eq!(h_local.rows(), lg.num_local, "expected owned rows only");
-    let rank = dev.rank;
-    dev.with_op(|op| {
-        let key: MsgKey = (op, 0, 0, 0);
-        let fabric = dev.fabric();
-        for (peer, rows) in &halo.sends {
-            fabric.wait_ready(*peer, op, rank)?;
-            fabric.send(rank, *peer, key, h_local.gather_rows(rows).into_vec())?;
-        }
-        let mut full = Matrix::zeros(lg.num_total(), cols);
-        full.as_mut_slice()[..lg.num_local * cols].copy_from_slice(h_local.as_slice());
-        for &(pos, ci) in &halo.cached_fill {
-            full.set_row(pos, cache.rows.row(ci));
-        }
-        let mut fetched = 0u64;
-        for (peer, fill) in &halo.recvs {
-            let payload = fabric.recv(*peer, rank, key)?;
-            expect_payload(rank, payload.len(), fill.len() * cols, key)?;
-            let m = Matrix::from_vec(fill.len(), cols, payload);
-            for (i, &pos) in fill.iter().enumerate() {
-                full.set_row(pos, m.row(i));
-            }
-            fetched += fill.len() as u64;
-        }
-        cache
-            .stats
-            .record(halo.cached_fill.len() as u64, fetched, cols);
-        Ok(full)
-    })
-}
-
-/// A rank's bundled layer-0 state for the full-batch planned path: the
-/// prebuilt exchange plus its cache. Bodies build one per run and route
-/// layer 0 through [`HaloGatherCtx::agg_forward`] instead of the
-/// backend's allgather.
-pub(crate) struct HaloGatherCtx<'a> {
-    halo: HaloExchange,
-    cache: &'a FeatureCache,
-}
-
-impl<'a> HaloGatherCtx<'a> {
-    /// Builds `rank`'s context, or `None` when no cache is active.
-    pub(crate) fn build(
-        info: &CommInfo,
-        rank: usize,
-        cache: Option<&'a ClusterCache>,
-    ) -> Option<Self> {
-        cache.map(|c| Self {
-            halo: HaloExchange::build(info, rank, c),
-            cache: &c.caches[rank],
-        })
-    }
-
-    /// The distributed layer-0 aggregate via the cached halo: bitwise
-    /// identical to `PlannedBackend::agg_forward` on raw features.
-    pub(crate) fn agg_forward(
-        &self,
-        dev: &DeviceHandle<'_>,
-        h_local: &Matrix,
-        kind: AggKind,
-    ) -> Result<Matrix, RuntimeError> {
-        let full = halo_gather(dev, h_local, &self.halo, self.cache)?;
-        let lg = dev.local_graph();
-        Ok(match kind {
-            AggKind::Sum => aggregate_sum(&lg.graph, &full, lg.num_local),
-            AggKind::Mean => aggregate_mean(&lg.graph, &full, lg.num_local),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,32 +382,6 @@ mod tests {
         assert!(ClusterCache::build(&info, &features, CachePolicy::Off).is_none());
         let zero = ClusterCache::build(&info, &features, CachePolicy::Fixed(0)).expect("built");
         assert_eq!(zero.snapshot().capacity_rows, 0);
-    }
-
-    #[test]
-    fn halo_exchange_partitions_every_demand() {
-        let (_, info, features) = setup();
-        let cache = ClusterCache::build(&info, &features, CachePolicy::Fixed(6)).expect("built");
-        for rank in 0..info.num_devices() {
-            let halo = HaloExchange::build(&info, rank, &cache);
-            let fetched: usize = halo.recvs.iter().map(|(_, f)| f.len()).sum();
-            // Every remote row is either cached or fetched, never both.
-            assert_eq!(
-                fetched + halo.cached_fill.len(),
-                info.pg.remote[rank].len(),
-                "rank {rank}"
-            );
-            // Sends mirror the peers' recvs from this rank.
-            for (peer, rows) in &halo.sends {
-                let peer_halo = HaloExchange::build(&info, *peer, &cache);
-                let matching = peer_halo
-                    .recvs
-                    .iter()
-                    .find(|(p, _)| *p == rank)
-                    .expect("peer expects this payload");
-                assert_eq!(rows.len(), matching.1.len());
-            }
-        }
     }
 
     #[test]

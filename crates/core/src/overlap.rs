@@ -4,10 +4,10 @@
 //!
 //! The S-SGD DAG observation (Shi et al.): layer `L`'s gradient
 //! allreduce depends only on layer `L`'s backward, not on layers
-//! `L-1..0`, and the next iteration's embedding allgather depends only on
-//! the updated features — both can run while the remaining backward
-//! computes. The [`OverlapWorker`] realises that overlap without giving
-//! up determinism:
+//! `L-1..0`, so it can run while the remaining backward computes; and a
+//! sampled batch's feature rows depend on nothing the previous batch
+//! computes, so their exchange can run a batch ahead. The
+//! [`OverlapWorker`] realises both without giving up determinism:
 //!
 //! * **Operation ids are assigned at submit time on the main thread** (by
 //!   `DeviceHandle::begin_op`), in program order. Every rank runs the
@@ -31,14 +31,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dgcl_plan::tuples::StageIo;
 use dgcl_tensor::Matrix;
 
 use crate::collectives::CollectiveEngine;
 use crate::error::{ClusterFailure, RuntimeError};
 use crate::fabric::Fabric;
-use crate::pipeline::{self, Driver, PipelineSchedule, PipelineScratch};
-use crate::schedule::DeviceSchedule;
 
 /// One background collective.
 enum Job {
@@ -48,12 +45,6 @@ enum Job {
         op: u64,
         mats: Vec<Matrix>,
         reply: Sender<Result<Vec<Matrix>, RuntimeError>>,
-    },
-    /// Pipelined embedding allgather under a pre-assigned op id.
-    Allgather {
-        op: u64,
-        local: Matrix,
-        reply: Sender<Result<Matrix, RuntimeError>>,
     },
     /// Batch row exchange (sampled trainer's feature prefetch) under a
     /// pre-assigned op id.
@@ -112,24 +103,14 @@ pub struct OverlapWorker {
 }
 
 impl OverlapWorker {
-    /// Spawns the worker. Schedule data is cloned once so the thread is
-    /// `'static`; per-job buffers cycle through the fabric pool.
-    pub(crate) fn spawn(
-        fabric: Arc<Fabric>,
-        rank: usize,
-        sched: DeviceSchedule,
-        pipe: PipelineSchedule,
-        ios: Vec<StageIo>,
-        num_local: usize,
-        num_total: usize,
-    ) -> Self {
+    /// Spawns the worker; per-job buffers cycle through the fabric pool.
+    pub(crate) fn spawn(fabric: Arc<Fabric>, rank: usize) -> Self {
         // Grace period past the fabric's own bound, so the worker's
         // in-fabric deadline (or poison) fires first and carries the
         // real error; this outer timeout only guards a vanished worker.
         let wait_deadline = fabric.config().collective_deadline * 2 + Duration::from_secs(2);
         let (tx, rx) = channel::<Job>();
         let join = std::thread::spawn(move || {
-            let mut scratch = PipelineScratch::default();
             // The worker's own collective engine: op ids come from the
             // main thread, so its messages cannot collide with it.
             let mut engine = CollectiveEngine::new(rank, fabric.num_devices());
@@ -140,24 +121,6 @@ impl OverlapWorker {
                         let algo = fabric.config().allreduce.pick(4 * elems as u64);
                         let r = engine.allreduce(&fabric, op, algo, mats);
                         poison_own(&fabric, rank, &r);
-                        let _ = reply.send(r);
-                    }
-                    Job::Allgather { op, local, reply } => {
-                        let r = pipeline::forward_allgather(
-                            &fabric,
-                            rank,
-                            op,
-                            &sched,
-                            &ios,
-                            num_local,
-                            num_total,
-                            &local,
-                            Driver::Chunked(&pipe, &mut scratch),
-                        );
-                        poison_own(&fabric, rank, &r);
-                        // The submitted features are no longer needed;
-                        // feed their buffer back to the pool.
-                        fabric.recycle(local.into_vec());
                         let _ = reply.send(r);
                     }
                     Job::Exchange { op, plan, reply } => {
@@ -187,18 +150,6 @@ impl OverlapWorker {
         let (reply, rx) = channel();
         self.send(Job::Allreduce { op, mats, reply })?;
         Ok(self.pending(rx, "allreduce"))
-    }
-
-    /// Enqueues a pipelined allgather under `op` (assigned by the main
-    /// thread's `begin_op`, so keys agree across ranks).
-    pub(crate) fn submit_allgather(
-        &self,
-        op: u64,
-        local: Matrix,
-    ) -> Result<Pending<Matrix>, RuntimeError> {
-        let (reply, rx) = channel();
-        self.send(Job::Allgather { op, local, reply })?;
-        Ok(self.pending(rx, "allgather"))
     }
 
     /// Enqueues a batch row exchange under `op` (assigned by the main

@@ -613,16 +613,7 @@ impl<'a> DeviceHandle<'a> {
     /// submitted collectives FIFO, overlapping them with whatever the
     /// calling thread computes in the meantime.
     pub(crate) fn overlap_worker(&self) -> OverlapWorker {
-        let lg = self.local_graph();
-        OverlapWorker::spawn(
-            self.fabric.clone(),
-            self.rank,
-            self.info.forward_schedules[self.rank].clone(),
-            self.info.forward_pipelines[self.rank].clone(),
-            self.info.forward_tables.per_device[self.rank].clone(),
-            lg.num_local,
-            lg.num_total(),
-        )
+        OverlapWorker::spawn(self.fabric.clone(), self.rank)
     }
 
     /// Assembles the full value matrix for a batch row list from its

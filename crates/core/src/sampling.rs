@@ -591,8 +591,8 @@ impl<'a> BlockSteps<'a> {
         for l in (0..num_layers).rev() {
             let block = &blocks[l];
             let rows_mine = &rows_mine_per_layer[l];
-            let (grad_agg, direct) = net.layers_mut()[l].backward_agg(&grad);
             if input_learns(l) {
+                let (grad_agg, direct) = net.layers_mut()[l].backward_agg(&grad);
                 let mut grad_src = block_scatter_grad(block, rows_mine, &grad_agg, agg_kind);
                 if let Some(direct) = direct {
                     for (j, &i) in rows_mine.iter().enumerate() {
@@ -605,6 +605,8 @@ impl<'a> BlockSteps<'a> {
                 // Owners of this block's source rows (= the previous
                 // block's destination rows) collect their gradients.
                 grad = backend.push_rows(handle, &grad_src, &block.src, partition)?;
+            } else {
+                net.layers_mut()[l].backward_params(&grad);
             }
             sync.layer_done(handle, &net.layers()[l])?;
         }

@@ -1,8 +1,9 @@
 //! Distributed full-graph GNN training with single-device parity.
 //!
 //! Integrating DGCL into a GNN system follows the paper's Listing 1: every
-//! layer calls `graph_allgather` to refresh remote embeddings, then runs
-//! the unchanged single-device layer; the backward pass routes remote
+//! layer calls `graph_allgather` to refresh remote embeddings (layer 0,
+//! whose input never changes, once per run), then runs the unchanged
+//! single-device layer; the backward pass routes remote
 //! gradients back through the reversed plan; model weights are
 //! synchronised with an allreduce (the paper delegates this to
 //! Horovod/DDP as GNN models are small).
@@ -13,9 +14,8 @@
 //! reduction order, which [`train_distributed`] and [`train_single`] let
 //! tests verify directly.
 
-use dgcl_gnn::aggregate::{aggregate_mean, aggregate_sum};
 use dgcl_gnn::loss::mse_loss;
-use dgcl_gnn::{AggKind, Architecture, GnnNetwork, Layer};
+use dgcl_gnn::{Architecture, GnnNetwork, Layer};
 use dgcl_graph::khop::GraphError;
 use dgcl_graph::sample::seed_batches;
 use dgcl_graph::CsrGraph;
@@ -28,7 +28,7 @@ use crate::collectives::{AlgorithmSelector, AllreduceAlgo, AllreducePolicy};
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
-use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache, HaloGatherCtx};
+use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache};
 use crate::overlap::{OverlapWorker, Pending};
 use crate::runtime::{run_cluster_with, DeviceHandle, ExecStrategy};
 use crate::sampling::{graph_err, train_set, BlockSteps};
@@ -48,14 +48,13 @@ pub struct TrainConfig {
     pub weight_seed: u64,
     /// Whether full-neighbourhood steps (full-batch, and sampling with
     /// every fanout ∞) overlap communication with compute: pipelined
-    /// gather / scatter, per-layer gradient allreduce buckets launched
-    /// as each layer's backward completes, and the next step's first
-    /// allgather posted eagerly, all on a background worker. `false`
-    /// issues the same program inline: stage-barriered gather / scatter
-    /// and one allreduce per step. Bitwise identical either way (fixed
-    /// bucket order, rank-ordered sums). Finite-fanout steps always run
-    /// inline; their feature prefetch is
-    /// [`crate::sampling::SamplingConfig::prefetch`].
+    /// gather / scatter, and per-layer gradient allreduce buckets
+    /// launched on a background worker as each layer's backward
+    /// completes. `false` issues the same program inline:
+    /// stage-barriered gather / scatter and one allreduce per step.
+    /// Bitwise identical either way (fixed bucket order, rank-ordered
+    /// sums). Finite-fanout steps always run inline; their feature
+    /// prefetch is [`crate::sampling::SamplingConfig::prefetch`].
     pub overlap: bool,
     /// Allreduce algorithm override for the gradient buckets. `None`
     /// (the default) lets the cost-model autotuner pick per bucket
@@ -79,8 +78,10 @@ pub struct TrainConfig {
     /// Hot-vertex remote feature cache override. `None` (the default)
     /// runs the policy recorded at build time
     /// ([`crate::BuildOptions::feature_cache`]); `Some(policy)` forces
-    /// one for this run. Caching changes gather *volume* only — every
-    /// run is bitwise identical to [`CachePolicy::Off`].
+    /// one for this run. Caching changes the gather *volume* of
+    /// sampled-blocks runs only — full-neighbourhood runs fetch each
+    /// remote feature row once per run and never consult the cache —
+    /// and every run is bitwise identical to [`CachePolicy::Off`].
     pub feature_cache: Option<CachePolicy>,
 }
 
@@ -111,7 +112,8 @@ pub struct TrainReport {
     /// Final output embeddings in global vertex order.
     pub outputs: Matrix,
     /// Cluster-total feature-cache counters, when a cache was active
-    /// (`None` for single-device runs and [`CachePolicy::Off`]).
+    /// (`None` for single-device runs and [`CachePolicy::Off`]; zero
+    /// traffic for full-neighbourhood runs, which never consult it).
     pub cache: Option<CacheStatsSnapshot>,
 }
 
@@ -355,10 +357,17 @@ pub fn train_distributed_resumable(
     })
 }
 
-/// The layer-0 rule, for every step kind: a layer's aggregate gradient
-/// is exchanged back to the owners of its input rows only if that input
-/// learns. Layer 0 reads the raw features, which don't, so no rank ever
-/// runs its backward exchange and op counters stay aligned.
+/// The epoch-invariant-work rule, for every step kind, in one place.
+/// Layer 0 reads the raw features, which no step ever updates, so on
+/// every rank alike (op counters stay aligned):
+///
+/// * *backward*, an input that does not learn has no gradient worth
+///   computing: the layer accumulates its parameter gradients only
+///   ([`Layer::backward_params`]) and its aggregate gradient is neither
+///   formed nor exchanged back to the owners of its input rows;
+/// * *forward*, an input that never changes has an aggregate that never
+///   changes: [`device_body`] computes it once per run, outside the
+///   epoch loop.
 pub(crate) fn input_learns(layer: usize) -> bool {
     layer > 0
 }
@@ -463,21 +472,23 @@ impl GradSync<'_> {
 ///   [`BlockSteps::step`]);
 /// * an **optional [`OverlapWorker`]** ([`TrainConfig::overlap`] on a
 ///   full-neighbourhood run): with one, gather / scatter run the
-///   pipelined executor, gradient buckets go to the worker as each
-///   layer's backward completes and — on the planned backend without a
-///   feature cache — the next step's first allgather (whose input, the
-///   raw features, never changes) is posted eagerly while gradients
-///   drain and the weights step. Without one the same collectives are
+///   pipelined executor and gradient buckets go to the worker as each
+///   layer's backward completes. Without one the same collectives are
 ///   issued inline on the stage-barriered executor. Overlap moves where
 ///   communication runs, never what is computed: the two are bitwise
 ///   identical.
+///
+/// Listing 1 gathers before every layer of every step, but layer 0's
+/// input never changes ([`input_learns`]), so its distributed aggregate
+/// is computed once per run, at the first full-neighbourhood forward,
+/// and every later one starts from a copy. It is partition-dependent
+/// state of this attempt, never checkpointed.
 fn device_body(
     handle: &DeviceHandle<'_>,
     ctx: &EpochCtx<'_>,
 ) -> Result<(Vec<f32>, Matrix), RuntimeError> {
     let rank = handle.rank;
     let cfg = ctx.cfg;
-    let lg = handle.local_graph();
     let agg_kind = cfg.arch.agg_kind();
     let (features, targets) = (&ctx.features[rank], &ctx.targets[rank]);
     let mut net = ctx.net0.clone();
@@ -501,37 +512,18 @@ fn device_body(
     };
     let backend = backend_for(ctx.backend_kind, strategy);
     let mut blocks = block_cfg.map(|s| BlockSteps::new(handle, ctx, s, backend.as_ref()));
-    // Layer 0 reads the immutable raw features: with a cache active on
-    // the planned backend its exchange routes through the cache-aware
-    // halo, which fills cached rows locally.
-    let planned = ctx.backend_kind == BackendKind::Planned;
-    let halo = HaloGatherCtx::build(handle.comm_info(), rank, ctx.cache.filter(|_| planned));
-    // CAGNET never runs the vertex-cut exchange, and the halo exchange
-    // supersedes the eager one.
-    let eager = worker.as_ref().filter(|_| planned && halo.is_none());
-    let submit_eager = || -> Result<Option<Pending<Matrix>>, RuntimeError> {
-        eager
-            .map(|w| handle.with_op(|op| w.submit_allgather(op, features.clone())))
-            .transpose()
-    };
-    let forward = |net: &mut GnnNetwork,
-                   mut first: Option<Pending<Matrix>>|
-     -> Result<Matrix, RuntimeError> {
-        let mut h = features.clone();
-        for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-            let agg = match (first.take(), l, &halo) {
-                // The eagerly posted allgather ran the same pipelined
-                // executor the planned backend would invoke here.
-                (Some(p), _, _) => {
-                    let full = handle.wait_pending(p)?;
-                    match agg_kind {
-                        AggKind::Sum => aggregate_sum(&lg.graph, &full, lg.num_local),
-                        AggKind::Mean => aggregate_mean(&lg.graph, &full, lg.num_local),
-                    }
-                }
-                (None, 0, Some(hctx)) => hctx.agg_forward(handle, &h, agg_kind)?,
-                _ => backend.agg_forward(handle, &h, agg_kind)?,
-            };
+    let mut agg0: Option<Matrix> = None;
+    let mut forward = |net: &mut GnnNetwork| -> Result<Matrix, RuntimeError> {
+        let agg = match &agg0 {
+            Some(agg) => agg.clone(),
+            None => agg0
+                .insert(backend.agg_forward(handle, features, agg_kind)?)
+                .clone(),
+        };
+        let (first, rest) = net.layers_mut().split_first_mut().expect("≥ 1 layer");
+        let mut h = first.forward_agg(features, agg);
+        for layer in rest {
+            let agg = backend.agg_forward(handle, &h, agg_kind)?;
             h = layer.forward_agg(&h, agg);
         }
         Ok(h)
@@ -542,7 +534,6 @@ fn device_body(
         buckets: Vec::new(),
     };
     let mut losses = Vec::with_capacity(cfg.epochs - ctx.start_epoch);
-    let mut next_gather = submit_eager()?;
     for epoch in ctx.start_epoch..cfg.epochs {
         handle.check_epoch_fault(epoch)?;
         // One step per mini-batch; plain full-batch is one unmasked step.
@@ -553,7 +544,7 @@ fn device_body(
             if let (Some(blocks), Some(batches)) = (&mut blocks, &batches) {
                 blocks.step(&mut net, &mut sync, epoch, batches, bi)?;
             } else {
-                let out = forward(&mut net, next_gather.take())?;
+                let out = forward(&mut net)?;
                 // `mse_loss` with the rows outside the batch zeroed
                 // *before* the norm: same element order, same single
                 // accumulator, so an all-covering (or absent) mask is
@@ -574,8 +565,8 @@ fn device_body(
                 // aggregate gradient through the backend's adjoint
                 // exchange.
                 for (l, layer) in net.layers_mut().iter_mut().enumerate().rev() {
-                    let (grad_agg, direct) = layer.backward_agg(&grad);
                     if input_learns(l) {
+                        let (grad_agg, direct) = layer.backward_agg(&grad);
                         // The backend folds remote consumers into the
                         // aggregate half; the direct (self-path) half
                         // lands on the local rows afterwards.
@@ -583,19 +574,18 @@ fn device_body(
                         if let Some(direct) = direct {
                             grad.add_assign(&direct);
                         }
+                    } else {
+                        layer.backward_params(&grad);
                     }
                     sync.layer_done(handle, layer)?;
                 }
-                // The next step's first exchange streams while the
-                // gradients drain.
-                next_gather = submit_eager()?;
             }
             epoch_loss += sync.finish(handle, &mut net, cfg.lr)?;
         }
         losses.push(epoch_loss);
         ctx.publish(rank, &net, &losses);
     }
-    let out = forward(&mut net, next_gather)?;
+    let out = forward(&mut net)?;
     Ok((losses, out))
 }
 

@@ -17,8 +17,9 @@
 //!   per-run override (`TrainConfig::feature_cache`) agree.
 //! * On a hub-skewed graph the cache actually pays: `Auto` fetches fewer
 //!   bytes than capacity 0, and volume is monotone in capacity.
-//! * A full-batch run issues a number of collectives that is a formula in
-//!   layers and epochs, the same with the cache on or off.
+//! * A full-neighbourhood run issues a number of collectives that is a
+//!   formula in layers, steps and epochs, the same with the cache on or
+//!   off, with layer 0's exchange in it once per run.
 
 use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
@@ -222,51 +223,105 @@ fn build_time_policy_matches_run_override() {
     assert_eq!(sa.bytes_fetched, sb.bytes_fetched);
 }
 
+/// The number of collectives every rank issues in a run of `cfg` on the
+/// planned backend. Every collective bumps each rank's op counter once
+/// and `FaultPlan::crash(rank, k)` kills `rank` entering op `k`, so a run
+/// of exactly N ops fails under `crash(_, k)` for every `k ≤ N` and
+/// completes for every `k > N`; N is found by bisection.
+fn collective_count(info: &dgcl::CommInfo, c: &Case, cfg: &TrainConfig) -> u64 {
+    let mut cfg = cfg.clone();
+    cfg.backend = Some(BackendKind::Planned);
+    let completes = |at_op: u64| {
+        let fabric = FabricConfig {
+            faults: FaultPlan::crash(1, at_op),
+            ..FabricConfig::default()
+        };
+        train_distributed_with(info, &c.graph, &c.features, &c.targets, &cfg, fabric).is_ok()
+    };
+    // Invariant: crash(_, lo) fails (op 0 does not exist), crash(_, hi)
+    // completes.
+    let (mut lo, mut hi) = (0, 1);
+    while !completes(hi) {
+        (lo, hi) = (hi, 2 * hi);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if completes(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    lo
+}
+
+/// Collectives one full-neighbourhood step adds to a run of `layers`
+/// layers: `layers − 1` gathers (layer 0's aggregate is not recomputed),
+/// `layers − 1` scatters (layer 0's aggregate gradient is never formed),
+/// and one allreduce inline or, overlapped, a loss bucket plus one
+/// bucket per layer.
+fn ops_per_step(layers: u64, overlap: bool) -> u64 {
+    2 * (layers - 1) + if overlap { layers + 1 } else { 1 }
+}
+
 #[test]
 fn full_batch_collective_count_is_pinned_and_cache_independent() {
-    // Every collective bumps each rank's op counter once and
-    // `FaultPlan::crash(rank, k)` kills `rank` entering op `k`, so a run
-    // of exactly N ops completes under `crash(_, N + 1)` and fails under
-    // `crash(_, N)`. On the planned backend, L layers, E epochs:
-    //
-    // * overlap off — per epoch L gathers, L − 1 scatters (layer 0's
-    //   aggregate gradient feeds only the raw features and is never
-    //   exchanged) and one allreduce; then the final forward's L
-    //   gathers: N = 2·L·E + L.
-    // * overlap on — the allreduce becomes a loss bucket plus L layer
-    //   buckets (the eager next-step gather replaces the step's first
-    //   gather, it does not add one): N = 3·L·E + L.
-    //
-    // The cache swaps layer 0's gather for the halo exchange, op for op,
-    // and the layer-0 rule does not depend on it: same N on or off.
+    // On top of the per-step ops, a run issues L more: the one layer-0
+    // exchange of the run (layer 0 reads the immutable raw features, so
+    // its aggregate is computed once and reused by every forward) and
+    // the final inference forward's L − 1 gathers. So
+    // N = (2L − 1)·E + L inline and (3L − 1)·E + L overlapped. Full
+    // neighbourhood runs never consult the feature cache: same N with
+    // the cache on or off.
     let c = case(3);
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
     let (layers, epochs) = (2u64, 3u64);
-    for (overlap, ops) in [
-        (false, 2 * layers * epochs + layers),
-        (true, 3 * layers * epochs + layers),
-    ] {
+    for overlap in [false, true] {
         for policy in [CachePolicy::Off, CachePolicy::Auto] {
             let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
             cfg.overlap = overlap;
             cfg.feature_cache = Some(policy);
-            let run = |at_op: u64| {
-                let fabric = FabricConfig {
-                    faults: FaultPlan::crash(1, at_op),
-                    ..FabricConfig::default()
-                };
-                train_distributed_with(&info, &c.graph, &c.features, &c.targets, &cfg, fabric)
-            };
-            assert!(
-                run(ops + 1).is_ok(),
-                "overlap={overlap}, {policy:?}: more than {ops} collectives"
-            );
-            assert!(
-                run(ops).is_err(),
-                "overlap={overlap}, {policy:?}: fewer than {ops} collectives"
+            assert_eq!(
+                collective_count(&info, &c, &cfg),
+                ops_per_step(layers, overlap) * epochs + layers,
+                "overlap={overlap}, {policy:?}"
             );
         }
     }
+}
+
+#[test]
+fn an_extra_epoch_adds_no_layer0_exchange() {
+    // The layer-0 exchange sits outside the epoch loop: one more epoch
+    // costs exactly one step's ops, none of them a layer-0 gather.
+    let c = case(3);
+    let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
+    for overlap in [false, true] {
+        let mut cfg = base_cfg(Architecture::Sage, 2);
+        cfg.overlap = overlap;
+        let short = collective_count(&info, &c, &cfg);
+        cfg.epochs += 1;
+        let long = collective_count(&info, &c, &cfg);
+        assert_eq!(long - short, ops_per_step(2, overlap), "overlap={overlap}");
+    }
+}
+
+#[test]
+fn exact_sampling_reuses_the_layer0_aggregate_in_every_batch() {
+    // A masked (fanout ∞) step is a full-neighbourhood step, so the
+    // hoist covers each of an epoch's B batches, not one step per epoch:
+    // N = (2L − 1)·B·E + L inline.
+    let c = case(3);
+    let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
+    let n = c.graph.num_vertices();
+    let (layers, epochs, batch) = (2u64, 2u64, n / 3);
+    let batches = n.div_ceil(batch) as u64;
+    let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
+    cfg.sampling = Some(SamplingConfig::exact(batch, layers as usize));
+    assert_eq!(
+        collective_count(&info, &c, &cfg),
+        ops_per_step(layers, false) * batches * epochs + layers
+    );
 }
 
 #[test]

@@ -361,6 +361,43 @@ impl Layer {
     /// Panics if called before a forward pass or with a mismatched
     /// gradient shape.
     pub fn backward_agg(&mut self, grad_out: &Matrix) -> (Matrix, Option<Matrix>) {
+        let grad_z = self.backward_dense(grad_out);
+        match self.arch {
+            Architecture::Gcn => (grad_z.matmul_nt(&self.weights[0]), None),
+            Architecture::CommNet => {
+                let grad_agg = grad_z.matmul_nt(&self.weights[1]);
+                let grad_local = grad_z.matmul_nt(&self.weights[0]);
+                (grad_agg, Some(grad_local))
+            }
+            Architecture::Gin => {
+                let grad_s = grad_z.matmul_nt(&self.weights[0]);
+                let direct = grad_s.scale(1.0 + GIN_EPS);
+                (grad_s, Some(direct))
+            }
+            Architecture::Sage => {
+                let grad_s = grad_z.matmul_nt(&self.weights[0]);
+                let (grad_local, grad_agg) = grad_s.split_cols(self.fin);
+                (grad_agg, Some(grad_local))
+            }
+        }
+    }
+
+    /// [`Layer::backward_agg`] for a layer whose input does not learn
+    /// (the first layer, over raw features): accumulates the same
+    /// parameter gradients and computes no input gradient.
+    ///
+    /// # Panics
+    ///
+    /// See [`Layer::backward_agg`].
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        self.backward_dense(grad_out);
+    }
+
+    /// The parameter half of the backward pass: activation backward and
+    /// parameter-gradient accumulation. Returns the gradient at the
+    /// output of the linear map that consumed the layer's input — all
+    /// the input-gradient half needs.
+    fn backward_dense(&mut self, grad_out: &Matrix) -> Matrix {
         let cache = self.cache.as_ref().expect("forward before backward");
         assert_eq!(
             grad_out.shape(),
@@ -372,7 +409,7 @@ impl Layer {
                 let grad_z = Activation::Relu.backward(&cache.output, grad_out);
                 self.grad_weights[0].add_assign(&cache.agg.matmul_tn(&grad_z));
                 self.grad_biases[0].add_assign(&grad_z.sum_rows());
-                (grad_z.matmul_nt(&self.weights[0]), None)
+                grad_z
             }
             Architecture::CommNet => {
                 let grad_z = Activation::Tanh.backward(&cache.output, grad_out);
@@ -380,9 +417,7 @@ impl Layer {
                 self.grad_weights[0].add_assign(&h_local.matmul_tn(&grad_z));
                 self.grad_weights[1].add_assign(&cache.agg.matmul_tn(&grad_z));
                 self.grad_biases[0].add_assign(&grad_z.sum_rows());
-                let grad_agg = grad_z.matmul_nt(&self.weights[1]);
-                let grad_local = grad_z.matmul_nt(&self.weights[0]);
-                (grad_agg, Some(grad_local))
+                grad_z
             }
             Architecture::Gin => {
                 let s = &cache.mids[0];
@@ -394,18 +429,14 @@ impl Layer {
                 let grad_z1 = Activation::Relu.backward(r, &grad_r);
                 self.grad_weights[0].add_assign(&s.matmul_tn(&grad_z1));
                 self.grad_biases[0].add_assign(&grad_z1.sum_rows());
-                let grad_s = grad_z1.matmul_nt(&self.weights[0]);
-                let direct = grad_s.scale(1.0 + GIN_EPS);
-                (grad_s, Some(direct))
+                grad_z1
             }
             Architecture::Sage => {
                 let s = &cache.mids[0];
                 let grad_z = Activation::Relu.backward(&cache.output, grad_out);
                 self.grad_weights[0].add_assign(&s.matmul_tn(&grad_z));
                 self.grad_biases[0].add_assign(&grad_z.sum_rows());
-                let grad_s = grad_z.matmul_nt(&self.weights[0]);
-                let (grad_local, grad_agg) = grad_s.split_cols(self.fin);
-                (grad_agg, Some(grad_local))
+                grad_z
             }
         }
     }
@@ -512,6 +543,61 @@ mod tests {
         let grad = layer.backward(&g, &out);
         assert_eq!(grad.rows(), 6);
         assert!(grad.all_finite());
+    }
+
+    /// A layer of `arch` after a forward pass over a 6-ring with 4 local
+    /// rows, and an output gradient for it.
+    fn after_forward(arch: Architecture) -> (Layer, Matrix) {
+        let g = ring(6);
+        let mut init = XavierInit::new(11);
+        let mut layer = Layer::new(arch, 3, 2, &mut init);
+        let h = init.features(6, 3);
+        let agg = match arch.agg_kind() {
+            AggKind::Sum => aggregate_sum(&g, &h, 4),
+            AggKind::Mean => aggregate_mean(&g, &h, 4),
+        };
+        layer.forward_agg(&h.head_rows(4), agg);
+        (layer, init.features(4, 2))
+    }
+
+    const ARCHS: [Architecture; 4] = [
+        Architecture::Gcn,
+        Architecture::CommNet,
+        Architecture::Gin,
+        Architecture::Sage,
+    ];
+
+    #[test]
+    fn backward_params_leaves_the_gradients_backward_agg_leaves() {
+        for arch in ARCHS {
+            let (mut full, grad_out) = after_forward(arch);
+            let mut params_only = full.clone();
+            // Twice: both entries accumulate.
+            for _ in 0..2 {
+                full.backward_agg(&grad_out);
+                params_only.backward_params(&grad_out);
+                assert_eq!(full.gradients(), params_only.gradients(), "{arch:?}");
+            }
+            assert!(full.gradients().iter().all(|g| g.norm_sq() > 0.0));
+        }
+    }
+
+    #[test]
+    fn backward_agg_input_gradients_match_the_unsplit_arithmetic() {
+        // No skip path: GCN.
+        let (mut layer, grad_out) = after_forward(Architecture::Gcn);
+        let cache = layer.cache.clone().expect("forward ran");
+        let grad_z = Activation::Relu.backward(&cache.output, &grad_out);
+        let want = grad_z.matmul_nt(&layer.weights[0]);
+        assert_eq!(layer.backward_agg(&grad_out), (want, None));
+        // Skip path through two linear maps: GIN.
+        let (mut layer, grad_out) = after_forward(Architecture::Gin);
+        let cache = layer.cache.clone().expect("forward ran");
+        let grad_r = grad_out.matmul_nt(&layer.weights[1]);
+        let grad_z1 = Activation::Relu.backward(&cache.mids[1], &grad_r);
+        let grad_s = grad_z1.matmul_nt(&layer.weights[0]);
+        let direct = grad_s.scale(1.0 + GIN_EPS);
+        assert_eq!(layer.backward_agg(&grad_out), (grad_s, Some(direct)));
     }
 
     #[test]
