@@ -100,40 +100,6 @@ pub trait CommBackend {
         grad_agg: &Matrix,
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError>;
-
-    /// Assembles the full value matrix for a mini-batch row list from
-    /// its per-rank owners (the sampled trainer's feature fetch and
-    /// inter-layer reassembly). The default is backend-independent — a
-    /// raw op-aligned pairwise exchange — but a backend may override it
-    /// to route batch rows through its own machinery.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`]; errors poison the fabric so peers unwind.
-    fn fetch_rows(
-        &self,
-        dev: &DeviceHandle<'_>,
-        plan: &crate::sampling::GatherPlan,
-    ) -> Result<Matrix, RuntimeError> {
-        dev.exchange_rows(plan)
-    }
-
-    /// The adjoint of [`CommBackend::fetch_rows`]: reduces per-row
-    /// gradient contributions back to the rows' owners and returns this
-    /// rank's reduced owned rows.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`]; errors poison the fabric so peers unwind.
-    fn push_rows(
-        &self,
-        dev: &DeviceHandle<'_>,
-        contrib: &Matrix,
-        rows: &[dgcl_graph::VertexId],
-        partition: &[u32],
-    ) -> Result<Matrix, RuntimeError> {
-        dev.reduce_rows(contrib, rows, partition)
-    }
 }
 
 /// The backend matching `kind`, with planned paths driven by

@@ -425,11 +425,11 @@ impl CollectiveEngine {
         if algo == AllreduceAlgo::Rendezvous || self.devices < 2 || elems == 0 {
             return fabric.allreduce(self.rank, mats);
         }
-        let n = self.devices;
-        let entries = match algo {
+        let (rank, n) = (self.rank, self.devices);
+        let entries = || match algo {
             AllreduceAlgo::Rendezvous => unreachable!("handled above"),
-            AllreduceAlgo::Ring => ring_allreduce(self.rank, n, elems),
-            AllreduceAlgo::HalvingDoubling => halving_doubling_allreduce(self.rank, n, elems),
+            AllreduceAlgo::Ring => ring_allreduce(rank, n, elems),
+            AllreduceAlgo::HalvingDoubling => halving_doubling_allreduce(rank, n, elems),
         };
         let chunk = fabric.config().collective_chunk;
         let key = CacheKey::Allreduce(algo, elems, chunk);
@@ -491,10 +491,13 @@ impl CollectiveEngine {
         // Build the schedule in group-position space, then remap every
         // peer to its absolute rank — that is all the executor needs,
         // since messages are addressed by (src, dst, key).
-        let mut entries = broadcast_entries(algo, pos, group.len, root_pos, elems);
-        for e in &mut entries {
-            e.peer = group.rank(e.peer);
-        }
+        let entries = || {
+            let mut entries = broadcast_entries(algo, pos, group.len, root_pos, elems);
+            for e in &mut entries {
+                e.peer = group.rank(e.peer);
+            }
+            entries
+        };
         let chunk = fabric.config().collective_chunk;
         let key = CacheKey::Broadcast(algo, root_pos, group, elems, chunk);
         let mut mats = vec![mat];
@@ -503,15 +506,16 @@ impl CollectiveEngine {
         Ok(mat)
     }
 
-    /// Flattens `mats`, executes the (cached) compiled schedule over the
-    /// element space, and unflattens the result in place.
+    /// Flattens `mats`, executes the compiled schedule over the element
+    /// space, and unflattens the result in place. The schedule is cached
+    /// per `key`; `entries` is only called to compile it on a miss.
     #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
         fabric: &Fabric,
         op: u64,
         key: CacheKey,
-        entries: Vec<Entry>,
+        entries: impl FnOnce() -> Vec<Entry>,
         elems: usize,
         chunk: usize,
         mats: &mut [Matrix],
@@ -520,7 +524,7 @@ impl CollectiveEngine {
         let c = self
             .cache
             .entry(key)
-            .or_insert_with(|| assemble(entries, elems, chunk));
+            .or_insert_with(|| assemble(entries(), elems, chunk));
         let flat = &mut self.flat;
         flat.clear();
         for m in mats.iter() {

@@ -107,14 +107,14 @@ impl FeatureCacheSets {
                 })
                 .collect();
             scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            // Modelled per-epoch fetch gain: √score, not raw score. The
-            // gather plans deduplicate repeated rows per exchange, so a
+            // Modelled per-epoch fetch gain: √score, not raw score. A
+            // block's source list holds each vertex once per batch, so a
             // hub's measured fetch frequency saturates at once per batch
             // no matter how many sampled rows consume it — its effective
             // gain grows sublinearly in raw demand. The square root is
             // that saturation's cheap offline stand-in; without it α
             // (the mean gain) sits so far up the hub tail that Auto
-            // admits a cache too small to dent deduped volume.
+            // admits a cache too small to dent the fetched volume.
             let gains: Vec<f64> = scored.iter().map(|&(s, _)| (s as f64).sqrt()).collect();
             // α = the mean gain: a row must beat the average candidate
             // to pay for residency.

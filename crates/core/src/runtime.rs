@@ -22,6 +22,7 @@ use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, FabricConfig, MsgKey};
 use crate::overlap::{OverlapWorker, Pending};
 use crate::pipeline::{self, Driver, PipelineSchedule, PipelineScratch};
+use crate::sampling::{execute_gather, GatherPlan};
 
 /// A device's view of the cluster: its rank, its local graph and the
 /// collective operations of the paper's client API.
@@ -623,33 +624,9 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// # Errors
     ///
-    /// Any [`RuntimeError`] from the underlying exchange; an error
-    /// originated here also poisons the fabric.
-    pub fn exchange_rows(
-        &self,
-        plan: &crate::sampling::GatherPlan,
-    ) -> Result<Matrix, RuntimeError> {
-        self.with_op(|op| crate::sampling::execute_gather(&self.fabric, self.rank, op, plan))
-    }
-
-    /// Reduces per-row gradient contributions back to the rows' owners
-    /// (the adjoint of [`DeviceHandle::exchange_rows`]): every rank
-    /// contributes a dense gradient over `rows`, each owner receives and
-    /// sums its slices in ascending rank order, and this rank's reduced
-    /// owned rows come back.
-    ///
-    /// # Errors
-    ///
-    /// See [`DeviceHandle::exchange_rows`].
-    pub fn reduce_rows(
-        &self,
-        contrib: &Matrix,
-        rows: &[VertexId],
-        partition: &[u32],
-    ) -> Result<Matrix, RuntimeError> {
-        self.with_op(|op| {
-            crate::sampling::execute_reduce(&self.fabric, self.rank, op, contrib, rows, partition)
-        })
+    /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
+    pub fn exchange_rows(&self, plan: &GatherPlan) -> Result<Matrix, RuntimeError> {
+        self.with_op(|op| execute_gather(&self.fabric, self.rank, op, plan))
     }
 
     /// Blocks on a background collective submitted earlier, poisoning

@@ -6,12 +6,13 @@
 //! bounded blocks actually reference. The pieces here:
 //!
 //! * [`SamplingConfig`] — batch size, per-layer fanouts, seed, prefetch.
-//! * [`GatherPlan`] + row exchange executors — the batch-sized analogue
-//!   of the graph allgather: every rank contributes the block rows it
-//!   owns and assembles the full per-batch source matrix (forward), or
-//!   reduces per-row gradient contributions back to the owners
-//!   (backward). Both run over the raw fabric with op-aligned keys, so
-//!   they compose with the poison protocol and the fault injector.
+//! * `owner_split` + [`GatherPlan`] + the row exchange executors — the
+//!   batch-sized analogue of the graph allgather and its reversed
+//!   tables: who owns which rows of a block boundary is worked out once;
+//!   over it every rank contributes the block rows it owns and assembles
+//!   the full source matrix (forward), or reduces per-row gradients back
+//!   to the owners (backward). Both run over the raw fabric with
+//!   op-aligned keys: the poison protocol and fault injector apply.
 //! * `BlockSteps` — the trainer's **sampled-blocks** step kind (finite
 //!   fanouts, compact per-batch compute, optional overlap-worker
 //!   prefetch of batch `k+1`'s features while batch `k` computes). With
@@ -31,7 +32,6 @@ use dgcl_graph::sample::{round_seed, BlockPool, LayerBlock};
 use dgcl_graph::{CsrGraph, VertexId};
 use dgcl_tensor::Matrix;
 
-use crate::backend::CommBackend;
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, Fabric, MsgKey};
 use crate::featcache::ClusterCache;
@@ -99,56 +99,76 @@ pub(crate) fn graph_err(rank: usize, e: &GraphError) -> RuntimeError {
     }
 }
 
-/// One rank's view of a batch row exchange: assemble the matrix for a
-/// global row list from the per-rank owners. Every rank builds the same
-/// structure from the shared block chain, partition and cache sets, so
-/// the sends and receives pair up without negotiation.
+/// The owner split of one block boundary: for a strictly ascending
+/// global row list (a [`LayerBlock`]'s `src` or `dst`), the ascending
+/// list positions rank `r` owns, as `split[r]`. One split serves all its
+/// boundary needs — which block rows a rank computes, the forward row
+/// gather ([`GatherPlan`]) and, reversed, the backward row reduction
+/// ([`execute_reduce`]) — as the planned path's send/receive tables do.
 ///
-/// Two volume optimisations live here:
+/// # Panics
 ///
-/// * **Dedup** — repeated row indices in the request list cross the
-///   wire once; every occurrence is filled from the single transferred
-///   copy.
-/// * **Feature cache** — rows resident in the requester's
-///   [`ClusterCache`] never cross the wire at all: their values are
-///   embedded in the plan at build time (so the plan stays
-///   self-contained on the prefetch worker), and senders skip
-///   them because cache sets are shared knowledge.
+/// Panics unless `rows` is strictly ascending.
+pub(crate) fn owner_split(
+    rows: &[VertexId],
+    partition: &[u32],
+    num_parts: usize,
+) -> Vec<Vec<usize>> {
+    let mut split = vec![Vec::new(); num_parts];
+    for (i, &v) in rows.iter().enumerate() {
+        assert!(i == 0 || rows[i - 1] < v, "rows must be strictly ascending");
+        split[partition[v as usize] as usize].push(i);
+    }
+    split
+}
+
+/// For each position of `pos`, the row of `have` (ascending global ids,
+/// the rows a rank's local matrices hold) that is `rows[position]`.
+fn local_rows(have: &[VertexId], rows: &[VertexId], pos: &[usize]) -> Vec<usize> {
+    pos.iter()
+        .map(|&p| have.binary_search(&rows[p]).expect("owner holds its rows"))
+        .collect()
+}
+
+/// One rank's view of the forward row exchange over one block boundary:
+/// assemble the matrix for a strictly ascending global row list from the
+/// per-rank owners, so output position `i` *is* row `i` of the list.
+/// Every rank derives the same [`owner_split`] from the shared block
+/// chain and partition, so sends and receives pair up without
+/// negotiation: a message carries the rows its sender owns, in list
+/// order, minus those in the receiver's [`ClusterCache`] (cache sets are
+/// shared knowledge too). Those never cross the wire: the requester
+/// embeds their values in its plan at build time, which also keeps the
+/// plan self-contained on the prefetch worker.
 #[derive(Debug)]
 pub struct GatherPlan {
     out_rows: usize,
-    cols: usize,
-    /// This rank's unique owned request rows, ascending global order.
+    /// This rank's owned rows of the list, in list order, and the output
+    /// position of each.
     own: Matrix,
-    /// `(own row, output position)` per occurrence in the request list.
-    own_place: Vec<(u32, u32)>,
+    own_pos: Vec<usize>,
     /// Ascending peers and the `own` row indices each receives (rows in
     /// the peer's cache are omitted; empty sends are dropped).
     sends: Vec<(usize, Vec<usize>)>,
-    /// Ascending contributing peers: unique wire row count and
-    /// `(wire row, output position)` per occurrence.
-    recvs: Vec<RecvEntry>,
+    /// Ascending contributing peers and the output positions their
+    /// message fills, in wire order.
+    recvs: Vec<(usize, Vec<usize>)>,
     /// Cache-served values copied out of this rank's cache at build
-    /// time, with `(cached row, output position)` placements.
+    /// time, and the output position of each.
     cached: Matrix,
-    cached_place: Vec<(u32, u32)>,
-}
-
-/// `(peer, unique wire rows, (wire row, output position) placements)`.
-type RecvEntry = (usize, usize, Vec<(u32, u32)>);
-
-/// Where one unique requested row comes from during assembly.
-enum RowSource {
-    Own(u32),
-    Cached(u32),
-    Wire { peer: u32, row: u32 },
+    cached_pos: Vec<usize>,
 }
 
 impl GatherPlan {
-    /// Builds the uncached plan for assembling `rows` (global ids; any
-    /// order, duplicates allowed — each unique row travels once).
+    /// Builds the uncached plan for assembling `rows` (global ids,
+    /// strictly ascending — a [`LayerBlock`]'s `src` or `dst` list).
     /// `have` lists the global ids backing `values`' rows (ascending);
     /// it must contain every row of `rows` this rank owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is unsorted or repeats a row, or if `have` lacks
+    /// a row of `rows` this rank owns.
     pub fn build(
         rows: &[VertexId],
         partition: &[u32],
@@ -157,14 +177,18 @@ impl GatherPlan {
         have: &[VertexId],
         values: &Matrix,
     ) -> Self {
-        Self::build_inner(rows, partition, num_parts, rank, have, values, None)
+        Self::from_have(rows, partition, num_parts, rank, have, values, None)
     }
 
     /// [`GatherPlan::build`] against the cluster's feature cache: rows
     /// in this rank's cache are served locally (values embedded in the
     /// plan), and sends skip rows resident in each receiver's cache.
     /// Bumps this rank's [`CacheStats`](crate::featcache::CacheStats)
-    /// with the exchange's unique hit/miss rows.
+    /// with the exchange's hit/miss rows.
+    ///
+    /// # Panics
+    ///
+    /// See [`GatherPlan::build`].
     pub fn build_cached(
         rows: &[VertexId],
         partition: &[u32],
@@ -174,10 +198,11 @@ impl GatherPlan {
         values: &Matrix,
         cache: &ClusterCache,
     ) -> Self {
-        Self::build_inner(rows, partition, num_parts, rank, have, values, Some(cache))
+        Self::from_have(rows, partition, num_parts, rank, have, values, Some(cache))
     }
 
-    fn build_inner(
+    /// The plan over a boundary nobody else splits (the raw features').
+    fn from_have(
         rows: &[VertexId],
         partition: &[u32],
         num_parts: usize,
@@ -186,119 +211,80 @@ impl GatherPlan {
         values: &Matrix,
         cache: Option<&ClusterCache>,
     ) -> Self {
-        let cols = values.cols();
-        // Unique request rows, ascending: the dedup that makes each
-        // remote row cross the wire once per exchange.
-        let mut uniq: Vec<VertexId> = rows.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); num_parts];
-        for (u, &v) in uniq.iter().enumerate() {
-            by_part[partition[v as usize] as usize].push(u as u32);
-        }
-        // Resolve every unique row to its assembly source. Senders and
-        // receivers agree because `uniq`, the partition and the cache
-        // sets are all shared knowledge.
-        let mut source: Vec<Option<RowSource>> = (0..uniq.len()).map(|_| None).collect();
-        let own_idx: Vec<usize> = by_part[rank]
-            .iter()
-            .map(|&u| {
-                have.binary_search(&uniq[u as usize])
-                    .expect("owner holds its rows")
-            })
-            .collect();
-        for (r, &u) in by_part[rank].iter().enumerate() {
-            source[u as usize] = Some(RowSource::Own(r as u32));
-        }
-        let own = values.gather_rows(&own_idx);
+        let split = owner_split(rows, partition, num_parts);
+        let own = values.gather_rows(&local_rows(have, rows, &split[rank]));
+        Self::on_split(rows, &split, rank, own, cache)
+    }
+
+    /// The plan over an already split boundary; `own` holds this rank's
+    /// rows of the list in `split[rank]` order (an inter-layer gather
+    /// passes the block rows it has just computed, as they are).
+    pub(crate) fn on_split(
+        rows: &[VertexId],
+        split: &[Vec<usize>],
+        rank: usize,
+        own: Matrix,
+        cache: Option<&ClusterCache>,
+    ) -> Self {
+        let own_pos = split[rank].to_vec();
+        debug_assert_eq!(own.rows(), own_pos.len());
+        let peers = || (0..split.len()).filter(move |&peer| peer != rank);
+        // Receives: a peer's rows in list order, minus the ones this
+        // rank's cache serves.
         let mine = cache.map(|c| &c.caches[rank]);
-        let mut cached_rows: Vec<usize> = Vec::new();
-        let mut recvs: Vec<RecvEntry> = Vec::new();
-        for (peer, part) in by_part.iter().enumerate() {
-            if peer == rank {
-                continue;
-            }
-            let mut wire = 0u32;
-            for &u in part {
-                let v = uniq[u as usize];
-                if let Some(ci) = mine.and_then(|m| m.lookup(v)) {
-                    source[u as usize] = Some(RowSource::Cached(cached_rows.len() as u32));
-                    cached_rows.push(ci);
-                } else {
-                    source[u as usize] = Some(RowSource::Wire {
-                        peer: peer as u32,
-                        row: wire,
-                    });
-                    wire += 1;
+        let (mut cached_rows, mut cached_pos) = (Vec::new(), Vec::new());
+        let mut recvs = Vec::new();
+        for peer in peers() {
+            let mut wire = Vec::with_capacity(split[peer].len());
+            for &p in &split[peer] {
+                match mine.and_then(|m| m.lookup(rows[p])) {
+                    Some(ci) => {
+                        cached_rows.push(ci);
+                        cached_pos.push(p);
+                    }
+                    None => wire.push(p),
                 }
             }
-            if wire > 0 {
-                recvs.push((peer, wire as usize, Vec::new()));
+            if !wire.is_empty() {
+                recvs.push((peer, wire));
             }
         }
         let cached = match mine {
-            Some(m) if !cached_rows.is_empty() => m.rows.gather_rows(&cached_rows),
-            _ => Matrix::zeros(0, cols),
-        };
-        if let Some(m) = mine {
-            let fetched: usize = recvs.iter().map(|(_, n, _)| *n).sum();
-            m.stats
-                .record(cached_rows.len() as u64, fetched as u64, cols);
-        }
-        // Placements: one entry per occurrence in the original list.
-        let mut own_place = Vec::new();
-        let mut cached_place = Vec::new();
-        for (i, &v) in rows.iter().enumerate() {
-            let u = uniq.binary_search(&v).expect("uniq covers rows");
-            match source[u].as_ref().expect("every unique row resolved") {
-                RowSource::Own(r) => own_place.push((*r, i as u32)),
-                RowSource::Cached(r) => cached_place.push((*r, i as u32)),
-                RowSource::Wire { peer, row } => {
-                    let entry = recvs
-                        .iter_mut()
-                        .find(|(p, _, _)| *p == *peer as usize)
-                        .expect("contributing peer recorded");
-                    entry.2.push((*row, i as u32));
-                }
+            Some(m) => {
+                let fetched: usize = recvs.iter().map(|(_, wire)| wire.len()).sum();
+                m.stats
+                    .record(cached_rows.len() as u64, fetched as u64, own.cols());
+                m.rows.gather_rows(&cached_rows)
             }
-        }
-        // Sends: each peer gets this rank's unique owned rows minus the
-        // peer's cached set, in ascending global order (the order the
-        // peer's wire indices assume).
-        let sends: Vec<(usize, Vec<usize>)> = (0..num_parts)
-            .filter(|&peer| peer != rank)
+            None => Matrix::zeros(0, own.cols()),
+        };
+        // Sends: the mirror image — this rank's rows in list order,
+        // minus the ones the receiving peer's cache serves.
+        let sends = peers()
             .filter_map(|peer| {
-                let out: Vec<usize> = by_part[rank]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &u)| match cache {
-                        Some(c) => !c.contains(peer, uniq[u as usize]),
-                        None => true,
-                    })
-                    .map(|(r, _)| r)
+                let out: Vec<usize> = (0..own_pos.len())
+                    .filter(|&r| !cache.is_some_and(|c| c.contains(peer, rows[own_pos[r]])))
                     .collect();
                 (!out.is_empty()).then_some((peer, out))
             })
             .collect();
         Self {
             out_rows: rows.len(),
-            cols,
             own,
-            own_place,
+            own_pos,
             sends,
             recvs,
             cached,
-            cached_place,
+            cached_pos,
         }
     }
 }
 
 /// Executes a [`GatherPlan`] under a pre-assigned op: posts each peer
-/// its filtered unique owned rows, then assembles the full matrix from
-/// its own rows, the cache-served rows embedded in the plan, and each
-/// contributing peer's wire block, receives drained in ascending rank
-/// order. Runs on the main thread or on the [`OverlapWorker`]
-/// (prefetch) — op-tagged keys keep the two from colliding.
+/// its share of this rank's rows, then fills the output from the plan's
+/// own and cache-served rows and from each contributing peer's message,
+/// drained in ascending rank order. Runs on the main thread or on the
+/// [`OverlapWorker`] (prefetch) — op-tagged keys keep the two apart.
 pub(crate) fn execute_gather(
     fabric: &Fabric,
     rank: usize,
@@ -306,66 +292,50 @@ pub(crate) fn execute_gather(
     plan: &GatherPlan,
 ) -> Result<Matrix, RuntimeError> {
     let key: MsgKey = (op, 0, 0, 0);
+    let cols = plan.own.cols();
     for (peer, idx) in &plan.sends {
         fabric.wait_ready(*peer, op, rank)?;
-        let payload = if idx.len() == plan.own.rows() {
-            plan.own.as_slice().to_vec()
-        } else {
-            plan.own.gather_rows(idx).into_vec()
-        };
-        fabric.send(rank, *peer, key, payload)?;
+        fabric.send(rank, *peer, key, plan.own.gather_rows(idx).into_vec())?;
     }
-    let mut out = Matrix::zeros(plan.out_rows, plan.cols);
-    for &(r, p) in &plan.own_place {
-        out.set_row(p as usize, plan.own.row(r as usize));
-    }
-    for &(r, p) in &plan.cached_place {
-        out.set_row(p as usize, plan.cached.row(r as usize));
-    }
-    for (peer, wire_rows, place) in &plan.recvs {
-        let payload = fabric.recv(*peer, rank, key)?;
-        expect_payload(rank, payload.len(), wire_rows * plan.cols, key)?;
-        let m = Matrix::from_vec(*wire_rows, plan.cols, payload);
-        for &(r, p) in place {
-            out.set_row(p as usize, m.row(r as usize));
+    let mut out = Matrix::zeros(plan.out_rows, cols);
+    let mut place = |from: &Matrix, pos: &[usize]| {
+        for (r, &p) in pos.iter().enumerate() {
+            out.set_row(p, from.row(r));
         }
+    };
+    place(&plan.own, &plan.own_pos);
+    place(&plan.cached, &plan.cached_pos);
+    for (peer, pos) in &plan.recvs {
+        let payload = fabric.recv(*peer, rank, key)?;
+        expect_payload(rank, payload.len(), pos.len() * cols, key)?;
+        place(&Matrix::from_vec(pos.len(), cols, payload), pos);
     }
     Ok(out)
 }
 
-/// The adjoint of [`execute_gather`]: every rank holds a dense gradient
-/// contribution over all of `rows`; each owner receives and sums the
-/// slices for its rows, in ascending rank order (this rank's own slice
-/// folded at its rank position), so the reduction is deterministic.
-/// Returns this rank's reduced rows (its owned subset of `rows`,
-/// ascending).
+/// The adjoint of [`execute_gather`] — the same boundary's
+/// [`owner_split`], reversed: every rank holds a dense gradient
+/// contribution over all of the boundary's rows; each owner sums the
+/// slices for its rows in ascending rank order (its own at its rank
+/// position), so the reduction is deterministic, and returns them.
 pub(crate) fn execute_reduce(
     fabric: &Fabric,
     rank: usize,
     op: u64,
     contrib: &Matrix,
-    rows: &[VertexId],
-    partition: &[u32],
+    split: &[Vec<usize>],
 ) -> Result<Matrix, RuntimeError> {
-    debug_assert_eq!(contrib.rows(), rows.len());
     let key: MsgKey = (op, 0, 0, 0);
-    let num_parts = fabric.num_devices();
     let cols = contrib.cols();
-    let mut positions: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-    for (i, &v) in rows.iter().enumerate() {
-        positions[partition[v as usize] as usize].push(i);
-    }
-    for (peer, pos) in positions.iter().enumerate() {
-        if peer == rank || pos.is_empty() {
-            continue;
+    for (peer, pos) in split.iter().enumerate() {
+        if peer != rank && !pos.is_empty() {
+            fabric.wait_ready(peer, op, rank)?;
+            fabric.send(rank, peer, key, contrib.gather_rows(pos).into_vec())?;
         }
-        let slice = contrib.gather_rows(pos);
-        fabric.wait_ready(peer, op, rank)?;
-        fabric.send(rank, peer, key, slice.into_vec())?;
     }
-    let own_pos = &positions[rank];
+    let own_pos = &split[rank];
     let mut out = Matrix::zeros(own_pos.len(), cols);
-    for peer in 0..num_parts {
+    for peer in 0..split.len() {
         if peer == rank {
             out.add_assign(&contrib.gather_rows(own_pos));
         } else if !own_pos.is_empty() {
@@ -455,7 +425,6 @@ pub(crate) struct BlockSteps<'a> {
     handle: &'a DeviceHandle<'a>,
     ctx: &'a EpochCtx<'a>,
     scfg: &'a SamplingConfig,
-    backend: &'a dyn CommBackend,
     worker: Option<OverlapWorker>,
     pool: BlockPool,
     prefetched: Option<(Vec<LayerBlock>, Pending<Matrix>)>,
@@ -466,53 +435,48 @@ impl<'a> BlockSteps<'a> {
         handle: &'a DeviceHandle<'a>,
         ctx: &'a EpochCtx<'a>,
         scfg: &'a SamplingConfig,
-        backend: &'a dyn CommBackend,
     ) -> Self {
         Self {
             handle,
             ctx,
             scfg,
-            backend,
             worker: scfg.prefetch.then(|| handle.overlap_worker()),
             pool: BlockPool::new(),
             prefetched: None,
         }
     }
 
-    /// Batch `bi`'s block chain; a bad seed unwinds through the poison
-    /// protocol.
+    /// Batch `bi`'s block chain (a bad seed unwinds through the poison
+    /// protocol) and the plan of its layer-0 feature gather — the only
+    /// gather over *raw* features, the immutable rows the cache holds, so
+    /// the only one that consults it. No block row is computed on that
+    /// boundary and no gradient reduces over it: the plan alone splits it.
     fn sample(
         &mut self,
         epoch: usize,
         batches: &[Vec<VertexId>],
         bi: usize,
-    ) -> Result<Vec<LayerBlock>, RuntimeError> {
+    ) -> Result<(Vec<LayerBlock>, GatherPlan), RuntimeError> {
+        let (rank, pg) = (self.handle.rank, &self.handle.comm_info().pg);
         let blocks = self.pool.sample_blocks(
             self.ctx.graph,
             &batches[bi],
             &self.scfg.fanouts,
             round_seed(self.scfg.seed, epoch, bi),
         );
-        self.handle
-            .poison_on_err(blocks.map_err(|e| graph_err(self.handle.rank, &e)))
-    }
-
-    /// The plan of a layer-0 feature gather — the only gather over *raw*
-    /// features, the immutable rows the cache holds, so it consults the
-    /// cache; inter-layer gathers move activations and always build
-    /// uncached plans.
-    fn feature_plan(&self, src: &[VertexId]) -> GatherPlan {
-        let rank = self.handle.rank;
-        let pg = &self.handle.comm_info().pg;
-        GatherPlan::build_inner(
-            src,
+        let blocks = self
+            .handle
+            .poison_on_err(blocks.map_err(|e| graph_err(rank, &e)))?;
+        let plan = GatherPlan::from_have(
+            &blocks[0].src,
             &pg.partition,
             pg.num_parts,
             rank,
             &pg.local[rank],
             &self.ctx.features[rank],
             self.ctx.cache,
-        )
+        );
+        Ok((blocks, plan))
     }
 
     /// Forward, loss and backward of batch `bi`, reporting to `sync`.
@@ -524,64 +488,52 @@ impl<'a> BlockSteps<'a> {
         batches: &[Vec<VertexId>],
         bi: usize,
     ) -> Result<(), RuntimeError> {
-        let (handle, backend) = (self.handle, self.backend);
+        let handle = self.handle;
         let rank = handle.rank;
         let pg = &handle.comm_info().pg;
-        let partition: &[u32] = &pg.partition;
-        let owned: &[VertexId] = &pg.local[rank];
         let agg_kind = self.ctx.cfg.arch.agg_kind();
         let num_layers = net.num_layers();
         let (blocks, mut h) = match self.prefetched.take() {
             Some((blocks, pending)) => (blocks, handle.wait_pending(pending)?),
             None => {
-                let blocks = self.sample(epoch, batches, bi)?;
-                let plan = self.feature_plan(&blocks[0].src);
-                let h = backend.fetch_rows(handle, &plan)?;
-                (blocks, h)
+                let (blocks, plan) = self.sample(epoch, batches, bi)?;
+                (blocks, handle.exchange_rows(&plan)?)
             }
         };
         if self.worker.is_some() && bi + 1 < batches.len() {
-            let next = self.sample(epoch, batches, bi + 1)?;
-            let plan = self.feature_plan(&next[0].src);
+            let (next, plan) = self.sample(epoch, batches, bi + 1)?;
             let worker = self.worker.as_ref().expect("checked above");
             let pending = handle.with_op(|op| worker.submit_exchange(op, plan))?;
             self.prefetched = Some((next, pending));
         }
+        // One owner split per boundary above the raw features:
+        // `splits[l]` is over `blocks[l].dst`, which is `blocks[l + 1].src`.
+        let splits: Vec<_> = blocks
+            .iter()
+            .map(|b| owner_split(&b.dst, &pg.partition, pg.num_parts))
+            .collect();
         // Forward: each rank computes only the block rows it owns;
         // between layers the owners' outputs reassemble into the next
         // block's full source matrix.
-        let mut rows_mine_per_layer: Vec<Vec<usize>> = Vec::with_capacity(num_layers);
-        for (l, block) in blocks.iter().enumerate().take(num_layers) {
-            let rows_mine: Vec<usize> = (0..block.num_dst())
-                .filter(|&i| partition[block.dst[i] as usize] as usize == rank)
-                .collect();
+        for (l, block) in blocks.iter().enumerate() {
+            let rows_mine = &splits[l][rank];
             let self_pos: Vec<usize> = rows_mine
                 .iter()
                 .map(|&i| block.dst_pos[i] as usize)
                 .collect();
             let h_self = h.gather_rows(&self_pos);
-            let agg = block_aggregate(block, &rows_mine, &h, agg_kind);
+            let agg = block_aggregate(block, rows_mine, &h, agg_kind);
             let h_mine = net.layers_mut()[l].forward_agg(&h_self, agg);
-            if l + 1 < num_layers {
-                let my_dst: Vec<VertexId> = rows_mine.iter().map(|&i| block.dst[i]).collect();
-                let plan =
-                    GatherPlan::build(&block.dst, partition, pg.num_parts, rank, &my_dst, &h_mine);
-                h = backend.fetch_rows(handle, &plan)?;
+            h = if l + 1 < num_layers {
+                let plan = GatherPlan::on_split(&block.dst, &splits[l], rank, h_mine, None);
+                handle.exchange_rows(&plan)?
             } else {
-                h = h_mine;
-            }
-            rows_mine_per_layer.push(rows_mine);
+                h_mine
+            };
         }
         // Loss over this rank's batch rows.
-        let final_block = blocks.last().expect("at least one layer");
-        let target_rows: Vec<usize> = rows_mine_per_layer[num_layers - 1]
-            .iter()
-            .map(|&i| {
-                owned
-                    .binary_search(&final_block.dst[i])
-                    .expect("dst row is owned")
-            })
-            .collect();
+        let last = num_layers - 1;
+        let target_rows = local_rows(&pg.local[rank], &blocks[last].dst, &splits[last][rank]);
         let tgt = self.ctx.targets[rank].gather_rows(&target_rows);
         let diff = h.sub(&tgt);
         sync.loss(handle, 0.5 * diff.norm_sq())?;
@@ -590,7 +542,7 @@ impl<'a> BlockSteps<'a> {
         let mut grad = diff;
         for l in (0..num_layers).rev() {
             let block = &blocks[l];
-            let rows_mine = &rows_mine_per_layer[l];
+            let rows_mine = &splits[l][rank];
             if input_learns(l) {
                 let (grad_agg, direct) = net.layers_mut()[l].backward_agg(&grad);
                 let mut grad_src = block_scatter_grad(block, rows_mine, &grad_agg, agg_kind);
@@ -602,9 +554,11 @@ impl<'a> BlockSteps<'a> {
                         }
                     }
                 }
-                // Owners of this block's source rows (= the previous
-                // block's destination rows) collect their gradients.
-                grad = backend.push_rows(handle, &grad_src, &block.src, partition)?;
+                // Owners of this block's source rows collect their
+                // gradients: layer `l - 1`'s gather split, reversed.
+                let split = &splits[l - 1];
+                grad = handle
+                    .with_op(|op| execute_reduce(handle.fabric(), rank, op, &grad_src, split))?;
             } else {
                 net.layers_mut()[l].backward_params(&grad);
             }
@@ -689,48 +643,207 @@ mod tests {
         assert!(!SamplingConfig::new(8, vec![None, Some(3)]).is_exact());
     }
 
-    #[test]
-    fn gather_plan_serves_duplicate_rows_from_one_copy() {
-        // Request list repeats rows; each unique row is held once in the
-        // plan and every occurrence assembles from that single copy.
-        let values = Matrix::from_vec(4, 2, (0..8).map(|i| i as f32).collect());
-        let have: Vec<VertexId> = vec![0, 1, 2, 3];
-        let partition = vec![0u32; 4];
-        let rows: Vec<VertexId> = vec![2, 0, 2, 3, 0];
-        let plan = GatherPlan::build(&rows, &partition, 1, 0, &have, &values);
-        assert_eq!(plan.own.rows(), 3, "unique rows only");
-        assert!(plan.sends.is_empty() && plan.recvs.is_empty());
-        let fabric = Fabric::new(1);
-        let out = execute_gather(&fabric, 0, 0, &plan).unwrap();
-        assert_eq!(out.rows(), rows.len());
-        for (i, &v) in rows.iter().enumerate() {
-            assert_eq!(out.row(i), values.row(v as usize), "occurrence {i}");
+    /// Vertices in the test universe of [`boundary`].
+    const UNIVERSE: u32 = 40;
+
+    /// A sorted-unique row list over `n` ranks of a [`UNIVERSE`]-vertex universe
+    /// (row `v` of the feature matrix is `[v, 2v]`), with or without a
+    /// cache in which rank `r` holds every remote `v` with
+    /// `(v + r) % 4 == 0`.
+    struct Boundary {
+        n: usize,
+        partition: Vec<u32>,
+        rows: Vec<VertexId>,
+        features: Matrix,
+        cache: Option<ClusterCache>,
+    }
+
+    fn boundary(n: usize, cached: bool) -> Boundary {
+        use crate::featcache::{CacheStats, FeatureCache};
+        let partition: Vec<u32> = (0..UNIVERSE).map(|v| (v * 7 + 3) % n as u32).collect();
+        let rows: Vec<VertexId> = (0..UNIVERSE).filter(|v| v % 3 != 1).collect();
+        let features = Matrix::from_vec(
+            UNIVERSE as usize,
+            2,
+            (0..UNIVERSE)
+                .flat_map(|v| [v as f32, 2.0 * v as f32])
+                .collect(),
+        );
+        let cache = cached.then(|| ClusterCache {
+            caches: (0..n)
+                .map(|r| {
+                    let ids: Vec<VertexId> = (0..UNIVERSE)
+                        .filter(|&v| {
+                            partition[v as usize] as usize != r
+                                && (v as usize + r).is_multiple_of(4)
+                        })
+                        .collect();
+                    let idx: Vec<usize> = ids.iter().map(|&v| v as usize).collect();
+                    FeatureCache {
+                        rows: features.gather_rows(&idx),
+                        ids,
+                        stats: CacheStats::default(),
+                    }
+                })
+                .collect(),
+        });
+        Boundary {
+            n,
+            partition,
+            rows,
+            features,
+            cache,
+        }
+    }
+
+    impl Boundary {
+        fn plan(&self, rank: usize) -> GatherPlan {
+            let have: Vec<VertexId> = (0..UNIVERSE)
+                .filter(|&v| self.partition[v as usize] as usize == rank)
+                .collect();
+            let idx: Vec<usize> = have.iter().map(|&v| v as usize).collect();
+            let values = self.features.gather_rows(&idx);
+            let (rows, part) = (&self.rows, &self.partition);
+            match &self.cache {
+                Some(c) => GatherPlan::build_cached(rows, part, self.n, rank, &have, &values, c),
+                None => GatherPlan::build(rows, part, self.n, rank, &have, &values),
+            }
         }
     }
 
     #[test]
-    fn gather_plan_sends_mirror_peer_recvs_with_dedup() {
-        // Two ranks build plans for the same duplicated request list;
-        // the sender's unique row blocks must match the receiver's
-        // expected wire counts, and every occurrence gets a placement.
-        let values = Matrix::from_vec(4, 1, vec![10.0, 11.0, 12.0, 13.0]);
-        let partition = vec![0u32, 0, 1, 1];
-        let have0: Vec<VertexId> = vec![0, 1];
-        let have1: Vec<VertexId> = vec![2, 3];
-        let v0 = values.gather_rows(&[0, 1]);
-        let v1 = values.gather_rows(&[2, 3]);
-        let rows: Vec<VertexId> = vec![2, 0, 2, 3, 0];
-        let p0 = GatherPlan::build(&rows, &partition, 2, 0, &have0, &v0);
-        let p1 = GatherPlan::build(&rows, &partition, 2, 1, &have1, &v1);
-        // Unique owned rows: rank 0 holds {0}, rank 1 holds {2, 3}.
-        assert_eq!(p0.own.rows(), 1);
-        assert_eq!(p1.own.rows(), 2);
-        assert_eq!(p0.sends, vec![(1, vec![0])]);
-        assert_eq!(p1.sends, vec![(0, vec![0, 1])]);
-        assert_eq!(p0.recvs.len(), 1);
-        let (peer, wire, place) = &p0.recvs[0];
-        assert_eq!((*peer, *wire), (1, 2));
-        let placed = p0.own_place.len() + p0.cached_place.len() + place.len();
-        assert_eq!(placed, rows.len(), "every occurrence placed exactly once");
+    fn gather_plan_sends_mirror_peer_recvs_and_place_every_row_once() {
+        for n in 2..=4 {
+            for cached in [false, true] {
+                let b = boundary(n, cached);
+                let plans: Vec<GatherPlan> = (0..n).map(|r| b.plan(r)).collect();
+                for (me, plan) in plans.iter().enumerate() {
+                    let mut placed: Vec<usize> = plan
+                        .recvs
+                        .iter()
+                        .flat_map(|(_, pos)| pos)
+                        .chain(&plan.own_pos)
+                        .chain(&plan.cached_pos)
+                        .copied()
+                        .collect();
+                    placed.sort_unstable();
+                    let all: Vec<usize> = (0..b.rows.len()).collect();
+                    assert_eq!(placed, all, "n={n} cached={cached} rank {me}");
+                    assert_eq!(cached, !plan.cached_pos.is_empty());
+                    for (peer, theirs) in plans.iter().enumerate().filter(|&(p, _)| p != me) {
+                        // What `peer` posts to `me`, and what `me` expects
+                        // from `peer`, as list positions in wire order.
+                        let sent: Vec<usize> = theirs
+                            .sends
+                            .iter()
+                            .filter(|(to, _)| *to == me)
+                            .flat_map(|(_, idx)| idx.iter().map(|&r| theirs.own_pos[r]))
+                            .collect();
+                        let expected: Vec<usize> = plan
+                            .recvs
+                            .iter()
+                            .filter(|(from, _)| *from == peer)
+                            .flat_map(|(_, pos)| pos.clone())
+                            .collect();
+                        assert_eq!(sent, expected, "n={n} cached={cached} {peer} -> {me}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_and_reduce_over_one_split_are_adjoint() {
+        // <gather(x), y> == <x, reduce(y)> summed over ranks, exactly:
+        // every value is a small integer. `x` is the feature matrix (so
+        // cache-served rows agree with the wire's), `y` differs per rank.
+        for n in 2..=4 {
+            for cached in [false, true] {
+                let b = boundary(n, cached);
+                let split = owner_split(&b.rows, &b.partition, n);
+                let fabric = Fabric::new(n);
+                let sides: Vec<(f32, f32)> = std::thread::scope(|scope| {
+                    let joins: Vec<_> = (0..n)
+                        .map(|rank| {
+                            let (b, split, fabric) = (&b, &split, &fabric);
+                            scope.spawn(move || {
+                                let plan = b.plan(rank);
+                                fabric.set_ready(rank, 1);
+                                let gathered = execute_gather(fabric, rank, 1, &plan).unwrap();
+                                for (i, &v) in b.rows.iter().enumerate() {
+                                    assert_eq!(gathered.row(i), b.features.row(v as usize));
+                                }
+                                let y = Matrix::from_vec(
+                                    b.rows.len(),
+                                    2,
+                                    (0..2 * b.rows.len())
+                                        .map(|i| ((i * 5 + rank * 3) % 7) as f32 - 3.0)
+                                        .collect(),
+                                );
+                                fabric.set_ready(rank, 2);
+                                let reduced = execute_reduce(fabric, rank, 2, &y, split).unwrap();
+                                (
+                                    gathered.hadamard(&y).sum(),
+                                    plan.own.hadamard(&reduced).sum(),
+                                )
+                            })
+                        })
+                        .collect();
+                    joins.into_iter().map(|j| j.join().unwrap()).collect()
+                });
+                let lhs: f32 = sides.iter().map(|s| s.0).sum();
+                let rhs: f32 = sides.iter().map(|s| s.1).sum();
+                assert_eq!(lhs, rhs, "n={n} cached={cached}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn gather_plan_rejects_an_unsorted_row_list() {
+        let values = Matrix::zeros(4, 1);
+        GatherPlan::build(&[0, 2, 1], &[0; 4], 1, 0, &[0, 1, 2, 3], &values);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn gather_plan_rejects_a_repeated_row() {
+        let values = Matrix::zeros(4, 1);
+        GatherPlan::build(&[0, 2, 2], &[0; 4], 1, 0, &[0, 1, 2, 3], &values);
+    }
+
+    #[test]
+    fn sampled_chains_satisfy_the_row_list_contract() {
+        // Every list the block step splits is a `LayerBlock` `src` / `dst`
+        // of a pooled chain: strictly ascending, and adjacent blocks share
+        // their boundary.
+        let g = dgcl_graph::generators::hub_attachment(400, 8, 0.8, 5);
+        let ascending = |rows: &[VertexId]| rows.windows(2).all(|w| w[0] < w[1]);
+        let mut pool = BlockPool::new();
+        for seed in 0..24u64 {
+            let fanouts: Vec<Option<usize>> = (0..1 + seed as usize % 3)
+                .map(|l| {
+                    (!(seed + l as u64).is_multiple_of(5)).then_some(1 + (seed as usize + l) % 6)
+                })
+                .collect();
+            // Unsorted, repeating seeds: the pool sorts and dedups them.
+            let batch: Vec<VertexId> = (0..40)
+                .map(|i| ((i * 37 + seed * 11) % 400) as VertexId)
+                .collect();
+            let blocks = pool
+                .sample_blocks(&g, &batch, &fanouts, round_seed(seed, 0, 0))
+                .unwrap();
+            assert_eq!(blocks.len(), fanouts.len());
+            for b in &blocks {
+                assert!(
+                    ascending(&b.src) && ascending(&b.dst),
+                    "seed {seed} {fanouts:?}"
+                );
+            }
+            for w in blocks.windows(2) {
+                assert_eq!(w[0].dst, w[1].src, "seed {seed} {fanouts:?}");
+            }
+            pool.recycle(blocks);
+        }
     }
 }

@@ -511,7 +511,7 @@ fn device_body(
         None => ExecStrategy::Barriered,
     };
     let backend = backend_for(ctx.backend_kind, strategy);
-    let mut blocks = block_cfg.map(|s| BlockSteps::new(handle, ctx, s, backend.as_ref()));
+    let mut blocks = block_cfg.map(|s| BlockSteps::new(handle, ctx, s));
     let mut agg0: Option<Matrix> = None;
     let mut forward = |net: &mut GnnNetwork| -> Result<Matrix, RuntimeError> {
         let agg = match &agg0 {

@@ -9,10 +9,15 @@
 //! stay within a small per-operation allocation budget (the returned
 //! output matrices themselves), and must allocate strictly less than the
 //! uncompiled reference path over the same window.
+//!
+//! The compiled allreduce zoo makes the same promise per `(algorithm,
+//! length, chunk)` cell: a warm call looks its schedule up and builds
+//! nothing — pinned here for the ring.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use dgcl::collectives::AllreduceAlgo;
 use dgcl::{build_comm_info, run_cluster, BuildOptions};
 use dgcl_graph::Dataset;
 use dgcl_tensor::Matrix;
@@ -62,12 +67,21 @@ enum Mode {
     Barriered,
     /// Uncompiled table-walking reference.
     Reference,
+    /// A ring allreduce of one fixed `RING_ROWS × 8` matrix per round (no
+    /// allgather / scatter).
+    RingAllreduce,
 }
 
+const RING_ROWS: usize = 512;
+
+/// The counter and its switch are process-wide: one measurement at a time.
+static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Allocations observed while every device runs `rounds` forward +
-/// backward pairs after `warm` unmeasured warm-up rounds, using the
-/// collective implementation selected by `mode`.
+/// backward pairs (or ring allreduces) after `warm` unmeasured warm-up
+/// rounds, using the collective implementation selected by `mode`.
 fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let graph = Dataset::WikiTalk.generate(0.0006, 5);
     let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
     let n = graph.num_vertices();
@@ -83,11 +97,18 @@ fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
                 Mode::Pipelined => handle.graph_allgather(&per_device[handle.rank])?,
                 Mode::Barriered => handle.graph_allgather_barriered(&per_device[handle.rank])?,
                 Mode::Reference => handle.graph_allgather_reference(&per_device[handle.rank])?,
+                Mode::RingAllreduce => {
+                    let mats = vec![Matrix::full(RING_ROWS, 8, handle.rank as f32)];
+                    let sum = handle.allreduce_with(AllreduceAlgo::Ring, mats)?;
+                    assert_eq!(sum[0].row(0)[0], 6.0, "0 + 1 + 2 + 3");
+                    return Ok(());
+                }
             };
             let grads = match mode {
                 Mode::Pipelined => handle.scatter_backward(&full)?,
                 Mode::Barriered => handle.scatter_backward_barriered(&full)?,
                 Mode::Reference => handle.scatter_backward_reference(&full)?,
+                Mode::RingAllreduce => unreachable!("returned above"),
             };
             assert_eq!(grads.rows(), handle.local_graph().num_local);
             let _ = measured;
@@ -146,5 +167,23 @@ fn steady_state_allgather_stays_within_allocation_budget() {
     assert!(
         pipelined * 4 < reference,
         "pipelined path ({pipelined}) should allocate far less than the reference ({reference})"
+    );
+}
+
+#[test]
+fn warm_ring_allreduce_builds_no_schedule() {
+    let (warm, rounds, devices) = (3, 5, 4);
+    let ring = measure(Mode::RingAllreduce, warm, rounds);
+    // A measured call allocates its input (a `Vec` holding one matrix:
+    // two allocations) and nothing else: the compiled schedule is looked
+    // up, not rebuilt. Building the ring's entries again costs every
+    // device at least four more per call (its `RING_ROWS * 8`-long index
+    // vectors and the entry list), which one spare per call cannot hide.
+    let budget = devices * rounds * 3 + 8;
+    eprintln!("steady-state allocations: ring allreduce={ring} budget={budget}");
+    assert!(
+        ring <= budget,
+        "warm ring allreduce allocated {ring} times in {rounds} rounds on {devices} devices \
+         (budget {budget})"
     );
 }

@@ -19,7 +19,8 @@
 //!   bytes than capacity 0, and volume is monotone in capacity.
 //! * A full-neighbourhood run issues a number of collectives that is a
 //!   formula in layers, steps and epochs, the same with the cache on or
-//!   off, with layer 0's exchange in it once per run.
+//!   off, with layer 0's exchange in it once per run; a sampled-blocks
+//!   run's is one too, the same with the cache or the prefetch on or off.
 
 use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
@@ -322,6 +323,35 @@ fn exact_sampling_reuses_the_layer0_aggregate_in_every_batch() {
         collective_count(&info, &c, &cfg),
         ops_per_step(layers, false) * batches * epochs + layers
     );
+}
+
+#[test]
+fn block_step_collective_count_is_pinned_and_cache_and_prefetch_independent() {
+    // A sampled-blocks step is one message round per block boundary and
+    // direction: the feature gather, L − 1 inter-layer gathers, L − 1
+    // gradient row reductions (layer 0's input does not learn) and one
+    // allreduce — 2L, whether the feature gather runs inline, a batch
+    // ahead on the prefetch worker, or mostly out of the cache. The final
+    // inference forward is full-neighbourhood: L more. N = 2L·B·E + L.
+    let c = case(3);
+    let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
+    let n = c.graph.num_vertices();
+    let (layers, epochs, batch) = (2u64, 2u64, n / 3);
+    let batches = n.div_ceil(batch) as u64;
+    for prefetch in [false, true] {
+        for policy in [CachePolicy::Off, CachePolicy::Auto] {
+            let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
+            let mut scfg = SamplingConfig::new(batch, vec![Some(3); layers as usize]);
+            scfg.prefetch = prefetch;
+            cfg.sampling = Some(scfg);
+            cfg.feature_cache = Some(policy);
+            assert_eq!(
+                collective_count(&info, &c, &cfg),
+                2 * layers * batches * epochs + layers,
+                "prefetch={prefetch}, {policy:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -10,9 +10,9 @@
 //!    return exactly what the barriered compiled path and the uncompiled
 //!    reference return, on every rank.
 //! 2. **Overlap never changes bits.** Training with the bucketed
-//!    per-layer allreduce and eager allgather (`TrainConfig::overlap`)
-//!    produces losses and outputs bitwise equal to the fully barriered
-//!    trainer, at every chunk size.
+//!    per-layer allreduce on the pipelined executor
+//!    (`TrainConfig::overlap`) produces losses and outputs bitwise equal
+//!    to the fully barriered trainer, at every chunk size.
 //! 3. **A crash mid-chunk fails fast.** A rank that dies with some
 //!    chunks of an operation already delivered ([`FaultEvent::CrashMidOp`])
 //!    poisons every survivor within the collective deadline — never a

@@ -189,10 +189,10 @@ fn exact_multi_batch_matches_single_device_masked_sgd() {
 #[test]
 fn exact_multi_batch_is_overlap_neutral() {
     // Exact batches are full-neighbourhood steps, so `overlap` puts
-    // their collectives on the worker: pipelined gather / scatter,
-    // per-layer gradient buckets and the eager next-step gather (or,
-    // with a cache, the halo exchange in its place). Where communication
-    // runs must not move a bit, on either backend.
+    // their collectives on the pipelined executor and their per-layer
+    // gradient buckets on the worker (an active cache policy serves
+    // nothing here). Where communication runs must not move a bit, on
+    // either backend.
     let c = case(9);
     let n = c.graph.num_vertices();
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());

@@ -4,6 +4,10 @@
 //! `tests/` and the runnable examples under `examples/`. The library
 //! surface simply re-exports the workspace crates so that examples can
 //! use one coherent namespace.
+//!
+//! The repository README follows; its library snippet is compiled and
+//! run as a doctest of this crate.
+#![doc = include_str!("../README.md")]
 
 pub use dgcl;
 pub use dgcl_gnn as gnn;
