@@ -14,12 +14,20 @@
 //!   ordering can be checked against the model offline.
 //!
 //! Sampled training must also *train*: final loss below the first
-//! (asserted per configuration). Results go to `BENCH_sampling.json`;
+//! (asserted per configuration). And the model must bound the traffic
+//! the runtime moves: it prices one trainer's fetch under a uniform
+//! random partition — the worst placement — so a sampled epoch's
+//! measured `bytes_fetched` may not exceed its uncached bytes per epoch
+//! (asserted per configuration; both are recorded, and how far below the
+//! bound a locality-aware partition lands is EXPERIMENTS.md's to say).
+//! Runs use a zero-capacity cache, whose counters see every fetched byte
+//! and which moves no bit. Results go to `BENCH_sampling.json`;
 //! `DGCL_BENCH_SMOKE=1` shrinks epochs for CI.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, TrainConfig};
 use dgcl::{build_comm_info, BuildOptions};
@@ -42,6 +50,11 @@ struct SamplingRecord {
     last_loss: f32,
     model_step_ratio: f64,
     model_epoch_ratio: f64,
+    /// Uncached feature bytes per epoch: measured by the run's cache
+    /// counters, and as [`SamplingModel`] prices them (0 for full-batch,
+    /// which fetches its halo once per run and prices no sampled epoch).
+    bytes_fetched: f64,
+    model_bytes: f64,
 }
 
 fn smoke() -> bool {
@@ -85,7 +98,9 @@ pub fn run(ctx: &mut RunContext) {
         for (name, fanouts) in configs {
             let mut cfg = TrainConfig::new(Architecture::Gcn, &[8, 6, 4], epochs);
             cfg.lr = 5e-4;
-            let (batches, step_ratio, epoch_ratio) = match &fanouts {
+            // Capacity 0: counts every fetched byte, saves none.
+            cfg.feature_cache = Some(CachePolicy::Fixed(0));
+            let (batches, step_ratio, epoch_ratio, model_bytes) = match &fanouts {
                 Some(f) => {
                     cfg.sampling = Some(SamplingConfig::new(batch_size, f.clone()));
                     (
@@ -93,9 +108,10 @@ pub fn run(ctx: &mut RunContext) {
                         model.batch_exchange_bytes(batch_size, f)
                             / model.full_batch_epoch_bytes(f.len()),
                         model.epoch_volume_ratio(batch_size, f),
+                        model.epoch_exchange_bytes(batch_size, f),
                     )
                 }
-                None => (1, 1.0, 1.0),
+                None => (1, 1.0, 1.0, 0.0),
             };
             let t = Instant::now();
             let report = train_distributed(&info, &graph, &features, &targets, &cfg)
@@ -108,6 +124,16 @@ pub fn run(ctx: &mut RunContext) {
                 "{} {name}: loss did not decrease ({first} -> {last})",
                 dataset.name()
             );
+            let fetched =
+                report.cache.expect("an active policy").bytes_fetched as f64 / epochs as f64;
+            // Full-batch fetches its halo once per run, off the cache's
+            // books: 0 ≤ 0.
+            assert!(
+                fetched <= model_bytes,
+                "{} {name}: the run fetched {fetched:.0} B per epoch, above the model's \
+                 random-placement price of {model_bytes:.0}",
+                dataset.name()
+            );
             rows.push(vec![
                 dataset.name().to_string(),
                 name.to_string(),
@@ -117,6 +143,8 @@ pub fn run(ctx: &mut RunContext) {
                 format!("{last:.1}"),
                 format!("{step_ratio:.4}"),
                 format!("{epoch_ratio:.2}"),
+                format!("{:.2}", fetched / 1e6),
+                format!("{:.2}", model_bytes / 1e6),
             ]);
             records.push(SamplingRecord {
                 dataset: dataset.name(),
@@ -128,6 +156,8 @@ pub fn run(ctx: &mut RunContext) {
                 last_loss: last,
                 model_step_ratio: step_ratio,
                 model_epoch_ratio: epoch_ratio,
+                bytes_fetched: fetched,
+                model_bytes,
             });
         }
     }
@@ -142,6 +172,8 @@ pub fn run(ctx: &mut RunContext) {
             "Loss[-1]",
             "Step vol",
             "Epoch vol",
+            "Fetched MB/ep",
+            "Model MB/ep",
         ],
         &rows,
     );
@@ -167,7 +199,7 @@ fn render_json(smoke: bool, records: &[SamplingRecord]) -> String {
         let comma = if i + 1 == records.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"dataset\": \"{}\", \"config\": \"{}\", \"epochs\": {}, \"batches_per_epoch\": {}, \"epoch_seconds\": {:.6}, \"first_loss\": {:.4}, \"last_loss\": {:.4}, \"loss_decreased\": {}, \"model_step_ratio\": {:.6}, \"model_epoch_ratio\": {:.4}}}{}",
+            "    {{\"dataset\": \"{}\", \"config\": \"{}\", \"epochs\": {}, \"batches_per_epoch\": {}, \"epoch_seconds\": {:.6}, \"first_loss\": {:.4}, \"last_loss\": {:.4}, \"loss_decreased\": {}, \"model_step_ratio\": {:.6}, \"model_epoch_ratio\": {:.4}, \"bytes_fetched_per_epoch\": {:.0}, \"model_bytes_per_epoch\": {:.0}}}{}",
             r.dataset,
             r.config,
             r.epochs,
@@ -178,6 +210,8 @@ fn render_json(smoke: bool, records: &[SamplingRecord]) -> String {
             r.last_loss < r.first_loss,
             r.model_step_ratio,
             r.model_epoch_ratio,
+            r.bytes_fetched,
+            r.model_bytes,
             comma,
         );
     }
@@ -202,6 +236,8 @@ mod tests {
             last_loss: 80.0,
             model_step_ratio: 0.011,
             model_epoch_ratio: 1.9,
+            bytes_fetched: 4096.0,
+            model_bytes: 5000.0,
         }];
         let json = render_json(true, &records);
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -13,6 +13,9 @@
 //!   vertex's degree (multi-hop sampled frontiers reach far beyond the
 //!   1-hop halo, and a vertex's sampler hit odds scale with its degree
 //!   no matter which part pulls it in) — with ascending-id tie-breaks.
+//!   The score ranks a candidate by what this rank's *own* vertices
+//!   reference, which is the traffic the cache serves: a sampled step
+//!   fetches the block chain of the seeds the rank owns.
 //!   Every rank derives every other rank's cached set from
 //!   the shared [`CommInfo`], so senders know what receivers hold and
 //!   no negotiation round exists (the same pattern as the backend
@@ -228,14 +231,43 @@ pub struct FeatureCache {
 }
 
 impl FeatureCache {
-    /// The cache row index holding `v`, if admitted.
-    pub fn lookup(&self, v: VertexId) -> Option<usize> {
-        self.ids.binary_search(&v).ok()
-    }
-
     /// Copies out the counters.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         self.stats.snapshot(self.ids.len() as u64)
+    }
+}
+
+/// One merge walk over a strictly ascending id list (a cache's `ids`, a
+/// rank's local ids): answers "which entry is `v`?" for *ascending*
+/// queries, each search galloping on from the last answer, so a whole
+/// request list costs one pass — linear when list and ids are equally
+/// dense, `O(m log(n / m))` for `m` sparse queries over `n` ids — where a
+/// binary search per row restarts from the full range every time.
+pub(crate) struct AscendingWalk<'a> {
+    ids: &'a [VertexId],
+    at: usize,
+}
+
+impl<'a> AscendingWalk<'a> {
+    pub(crate) fn new(ids: &'a [VertexId]) -> Self {
+        Self { ids, at: 0 }
+    }
+
+    /// The index of `v` in the list, if it is there. `v` must not be
+    /// below an earlier query.
+    pub(crate) fn find(&mut self, v: VertexId) -> Option<usize> {
+        let ids = self.ids;
+        // Every id before `lo` is below `v`; double the stride until an
+        // id at or above `v` (or the end) bounds the search from above.
+        let (mut lo, mut hi, mut stride) = (self.at, self.at, 1);
+        while hi < ids.len() && ids[hi] < v {
+            lo = hi + 1;
+            hi += stride;
+            stride *= 2;
+        }
+        let hi = hi.min(ids.len());
+        self.at = lo + ids[lo..hi].partition_point(|&id| id < v);
+        (ids.get(self.at) == Some(&v)).then_some(self.at)
     }
 }
 
@@ -272,11 +304,6 @@ impl ClusterCache {
             })
             .collect();
         Some(Self { caches })
-    }
-
-    /// Whether `v` sits in `rank`'s cache.
-    pub fn contains(&self, rank: usize, v: VertexId) -> bool {
-        self.caches[rank].lookup(v).is_some()
     }
 
     /// Cluster-total counters (capacities summed).
@@ -374,6 +401,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ascending_walk_agrees_with_binary_search() {
+        // Dense, sparse and out-of-range queries, repeats included.
+        let ids: Vec<VertexId> = (0..400).filter(|v| v % 3 != 0 && v % 7 != 1).collect();
+        for stride in [1, 2, 5, 37, 150] {
+            let mut walk = AscendingWalk::new(&ids);
+            for v in (0..450).step_by(stride).flat_map(|v| [v, v]) {
+                assert_eq!(walk.find(v), ids.binary_search(&v).ok(), "{stride}: {v}");
+            }
+        }
+        assert_eq!(AscendingWalk::new(&[]).find(3), None);
     }
 
     #[test]

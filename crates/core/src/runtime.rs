@@ -617,10 +617,10 @@ impl<'a> DeviceHandle<'a> {
         OverlapWorker::spawn(self.fabric.clone(), self.rank)
     }
 
-    /// Assembles the full value matrix for a batch row list from its
-    /// per-rank owners, inline on the calling thread: the mini-batch
-    /// analogue of the graph allgather, used by the sampled trainer's
-    /// feature fetch and inter-layer reassembly.
+    /// Assembles the value matrix of this rank's request list from the
+    /// rows' owners, inline on the calling thread: the mini-batch
+    /// analogue of the graph allgather, the sampled trainer's one feature
+    /// fetch per step.
     ///
     /// # Errors
     ///

@@ -6,25 +6,28 @@
 //! bounded blocks actually reference. The pieces here:
 //!
 //! * [`SamplingConfig`] — batch size, per-layer fanouts, seed, prefetch.
-//! * `owner_split` + [`GatherPlan`] + the row exchange executors — the
-//!   batch-sized analogue of the graph allgather and its reversed
-//!   tables: who owns which rows of a block boundary is worked out once;
-//!   over it every rank contributes the block rows it owns and assembles
-//!   the full source matrix (forward), or reduces per-row gradients back
-//!   to the owners (backward). Both run over the raw fabric with
-//!   op-aligned keys: the poison protocol and fault injector apply.
+//! * `owner_split` + [`GatherPlan`] + `execute_gather` — the batch-sized
+//!   analogue of the graph allgather: every rank requests one ascending
+//!   row list, every row is served by its owner, and who sends what to
+//!   whom is derived on both ends of every message from shared knowledge.
+//!   Runs over the raw fabric with op-aligned keys: the poison protocol
+//!   and fault injector apply.
 //! * `BlockSteps` — the trainer's **sampled-blocks** step kind (finite
-//!   fanouts, compact per-batch compute, optional overlap-worker
-//!   prefetch of batch `k+1`'s features while batch `k` computes). With
-//!   all fanouts ∞ the trainer instead runs its full-neighbourhood step
-//!   with the loss masked to the batch; one batch covering every vertex
-//!   is then *bitwise identical* to full-batch training — the parity
-//!   criterion the test suite enforces.
+//!   fanouts): each rank trains on the batch seeds it owns — its own
+//!   block chain, one feature fetch, every layer local, one gradient
+//!   allreduce — with optional overlap-worker prefetch of batch `k+1`'s
+//!   features while batch `k` computes. With all fanouts ∞ the trainer
+//!   instead runs its full-neighbourhood step with the loss masked to
+//!   the batch; one batch covering every vertex is then *bitwise
+//!   identical* to full-batch training — the parity criterion the test
+//!   suite enforces.
 //!
-//! Determinism: samples are pure functions of `(seed, epoch, batch)`, so
-//! every rank reconstructs every peer's blocks without communication;
-//! row exchanges assemble and reduce in ascending rank order; and resumed
-//! runs replay the same batches from the checkpoint epoch.
+//! Determinism: samples are pure functions of `(seed, epoch, batch)` and
+//! the seeds, so every rank reconstructs every peer's blocks — hence its
+//! request list — without communication; row exchanges assemble in
+//! ascending rank order and the allreduce folds gradients in ascending
+//! rank order; and resumed runs replay the same batches from the
+//! checkpoint epoch.
 
 use dgcl_gnn::{AggKind, GnnNetwork};
 use dgcl_graph::khop::GraphError;
@@ -34,7 +37,7 @@ use dgcl_tensor::Matrix;
 
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, Fabric, MsgKey};
-use crate::featcache::ClusterCache;
+use crate::featcache::{AscendingWalk, ClusterCache, FeatureCache};
 use crate::overlap::{OverlapWorker, Pending};
 use crate::runtime::DeviceHandle;
 use crate::trainer::{input_learns, EpochCtx, GradSync};
@@ -99,12 +102,10 @@ pub(crate) fn graph_err(rank: usize, e: &GraphError) -> RuntimeError {
     }
 }
 
-/// The owner split of one block boundary: for a strictly ascending
-/// global row list (a [`LayerBlock`]'s `src` or `dst`), the ascending
-/// list positions rank `r` owns, as `split[r]`. One split serves all its
-/// boundary needs — which block rows a rank computes, the forward row
-/// gather ([`GatherPlan`]) and, reversed, the backward row reduction
-/// ([`execute_reduce`]) — as the planned path's send/receive tables do.
+/// The owner split of one strictly ascending global row list (a batch's
+/// seeds, or a request list): the ascending list positions rank `r` owns,
+/// as `split[r]`. Every rank derives the same split of the same list from
+/// the shared partition, so it names who serves whom without negotiation.
 ///
 /// # Panics
 ///
@@ -114,7 +115,9 @@ pub(crate) fn owner_split(
     partition: &[u32],
     num_parts: usize,
 ) -> Vec<Vec<usize>> {
-    let mut split = vec![Vec::new(); num_parts];
+    // A balanced partition gives every rank about an equal share.
+    let share = rows.len() / num_parts + 1;
+    let mut split: Vec<_> = (0..num_parts).map(|_| Vec::with_capacity(share)).collect();
     for (i, &v) in rows.iter().enumerate() {
         assert!(i == 0 || rows[i - 1] < v, "rows must be strictly ascending");
         split[partition[v as usize] as usize].push(i);
@@ -122,48 +125,74 @@ pub(crate) fn owner_split(
     split
 }
 
-/// For each position of `pos`, the row of `have` (ascending global ids,
-/// the rows a rank's local matrices hold) that is `rows[position]`.
-fn local_rows(have: &[VertexId], rows: &[VertexId], pos: &[usize]) -> Vec<usize> {
-    pos.iter()
-        .map(|&p| have.binary_search(&rows[p]).expect("owner holds its rows"))
+/// For each ascending vertex of `rows`, the row of `have` (ascending
+/// global ids, the rows a rank's local matrices hold) that backs it.
+fn local_rows(have: &[VertexId], rows: impl Iterator<Item = VertexId>) -> Vec<usize> {
+    let mut walk = AscendingWalk::new(have);
+    rows.map(|v| walk.find(v).expect("owner holds its rows"))
         .collect()
 }
 
-/// One rank's view of the forward row exchange over one block boundary:
-/// assemble the matrix for a strictly ascending global row list from the
-/// per-rank owners, so output position `i` *is* row `i` of the list.
-/// Every rank derives the same [`owner_split`] from the shared block
-/// chain and partition, so sends and receives pair up without
-/// negotiation: a message carries the rows its sender owns, in list
-/// order, minus those in the receiver's [`ClusterCache`] (cache sets are
-/// shared knowledge too). Those never cross the wire: the requester
-/// embeds their values in its plan at build time, which also keeps the
-/// plan self-contained on the prefetch worker.
+/// The message between one requester and one owner: of the requester's
+/// list positions `owned` (one entry of its list's [`owner_split`]), those
+/// its cache lacks, in list order; `hit(position, cache row)` sees the
+/// rest. Sender and receiver both call this with the same arguments —
+/// lists, partition and cache sets are shared knowledge — so a message
+/// carries exactly the rows its receiver expects.
+fn wire_rows(
+    rows: &[VertexId],
+    owned: &[usize],
+    cache: Option<&FeatureCache>,
+    mut hit: impl FnMut(usize, usize),
+) -> Vec<usize> {
+    let Some(cache) = cache else {
+        return owned.to_vec();
+    };
+    let mut walk = AscendingWalk::new(&cache.ids);
+    let mut wire = Vec::with_capacity(owned.len());
+    for &p in owned {
+        match walk.find(rows[p]) {
+            Some(ci) => hit(p, ci),
+            None => wire.push(p),
+        }
+    }
+    wire
+}
+
+/// One rank's request in a row exchange: its strictly ascending global
+/// row list and that list's [`owner_split`].
+pub(crate) type Request<'a> = (&'a [VertexId], &'a [Vec<usize>]);
+
+/// One rank's view of a row exchange: every rank requests one strictly
+/// ascending global row list and receives its matrix, output position `i`
+/// *being* row `i` of its list, each row served by its owner. Every rank
+/// derives every request list from shared knowledge (the batch, the
+/// sampler's seed, the partition), so sends and receives pair up without
+/// negotiation: a message carries the rows of the receiver's list its
+/// sender owns, in list order, minus those in the receiver's
+/// [`ClusterCache`] (cache sets are shared knowledge too). Those never
+/// cross the wire: the requester embeds their values — and its own rows —
+/// in its plan at build time, which also keeps the plan self-contained on
+/// the prefetch worker.
 #[derive(Debug)]
 pub struct GatherPlan {
-    out_rows: usize,
-    /// This rank's owned rows of the list, in list order, and the output
-    /// position of each.
-    own: Matrix,
-    own_pos: Vec<usize>,
-    /// Ascending peers and the `own` row indices each receives (rows in
-    /// the peer's cache are omitted; empty sends are dropped).
-    sends: Vec<(usize, Vec<usize>)>,
+    /// The output with this rank's own and cache-served rows in place;
+    /// the rows a peer's message fills are still zero.
+    base: Matrix,
+    /// Ascending peers and the rows each is sent (empty sends are
+    /// dropped).
+    sends: Vec<(usize, Matrix)>,
     /// Ascending contributing peers and the output positions their
     /// message fills, in wire order.
     recvs: Vec<(usize, Vec<usize>)>,
-    /// Cache-served values copied out of this rank's cache at build
-    /// time, and the output position of each.
-    cached: Matrix,
-    cached_pos: Vec<usize>,
 }
 
 impl GatherPlan {
-    /// Builds the uncached plan for assembling `rows` (global ids,
-    /// strictly ascending — a [`LayerBlock`]'s `src` or `dst` list).
-    /// `have` lists the global ids backing `values`' rows (ascending);
-    /// it must contain every row of `rows` this rank owns.
+    /// Builds the uncached plan of the exchange in which *every* rank
+    /// assembles `rows` (global ids, strictly ascending — a
+    /// [`LayerBlock`]'s `src` or `dst` list). `have` lists the global
+    /// ids backing `values`' rows (ascending); it must contain every row
+    /// of `rows` this rank owns.
     ///
     /// # Panics
     ///
@@ -177,7 +206,9 @@ impl GatherPlan {
         have: &[VertexId],
         values: &Matrix,
     ) -> Self {
-        Self::from_have(rows, partition, num_parts, rank, have, values, None)
+        let split = owner_split(rows, partition, num_parts);
+        let requests = vec![(rows, &split[..]); num_parts];
+        Self::for_requests(&requests, rank, have, values, None)
     }
 
     /// [`GatherPlan::build`] against the cluster's feature cache: rows
@@ -198,92 +229,65 @@ impl GatherPlan {
         values: &Matrix,
         cache: &ClusterCache,
     ) -> Self {
-        Self::from_have(rows, partition, num_parts, rank, have, values, Some(cache))
+        let split = owner_split(rows, partition, num_parts);
+        let requests = vec![(rows, &split[..]); num_parts];
+        Self::for_requests(&requests, rank, have, values, Some(cache))
     }
 
-    /// The plan over a boundary nobody else splits (the raw features').
-    fn from_have(
-        rows: &[VertexId],
-        partition: &[u32],
-        num_parts: usize,
+    /// The plan of the exchange in which rank `q` requests `requests[q]`
+    /// — the one body; [`GatherPlan::build`] is the case of `P` equal
+    /// lists.
+    pub(crate) fn for_requests(
+        requests: &[Request<'_>],
         rank: usize,
         have: &[VertexId],
         values: &Matrix,
         cache: Option<&ClusterCache>,
     ) -> Self {
-        let split = owner_split(rows, partition, num_parts);
-        let own = values.gather_rows(&local_rows(have, rows, &split[rank]));
-        Self::on_split(rows, &split, rank, own, cache)
-    }
-
-    /// The plan over an already split boundary; `own` holds this rank's
-    /// rows of the list in `split[rank]` order (an inter-layer gather
-    /// passes the block rows it has just computed, as they are).
-    pub(crate) fn on_split(
-        rows: &[VertexId],
-        split: &[Vec<usize>],
-        rank: usize,
-        own: Matrix,
-        cache: Option<&ClusterCache>,
-    ) -> Self {
-        let own_pos = split[rank].to_vec();
-        debug_assert_eq!(own.rows(), own_pos.len());
-        let peers = || (0..split.len()).filter(move |&peer| peer != rank);
-        // Receives: a peer's rows in list order, minus the ones this
-        // rank's cache serves.
+        let peers = || (0..requests.len()).filter(move |&peer| peer != rank);
+        // Receives: each owner's rows of this rank's list, minus the
+        // ones this rank's cache serves.
+        let (rows, split) = requests[rank];
+        let mut base = Matrix::zeros(rows.len(), values.cols());
+        let own = local_rows(have, split[rank].iter().map(|&p| rows[p]));
+        for (&p, r) in split[rank].iter().zip(own) {
+            base.set_row(p, values.row(r));
+        }
         let mine = cache.map(|c| &c.caches[rank]);
-        let (mut cached_rows, mut cached_pos) = (Vec::new(), Vec::new());
+        let (mut hits, mut fetched) = (0, 0);
         let mut recvs = Vec::new();
         for peer in peers() {
-            let mut wire = Vec::with_capacity(split[peer].len());
-            for &p in &split[peer] {
-                match mine.and_then(|m| m.lookup(rows[p])) {
-                    Some(ci) => {
-                        cached_rows.push(ci);
-                        cached_pos.push(p);
-                    }
-                    None => wire.push(p),
-                }
-            }
+            let wire = wire_rows(rows, &split[peer], mine, |p, ci| {
+                base.set_row(p, mine.expect("a hit has a cache").rows.row(ci));
+                hits += 1;
+            });
+            fetched += wire.len() as u64;
             if !wire.is_empty() {
                 recvs.push((peer, wire));
             }
         }
-        let cached = match mine {
-            Some(m) => {
-                let fetched: usize = recvs.iter().map(|(_, wire)| wire.len()).sum();
-                m.stats
-                    .record(cached_rows.len() as u64, fetched as u64, own.cols());
-                m.rows.gather_rows(&cached_rows)
-            }
-            None => Matrix::zeros(0, own.cols()),
-        };
-        // Sends: the mirror image — this rank's rows in list order,
-        // minus the ones the receiving peer's cache serves.
+        if let Some(m) = mine {
+            m.stats.record(hits, fetched, values.cols());
+        }
+        // Sends: the mirror image — this rank's rows of each peer's
+        // list, minus the ones that peer's cache serves.
         let sends = peers()
             .filter_map(|peer| {
-                let out: Vec<usize> = (0..own_pos.len())
-                    .filter(|&r| !cache.is_some_and(|c| c.contains(peer, rows[own_pos[r]])))
-                    .collect();
-                (!out.is_empty()).then_some((peer, out))
+                let (rows, split) = requests[peer];
+                let theirs = cache.map(|c| &c.caches[peer]);
+                let wire = wire_rows(rows, &split[rank], theirs, |_, _| {});
+                let out = local_rows(have, wire.iter().map(|&p| rows[p]));
+                (!out.is_empty()).then(|| (peer, values.gather_rows(&out)))
             })
             .collect();
-        Self {
-            out_rows: rows.len(),
-            own,
-            own_pos,
-            sends,
-            recvs,
-            cached,
-            cached_pos,
-        }
+        Self { base, sends, recvs }
     }
 }
 
 /// Executes a [`GatherPlan`] under a pre-assigned op: posts each peer
-/// its share of this rank's rows, then fills the output from the plan's
-/// own and cache-served rows and from each contributing peer's message,
-/// drained in ascending rank order. Runs on the main thread or on the
+/// its rows, then fills the plan's output (own and cache-served rows
+/// already in place) from each contributing peer's message, drained in
+/// ascending rank order. Runs on the main thread or on the
 /// [`OverlapWorker`] (prefetch) — op-tagged keys keep the two apart.
 pub(crate) fn execute_gather(
     fabric: &Fabric,
@@ -292,77 +296,33 @@ pub(crate) fn execute_gather(
     plan: &GatherPlan,
 ) -> Result<Matrix, RuntimeError> {
     let key: MsgKey = (op, 0, 0, 0);
-    let cols = plan.own.cols();
-    for (peer, idx) in &plan.sends {
+    for (peer, rows) in &plan.sends {
         fabric.wait_ready(*peer, op, rank)?;
-        fabric.send(rank, *peer, key, plan.own.gather_rows(idx).into_vec())?;
+        fabric.send(rank, *peer, key, rows.as_slice().to_vec())?;
     }
-    let mut out = Matrix::zeros(plan.out_rows, cols);
-    let mut place = |from: &Matrix, pos: &[usize]| {
-        for (r, &p) in pos.iter().enumerate() {
-            out.set_row(p, from.row(r));
-        }
-    };
-    place(&plan.own, &plan.own_pos);
-    place(&plan.cached, &plan.cached_pos);
+    let mut out = plan.base.clone();
+    let cols = out.cols();
     for (peer, pos) in &plan.recvs {
         let payload = fabric.recv(*peer, rank, key)?;
         expect_payload(rank, payload.len(), pos.len() * cols, key)?;
-        place(&Matrix::from_vec(pos.len(), cols, payload), pos);
-    }
-    Ok(out)
-}
-
-/// The adjoint of [`execute_gather`] — the same boundary's
-/// [`owner_split`], reversed: every rank holds a dense gradient
-/// contribution over all of the boundary's rows; each owner sums the
-/// slices for its rows in ascending rank order (its own at its rank
-/// position), so the reduction is deterministic, and returns them.
-pub(crate) fn execute_reduce(
-    fabric: &Fabric,
-    rank: usize,
-    op: u64,
-    contrib: &Matrix,
-    split: &[Vec<usize>],
-) -> Result<Matrix, RuntimeError> {
-    let key: MsgKey = (op, 0, 0, 0);
-    let cols = contrib.cols();
-    for (peer, pos) in split.iter().enumerate() {
-        if peer != rank && !pos.is_empty() {
-            fabric.wait_ready(peer, op, rank)?;
-            fabric.send(rank, peer, key, contrib.gather_rows(pos).into_vec())?;
-        }
-    }
-    let own_pos = &split[rank];
-    let mut out = Matrix::zeros(own_pos.len(), cols);
-    for peer in 0..split.len() {
-        if peer == rank {
-            out.add_assign(&contrib.gather_rows(own_pos));
-        } else if !own_pos.is_empty() {
-            let payload = fabric.recv(peer, rank, key)?;
-            expect_payload(rank, payload.len(), own_pos.len() * cols, key)?;
-            out.add_assign(&Matrix::from_vec(own_pos.len(), cols, payload));
+        let got = Matrix::from_vec(pos.len(), cols, payload);
+        for (r, &p) in pos.iter().enumerate() {
+            out.set_row(p, got.row(r));
         }
     }
     Ok(out)
 }
 
-/// Aggregates the sampled neighborhoods of this rank's block rows from
-/// the assembled source matrix: the mini-batch analogue of
+/// Aggregates the sampled neighborhoods of a block's rows from its
+/// source matrix: the mini-batch analogue of
 /// [`dgcl_gnn::aggregate::aggregate_sum`] / `aggregate_mean`, with the
 /// *sampled* degree as the mean divisor (degree 1 is left undivided,
 /// mirroring the full-graph kernel).
-pub(crate) fn block_aggregate(
-    block: &LayerBlock,
-    rows_mine: &[usize],
-    h_src: &Matrix,
-    kind: AggKind,
-) -> Matrix {
-    let cols = h_src.cols();
-    let mut out = Matrix::zeros(rows_mine.len(), cols);
-    for (j, &i) in rows_mine.iter().enumerate() {
+pub(crate) fn block_aggregate(block: &LayerBlock, h_src: &Matrix, kind: AggKind) -> Matrix {
+    let mut out = Matrix::zeros(block.num_dst(), h_src.cols());
+    for i in 0..block.num_dst() {
         let targets = block.row(i);
-        let row = out.row_mut(j);
+        let row = out.row_mut(i);
         for &t in targets {
             for (o, &x) in row.iter_mut().zip(h_src.row(t as usize)) {
                 *o += x;
@@ -378,18 +338,12 @@ pub(crate) fn block_aggregate(
     out
 }
 
-/// The adjoint of [`block_aggregate`]: scatters this rank's aggregate
-/// gradients back over the block edges into a dense gradient over the
-/// full source set (zeros elsewhere), ready for [`execute_reduce`].
-pub(crate) fn block_scatter_grad(
-    block: &LayerBlock,
-    rows_mine: &[usize],
-    grad_agg: &Matrix,
-    kind: AggKind,
-) -> Matrix {
-    let cols = grad_agg.cols();
-    let mut out = Matrix::zeros(block.num_src(), cols);
-    for (j, &i) in rows_mine.iter().enumerate() {
+/// The adjoint of [`block_aggregate`]: scatters the block rows'
+/// aggregate gradients back over the block edges into a gradient over
+/// the block's source rows (zeros where no edge lands).
+pub(crate) fn block_scatter_grad(block: &LayerBlock, grad_agg: &Matrix, kind: AggKind) -> Matrix {
+    let mut out = Matrix::zeros(block.num_src(), grad_agg.cols());
+    for i in 0..block.num_dst() {
         let targets = block.row(i);
         let scale = if kind == AggKind::Mean && targets.len() > 1 {
             1.0 / targets.len() as f32
@@ -397,12 +351,31 @@ pub(crate) fn block_scatter_grad(
             1.0
         };
         for &t in targets {
-            for (o, &g) in out.row_mut(t as usize).iter_mut().zip(grad_agg.row(j)) {
+            for (o, &g) in out.row_mut(t as usize).iter_mut().zip(grad_agg.row(i)) {
                 *o += scale * g;
             }
         }
     }
     out
+}
+
+/// Every layer's forward over one block chain, from the chain's input
+/// rows `h` (row `i` is `blocks[0].src[i]`) to its seeds' outputs. Rows
+/// are computed independently and a vertex's sampled neighbourhood is a
+/// function of `(seed, layer, vertex)` alone, so a seed's output row is
+/// the same bits in whichever chain reaches it.
+fn forward_chain(
+    net: &mut GnnNetwork,
+    blocks: &[LayerBlock],
+    mut h: Matrix,
+    agg_kind: AggKind,
+) -> Matrix {
+    for (block, layer) in blocks.iter().zip(net.layers_mut()) {
+        let self_pos: Vec<usize> = block.dst_pos.iter().map(|&p| p as usize).collect();
+        let agg = block_aggregate(block, &h, agg_kind);
+        h = layer.forward_agg(&h.gather_rows(&self_pos), agg);
+    }
+    h
 }
 
 /// The training seed set: the configured subset, or every vertex.
@@ -413,14 +386,17 @@ pub(crate) fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId
     }
 }
 
-/// The sampled-blocks step kind of [`crate::trainer`]'s device body:
-/// finite fanouts, compact per-batch blocks, row exchanges between
-/// layers, gradient row reductions on the way back, and (when
-/// configured) the next batch's feature gather prefetched on an
-/// [`OverlapWorker`]. Holds what outlives a step: the recycle pool for
-/// block-chain scratch (with prefetch on, steady state holds two chains'
-/// carcasses) and the blocks + pending feature gather of the *next*
-/// batch, posted while the current one computes.
+/// The sampled-blocks step kind of [`crate::trainer`]'s device body,
+/// trainer-local: a rank takes the batch seeds it owns, samples *their*
+/// block chain, fetches the chain's input rows from their owners in one
+/// exchange, runs every layer forward and backward on its own compact
+/// blocks and meets its peers again only in the gradient allreduce — two
+/// collectives per step whatever the depth. A rank that owns none of a
+/// batch's seeds still serves its rows and joins the allreduce with zero
+/// gradients and zero loss. Holds what outlives a step: the recycle pool
+/// for block-chain scratch, and — with prefetch on — the chain and the
+/// pending feature fetch of the *next* batch, posted on an
+/// [`OverlapWorker`] while the current one computes.
 pub(crate) struct BlockSteps<'a> {
     handle: &'a DeviceHandle<'a>,
     ctx: &'a EpochCtx<'a>,
@@ -446,11 +422,13 @@ impl<'a> BlockSteps<'a> {
         }
     }
 
-    /// Batch `bi`'s block chain (a bad seed unwinds through the poison
-    /// protocol) and the plan of its layer-0 feature gather — the only
-    /// gather over *raw* features, the immutable rows the cache holds, so
-    /// the only one that consults it. No block row is computed on that
-    /// boundary and no gradient reduces over it: the plan alone splits it.
+    /// This rank's block chain of batch `bi` and the plan of its feature
+    /// fetch. The batch's seeds split by owner; each owner's chain is a
+    /// pure function of `(seed, epoch, batch)` and its seeds, so this rank
+    /// samples all of them — together about one global chain's work — to
+    /// learn every peer's request list (`blocks[0].src`, the raw features
+    /// its chain reads) the way that peer does, keeps its own and recycles
+    /// the rest. A bad seed unwinds through the poison protocol.
     fn sample(
         &mut self,
         epoch: usize,
@@ -458,25 +436,40 @@ impl<'a> BlockSteps<'a> {
         bi: usize,
     ) -> Result<(Vec<LayerBlock>, GatherPlan), RuntimeError> {
         let (rank, pg) = (self.handle.rank, &self.handle.comm_info().pg);
-        let blocks = self.pool.sample_blocks(
-            self.ctx.graph,
-            &batches[bi],
-            &self.scfg.fanouts,
-            round_seed(self.scfg.seed, epoch, bi),
-        );
-        let blocks = self
-            .handle
-            .poison_on_err(blocks.map_err(|e| graph_err(rank, &e)))?;
-        let plan = GatherPlan::from_have(
-            &blocks[0].src,
-            &pg.partition,
-            pg.num_parts,
+        let mut batch = batches[bi].clone();
+        batch.sort_unstable();
+        batch.dedup();
+        let round = round_seed(self.scfg.seed, epoch, bi);
+        let mut chains = Vec::with_capacity(pg.num_parts);
+        for owned in owner_split(&batch, &pg.partition, pg.num_parts) {
+            let seeds: Vec<VertexId> = owned.iter().map(|&p| batch[p]).collect();
+            let chain = self
+                .pool
+                .sample_blocks(self.ctx.graph, &seeds, &self.scfg.fanouts, round);
+            let chain = chain.map_err(|e| graph_err(rank, &e));
+            chains.push(self.handle.poison_on_err(chain)?);
+        }
+        let splits: Vec<_> = chains
+            .iter()
+            .map(|c| owner_split(&c[0].src, &pg.partition, pg.num_parts))
+            .collect();
+        let requests: Vec<Request<'_>> = chains
+            .iter()
+            .zip(&splits)
+            .map(|(c, s)| (&c[0].src[..], &s[..]))
+            .collect();
+        let plan = GatherPlan::for_requests(
+            &requests,
             rank,
             &pg.local[rank],
             &self.ctx.features[rank],
             self.ctx.cache,
         );
-        Ok((blocks, plan))
+        let mine = chains.swap_remove(rank);
+        for chain in chains {
+            self.pool.recycle(chain);
+        }
+        Ok((mine, plan))
     }
 
     /// Forward, loss and backward of batch `bi`, reporting to `sync`.
@@ -490,10 +483,8 @@ impl<'a> BlockSteps<'a> {
     ) -> Result<(), RuntimeError> {
         let handle = self.handle;
         let rank = handle.rank;
-        let pg = &handle.comm_info().pg;
         let agg_kind = self.ctx.cfg.arch.agg_kind();
-        let num_layers = net.num_layers();
-        let (blocks, mut h) = match self.prefetched.take() {
+        let (blocks, h) = match self.prefetched.take() {
             Some((blocks, pending)) => (blocks, handle.wait_pending(pending)?),
             None => {
                 let (blocks, plan) = self.sample(epoch, batches, bi)?;
@@ -506,63 +497,32 @@ impl<'a> BlockSteps<'a> {
             let pending = handle.with_op(|op| worker.submit_exchange(op, plan))?;
             self.prefetched = Some((next, pending));
         }
-        // One owner split per boundary above the raw features:
-        // `splits[l]` is over `blocks[l].dst`, which is `blocks[l + 1].src`.
-        let splits: Vec<_> = blocks
-            .iter()
-            .map(|b| owner_split(&b.dst, &pg.partition, pg.num_parts))
-            .collect();
-        // Forward: each rank computes only the block rows it owns;
-        // between layers the owners' outputs reassemble into the next
-        // block's full source matrix.
-        for (l, block) in blocks.iter().enumerate() {
-            let rows_mine = &splits[l][rank];
-            let self_pos: Vec<usize> = rows_mine
-                .iter()
-                .map(|&i| block.dst_pos[i] as usize)
-                .collect();
-            let h_self = h.gather_rows(&self_pos);
-            let agg = block_aggregate(block, rows_mine, &h, agg_kind);
-            let h_mine = net.layers_mut()[l].forward_agg(&h_self, agg);
-            h = if l + 1 < num_layers {
-                let plan = GatherPlan::on_split(&block.dst, &splits[l], rank, h_mine, None);
-                handle.exchange_rows(&plan)?
-            } else {
-                h_mine
-            };
-        }
-        // Loss over this rank's batch rows.
-        let last = num_layers - 1;
-        let target_rows = local_rows(&pg.local[rank], &blocks[last].dst, &splits[last][rank]);
-        let tgt = self.ctx.targets[rank].gather_rows(&target_rows);
-        let diff = h.sub(&tgt);
+        let out = forward_chain(net, &blocks, h, agg_kind);
+        // Loss over this rank's seeds, which it owns.
+        let seeds = blocks.last().expect("≥ 1 layer").dst.iter().copied();
+        let target_rows = local_rows(&handle.comm_info().pg.local[rank], seeds);
+        let diff = out.sub(&self.ctx.targets[rank].gather_rows(&target_rows));
         sync.loss(handle, 0.5 * diff.norm_sq())?;
-        // Backward: scatter aggregate gradients over the block edges,
-        // reduce rows to their owners, fold the self-path locally.
+        // Backward down the same chain: scatter each layer's aggregate
+        // gradient over its block's edges, fold the self-path onto the
+        // rows it came from.
         let mut grad = diff;
-        for l in (0..num_layers).rev() {
-            let block = &blocks[l];
-            let rows_mine = &splits[l][rank];
+        for (l, block) in blocks.iter().enumerate().rev() {
+            let layer = &mut net.layers_mut()[l];
             if input_learns(l) {
-                let (grad_agg, direct) = net.layers_mut()[l].backward_agg(&grad);
-                let mut grad_src = block_scatter_grad(block, rows_mine, &grad_agg, agg_kind);
+                let (grad_agg, direct) = layer.backward_agg(&grad);
+                grad = block_scatter_grad(block, &grad_agg, agg_kind);
                 if let Some(direct) = direct {
-                    for (j, &i) in rows_mine.iter().enumerate() {
-                        let p = block.dst_pos[i] as usize;
-                        for (o, &g) in grad_src.row_mut(p).iter_mut().zip(direct.row(j)) {
+                    for (i, &p) in block.dst_pos.iter().enumerate() {
+                        for (o, &g) in grad.row_mut(p as usize).iter_mut().zip(direct.row(i)) {
                             *o += g;
                         }
                     }
                 }
-                // Owners of this block's source rows collect their
-                // gradients: layer `l - 1`'s gather split, reversed.
-                let split = &splits[l - 1];
-                grad = handle
-                    .with_op(|op| execute_reduce(handle.fabric(), rank, op, &grad_src, split))?;
             } else {
-                net.layers_mut()[l].backward_params(&grad);
+                layer.backward_params(&grad);
             }
-            sync.layer_done(handle, &net.layers()[l])?;
+            sync.layer_done(handle, layer)?;
         }
         self.pool.recycle(blocks);
         Ok(())
@@ -572,6 +532,7 @@ impl<'a> BlockSteps<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgcl_gnn::Architecture;
     use dgcl_graph::sample::build_block;
     use dgcl_graph::GraphBuilder;
 
@@ -594,13 +555,12 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0],
         );
         let block = build_block(&g, &[0, 1, 2, 3, 4], None, 0, 0).unwrap();
-        let all: Vec<usize> = (0..5).collect();
         for kind in [AggKind::Sum, AggKind::Mean] {
             let full = match kind {
                 AggKind::Sum => dgcl_gnn::aggregate::aggregate_sum(&g, &h, 5),
                 AggKind::Mean => dgcl_gnn::aggregate::aggregate_mean(&g, &h, 5),
             };
-            let sampled = block_aggregate(&block, &all, &h, kind);
+            let sampled = block_aggregate(&block, &h, kind);
             assert_eq!(full.max_abs_diff(&sampled), 0.0, "{kind:?}");
         }
     }
@@ -619,20 +579,10 @@ mod tests {
         );
         let grad = Matrix::from_vec(2, 2, vec![0.5, -1.0, 2.0, 0.25]);
         for kind in [AggKind::Sum, AggKind::Mean] {
-            let agg = block_aggregate(&block, &[0, 1], &h, kind);
-            let scat = block_scatter_grad(&block, &[0, 1], &grad, kind);
-            let lhs: f32 = agg
-                .as_slice()
-                .iter()
-                .zip(grad.as_slice())
-                .map(|(a, b)| a * b)
-                .sum();
-            let rhs: f32 = h
-                .as_slice()
-                .iter()
-                .zip(scat.as_slice())
-                .map(|(a, b)| a * b)
-                .sum();
+            let agg = block_aggregate(&block, &h, kind);
+            let scat = block_scatter_grad(&block, &grad, kind);
+            let lhs = agg.hadamard(&grad).sum();
+            let rhs = h.hadamard(&scat).sum();
             assert!((lhs - rhs).abs() < 1e-5, "{kind:?}: {lhs} vs {rhs}");
         }
     }
@@ -643,30 +593,112 @@ mod tests {
         assert!(!SamplingConfig::new(8, vec![None, Some(3)]).is_exact());
     }
 
+    const ARCHS: [Architecture; 4] = [
+        Architecture::Gcn,
+        Architecture::CommNet,
+        Architecture::Gin,
+        Architecture::Sage,
+    ];
+
+    #[test]
+    fn a_seeds_forward_row_is_the_same_bits_in_its_owners_chain_and_the_global_one() {
+        // What "trainer-local" rests on: draws are keyed per (seed,
+        // layer, vertex), neighbours keep adjacency order and every kernel
+        // is row-independent, so the chain of a rank's own seeds computes,
+        // for each of them, the row the whole batch's chain computes.
+        let g = dgcl_graph::generators::hub_attachment(300, 6, 0.8, 11);
+        let features = dgcl_tensor::XavierInit::new(3).features(300, 6);
+        let fanouts = [Some(3), Some(2), Some(4)];
+        let batch: Vec<VertexId> = (0..48).map(|i| (i * 53 + 7) % 300).collect();
+        let input = |chain: &[LayerBlock]| {
+            let idx: Vec<usize> = chain[0].src.iter().map(|&v| v as usize).collect();
+            features.gather_rows(&idx)
+        };
+        let mut pool = BlockPool::new();
+        for arch in ARCHS {
+            let net = GnnNetwork::new(arch, &[6, 5, 4, 3], 17);
+            let kind = arch.agg_kind();
+            let global = pool.sample_blocks(&g, &batch, &fanouts, 9).unwrap();
+            let all = forward_chain(&mut net.clone(), &global, input(&global), kind);
+            for n in 2..=4u32 {
+                for rank in 0..n {
+                    let seeds: Vec<VertexId> = batch
+                        .iter()
+                        .copied()
+                        .filter(|v| (v * 7 + 3) % n == rank)
+                        .collect();
+                    let chain = pool.sample_blocks(&g, &seeds, &fanouts, 9).unwrap();
+                    let mine = forward_chain(&mut net.clone(), &chain, input(&chain), kind);
+                    let seeds = &chain.last().unwrap().dst;
+                    assert_eq!(mine.rows(), seeds.len());
+                    for (i, v) in seeds.iter().enumerate() {
+                        let at = global.last().unwrap().dst.binary_search(v).unwrap();
+                        assert_eq!(mine.row(i), all.row(at), "{arch:?} {rank}/{n} seed {v}");
+                    }
+                    pool.recycle(chain);
+                }
+            }
+            pool.recycle(global);
+        }
+    }
+
+    #[test]
+    fn an_empty_chain_trains_to_zero_gradients_without_a_panic() {
+        // A rank that owns none of a batch's seeds runs the same program
+        // over zero-row matrices and contributes zeros to the allreduce.
+        let g = path5();
+        let mut pool = BlockPool::new();
+        for arch in ARCHS {
+            let mut net = GnnNetwork::new(arch, &[2, 3, 2], 5);
+            let kind = arch.agg_kind();
+            let chain = pool.sample_blocks(&g, &[], &[Some(2), Some(2)], 1).unwrap();
+            assert!(chain.iter().all(|b| b.num_src() == 0 && b.num_dst() == 0));
+            let out = forward_chain(&mut net, &chain, Matrix::zeros(0, 2), kind);
+            assert_eq!(out.shape(), (0, 2));
+            let (grad_agg, _) = net.layers_mut()[1].backward_agg(&out);
+            let grad = block_scatter_grad(&chain[1], &grad_agg, kind);
+            assert_eq!(grad.shape(), (0, 3));
+            net.layers_mut()[0].backward_params(&grad);
+            for layer in net.layers() {
+                for g in layer.gradients() {
+                    assert!(g.as_slice().iter().all(|&x| x == 0.0), "{arch:?}");
+                }
+            }
+            pool.recycle(chain);
+        }
+    }
+
     /// Vertices in the test universe of [`boundary`].
     const UNIVERSE: u32 = 40;
 
-    /// A sorted-unique row list over `n` ranks of a [`UNIVERSE`]-vertex universe
-    /// (row `v` of the feature matrix is `[v, 2v]`), with or without a
-    /// cache in which rank `r` holds every remote `v` with
+    /// `n` ranks of a [`UNIVERSE`]-vertex universe (row `v` of the feature
+    /// matrix is `[v + 1, 2v + 2]`, never zero), each requesting its own
+    /// sorted-unique row list — the last of four requests nothing — with
+    /// or without a cache in which rank `r` holds every remote `v` with
     /// `(v + r) % 4 == 0`.
     struct Boundary {
         n: usize,
         partition: Vec<u32>,
-        rows: Vec<VertexId>,
+        lists: Vec<Vec<VertexId>>,
         features: Matrix,
         cache: Option<ClusterCache>,
     }
 
     fn boundary(n: usize, cached: bool) -> Boundary {
-        use crate::featcache::{CacheStats, FeatureCache};
+        use crate::featcache::CacheStats;
         let partition: Vec<u32> = (0..UNIVERSE).map(|v| (v * 7 + 3) % n as u32).collect();
-        let rows: Vec<VertexId> = (0..UNIVERSE).filter(|v| v % 3 != 1).collect();
+        let lists = (0..n as u32)
+            .map(|r| {
+                (0..UNIVERSE)
+                    .filter(|v| r < 3 && (v * 5 + r) % 3 != 1)
+                    .collect()
+            })
+            .collect();
         let features = Matrix::from_vec(
             UNIVERSE as usize,
             2,
             (0..UNIVERSE)
-                .flat_map(|v| [v as f32, 2.0 * v as f32])
+                .flat_map(|v| [v as f32 + 1.0, 2.0 * v as f32 + 2.0])
                 .collect(),
         );
         let cache = cached.then(|| ClusterCache {
@@ -690,62 +722,98 @@ mod tests {
         Boundary {
             n,
             partition,
-            rows,
+            lists,
             features,
             cache,
         }
     }
 
     impl Boundary {
-        fn plan(&self, rank: usize) -> GatherPlan {
+        /// `rank`'s local ids and feature rows.
+        fn local(&self, rank: usize) -> (Vec<VertexId>, Matrix) {
             let have: Vec<VertexId> = (0..UNIVERSE)
                 .filter(|&v| self.partition[v as usize] as usize == rank)
                 .collect();
             let idx: Vec<usize> = have.iter().map(|&v| v as usize).collect();
-            let values = self.features.gather_rows(&idx);
-            let (rows, part) = (&self.rows, &self.partition);
-            match &self.cache {
-                Some(c) => GatherPlan::build_cached(rows, part, self.n, rank, &have, &values, c),
-                None => GatherPlan::build(rows, part, self.n, rank, &have, &values),
-            }
+            (have, self.features.gather_rows(&idx))
+        }
+
+        /// `rank`'s plan of the exchange in which rank `q` requests
+        /// `lists[q]`.
+        fn plan(&self, rank: usize) -> GatherPlan {
+            let (have, values) = self.local(rank);
+            let splits: Vec<_> = self
+                .lists
+                .iter()
+                .map(|l| owner_split(l, &self.partition, self.n))
+                .collect();
+            let requests: Vec<Request<'_>> = self
+                .lists
+                .iter()
+                .zip(&splits)
+                .map(|(l, s)| (&l[..], &s[..]))
+                .collect();
+            GatherPlan::for_requests(&requests, rank, &have, &values, self.cache.as_ref())
+        }
+
+        fn feature_rows<'a>(&'a self, rows: impl Iterator<Item = VertexId> + 'a) -> Vec<&'a [f32]> {
+            rows.map(|v| self.features.row(v as usize)).collect()
         }
     }
 
     #[test]
-    fn gather_plan_sends_mirror_peer_recvs_and_place_every_row_once() {
+    fn per_rank_requests_pair_every_send_with_its_recv_and_place_every_row_once() {
         for n in 2..=4 {
             for cached in [false, true] {
                 let b = boundary(n, cached);
                 let plans: Vec<GatherPlan> = (0..n).map(|r| b.plan(r)).collect();
                 for (me, plan) in plans.iter().enumerate() {
-                    let mut placed: Vec<usize> = plan
-                        .recvs
-                        .iter()
-                        .flat_map(|(_, pos)| pos)
-                        .chain(&plan.own_pos)
-                        .chain(&plan.cached_pos)
-                        .copied()
-                        .collect();
-                    placed.sort_unstable();
-                    let all: Vec<usize> = (0..b.rows.len()).collect();
-                    assert_eq!(placed, all, "n={n} cached={cached} rank {me}");
-                    assert_eq!(cached, !plan.cached_pos.is_empty());
+                    let (rows, what) = (&b.lists[me], format!("n={n} cached={cached} rank {me}"));
+                    // A position is served locally (own or cached: in the
+                    // base, with its value) or by exactly one message.
+                    let mut wired: Vec<usize> =
+                        plan.recvs.iter().flat_map(|(_, p)| p.clone()).collect();
+                    wired.sort_unstable();
+                    assert!(wired.windows(2).all(|w| w[0] < w[1]), "{what}");
+                    let mut hits = 0;
+                    for (p, &v) in rows.iter().enumerate() {
+                        let held = b
+                            .cache
+                            .as_ref()
+                            .is_some_and(|c| c.caches[me].ids.binary_search(&v).is_ok());
+                        hits += usize::from(held);
+                        let local = held || b.partition[v as usize] as usize == me;
+                        assert_eq!(wired.binary_search(&p).is_err(), local, "{what} row {v}");
+                        let expected = if local {
+                            b.features.row(v as usize)
+                        } else {
+                            &[0.0; 2]
+                        };
+                        assert_eq!(plan.base.row(p), expected, "{what} row {v}");
+                    }
+                    assert_eq!(plan.base.rows(), rows.len(), "{what}");
+                    if let Some(c) = &b.cache {
+                        let stats = c.caches[me].snapshot();
+                        assert_eq!(
+                            (stats.hits, stats.misses),
+                            (hits as u64, wired.len() as u64)
+                        );
+                    }
                     for (peer, theirs) in plans.iter().enumerate().filter(|&(p, _)| p != me) {
-                        // What `peer` posts to `me`, and what `me` expects
-                        // from `peer`, as list positions in wire order.
-                        let sent: Vec<usize> = theirs
+                        // What `peer` posts to `me` is what `me` expects
+                        // from `peer`, row for row, in wire order.
+                        let sent: Vec<&[f32]> = theirs
                             .sends
                             .iter()
                             .filter(|(to, _)| *to == me)
-                            .flat_map(|(_, idx)| idx.iter().map(|&r| theirs.own_pos[r]))
+                            .flat_map(|(_, m)| (0..m.rows()).map(|r| m.row(r)))
                             .collect();
-                        let expected: Vec<usize> = plan
+                        let expected = plan
                             .recvs
                             .iter()
                             .filter(|(from, _)| *from == peer)
-                            .flat_map(|(_, pos)| pos.clone())
-                            .collect();
-                        assert_eq!(sent, expected, "n={n} cached={cached} {peer} -> {me}");
+                            .flat_map(|(_, pos)| pos.iter().map(|&p| rows[p]));
+                        assert_eq!(sent, b.feature_rows(expected), "{what} <- {peer}");
                     }
                 }
             }
@@ -753,47 +821,49 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_reduce_over_one_split_are_adjoint() {
-        // <gather(x), y> == <x, reduce(y)> summed over ranks, exactly:
-        // every value is a small integer. `x` is the feature matrix (so
-        // cache-served rows agree with the wire's), `y` differs per rank.
+    fn every_rank_receives_its_own_list_over_the_fabric() {
         for n in 2..=4 {
             for cached in [false, true] {
                 let b = boundary(n, cached);
-                let split = owner_split(&b.rows, &b.partition, n);
                 let fabric = Fabric::new(n);
-                let sides: Vec<(f32, f32)> = std::thread::scope(|scope| {
-                    let joins: Vec<_> = (0..n)
-                        .map(|rank| {
-                            let (b, split, fabric) = (&b, &split, &fabric);
-                            scope.spawn(move || {
-                                let plan = b.plan(rank);
-                                fabric.set_ready(rank, 1);
-                                let gathered = execute_gather(fabric, rank, 1, &plan).unwrap();
-                                for (i, &v) in b.rows.iter().enumerate() {
-                                    assert_eq!(gathered.row(i), b.features.row(v as usize));
-                                }
-                                let y = Matrix::from_vec(
-                                    b.rows.len(),
-                                    2,
-                                    (0..2 * b.rows.len())
-                                        .map(|i| ((i * 5 + rank * 3) % 7) as f32 - 3.0)
-                                        .collect(),
-                                );
-                                fabric.set_ready(rank, 2);
-                                let reduced = execute_reduce(fabric, rank, 2, &y, split).unwrap();
-                                (
-                                    gathered.hadamard(&y).sum(),
-                                    plan.own.hadamard(&reduced).sum(),
-                                )
-                            })
-                        })
-                        .collect();
-                    joins.into_iter().map(|j| j.join().unwrap()).collect()
+                std::thread::scope(|scope| {
+                    for rank in 0..n {
+                        let (b, fabric) = (&b, &fabric);
+                        scope.spawn(move || {
+                            let plan = b.plan(rank);
+                            fabric.set_ready(rank, 1);
+                            let got = execute_gather(fabric, rank, 1, &plan).unwrap();
+                            let rows: Vec<&[f32]> = (0..got.rows()).map(|r| got.row(r)).collect();
+                            let list = b.lists[rank].iter().copied();
+                            assert_eq!(rows, b.feature_rows(list), "n={n} cached={cached} {rank}");
+                        });
+                    }
                 });
-                let lhs: f32 = sides.iter().map(|s| s.0).sum();
-                let rhs: f32 = sides.iter().map(|s| s.1).sum();
-                assert_eq!(lhs, rhs, "n={n} cached={cached}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_symmetric_build_is_the_general_one_over_equal_lists() {
+        for n in 2..=4 {
+            for cached in [false, true] {
+                let mut b = boundary(n, cached);
+                b.lists = vec![b.lists[0].clone(); n];
+                for rank in 0..n {
+                    let (have, values) = b.local(rank);
+                    let (rows, part) = (&b.lists[0], &b.partition);
+                    let symmetric = match &b.cache {
+                        Some(c) => GatherPlan::build_cached(rows, part, n, rank, &have, &values, c),
+                        None => GatherPlan::build(rows, part, n, rank, &have, &values),
+                    };
+                    let general = b.plan(rank);
+                    assert!(
+                        symmetric.base == general.base
+                            && symmetric.sends == general.sends
+                            && symmetric.recvs == general.recvs,
+                        "n={n} cached={cached} rank {rank}"
+                    );
+                }
             }
         }
     }
@@ -814,8 +884,8 @@ mod tests {
 
     #[test]
     fn sampled_chains_satisfy_the_row_list_contract() {
-        // Every list the block step splits is a `LayerBlock` `src` / `dst`
-        // of a pooled chain: strictly ascending, and adjacent blocks share
+        // Every list the block step requests is a `LayerBlock` `src` of a
+        // pooled chain: strictly ascending, and adjacent blocks share
         // their boundary.
         let g = dgcl_graph::generators::hub_attachment(400, 8, 0.8, 5);
         let ascending = |rows: &[VertexId]| rows.windows(2).all(|w| w[0] < w[1]);

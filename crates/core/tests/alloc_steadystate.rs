@@ -13,14 +13,21 @@
 //! The compiled allreduce zoo makes the same promise per `(algorithm,
 //! length, chunk)` cell: a warm call looks its schedule up and builds
 //! nothing — pinned here for the ring.
+//!
+//! The finite-fanout sampled step is pinned too, at what it allocates
+//! today: its plans, gathered matrices and activations are not pooled yet
+//! (ROADMAP item 2's open half), so the budget is a ratchet, not zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dgcl::collectives::AllreduceAlgo;
+use dgcl::sampling::SamplingConfig;
+use dgcl::trainer::{train_distributed, TrainConfig};
 use dgcl::{build_comm_info, run_cluster, BuildOptions};
+use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
-use dgcl_tensor::Matrix;
+use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
 
 struct CountingAlloc;
@@ -70,9 +77,14 @@ enum Mode {
     /// A ring allreduce of one fixed `RING_ROWS × 8` matrix per round (no
     /// allgather / scatter).
     RingAllreduce,
+    /// Finite-fanout sampled training, a round being one epoch of
+    /// [`BLOCK_BATCHES`] steps (sample, plan, feature exchange, forward,
+    /// backward, allreduce) through `train_distributed`.
+    BlockStep,
 }
 
 const RING_ROWS: usize = 512;
+const BLOCK_BATCHES: usize = 8;
 
 /// The counter and its switch are process-wide: one measurement at a time.
 static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -85,6 +97,27 @@ fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
     let graph = Dataset::WikiTalk.generate(0.0006, 5);
     let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
     let n = graph.num_vertices();
+    if mode == Mode::BlockStep {
+        // No handle to warm up behind: a `2 · rounds`-epoch run minus a
+        // `rounds`-epoch run cancels what a run allocates once (threads,
+        // caches, pools growing to their high-water mark) and leaves
+        // `rounds` epochs of warm steps.
+        let mut init = XavierInit::new(5);
+        let (features, targets) = (init.features(n, 8), init.features(n, 4));
+        let batch = n.div_ceil(BLOCK_BATCHES);
+        assert_eq!(n.div_ceil(batch), BLOCK_BATCHES);
+        let run = |epochs: usize| {
+            let mut cfg = TrainConfig::new(Architecture::Gcn, &[8, 6, 4], epochs);
+            cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(4), Some(4)]));
+            ALLOCS.store(0, Ordering::Relaxed);
+            COUNTING.store(true, Ordering::Relaxed);
+            train_distributed(&info, &graph, &features, &targets, &cfg).expect("healthy cluster");
+            COUNTING.store(false, Ordering::Relaxed);
+            ALLOCS.load(Ordering::Relaxed)
+        };
+        let short = run(rounds);
+        return run(2 * rounds).saturating_sub(short);
+    }
     let mut features = Matrix::zeros(n, 8);
     for v in 0..n {
         features.row_mut(v)[v % 8] = v as f32;
@@ -103,12 +136,13 @@ fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
                     assert_eq!(sum[0].row(0)[0], 6.0, "0 + 1 + 2 + 3");
                     return Ok(());
                 }
+                Mode::BlockStep => unreachable!("measured through train_distributed"),
             };
             let grads = match mode {
                 Mode::Pipelined => handle.scatter_backward(&full)?,
                 Mode::Barriered => handle.scatter_backward_barriered(&full)?,
                 Mode::Reference => handle.scatter_backward_reference(&full)?,
-                Mode::RingAllreduce => unreachable!("returned above"),
+                Mode::RingAllreduce | Mode::BlockStep => unreachable!("returned above"),
             };
             assert_eq!(grads.rows(), handle.local_graph().num_local);
             let _ = measured;
@@ -185,5 +219,22 @@ fn warm_ring_allreduce_builds_no_schedule() {
         ring <= budget,
         "warm ring allreduce allocated {ring} times in {rounds} rounds on {devices} devices \
          (budget {budget})"
+    );
+}
+
+#[test]
+fn warm_block_step_stays_within_allocation_budget() {
+    let (devices, epochs) = (4, 3);
+    let allocs = measure(Mode::BlockStep, 0, epochs);
+    let per_step = allocs as f64 / (devices * epochs * BLOCK_BATCHES) as f64;
+    // Measured 124 per rank-step (the owner-computes step this one
+    // replaced: 192), + 10 %. What is left is an allocation per plan,
+    // message, matrix and activation of the step; pooling those is
+    // ROADMAP item 2's open half.
+    let budget = 136.0;
+    eprintln!("steady-state allocations: block step={per_step:.1} per rank-step, budget={budget}");
+    assert!(
+        per_step <= budget,
+        "a warm block step allocated {per_step:.1} times per rank (budget {budget})"
     );
 }

@@ -20,7 +20,8 @@
 //! * A full-neighbourhood run issues a number of collectives that is a
 //!   formula in layers, steps and epochs, the same with the cache on or
 //!   off, with layer 0's exchange in it once per run; a sampled-blocks
-//!   run's is one too, the same with the cache or the prefetch on or off.
+//!   run's is one too — two per step whatever the depth — the same with
+//!   the cache or the prefetch on or off.
 
 use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
@@ -327,29 +328,34 @@ fn exact_sampling_reuses_the_layer0_aggregate_in_every_batch() {
 
 #[test]
 fn block_step_collective_count_is_pinned_and_cache_and_prefetch_independent() {
-    // A sampled-blocks step is one message round per block boundary and
-    // direction: the feature gather, L − 1 inter-layer gathers, L − 1
-    // gradient row reductions (layer 0's input does not learn) and one
-    // allreduce — 2L, whether the feature gather runs inline, a batch
-    // ahead on the prefetch worker, or mostly out of the cache. The final
-    // inference forward is full-neighbourhood: L more. N = 2L·B·E + L.
+    // A sampled-blocks step is trainer-local: one feature exchange (the
+    // rows of every rank's own block chain, from their owners), every
+    // layer computed where the seeds live, one allreduce — 2 collectives
+    // for any depth, whether the exchange runs inline, a batch ahead on
+    // the prefetch worker, or mostly out of the cache. The final inference
+    // forward is full-neighbourhood: L more. N = 2·B·E + L; a step count
+    // that grows with L means an inter-layer exchange is back.
     let c = case(3);
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
     let n = c.graph.num_vertices();
-    let (layers, epochs, batch) = (2u64, 2u64, n / 3);
+    let (epochs, batch) = (2u64, n / 3);
     let batches = n.div_ceil(batch) as u64;
-    for prefetch in [false, true] {
-        for policy in [CachePolicy::Off, CachePolicy::Auto] {
-            let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
-            let mut scfg = SamplingConfig::new(batch, vec![Some(3); layers as usize]);
-            scfg.prefetch = prefetch;
-            cfg.sampling = Some(scfg);
-            cfg.feature_cache = Some(policy);
-            assert_eq!(
-                collective_count(&info, &c, &cfg),
-                2 * layers * batches * epochs + layers,
-                "prefetch={prefetch}, {policy:?}"
-            );
+    for dims in [&[6, 5, 3][..], &[6, 5, 4, 3]] {
+        let layers = dims.len() - 1;
+        for prefetch in [false, true] {
+            for policy in [CachePolicy::Off, CachePolicy::Auto] {
+                let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
+                cfg.dims = dims.to_vec();
+                let mut scfg = SamplingConfig::new(batch, vec![Some(3); layers]);
+                scfg.prefetch = prefetch;
+                cfg.sampling = Some(scfg);
+                cfg.feature_cache = Some(policy);
+                assert_eq!(
+                    collective_count(&info, &c, &cfg),
+                    2 * batches * epochs + layers as u64,
+                    "L={layers}, prefetch={prefetch}, {policy:?}"
+                );
+            }
         }
     }
 }

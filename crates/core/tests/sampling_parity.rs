@@ -12,6 +12,12 @@
 //!
 //! * Finite-fanout runs are deterministic (run-to-run bitwise equal) and
 //!   independent of whether feature prefetch rides the overlap worker.
+//! * Finite-fanout runs have a numerical anchor too: every rank trains on
+//!   the chain of its own seeds, and the draws are keyed per vertex, so a
+//!   `P`-device run is the 1-device run of the same config up to the order
+//!   the gradient sums fold in — epoch losses within 1e-4 relative.
+//! * A rank that owns none of a batch's seeds still serves its rows and
+//!   joins the allreduce: seeds confined to one part, batches of 1 and 7.
 //! * Exact multi-batch runs are bitwise independent of
 //!   `TrainConfig::overlap`, which moves their collectives to the worker.
 //! * Sampled training still trains: losses decrease over epochs.
@@ -234,6 +240,83 @@ fn finite_fanout_training_reduces_loss() {
         "sampled losses did not decrease: {:?}",
         report.epoch_losses
     );
+}
+
+#[test]
+fn finite_fanout_tracks_the_one_device_run_of_the_same_config() {
+    // One device samples the whole batch's chain; P devices each sample
+    // the chain of the seeds they own. Same seeds, same per-vertex draws,
+    // so the same per-seed outputs and the same loss terms — only the
+    // folds differ: the loss and the parameter gradients sum per rank and
+    // then across ranks in ascending rank order.
+    let c = case(4);
+    for (dims, fanouts) in [
+        (&[6, 5, 3][..], vec![Some(4), Some(4)]),
+        (&[6, 5, 4, 3], vec![Some(3), Some(3), Some(3)]),
+    ] {
+        let mut cfg = base_cfg(Architecture::Gcn, 3);
+        cfg.dims = dims.to_vec();
+        cfg.lr = 5e-4;
+        cfg.sampling = Some(SamplingConfig::new(96, fanouts.clone()));
+        let run = |devices: usize| {
+            let topo = Topology::dgx1_subset(devices);
+            let info = build_comm_info(&c.graph, topo, BuildOptions::default());
+            train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
+                .expect("healthy cluster")
+                .epoch_losses
+        };
+        let one = run(1);
+        for devices in [2, 4, 8] {
+            for (e, (a, b)) in one.iter().zip(run(devices)).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-4 * a.abs(),
+                    "{fanouts:?}, {devices} devices, epoch {e}: {b} vs one device's {a}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_rank_without_seeds_serves_its_rows_and_joins_the_allreduce() {
+    // Hostile seed sets: every training vertex on rank 0, so every other
+    // rank owns no seed of any batch (and with batch size 1 so do all but
+    // one). They sample empty chains, still answer the feature exchange
+    // and contribute zero gradients and zero loss.
+    let c = case(6);
+    for devices in 2..=4 {
+        let info = build_comm_info(
+            &c.graph,
+            Topology::dgx1_subset(devices),
+            BuildOptions::default(),
+        );
+        let seeds: Vec<u32> = info.pg.local[0].iter().copied().take(42).collect();
+        for batch_size in [1, 7] {
+            let mut cfg = base_cfg(Architecture::Sage, 3);
+            cfg.lr = 5e-3;
+            let mut scfg = SamplingConfig::new(batch_size, vec![Some(3), Some(3)]);
+            scfg.train_vertices = Some(seeds.clone());
+            let mut reports = Vec::new();
+            for prefetch in [false, true, true] {
+                scfg.prefetch = prefetch;
+                cfg.sampling = Some(scfg.clone());
+                reports.push(
+                    train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
+                        .expect("healthy cluster"),
+                );
+            }
+            let what = format!("{devices} devices, batch {batch_size}");
+            let losses = &reports[0].epoch_losses;
+            assert!(losses.last() < losses.first(), "{what}: {losses:?}");
+            for r in &reports[1..] {
+                assert_eq!(
+                    &r.epoch_losses, losses,
+                    "{what}: rerun or prefetch diverged"
+                );
+                assert_eq!(r.outputs.max_abs_diff(&reports[0].outputs), 0.0, "{what}");
+            }
+        }
+    }
 }
 
 #[test]

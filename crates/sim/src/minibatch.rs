@@ -49,8 +49,18 @@ impl SamplingModel {
         rows
     }
 
-    /// Expected bytes moved by one batch's input-layer row exchange
-    /// (the dominant transfer: deeper layers reuse shrinking sets).
+    /// Expected bytes moved by one batch's input-layer row exchange —
+    /// the step's only row transfer: the runtime's sampled step is
+    /// trainer-local, every layer above the input runs where the seeds
+    /// live. This is **one trainer's fetch**: each source row of the
+    /// batch's chain is requested once, by the trainer whose seeds reach
+    /// it, and crosses the wire if it lives elsewhere. `p` trainers over
+    /// `batch / p` seeds each move about this much between them (their
+    /// chains partition the seeds and share source rows only where
+    /// neighbourhoods overlap); a step in which every rank assembled the
+    /// whole batch's source matrix would move `p` times it. `repro
+    /// sampling` checks the epoch total against the measured
+    /// `bytes_fetched`.
     pub fn batch_exchange_bytes(&self, batch: usize, fanouts: &[Option<usize>]) -> f64 {
         self.expected_src_rows(batch, fanouts) * self.remote_fraction * (4 * self.width) as f64
     }
