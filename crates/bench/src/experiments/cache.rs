@@ -29,7 +29,7 @@ use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, smoke, RunContext};
 
 /// One (graph, capacity) sweep point.
 struct CacheRecord {
@@ -42,16 +42,6 @@ struct CacheRecord {
     reduction: f64,
     epoch_seconds: f64,
     bitwise_off: bool,
-}
-
-fn smoke() -> bool {
-    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 fn policy_name(policy: CachePolicy) -> String {

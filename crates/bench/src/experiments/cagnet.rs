@@ -35,7 +35,7 @@ use dgcl_partition::PartitionedGraph;
 use dgcl_sim::{cagnet_aggregate_cost, BackendKind, BackendSelector};
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{ms, print_table, smoke, RunContext};
 
 /// Embedding payload priced per vertex: 4 bytes × 64 features.
 const BYTES_PER_VERTEX: u64 = 4 * 64;
@@ -69,10 +69,6 @@ impl Record {
     fn best_seconds(&self) -> f64 {
         self.planned_seconds.min(self.best_cagnet().1)
     }
-}
-
-fn smoke() -> bool {
-    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// The benchmark topologies, 2 → 16 devices: flat PCIe hosts at the

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use dgcl_sim::{allreduce_costs, AlgorithmSelector, AllreduceAlgo};
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{ms, print_table, smoke, RunContext};
 
 /// Pipelining granularity in bytes: the fabric's default
 /// `collective_chunk` (4096 f32 elements).
@@ -38,10 +38,6 @@ struct Record {
     best_seconds: f64,
     worst: AllreduceAlgo,
     worst_seconds: f64,
-}
-
-fn smoke() -> bool {
-    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// The three benchmark topologies: name, topology, device count.

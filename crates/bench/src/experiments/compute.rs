@@ -6,8 +6,8 @@
 //! * `matmul` — the cache-blocked threaded dense kernel of
 //!   `dgcl-tensor` (forward projection shape);
 //! * `aggregate` — row-parallel CSR neighbour aggregation plus the
-//!   gather-form (reverse-CSR) backward against the original per-vertex
-//!   scatter;
+//!   gather-form (reverse-CSR) backward against the scatter-form
+//!   reference;
 //! * `allgather` — the compiled-schedule `graph_allgather` /
 //!   `scatter_backward` against the uncompiled table-walking reference.
 //!
@@ -34,7 +34,7 @@ use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, smoke, RunContext};
 
 /// Thread counts every kernel is measured at.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -53,16 +53,6 @@ struct EpochRecord {
     dataset: &'static str,
     arch: &'static str,
     epoch_seconds: f64,
-}
-
-fn smoke() -> bool {
-    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Median-of-`reps` wall time of `body` in seconds.
@@ -146,9 +136,9 @@ pub fn run(ctx: &mut RunContext) {
         push(&mut records, &mut rows, "aggregate_fwd", t, s, times[0]);
     }
 
-    // Aggregation backward: reverse-CSR gather vs the original
-    // allocate-per-vertex scatter (an algorithmic win independent of the
-    // thread count; the scatter is the baseline at every row).
+    // Aggregation backward: reverse-CSR gather vs the scatter-form
+    // reference (which cannot row-partition without atomics; it is the
+    // baseline at every row).
     graph.reversed(); // Warm the cache so timings exclude the one-off build.
     std::hint::black_box(aggregate_sum_backward_scatter(&graph, &h, nv)); // Warm-up.
     let scatter = time(reps, || {
@@ -208,7 +198,7 @@ pub fn run(ctx: &mut RunContext) {
         &rows,
     );
     println!(
-        "  (baselines: matmul/aggregate_fwd at 1 thread; aggregate_bwd vs the\n   per-vertex scatter; allgather vs the uncompiled table walk. Thread\n   speedups need spare cores — the JSON records `cpus` so a 1-CPU box\n   documents its ceiling instead of faking scaling.)"
+        "  (baselines: matmul/aggregate_fwd at 1 thread; aggregate_bwd vs the\n   scatter form; allgather vs the uncompiled table walk. Thread\n   speedups need spare cores — the JSON records `cpus` so a 1-CPU box\n   documents its ceiling instead of faking scaling.)"
     );
 
     // One distributed training epoch per dataset: the end-to-end number

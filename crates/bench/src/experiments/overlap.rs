@@ -30,7 +30,7 @@ use dgcl_sim::{simulate_overlap, GnnModel};
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, smoke, RunContext};
 
 /// Chunk size (rows) used for every pipelined cell; matches
 /// `BuildOptions::default().chunk_rows`.
@@ -55,16 +55,6 @@ struct MeasuredRecord {
     barriered_seconds: f64,
     overlapped_seconds: f64,
     speedup: f64,
-}
-
-fn smoke() -> bool {
-    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Median-of-`reps` wall time of `body` in seconds.

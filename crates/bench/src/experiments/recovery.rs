@@ -30,7 +30,7 @@ use dgcl_sim::epoch::partition_for;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, smoke, RunContext};
 
 /// One per-graph replan comparison on the survivor topology.
 struct ReplanRecord {
@@ -54,16 +54,6 @@ struct RecoveryRecord {
     replan_seconds: f64,
     run_seconds: f64,
     survivors: usize,
-}
-
-fn smoke() -> bool {
-    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Best-of-`reps` of a body returning its own wall time in seconds

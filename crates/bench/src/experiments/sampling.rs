@@ -37,7 +37,7 @@ use dgcl_sim::SamplingModel;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, RunContext};
+use crate::harness::{cpus, ms, print_table, smoke, RunContext};
 
 /// One (graph, configuration) training measurement.
 struct SamplingRecord {
@@ -55,16 +55,6 @@ struct SamplingRecord {
     /// which fetches its halo once per run and prices no sampled epoch).
     bytes_fetched: f64,
     model_bytes: f64,
-}
-
-fn smoke() -> bool {
-    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 pub fn run(ctx: &mut RunContext) {

@@ -19,7 +19,7 @@ use dgcl_plan::{spst_plan, spst_plan_with_config, SpstConfig};
 use dgcl_sim::epoch::partition_for;
 use dgcl_topology::Topology;
 
-use crate::harness::{print_table, RunContext};
+use crate::harness::{cpus, print_table, RunContext};
 
 /// One measured configuration, serialised into `BENCH_spst.json`.
 struct Record {
@@ -36,10 +36,7 @@ struct Record {
 }
 
 fn planner_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
+    cpus().clamp(1, 8)
 }
 
 pub fn run(ctx: &mut RunContext) {

@@ -66,6 +66,20 @@ impl RunContext {
     }
 }
 
+/// Whether `DGCL_BENCH_SMOKE` asks for the seconds-long CI variant of an
+/// experiment (set and neither empty nor `0`).
+pub fn smoke() -> bool {
+    std::env::var("DGCL_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// The machine's available parallelism, stamped into every wall-clock
+/// artifact so a 1-CPU box documents its ceiling.
+pub fn cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Formats seconds as milliseconds with sensible precision.
 pub fn ms(seconds: f64) -> String {
     let v = seconds * 1e3;

@@ -30,14 +30,12 @@
 //! its columns in ascending global order — together they make the
 //! distributed accumulation a flat left fold in ascending neighbour
 //! order, exactly the fold `aggregate_sum` runs. The CAGNET *backward*
-//! is bitwise too (prescale-then-transpose-SpMM reproduces the
-//! per-edge products of `aggregate_mean_backward` in order); the
+//! is bitwise too (a mean is `mean_scale` after the forward SpMM and
+//! before the transpose one, exactly as on a single device); the
 //! planned backward folds remote contributions along the SPST tree, so
 //! cross-device gradient parity there is tight-tolerance, not bitwise.
 
-use dgcl_gnn::aggregate::{
-    aggregate_mean, aggregate_mean_backward, aggregate_sum, aggregate_sum_backward,
-};
+use dgcl_gnn::aggregate::{aggregate, aggregate_backward, mean_scale};
 use dgcl_gnn::AggKind;
 use dgcl_sim::backends::contiguous_split;
 use dgcl_sim::BackendKind;
@@ -132,10 +130,7 @@ impl CommBackend for PlannedBackend {
     ) -> Result<Matrix, RuntimeError> {
         let lg = dev.local_graph();
         let full = dev.graph_allgather_with(self.strategy, h_local)?;
-        Ok(match kind {
-            AggKind::Sum => aggregate_sum(&lg.graph, &full, lg.num_local),
-            AggKind::Mean => aggregate_mean(&lg.graph, &full, lg.num_local),
-        })
+        Ok(aggregate(kind, &lg.graph, &full, lg.num_local))
     }
 
     fn agg_backward(
@@ -145,10 +140,7 @@ impl CommBackend for PlannedBackend {
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError> {
         let lg = dev.local_graph();
-        let grad_full = match kind {
-            AggKind::Sum => aggregate_sum_backward(&lg.graph, grad_agg, lg.num_total()),
-            AggKind::Mean => aggregate_mean_backward(&lg.graph, grad_agg, lg.num_total()),
-        };
+        let grad_full = aggregate_backward(kind, &lg.graph, grad_agg, lg.num_total());
         dev.scatter_backward_with(self.strategy, &grad_full)
     }
 }
@@ -176,17 +168,10 @@ impl CommBackend for CagnetBackend {
     ) -> Result<Matrix, RuntimeError> {
         let mut out = cagnet_exchange(dev, h_local, self.replication, false)?;
         if kind == AggKind::Mean {
-            // Same post-scale as `aggregate_mean`: untouched at deg ≤ 1,
-            // one multiply by the reciprocal otherwise.
+            // A block sees a slice of a row: the divisor is the vertex's
+            // global degree.
             let degrees = dev.comm_info().cagnet.degrees(dev.rank);
-            for (i, &deg) in degrees.iter().enumerate() {
-                if deg > 1 {
-                    let inv = 1.0 / deg as f32;
-                    for o in out.row_mut(i) {
-                        *o *= inv;
-                    }
-                }
-            }
+            mean_scale(&mut out, 1, |i| degrees[i] as usize);
         }
         Ok(out)
     }
@@ -197,29 +182,13 @@ impl CommBackend for CagnetBackend {
         grad_agg: &Matrix,
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError> {
-        match kind {
-            AggKind::Sum => cagnet_exchange(dev, grad_agg, self.replication, true),
-            AggKind::Mean => {
-                // Prescale each gradient row by its vertex's reciprocal
-                // degree once, then run the pure-sum transpose SpMM.
-                // `aggregate_mean_backward` computes `grad[v] * (1/deg_v)`
-                // per edge; scaling the row once yields the identical
-                // product for every edge of `v` (and `x * 1.0 == x`
-                // bitwise at deg 1), so the exchange stays bitwise equal
-                // to the single-device kernel.
-                let degrees = dev.comm_info().cagnet.degrees(dev.rank);
-                let mut scaled = grad_agg.clone();
-                for (i, &deg) in degrees.iter().enumerate() {
-                    if deg > 0 {
-                        let inv = 1.0 / deg as f32;
-                        for o in scaled.row_mut(i) {
-                            *o *= inv;
-                        }
-                    }
-                }
-                cagnet_exchange(dev, &scaled, self.replication, true)
-            }
+        if kind == AggKind::Sum {
+            return cagnet_exchange(dev, grad_agg, self.replication, true);
         }
+        let degrees = dev.comm_info().cagnet.degrees(dev.rank);
+        let mut scaled = grad_agg.clone();
+        mean_scale(&mut scaled, 1, |i| degrees[i] as usize);
+        cagnet_exchange(dev, &scaled, self.replication, true)
     }
 }
 

@@ -16,7 +16,10 @@
 //!   fanouts): each rank trains on the batch seeds it owns — its own
 //!   block chain, one feature fetch, every layer local, one gradient
 //!   allreduce — with optional overlap-worker prefetch of batch `k+1`'s
-//!   features while batch `k` computes. With all fanouts ∞ the trainer
+//!   features while batch `k` computes. This module moves rows; the
+//!   compute over a chain ([`dgcl_gnn::forward_chain`], block
+//!   aggregation and its adjoint) is `dgcl_gnn`'s, and a serving flush
+//!   runs the same walk. With all fanouts ∞ the trainer
 //!   instead runs its full-neighbourhood step with the loss masked to
 //!   the batch; one batch covering every vertex is then *bitwise
 //!   identical* to full-batch training — the parity criterion the test
@@ -29,7 +32,8 @@
 //! rank order; and resumed runs replay the same batches from the
 //! checkpoint epoch.
 
-use dgcl_gnn::{AggKind, GnnNetwork};
+use dgcl_gnn::aggregate::block_aggregate_backward;
+use dgcl_gnn::{forward_chain, GnnNetwork};
 use dgcl_graph::khop::GraphError;
 use dgcl_graph::sample::{round_seed, BlockPool, LayerBlock};
 use dgcl_graph::{CsrGraph, VertexId};
@@ -313,71 +317,6 @@ pub(crate) fn execute_gather(
     Ok(out)
 }
 
-/// Aggregates the sampled neighborhoods of a block's rows from its
-/// source matrix: the mini-batch analogue of
-/// [`dgcl_gnn::aggregate::aggregate_sum`] / `aggregate_mean`, with the
-/// *sampled* degree as the mean divisor (degree 1 is left undivided,
-/// mirroring the full-graph kernel).
-pub(crate) fn block_aggregate(block: &LayerBlock, h_src: &Matrix, kind: AggKind) -> Matrix {
-    let mut out = Matrix::zeros(block.num_dst(), h_src.cols());
-    for i in 0..block.num_dst() {
-        let targets = block.row(i);
-        let row = out.row_mut(i);
-        for &t in targets {
-            for (o, &x) in row.iter_mut().zip(h_src.row(t as usize)) {
-                *o += x;
-            }
-        }
-        if kind == AggKind::Mean && targets.len() > 1 {
-            let inv = 1.0 / targets.len() as f32;
-            for o in row.iter_mut() {
-                *o *= inv;
-            }
-        }
-    }
-    out
-}
-
-/// The adjoint of [`block_aggregate`]: scatters the block rows'
-/// aggregate gradients back over the block edges into a gradient over
-/// the block's source rows (zeros where no edge lands).
-pub(crate) fn block_scatter_grad(block: &LayerBlock, grad_agg: &Matrix, kind: AggKind) -> Matrix {
-    let mut out = Matrix::zeros(block.num_src(), grad_agg.cols());
-    for i in 0..block.num_dst() {
-        let targets = block.row(i);
-        let scale = if kind == AggKind::Mean && targets.len() > 1 {
-            1.0 / targets.len() as f32
-        } else {
-            1.0
-        };
-        for &t in targets {
-            for (o, &g) in out.row_mut(t as usize).iter_mut().zip(grad_agg.row(i)) {
-                *o += scale * g;
-            }
-        }
-    }
-    out
-}
-
-/// Every layer's forward over one block chain, from the chain's input
-/// rows `h` (row `i` is `blocks[0].src[i]`) to its seeds' outputs. Rows
-/// are computed independently and a vertex's sampled neighbourhood is a
-/// function of `(seed, layer, vertex)` alone, so a seed's output row is
-/// the same bits in whichever chain reaches it.
-fn forward_chain(
-    net: &mut GnnNetwork,
-    blocks: &[LayerBlock],
-    mut h: Matrix,
-    agg_kind: AggKind,
-) -> Matrix {
-    for (block, layer) in blocks.iter().zip(net.layers_mut()) {
-        let self_pos: Vec<usize> = block.dst_pos.iter().map(|&p| p as usize).collect();
-        let agg = block_aggregate(block, &h, agg_kind);
-        h = layer.forward_agg(&h.gather_rows(&self_pos), agg);
-    }
-    h
-}
-
 /// The training seed set: the configured subset, or every vertex.
 pub(crate) fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId> {
     match &scfg.train_vertices {
@@ -483,7 +422,6 @@ impl<'a> BlockSteps<'a> {
     ) -> Result<(), RuntimeError> {
         let handle = self.handle;
         let rank = handle.rank;
-        let agg_kind = self.ctx.cfg.arch.agg_kind();
         let (blocks, h) = match self.prefetched.take() {
             Some((blocks, pending)) => (blocks, handle.wait_pending(pending)?),
             None => {
@@ -497,7 +435,7 @@ impl<'a> BlockSteps<'a> {
             let pending = handle.with_op(|op| worker.submit_exchange(op, plan))?;
             self.prefetched = Some((next, pending));
         }
-        let out = forward_chain(net, &blocks, h, agg_kind);
+        let out = forward_chain(net.layers_mut(), &blocks, h);
         // Loss over this rank's seeds, which it owns.
         let seeds = blocks.last().expect("≥ 1 layer").dst.iter().copied();
         let target_rows = local_rows(&handle.comm_info().pg.local[rank], seeds);
@@ -511,7 +449,7 @@ impl<'a> BlockSteps<'a> {
             let layer = &mut net.layers_mut()[l];
             if input_learns(l) {
                 let (grad_agg, direct) = layer.backward_agg(&grad);
-                grad = block_scatter_grad(block, &grad_agg, agg_kind);
+                grad = block_aggregate_backward(layer.arch().agg_kind(), block, grad_agg);
                 if let Some(direct) = direct {
                     for (i, &p) in block.dst_pos.iter().enumerate() {
                         for (o, &g) in grad.row_mut(p as usize).iter_mut().zip(direct.row(i)) {
@@ -532,7 +470,8 @@ impl<'a> BlockSteps<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgcl_gnn::Architecture;
+    use dgcl_gnn::aggregate::block_aggregate;
+    use dgcl_gnn::{AggKind, Architecture};
     use dgcl_graph::sample::build_block;
     use dgcl_graph::GraphBuilder;
 
@@ -560,7 +499,7 @@ mod tests {
                 AggKind::Sum => dgcl_gnn::aggregate::aggregate_sum(&g, &h, 5),
                 AggKind::Mean => dgcl_gnn::aggregate::aggregate_mean(&g, &h, 5),
             };
-            let sampled = block_aggregate(&block, &h, kind);
+            let sampled = block_aggregate(kind, &block, &h);
             assert_eq!(full.max_abs_diff(&sampled), 0.0, "{kind:?}");
         }
     }
@@ -579,8 +518,8 @@ mod tests {
         );
         let grad = Matrix::from_vec(2, 2, vec![0.5, -1.0, 2.0, 0.25]);
         for kind in [AggKind::Sum, AggKind::Mean] {
-            let agg = block_aggregate(&block, &h, kind);
-            let scat = block_scatter_grad(&block, &grad, kind);
+            let agg = block_aggregate(kind, &block, &h);
+            let scat = block_aggregate_backward(kind, &block, grad.clone());
             let lhs = agg.hadamard(&grad).sum();
             let rhs = h.hadamard(&scat).sum();
             assert!((lhs - rhs).abs() < 1e-5, "{kind:?}: {lhs} vs {rhs}");
@@ -617,9 +556,8 @@ mod tests {
         let mut pool = BlockPool::new();
         for arch in ARCHS {
             let net = GnnNetwork::new(arch, &[6, 5, 4, 3], 17);
-            let kind = arch.agg_kind();
             let global = pool.sample_blocks(&g, &batch, &fanouts, 9).unwrap();
-            let all = forward_chain(&mut net.clone(), &global, input(&global), kind);
+            let all = forward_chain(net.clone().layers_mut(), &global, input(&global));
             for n in 2..=4u32 {
                 for rank in 0..n {
                     let seeds: Vec<VertexId> = batch
@@ -628,7 +566,7 @@ mod tests {
                         .filter(|v| (v * 7 + 3) % n == rank)
                         .collect();
                     let chain = pool.sample_blocks(&g, &seeds, &fanouts, 9).unwrap();
-                    let mine = forward_chain(&mut net.clone(), &chain, input(&chain), kind);
+                    let mine = forward_chain(net.clone().layers_mut(), &chain, input(&chain));
                     let seeds = &chain.last().unwrap().dst;
                     assert_eq!(mine.rows(), seeds.len());
                     for (i, v) in seeds.iter().enumerate() {
@@ -653,10 +591,10 @@ mod tests {
             let kind = arch.agg_kind();
             let chain = pool.sample_blocks(&g, &[], &[Some(2), Some(2)], 1).unwrap();
             assert!(chain.iter().all(|b| b.num_src() == 0 && b.num_dst() == 0));
-            let out = forward_chain(&mut net, &chain, Matrix::zeros(0, 2), kind);
+            let out = forward_chain(net.layers_mut(), &chain, Matrix::zeros(0, 2));
             assert_eq!(out.shape(), (0, 2));
             let (grad_agg, _) = net.layers_mut()[1].backward_agg(&out);
-            let grad = block_scatter_grad(&chain[1], &grad_agg, kind);
+            let grad = block_aggregate_backward(kind, &chain[1], grad_agg);
             assert_eq!(grad.shape(), (0, 3));
             net.layers_mut()[0].backward_params(&grad);
             for layer in net.layers() {

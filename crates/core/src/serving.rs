@@ -7,7 +7,7 @@
 //! [`ServingConfig::max_batch`] requests have queued (size trigger) or
 //! when the oldest queued request has waited
 //! [`ServingConfig::max_delay`] (deadline trigger), whichever comes
-//! first. Batching amortises the per-flush sparse k-hop expansion and
+//! first. Batching amortises the per-flush neighbourhood expansion and
 //! the layer matmuls across requests, which is what lets the batched
 //! server sustain a higher QPS than a `max_batch = 1` server at the
 //! same per-request work (`BENCH_serving.json` measures both).
@@ -18,11 +18,12 @@
 //!   bitwise identical to the corresponding row of
 //!   [`GnnNetwork::forward`] over the whole graph. Layer 0 touches
 //!   every vertex's raw features, so its output is computed once at
-//!   spawn and cached; layers `1..L` are recomputed per flush over the
-//!   sparse k-hop input closure of the batch
-//!   ([`dgcl_graph::k_hop_closure_sparse`]), aggregating each vertex's
-//!   full neighbour list in adjacency order — the same element order
-//!   and `f32` accumulator as the full kernels in `dgcl_gnn`.
+//!   spawn and cached; a flush runs layers `1..L` over the sampler's
+//!   fanout-∞ block chain of the batch ([`BlockPool::sample_blocks`] —
+//!   the exact k-hop closure, every row's full neighbour list in
+//!   adjacency order with positions resolved at sampling time) through
+//!   [`forward_chain`], the walk the sampled trainer runs: the same
+//!   element order and `f32` accumulator as the whole-graph kernel.
 //! * **Bounded staleness, explicit timing.** Every [`ServedReply`]
 //!   carries the flush's batch size and completion instant so load
 //!   drivers can attribute latency to queueing vs compute.
@@ -37,11 +38,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dgcl_gnn::{AggKind, GnnNetwork};
-use dgcl_graph::{k_hop_closure_sparse, CsrGraph, GraphError, VertexId};
+use dgcl_gnn::{forward_chain, GnnNetwork};
+use dgcl_graph::{BlockPool, CsrGraph, GraphError, LayerBlock, VertexId};
 use dgcl_tensor::Matrix;
 
-use crate::featcache::{CacheStats, CacheStatsSnapshot};
+use crate::featcache::{AscendingWalk, CacheStats, CacheStatsSnapshot, FeatureCache};
 
 /// Micro-batching policy for an [`InferenceServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,67 +133,57 @@ enum Layer0 {
     /// Only the hottest vertices' rows stay resident; misses recompute
     /// from the raw features (bitwise identical to the dropped rows).
     Cached {
-        /// Cached global ids, ascending.
-        ids: Vec<VertexId>,
-        /// `rows[i]` is `ids[i]`'s layer-0 output row.
-        rows: Matrix,
+        /// The resident layer-0 output rows; counters shared with
+        /// [`InferenceServer::cache_stats`].
+        cache: Arc<FeatureCache>,
         /// Raw features, retained for miss recomputation.
         features: Matrix,
-        /// Hit/miss counters shared with [`InferenceServer::cache_stats`].
-        stats: Arc<CacheStats>,
     },
 }
 
+/// `m`'s rows for the global ids `set`, `m` holding one row per vertex.
+fn vertex_rows(m: &Matrix, set: &[VertexId]) -> Matrix {
+    let idx: Vec<usize> = set.iter().map(|&v| v as usize).collect();
+    m.gather_rows(&idx)
+}
+
 impl Layer0 {
-    /// The layer-0 output rows for `set` (sorted, deduped global ids) —
-    /// bitwise identical to the same rows of the full spawn-time table.
-    fn gather(&self, graph: &CsrGraph, net: &mut GnnNetwork, set: &[VertexId]) -> Matrix {
-        match self {
-            Layer0::Full(h1) => {
-                let idx: Vec<usize> = set.iter().map(|&v| v as usize).collect();
-                h1.gather_rows(&idx)
-            }
-            Layer0::Cached {
-                ids,
-                rows,
-                features,
-                stats,
-            } => {
-                let misses: Vec<VertexId> = set
-                    .iter()
-                    .copied()
-                    .filter(|v| ids.binary_search(v).is_err())
-                    .collect();
-                let recomputed = if misses.is_empty() {
-                    Matrix::zeros(0, rows.cols())
-                } else {
-                    // The per-row slice of layer 0's spawn-time forward:
-                    // same adjacency-order aggregation, same row-wise
-                    // layer math, so recomputed rows are bitwise equal.
-                    let kind = net.layers()[0].arch().agg_kind();
-                    let agg = full_aggregate_rows(graph, features, &misses, kind);
-                    let midx: Vec<usize> = misses.iter().map(|&v| v as usize).collect();
-                    let h_self = features.gather_rows(&midx);
-                    net.layers_mut()[0].forward_agg(&h_self, agg)
-                };
-                let mut out = Matrix::zeros(set.len(), rows.cols());
-                for (i, &v) in set.iter().enumerate() {
-                    match ids.binary_search(&v) {
-                        Ok(ci) => out.set_row(i, rows.row(ci)),
-                        Err(_) => {
-                            let mi = misses.binary_search(&v).expect("miss recorded");
-                            out.set_row(i, recomputed.row(mi));
-                        }
-                    }
+    /// The layer-0 output rows for `set` (strictly ascending global ids)
+    /// — bitwise identical to the same rows of the full spawn-time table.
+    fn gather(&self, srv: &mut Worker, set: &[VertexId]) -> Matrix {
+        let (cache, features) = match self {
+            Layer0::Full(h1) => return vertex_rows(h1, set),
+            Layer0::Cached { cache, features } => (cache, features),
+        };
+        // One merge walk resolves hits and misses together.
+        let mut walk = AscendingWalk::new(&cache.ids);
+        let mut out = Matrix::zeros(set.len(), cache.rows.cols());
+        let (mut misses, mut miss_pos) = (Vec::new(), Vec::new());
+        for (i, &v) in set.iter().enumerate() {
+            match walk.find(v) {
+                Some(ci) => out.set_row(i, cache.rows.row(ci)),
+                None => {
+                    misses.push(v);
+                    miss_pos.push(i);
                 }
-                stats.record(
-                    (set.len() - misses.len()) as u64,
-                    misses.len() as u64,
-                    rows.cols(),
-                );
-                out
             }
         }
+        if !misses.is_empty() {
+            // Layer 0 over the misses' one-block chain: the row slice of
+            // its spawn-time forward, so recomputed rows are bitwise equal.
+            let blocks = srv.sample(&misses, 1);
+            let h0 = vertex_rows(features, &blocks[0].src);
+            let rows = forward_chain(&mut srv.net.layers_mut()[..1], &blocks, h0);
+            for (r, &i) in miss_pos.iter().enumerate() {
+                out.set_row(i, rows.row(r));
+            }
+            srv.pool.recycle(blocks);
+        }
+        let hits = set.len() - misses.len();
+        cache
+            .stats
+            .record(hits as u64, misses.len() as u64, out.cols());
+        out
     }
 }
 
@@ -200,13 +191,35 @@ impl Layer0 {
 ///
 /// Spawning precomputes the layer-0 output for every vertex (the only
 /// layer that reads raw features); each flush then recomputes layers
-/// `1..L` over the sparse input closure of the batched seeds. Dropping
+/// `1..L` over the exact block chain of the batched seeds. Dropping
 /// the server flushes the queue and joins the worker.
 pub struct InferenceServer {
     tx: Sender<Req>,
     join: Option<JoinHandle<()>>,
     num_vertices: usize,
-    cache: Option<(Arc<CacheStats>, u64)>,
+    cache: Option<Arc<FeatureCache>>,
+}
+
+/// What the worker thread owns besides its [`Layer0`] source.
+struct Worker {
+    graph: CsrGraph,
+    net: GnnNetwork,
+    /// Recycles every flush's block chains: once warm, the graph walk
+    /// allocates nothing.
+    pool: BlockPool,
+    /// Fanout ∞ per hop, `L` long: a flush asks for `L - 1` hops, a
+    /// layer-0 miss for one.
+    full: Vec<Option<usize>>,
+}
+
+impl Worker {
+    /// The exact `hops`-hop block chain of `seeds`, which must be in range
+    /// (queries are validated on entry; a chain only adds neighbours).
+    fn sample(&mut self, seeds: &[VertexId], hops: usize) -> Vec<LayerBlock> {
+        self.pool
+            .sample_blocks(&self.graph, seeds, &self.full[..hops], 0)
+            .expect("seeds validated at query time")
+    }
 }
 
 impl InferenceServer {
@@ -227,45 +240,46 @@ impl InferenceServer {
     ) -> Self {
         let n = graph.num_vertices();
         assert!(features.rows() >= n, "feature rows cover every vertex");
-        let mut net = net.clone();
-        let graph = graph.clone();
+        let mut srv = Worker {
+            graph: graph.clone(),
+            net: net.clone(),
+            pool: BlockPool::new(),
+            full: vec![None; net.num_layers()],
+        };
         // Layer 0 is the one layer that consumes raw features of every
         // vertex; computing it once here is exactly the first step of
         // GnnNetwork::forward, so cached rows are bitwise right.
-        let h1 = net.layers_mut()[0].forward(&graph, features, n);
+        let h1 = srv.net.layers_mut()[0].forward(graph, features, n);
         let (layer0, cache) = match cfg.cache_rows {
             None => (Layer0::Full(h1), None),
             Some(c) => {
                 // Retain the highest-degree rows (the ones k-hop
                 // closures touch most often on skewed graphs).
-                let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-                order.sort_by(|&a, &b| {
+                let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
+                ids.sort_by(|&a, &b| {
                     graph
                         .out_degree(b)
                         .cmp(&graph.out_degree(a))
                         .then(a.cmp(&b))
                 });
-                order.truncate(c.min(n));
-                order.sort_unstable();
-                let idx: Vec<usize> = order.iter().map(|&v| v as usize).collect();
-                let rows = h1.gather_rows(&idx);
-                let stats = Arc::new(CacheStats::default());
-                let capacity = order.len() as u64;
-                (
-                    Layer0::Cached {
-                        ids: order,
-                        rows,
-                        features: features.clone(),
-                        stats: Arc::clone(&stats),
-                    },
-                    Some((stats, capacity)),
-                )
+                ids.truncate(c.min(n));
+                ids.sort_unstable();
+                let cache = Arc::new(FeatureCache {
+                    rows: vertex_rows(&h1, &ids),
+                    ids,
+                    stats: CacheStats::default(),
+                });
+                let layer0 = Layer0::Cached {
+                    cache: Arc::clone(&cache),
+                    features: features.clone(),
+                };
+                (layer0, Some(cache))
             }
         };
         let (tx, rx) = channel::<Req>();
         let max_batch = cfg.max_batch.max(1);
         let join = std::thread::spawn(move || {
-            serve_loop(&rx, &graph, &mut net, &layer0, max_batch, cfg.max_delay);
+            serve_loop(&rx, &mut srv, &layer0, max_batch, cfg.max_delay);
         });
         Self {
             tx,
@@ -278,9 +292,7 @@ impl InferenceServer {
     /// Layer-0 cache counters, when [`ServingConfig::cache_rows`] bounds
     /// the table (`None` for the full-table server).
     pub fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.cache
-            .as_ref()
-            .map(|(stats, capacity)| stats.snapshot(*capacity))
+        self.cache.as_ref().map(|cache| cache.snapshot())
     }
 
     /// Enqueues a query for vertex `v`'s embedding.
@@ -320,8 +332,7 @@ impl Drop for InferenceServer {
 
 fn serve_loop(
     rx: &Receiver<Req>,
-    graph: &CsrGraph,
-    net: &mut GnnNetwork,
+    srv: &mut Worker,
     layer0: &Layer0,
     max_batch: usize,
     max_delay: Duration,
@@ -351,25 +362,25 @@ fn serve_loop(
                 }
                 queue.push((v, reply));
                 if queue.len() >= max_batch {
-                    flush(graph, net, layer0, &mut queue, &mut seeds);
+                    flush(srv, layer0, &mut queue, &mut seeds);
                 }
             }
             Some(Req::Shutdown) => break,
             // Deadline trigger: the oldest request has waited long
             // enough; serve whatever is queued.
-            None => flush(graph, net, layer0, &mut queue, &mut seeds),
+            None => flush(srv, layer0, &mut queue, &mut seeds),
         }
     }
     // Drain on shutdown so no ServedFuture hangs forever.
-    flush(graph, net, layer0, &mut queue, &mut seeds);
+    flush(srv, layer0, &mut queue, &mut seeds);
 }
 
-/// Serves every queued request in one batch and empties the queue.
-/// `seeds` is caller-owned scratch, cleared and refilled here so its
-/// allocation recycles across flushes.
+/// Serves every queued request in one batch and empties the queue: row
+/// `i` of the batch's output is bitwise identical to row `seeds[i]` of
+/// the full-graph forward. `seeds` is caller-owned scratch, cleared and
+/// refilled here so its allocation recycles across flushes.
 fn flush(
-    graph: &CsrGraph,
-    net: &mut GnnNetwork,
+    srv: &mut Worker,
     layer0: &Layer0,
     queue: &mut Vec<(VertexId, Sender<ServedReply>)>,
     seeds: &mut Vec<VertexId>,
@@ -381,7 +392,12 @@ fn flush(
     seeds.extend(queue.iter().map(|(v, _)| *v));
     seeds.sort_unstable();
     seeds.dedup();
-    let out = forward_tail(graph, net, layer0, seeds);
+    // Layers 1..L need the seeds' exact (L-1)-hop chain; its input rows
+    // (the seeds themselves under a one-layer net) come from layer 0.
+    let blocks = srv.sample(seeds, srv.net.num_layers() - 1);
+    let h1 = layer0.gather(srv, blocks.first().map_or(&seeds[..], |b| &b.src));
+    let out = forward_chain(&mut srv.net.layers_mut()[1..], &blocks, h1);
+    srv.pool.recycle(blocks);
     let batch_size = queue.len();
     let completed = Instant::now();
     for (v, reply) in queue.drain(..) {
@@ -392,123 +408,6 @@ fn flush(
             completed,
         });
     }
-}
-
-/// Runs layers `1..L` for `seeds` (sorted, deduped, in range) from the
-/// layer-0 source, over the sparse input closure of the batch. Row `i`
-/// of the result is bitwise identical to row `seeds[i]` of the
-/// full-graph forward.
-fn forward_tail(
-    graph: &CsrGraph,
-    net: &mut GnnNetwork,
-    layer0: &Layer0,
-    seeds: &[VertexId],
-) -> Matrix {
-    let num_layers = net.num_layers();
-    if num_layers == 1 {
-        return layer0.gather(graph, net, seeds);
-    }
-    // out_sets[l] (1 <= l < L): the vertices whose layer-l output the
-    // flush needs. Built top-down: the last layer needs the seeds, each
-    // earlier layer the 1-hop closure of its successor's needs.
-    let mut top_down: Vec<Vec<VertexId>> = Vec::with_capacity(num_layers - 1);
-    top_down.push(seeds.to_vec());
-    for _ in 2..num_layers {
-        let widened = k_hop_closure_sparse(graph, top_down.last().expect("seeded"), 1)
-            .expect("seeds validated at query time")
-            .into_visited();
-        top_down.push(widened);
-    }
-    let mut out_sets: Vec<Vec<VertexId>> = vec![Vec::new()]; // index 0 unused
-    out_sets.extend(top_down.into_iter().rev());
-    let mut in_set = k_hop_closure_sparse(graph, &out_sets[1], 1)
-        .expect("seeds validated at query time")
-        .into_visited();
-    let mut h = layer0.gather(graph, net, &in_set);
-    for (l, out_set) in out_sets.into_iter().enumerate().skip(1) {
-        let kind = net.layers()[l].arch().agg_kind();
-        let agg = tail_aggregate(graph, &h, &in_set, &out_set, kind);
-        let self_pos: Vec<usize> = out_set
-            .iter()
-            .map(|v| in_set.binary_search(v).expect("closure contains its core"))
-            .collect();
-        let h_self = h.gather_rows(&self_pos);
-        h = net.layers_mut()[l].forward_agg(&h_self, agg);
-        in_set = out_set;
-    }
-    h
-}
-
-/// Full-neighbourhood aggregation over the *whole* feature matrix for a
-/// subset of output rows — the row slice of
-/// `dgcl_gnn::aggregate::aggregate_sum`/`_mean` (same adjacency order,
-/// same accumulator, same `deg > 1` mean divisor), so each output row is
-/// bitwise identical to the corresponding full-kernel row. Used to
-/// recompute evicted layer-0 rows.
-fn full_aggregate_rows(
-    graph: &CsrGraph,
-    h: &Matrix,
-    out_rows: &[VertexId],
-    kind: AggKind,
-) -> Matrix {
-    let cols = h.cols();
-    let mut out = Matrix::zeros(out_rows.len(), cols);
-    for (i, &v) in out_rows.iter().enumerate() {
-        let row = out.row_mut(i);
-        for &u in graph.neighbors(v) {
-            for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
-                *o += x;
-            }
-        }
-        if kind == AggKind::Mean {
-            let deg = graph.out_degree(v);
-            if deg > 1 {
-                let inv = 1.0 / deg as f32;
-                for o in row {
-                    *o *= inv;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Full-neighbourhood aggregation where the value matrix `h` holds only
-/// the rows of `in_set` (sorted global ids). `in_set` must 1-hop cover
-/// `out_set`. Sums each vertex's neighbour rows in adjacency order and
-/// divides by the full degree for [`AggKind::Mean`] — the same order
-/// and accumulator as `dgcl_gnn::aggregate::aggregate_sum`/`_mean`, so
-/// rows are bitwise identical to the full kernels.
-fn tail_aggregate(
-    graph: &CsrGraph,
-    h: &Matrix,
-    in_set: &[VertexId],
-    out_set: &[VertexId],
-    kind: AggKind,
-) -> Matrix {
-    let cols = h.cols();
-    let mut out = Matrix::zeros(out_set.len(), cols);
-    for (i, &v) in out_set.iter().enumerate() {
-        let row = out.row_mut(i);
-        for &u in graph.neighbors(v) {
-            let p = in_set
-                .binary_search(&u)
-                .expect("input closure covers the neighbourhood");
-            for (o, &x) in row.iter_mut().zip(h.row(p)) {
-                *o += x;
-            }
-        }
-        if kind == AggKind::Mean {
-            let deg = graph.out_degree(v);
-            if deg > 1 {
-                let inv = 1.0 / deg as f32;
-                for o in row {
-                    *o *= inv;
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -535,22 +434,35 @@ mod tests {
             Architecture::Gin,
             Architecture::Sage,
         ] {
-            let (graph, features, net) = setup(arch, &[6, 5, 3]);
-            let full = net.clone().forward(&graph, &features);
-            let server = InferenceServer::spawn(&graph, &features, &net, ServingConfig::default());
-            let n = graph.num_vertices();
-            let probes: Vec<VertexId> = (0..n as VertexId).step_by(37).collect();
-            let futures: Vec<(VertexId, ServedFuture)> = probes
-                .iter()
-                .map(|&v| (v, server.query(v).expect("in range")))
-                .collect();
-            for (v, fut) in futures {
-                let reply = fut.wait().expect("server alive");
-                assert_eq!(
-                    reply.embedding.as_slice(),
-                    full.row(v as usize),
-                    "{arch:?}: served row {v} differs from full forward"
-                );
+            // One to three layers (a chain of zero to two blocks), full
+            // and bounded layer-0 table.
+            for (dims, cache_rows) in [
+                (&[6, 5, 3][..], None),
+                (&[6, 5, 4, 3], None),
+                (&[6, 5, 4, 3], Some(40)),
+                (&[6, 3], Some(40)),
+            ] {
+                let (graph, features, net) = setup(arch, dims);
+                let full = net.clone().forward(&graph, &features);
+                let cfg = ServingConfig {
+                    cache_rows,
+                    ..ServingConfig::default()
+                };
+                let server = InferenceServer::spawn(&graph, &features, &net, cfg);
+                let n = graph.num_vertices();
+                let probes: Vec<VertexId> = (0..n as VertexId).step_by(37).collect();
+                let futures: Vec<(VertexId, ServedFuture)> = probes
+                    .iter()
+                    .map(|&v| (v, server.query(v).expect("in range")))
+                    .collect();
+                for (v, fut) in futures {
+                    let reply = fut.wait().expect("server alive");
+                    assert_eq!(
+                        reply.embedding.as_slice(),
+                        full.row(v as usize),
+                        "{arch:?} {dims:?} {cache_rows:?}: served row {v} differs from full forward"
+                    );
+                }
             }
         }
     }

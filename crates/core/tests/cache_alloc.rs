@@ -79,6 +79,29 @@ fn warm_pool_samples_with_zero_allocations() {
          (plain path: {plain_allocs} per batch)"
     );
 
+    // The serving flush shape: the exact one-hop chain (fanout ∞) of a
+    // few hub seeds, whose rows are orders of magnitude longer than a
+    // sampled batch's. Same pool, same contract.
+    let mut hubs: Vec<VertexId> = (0..2_000).collect();
+    hubs.sort_by_key(|&v| std::cmp::Reverse(graph.out_degree(v)));
+    hubs.truncate(12);
+    for measured in [false, true] {
+        let before = allocs();
+        for batch in 1..=hubs.len() {
+            let chain = pool
+                .sample_blocks(&graph, &hubs[..batch], &[None], 0)
+                .expect("seeds in range");
+            assert_eq!(chain[0].num_dst(), batch);
+            pool.recycle(chain);
+        }
+        let flushes = allocs() - before;
+        assert!(
+            !measured || flushes == 0,
+            "warm BlockPool allocated {flushes} times over {} flush-shaped chains",
+            hubs.len()
+        );
+    }
+
     // The pooled output is still the plain output, bit for bit.
     let chain = pool
         .sample_blocks(&graph, &seeds, &fanouts, 1)

@@ -1,26 +1,81 @@
-//! Neighbour aggregation kernels on CSR graphs.
+//! AGGREGATE: neighbour aggregation and its adjoint, for every container
+//! the reproduction aggregates over.
 //!
-//! Forward aggregation is row-partitioned over the compute worker pool
-//! (`dgcl_tensor::pool`): output rows are disjoint, so chunks run on any
-//! thread count with bitwise-identical results. The backward passes run
-//! in *gather* form over the cached edge-reversed CSR
-//! ([`CsrGraph::reversed`]): `grad_h[u] = Σ_{v : u ∈ N(v)} grad_out[v]`
-//! writes each output row exactly once — no atomics, no per-vertex
-//! scratch allocation — and, because reversed adjacency lists are sorted
-//! ascending, accumulates each element in the same order as the scatter
-//! formulation, so the two agree bitwise (property-tested).
+//! Forward aggregation is one kernel — the pattern-CSR row loop
+//! [`spmm_pattern_into`] — over a [`CsrGraph`]'s row prefix or a sampled
+//! [`LayerBlock`]; a mean is that sum scaled once per row by
+//! [`mean_scale`], the one statement of the mean rule (the CAGNET backend
+//! scales its SpMM output with it too). Output rows are disjoint, so any
+//! thread count gives bitwise-identical results, and a row aggregates the
+//! same bits from whichever container stores its neighbours in the same
+//! order — a fanout-∞ block row *is* the whole-graph row.
+//!
+//! The adjoint `grad_h[u] = Σ_{v : u ∈ N(v)} grad_out[v]` (for a mean,
+//! of the gradient scaled by the same rule first: `g · (1/deg)` is one
+//! product per element whether formed per edge or per row) runs in
+//! *gather* form over the cached edge-reversed CSR
+//! ([`CsrGraph::reversed`]) for whole graphs: each output row is written
+//! once — no atomics, no per-vertex scratch — and, because reversed
+//! adjacency lists ascend, accumulates in the order the *scatter* form
+//! delivers, so the two agree bitwise (property-tested). The scatter form
+//! is the reference for that test and the adjoint of a block, which is
+//! small, rectangular and has no reverse index.
 
-use dgcl_graph::CsrGraph;
+use dgcl_graph::{CsrGraph, LayerBlock};
+use dgcl_tensor::spmm::{spmm_pattern_into, PAR_WORK_MIN};
 use dgcl_tensor::{pool, Matrix};
 
-/// Minimum `edges * cols` work before the forward kernels spawn workers.
-const PAR_WORK_MIN: usize = 1 << 15;
+use crate::layers::AggKind;
 
-fn par_threads(adj: &CsrGraph, cols: usize) -> usize {
-    if adj.num_edges() * cols.max(1) < PAR_WORK_MIN {
+/// Worker count for a kernel over `nnz` stored entries of `cols`-wide
+/// rows: the pool's, once the work is worth a scoped spawn.
+fn par_threads(nnz: usize, cols: usize) -> usize {
+    if nnz * cols.max(1) < PAR_WORK_MIN {
         1
     } else {
         pool::compute_threads()
+    }
+}
+
+/// The mean rule: scales row `i` of `m` by `1 / degree(i)` where that
+/// degree exceeds 1. Rows of degree 1 stay bit for bit (as `x · 1.0`
+/// would leave them) and rows of degree 0 aggregate nothing, so forward
+/// post-scale and backward pre-scale are both this.
+pub fn mean_scale(m: &mut Matrix, threads: usize, degree: impl Fn(usize) -> usize + Sync) {
+    let cols = m.cols();
+    pool::par_row_chunks(threads, m.as_mut_slice(), cols, |r0, chunk| {
+        for (i, row) in chunk.chunks_mut(cols).enumerate() {
+            let deg = degree(r0 + i);
+            if deg > 1 {
+                let inv = 1.0 / deg as f32;
+                for o in row {
+                    *o *= inv;
+                }
+            }
+        }
+    });
+}
+
+/// `AGGREGATE` over the full neighbourhood, the one dispatch on
+/// [`AggKind`]: [`aggregate_sum`] or [`aggregate_mean`].
+pub fn aggregate(kind: AggKind, adj: &CsrGraph, h: &Matrix, num_out: usize) -> Matrix {
+    match kind {
+        AggKind::Sum => aggregate_sum(adj, h, num_out),
+        AggKind::Mean => aggregate_mean(adj, h, num_out),
+    }
+}
+
+/// The adjoint of [`aggregate`]: [`aggregate_sum_backward`] or
+/// [`aggregate_mean_backward`].
+pub fn aggregate_backward(
+    kind: AggKind,
+    adj: &CsrGraph,
+    grad_out: &Matrix,
+    num_total: usize,
+) -> Matrix {
+    match kind {
+        AggKind::Sum => aggregate_sum_backward(adj, grad_out, num_total),
+        AggKind::Mean => aggregate_mean_backward(adj, grad_out, num_total),
     }
 }
 
@@ -32,7 +87,7 @@ fn par_threads(adj: &CsrGraph, cols: usize) -> usize {
 /// Panics if `num_out` exceeds the adjacency's vertex count or a
 /// neighbour id exceeds `h`'s rows.
 pub fn aggregate_sum(adj: &CsrGraph, h: &Matrix, num_out: usize) -> Matrix {
-    aggregate_sum_threads(adj, h, num_out, par_threads(adj, h.cols()))
+    aggregate_sum_threads(adj, h, num_out, par_threads(adj.num_edges(), h.cols()))
 }
 
 /// [`aggregate_sum`] with an explicit worker count. Results are bitwise
@@ -48,24 +103,22 @@ pub fn aggregate_sum_threads(adj: &CsrGraph, h: &Matrix, num_out: usize, threads
         num_out,
         adj.num_vertices()
     );
-    let cols = h.cols();
-    let mut out = Matrix::zeros(num_out, cols);
-    pool::par_row_chunks(threads, out.as_mut_slice(), cols.max(1), |v0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            for &u in adj.neighbors((v0 + i) as u32) {
-                for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
-                    *o += x;
-                }
-            }
-        }
-    });
+    let mut out = Matrix::zeros(num_out, h.cols());
+    spmm_pattern_into(
+        &adj.offsets()[..=num_out],
+        adj.targets(),
+        h.as_slice(),
+        h.cols(),
+        out.as_mut_slice(),
+        threads,
+    );
     out
 }
 
 /// Mean-aggregates neighbour embeddings; vertices without neighbours get
 /// zeros.
 pub fn aggregate_mean(adj: &CsrGraph, h: &Matrix, num_out: usize) -> Matrix {
-    aggregate_mean_threads(adj, h, num_out, par_threads(adj, h.cols()))
+    aggregate_mean_threads(adj, h, num_out, par_threads(adj.num_edges(), h.cols()))
 }
 
 /// [`aggregate_mean`] with an explicit worker count.
@@ -75,19 +128,8 @@ pub fn aggregate_mean_threads(
     num_out: usize,
     threads: usize,
 ) -> Matrix {
-    let cols = h.cols();
     let mut out = aggregate_sum_threads(adj, h, num_out, threads);
-    pool::par_row_chunks(threads, out.as_mut_slice(), cols.max(1), |v0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            let deg = adj.out_degree((v0 + i) as u32);
-            if deg > 1 {
-                let inv = 1.0 / deg as f32;
-                for o in row {
-                    *o *= inv;
-                }
-            }
-        }
-    });
+    mean_scale(&mut out, threads, |v| adj.out_degree(v as u32));
     out
 }
 
@@ -96,7 +138,8 @@ pub fn aggregate_mean_threads(
 /// atomics or per-vertex allocation. Bitwise-identical to
 /// [`aggregate_sum_backward_scatter`].
 pub fn aggregate_sum_backward(adj: &CsrGraph, grad_out: &Matrix, num_total: usize) -> Matrix {
-    aggregate_sum_backward_threads(adj, grad_out, num_total, par_threads(adj, grad_out.cols()))
+    let threads = par_threads(adj.num_edges(), grad_out.cols());
+    aggregate_sum_backward_threads(adj, grad_out, num_total, threads)
 }
 
 /// [`aggregate_sum_backward`] with an explicit worker count.
@@ -111,7 +154,9 @@ pub fn aggregate_sum_backward_threads(
     let sources = grad_out.rows() as u32;
     let cols = grad_out.cols();
     let mut grad_h = Matrix::zeros(num_total, cols);
-    pool::par_row_chunks(threads, grad_h.as_mut_slice(), cols.max(1), |u0, chunk| {
+    // Not the forward kernel: a reversed row is cut off at the first
+    // source beyond the gradient rows, and rows past `nv` have no list.
+    pool::par_row_chunks(threads, grad_h.as_mut_slice(), cols, |u0, chunk| {
         for (i, row) in chunk.chunks_mut(cols).enumerate() {
             let u = u0 + i;
             if u >= nv {
@@ -134,89 +179,103 @@ pub fn aggregate_sum_backward_threads(
 
 /// Backward of [`aggregate_mean`], gather form (see
 /// [`aggregate_sum_backward`]).
+///
+/// # Panics
+///
+/// Panics if `grad_out` has more rows than `adj` has vertices.
 pub fn aggregate_mean_backward(adj: &CsrGraph, grad_out: &Matrix, num_total: usize) -> Matrix {
-    aggregate_mean_backward_threads(adj, grad_out, num_total, par_threads(adj, grad_out.cols()))
+    let threads = par_threads(adj.num_edges(), grad_out.cols());
+    aggregate_mean_backward_threads(adj, grad_out, num_total, threads)
 }
 
-/// [`aggregate_mean_backward`] with an explicit worker count.
+/// [`aggregate_mean_backward`] with an explicit worker count: the
+/// gradient rows scaled once by the mean rule, then the sum's adjoint.
 pub fn aggregate_mean_backward_threads(
     adj: &CsrGraph,
     grad_out: &Matrix,
     num_total: usize,
     threads: usize,
 ) -> Matrix {
-    let rev = adj.reversed();
-    let nv = rev.num_vertices();
-    let sources = grad_out.rows() as u32;
-    let cols = grad_out.cols();
-    let mut grad_h = Matrix::zeros(num_total, cols);
-    pool::par_row_chunks(threads, grad_h.as_mut_slice(), cols.max(1), |u0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            let u = u0 + i;
-            if u >= nv {
-                continue;
-            }
-            for &v in rev.neighbors(u as u32) {
-                if v >= sources {
-                    break;
-                }
-                let deg = adj.out_degree(v);
-                if deg == 0 {
-                    continue;
-                }
-                let inv = 1.0 / deg as f32;
-                for (o, &x) in row.iter_mut().zip(grad_out.row(v as usize)) {
-                    *o += x * inv;
-                }
-            }
-        }
-    });
-    grad_h
+    let scaled = mean_scaled(adj, grad_out, threads);
+    aggregate_sum_backward_threads(adj, &scaled, num_total, threads)
 }
 
-/// The original scatter formulation of [`aggregate_sum_backward`], kept
-/// as the reference the gather kernels are property-tested against (and
-/// as the baseline `BENCH_compute.json` measures the reverse-CSR win
-/// over).
+/// `grad_out` with row `v` scaled by the mean rule for `adj`'s vertex `v`.
+fn mean_scaled(adj: &CsrGraph, grad_out: &Matrix, threads: usize) -> Matrix {
+    let mut scaled = grad_out.clone();
+    mean_scale(&mut scaled, threads, |v| adj.out_degree(v as u32));
+    scaled
+}
+
+/// The scatter form of the adjoint, for the pattern-CSR `(offsets,
+/// indices)`: row `r` of `grad` lands on every row of `out` its entries
+/// name, rows ascending, entries in stored order.
+fn scatter_rows(offsets: &[usize], indices: &[u32], grad: &Matrix, out: &mut Matrix) {
+    for r in 0..grad.rows() {
+        for &c in &indices[offsets[r]..offsets[r + 1]] {
+            for (o, &x) in out.row_mut(c as usize).iter_mut().zip(grad.row(r)) {
+                *o += x;
+            }
+        }
+    }
+}
+
+/// The scatter formulation of [`aggregate_sum_backward`], kept as the
+/// reference the gather kernel is property-tested against (and as the
+/// baseline `BENCH_compute.json` measures the reverse-CSR win over).
 pub fn aggregate_sum_backward_scatter(
     adj: &CsrGraph,
     grad_out: &Matrix,
     num_total: usize,
 ) -> Matrix {
     let mut grad_h = Matrix::zeros(num_total, grad_out.cols());
-    for v in 0..grad_out.rows() {
-        let g = grad_out.row(v).to_vec();
-        for &u in adj.neighbors(v as u32) {
-            for (o, &x) in grad_h.row_mut(u as usize).iter_mut().zip(&g) {
-                *o += x;
-            }
-        }
-    }
+    scatter_rows(adj.offsets(), adj.targets(), grad_out, &mut grad_h);
     grad_h
 }
 
-/// The original scatter formulation of [`aggregate_mean_backward`]
-/// (reference, see [`aggregate_sum_backward_scatter`]).
+/// The scatter formulation of [`aggregate_mean_backward`] (reference,
+/// see [`aggregate_sum_backward_scatter`]).
 pub fn aggregate_mean_backward_scatter(
     adj: &CsrGraph,
     grad_out: &Matrix,
     num_total: usize,
 ) -> Matrix {
-    let mut grad_h = Matrix::zeros(num_total, grad_out.cols());
-    for v in 0..grad_out.rows() {
-        let deg = adj.out_degree(v as u32);
-        if deg == 0 {
-            continue;
-        }
-        let inv = 1.0 / deg as f32;
-        let g: Vec<f32> = grad_out.row(v).iter().map(|&x| x * inv).collect();
-        for &u in adj.neighbors(v as u32) {
-            for (o, &x) in grad_h.row_mut(u as usize).iter_mut().zip(&g) {
-                *o += x;
-            }
-        }
+    aggregate_sum_backward_scatter(adj, &mean_scaled(adj, grad_out, 1), num_total)
+}
+
+/// [`aggregate`] over a sampled block: row `i` aggregates the rows of
+/// `h_src` (one per `block.src` vertex) that `block.row(i)` names, with
+/// the *sampled* degree as the mean divisor. On the caller's thread: a
+/// block is one step's (or one served batch's) work on a rank whose
+/// peers and load already fill the cores — a scoped spawn per block
+/// doubled `serving-hotkey`'s latency when tried.
+pub fn block_aggregate(kind: AggKind, block: &LayerBlock, h_src: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(block.num_dst(), h_src.cols());
+    spmm_pattern_into(
+        &block.offsets,
+        &block.targets,
+        h_src.as_slice(),
+        h_src.cols(),
+        out.as_mut_slice(),
+        1,
+    );
+    if kind == AggKind::Mean {
+        mean_scale(&mut out, 1, |i| block.row(i).len());
     }
-    grad_h
+    out
+}
+
+/// The adjoint of [`block_aggregate`]: scatters the block rows' aggregate
+/// gradients (consumed: a mean scales them in place) back over the block
+/// edges into a gradient over the block's source rows, zeros where no
+/// edge lands.
+pub fn block_aggregate_backward(kind: AggKind, block: &LayerBlock, mut grad_agg: Matrix) -> Matrix {
+    if kind == AggKind::Mean {
+        mean_scale(&mut grad_agg, 1, |i| block.row(i).len());
+    }
+    let mut out = Matrix::zeros(block.num_src(), grad_agg.cols());
+    scatter_rows(&block.offsets, &block.targets, &grad_agg, &mut out);
+    out
 }
 
 #[cfg(test)]

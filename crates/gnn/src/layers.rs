@@ -3,9 +3,7 @@
 use dgcl_graph::CsrGraph;
 use dgcl_tensor::{Activation, Matrix, XavierInit};
 
-use crate::aggregate::{
-    aggregate_mean, aggregate_mean_backward, aggregate_sum, aggregate_sum_backward,
-};
+use crate::aggregate::{aggregate, aggregate_backward};
 
 /// The three architectures evaluated in the paper (§7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -202,58 +200,8 @@ impl Layer {
     pub fn forward(&mut self, adj: &CsrGraph, h: &Matrix, num_local: usize) -> Matrix {
         assert_eq!(h.cols(), self.fin, "input width mismatch");
         assert!(num_local <= h.rows(), "num_local exceeds input rows");
-        let (agg, mids, output) = match self.arch {
-            Architecture::Gcn => {
-                let agg = aggregate_mean(adj, h, num_local);
-                let z = agg
-                    .matmul(&self.weights[0])
-                    .add_row_broadcast(&self.biases[0]);
-                let out = Activation::Relu.forward(&z);
-                (agg, vec![], out)
-            }
-            Architecture::CommNet => {
-                let agg = aggregate_mean(adj, h, num_local);
-                let h_local = h.head_rows(num_local);
-                let z = h_local
-                    .matmul(&self.weights[0])
-                    .add(&agg.matmul(&self.weights[1]))
-                    .add_row_broadcast(&self.biases[0]);
-                let out = Activation::Tanh.forward(&z);
-                (agg, vec![h_local], out)
-            }
-            Architecture::Gin => {
-                let agg = aggregate_sum(adj, h, num_local);
-                let mut s = h.head_rows(num_local);
-                s.scale_assign(1.0 + GIN_EPS);
-                s.add_assign(&agg);
-                let z1 = s
-                    .matmul(&self.weights[0])
-                    .add_row_broadcast(&self.biases[0]);
-                let r = Activation::Relu.forward(&z1);
-                let out = r
-                    .matmul(&self.weights[1])
-                    .add_row_broadcast(&self.biases[1]);
-                (agg, vec![s, r], out)
-            }
-            Architecture::Sage => {
-                let agg = aggregate_mean(adj, h, num_local);
-                let h_local = h.head_rows(num_local);
-                let s = h_local.hstack(&agg);
-                let z = s
-                    .matmul(&self.weights[0])
-                    .add_row_broadcast(&self.biases[0]);
-                let out = Activation::Relu.forward(&z);
-                (agg, vec![s], out)
-            }
-        };
-        self.cache = Some(Cache {
-            num_total: h.rows(),
-            agg,
-            mids,
-            output: output.clone(),
-            num_local,
-        });
-        output
+        let agg = aggregate(self.arch.agg_kind(), adj, h, num_local);
+        self.update(h, agg)
     }
 
     /// Forward pass with the aggregation already computed — the update
@@ -273,7 +221,14 @@ impl Layer {
         assert_eq!(h_local.cols(), self.fin, "input width mismatch");
         assert_eq!(agg.cols(), self.fin, "aggregation width mismatch");
         assert_eq!(agg.rows(), h_local.rows(), "aggregation row mismatch");
-        let num_local = h_local.rows();
+        self.update(h_local, agg)
+    }
+
+    /// `UPDATE(h_v, a_v)` for the `agg.rows()` local vertices, whose own
+    /// rows lead `h`; rows of `h` past them (remote ones) are never read,
+    /// and GCN, which has no self path, reads none.
+    fn update(&mut self, h: &Matrix, agg: Matrix) -> Matrix {
+        let num_local = agg.rows();
         let (mids, output) = match self.arch {
             Architecture::Gcn => {
                 let z = agg
@@ -282,14 +237,15 @@ impl Layer {
                 (vec![], Activation::Relu.forward(&z))
             }
             Architecture::CommNet => {
+                let h_local = h.head_rows(num_local);
                 let z = h_local
                     .matmul(&self.weights[0])
                     .add(&agg.matmul(&self.weights[1]))
                     .add_row_broadcast(&self.biases[0]);
-                (vec![h_local.clone()], Activation::Tanh.forward(&z))
+                (vec![h_local], Activation::Tanh.forward(&z))
             }
             Architecture::Gin => {
-                let mut s = h_local.clone();
+                let mut s = h.head_rows(num_local);
                 s.scale_assign(1.0 + GIN_EPS);
                 s.add_assign(&agg);
                 let z1 = s
@@ -302,7 +258,7 @@ impl Layer {
                 (vec![s, r], out)
             }
             Architecture::Sage => {
-                let s = h_local.hstack(&agg);
+                let s = h.head_rows(num_local).hstack(&agg);
                 let z = s
                     .matmul(&self.weights[0])
                     .add_row_broadcast(&self.biases[0]);
@@ -310,7 +266,7 @@ impl Layer {
             }
         };
         self.cache = Some(Cache {
-            num_total: num_local,
+            num_total: h.rows(),
             agg,
             mids,
             output: output.clone(),
@@ -334,10 +290,7 @@ impl Layer {
         let num_total = cache.num_total;
         let num_local = cache.num_local;
         let (grad_agg, direct) = self.backward_agg(grad_out);
-        let mut grad_h = match self.arch.agg_kind() {
-            AggKind::Sum => aggregate_sum_backward(adj, &grad_agg, num_total),
-            AggKind::Mean => aggregate_mean_backward(adj, &grad_agg, num_total),
-        };
+        let mut grad_h = aggregate_backward(self.arch.agg_kind(), adj, &grad_agg, num_total);
         if let Some(direct) = direct {
             for v in 0..num_local {
                 for (g, &x) in grad_h.row_mut(v).iter_mut().zip(direct.row(v)) {
@@ -552,10 +505,7 @@ mod tests {
         let mut init = XavierInit::new(11);
         let mut layer = Layer::new(arch, 3, 2, &mut init);
         let h = init.features(6, 3);
-        let agg = match arch.agg_kind() {
-            AggKind::Sum => aggregate_sum(&g, &h, 4),
-            AggKind::Mean => aggregate_mean(&g, &h, 4),
-        };
+        let agg = aggregate(arch.agg_kind(), &g, &h, 4);
         layer.forward_agg(&h.head_rows(4), agg);
         (layer, init.features(4, 2))
     }
@@ -566,6 +516,33 @@ mod tests {
         Architecture::Gin,
         Architecture::Sage,
     ];
+
+    #[test]
+    fn forward_equals_aggregate_then_forward_agg() {
+        // The whole layer over a graph is AGGREGATE then the update of the
+        // local rows, bit for bit: outputs, input gradients (remote rows
+        // included) and parameter gradients.
+        let g = ring(6);
+        for arch in ARCHS {
+            let mut init = XavierInit::new(13);
+            let mut whole = Layer::new(arch, 3, 2, &mut init);
+            let mut split = whole.clone();
+            let (h, grad_out) = (init.features(6, 3), init.features(4, 2));
+            let out = whole.forward(&g, &h, 4);
+            let agg = aggregate(arch.agg_kind(), &g, &h, 4);
+            assert_eq!(split.forward_agg(&h.head_rows(4), agg), out, "{arch:?}");
+            let grad_h = whole.backward(&g, &grad_out);
+            let (grad_agg, direct) = split.backward_agg(&grad_out);
+            let mut want = aggregate_backward(arch.agg_kind(), &g, &grad_agg, 6);
+            if let Some(direct) = direct {
+                want = want.add(&direct.vstack(&Matrix::zeros(2, 3)));
+            }
+            assert_eq!(grad_h, want, "{arch:?}");
+            assert_eq!(whole.gradients(), split.gradients(), "{arch:?}");
+            let remote = [grad_h.row(4), grad_h.row(5)].concat();
+            assert!(remote.iter().any(|&x| x != 0.0), "{arch:?}: remote rows");
+        }
+    }
 
     #[test]
     fn backward_params_leaves_the_gradients_backward_agg_leaves() {

@@ -25,4 +25,4 @@ pub mod loss;
 pub mod model;
 
 pub use layers::{AggKind, Architecture, Layer};
-pub use model::GnnNetwork;
+pub use model::{forward_chain, GnnNetwork};

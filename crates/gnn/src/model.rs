@@ -1,9 +1,32 @@
 //! Multi-layer GNN networks.
 
-use dgcl_graph::CsrGraph;
+use dgcl_graph::{CsrGraph, LayerBlock};
 use dgcl_tensor::{Matrix, XavierInit};
 
+use crate::aggregate::block_aggregate;
 use crate::layers::{Architecture, Layer};
+
+/// The forward of `layers` over one block chain (`layers[i]` over
+/// `blocks[i]`), from the chain's input rows `h` (row `i` is
+/// `blocks[0].src[i]`) to the outputs of its last `dst`; an empty chain
+/// returns `h`. Rows are computed independently and a block row keeps its
+/// neighbours in adjacency order, so a vertex's output row is the same
+/// bits in whichever chain reaches it with the same neighbourhoods — a
+/// fanout-∞ chain computes rows of [`GnnNetwork::forward`].
+///
+/// # Panics
+///
+/// Panics unless there is one block per layer and `h` is one `fin`-wide
+/// row per `blocks[0].src` vertex.
+pub fn forward_chain(layers: &mut [Layer], blocks: &[LayerBlock], mut h: Matrix) -> Matrix {
+    assert_eq!(layers.len(), blocks.len(), "one block per layer");
+    for (layer, block) in layers.iter_mut().zip(blocks) {
+        let self_pos: Vec<usize> = block.dst_pos.iter().map(|&p| p as usize).collect();
+        let agg = block_aggregate(layer.arch().agg_kind(), block, &h);
+        h = layer.forward_agg(&h.gather_rows(&self_pos), agg);
+    }
+    h
+}
 
 /// A stacked K-layer GNN of one architecture.
 ///

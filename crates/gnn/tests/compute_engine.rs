@@ -1,5 +1,7 @@
 //! Property tests for the parallel aggregation kernels: thread-count
-//! invariance and scatter/gather backward equivalence, all bitwise.
+//! invariance, scatter/gather backward equivalence and container
+//! independence (a fanout-∞ block row is the whole-graph row; a
+//! `CsrBlock` is the equal `CsrGraph`), all bitwise.
 //!
 //! The gather-form backward walks the cached edge-reversed CSR; because
 //! reversed adjacency lists are sorted ascending, it accumulates each
@@ -10,16 +12,26 @@
 use dgcl_gnn::aggregate::{
     aggregate_mean_backward_scatter, aggregate_mean_backward_threads, aggregate_mean_threads,
     aggregate_sum_backward_scatter, aggregate_sum_backward_threads, aggregate_sum_threads,
+    block_aggregate, block_aggregate_backward,
 };
-use dgcl_graph::{CsrGraph, GraphBuilder};
-use dgcl_tensor::Matrix;
+use dgcl_gnn::AggKind;
+use dgcl_graph::sample::build_block;
+use dgcl_graph::{CsrGraph, GraphBuilder, LayerBlock, VertexId};
+use dgcl_tensor::{spmm_csr_dense_into, spmm_pattern_into, CsrBlock, Matrix};
 use proptest::prelude::*;
 
 const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
 
-/// A random directed graph on `n` vertices plus matching features: edge
-/// list drawn as (src, dst) pairs, self-loops dropped by the builder.
-fn arb_graph_and_features() -> impl Strategy<Value = (CsrGraph, Matrix, usize)> {
+/// `m`'s rows for the global ids `set`.
+fn vertex_rows(m: &Matrix, set: &[VertexId]) -> Matrix {
+    let idx: Vec<usize> = set.iter().map(|&v| v as usize).collect();
+    m.gather_rows(&idx)
+}
+
+/// A random directed graph on `n` vertices plus matching features and
+/// the fanout-∞ [`LayerBlock`] of a vertex subset: edge list drawn as
+/// (src, dst) pairs, self-loops dropped by the builder.
+fn arb_graph_and_features() -> impl Strategy<Value = (CsrGraph, Matrix, LayerBlock)> {
     (2usize..60, 1usize..12, 0usize..240).prop_map(|(n, cols, edges)| {
         let mut b = GraphBuilder::new(n);
         let mut h = 0x5DEE_CE66u64;
@@ -47,7 +59,11 @@ fn arb_graph_and_features() -> impl Strategy<Value = (CsrGraph, Matrix, usize)> 
                 }
             })
             .collect();
-        (g, Matrix::from_vec(n, cols, data), cols)
+        let subset: Vec<VertexId> = (0..n as VertexId)
+            .filter(|&v| (h >> (v % 48)) & 1 == 1)
+            .collect();
+        let block = build_block(&g, &subset, None, 0, 0).expect("subset in range");
+        (g, Matrix::from_vec(n, cols, data), block)
     })
 }
 
@@ -56,15 +72,34 @@ proptest! {
 
     #[test]
     fn forward_aggregation_is_thread_count_invariant(
-        (g, h, _) in arb_graph_and_features()
+        (g, h, block) in arb_graph_and_features()
     ) {
         let n = g.num_vertices();
         let sum_ref = aggregate_sum_threads(&g, &h, n, 1);
         let mean_ref = aggregate_mean_threads(&g, &h, n, 1);
+        // The raw kernel over the same pattern held as a `CsrBlock`.
+        let as_block = CsrBlock::from_parts(n, n, g.offsets().to_vec(), g.targets().to_vec());
         for t in THREADS {
             prop_assert_eq!(&aggregate_sum_threads(&g, &h, n, t), &sum_ref, "sum t={}", t);
             prop_assert_eq!(&aggregate_mean_threads(&g, &h, n, t), &mean_ref, "mean t={}", t);
+            let (mut of_graph, mut of_block) = (Matrix::zeros(n, h.cols()), Matrix::zeros(n, h.cols()));
+            let (dense, cols) = (h.as_slice(), h.cols());
+            spmm_pattern_into(g.offsets(), g.targets(), dense, cols, of_graph.as_mut_slice(), t);
+            spmm_csr_dense_into(&as_block, dense, cols, of_block.as_mut_slice(), t);
+            prop_assert_eq!(&of_graph, &sum_ref, "raw kernel t={}", t);
+            prop_assert_eq!(&of_block, &sum_ref, "CsrBlock t={}", t);
         }
+        // A fanout-∞ block aggregates, from its compact source rows, the
+        // whole-graph rows of its destination vertices.
+        let h_src = vertex_rows(&h, &block.src);
+        prop_assert_eq!(
+            block_aggregate(AggKind::Sum, &block, &h_src),
+            vertex_rows(&sum_ref, &block.dst)
+        );
+        prop_assert_eq!(
+            block_aggregate(AggKind::Mean, &block, &h_src),
+            vertex_rows(&mean_ref, &block.dst)
+        );
         // Partial output rows (the distributed layout aggregates only
         // the locally-owned prefix) stay invariant too.
         let partial = n / 2;
@@ -76,9 +111,27 @@ proptest! {
 
     #[test]
     fn gather_backward_matches_scatter_bitwise(
-        (g, grad, _) in arb_graph_and_features()
+        (g, grad, block) in arb_graph_and_features()
     ) {
         let n = g.num_vertices();
+        // A block's adjoint is the scatter reference of the gradient
+        // zero-padded to every vertex, read at the block's source rows;
+        // no other row receives anything.
+        let mut padded = Matrix::zeros(n, grad.cols());
+        for &v in &block.dst {
+            padded.set_row(v as usize, grad.row(v as usize));
+        }
+        let outside: Vec<VertexId> = (0..n as VertexId)
+            .filter(|v| block.src.binary_search(v).is_err())
+            .collect();
+        for (kind, reference) in [
+            (AggKind::Sum, aggregate_sum_backward_scatter(&g, &padded, n)),
+            (AggKind::Mean, aggregate_mean_backward_scatter(&g, &padded, n)),
+        ] {
+            let got = block_aggregate_backward(kind, &block, vertex_rows(&grad, &block.dst));
+            prop_assert_eq!(got, vertex_rows(&reference, &block.src), "{:?}", kind);
+            prop_assert_eq!(vertex_rows(&reference, &outside).norm_sq(), 0.0, "{:?}", kind);
+        }
         // num_total >= grad rows: the distributed backward produces
         // gradients for all visible rows, including never-referenced ones.
         for num_total in [n, n + 3] {

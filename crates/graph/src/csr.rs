@@ -120,6 +120,18 @@ impl CsrGraph {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
+    /// The row offsets into [`CsrGraph::targets`], `num_vertices() + 1`
+    /// long — with `targets`, the raw pattern the aggregation kernel
+    /// (`dgcl_tensor::spmm_pattern_into`) walks.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Every adjacency list back to back, in vertex order.
+    pub fn targets(&self) -> &[VertexId] {
+        &self.targets
+    }
+
     /// Iterates over all directed edges as `(src, dst)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         (0..self.num_vertices() as VertexId)
@@ -200,6 +212,7 @@ mod tests {
         assert_eq!(g.out_degree(0), 1);
         assert_eq!(g.out_degree(2), 0);
         assert_eq!(g.neighbors(1), &[2]);
+        assert_eq!((g.offsets(), g.targets()), (&[0, 1, 2, 2][..], &[1, 2][..]));
     }
 
     #[test]

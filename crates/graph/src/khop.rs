@@ -127,11 +127,6 @@ impl SparseClosure {
         &self.visited
     }
 
-    /// Consumes the closure, returning the sorted visited list.
-    pub fn into_visited(self) -> Vec<VertexId> {
-        self.visited
-    }
-
     /// Whether `v` is in the closure.
     pub fn contains(&self, v: VertexId) -> bool {
         self.visited.binary_search(&v).is_ok()

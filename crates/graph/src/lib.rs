@@ -35,7 +35,7 @@ pub use datasets::Dataset;
 pub use khop::{
     k_hop_closure, k_hop_closure_sparse, replication_factor, GraphError, SparseClosure,
 };
-pub use sample::{sample_blocks, sampled_src, seed_batches, BlockPool, LayerBlock};
+pub use sample::{sample_blocks, seed_batches, BlockPool, LayerBlock};
 
 /// Vertex identifier within a graph.
 pub type VertexId = u32;

@@ -214,23 +214,6 @@ pub fn build_block(
     Ok(block)
 }
 
-/// The sorted global source set [`build_block`] would produce for the
-/// same inputs, without materialising the adjacency — for cost models
-/// and peer-need replication.
-///
-/// # Errors
-///
-/// [`GraphError::SeedOutOfRange`] if any `dst` vertex is out of range.
-pub fn sampled_src(
-    graph: &CsrGraph,
-    dst: &[VertexId],
-    fanout: Option<usize>,
-    seed: u64,
-    layer: usize,
-) -> Result<Vec<VertexId>, GraphError> {
-    Ok(build_block(graph, dst, fanout, seed, layer)?.src)
-}
-
 /// Samples the full block chain for one batch: `fanouts.len()` layers,
 /// returned in forward order (`blocks[0]` touches the raw features). The
 /// chain invariant is `blocks[l].dst == blocks[l + 1].src`, and
@@ -453,16 +436,6 @@ mod tests {
         let a = sample_blocks(&g, &[0, 1, 2, 3, 4], &[Some(2)], 1).unwrap();
         let b = sample_blocks(&g, &[0, 1, 2, 3, 4], &[Some(2)], 2).unwrap();
         assert_ne!(a, b, "distinct seeds should draw distinct samples");
-    }
-
-    #[test]
-    fn sampled_src_matches_block() {
-        let g = graph();
-        let b = build_block(&g, &[10, 20, 30], Some(3), 55, 1).unwrap();
-        assert_eq!(
-            sampled_src(&g, &[10, 20, 30], Some(3), 55, 1).unwrap(),
-            b.src
-        );
     }
 
     #[test]

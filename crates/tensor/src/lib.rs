@@ -28,4 +28,4 @@ pub use activation::Activation;
 pub use init::XavierInit;
 pub use matrix::Matrix;
 pub use pool::{compute_threads, set_compute_threads};
-pub use spmm::{spmm_csr_dense_into, CsrBlock};
+pub use spmm::{spmm_csr_dense_into, spmm_pattern_into, CsrBlock};

@@ -1,25 +1,29 @@
-//! Sparse-matrix × dense-matrix multiply for the CAGNET aggregation
-//! backend.
+//! Pattern-CSR × dense multiply: the one sparse row loop of the
+//! reproduction.
 //!
-//! The CAGNET algorithms (Tripathy et al., *Reducing Communication in
-//! Graph Neural Network Training*) drive GNN aggregation as a sequence of
-//! broadcasts interleaved with local SpMM over block-partitioned
-//! adjacency. This module supplies the block type ([`CsrBlock`]) and the
-//! threaded accumulate kernel ([`spmm_csr_dense_into`]).
+//! GNN aggregation is an SpMM of a 0/1 pattern with a dense matrix
+//! (CAGNET, PAPERS.md). [`spmm_pattern_into`] is that product over raw
+//! `(offsets, indices)` slices, and every container is a caller: the
+//! whole-graph `CsrGraph` and the sampler's rectangular `LayerBlock`s
+//! (through `dgcl_gnn::aggregate`), and the CAGNET backend's
+//! block-partitioned adjacency ([`CsrBlock`] through
+//! [`spmm_csr_dense_into`]).
 //!
-//! Blocks are *pattern-only*: GNN adjacency is unweighted, so every
-//! stored entry has the implicit value `1.0` and a multiply is a plain
-//! gather-and-add. Mean normalization is applied by the caller (it
-//! depends on the *global* degree, which a block cannot know).
+//! Patterns carry no values: GNN adjacency is unweighted, so every
+//! stored entry is an implicit `1.0` and a multiply is a plain
+//! gather-and-add. Mean normalisation is the caller's
+//! (`dgcl_gnn::aggregate::mean_scale`): it depends on a degree the
+//! pattern alone may not know (a CAGNET block sees a slice of a row).
 //!
 //! # Determinism contract
 //!
-//! The kernel accumulates each output row sequentially, in stored column
+//! The kernel accumulates each output row sequentially, in stored index
 //! order, split over threads with [`pool::par_row_chunks`] — so results
-//! are bitwise identical at every thread count, and bitwise identical to
-//! a single-device fold *if* the caller presents blocks whose columns
-//! appear in ascending global order and accumulates blocks in ascending
-//! global column-range order.
+//! are bitwise identical at every thread count, and two containers that
+//! store a row's entries in the same order produce the same bits for it.
+//! The CAGNET backend stays bitwise equal to the single-device fold by
+//! presenting blocks whose columns ascend in global order and
+//! accumulating blocks in ascending global column-range order.
 
 use crate::pool;
 
@@ -111,12 +115,52 @@ impl CsrBlock {
     }
 }
 
-/// `out += block · dense`, threaded and bitwise-deterministic.
+/// Work (stored entries × feature width) below which a sparse kernel is
+/// not worth a scoped spawn and stays on the caller's thread.
+pub const PAR_WORK_MIN: usize = 1 << 15;
+
+/// `out += pattern · dense` for the pattern-CSR `(offsets, indices)`,
+/// threaded and bitwise-deterministic.
 ///
-/// `dense` is row-major `block.cols() × cols`; `out` is row-major
-/// `block.rows() × cols`. Each output row `r` accumulates the dense rows
-/// named by `block.row(r)` in stored order, after whatever `out` already
-/// holds — callers chain calls over several blocks to extend the fold.
+/// The pattern has `offsets.len() - 1` rows; row `r` stores
+/// `indices[offsets[r]..offsets[r + 1]]` (so `offsets` may be a window of
+/// a longer array, as long as it indexes `indices` absolutely). `dense`
+/// and `out` are row-major, `cols` wide. Output row `r` accumulates the
+/// dense rows its entries name, in stored order, after whatever `out`
+/// already holds, on exactly `threads` workers — callers apply
+/// [`PAR_WORK_MIN`].
+///
+/// # Panics
+///
+/// Panics if `out` is not `offsets.len() - 1` rows of `cols`, or if an
+/// entry names a row `dense` does not have.
+pub fn spmm_pattern_into(
+    offsets: &[usize],
+    indices: &[u32],
+    dense: &[f32],
+    cols: usize,
+    out: &mut [f32],
+    threads: usize,
+) {
+    let rows = offsets.len().saturating_sub(1);
+    assert_eq!(out.len(), rows * cols, "output is not {rows} x {cols}");
+    pool::par_row_chunks(threads, out, cols, |first_row, chunk| {
+        for (i, orow) in chunk.chunks_mut(cols).enumerate() {
+            let r = first_row + i;
+            for &c in &indices[offsets[r]..offsets[r + 1]] {
+                let src = &dense[c as usize * cols..(c as usize + 1) * cols];
+                for (o, x) in orow.iter_mut().zip(src) {
+                    *o += *x;
+                }
+            }
+        }
+    });
+}
+
+/// `out += block · dense` ([`spmm_pattern_into`] over a [`CsrBlock`]):
+/// `dense` is row-major `block.cols() × cols`, `out` is row-major
+/// `block.rows() × cols`; callers chain calls over several blocks to
+/// extend the fold. Stays sequential below [`PAR_WORK_MIN`].
 ///
 /// # Panics
 ///
@@ -142,31 +186,13 @@ pub fn spmm_csr_dense_into(
         out.len(),
         block.rows(),
     );
-    if cols == 0 || block.rows() == 0 {
-        return;
-    }
-    // Same parallelism threshold shape as the aggregation kernels: tiny
-    // blocks are not worth a scoped spawn.
     let threads = if block.nnz().saturating_mul(cols) < PAR_WORK_MIN {
         1
     } else {
         threads
     };
-    pool::par_row_chunks(threads, out, cols, |first_row, chunk| {
-        for (i, orow) in chunk.chunks_mut(cols).enumerate() {
-            for &c in block.row(first_row + i) {
-                let src = &dense[c as usize * cols..(c as usize + 1) * cols];
-                for (o, x) in orow.iter_mut().zip(src) {
-                    *o += *x;
-                }
-            }
-        }
-    });
+    spmm_pattern_into(&block.offsets, &block.indices, dense, cols, out, threads);
 }
-
-/// Work threshold (entries × feature width) below which the kernel stays
-/// sequential.
-const PAR_WORK_MIN: usize = 1 << 15;
 
 #[cfg(test)]
 mod tests {
