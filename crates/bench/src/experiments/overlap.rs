@@ -11,8 +11,10 @@
 //!   links, so the pipelined column must come out strictly below the
 //!   barriered one.
 //! * **Measured** — one real threaded training run per dataset with
-//!   `TrainConfig::overlap` off then on. Both paths are
-//!   bitwise-deterministic and produce identical losses; the wall-clock
+//!   `TrainConfig::overlap` off (`inline_seconds`: one inline gradient
+//!   allreduce per step) then on (per-layer buckets on a background
+//!   worker); gather / scatter run the same executor in both. Both paths
+//!   are bitwise-deterministic and produce identical losses; the wall-clock
 //!   delta is only meaningful with spare cores (the JSON records `cpus`
 //!   so a 1-CPU runner documents its ceiling instead of faking a win).
 //!
@@ -49,10 +51,10 @@ struct SimRecord {
     speedup: f64,
 }
 
-/// One measured training run (barriered vs overlapped wall clock).
+/// One measured training run (inline vs overlapped wall clock).
 struct MeasuredRecord {
     dataset: &'static str,
-    barriered_seconds: f64,
+    inline_seconds: f64,
     overlapped_seconds: f64,
     speedup: f64,
 }
@@ -136,7 +138,7 @@ pub fn run(ctx: &mut RunContext) {
         let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
         let mut cfg = TrainConfig::new(Architecture::Gcn, &[feats, 8], epochs);
         cfg.overlap = false;
-        let barriered = time(reps, || {
+        let inline = time(reps, || {
             std::hint::black_box(
                 train_distributed(&info, &graph, &features, &targets, &cfg)
                     .expect("healthy cluster"),
@@ -149,23 +151,23 @@ pub fn run(ctx: &mut RunContext) {
                     .expect("healthy cluster"),
             );
         });
-        let speedup = barriered / overlapped.max(1e-12);
+        let speedup = inline / overlapped.max(1e-12);
         measured_rows.push(vec![
             dataset.name().to_string(),
-            ms(barriered),
+            ms(inline),
             ms(overlapped),
             format!("{speedup:.2}x"),
         ]);
         measured.push(MeasuredRecord {
             dataset: dataset.name(),
-            barriered_seconds: barriered,
+            inline_seconds: inline,
             overlapped_seconds: overlapped,
             speedup,
         });
     }
     print_table(
         "Overlap: measured training wall clock (4 simulated GPUs, threads)",
-        &["Dataset", "Barriered (ms)", "Overlapped (ms)", "Speedup"],
+        &["Dataset", "Inline (ms)", "Overlapped (ms)", "Speedup"],
         &measured_rows,
     );
     println!(
@@ -219,8 +221,8 @@ fn render_json(smoke: bool, sims: &[SimRecord], measured: &[MeasuredRecord]) -> 
         let comma = if i + 1 == measured.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"dataset\": \"{}\", \"barriered_seconds\": {:.6}, \"overlapped_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
-            r.dataset, r.barriered_seconds, r.overlapped_seconds, r.speedup, comma,
+            "    {{\"dataset\": \"{}\", \"inline_seconds\": {:.6}, \"overlapped_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
+            r.dataset, r.inline_seconds, r.overlapped_seconds, r.speedup, comma,
         );
     }
     let _ = writeln!(out, "  ]");
@@ -244,7 +246,7 @@ mod tests {
         }];
         let measured = [MeasuredRecord {
             dataset: "web-google",
-            barriered_seconds: 0.5,
+            inline_seconds: 0.5,
             overlapped_seconds: 0.4,
             speedup: 1.25,
         }];
@@ -254,6 +256,7 @@ mod tests {
         assert!(json.contains("\"bench\": \"overlap\""));
         assert!(json.contains("\"devices\": 4"));
         assert!(json.contains("\"pipelined_seconds\": 1.500000"));
+        assert!(json.contains("\"inline_seconds\": 0.500000"));
         assert!(json.contains("\"overlapped_seconds\": 0.400000"));
         assert!(json.contains("\"smoke\": true"));
     }

@@ -44,7 +44,7 @@ use dgcl_tensor::{compute_threads, spmm_csr_dense_into, CsrBlock, Matrix};
 use crate::collectives::{BroadcastAlgo, GroupSpec};
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, MsgKey};
-use crate::runtime::{DeviceHandle, ExecStrategy};
+use crate::runtime::DeviceHandle;
 
 /// How [`build_comm_info`](crate::comm_info::build_comm_info) picks the
 /// aggregation backend.
@@ -100,11 +100,10 @@ pub trait CommBackend {
     ) -> Result<Matrix, RuntimeError>;
 }
 
-/// The backend matching `kind`, with planned paths driven by
-/// `strategy`.
-pub fn backend_for(kind: BackendKind, strategy: ExecStrategy) -> Box<dyn CommBackend> {
+/// The backend matching `kind`.
+pub fn backend_for(kind: BackendKind) -> Box<dyn CommBackend> {
     match kind {
-        BackendKind::Planned => Box::new(PlannedBackend { strategy }),
+        BackendKind::Planned => Box::new(PlannedBackend),
         BackendKind::Cagnet { replication } => Box::new(CagnetBackend { replication }),
     }
 }
@@ -112,10 +111,7 @@ pub fn backend_for(kind: BackendKind, strategy: ExecStrategy) -> Box<dyn CommBac
 /// The SPST-planned backend: allgather the vertex-cut halo, aggregate
 /// locally, scatter gradients back along the reversed plan.
 #[derive(Debug, Clone, Copy)]
-pub struct PlannedBackend {
-    /// Which gather/scatter executor to run.
-    pub strategy: ExecStrategy,
-}
+pub struct PlannedBackend;
 
 impl CommBackend for PlannedBackend {
     fn name(&self) -> &'static str {
@@ -129,7 +125,7 @@ impl CommBackend for PlannedBackend {
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError> {
         let lg = dev.local_graph();
-        let full = dev.graph_allgather_with(self.strategy, h_local)?;
+        let full = dev.graph_allgather(h_local)?;
         Ok(aggregate(kind, &lg.graph, &full, lg.num_local))
     }
 
@@ -141,7 +137,7 @@ impl CommBackend for PlannedBackend {
     ) -> Result<Matrix, RuntimeError> {
         let lg = dev.local_graph();
         let grad_full = aggregate_backward(kind, &lg.graph, grad_agg, lg.num_total());
-        dev.scatter_backward_with(self.strategy, &grad_full)
+        dev.scatter_backward(&grad_full)
     }
 }
 

@@ -46,9 +46,10 @@ use crate::error::{ClusterFailure, RuntimeError};
 use crate::fault::FaultPlan;
 
 /// Identifies one batched message: `(operation, stage, substage, chunk)`.
-/// Barriered paths always use chunk `0`; the pipelined executor keys each
-/// fixed-size row chunk separately so a relay can forward chunk `k` while
-/// chunk `k + 1` is still in flight.
+/// Unchunked paths (the reference walkers, the sampled row exchange,
+/// CAGNET's chain hops) always use chunk `0`; the pipelined executor keys
+/// each fixed-size row chunk separately so a relay can forward chunk `k`
+/// while chunk `k + 1` is still in flight.
 pub type MsgKey = (u64, u32, u32, u32);
 
 /// Flags a payload whose length disagrees with the schedule — a protocol

@@ -93,6 +93,6 @@ pub use featcache::{
 };
 pub use pipeline::PipelineSchedule;
 pub use recovery::{train_elastic, ElasticReport, RecoveryConfig, RecoveryEvent, ResumePolicy};
-pub use runtime::{run_cluster, run_cluster_with, DeviceHandle, ExecStrategy};
+pub use runtime::{run_cluster, run_cluster_with, DeviceHandle};
 pub use sampling::{GatherPlan, SamplingConfig};
 pub use serving::{InferenceServer, ServedFuture, ServedReply, ServingConfig};

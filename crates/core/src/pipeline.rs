@@ -1,17 +1,21 @@
-//! Chunk-pipelined execution of the compiled device schedules.
+//! Chunk-pipelined execution of the compiled device schedules: the one
+//! executor every planned gather / scatter and every compiled collective
+//! of the zoo runs on.
 //!
-//! The stage-barriered driver (`Driver::Staged`) moves each `(stage,
-//! substage, peer)` payload as one message and blocks on an entire stage
-//! before forwarding a single row — link time and relay time add up.
-//! NCCL-style collectives get their bandwidth from the missing
-//! ingredient: payloads split into fixed-size chunks that stream through
-//! relays, so a relay forwards chunk `k` the moment it arrives while
-//! chunk `k + 1` is still in flight.
+//! A stage barrier moves each `(stage, substage, peer)` payload as one
+//! message and blocks on an entire stage before forwarding a single row —
+//! link time and relay time add up. NCCL-style collectives get their
+//! bandwidth from the missing ingredient: payloads split into fixed-size
+//! chunks that stream through relays, so a relay forwards chunk `k` the
+//! moment it arrives while chunk `k + 1` is still in flight. A schedule
+//! compiled with `chunk_rows = usize::MAX` sends one message per entry,
+//! the barrier's granularity, without the barrier.
 //!
 //! This module compiles a [`DeviceSchedule`] into a [`PipelineSchedule`]:
 //! a flat list of per-chunk send/receive [`ChunkAction`]s plus a packed
 //! dependency list. Dependencies encode exactly the data hazards of the
-//! barriered reference order:
+//! stage order (the order the uncompiled `*_reference` table walkers of
+//! [`crate::runtime`] run in):
 //!
 //! * a **send** depends on the last receive that wrote any of its rows
 //!   (true dependency — a relay cannot forward a chunk before it holds
@@ -36,13 +40,14 @@
 //! serialised by the writer chain and reads are pinned between the
 //! writes they observed in the reference order by the anti-dependencies
 //! — every payload and every output is bitwise identical to the
-//! barriered path, which the property suite asserts across chunk sizes.
+//! reference walkers, which the property suite asserts across chunk
+//! sizes.
 //!
 //! # Deadlock freedom
 //!
 //! Dependencies always point to earlier actions in the compiled order
-//! (the barriered reference order), so the *first* incomplete action of
-//! a stuck device is always dependency-ready; because sends are always
+//! (the stage order), so the *first* incomplete action of a stuck
+//! device is always dependency-ready; because sends are always
 //! executable, it is a receive. Order all actions of all devices by
 //! `(stage, substage, send-before-recv, chunk)`: a matching send
 //! strictly precedes its receive in that order, so the globally minimal
@@ -100,8 +105,7 @@ pub struct ChunkAction {
 pub struct PipelineSchedule {
     /// Rows per chunk the schedule was compiled for.
     pub chunk_rows: usize,
-    /// Actions in the barriered reference order (dependencies always
-    /// point backwards).
+    /// Actions in stage order (dependencies always point backwards).
     pub actions: Vec<ChunkAction>,
     /// Packed dependency lists, indexed by [`ChunkAction::deps`].
     pub deps: Vec<u32>,
@@ -156,7 +160,7 @@ pub fn compile(sched: &DeviceSchedule, row_space: usize, chunk_rows: usize) -> P
     let mut readers: Vec<Vec<u32>> = vec![Vec::new(); row_space];
     let mut dep_scratch: Vec<u32> = Vec::new();
     for group in &sched.groups {
-        // Sends before receives within a group, mirroring the barriered
+        // Sends before receives within a group, mirroring the reference
         // order (so a stuck device's first incomplete action is a recv).
         for idx in group.ios.clone() {
             let refs = &sched.send_refs[idx];
@@ -362,98 +366,21 @@ where
     Ok(())
 }
 
-/// Which compiled executor moves a schedule's rows. Both call the same
-/// row closure, so payloads and results are bitwise identical; they
-/// differ in message granularity and in what a device waits for.
-pub(crate) enum Driver<'a> {
-    /// Dependency-driven chunks ([`execute`]).
-    Chunked(&'a PipelineSchedule, &'a mut PipelineScratch),
-    /// One message per (stage, substage, peer), each stage's receives
-    /// drained before the next stage's sends ([`execute_staged`]).
-    Staged,
-}
-
-/// Runs one compiled operation under `driver`.
-#[allow(clippy::too_many_arguments)]
-fn drive<F: FnMut(ChunkIo<'_>)>(
-    fabric: &Fabric,
-    rank: usize,
-    op: u64,
-    sched: &DeviceSchedule,
-    ios: &[StageIo],
-    cols: usize,
-    driver: Driver<'_>,
-    io: F,
-) -> Result<(), RuntimeError> {
-    match driver {
-        Driver::Chunked(pipe, scratch) => {
-            execute(fabric, rank, op, sched, pipe, ios, cols, scratch, io)
-        }
-        Driver::Staged => execute_staged(fabric, rank, op, sched, ios, cols, io),
-    }
-}
-
-/// The stage-barriered walk over `sched.groups`: per group, sends are
-/// posted first and receives drained second, so no cycle of blocking
-/// receives can form within a stage.
-fn execute_staged<F: FnMut(ChunkIo<'_>)>(
-    fabric: &Fabric,
-    rank: usize,
-    op: u64,
-    sched: &DeviceSchedule,
-    ios: &[StageIo],
-    cols: usize,
-    mut io: F,
-) -> Result<(), RuntimeError> {
-    for group in &sched.groups {
-        let key: MsgKey = (op, group.stage as u32, group.substage as u32, 0);
-        for entry in group.ios.clone() {
-            let refs = &sched.send_refs[entry][..];
-            if refs.is_empty() {
-                continue;
-            }
-            let peer = ios[entry].peer;
-            fabric.wait_ready(peer, op, rank)?;
-            let mut payload = fabric.checkout(refs.len() * cols);
-            io(ChunkIo::Pack {
-                entry: entry as u32,
-                refs,
-                payload: &mut payload,
-            });
-            fabric.send(rank, peer, key, payload)?;
-        }
-        for entry in group.ios.clone() {
-            let refs = &sched.recv_refs[entry][..];
-            if refs.is_empty() {
-                continue;
-            }
-            let payload = fabric.recv(ios[entry].peer, rank, key)?;
-            expect_payload(rank, payload.len(), refs.len() * cols, key)?;
-            io(ChunkIo::Apply {
-                entry: entry as u32,
-                refs,
-                payload: &payload,
-            });
-            fabric.recycle(payload);
-        }
-    }
-    Ok(())
-}
-
 /// The compiled `graph_allgather`: the forward (overwrite)
 /// row-reference encoding of [`DeviceSchedule::forward`], moved by
-/// `driver`.
+/// [`execute`] over `pipe`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_allgather(
     fabric: &Fabric,
     rank: usize,
     op: u64,
     sched: &DeviceSchedule,
+    pipe: &PipelineSchedule,
     ios: &[StageIo],
     num_local: usize,
     num_total: usize,
     local: &Matrix,
-    driver: Driver<'_>,
+    scratch: &mut PipelineScratch,
 ) -> Result<Matrix, RuntimeError> {
     assert_eq!(local.rows(), num_local, "expected local rows only");
     let cols = local.cols();
@@ -462,14 +389,15 @@ pub(crate) fn forward_allgather(
     // Rows this device relays without consuming.
     let mut relay = fabric.checkout(sched.scratch_rows * cols);
     relay.resize(sched.scratch_rows * cols, 0.0);
-    drive(
+    execute(
         fabric,
         rank,
         op,
         sched,
+        pipe,
         ios,
         cols,
-        driver,
+        scratch,
         |req| match req {
             ChunkIo::Pack { refs, payload, .. } => {
                 for &r in refs {
@@ -503,18 +431,19 @@ pub(crate) fn forward_allgather(
 
 /// The compiled `scatter_backward`: the backward (accumulate)
 /// row-reference encoding of [`DeviceSchedule::backward`], moved by
-/// `driver`.
+/// [`execute`] over `pipe`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_scatter(
     fabric: &Fabric,
     rank: usize,
     op: u64,
     sched: &DeviceSchedule,
+    pipe: &PipelineSchedule,
     ios: &[StageIo],
     num_local: usize,
     num_total: usize,
     grad_full: &Matrix,
-    driver: Driver<'_>,
+    scratch: &mut PipelineScratch,
 ) -> Result<Matrix, RuntimeError> {
     assert_eq!(grad_full.rows(), num_total, "expected full rows");
     let cols = grad_full.cols();
@@ -526,14 +455,15 @@ pub(crate) fn backward_scatter(
     acc.resize(sched.scratch_rows * cols, 0.0);
     let seeded = (num_total - num_local) * cols;
     acc[..seeded].copy_from_slice(&grad_full.as_slice()[num_local * cols..]);
-    drive(
+    execute(
         fabric,
         rank,
         op,
         sched,
+        pipe,
         ios,
         cols,
-        driver,
+        scratch,
         |req| match req {
             ChunkIo::Pack { refs, payload, .. } => {
                 for &r in refs {

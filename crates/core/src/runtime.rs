@@ -1,6 +1,11 @@
 //! The per-device runtime: graph allgather, backward scatter and model
 //! allreduce over the shared fabric.
 //!
+//! The planned gather and scatter have one compiled executor, the chunked
+//! dependency walk of [`crate::pipeline`]. The uncompiled `*_reference`
+//! table walkers are separate code on purpose: they are the independent
+//! oracle the compiled path is tested against.
+//!
 //! Every collective returns `Result<_, RuntimeError>`: a protocol
 //! violation, an injected crash, a poisoned fabric or a missed deadline
 //! surfaces as a typed error on every rank instead of a hang or an
@@ -21,7 +26,7 @@ use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, FabricConfig, MsgKey};
 use crate::overlap::{OverlapWorker, Pending};
-use crate::pipeline::{self, Driver, PipelineSchedule, PipelineScratch};
+use crate::pipeline::{self, PipelineScratch};
 use crate::sampling::{execute_gather, GatherPlan};
 
 /// A device's view of the cluster: its rank, its local graph and the
@@ -36,27 +41,6 @@ pub struct DeviceHandle<'a> {
     engine: RefCell<CollectiveEngine>,
 }
 
-/// Which executor drives a planned gather / scatter. All three are
-/// bitwise-identical; they trade fidelity for speed:
-///
-/// * [`Pipelined`](ExecStrategy::Pipelined) — chunked streaming through
-///   relays, driven by the precompiled dependency list (the shipping
-///   path).
-/// * [`Barriered`](ExecStrategy::Barriered) — one message per (stage,
-///   substage, peer), blocking on an entire stage before forwarding;
-///   the same compiled row closures under `pipeline::Driver::Staged`.
-/// * [`Reference`](ExecStrategy::Reference) — uncompiled table walking
-///   that resolves every vertex id per operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecStrategy {
-    /// The chunk-pipelined executor (see [`crate::pipeline`]).
-    Pipelined,
-    /// The stage-barriered compiled executor.
-    Barriered,
-    /// The uncompiled table-walking reference.
-    Reference,
-}
-
 /// Per-(stage, substage) execution order of a device's table entries:
 /// sends are posted first, receives drained second, so no cycle of
 /// blocking receives can form within a stage.
@@ -68,19 +52,6 @@ fn stage_keys(tables: &SendRecvTables, rank: usize) -> Vec<(usize, usize)> {
     keys.sort_unstable();
     keys.dedup();
     keys
-}
-
-/// The compiled driver `strategy` names (the caller has already routed
-/// [`ExecStrategy::Reference`] to the table walkers).
-fn driver<'s>(
-    strategy: ExecStrategy,
-    pipe: &'s PipelineSchedule,
-    scratch: &'s mut PipelineScratch,
-) -> Driver<'s> {
-    match strategy {
-        ExecStrategy::Pipelined => Driver::Chunked(pipe, scratch),
-        _ => Driver::Staged,
-    }
 }
 
 impl<'a> DeviceHandle<'a> {
@@ -183,7 +154,6 @@ impl<'a> DeviceHandle<'a> {
     /// (stage, substage, peer) payload is split into `chunk_rows` chunks
     /// that stream through relays, driven by the precompiled dependency
     /// list instead of a stage barrier. Bitwise-identical to
-    /// [`DeviceHandle::graph_allgather_barriered`] and
     /// [`DeviceHandle::graph_allgather_reference`].
     ///
     /// Blocking and synchronous: returns only when every chunk of the
@@ -199,72 +169,31 @@ impl<'a> DeviceHandle<'a> {
     /// Panics if `local` does not have exactly `num_local` rows (caller
     /// API misuse, not a cluster condition).
     pub fn graph_allgather(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
-        self.graph_allgather_with(ExecStrategy::Pipelined, local)
-    }
-
-    /// [`DeviceHandle::graph_allgather`] with an explicit executor.
-    /// This is the single dispatch (and poison) point the three named
-    /// convenience methods delegate to.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`]; an error originated here also poisons the
-    /// fabric so peers unwind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` does not have exactly `num_local` rows.
-    pub fn graph_allgather_with(
-        &self,
-        strategy: ExecStrategy,
-        local: &Matrix,
-    ) -> Result<Matrix, RuntimeError> {
-        let r = match strategy {
-            ExecStrategy::Reference => self.graph_allgather_reference_inner(local),
-            compiled => self.graph_allgather_compiled(compiled, local),
-        };
-        self.poison_on_err(r)
-    }
-
-    fn graph_allgather_compiled(
-        &self,
-        strategy: ExecStrategy,
-        local: &Matrix,
-    ) -> Result<Matrix, RuntimeError> {
         let lg = self.local_graph();
-        let op = self.begin_op()?;
-        pipeline::forward_allgather(
-            &self.fabric,
-            self.rank,
-            op,
-            &self.info.forward_schedules[self.rank],
-            &self.info.forward_tables.per_device[self.rank],
-            lg.num_local,
-            lg.num_total(),
-            local,
-            driver(
-                strategy,
+        self.with_op(|op| {
+            pipeline::forward_allgather(
+                &self.fabric,
+                self.rank,
+                op,
+                &self.info.forward_schedules[self.rank],
                 &self.info.forward_pipelines[self.rank],
+                &self.info.forward_tables.per_device[self.rank],
+                lg.num_local,
+                lg.num_total(),
+                local,
                 &mut self.scratch.borrow_mut(),
-            ),
-        )
+            )
+        })
     }
 
-    /// The stage-barriered compiled `graph_allgather` this runtime
-    /// shipped with before pipelining: one message per (stage, substage,
-    /// peer), blocking on an entire stage before forwarding. Kept as the
-    /// mid-fidelity reference the pipelined path is property-tested (and
-    /// benchmarked) against.
+    /// Exactly [`DeviceHandle::graph_allgather`], under the name the
+    /// `e2e` benchmark's frozen traced body calls. Nothing else should.
     ///
     /// # Errors
     ///
-    /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` does not have exactly `num_local` rows.
+    /// See [`DeviceHandle::graph_allgather`].
     pub fn graph_allgather_barriered(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
-        self.graph_allgather_with(ExecStrategy::Barriered, local)
+        self.graph_allgather(local)
     }
 
     /// The uncompiled table-walking `graph_allgather` this runtime
@@ -280,7 +209,7 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// Panics if `local` does not have exactly `num_local` rows.
     pub fn graph_allgather_reference(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
-        self.graph_allgather_with(ExecStrategy::Reference, local)
+        self.poison_on_err(self.graph_allgather_reference_inner(local))
     }
 
     fn graph_allgather_reference_inner(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
@@ -350,8 +279,7 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// Runs the chunk-pipelined backward schedule; see
     /// [`DeviceHandle::graph_allgather`] for the pipelining contract.
-    /// Bitwise-identical to [`DeviceHandle::scatter_backward_barriered`]
-    /// and [`DeviceHandle::scatter_backward_reference`].
+    /// Bitwise-identical to [`DeviceHandle::scatter_backward_reference`].
     ///
     /// # Errors
     ///
@@ -361,69 +289,31 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// Panics if `grad_full` does not have `num_total` rows.
     pub fn scatter_backward(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {
-        self.scatter_backward_with(ExecStrategy::Pipelined, grad_full)
-    }
-
-    /// [`DeviceHandle::scatter_backward`] with an explicit executor —
-    /// the backward counterpart of
-    /// [`DeviceHandle::graph_allgather_with`], and likewise the single
-    /// dispatch (and poison) point.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_full` does not have `num_total` rows.
-    pub fn scatter_backward_with(
-        &self,
-        strategy: ExecStrategy,
-        grad_full: &Matrix,
-    ) -> Result<Matrix, RuntimeError> {
-        let r = match strategy {
-            ExecStrategy::Reference => self.scatter_backward_reference_inner(grad_full),
-            compiled => self.scatter_backward_compiled(compiled, grad_full),
-        };
-        self.poison_on_err(r)
-    }
-
-    fn scatter_backward_compiled(
-        &self,
-        strategy: ExecStrategy,
-        grad_full: &Matrix,
-    ) -> Result<Matrix, RuntimeError> {
         let lg = self.local_graph();
-        let op = self.begin_op()?;
-        pipeline::backward_scatter(
-            &self.fabric,
-            self.rank,
-            op,
-            &self.info.backward_schedules[self.rank],
-            &self.info.backward_tables.per_device[self.rank],
-            lg.num_local,
-            lg.num_total(),
-            grad_full,
-            driver(
-                strategy,
+        self.with_op(|op| {
+            pipeline::backward_scatter(
+                &self.fabric,
+                self.rank,
+                op,
+                &self.info.backward_schedules[self.rank],
                 &self.info.backward_pipelines[self.rank],
+                &self.info.backward_tables.per_device[self.rank],
+                lg.num_local,
+                lg.num_total(),
+                grad_full,
                 &mut self.scratch.borrow_mut(),
-            ),
-        )
+            )
+        })
     }
 
-    /// The stage-barriered compiled backward pass (see
-    /// [`DeviceHandle::graph_allgather_barriered`]).
+    /// Exactly [`DeviceHandle::scatter_backward`], under the name the
+    /// `e2e` benchmark's frozen traced body calls. Nothing else should.
     ///
     /// # Errors
     ///
-    /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_full` does not have `num_total` rows.
+    /// See [`DeviceHandle::scatter_backward`].
     pub fn scatter_backward_barriered(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {
-        self.scatter_backward_with(ExecStrategy::Barriered, grad_full)
+        self.scatter_backward(grad_full)
     }
 
     /// The uncompiled table-walking backward pass (see
@@ -437,7 +327,7 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// Panics if `grad_full` does not have `num_total` rows.
     pub fn scatter_backward_reference(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {
-        self.scatter_backward_with(ExecStrategy::Reference, grad_full)
+        self.poison_on_err(self.scatter_backward_reference_inner(grad_full))
     }
 
     fn scatter_backward_reference_inner(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {

@@ -30,7 +30,7 @@ use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
 use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache};
 use crate::overlap::{OverlapWorker, Pending};
-use crate::runtime::{run_cluster_with, DeviceHandle, ExecStrategy};
+use crate::runtime::{run_cluster_with, DeviceHandle};
 use crate::sampling::{graph_err, train_set, BlockSteps};
 
 /// Training hyper-parameters.
@@ -46,22 +46,15 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Seed for weight initialisation (shared by all replicas).
     pub weight_seed: u64,
-    /// Whether full-neighbourhood steps (full-batch, and sampling with
-    /// every fanout ∞) overlap communication with compute: pipelined
-    /// gather / scatter, and per-layer gradient allreduce buckets
-    /// launched on a background worker as each layer's backward
-    /// completes. `false` issues the same program inline:
-    /// stage-barriered gather / scatter and one allreduce per step.
-    /// Bitwise identical either way (fixed bucket order, rank-ordered
+    /// Where full-neighbourhood steps (full-batch, and sampling with
+    /// every fanout ∞) reduce their gradients: `true` launches one
+    /// allreduce bucket per layer on a background worker as that layer's
+    /// backward completes; `false` issues one inline allreduce per step.
+    /// Gather and scatter run the same chunked executor either way, and
+    /// the two are bitwise identical (fixed bucket order, rank-ordered
     /// sums). Finite-fanout steps always run inline; their feature
     /// prefetch is [`crate::sampling::SamplingConfig::prefetch`].
     pub overlap: bool,
-    /// Allreduce algorithm override for the gradient buckets. `None`
-    /// (the default) lets the cost-model autotuner pick per bucket
-    /// size; `Some(algo)` forces one algorithm. Every algorithm is
-    /// bitwise identical to the rendezvous reference, so this only
-    /// changes wall-clock, never numerics.
-    pub allreduce: Option<AllreduceAlgo>,
     /// Aggregation backend override. `None` (the default) runs whatever
     /// [`CommInfo::backend`] recorded — the build policy's verdict;
     /// `Some(kind)` forces a backend for this run (parity tests compare
@@ -96,7 +89,6 @@ impl TrainConfig {
             lr: 1e-3,
             weight_seed: 17,
             overlap: true,
-            allreduce: None,
             backend: None,
             sampling: None,
             feature_cache: None,
@@ -171,11 +163,10 @@ pub fn train_distributed(
 /// chaos suite uses this to inject [`crate::fault::FaultPlan`]s and to
 /// shrink the collective deadline.
 ///
-/// The gradient allreduce algorithm resolves in this order:
-/// `cfg.allreduce` (explicit override) beats a non-default
-/// `fabric_config.allreduce` policy, which beats the default — an
-/// [`AlgorithmSelector`] tuned offline for `info`'s topology and
-/// device count.
+/// The gradient allreduce algorithm is a non-default
+/// `fabric_config.allreduce` policy if the caller set one, otherwise an
+/// [`AlgorithmSelector`] tuned offline for `info`'s topology and device
+/// count.
 ///
 /// # Errors
 ///
@@ -283,22 +274,17 @@ pub fn train_distributed_resumable(
     resume: Option<&Checkpoint>,
     checkpoints: Option<&CheckpointConfig>,
 ) -> Result<TrainReport, ClusterError> {
-    match cfg.allreduce {
-        Some(algo) => fabric_config.allreduce = AllreducePolicy::Fixed(algo),
-        // Autotune only over the default policy; an explicit caller
-        // policy (chaos tests pinning an algorithm) stands.
-        None => {
-            if matches!(
-                fabric_config.allreduce,
-                AllreducePolicy::Fixed(AllreduceAlgo::Rendezvous)
-            ) {
-                fabric_config.allreduce = AllreducePolicy::Auto(AlgorithmSelector::tune(
-                    &info.topology,
-                    info.num_devices(),
-                    4 * fabric_config.collective_chunk as u64,
-                ));
-            }
-        }
+    // Autotune only over the default policy; an explicit caller policy
+    // (chaos tests pinning an algorithm) stands.
+    if matches!(
+        fabric_config.allreduce,
+        AllreducePolicy::Fixed(AllreduceAlgo::Rendezvous)
+    ) {
+        fabric_config.allreduce = AllreducePolicy::Auto(AlgorithmSelector::tune(
+            &info.topology,
+            info.num_devices(),
+            4 * fabric_config.collective_chunk as u64,
+        ));
     }
     assert_eq!(features.rows(), graph.num_vertices(), "feature rows");
     assert_eq!(targets.rows(), graph.num_vertices(), "target rows");
@@ -471,12 +457,11 @@ impl GradSync<'_> {
 ///   per epoch) or *sampled blocks* (finite fanouts:
 ///   [`BlockSteps::step`]);
 /// * an **optional [`OverlapWorker`]** ([`TrainConfig::overlap`] on a
-///   full-neighbourhood run): with one, gather / scatter run the
-///   pipelined executor and gradient buckets go to the worker as each
-///   layer's backward completes. Without one the same collectives are
-///   issued inline on the stage-barriered executor. Overlap moves where
-///   communication runs, never what is computed: the two are bitwise
-///   identical.
+///   full-neighbourhood run): with one, gradient buckets go to the
+///   worker as each layer's backward completes; without one they reduce
+///   in one inline allreduce. Gather / scatter are the same calls either
+///   way. Overlap moves where communication runs, never what is
+///   computed: the two are bitwise identical.
 ///
 /// Listing 1 gathers before every layer of every step, but layer 0's
 /// input never changes ([`input_learns`]), so its distributed aggregate
@@ -506,11 +491,7 @@ fn device_body(
     }
     let block_cfg = scfg.filter(|s| !s.is_exact());
     let worker = (cfg.overlap && block_cfg.is_none()).then(|| handle.overlap_worker());
-    let strategy = match worker {
-        Some(_) => ExecStrategy::Pipelined,
-        None => ExecStrategy::Barriered,
-    };
-    let backend = backend_for(ctx.backend_kind, strategy);
+    let backend = backend_for(ctx.backend_kind);
     let mut blocks = block_cfg.map(|s| BlockSteps::new(handle, ctx, s));
     let mut agg0: Option<Matrix> = None;
     let mut forward = |net: &mut GnnNetwork| -> Result<Matrix, RuntimeError> {

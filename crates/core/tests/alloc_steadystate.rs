@@ -7,8 +7,10 @@
 //! `HashMap`s are gone. This test pins that with a counting global
 //! allocator: after a warm-up, a window of steady-state operations must
 //! stay within a small per-operation allocation budget (the returned
-//! output matrices themselves), and must allocate strictly less than the
-//! uncompiled reference path over the same window.
+//! output matrices themselves) at the default chunk size and at one
+//! chunk per entry (`chunk_rows = usize::MAX`, one message per (stage,
+//! substage, peer)), and must allocate strictly less than the uncompiled
+//! reference path over the same window.
 //!
 //! The compiled allreduce zoo makes the same promise per `(algorithm,
 //! length, chunk)` cell: a warm call looks its schedule up and builds
@@ -68,10 +70,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Which collective implementation a measurement exercises.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Chunk-pipelined compiled path (the default `graph_allgather`).
-    Pipelined,
-    /// Stage-barriered compiled path.
-    Barriered,
+    /// The compiled path (`graph_allgather`) on a build with this many
+    /// rows per chunk.
+    Pipelined(usize),
     /// Uncompiled table-walking reference.
     Reference,
     /// A ring allreduce of one fixed `RING_ROWS × 8` matrix per round (no
@@ -95,7 +96,11 @@ static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let graph = Dataset::WikiTalk.generate(0.0006, 5);
-    let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
+    let mut options = BuildOptions::default();
+    if let Mode::Pipelined(chunk_rows) = mode {
+        options.chunk_rows = chunk_rows;
+    }
+    let info = build_comm_info(&graph, Topology::fig6(), options);
     let n = graph.num_vertices();
     if mode == Mode::BlockStep {
         // No handle to warm up behind: a `2 · rounds`-epoch run minus a
@@ -127,8 +132,7 @@ fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
     run_cluster(&info, |handle| {
         let step = |measured: bool| -> Result<(), dgcl::RuntimeError> {
             let full = match mode {
-                Mode::Pipelined => handle.graph_allgather(&per_device[handle.rank])?,
-                Mode::Barriered => handle.graph_allgather_barriered(&per_device[handle.rank])?,
+                Mode::Pipelined(_) => handle.graph_allgather(&per_device[handle.rank])?,
                 Mode::Reference => handle.graph_allgather_reference(&per_device[handle.rank])?,
                 Mode::RingAllreduce => {
                     let mats = vec![Matrix::full(RING_ROWS, 8, handle.rank as f32)];
@@ -139,8 +143,7 @@ fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
                 Mode::BlockStep => unreachable!("measured through train_distributed"),
             };
             let grads = match mode {
-                Mode::Pipelined => handle.scatter_backward(&full)?,
-                Mode::Barriered => handle.scatter_backward_barriered(&full)?,
+                Mode::Pipelined(_) => handle.scatter_backward(&full)?,
                 Mode::Reference => handle.scatter_backward_reference(&full)?,
                 Mode::RingAllreduce | Mode::BlockStep => unreachable!("returned above"),
             };
@@ -172,8 +175,9 @@ fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
 fn steady_state_allgather_stays_within_allocation_budget() {
     let warm = 3;
     let rounds = 5;
-    let pipelined = measure(Mode::Pipelined, warm, rounds);
-    let barriered = measure(Mode::Barriered, warm, rounds);
+    let default_chunk = BuildOptions::default().chunk_rows;
+    let pipelined = measure(Mode::Pipelined(default_chunk), warm, rounds);
+    let one_chunk = measure(Mode::Pipelined(usize::MAX), warm, rounds);
     let reference = measure(Mode::Reference, warm, rounds);
     let devices = 4;
     let op_pairs = devices * rounds;
@@ -187,7 +191,7 @@ fn steady_state_allgather_stays_within_allocation_budget() {
     // fabric pool, and the dependency scratch is reused across ops.
     let budget = op_pairs * 8 + 64;
     eprintln!(
-        "steady-state allocations: pipelined={pipelined} barriered={barriered} \
+        "steady-state allocations: pipelined={pipelined} one-chunk={one_chunk} \
          reference={reference} budget={budget}"
     );
     assert!(
@@ -195,8 +199,9 @@ fn steady_state_allgather_stays_within_allocation_budget() {
         "pipelined collectives allocated {pipelined} times in {op_pairs} op pairs (budget {budget})"
     );
     assert!(
-        barriered <= budget,
-        "barriered collectives allocated {barriered} times in {op_pairs} op pairs (budget {budget})"
+        one_chunk <= budget,
+        "one-chunk-per-entry collectives allocated {one_chunk} times in {op_pairs} op pairs \
+         (budget {budget})"
     );
     assert!(
         pipelined * 4 < reference,

@@ -6,7 +6,7 @@
 
 use dgcl::backend::{backend_for, BackendPolicy};
 use dgcl::runtime::run_cluster;
-use dgcl::{build_comm_info, BackendKind, BuildOptions, CommInfo, ExecStrategy};
+use dgcl::{build_comm_info, BackendKind, BuildOptions, CommInfo};
 use dgcl_gnn::aggregate::{
     aggregate_mean, aggregate_mean_backward, aggregate_sum, aggregate_sum_backward,
 };
@@ -54,8 +54,8 @@ fn check_forward(graph: &CsrGraph, devices: usize, c: usize, cols: usize) {
             AggKind::Mean => aggregate_mean(graph, &x, n),
         };
         let results = run_cluster(&info, |handle| {
-            let planned = backend_for(BackendKind::Planned, ExecStrategy::Pipelined);
-            let cagnet = backend_for(info.backend, ExecStrategy::Pipelined);
+            let planned = backend_for(BackendKind::Planned);
+            let cagnet = backend_for(info.backend);
             let p = planned.agg_forward(&handle, &per_device[handle.rank], kind)?;
             let g = cagnet.agg_forward(&handle, &per_device[handle.rank], kind)?;
             Ok((p, g))
@@ -90,8 +90,8 @@ fn check_backward(graph: &CsrGraph, devices: usize, c: usize, cols: usize) {
             AggKind::Mean => aggregate_mean_backward(graph, &grad, n),
         };
         let results = run_cluster(&info, |handle| {
-            let planned = backend_for(BackendKind::Planned, ExecStrategy::Pipelined);
-            let cagnet = backend_for(info.backend, ExecStrategy::Pipelined);
+            let planned = backend_for(BackendKind::Planned);
+            let cagnet = backend_for(info.backend);
             let p = planned.agg_backward(&handle, &per_device[handle.rank], kind)?;
             let g = cagnet.agg_backward(&handle, &per_device[handle.rank], kind)?;
             Ok((p, g))
@@ -145,16 +145,9 @@ fn wide_features_on_eight_devices_with_replication() {
 
 #[test]
 fn backend_name_reports_which_path_runs() {
+    assert_eq!(backend_for(BackendKind::Planned).name(), "planned");
     assert_eq!(
-        backend_for(BackendKind::Planned, ExecStrategy::Pipelined).name(),
-        "planned"
-    );
-    assert_eq!(
-        backend_for(
-            BackendKind::Cagnet { replication: 2 },
-            ExecStrategy::Pipelined
-        )
-        .name(),
+        backend_for(BackendKind::Cagnet { replication: 2 }).name(),
         "cagnet"
     );
 }

@@ -84,7 +84,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Full-batch: every policy reproduces the cache-off run bit for
-    /// bit, per backend, per device count, barriered and overlapped.
+    /// bit, per backend, per device count, inline and overlapped.
     #[test]
     fn full_batch_cache_is_bitwise_off(
         devices in 2usize..=8,

@@ -26,21 +26,8 @@ use dgcl_sim::faults::simulate_plan_faulted;
 use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
 
-/// Runs `f` on a worker thread and panics if it does not finish within
-/// `limit` — the explicit hang detector for this suite.
-fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            worker.join().expect("watchdog worker");
-            v
-        }
-        Err(_) => panic!("watchdog: test exceeded {limit:?} — the runtime hung"),
-    }
-}
+mod common;
+use common::with_watchdog;
 
 struct Case {
     graph: CsrGraph,

@@ -13,22 +13,10 @@ use dgcl_graph::Dataset;
 use dgcl_tensor::Matrix;
 use dgcl_topology::Topology;
 
-/// Runs `f` on a worker thread and panics if it does not finish within
-/// `limit` — the explicit hang detector for this suite. A watchdog panic
-/// is the regression signal; the assertions inside `f` cover the rest.
-fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            worker.join().expect("watchdog worker");
-            v
-        }
-        Err(_) => panic!("watchdog: test exceeded {limit:?} — the runtime hung again"),
-    }
-}
+// A watchdog timeout is the regression signal; the assertions inside the
+// watched closure cover the rest.
+mod common;
+use common::with_watchdog;
 
 #[test]
 fn non_rank0_panic_mid_collective_returns_err_within_deadline() {

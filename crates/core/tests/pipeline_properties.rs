@@ -5,18 +5,18 @@
 //!
 //! 1. **Chunking never changes bits.** For every chunk size — one row per
 //!    message, the default-ish 16, and `usize::MAX` (one chunk per
-//!    payload, i.e. the old barriered granularity) — and every device
-//!    count 2..=8, the pipelined `graph_allgather` / `scatter_backward`
-//!    return exactly what the barriered compiled path and the uncompiled
-//!    reference return, on every rank.
+//!    payload, the granularity of a stage-barriered walk) — and every
+//!    device count 2..=8, the pipelined `graph_allgather` /
+//!    `scatter_backward` return exactly what the uncompiled reference
+//!    returns, on every rank.
 //! 2. **Overlap never changes bits.** Training with the bucketed
-//!    per-layer allreduce on the pipelined executor
-//!    (`TrainConfig::overlap`) produces losses and outputs bitwise equal
-//!    to the fully barriered trainer, at every chunk size.
+//!    per-layer allreduce on a background worker (`TrainConfig::overlap`)
+//!    produces losses and outputs bitwise equal to the trainer that
+//!    reduces inline, at every chunk size.
 //! 3. **A crash mid-chunk fails fast.** A rank that dies with some
 //!    chunks of an operation already delivered ([`FaultEvent::CrashMidOp`])
 //!    poisons every survivor within the collective deadline — never a
-//!    hang, never a partial result.
+//!    hang, never a partial result — with overlap on or off.
 
 use std::time::{Duration, Instant};
 
@@ -31,33 +31,20 @@ use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
 use proptest::prelude::*;
 
+mod common;
+use common::with_watchdog;
+
 /// The chunk sizes the parity property sweeps: per-row streaming, a
 /// mid-size chunk, and the degenerate one-chunk-per-payload case.
 const CHUNK_SIZES: [usize; 3] = [1, 16, usize::MAX];
 
-/// Runs `f` on a worker thread and panics if it does not finish within
-/// `limit` — the explicit hang detector for the chaos case.
-fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            worker.join().expect("watchdog worker");
-            v
-        }
-        Err(_) => panic!("watchdog: test exceeded {limit:?} — the runtime hung"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Invariant 1: pipelined == barriered == reference, bitwise, per
-    /// rank, across chunk sizes and device counts.
+    /// Invariant 1: pipelined == reference, bitwise, per rank, across
+    /// chunk sizes and device counts.
     #[test]
-    fn pipelined_collectives_match_barriered_and_reference(
+    fn pipelined_collectives_match_reference(
         devices in 2usize..=8,
         chunk_idx in 0usize..CHUNK_SIZES.len(),
         graph_seed in 1u64..5,
@@ -78,28 +65,16 @@ proptest! {
         let results = run_cluster(&info, |handle| {
             let local = &per_device[handle.rank];
             let fwd_pipe = handle.graph_allgather(local)?;
-            let fwd_bar = handle.graph_allgather_barriered(local)?;
             let fwd_ref = handle.graph_allgather_reference(local)?;
             let bwd_pipe = handle.scatter_backward(&fwd_pipe)?;
-            let bwd_bar = handle.scatter_backward_barriered(&fwd_pipe)?;
             let bwd_ref = handle.scatter_backward_reference(&fwd_pipe)?;
-            Ok((fwd_pipe, fwd_bar, fwd_ref, bwd_pipe, bwd_bar, bwd_ref))
+            Ok((fwd_pipe, fwd_ref, bwd_pipe, bwd_ref))
         })
         .expect("healthy cluster");
-        for (rank, (fwd_pipe, fwd_bar, fwd_ref, bwd_pipe, bwd_bar, bwd_ref)) in
-            results.into_iter().enumerate()
-        {
-            prop_assert_eq!(
-                &fwd_pipe, &fwd_bar,
-                "rank {} forward pipelined != barriered (chunk_rows {})", rank, chunk_rows
-            );
+        for (rank, (fwd_pipe, fwd_ref, bwd_pipe, bwd_ref)) in results.into_iter().enumerate() {
             prop_assert_eq!(
                 &fwd_pipe, &fwd_ref,
                 "rank {} forward pipelined != reference (chunk_rows {})", rank, chunk_rows
-            );
-            prop_assert_eq!(
-                &bwd_pipe, &bwd_bar,
-                "rank {} backward pipelined != barriered (chunk_rows {})", rank, chunk_rows
             );
             prop_assert_eq!(
                 &bwd_pipe, &bwd_ref,
@@ -109,11 +84,11 @@ proptest! {
     }
 }
 
-/// Invariant 2: the overlapped trainer is bitwise equal to the barriered
+/// Invariant 2: the overlapped trainer is bitwise equal to the inline
 /// trainer at every chunk size (deterministic sweep — no randomness to
 /// explore, so a plain loop beats proptest here).
 #[test]
-fn overlapped_training_is_bitwise_identical_to_barriered() {
+fn overlapped_training_is_bitwise_identical_to_inline() {
     let graph = Dataset::WikiTalk.generate(0.0005, 3);
     let n = graph.num_vertices();
     let mut init = XavierInit::new(8);
@@ -127,17 +102,17 @@ fn overlapped_training_is_bitwise_identical_to_barriered() {
         let info = build_comm_info(&graph, Topology::fig6(), options);
         let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
         cfg.overlap = false;
-        let barriered = train_distributed(&info, &graph, &features, &targets, &cfg)
-            .expect("barriered run healthy");
+        let inline = train_distributed(&info, &graph, &features, &targets, &cfg)
+            .expect("inline run healthy");
         cfg.overlap = true;
         let overlapped = train_distributed(&info, &graph, &features, &targets, &cfg)
             .expect("overlapped run healthy");
         assert_eq!(
-            barriered.epoch_losses, overlapped.epoch_losses,
+            inline.epoch_losses, overlapped.epoch_losses,
             "losses diverged under overlap (chunk_rows {chunk_rows})"
         );
         assert_eq!(
-            barriered.outputs, overlapped.outputs,
+            inline.outputs, overlapped.outputs,
             "outputs diverged under overlap (chunk_rows {chunk_rows})"
         );
     }
@@ -145,7 +120,8 @@ fn overlapped_training_is_bitwise_identical_to_barriered() {
 
 /// Invariant 3: a rank dying mid-operation — after some chunks of the
 /// op already shipped — fails every survivor with a poison naming it,
-/// within the collective deadline.
+/// within the collective deadline, with overlap on or off. Op 1 is the
+/// layer-0 gather, which runs on the calling thread either way.
 #[test]
 fn crash_mid_chunk_fails_every_survivor_within_deadline() {
     with_watchdog(Duration::from_secs(120), || {
@@ -161,45 +137,48 @@ fn crash_mid_chunk_fails_every_survivor_within_deadline() {
             ..BuildOptions::default()
         };
         let info = build_comm_info(&graph, Topology::fig6(), options);
-        let cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
-        let deadline = Duration::from_secs(20);
-        let config = FabricConfig {
-            collective_deadline: deadline,
-            faults: FaultPlan {
-                // Rank 1 dies during op 1 after one pipeline action.
-                events: vec![FaultEvent::CrashMidOp {
-                    rank: 1,
-                    at_op: 1,
-                    after_actions: 1,
-                }],
-            },
-            ..FabricConfig::default()
-        };
-        let start = Instant::now();
-        let err = train_distributed_with(&info, &graph, &features, &targets, &cfg, config)
-            .expect_err("a rank crashing mid-chunk must fail training");
-        assert!(
-            start.elapsed() < deadline,
-            "unwind took {:?}, deadline was {deadline:?}",
-            start.elapsed()
-        );
-        assert_eq!(err.rank, 1, "{err}");
-        assert!(
-            matches!(
-                err.cause,
-                ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 1 })
-            ),
-            "{err}"
-        );
-        let survivors: Vec<_> = err.surviving_errors().collect();
-        assert_eq!(survivors.len(), info.num_devices() - 1);
-        for (rank, failure) in survivors {
-            match failure {
-                ClusterFailure::Error(RuntimeError::Poisoned { origin, reason }) => {
-                    assert_eq!(*origin, 1, "rank {rank} blames the crashed rank");
-                    assert!(reason.contains("injected crash"), "{reason}");
+        for overlap in [true, false] {
+            let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
+            cfg.overlap = overlap;
+            let deadline = Duration::from_secs(20);
+            let config = FabricConfig {
+                collective_deadline: deadline,
+                faults: FaultPlan {
+                    // Rank 1 dies during op 1 after one pipeline action.
+                    events: vec![FaultEvent::CrashMidOp {
+                        rank: 1,
+                        at_op: 1,
+                        after_actions: 1,
+                    }],
+                },
+                ..FabricConfig::default()
+            };
+            let start = Instant::now();
+            let err = train_distributed_with(&info, &graph, &features, &targets, &cfg, config)
+                .expect_err("a rank crashing mid-chunk must fail training");
+            assert!(
+                start.elapsed() < deadline,
+                "overlap {overlap}: unwind took {:?}, deadline was {deadline:?}",
+                start.elapsed()
+            );
+            assert_eq!(err.rank, 1, "overlap {overlap}: {err}");
+            assert!(
+                matches!(
+                    err.cause,
+                    ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 1 })
+                ),
+                "overlap {overlap}: {err}"
+            );
+            let survivors: Vec<_> = err.surviving_errors().collect();
+            assert_eq!(survivors.len(), info.num_devices() - 1);
+            for (rank, failure) in survivors {
+                match failure {
+                    ClusterFailure::Error(RuntimeError::Poisoned { origin, reason }) => {
+                        assert_eq!(*origin, 1, "rank {rank} blames the crashed rank");
+                        assert!(reason.contains("injected crash"), "{reason}");
+                    }
+                    other => panic!("overlap {overlap}, rank {rank}: expected poison, got {other}"),
                 }
-                other => panic!("rank {rank}: expected poison, got {other}"),
             }
         }
     });

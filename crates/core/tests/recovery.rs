@@ -23,21 +23,9 @@ use dgcl_graph::{CsrGraph, Dataset};
 use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
 
-/// Runs `f` on a worker thread and panics if it does not finish within
-/// `limit` — recovery must never trade a crash for a hang.
-fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            worker.join().expect("watchdog worker");
-            v
-        }
-        Err(_) => panic!("watchdog: test exceeded {limit:?} — recovery hung"),
-    }
-}
+// Recovery must never trade a crash for a hang.
+mod common;
+use common::with_watchdog;
 
 struct Case {
     graph: CsrGraph,

@@ -6,7 +6,7 @@
 //! embeddings, across 2..=8 devices and both aggregation backends. The
 //! exact path's masked loss zeroes diff rows outside the batch before
 //! the same single-accumulator norm `mse_loss` uses, so a full mask is
-//! instruction-for-instruction the barriered full-batch epoch.
+//! instruction-for-instruction the inline full-batch epoch.
 //!
 //! Around the anchor:
 //!
@@ -19,7 +19,7 @@
 //! * A rank that owns none of a batch's seeds still serves its rows and
 //!   joins the allreduce: seeds confined to one part, batches of 1 and 7.
 //! * Exact multi-batch runs are bitwise independent of
-//!   `TrainConfig::overlap`, which moves their collectives to the worker.
+//!   `TrainConfig::overlap`, which moves their gradient buckets to the worker.
 //! * Sampled training still trains: losses decrease over epochs.
 //! * An out-of-range training vertex surfaces as a typed
 //!   [`ClusterError`] through `run_cluster` — never a rank-thread abort.
