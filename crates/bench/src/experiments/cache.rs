@@ -17,7 +17,6 @@
 //! Results go to `BENCH_cache.json`; `DGCL_BENCH_SMOKE=1` shrinks epochs
 //! for CI.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use dgcl::featcache::CachePolicy;
@@ -29,20 +28,7 @@ use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{cpus, ms, print_table, smoke, RunContext};
-
-/// One (graph, capacity) sweep point.
-struct CacheRecord {
-    dataset: &'static str,
-    policy: String,
-    capacity_rows: u64,
-    bytes_fetched: u64,
-    bytes_saved: u64,
-    hit_rate: f64,
-    reduction: f64,
-    epoch_seconds: f64,
-    bitwise_off: bool,
-}
+use crate::harness::{ms, obj, print_table, smoke, write_artifact, Json, RunContext};
 
 fn policy_name(policy: CachePolicy) -> String {
     match policy {
@@ -59,7 +45,7 @@ pub fn run(ctx: &mut RunContext) {
     let epochs = if smoke { 2 } else { 4 };
     let batch_size = 128usize;
 
-    let mut records: Vec<CacheRecord> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::Reddit] {
         let graph = ctx.graph(dataset);
@@ -129,16 +115,16 @@ pub fn run(ctx: &mut RunContext) {
                 format!("{:.1}%", reduction * 100.0),
                 ms(epoch_seconds),
             ]);
-            records.push(CacheRecord {
-                dataset: dataset.name(),
-                policy: policy_name(policy),
-                capacity_rows: stats.capacity_rows,
-                bytes_fetched: stats.bytes_fetched,
-                bytes_saved: stats.bytes_saved,
-                hit_rate: stats.hit_rate(),
-                reduction,
-                epoch_seconds,
-                bitwise_off: bitwise,
+            records.push(obj! {
+                "dataset": dataset.name(),
+                "policy": policy_name(policy),
+                "capacity_rows": stats.capacity_rows,
+                "bytes_fetched": stats.bytes_fetched,
+                "bytes_saved": stats.bytes_saved,
+                "hit_rate": stats.hit_rate(),
+                "reduction_vs_uncached": reduction,
+                "epoch_seconds": epoch_seconds,
+                "bitwise_matches_off": bitwise,
             });
         }
         // Nested top-k prefixes: growing fixed capacity never fetches more.
@@ -170,66 +156,12 @@ pub fn run(ctx: &mut RunContext) {
         "  (byte counters are deterministic; `auto` is the CacheModel-sized capacity.\n   Every row is bitwise identical to the cache-off run — caching only moves bytes.)"
     );
 
-    match std::fs::write("BENCH_cache.json", render_json(smoke, &records)) {
-        Ok(()) => println!("  wrote BENCH_cache.json"),
-        Err(e) => println!("  could not write BENCH_cache.json: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, records: &[CacheRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"cache\",");
-    let _ = writeln!(out, "  \"cpus\": {},", cpus());
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"policy\": \"{}\", \"capacity_rows\": {}, \"bytes_fetched\": {}, \"bytes_saved\": {}, \"hit_rate\": {:.4}, \"reduction_vs_uncached\": {:.4}, \"epoch_seconds\": {:.6}, \"bitwise_matches_off\": {}}}{}",
-            r.dataset,
-            r.policy,
-            r.capacity_rows,
-            r.bytes_fetched,
-            r.bytes_saved,
-            r.hit_rate,
-            r.reduction,
-            r.epoch_seconds,
-            r.bitwise_off,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
+    write_artifact("cache", "cache", obj! { "smoke": smoke, "runs": records });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let records = [CacheRecord {
-            dataset: "wiki-talk",
-            policy: "auto".to_string(),
-            capacity_rows: 512,
-            bytes_fetched: 1_000,
-            bytes_saved: 4_000,
-            hit_rate: 0.8,
-            reduction: 0.42,
-            epoch_seconds: 0.2,
-            bitwise_off: true,
-        }];
-        let json = render_json(true, &records);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"bench\": \"cache\""));
-        assert!(json.contains("\"policy\": \"auto\""));
-        assert!(json.contains("\"bitwise_matches_off\": true"));
-    }
 
     #[test]
     fn policy_names_are_stable() {

@@ -26,8 +26,6 @@
 //! Results go to `BENCH_cagnet.json`. Set `DGCL_BENCH_SMOKE=1` to
 //! shrink the graphs for CI smoke runs.
 
-use std::fmt::Write as _;
-
 use dgcl_graph::generators::{community_rmat, erdos_renyi, RmatConfig};
 use dgcl_graph::CsrGraph;
 use dgcl_partition::hierarchical::hierarchical;
@@ -35,7 +33,7 @@ use dgcl_partition::PartitionedGraph;
 use dgcl_sim::{cagnet_aggregate_cost, BackendKind, BackendSelector};
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, smoke, RunContext};
+use crate::harness::{ms, obj, print_table, smoke, write_artifact, RunContext};
 
 /// Embedding payload priced per vertex: 4 bytes × 64 features.
 const BYTES_PER_VERTEX: u64 = 4 * 64;
@@ -192,52 +190,34 @@ pub fn run(_ctx: &mut RunContext) {
         ],
         &rows,
     );
-    match std::fs::write("BENCH_cagnet.json", render_json(smoke, &records)) {
-        Ok(()) => println!("  wrote BENCH_cagnet.json"),
-        Err(e) => println!("  could not write BENCH_cagnet.json: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, records: &[Record]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"cagnet\",");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"bytes_per_vertex\": {BYTES_PER_VERTEX},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"predicted per-layer aggregation cost from the dgcl-sim models; \
-         chosen = the offline BackendSelector's verdict per cell\","
+    let records = records
+        .iter()
+        .map(|r| {
+            let cagnet = r.cagnet.iter().map(|&(c, s)| obj! { "c": c, "seconds": s });
+            obj! {
+                "graph": r.graph,
+                "topology": r.topology,
+                "devices": r.devices,
+                "cut_vertices": r.cut_vertices,
+                "planned_seconds": r.planned_seconds,
+                "cagnet": cagnet.collect::<Vec<_>>(),
+                "chosen": r.chosen.label(),
+                "chosen_seconds": r.chosen_seconds,
+            }
+        })
+        .collect::<Vec<_>>();
+    let note = "predicted per-layer aggregation cost from the dgcl-sim models; \
+                chosen = the offline BackendSelector's verdict per cell";
+    write_artifact(
+        "cagnet",
+        "cagnet",
+        obj! {
+            "smoke": smoke,
+            "bytes_per_vertex": BYTES_PER_VERTEX,
+            "note": note,
+            "records": records,
+        },
     );
-    let _ = writeln!(out, "  \"records\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let cagnet: Vec<String> = r
-            .cagnet
-            .iter()
-            .map(|(c, s)| format!("{{\"c\": {c}, \"seconds\": {s:.9}}}"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "    {{\"graph\": \"{}\", \"topology\": \"{}\", \"devices\": {}, \
-             \"cut_vertices\": {}, \"planned_seconds\": {:.9}, \
-             \"cagnet\": [{}], \
-             \"chosen\": \"{}\", \"chosen_seconds\": {:.9}}}{}",
-            r.graph,
-            r.topology,
-            r.devices,
-            r.cut_vertices,
-            r.planned_seconds,
-            cagnet.join(", "),
-            r.chosen.label(),
-            r.chosen_seconds,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
 }
 
 #[cfg(test)]
@@ -314,26 +294,5 @@ mod tests {
             "one backend won every cell: {planned}/{} planned",
             records.len()
         );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let records = [Record {
-            graph: "community",
-            topology: "dgx1",
-            devices: 8,
-            cut_vertices: 1234,
-            planned_seconds: 0.001,
-            cagnet: vec![(1, 0.004), (2, 0.003)],
-            chosen: BackendKind::Planned,
-            chosen_seconds: 0.001,
-        }];
-        let json = render_json(true, &records);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"bench\": \"cagnet\""));
-        assert!(json.contains("\"chosen\": \"planned\""));
-        assert!(json.contains("\"smoke\": true"));
     }
 }

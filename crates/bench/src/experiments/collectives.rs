@@ -16,12 +16,10 @@
 //! Results go to `BENCH_collectives.json`. Set `DGCL_BENCH_SMOKE=1` to
 //! shrink the size grid for CI smoke runs.
 
-use std::fmt::Write as _;
-
 use dgcl_sim::{allreduce_costs, AlgorithmSelector, AllreduceAlgo};
 use dgcl_topology::Topology;
 
-use crate::harness::{ms, print_table, smoke, RunContext};
+use crate::harness::{ms, obj, print_table, smoke, write_artifact, Json, RunContext};
 
 /// Pipelining granularity in bytes: the fabric's default
 /// `collective_chunk` (4096 f32 elements).
@@ -116,7 +114,7 @@ fn sweep(
 pub fn run(_ctx: &mut RunContext) {
     let smoke = smoke();
     let sizes = sizes(smoke);
-    let mut all: Vec<Record> = Vec::new();
+    let mut all: Vec<Json> = Vec::new();
     for (name, topology, devices) in topologies() {
         let (selector, records) = sweep(name, &topology, devices, &sizes);
         let rows: Vec<Vec<String>> = records
@@ -154,12 +152,32 @@ pub fn run(_ctx: &mut RunContext) {
             .map(|&(upper, algo)| format!("<={}: {}", human_bytes(upper), algo.name()))
             .collect();
         println!("  tuned table: {}", table.join(", "));
-        all.extend(records);
+        all.extend(records.iter().map(|r| {
+            obj! {
+                "topology": r.topology,
+                "devices": r.devices,
+                "bytes": r.bytes,
+                "chosen": r.chosen.name(),
+                "chosen_seconds": r.chosen_seconds,
+                "best": r.best.name(),
+                "best_seconds": r.best_seconds,
+                "worst": r.worst.name(),
+                "worst_seconds": r.worst_seconds,
+            }
+        }));
     }
-    match std::fs::write("BENCH_collectives.json", render_json(smoke, &all)) {
-        Ok(()) => println!("  wrote BENCH_collectives.json"),
-        Err(e) => println!("  could not write BENCH_collectives.json: {e}"),
-    }
+    let note = "predicted allreduce latency from the dgcl-sim cost model; \
+                chosen = the offline-tuned selector's pick at each size";
+    write_artifact(
+        "collectives",
+        "collectives",
+        obj! {
+            "smoke": smoke,
+            "chunk_bytes": CHUNK_BYTES,
+            "note": note,
+            "records": all,
+        },
+    );
 }
 
 /// `4.0KiB` / `16.0MiB`-style size label.
@@ -169,44 +187,6 @@ fn human_bytes(bytes: u64) -> String {
     } else {
         format!("{:.1}KiB", bytes as f64 / (1 << 10) as f64)
     }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, records: &[Record]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"collectives\",");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"chunk_bytes\": {CHUNK_BYTES},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"predicted allreduce latency from the dgcl-sim cost model; \
-         chosen = the offline-tuned selector's pick at each size\","
-    );
-    let _ = writeln!(out, "  \"records\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"topology\": \"{}\", \"devices\": {}, \"bytes\": {}, \
-             \"chosen\": \"{}\", \"chosen_seconds\": {:.9}, \
-             \"best\": \"{}\", \"best_seconds\": {:.9}, \
-             \"worst\": \"{}\", \"worst_seconds\": {:.9}}}{}",
-            r.topology,
-            r.devices,
-            r.bytes,
-            r.chosen.name(),
-            r.chosen_seconds,
-            r.best.name(),
-            r.best_seconds,
-            r.worst.name(),
-            r.worst_seconds,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
 }
 
 #[cfg(test)]
@@ -259,27 +239,5 @@ mod tests {
             chosen.len() > 1,
             "one algorithm won every cell — the zoo is pointless: {chosen:?}"
         );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let records = [Record {
-            topology: "dgx1",
-            devices: 8,
-            bytes: 1 << 20,
-            chosen: AllreduceAlgo::Ring,
-            chosen_seconds: 0.001,
-            best: AllreduceAlgo::Ring,
-            best_seconds: 0.001,
-            worst: AllreduceAlgo::Rendezvous,
-            worst_seconds: 0.004,
-        }];
-        let json = render_json(true, &records);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"bench\": \"collectives\""));
-        assert!(json.contains("\"chosen\": \"ring\""));
-        assert!(json.contains("\"worst\": \"rendezvous\""));
-        assert!(json.contains("\"smoke\": true"));
     }
 }

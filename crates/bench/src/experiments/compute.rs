@@ -21,9 +21,6 @@
 //! Set `DGCL_BENCH_SMOKE=1` to shrink problem sizes and repetitions for
 //! CI smoke runs.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use dgcl::trainer::{train_distributed, TrainConfig};
 use dgcl::{build_comm_info, BuildOptions};
 use dgcl_gnn::aggregate::{
@@ -34,46 +31,19 @@ use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{cpus, ms, print_table, smoke, RunContext};
+use crate::harness::{
+    cpus, median_seconds, ms, obj, print_table, smoke, write_artifact, Json, RunContext,
+};
 
 /// Thread counts every kernel is measured at.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// One timed kernel configuration.
-struct KernelRecord {
-    kernel: &'static str,
-    threads: usize,
-    seconds: f64,
-    baseline_seconds: f64,
-    speedup: f64,
-}
-
-/// One timed training epoch.
-struct EpochRecord {
-    dataset: &'static str,
-    arch: &'static str,
-    epoch_seconds: f64,
-}
-
-/// Median-of-`reps` wall time of `body` in seconds.
-fn time<F: FnMut()>(reps: usize, mut body: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            body();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 pub fn run(ctx: &mut RunContext) {
     let smoke = smoke();
     let reps = if smoke { 3 } else { 7 };
-    let mut records: Vec<KernelRecord> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
-    let push = |records: &mut Vec<KernelRecord>,
+    let push = |records: &mut Vec<Json>,
                 rows: &mut Vec<Vec<String>>,
                 kernel: &'static str,
                 threads: usize,
@@ -86,12 +56,12 @@ pub fn run(ctx: &mut RunContext) {
             ms(seconds),
             format!("{speedup:.2}x"),
         ]);
-        records.push(KernelRecord {
-            kernel,
-            threads,
-            seconds,
-            baseline_seconds: baseline,
-            speedup,
+        records.push(obj! {
+            "kernel": kernel,
+            "threads": threads,
+            "seconds": seconds,
+            "baseline_seconds": baseline,
+            "speedup": speedup,
         });
     };
 
@@ -109,7 +79,7 @@ pub fn run(ctx: &mut RunContext) {
     let times: Vec<f64> = THREADS
         .iter()
         .map(|&t| {
-            time(reps, || {
+            median_seconds(reps, || {
                 std::hint::black_box(a.matmul_threads(&b, t));
             })
         })
@@ -127,7 +97,7 @@ pub fn run(ctx: &mut RunContext) {
     let times: Vec<f64> = THREADS
         .iter()
         .map(|&t| {
-            time(reps, || {
+            median_seconds(reps, || {
                 std::hint::black_box(aggregate_sum_threads(&graph, &h, nv, t));
             })
         })
@@ -141,11 +111,11 @@ pub fn run(ctx: &mut RunContext) {
     // baseline at every row).
     graph.reversed(); // Warm the cache so timings exclude the one-off build.
     std::hint::black_box(aggregate_sum_backward_scatter(&graph, &h, nv)); // Warm-up.
-    let scatter = time(reps, || {
+    let scatter = median_seconds(reps, || {
         std::hint::black_box(aggregate_sum_backward_scatter(&graph, &h, nv));
     });
     for t in THREADS {
-        let s = time(reps, || {
+        let s = median_seconds(reps, || {
             std::hint::black_box(aggregate_sum_backward_threads(&graph, &h, nv, t));
         });
         push(&mut records, &mut rows, "aggregate_bwd", t, s, scatter);
@@ -166,7 +136,7 @@ pub fn run(ctx: &mut RunContext) {
         Ok(())
     })
     .expect("healthy cluster");
-    let reference = time(reps, || {
+    let reference = median_seconds(reps, || {
         dgcl::run_cluster(&info, |hdl| {
             for _ in 0..ops {
                 let full = hdl.graph_allgather_reference(&per_device[hdl.rank])?;
@@ -176,7 +146,7 @@ pub fn run(ctx: &mut RunContext) {
         })
         .expect("healthy cluster");
     });
-    let compiled = time(reps, || {
+    let compiled = median_seconds(reps, || {
         dgcl::run_cluster(&info, |hdl| {
             for _ in 0..ops {
                 let full = hdl.graph_allgather(&per_device[hdl.rank])?;
@@ -204,7 +174,7 @@ pub fn run(ctx: &mut RunContext) {
     // One distributed training epoch per dataset: the end-to-end number
     // the kernel wins roll up into.
     let mut epoch_rows = Vec::new();
-    let mut epochs: Vec<EpochRecord> = Vec::new();
+    let mut epochs: Vec<Json> = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
         let g = ctx.graph(dataset);
         let nv = g.num_vertices();
@@ -214,7 +184,7 @@ pub fn run(ctx: &mut RunContext) {
         let targets = init.features(nv, 8);
         let info = build_comm_info(&g, Topology::fig6(), BuildOptions::default());
         let cfg = TrainConfig::new(Architecture::Gcn, &[feats, 8], 1);
-        let secs = time(if smoke { 1 } else { 3 }, || {
+        let secs = median_seconds(if smoke { 1 } else { 3 }, || {
             std::hint::black_box(
                 train_distributed(&info, &g, &features, &targets, &cfg).expect("healthy cluster"),
             );
@@ -224,11 +194,7 @@ pub fn run(ctx: &mut RunContext) {
             "gcn".to_string(),
             ms(secs),
         ]);
-        epochs.push(EpochRecord {
-            dataset: dataset.name(),
-            arch: "gcn",
-            epoch_seconds: secs,
-        });
+        epochs.push(obj! { "dataset": dataset.name(), "arch": "gcn", "epoch_seconds": secs });
     }
     print_table(
         "Compute engine: distributed GCN epoch (4 simulated GPUs)",
@@ -236,87 +202,16 @@ pub fn run(ctx: &mut RunContext) {
         &epoch_rows,
     );
 
-    match std::fs::write("BENCH_compute.json", render_json(smoke, &records, &epochs)) {
-        Ok(()) => println!("  wrote BENCH_compute.json"),
-        Err(e) => println!("  could not write BENCH_compute.json: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, records: &[KernelRecord], epochs: &[EpochRecord]) -> String {
-    let cpus = cpus();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"compute_engine\",");
-    let _ = writeln!(out, "  \"cpus\": {cpus},");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"{}\",",
-        if cpus == 1 {
-            "single-cpu machine: thread-scaling speedups are ceiling-limited at ~1x; \
-             aggregate_bwd and allgather speedups are algorithmic and hold regardless"
-        } else {
-            "thread columns measure pool scaling; aggregate_bwd and allgather \
-             speedups are algorithmic"
-        }
+    let note = if cpus() == 1 {
+        "single-cpu machine: thread-scaling speedups are ceiling-limited at ~1x; \
+         aggregate_bwd and allgather speedups are algorithmic and hold regardless"
+    } else {
+        "thread columns measure pool scaling; aggregate_bwd and allgather \
+         speedups are algorithmic"
+    };
+    write_artifact(
+        "compute",
+        "compute_engine",
+        obj! { "smoke": smoke, "note": note, "kernels": records, "epochs": epochs },
     );
-    let _ = writeln!(out, "  \"kernels\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"seconds\": {:.6}, \"baseline_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
-            r.kernel, r.threads, r.seconds, r.baseline_seconds, r.speedup, comma,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"epochs\": [");
-    for (i, e) in epochs.iter().enumerate() {
-        let comma = if i + 1 == epochs.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"arch\": \"{}\", \"epoch_seconds\": {:.6}}}{}",
-            e.dataset, e.arch, e.epoch_seconds, comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let records = [KernelRecord {
-            kernel: "matmul",
-            threads: 4,
-            seconds: 0.5,
-            baseline_seconds: 1.5,
-            speedup: 3.0,
-        }];
-        let epochs = [EpochRecord {
-            dataset: "wiki-talk",
-            arch: "gcn",
-            epoch_seconds: 0.25,
-        }];
-        let json = render_json(true, &records, &epochs);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"kernel\": \"matmul\""));
-        assert!(json.contains("\"speedup\": 3.000"));
-        assert!(json.contains("\"smoke\": true"));
-        assert!(json.contains("\"epoch_seconds\": 0.250000"));
-    }
-
-    #[test]
-    fn median_timer_is_positive() {
-        let s = time(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(s >= 0.0);
-    }
 }

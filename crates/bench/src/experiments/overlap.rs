@@ -21,9 +21,6 @@
 //! Results go to `BENCH_overlap.json`. Set `DGCL_BENCH_SMOKE=1` to
 //! shrink sizes and repetitions for CI smoke runs.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use dgcl::trainer::{train_distributed, TrainConfig};
 use dgcl::{build_comm_info, BuildOptions};
 use dgcl_gnn::Architecture;
@@ -32,7 +29,9 @@ use dgcl_sim::{simulate_overlap, GnnModel};
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{cpus, ms, print_table, smoke, RunContext};
+use crate::harness::{
+    cpus, median_seconds, ms, obj, print_table, smoke, write_artifact, Json, RunContext,
+};
 
 /// Chunk size (rows) used for every pipelined cell; matches
 /// `BuildOptions::default().chunk_rows`.
@@ -41,43 +40,12 @@ const CHUNK_ROWS: usize = 64;
 /// Device counts for the simulated sweep.
 const DEVICES: [usize; 3] = [2, 4, 8];
 
-/// One simulated (dataset, device-count) cell.
-struct SimRecord {
-    dataset: &'static str,
-    devices: usize,
-    barriered_seconds: f64,
-    pipelined_seconds: f64,
-    hidden_apply_seconds: f64,
-    speedup: f64,
-}
-
-/// One measured training run (inline vs overlapped wall clock).
-struct MeasuredRecord {
-    dataset: &'static str,
-    inline_seconds: f64,
-    overlapped_seconds: f64,
-    speedup: f64,
-}
-
-/// Median-of-`reps` wall time of `body` in seconds.
-fn time<F: FnMut()>(reps: usize, mut body: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            body();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 pub fn run(ctx: &mut RunContext) {
     let smoke = smoke();
 
     // Simulated sweep: both datasets the acceptance gate names, at every
     // device count, pipelined vs barriered on the fluid-flow model.
-    let mut sims: Vec<SimRecord> = Vec::new();
+    let mut sims: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
         let graph = ctx.graph(dataset);
@@ -96,13 +64,13 @@ pub fn run(ctx: &mut RunContext) {
                 ms(b.hidden_apply_seconds),
                 format!("{speedup:.2}x"),
             ]);
-            sims.push(SimRecord {
-                dataset: dataset.name(),
-                devices,
-                barriered_seconds: barriered,
-                pipelined_seconds: pipelined,
-                hidden_apply_seconds: b.hidden_apply_seconds,
-                speedup,
+            sims.push(obj! {
+                "dataset": dataset.name(),
+                "devices": devices,
+                "barriered_seconds": barriered,
+                "pipelined_seconds": pipelined,
+                "hidden_apply_seconds": b.hidden_apply_seconds,
+                "speedup": speedup,
             });
         }
     }
@@ -124,7 +92,7 @@ pub fn run(ctx: &mut RunContext) {
 
     // Measured: the real threaded trainer, overlap off vs on. Identical
     // losses by construction; only the schedule differs.
-    let mut measured: Vec<MeasuredRecord> = Vec::new();
+    let mut measured: Vec<Json> = Vec::new();
     let mut measured_rows = Vec::new();
     let reps = if smoke { 1 } else { 3 };
     let epochs = if smoke { 1 } else { 2 };
@@ -138,14 +106,14 @@ pub fn run(ctx: &mut RunContext) {
         let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
         let mut cfg = TrainConfig::new(Architecture::Gcn, &[feats, 8], epochs);
         cfg.overlap = false;
-        let inline = time(reps, || {
+        let inline = median_seconds(reps, || {
             std::hint::black_box(
                 train_distributed(&info, &graph, &features, &targets, &cfg)
                     .expect("healthy cluster"),
             );
         });
         cfg.overlap = true;
-        let overlapped = time(reps, || {
+        let overlapped = median_seconds(reps, || {
             std::hint::black_box(
                 train_distributed(&info, &graph, &features, &targets, &cfg)
                     .expect("healthy cluster"),
@@ -158,11 +126,11 @@ pub fn run(ctx: &mut RunContext) {
             ms(overlapped),
             format!("{speedup:.2}x"),
         ]);
-        measured.push(MeasuredRecord {
-            dataset: dataset.name(),
-            inline_seconds: inline,
-            overlapped_seconds: overlapped,
-            speedup,
+        measured.push(obj! {
+            "dataset": dataset.name(),
+            "inline_seconds": inline,
+            "overlapped_seconds": overlapped,
+            "speedup": speedup,
         });
     }
     print_table(
@@ -174,98 +142,22 @@ pub fn run(ctx: &mut RunContext) {
         "  (threaded shared-memory fabric; overlap needs spare cores to show a\n   wall-clock win — the JSON records `cpus` so CI can tell a regression\n   from a 1-CPU ceiling. Losses are bitwise identical either way.)"
     );
 
-    match std::fs::write("BENCH_overlap.json", render_json(smoke, &sims, &measured)) {
-        Ok(()) => println!("  wrote BENCH_overlap.json"),
-        Err(e) => println!("  could not write BENCH_overlap.json: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, sims: &[SimRecord], measured: &[MeasuredRecord]) -> String {
-    let cpus = cpus();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"overlap\",");
-    let _ = writeln!(out, "  \"cpus\": {cpus},");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"chunk_rows\": {CHUNK_ROWS},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"{}\",",
-        if cpus == 1 {
-            "single-cpu machine: measured wall-clock overlap is ceiling-limited at ~1x; \
-             the simulated columns model V100-class links and hold regardless"
-        } else {
-            "simulated columns use the fluid-flow V100 model; measured columns are \
-             real threaded wall clock and need spare cores to show overlap"
-        }
+    let note = if cpus() == 1 {
+        "single-cpu machine: measured wall-clock overlap is ceiling-limited at ~1x; \
+         the simulated columns model V100-class links and hold regardless"
+    } else {
+        "simulated columns use the fluid-flow V100 model; measured columns are \
+         real threaded wall clock and need spare cores to show overlap"
+    };
+    write_artifact(
+        "overlap",
+        "overlap",
+        obj! {
+            "smoke": smoke,
+            "chunk_rows": CHUNK_ROWS,
+            "note": note,
+            "simulated": sims,
+            "measured": measured,
+        },
     );
-    let _ = writeln!(out, "  \"simulated\": [");
-    for (i, r) in sims.iter().enumerate() {
-        let comma = if i + 1 == sims.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"devices\": {}, \"barriered_seconds\": {:.6}, \"pipelined_seconds\": {:.6}, \"hidden_apply_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
-            r.dataset,
-            r.devices,
-            r.barriered_seconds,
-            r.pipelined_seconds,
-            r.hidden_apply_seconds,
-            r.speedup,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"measured\": [");
-    for (i, r) in measured.iter().enumerate() {
-        let comma = if i + 1 == measured.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"inline_seconds\": {:.6}, \"overlapped_seconds\": {:.6}, \"speedup\": {:.3}}}{}",
-            r.dataset, r.inline_seconds, r.overlapped_seconds, r.speedup, comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let sims = [SimRecord {
-            dataset: "wiki-talk",
-            devices: 4,
-            barriered_seconds: 2.0,
-            pipelined_seconds: 1.5,
-            hidden_apply_seconds: 0.1,
-            speedup: 4.0 / 3.0,
-        }];
-        let measured = [MeasuredRecord {
-            dataset: "web-google",
-            inline_seconds: 0.5,
-            overlapped_seconds: 0.4,
-            speedup: 1.25,
-        }];
-        let json = render_json(true, &sims, &measured);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"bench\": \"overlap\""));
-        assert!(json.contains("\"devices\": 4"));
-        assert!(json.contains("\"pipelined_seconds\": 1.500000"));
-        assert!(json.contains("\"inline_seconds\": 0.500000"));
-        assert!(json.contains("\"overlapped_seconds\": 0.400000"));
-        assert!(json.contains("\"smoke\": true"));
-    }
-
-    #[test]
-    fn median_timer_is_positive() {
-        let s = time(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(s >= 0.0);
-    }
 }

@@ -18,7 +18,6 @@
 //! Results go to `BENCH_recovery.json`. Set `DGCL_BENCH_SMOKE=1` to
 //! shrink sizes and repetitions for CI smoke runs.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use dgcl::trainer::TrainConfig;
@@ -30,31 +29,7 @@ use dgcl_sim::epoch::partition_for;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{cpus, ms, print_table, smoke, RunContext};
-
-/// One per-graph replan comparison on the survivor topology.
-struct ReplanRecord {
-    dataset: &'static str,
-    cold_seconds: f64,
-    warm_seconds: f64,
-    speedup: f64,
-    demands: usize,
-    cold_full_searches: usize,
-    warm_full_searches: usize,
-    warm_cache_commits: usize,
-}
-
-/// One end-to-end elastic run with an injected crash.
-struct RecoveryRecord {
-    dataset: &'static str,
-    crash: &'static str,
-    epochs: usize,
-    resumed_epoch: usize,
-    epochs_lost: usize,
-    replan_seconds: f64,
-    run_seconds: f64,
-    survivors: usize,
-}
+use crate::harness::{ms, obj, print_table, smoke, write_artifact, Json, RunContext};
 
 /// Best-of-`reps` of a body returning its own wall time in seconds
 /// (planning is minimum-meaningful: noise only ever adds).
@@ -70,10 +45,14 @@ pub fn run(ctx: &mut RunContext) {
 
     // Replan comparison: the topology recovery actually replans on —
     // fig6 with one GPU evicted. Timed at the planner (the partition
-    // and table compilation around it are identical either way).
+    // and table compilation around it are identical either way). One
+    // planner thread: the demand-class cache alone, so neither the
+    // verdict nor the counters depend on the box's core count (at this
+    // size speculative batches on more threads cost more than they save;
+    // table8 measures that tier).
     let survivors = Topology::fig6().evict_gpus(&[2]);
-    let warm_config = SpstConfig::batched(cpus().clamp(1, 8));
-    let mut replans: Vec<ReplanRecord> = Vec::new();
+    let warm_config = SpstConfig::batched(1);
+    let mut replans: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
         let graph = ctx.graph(dataset);
@@ -107,15 +86,16 @@ pub fn run(ctx: &mut RunContext) {
                 warm_stats.cache_commits + warm_stats.speculative_commits
             ),
         ]);
-        replans.push(ReplanRecord {
-            dataset: dataset.name(),
-            cold_seconds,
-            warm_seconds,
-            speedup,
-            demands: cold_stats.demands,
-            cold_full_searches: cold_stats.full_searches,
-            warm_full_searches: warm_stats.full_searches,
-            warm_cache_commits: warm_stats.cache_commits + warm_stats.speculative_commits,
+        replans.push(obj! {
+            "dataset": dataset.name(),
+            "cold_seconds": cold_seconds,
+            "warm_seconds": warm_seconds,
+            "speedup": speedup,
+            "demands": cold_stats.demands,
+            "cold_full_searches": cold_stats.full_searches,
+            "warm_full_searches": warm_stats.full_searches,
+            "warm_cache_commits": warm_stats.cache_commits + warm_stats.speculative_commits,
+            "warm_beats_cold": warm_seconds < cold_seconds,
         });
     }
     print_table(
@@ -136,7 +116,7 @@ pub fn run(ctx: &mut RunContext) {
 
     // End-to-end: inject one crash per mode and run the elastic driver.
     let epochs = if smoke { 3 } else { 6 };
-    let mut recoveries: Vec<RecoveryRecord> = Vec::new();
+    let mut recoveries: Vec<Json> = Vec::new();
     let mut rec_rows = Vec::new();
     let mut init = XavierInit::new(ctx.seed);
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
@@ -176,15 +156,15 @@ pub fn run(ctx: &mut RunContext) {
                 ms(run_seconds),
                 elastic.final_devices.to_string(),
             ]);
-            recoveries.push(RecoveryRecord {
-                dataset: dataset.name(),
-                crash,
-                epochs,
-                resumed_epoch: ev.resumed_epoch,
-                epochs_lost: ev.epochs_lost,
-                replan_seconds: ev.replan_seconds,
-                run_seconds,
-                survivors: elastic.final_devices,
+            recoveries.push(obj! {
+                "dataset": dataset.name(),
+                "crash": crash,
+                "epochs": epochs,
+                "resumed_epoch": ev.resumed_epoch,
+                "epochs_lost": ev.epochs_lost,
+                "replan_seconds": ev.replan_seconds,
+                "run_seconds": run_seconds,
+                "survivors": elastic.final_devices,
             });
         }
     }
@@ -205,97 +185,16 @@ pub fn run(ctx: &mut RunContext) {
         "  (per-epoch in-memory checkpoints: completed epochs are never lost;\n   `epochs lost` counts full epochs discarded, the in-flight one aside.)"
     );
 
-    match std::fs::write(
-        "BENCH_recovery.json",
-        render_json(smoke, &replans, &recoveries),
-    ) {
-        Ok(()) => println!("  wrote BENCH_recovery.json"),
-        Err(e) => println!("  could not write BENCH_recovery.json: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, replans: &[ReplanRecord], recoveries: &[RecoveryRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"recovery\",");
-    let _ = writeln!(out, "  \"cpus\": {},", cpus());
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"replan\": [");
-    for (i, r) in replans.iter().enumerate() {
-        let comma = if i + 1 == replans.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, \"speedup\": {:.3}, \"demands\": {}, \"cold_full_searches\": {}, \"warm_full_searches\": {}, \"warm_cache_commits\": {}, \"warm_beats_cold\": {}}}{}",
-            r.dataset,
-            r.cold_seconds,
-            r.warm_seconds,
-            r.speedup,
-            r.demands,
-            r.cold_full_searches,
-            r.warm_full_searches,
-            r.warm_cache_commits,
-            r.warm_seconds < r.cold_seconds,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"recovery\": [");
-    for (i, r) in recoveries.iter().enumerate() {
-        let comma = if i + 1 == recoveries.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"crash\": \"{}\", \"epochs\": {}, \"resumed_epoch\": {}, \"epochs_lost\": {}, \"replan_seconds\": {:.6}, \"run_seconds\": {:.6}, \"survivors\": {}}}{}",
-            r.dataset,
-            r.crash,
-            r.epochs,
-            r.resumed_epoch,
-            r.epochs_lost,
-            r.replan_seconds,
-            r.run_seconds,
-            r.survivors,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
+    write_artifact(
+        "recovery",
+        "recovery",
+        obj! { "smoke": smoke, "replan": replans, "recovery": recoveries },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let replans = [ReplanRecord {
-            dataset: "wiki-talk",
-            cold_seconds: 0.02,
-            warm_seconds: 0.01,
-            speedup: 2.0,
-            demands: 6,
-            cold_full_searches: 6,
-            warm_full_searches: 2,
-            warm_cache_commits: 4,
-        }];
-        let recoveries = [RecoveryRecord {
-            dataset: "web-google",
-            crash: "at-epoch",
-            epochs: 6,
-            resumed_epoch: 3,
-            epochs_lost: 0,
-            replan_seconds: 0.015,
-            run_seconds: 1.2,
-            survivors: 3,
-        }];
-        let json = render_json(true, &replans, &recoveries);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"bench\": \"recovery\""));
-        assert!(json.contains("\"warm_beats_cold\": true"));
-        assert!(json.contains("\"crash\": \"at-epoch\""));
-        assert!(json.contains("\"epochs_lost\": 0"));
-    }
 
     #[test]
     fn best_of_picks_the_minimum() {

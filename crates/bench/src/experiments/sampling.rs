@@ -24,7 +24,6 @@
 //! and which moves no bit. Results go to `BENCH_sampling.json`;
 //! `DGCL_BENCH_SMOKE=1` shrinks epochs for CI.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use dgcl::featcache::CachePolicy;
@@ -37,25 +36,7 @@ use dgcl_sim::SamplingModel;
 use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{cpus, ms, print_table, smoke, RunContext};
-
-/// One (graph, configuration) training measurement.
-struct SamplingRecord {
-    dataset: &'static str,
-    config: &'static str,
-    epochs: usize,
-    batches_per_epoch: usize,
-    epoch_seconds: f64,
-    first_loss: f32,
-    last_loss: f32,
-    model_step_ratio: f64,
-    model_epoch_ratio: f64,
-    /// Uncached feature bytes per epoch: measured by the run's cache
-    /// counters, and as [`SamplingModel`] prices them (0 for full-batch,
-    /// which fetches its halo once per run and prices no sampled epoch).
-    bytes_fetched: f64,
-    model_bytes: f64,
-}
+use crate::harness::{ms, obj, print_table, smoke, write_artifact, Json, RunContext};
 
 pub fn run(ctx: &mut RunContext) {
     let smoke = smoke();
@@ -63,7 +44,7 @@ pub fn run(ctx: &mut RunContext) {
     let batch_size = 128usize;
     let num_parts = 4usize;
 
-    let mut records: Vec<SamplingRecord> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
         let graph = ctx.graph(dataset);
@@ -136,18 +117,19 @@ pub fn run(ctx: &mut RunContext) {
                 format!("{:.2}", fetched / 1e6),
                 format!("{:.2}", model_bytes / 1e6),
             ]);
-            records.push(SamplingRecord {
-                dataset: dataset.name(),
-                config: name,
-                epochs,
-                batches_per_epoch: batches,
-                epoch_seconds,
-                first_loss: first,
-                last_loss: last,
-                model_step_ratio: step_ratio,
-                model_epoch_ratio: epoch_ratio,
-                bytes_fetched: fetched,
-                model_bytes,
+            records.push(obj! {
+                "dataset": dataset.name(),
+                "config": name,
+                "epochs": epochs,
+                "batches_per_epoch": batches,
+                "epoch_seconds": epoch_seconds,
+                "first_loss": first,
+                "last_loss": last,
+                "loss_decreased": last < first,
+                "model_step_ratio": step_ratio,
+                "model_epoch_ratio": epoch_ratio,
+                "bytes_fetched_per_epoch": fetched,
+                "model_bytes_per_epoch": model_bytes,
             });
         }
     }
@@ -171,69 +153,9 @@ pub fn run(ctx: &mut RunContext) {
         "  (step/epoch vol: modelled exchange volume relative to one full-batch epoch —\n   sampling buys small per-update transfers, paying halo redundancy per epoch.)"
     );
 
-    match std::fs::write("BENCH_sampling.json", render_json(smoke, &records)) {
-        Ok(()) => println!("  wrote BENCH_sampling.json"),
-        Err(e) => println!("  could not write BENCH_sampling.json: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, records: &[SamplingRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"sampling\",");
-    let _ = writeln!(out, "  \"cpus\": {},", cpus());
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"config\": \"{}\", \"epochs\": {}, \"batches_per_epoch\": {}, \"epoch_seconds\": {:.6}, \"first_loss\": {:.4}, \"last_loss\": {:.4}, \"loss_decreased\": {}, \"model_step_ratio\": {:.6}, \"model_epoch_ratio\": {:.4}, \"bytes_fetched_per_epoch\": {:.0}, \"model_bytes_per_epoch\": {:.0}}}{}",
-            r.dataset,
-            r.config,
-            r.epochs,
-            r.batches_per_epoch,
-            r.epoch_seconds,
-            r.first_loss,
-            r.last_loss,
-            r.last_loss < r.first_loss,
-            r.model_step_ratio,
-            r.model_epoch_ratio,
-            r.bytes_fetched,
-            r.model_bytes,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let records = [SamplingRecord {
-            dataset: "wiki-talk",
-            config: "fanout-2",
-            epochs: 4,
-            batches_per_epoch: 12,
-            epoch_seconds: 0.21,
-            first_loss: 100.0,
-            last_loss: 80.0,
-            model_step_ratio: 0.011,
-            model_epoch_ratio: 1.9,
-            bytes_fetched: 4096.0,
-            model_bytes: 5000.0,
-        }];
-        let json = render_json(true, &records);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"bench\": \"sampling\""));
-        assert!(json.contains("\"loss_decreased\": true"));
-        assert!(json.contains("\"config\": \"fanout-2\""));
-    }
+    write_artifact(
+        "sampling",
+        "sampling",
+        obj! { "smoke": smoke, "runs": records },
+    );
 }

@@ -26,7 +26,6 @@
 //! p99 in every cell (asserted). Results go to `BENCH_serving.json`;
 //! `DGCL_BENCH_SMOKE=1` shrinks request counts for CI.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use dgcl::serving::{InferenceServer, ServedFuture, ServingConfig};
@@ -34,20 +33,7 @@ use dgcl_gnn::{Architecture, GnnNetwork};
 use dgcl_graph::{CsrGraph, Dataset, VertexId};
 use dgcl_tensor::XavierInit;
 
-use crate::harness::{cpus, ms, print_table, smoke, RunContext};
-
-/// One (graph, load, policy) measurement.
-struct ServingRecord {
-    dataset: &'static str,
-    load: &'static str,
-    offered_qps: f64,
-    policy: &'static str,
-    requests: usize,
-    p50_seconds: f64,
-    p99_seconds: f64,
-    sustained_qps: f64,
-    mean_batch: f64,
-}
+use crate::harness::{ms, obj, print_table, smoke, write_artifact, Json, RunContext};
 
 /// splitmix64 — deterministic request targets without a rand crate.
 fn mix(mut x: u64) -> u64 {
@@ -158,7 +144,7 @@ pub fn run(ctx: &mut RunContext) {
         cache_rows: None,
     };
 
-    let mut records: Vec<ServingRecord> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
     let mut violations: Vec<String> = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
@@ -183,7 +169,6 @@ pub fn run(ctx: &mut RunContext) {
 
         for (load, factor) in [("1.5x", 1.5f64), ("3x", 3.0)] {
             let offered = capacity * factor;
-            let mut cell: Vec<&ServingRecord> = Vec::new();
             // Best-of-4 per metric, with the two policies' drives
             // interleaved inside each rep: a noisy scheduler period
             // then taxes both policies instead of deciding the cell.
@@ -216,35 +201,29 @@ pub fn run(ctx: &mut RunContext) {
                     format!("{sustained:.0}"),
                     format!("{mean_batch:.1}"),
                 ]);
-                records.push(ServingRecord {
-                    dataset: dataset.name(),
-                    load,
-                    offered_qps: offered,
-                    policy,
-                    requests,
-                    p50_seconds: p50,
-                    p99_seconds: p99,
-                    sustained_qps: sustained,
-                    mean_batch,
+                records.push(obj! {
+                    "dataset": dataset.name(),
+                    "load": load,
+                    "offered_qps": offered,
+                    "policy": policy,
+                    "requests": requests,
+                    "p50_seconds": p50,
+                    "p99_seconds": p99,
+                    "sustained_qps": sustained,
+                    "mean_batch": mean_batch,
                 });
             }
-            let len = records.len();
-            cell.push(&records[len - 2]);
-            cell.push(&records[len - 1]);
-            if cell[1].sustained_qps <= cell[0].sustained_qps {
+            let [(_, unbatched_p99, unbatched_qps, _), (_, batched_p99, batched_qps, _)] = best;
+            if batched_qps <= unbatched_qps {
                 violations.push(format!(
-                    "{} {load}: batched QPS {:.0} must beat unbatched {:.0}",
+                    "{} {load}: batched QPS {batched_qps:.0} must beat unbatched {unbatched_qps:.0}",
                     dataset.name(),
-                    cell[1].sustained_qps,
-                    cell[0].sustained_qps
                 ));
             }
-            if cell[1].p99_seconds >= cell[0].p99_seconds {
+            if batched_p99 >= unbatched_p99 {
                 violations.push(format!(
-                    "{} {load}: batched p99 {:.4}s must beat unbatched {:.4}s",
+                    "{} {load}: batched p99 {batched_p99:.4}s must beat unbatched {unbatched_p99:.4}s",
                     dataset.name(),
-                    cell[1].p99_seconds,
-                    cell[0].p99_seconds
                 ));
             }
         }
@@ -260,10 +239,11 @@ pub fn run(ctx: &mut RunContext) {
         "  (load is a multiple of the unbatched server's closed-loop capacity;\n   open-loop arrivals, so backlog shows up as tail latency, not hidden throttling.)"
     );
 
-    match std::fs::write("BENCH_serving.json", render_json(smoke, &records)) {
-        Ok(()) => println!("  wrote BENCH_serving.json"),
-        Err(e) => println!("  could not write BENCH_serving.json: {e}"),
-    }
+    write_artifact(
+        "serving",
+        "serving",
+        obj! { "smoke": smoke, "cells": records },
+    );
     assert!(
         violations.is_empty(),
         "micro-batching must win every cell:\n  {}",
@@ -271,73 +251,9 @@ pub fn run(ctx: &mut RunContext) {
     );
 }
 
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(smoke: bool, records: &[ServingRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"serving\",");
-    let _ = writeln!(out, "  \"cpus\": {},", cpus());
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"load\": \"{}\", \"offered_qps\": {:.1}, \"policy\": \"{}\", \"requests\": {}, \"p50_seconds\": {:.6}, \"p99_seconds\": {:.6}, \"sustained_qps\": {:.1}, \"mean_batch\": {:.2}}}{}",
-            r.dataset,
-            r.load,
-            r.offered_qps,
-            r.policy,
-            r.requests,
-            r.p50_seconds,
-            r.p99_seconds,
-            r.sustained_qps,
-            r.mean_batch,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let records = [
-            ServingRecord {
-                dataset: "wiki-talk",
-                load: "1.5x",
-                offered_qps: 900.0,
-                policy: "unbatched",
-                requests: 150,
-                p50_seconds: 0.004,
-                p99_seconds: 0.050,
-                sustained_qps: 610.0,
-                mean_batch: 1.0,
-            },
-            ServingRecord {
-                dataset: "wiki-talk",
-                load: "1.5x",
-                offered_qps: 900.0,
-                policy: "batched",
-                requests: 150,
-                p50_seconds: 0.002,
-                p99_seconds: 0.006,
-                sustained_qps: 898.0,
-                mean_batch: 9.3,
-            },
-        ];
-        let json = render_json(true, &records);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"bench\": \"serving\""));
-        assert!(json.contains("\"policy\": \"batched\""));
-        assert!(json.contains("\"sustained_qps\": 898.0"));
-    }
 
     #[test]
     fn target_vertices_are_deterministic_and_in_range() {

@@ -11,29 +11,13 @@
 //! Besides the text table, the run emits `BENCH_spst.json` next to the
 //! working directory so CI can track planning speedups machine-readably.
 
-use std::fmt::Write as _;
-
 use dgcl_graph::Dataset;
 use dgcl_plan::plan::validate_plan;
 use dgcl_plan::{spst_plan, spst_plan_with_config, SpstConfig};
 use dgcl_sim::epoch::partition_for;
 use dgcl_topology::Topology;
 
-use crate::harness::{cpus, print_table, RunContext};
-
-/// One measured configuration, serialised into `BENCH_spst.json`.
-struct Record {
-    gpus: usize,
-    dataset: &'static str,
-    seq_seconds: f64,
-    par_seconds: f64,
-    speedup: f64,
-    cost_ratio: f64,
-    cache_commits: usize,
-    speculative_commits: usize,
-    full_searches: usize,
-    demands: usize,
-}
+use crate::harness::{cpus, obj, print_table, write_artifact, Json, RunContext};
 
 fn planner_threads() -> usize {
     cpus().clamp(1, 8)
@@ -42,7 +26,7 @@ fn planner_threads() -> usize {
 pub fn run(ctx: &mut RunContext) {
     let threads = planner_threads();
     let mut rows = Vec::new();
-    let mut records: Vec<Record> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     for gpus in [2usize, 4, 8, 16] {
         let topo = Topology::for_gpu_count(gpus);
         for dataset in [
@@ -72,17 +56,17 @@ pub fn run(ctx: &mut RunContext) {
                     par.stats.cache_commits, par.stats.speculative_commits, par.stats.full_searches
                 ),
             ]);
-            records.push(Record {
-                gpus,
-                dataset: dataset.name(),
-                seq_seconds: seq.planning_seconds,
-                par_seconds: par.planning_seconds,
-                speedup,
-                cost_ratio,
-                cache_commits: par.stats.cache_commits,
-                speculative_commits: par.stats.speculative_commits,
-                full_searches: par.stats.full_searches,
-                demands: par.stats.demands,
+            records.push(obj! {
+                "gpus": gpus,
+                "dataset": dataset.name(),
+                "seq_seconds": seq.planning_seconds,
+                "par_seconds": par.planning_seconds,
+                "speedup": speedup,
+                "cost_ratio": cost_ratio,
+                "cache_commits": par.stats.cache_commits,
+                "speculative_commits": par.stats.speculative_commits,
+                "full_searches": par.stats.full_searches,
+                "demands": par.stats.demands,
             });
         }
     }
@@ -102,67 +86,16 @@ pub fn run(ctx: &mut RunContext) {
     println!(
         "  (paper, full-scale C++: 0.74-9.91 Reddit, 4.61-110 Com-Orkut, 0.78-6.76\n   Web-Google, 0.37-3.14 Wiki-Talk for 2-16 GPUs; shape: grows with size,\n   density and GPU count. Default runs use scaled graphs — compare shape.\n   Cost ratio is batched/sequential modelled plan time; the batched\n   planner's tolerance bounds it near 1.)"
     );
-    match std::fs::write("BENCH_spst.json", render_json(threads, &records)) {
-        Ok(()) => println!("  wrote BENCH_spst.json"),
-        Err(e) => println!("  could not write BENCH_spst.json: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace is offline; no serde).
-fn render_json(threads: usize, records: &[Record]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"spst_planning\",");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"tolerance\": 0.05,");
-    let _ = writeln!(out, "  \"results\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"gpus\": {}, \"dataset\": \"{}\", \"seq_seconds\": {:.6}, \"par_seconds\": {:.6}, \"speedup\": {:.3}, \"cost_ratio\": {:.6}, \"cache_commits\": {}, \"speculative_commits\": {}, \"full_searches\": {}, \"demands\": {}}}{}",
-            r.gpus,
-            r.dataset,
-            r.seq_seconds,
-            r.par_seconds,
-            r.speedup,
-            r.cost_ratio,
-            r.cache_commits,
-            r.speculative_commits,
-            r.full_searches,
-            r.demands,
-            comma,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
+    write_artifact(
+        "spst",
+        "spst_planning",
+        obj! { "threads": threads, "tolerance": 0.05, "results": records },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let records = [Record {
-            gpus: 8,
-            dataset: "reddit",
-            seq_seconds: 1.5,
-            par_seconds: 0.5,
-            speedup: 3.0,
-            cost_ratio: 1.01,
-            cache_commits: 10,
-            speculative_commits: 20,
-            full_searches: 5,
-            demands: 35,
-        }];
-        let json = render_json(4, &records);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"speedup\": 3.000"));
-        assert!(json.contains("\"dataset\": \"reddit\""));
-    }
 
     #[test]
     fn planner_threads_is_positive_and_bounded() {

@@ -1,6 +1,9 @@
-//! Experiment plumbing: dataset scales, graph caching and table printing.
+//! Experiment plumbing: dataset scales, graph caching, table printing,
+//! the median timer and the one writer of the `BENCH_*.json` artifacts.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::time::Instant;
 
 use dgcl_graph::{CsrGraph, Dataset};
 use dgcl_sim::{EpochConfig, GnnModel};
@@ -119,6 +122,189 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Median-of-`reps` wall time of `body` in seconds.
+pub(crate) fn median_seconds<F: FnMut()>(reps: usize, mut body: F) -> f64 {
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            body();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// A JSON value, as the `BENCH_*.json` artifacts need it (the workspace
+/// is offline; no serde). Object keys keep insertion order.
+#[derive(Debug)]
+pub(crate) enum Json {
+    Bool(bool),
+    /// Printed exactly.
+    Int(i128),
+    /// Printed as the shortest decimal that reads back as the same
+    /// `f64`; a non-finite value prints as `null`.
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+/// `obj! { "key": value, … }`: a [`Json::Obj`] with its keys in the order
+/// written, each value converted by `Json::from`.
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::harness::Json::Obj(vec![
+            $(($key.to_string(), $crate::harness::Json::from($value))),*
+        ])
+    };
+}
+pub(crate) use obj;
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Self {
+        Json::Bool(v)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Self {
+        Json::Int(v.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Self {
+        Json::Int(v as i128)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Self {
+        Json::Num(v)
+    }
+}
+
+impl From<f32> for Json {
+    fn from(v: f32) -> Self {
+        Json::Num(v.into())
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Self {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Self {
+        Json::Str(v)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(v: Vec<Json>) -> Self {
+        Json::Arr(v)
+    }
+}
+
+/// A JSON string literal: quoted, with `"`, `\` and control characters
+/// escaped.
+fn write_json_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
+impl fmt::Display for Json {
+    /// Compact, `{"key": value, "list": [1, 2]}`. The alternate form
+    /// (`{:#}`) of an object is the artifact layout: one key per line,
+    /// and an array value one element per line.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Int(i) => write!(f, "{i}"),
+            Json::Num(x) if x.is_finite() => write!(f, "{x}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_json_str(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{item}")?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) if f.alternate() => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    f.write_str(if i == 0 { "\n  " } else { ",\n  " })?;
+                    write_json_str(f, key)?;
+                    f.write_str(": ")?;
+                    match value {
+                        Json::Arr(items) => {
+                            f.write_char('[')?;
+                            for (j, item) in items.iter().enumerate() {
+                                let sep = if j == 0 { "" } else { "," };
+                                write!(f, "{sep}\n    {item}")?;
+                            }
+                            f.write_str("\n  ]")?;
+                        }
+                        value => write!(f, "{value}")?,
+                    }
+                }
+                f.write_str("\n}")
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    f.write_str(if i == 0 { "" } else { ", " })?;
+                    write_json_str(f, key)?;
+                    write!(f, ": {value}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// The text of an artifact: `bench`, then this machine's `cpus`, then
+/// `body`'s own keys in order.
+///
+/// # Panics
+///
+/// Panics if `body` is not an object.
+fn artifact(bench: &str, body: Json) -> String {
+    let Json::Obj(fields) = body else {
+        panic!("an artifact body is a JSON object");
+    };
+    let mut record = vec![
+        ("bench".to_string(), Json::from(bench)),
+        ("cpus".to_string(), Json::from(cpus())),
+    ];
+    record.extend(fields);
+    format!("{:#}\n", Json::Obj(record))
+}
+
+/// Writes `BENCH_<file_stem>.json` into the working directory (see
+/// [`artifact`] for its keys) and says whether it could.
+pub(crate) fn write_artifact(file_stem: &str, bench: &str, body: Json) {
+    let path = format!("BENCH_{file_stem}.json");
+    match std::fs::write(&path, artifact(bench, body)) {
+        Ok(()) => println!("  wrote {path}"),
+        Err(e) => println!("  could not write {path}: {e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +329,34 @@ mod tests {
         assert_eq!(ms(0.1234), "123");
         assert_eq!(ms(0.01234), "12.3");
         assert_eq!(ms(0.001234), "1.23");
+    }
+
+    #[test]
+    fn median_timer_runs_every_rep() {
+        let mut calls = 0;
+        let s = median_seconds(3, || calls += 1);
+        assert_eq!(calls, 3);
+        assert!(s >= 0.0);
+    }
+
+    #[test]
+    fn artifact_layout_escapes_strings_and_nulls_non_finite_numbers() {
+        let body = obj! {
+            "smoke": true,
+            "note": "a \"quoted\" \\ path\n\u{1}",
+            "runs": vec![
+                obj! { "n": u64::MAX, "x": 0.1, "loss": 0.5f32, "c": vec![obj! { "c": 1usize }] },
+                obj! { "n": 0usize, "x": f64::NAN, "loss": f32::INFINITY, "c": Vec::new() },
+            ],
+        };
+        let expected = format!(
+            "{{\n  \"bench\": \"demo\",\n  \"cpus\": {},\n  \"smoke\": true,\n  \
+             \"note\": \"a \\\"quoted\\\" \\\\ path\\n\\u0001\",\n  \"runs\": [\n    \
+             {{\"n\": 18446744073709551615, \"x\": 0.1, \"loss\": 0.5, \"c\": [{{\"c\": 1}}]}},\n    \
+             {{\"n\": 0, \"x\": null, \"loss\": null, \"c\": []}}\n  ]\n}}\n",
+            cpus()
+        );
+        assert_eq!(artifact("demo", body), expected);
     }
 
     #[test]

@@ -203,14 +203,14 @@ fn pick_block<'a>(dev: &DeviceHandle<'a>, transpose: bool, d: usize, t: usize) -
 /// The shared CAGNET engine: computes `A · H` (or `Aᵀ · H` with
 /// `transpose`) for the distributed sparse `A` and the distributed
 /// dense `H` whose local slice is `input`, returning this device's
-/// owned output rows. `c == 1` is the 1D algorithm (p broadcast rounds,
-/// SpMM inline); `c > 1` the 1.5D one (fat-row assembly, column-group
-/// broadcast waves with deferred SpMM, a sequential fat-panel chain
-/// combine, and a thin return).
+/// owned output rows. One body on the `r × c` grid for every `c`
+/// (fat-row assembly, column-group broadcast waves, a sequential
+/// fat-panel chain combine, and a thin return); 1D is `c = 1`, where
+/// the fat row is one thin panel and the chain has no hops.
 ///
-/// Every rank performs the identical op-counter sequence: `p` ops in
-/// 1D; `c + ceil(r/c) + (c − 1) + 1` ops in 1.5D, with columns short on
-/// rounds padding via [`DeviceHandle::align_op`].
+/// Every rank performs the identical op-counter sequence of
+/// `c + ceil(r/c) + (c − 1) + 1` ops, with columns short on rounds
+/// padding via [`DeviceHandle::align_op`].
 fn cagnet_exchange(
     dev: &DeviceHandle<'_>,
     input: &Matrix,
@@ -240,31 +240,7 @@ fn cagnet_exchange(
         );
         return Ok(out);
     }
-    if c == 1 {
-        // 1D: p rounds; round t broadcasts t's thin panel to everyone,
-        // and each device multiplies its (rank, t) block immediately.
-        // Ascending t == ascending global column order, so the
-        // accumulation is the single-device fold.
-        let group = GroupSpec::all(p);
-        let mut out = Matrix::zeros(num_local, cols);
-        for t in 0..p {
-            let buf = if t == rank {
-                input.clone()
-            } else {
-                Matrix::zeros(len(t), cols)
-            };
-            let buf = dev.broadcast_group(BroadcastAlgo::Flat, group, t, buf)?;
-            spmm_csr_dense_into(
-                pick_block(dev, transpose, rank, t),
-                buf.as_slice(),
-                cols,
-                out.as_mut_slice(),
-                threads,
-            );
-        }
-        return Ok(out);
-    }
-    // 1.5D over the r × c grid: rank = fat_row * c + col.
+    // The r × c grid: rank = fat_row * c + col.
     let r = p / c;
     let row_f = rank / c;
     let col_j = rank % c;
@@ -291,36 +267,8 @@ fn cagnet_exchange(
         fat_in.as_mut_slice()[off * cols..(off + len(m)) * cols].copy_from_slice(buf.as_slice());
         off += len(m);
     }
-    // Broadcast waves: column j owns the contiguous round range Q_j;
-    // in wave w the rank at (round, j) broadcasts its fat panel down
-    // the column. SpMM is deferred — panels are stored so the chain
-    // below can fold rounds in ascending order into a *received*
-    // running panel (accumulating into a private zero panel first and
-    // merging later would associate the sum differently and break
-    // bitwise parity).
-    let col_group = GroupSpec {
-        offset: col_j,
-        stride: c,
-        len: r,
-    };
-    let (q_start, q_len) = contiguous_split(r, c, col_j);
-    let mut stored: Vec<(usize, Matrix)> = Vec::with_capacity(q_len);
-    for w in 0..r.div_ceil(c) {
-        if w < q_len {
-            let t = q_start + w;
-            let buf = if t == row_f {
-                fat_in.clone()
-            } else {
-                Matrix::zeros(fat_len(t), cols)
-            };
-            let buf = dev.broadcast_group(BroadcastAlgo::Flat, col_group, t, buf)?;
-            stored.push((t, buf));
-        } else {
-            dev.align_op()?;
-        }
-    }
-    // One stored round: multiply every (mate, thin-column) block pair
-    // in ascending order into the running fat output panel.
+    // One round: multiply every (mate, thin-column) block pair in
+    // ascending order into the running fat output panel.
     let accumulate = |z: &mut Matrix, t: usize, fat_h: &Matrix| {
         let mut zoff = 0usize;
         for m in row_f * c..(row_f + 1) * c {
@@ -340,11 +288,43 @@ fn cagnet_exchange(
             zoff += m_rows;
         }
     };
-    // Chain combine: the fat output panel starts as zeros at column 0
-    // (the seed `aggregate_sum` uses) and hops rightward, each column
+    // Broadcast waves: column j owns the contiguous round range Q_j;
+    // in wave w the rank at (round, j) broadcasts its fat panel down
+    // the column. The running panel starts as zeros at column 0 (the
+    // seed `aggregate_sum` uses), so column 0 folds each round in as it
+    // arrives; every other column stores its rounds until the running
+    // panel reaches it (accumulating into a private zero panel first and
+    // merging later would associate the sum differently and break
+    // bitwise parity).
+    let col_group = GroupSpec {
+        offset: col_j,
+        stride: c,
+        len: r,
+    };
+    let (q_start, q_len) = contiguous_split(r, c, col_j);
+    let mut z = Matrix::zeros(my_fat, cols);
+    let mut stored: Vec<(usize, Matrix)> = Vec::new();
+    for w in 0..r.div_ceil(c) {
+        if w < q_len {
+            let t = q_start + w;
+            let buf = if t == row_f {
+                fat_in.clone()
+            } else {
+                Matrix::zeros(fat_len(t), cols)
+            };
+            let buf = dev.broadcast_group(BroadcastAlgo::Flat, col_group, t, buf)?;
+            if col_j == 0 {
+                accumulate(&mut z, t, &buf);
+            } else {
+                stored.push((t, buf));
+            }
+        } else {
+            dev.align_op()?;
+        }
+    }
+    // Chain combine: the running panel hops rightward, each column
     // folding its stored rounds in before forwarding. Q_j ranges are
     // ascending in j, so the overall fold order is ascending rounds.
-    let mut z = Matrix::zeros(my_fat, cols);
     for hop in 0..c - 1 {
         if col_j == hop {
             for (t, fat_h) in &stored {

@@ -19,12 +19,8 @@
 //! * [`faults`] — fault events mirrored from the runtime's fault-injection
 //!   plans, replayed against the fluid network model (delays stretch
 //!   stages, crashes truncate the plan where the rank died).
-//! * [`recovery`] — a discrete Young/Daly-style model pricing the
-//!   elastic-recovery trade-off: checkpoint-serialization cadence versus
-//!   expected work lost per crash.
-//! * [`minibatch`] — cost models for sampled mini-batch training
-//!   (expected block volumes per fanout/batch setting) and batched
-//!   inference serving (flush latency vs sustainable QPS).
+//! * [`minibatch`] — the volume model for sampled mini-batch training
+//!   (expected block volumes per fanout/batch setting).
 //! * [`cache`] — an α–β sizing model for the hot-vertex remote feature
 //!   cache (hit rate vs capacity vs gather volume saved).
 
@@ -37,7 +33,6 @@ pub mod faults;
 pub mod memory;
 pub mod minibatch;
 pub mod network;
-pub mod recovery;
 pub mod transport;
 
 pub use backends::{
@@ -53,6 +48,5 @@ pub use epoch::{
     simulate_epoch, simulate_overlap, EpochBreakdown, EpochConfig, Method, OverlapBreakdown,
 };
 pub use faults::{simulate_plan_faulted, FaultedReport, SimFault, SimFaultPlan};
-pub use minibatch::{SamplingModel, ServingModel};
+pub use minibatch::SamplingModel;
 pub use network::{simulate_flows, simulate_plan, simulate_plan_pipelined, Flow, NetworkReport};
-pub use recovery::RecoveryModel;

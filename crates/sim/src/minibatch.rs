@@ -1,18 +1,10 @@
-//! Offline cost models for mini-batch sampling and batched serving.
+//! Offline cost model for mini-batch sampling.
 //!
-//! Two planning questions ride on the sampled pipeline (DistDGL-style
-//! blocks, `dgcl::sampling`):
-//!
-//! * **Training** — how much communication does a fanout bound save?
-//!   [`SamplingModel`] prices a sampled epoch against the full-batch
-//!   epoch from the expected block source-set sizes, so fanouts and
-//!   batch sizes can be compared without running the cluster.
-//! * **Serving** — how large should the inference micro-batch be?
-//!   [`ServingModel`] prices a flush as a fixed cost plus a per-request
-//!   cost (the measured shape of `dgcl::serving`'s flush: one sparse
-//!   k-hop expansion amortized over the batch, then per-row layer
-//!   work), yielding the sustainable QPS of a `max_batch` setting and
-//!   the largest batch that still meets a latency SLO.
+//! How much communication does a fanout bound save? [`SamplingModel`]
+//! prices a sampled epoch (DistDGL-style blocks, `dgcl::sampling`)
+//! against the full-batch epoch from the expected block source-set
+//! sizes, so fanouts and batch sizes can be compared without running
+//! the cluster.
 
 /// Expected communication volume of sampled mini-batch training.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,44 +87,6 @@ impl SamplingModel {
     }
 }
 
-/// Affine flush-cost model of the batched inference server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServingModel {
-    /// Fixed seconds per flush (sparse closure expansion, dispatch).
-    pub flush_seconds: f64,
-    /// Seconds per request within a flush (per-row aggregation and
-    /// layer compute).
-    pub per_request_seconds: f64,
-}
-
-impl ServingModel {
-    /// Latency of a flush serving `batch` requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn batch_latency(&self, batch: usize) -> f64 {
-        assert!(batch > 0, "a flush serves at least one request");
-        self.flush_seconds + batch as f64 * self.per_request_seconds
-    }
-
-    /// Sustainable requests per second at `max_batch`: back-to-back
-    /// full flushes, `batch / latency(batch)` — monotone in the batch
-    /// size whenever the fixed cost is nonzero.
-    pub fn capacity_qps(&self, max_batch: usize) -> f64 {
-        max_batch as f64 / self.batch_latency(max_batch)
-    }
-
-    /// The largest batch in `1..=limit` whose flush latency stays
-    /// within `slo_seconds` — the capacity-maximal setting under a
-    /// latency SLO. `None` if even an unbatched flush misses it.
-    pub fn best_batch(&self, limit: usize, slo_seconds: f64) -> Option<usize> {
-        (1..=limit)
-            .rev()
-            .find(|&b| self.batch_latency(b) <= slo_seconds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,38 +132,5 @@ mod tests {
         let m = sampling();
         let ratio = m.epoch_volume_ratio(64, &[None, None]);
         assert!(ratio > 1.0, "ratio {ratio}");
-    }
-
-    fn serving() -> ServingModel {
-        ServingModel {
-            flush_seconds: 2e-3,
-            per_request_seconds: 1e-4,
-        }
-    }
-
-    #[test]
-    fn batching_raises_capacity() {
-        let m = serving();
-        assert!(m.capacity_qps(16) > 2.0 * m.capacity_qps(1));
-        let mut prev = m.capacity_qps(1);
-        for b in [2, 4, 8, 16, 32] {
-            let q = m.capacity_qps(b);
-            assert!(q > prev, "capacity fell at batch {b}");
-            prev = q;
-        }
-    }
-
-    #[test]
-    fn best_batch_respects_the_slo() {
-        let m = serving();
-        let b = m.best_batch(1024, 5e-3).expect("slo is reachable");
-        assert!(m.batch_latency(b) <= 5e-3);
-        assert!(m.batch_latency(b + 1) > 5e-3, "not maximal: {b}");
-    }
-
-    #[test]
-    fn impossible_slo_is_none() {
-        let m = serving();
-        assert_eq!(m.best_batch(64, 1e-6), None);
     }
 }
