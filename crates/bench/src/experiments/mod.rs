@@ -19,7 +19,7 @@
 //! | `table9` | Table 9 | non-atomic backward is faster |
 //! | `ablation` | (extra) | SPST design-choice ablations |
 //! | `compute` | (extra) | hot-path kernels: threaded matmul, parallel CSR aggregation, compiled allgather |
-//! | `overlap` | (extra) | pipelined chunked collectives vs barriered schedule, simulated + measured |
+//! | `overlap` | (extra) | pipelined chunked collectives vs barriered schedule (simulated); sampled feature prefetch vs inline fetch (measured) |
 //! | `collectives` | (extra) | allreduce algorithm zoo: autotuned choice vs per-size best/worst |
 //! | `cagnet` | (extra) | backend crossover: planned gather vs CAGNET block SpMM, selector verdicts |
 //! | `recovery` | (extra) | elastic recovery: warm replan vs cold plan, epochs lost per crash |

@@ -3,8 +3,8 @@
 //!
 //! Three readings per graph on the fig6 4-GPU topology:
 //!
-//! * **Full-batch epoch** — the PR 5 overlapped trainer, the baseline
-//!   every sampled configuration is priced against.
+//! * **Full-batch epoch** — the baseline every sampled configuration is
+//!   priced against.
 //! * **Sampled epochs** — the block path at a tight and a loose fanout,
 //!   with prefetch on: wall-clock per epoch plus the per-update count
 //!   (batches per epoch), since sampling's win is update frequency at

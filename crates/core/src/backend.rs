@@ -18,7 +18,8 @@
 //! The offline [`BackendSelector`](dgcl_sim::BackendSelector) prices
 //! both on the fluid network model and
 //! [`build_comm_info`](crate::comm_info::build_comm_info) records the
-//! verdict; every rank reads the same [`CommInfo`], so all ranks agree
+//! verdict; every rank reads the same
+//! [`CommInfo`](crate::comm_info::CommInfo), so all ranks agree
 //! on the backend with no negotiation round.
 //!
 //! # Bitwise parity

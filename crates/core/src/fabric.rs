@@ -559,9 +559,9 @@ impl Fabric {
     /// rendezvous cannot complete.
     pub fn allreduce(&self, rank: usize, mats: Vec<Matrix>) -> Result<Vec<Matrix>, RuntimeError> {
         // A rank whose previous round was aborted by poison still has its
-        // contribution in the slot; an overlap worker draining its queued
-        // buckets must not deposit on top of it and complete a round that
-        // a dead rank never joined.
+        // contribution in the slot; its next call (nothing stops a caller
+        // retrying after an error) must not deposit on top of it and
+        // complete a round that a dead rank never joined.
         self.check_poison()?;
         let start = Instant::now();
         let rendezvous = || "rendezvous never completed".to_string();
@@ -755,8 +755,8 @@ mod tests {
 
     #[test]
     fn allreduce_after_poison_contributes_nothing() {
-        // A survivor's worker drains its queued gradient buckets after a
-        // peer died: every call must fail, none may fill the rendezvous.
+        // A survivor calls again after a peer died: every call must
+        // fail, none may fill the rendezvous.
         let f = Fabric::new(2);
         f.poison(
             1,

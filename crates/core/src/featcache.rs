@@ -21,7 +21,7 @@
 //!   no negotiation round exists (the same pattern as the backend
 //!   selector and the collective autotuner).
 //! * **Capacity comes from a model, not a guess.**
-//!   [`CacheModel`](dgcl_sim::CacheModel) prices each candidate's
+//!   [`CacheModel`] prices each candidate's
 //!   expected per-epoch fetch savings against residency and
 //!   [`CachePolicy::Auto`] admits exactly the paying prefix. Capacities
 //!   are *nested prefixes* of one ranking, so gather volume is monotone
@@ -54,7 +54,7 @@ pub enum CachePolicy {
     /// stats count every fetch — without saving any volume, which is
     /// the baseline the cache benchmark measures against.
     Fixed(usize),
-    /// Let the offline [`CacheModel`](dgcl_sim::CacheModel) pick each
+    /// Let the offline [`CacheModel`] pick each
     /// rank's capacity.
     Auto,
 }

@@ -112,7 +112,7 @@ pub struct PipelineSchedule {
 }
 
 /// Reusable executor state: one completion flag per action. Held per
-/// device (and per overlap worker) so repeated operations allocate
+/// device (and per collective engine) so repeated operations allocate
 /// nothing.
 #[derive(Debug, Default)]
 pub struct PipelineScratch {

@@ -8,7 +8,8 @@
 //!
 //! 1. **checkpoint** — rank 0 publishes a partition-independent
 //!    [`Checkpoint`] into an in-memory [`CheckpointStore`] after every
-//!    completed epoch, and serializes to a [`CheckpointSink`] every `k`
+//!    completed epoch, and serializes to a
+//!    [`CheckpointSink`](crate::checkpoint::CheckpointSink) every `k`
 //!    epochs (see [`crate::checkpoint`]);
 //! 2. **evict** — on [`ClusterError`], [`ClusterError::dead_ranks`]
 //!    identifies the ranks whose failures *originated* locally and

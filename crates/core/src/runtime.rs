@@ -132,10 +132,10 @@ impl<'a> DeviceHandle<'a> {
     /// Runs one collective: enters the next op
     /// ([`DeviceHandle::begin_op`]), hands its id to `body`, and poisons
     /// the fabric with any error this device originated. `body` may
-    /// instead hand the op to an [`OverlapWorker`] and return at once:
-    /// the id is assigned here, on the calling thread, so submission
-    /// order (identical across ranks) fixes the rendezvous order
-    /// regardless of when the worker executes.
+    /// instead hand the op to an [`OverlapWorker`] (the sampled feature
+    /// prefetch) and return at once: the id is assigned here, on the
+    /// calling thread, in program order (identical across ranks), so the
+    /// worker's message keys agree across ranks whenever it executes.
     pub(crate) fn with_op<T>(
         &self,
         body: impl FnOnce(u64) -> Result<T, RuntimeError>,
@@ -499,9 +499,9 @@ impl<'a> DeviceHandle<'a> {
         self.with_op(|_| Ok(()))
     }
 
-    /// Spawns this device's background collective worker (see
+    /// Spawns this device's background prefetch worker (see
     /// [`crate::overlap`]). One worker per device is enough: it executes
-    /// submitted collectives FIFO, overlapping them with whatever the
+    /// submitted row exchanges FIFO, overlapping them with whatever the
     /// calling thread computes in the meantime.
     pub(crate) fn overlap_worker(&self) -> OverlapWorker {
         OverlapWorker::spawn(self.fabric.clone(), self.rank)
@@ -519,15 +519,15 @@ impl<'a> DeviceHandle<'a> {
         self.with_op(|op| execute_gather(&self.fabric, self.rank, op, plan))
     }
 
-    /// Blocks on a background collective submitted earlier, poisoning
+    /// Blocks on a background row exchange submitted earlier, poisoning
     /// the fabric if the wait itself fails (the worker already poisoned
     /// for errors it originated).
     ///
     /// # Errors
     ///
-    /// The collective's [`RuntimeError`], or a timeout if the worker
+    /// The exchange's [`RuntimeError`], or a timeout if the worker
     /// vanished.
-    pub(crate) fn wait_pending<T>(&self, pending: Pending<T>) -> Result<T, RuntimeError> {
+    pub(crate) fn wait_pending(&self, pending: Pending) -> Result<Matrix, RuntimeError> {
         let r = pending.wait();
         self.poison_on_err(r)
     }

@@ -5,7 +5,7 @@
 //! training (DistDGL, PAPERS.md) moves only the rows a batch's fanout-
 //! bounded blocks actually reference. The pieces here:
 //!
-//! * [`SamplingConfig`] — batch size, per-layer fanouts, seed, prefetch.
+//! * [`SamplingConfig`] — batch size, per-layer fanouts, seed, seed set.
 //! * `owner_split` + [`GatherPlan`] + `execute_gather` — the batch-sized
 //!   analogue of the graph allgather: every rank requests one ascending
 //!   row list, every row is served by its owner, and who sends what to
@@ -15,8 +15,9 @@
 //! * `BlockSteps` — the trainer's **sampled-blocks** step kind (finite
 //!   fanouts): each rank trains on the batch seeds it owns — its own
 //!   block chain, one feature fetch, every layer local, one gradient
-//!   allreduce — with optional overlap-worker prefetch of batch `k+1`'s
-//!   features while batch `k` computes. This module moves rows; the
+//!   allreduce — with [`crate::trainer::TrainConfig::overlap`] on, the
+//!   overlap worker prefetches batch `k+1`'s features while batch `k`
+//!   computes. This module moves rows; the
 //!   compute over a chain ([`dgcl_gnn::forward_chain`], block
 //!   aggregation and its adjoint) is `dgcl_gnn`'s, and a serving flush
 //!   runs the same walk. With all fanouts ∞ the trainer
@@ -44,7 +45,7 @@ use crate::fabric::{expect_payload, Fabric, MsgKey};
 use crate::featcache::{AscendingWalk, ClusterCache, FeatureCache};
 use crate::overlap::{OverlapWorker, Pending};
 use crate::runtime::DeviceHandle;
-use crate::trainer::{input_learns, EpochCtx, GradSync};
+use crate::trainer::{input_learns, sync_step, EpochCtx};
 
 /// How the trainer samples mini-batches. Attach to
 /// [`crate::trainer::TrainConfig::sampling`] to switch the trainer from
@@ -59,10 +60,6 @@ pub struct SamplingConfig {
     /// Seed for batch shuffling and neighbor draws; identical across
     /// ranks by construction (it lives in the shared config).
     pub seed: u64,
-    /// Prefetch the next batch's input-layer feature rows on a
-    /// background worker while the current batch computes (finite
-    /// fanouts only).
-    pub prefetch: bool,
     /// The training seed set; `None` means every vertex. Out-of-range
     /// ids surface as a typed [`RuntimeError::Protocol`] through
     /// `run_cluster`, never as a rank-thread abort.
@@ -71,13 +68,12 @@ pub struct SamplingConfig {
 
 impl SamplingConfig {
     /// A sampled config with the given batch size and per-layer fanouts,
-    /// a fixed seed and prefetch enabled.
+    /// a fixed seed and every vertex a training seed.
     pub fn new(batch_size: usize, fanouts: Vec<Option<usize>>) -> Self {
         Self {
             batch_size,
             fanouts,
             seed: 0x5EED,
-            prefetch: true,
             train_vertices: None,
         }
     }
@@ -333,7 +329,7 @@ pub(crate) fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId
 /// collectives per step whatever the depth. A rank that owns none of a
 /// batch's seeds still serves its rows and joins the allreduce with zero
 /// gradients and zero loss. Holds what outlives a step: the recycle pool
-/// for block-chain scratch, and — with prefetch on — the chain and the
+/// for block-chain scratch, and — with `overlap` on — the chain and the
 /// pending feature fetch of the *next* batch, posted on an
 /// [`OverlapWorker`] while the current one computes.
 pub(crate) struct BlockSteps<'a> {
@@ -342,7 +338,7 @@ pub(crate) struct BlockSteps<'a> {
     scfg: &'a SamplingConfig,
     worker: Option<OverlapWorker>,
     pool: BlockPool,
-    prefetched: Option<(Vec<LayerBlock>, Pending<Matrix>)>,
+    prefetched: Option<(Vec<LayerBlock>, Pending)>,
 }
 
 impl<'a> BlockSteps<'a> {
@@ -355,7 +351,7 @@ impl<'a> BlockSteps<'a> {
             handle,
             ctx,
             scfg,
-            worker: scfg.prefetch.then(|| handle.overlap_worker()),
+            worker: ctx.cfg.overlap.then(|| handle.overlap_worker()),
             pool: BlockPool::new(),
             prefetched: None,
         }
@@ -411,15 +407,15 @@ impl<'a> BlockSteps<'a> {
         Ok((mine, plan))
     }
 
-    /// Forward, loss and backward of batch `bi`, reporting to `sync`.
+    /// Forward, loss, backward and [`sync_step`] of batch `bi`; returns
+    /// the cluster-summed loss.
     pub(crate) fn step(
         &mut self,
         net: &mut GnnNetwork,
-        sync: &mut GradSync<'_>,
         epoch: usize,
         batches: &[Vec<VertexId>],
         bi: usize,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<f32, RuntimeError> {
         let handle = self.handle;
         let rank = handle.rank;
         let (blocks, h) = match self.prefetched.take() {
@@ -440,7 +436,7 @@ impl<'a> BlockSteps<'a> {
         let seeds = blocks.last().expect("≥ 1 layer").dst.iter().copied();
         let target_rows = local_rows(&handle.comm_info().pg.local[rank], seeds);
         let diff = out.sub(&self.ctx.targets[rank].gather_rows(&target_rows));
-        sync.loss(handle, 0.5 * diff.norm_sq())?;
+        let local_loss = 0.5 * diff.norm_sq();
         // Backward down the same chain: scatter each layer's aggregate
         // gradient over its block's edges, fold the self-path onto the
         // rows it came from.
@@ -460,10 +456,9 @@ impl<'a> BlockSteps<'a> {
             } else {
                 layer.backward_params(&grad);
             }
-            sync.layer_done(handle, layer)?;
         }
         self.pool.recycle(blocks);
-        Ok(())
+        sync_step(handle, net, local_loss, self.ctx.cfg.lr)
     }
 }
 

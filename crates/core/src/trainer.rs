@@ -15,7 +15,7 @@
 //! tests verify directly.
 
 use dgcl_gnn::loss::mse_loss;
-use dgcl_gnn::{Architecture, GnnNetwork, Layer};
+use dgcl_gnn::{Architecture, GnnNetwork};
 use dgcl_graph::khop::GraphError;
 use dgcl_graph::sample::seed_batches;
 use dgcl_graph::CsrGraph;
@@ -29,7 +29,6 @@ use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
 use crate::featcache::{CachePolicy, CacheStatsSnapshot, ClusterCache};
-use crate::overlap::{OverlapWorker, Pending};
 use crate::runtime::{run_cluster_with, DeviceHandle};
 use crate::sampling::{graph_err, train_set, BlockSteps};
 
@@ -46,14 +45,13 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Seed for weight initialisation (shared by all replicas).
     pub weight_seed: u64,
-    /// Where full-neighbourhood steps (full-batch, and sampling with
-    /// every fanout ∞) reduce their gradients: `true` launches one
-    /// allreduce bucket per layer on a background worker as that layer's
-    /// backward completes; `false` issues one inline allreduce per step.
-    /// Gather and scatter run the same chunked executor either way, and
-    /// the two are bitwise identical (fixed bucket order, rank-ordered
-    /// sums). Finite-fanout steps always run inline; their feature
-    /// prefetch is [`crate::sampling::SamplingConfig::prefetch`].
+    /// `true`: sampled-blocks steps (finite fanouts) fetch batch `k+1`'s
+    /// feature rows on a background worker while batch `k` computes;
+    /// `false`: each step fetches its batch's rows inline. The two are
+    /// bitwise identical. Full-neighbourhood steps (full-batch,
+    /// and sampling with every fanout ∞) ignore it: layer 0's gather runs
+    /// once per run and every other gather needs the previous layer's
+    /// output, so none can run ahead.
     pub overlap: bool,
     /// Aggregation backend override. `None` (the default) runs whatever
     /// [`CommInfo::backend`] recorded — the build policy's verdict;
@@ -80,7 +78,7 @@ pub struct TrainConfig {
 
 impl TrainConfig {
     /// A config with learning rate `1e-3`, a fixed weight seed and
-    /// communication–compute overlap enabled.
+    /// sampled-feature prefetch enabled.
     pub fn new(arch: Architecture, dims: &[usize], epochs: usize) -> Self {
         Self {
             arch,
@@ -358,110 +356,45 @@ pub(crate) fn input_learns(layer: usize) -> bool {
     layer > 0
 }
 
-/// Gradient synchronisation of one optimiser step. Every rank calls
-/// [`GradSync::loss`] once its local loss is known, then
-/// [`GradSync::layer_done`] after each layer's backward (deepest layer
-/// first), then [`GradSync::finish`].
-///
-/// With an [`OverlapWorker`] each call submits its bucket at once, so a
-/// layer's gradients reduce while the next layer's backward computes;
-/// without one, `finish` reduces everything in a single inline
-/// allreduce. The two are bitwise identical: the fabric sums each matrix
-/// in rank order independently of bucketing, buckets keep a fixed
-/// submission order, and a layer's gradients are final the moment its
-/// backward returns (later backward calls touch other layers only).
-pub(crate) struct GradSync<'w> {
-    worker: Option<&'w OverlapWorker>,
+/// The end of every optimiser step, whatever its kind: sums this rank's
+/// `local_loss` and every layer's gradients across ranks in **one**
+/// inline allreduce (the paper hands this weight sync to Horovod/DDP:
+/// GNN models are small), installs the summed gradients, steps, and
+/// returns the cluster-summed loss. The fabric folds each matrix in rank
+/// order, so every rank installs the identical gradients.
+pub(crate) fn sync_step(
+    handle: &DeviceHandle<'_>,
+    net: &mut GnnNetwork,
     local_loss: f32,
-    buckets: Vec<Pending<Vec<Matrix>>>,
-}
-
-impl GradSync<'_> {
-    pub(crate) fn loss(
-        &mut self,
-        handle: &DeviceHandle<'_>,
-        local_loss: f32,
-    ) -> Result<(), RuntimeError> {
-        self.local_loss = local_loss;
-        self.submit(handle, || vec![Matrix::full(1, 1, local_loss)])
+    lr: f32,
+) -> Result<f32, RuntimeError> {
+    let mut mats: Vec<Matrix> = net
+        .layers()
+        .iter()
+        .flat_map(|l| l.gradients().into_iter().cloned())
+        .collect();
+    mats.push(Matrix::full(1, 1, local_loss));
+    let reduced = handle.allreduce(mats)?;
+    let (loss, grads) = reduced.split_last().expect("loss entry present");
+    let mut cursor = 0;
+    for layer in net.layers_mut() {
+        let count = layer.gradients().len();
+        layer.set_gradients(&grads[cursor..cursor + count]);
+        cursor += count;
     }
-
-    pub(crate) fn layer_done(
-        &mut self,
-        handle: &DeviceHandle<'_>,
-        layer: &Layer,
-    ) -> Result<(), RuntimeError> {
-        self.submit(handle, || layer.gradients().into_iter().cloned().collect())
-    }
-
-    fn submit(
-        &mut self,
-        handle: &DeviceHandle<'_>,
-        mats: impl FnOnce() -> Vec<Matrix>,
-    ) -> Result<(), RuntimeError> {
-        if let Some(w) = self.worker {
-            let mats = mats();
-            self.buckets
-                .push(handle.with_op(|op| w.submit_allreduce(op, mats))?);
-        }
-        Ok(())
-    }
-
-    /// Installs the cluster-summed gradients, steps, and returns the
-    /// cluster-summed loss.
-    pub(crate) fn finish(
-        &mut self,
-        handle: &DeviceHandle<'_>,
-        net: &mut GnnNetwork,
-        lr: f32,
-    ) -> Result<f32, RuntimeError> {
-        let loss = if self.worker.is_some() {
-            // Buckets drain in submission order.
-            let mut buckets = self.buckets.drain(..);
-            let loss = handle.wait_pending(buckets.next().expect("loss bucket"))?;
-            for (layer, pending) in net.layers_mut().iter_mut().rev().zip(buckets) {
-                layer.set_gradients(&handle.wait_pending(pending)?);
-            }
-            loss[0][(0, 0)]
-        } else {
-            let mut mats: Vec<Matrix> = net
-                .layers()
-                .iter()
-                .flat_map(|l| l.gradients().into_iter().cloned())
-                .collect();
-            mats.push(Matrix::full(1, 1, self.local_loss));
-            let reduced = handle.allreduce(mats)?;
-            let (loss_mat, grads) = reduced.split_last().expect("loss entry present");
-            let mut cursor = 0;
-            for layer in net.layers_mut() {
-                let count = layer.gradients().len();
-                layer.set_gradients(&grads[cursor..cursor + count]);
-                cursor += count;
-            }
-            loss_mat[(0, 0)]
-        };
-        net.step(lr);
-        Ok(loss)
-    }
+    net.step(lr);
+    Ok(loss[(0, 0)])
 }
 
 /// One rank's training program — the paper's Listing 1 as a single
 /// scaffold: per epoch, the fault check, the epoch's steps (each ending
-/// in [`GradSync::finish`]), loss accumulation and
-/// [`EpochCtx::publish`]; then the final inference forward. Two things
-/// parameterise it:
-///
-/// * the **step kind** — *full-neighbourhood* (full-batch, or sampling
-///   with every fanout ∞: whole-graph forward and backward, the loss
-///   masked to the step's seed batch; no sampling is one unmasked step
-///   per epoch) or *sampled blocks* (finite fanouts:
-///   [`BlockSteps::step`]);
-/// * an **optional [`OverlapWorker`]** ([`TrainConfig::overlap`] on a
-///   full-neighbourhood run): with one, gradient buckets go to the
-///   worker as each layer's backward completes; without one they reduce
-///   in one inline allreduce. Gather / scatter are the same calls either
-///   way. Overlap moves where communication runs, never what is
-///   computed: the two are bitwise identical.
+/// in [`sync_step`]), loss accumulation and [`EpochCtx::publish`]; then
+/// the final inference forward. The **step kind** parameterises it:
+/// *full-neighbourhood* (full-batch, or sampling with every fanout ∞:
+/// whole-graph forward and backward, the loss masked to the step's seed
+/// batch; no sampling is one unmasked step per epoch) or *sampled
+/// blocks* (finite fanouts: [`BlockSteps::step`], whose feature fetch
+/// [`TrainConfig::overlap`] runs a batch ahead).
 ///
 /// Listing 1 gathers before every layer of every step, but layer 0's
 /// input never changes ([`input_learns`]), so its distributed aggregate
@@ -489,10 +422,10 @@ fn device_body(
         };
         return handle.poison_on_err(Err(graph_err(rank, &e)));
     }
-    let block_cfg = scfg.filter(|s| !s.is_exact());
-    let worker = (cfg.overlap && block_cfg.is_none()).then(|| handle.overlap_worker());
     let backend = backend_for(ctx.backend_kind);
-    let mut blocks = block_cfg.map(|s| BlockSteps::new(handle, ctx, s));
+    let mut blocks = scfg
+        .filter(|s| !s.is_exact())
+        .map(|s| BlockSteps::new(handle, ctx, s));
     let mut agg0: Option<Matrix> = None;
     let mut forward = |net: &mut GnnNetwork| -> Result<Matrix, RuntimeError> {
         let agg = match &agg0 {
@@ -509,11 +442,6 @@ fn device_body(
         }
         Ok(h)
     };
-    let mut sync = GradSync {
-        worker: worker.as_ref(),
-        local_loss: 0.0,
-        buckets: Vec::new(),
-    };
     let mut losses = Vec::with_capacity(cfg.epochs - ctx.start_epoch);
     for epoch in ctx.start_epoch..cfg.epochs {
         handle.check_epoch_fault(epoch)?;
@@ -522,8 +450,8 @@ fn device_body(
         // mse is a *sum*, so step losses add across ranks and batches.
         let mut epoch_loss = 0.0f32;
         for bi in 0..batches.as_ref().map_or(1, Vec::len) {
-            if let (Some(blocks), Some(batches)) = (&mut blocks, &batches) {
-                blocks.step(&mut net, &mut sync, epoch, batches, bi)?;
+            epoch_loss += if let (Some(blocks), Some(batches)) = (&mut blocks, &batches) {
+                blocks.step(&mut net, epoch, batches, bi)?
             } else {
                 let out = forward(&mut net)?;
                 // `mse_loss` with the rows outside the batch zeroed
@@ -541,7 +469,7 @@ fn device_body(
                         }
                     }
                 }
-                sync.loss(handle, 0.5 * grad.norm_sq())?;
+                let local_loss = 0.5 * grad.norm_sq();
                 // Backward deepest layer first, routing each layer's
                 // aggregate gradient through the backend's adjoint
                 // exchange.
@@ -558,10 +486,9 @@ fn device_body(
                     } else {
                         layer.backward_params(&grad);
                     }
-                    sync.layer_done(handle, layer)?;
                 }
-            }
-            epoch_loss += sync.finish(handle, &mut net, cfg.lr)?;
+                sync_step(handle, &mut net, local_loss, cfg.lr)?
+            };
         }
         losses.push(epoch_loss);
         ctx.publish(rank, &net, &losses);

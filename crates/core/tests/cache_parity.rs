@@ -19,9 +19,9 @@
 //!   bytes than capacity 0, and volume is monotone in capacity.
 //! * A full-neighbourhood run issues a number of collectives that is a
 //!   formula in layers, steps and epochs, the same with the cache on or
-//!   off, with layer 0's exchange in it once per run; a sampled-blocks
-//!   run's is one too — two per step whatever the depth — the same with
-//!   the cache or the prefetch on or off.
+//!   off and with `overlap` on or off, with layer 0's exchange in it once
+//!   per run; a sampled-blocks run's is one too — two per step whatever
+//!   the depth — the same with the cache or the prefetch on or off.
 
 use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
@@ -73,7 +73,6 @@ fn case(seed: u64) -> Case {
 
 fn base_cfg(arch: Architecture, epochs: usize) -> TrainConfig {
     let mut cfg = TrainConfig::new(arch, &[6, 5, 3], epochs);
-    cfg.overlap = false;
     if arch == Architecture::Gin {
         cfg.lr = 1e-6;
     }
@@ -84,14 +83,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Full-batch: every policy reproduces the cache-off run bit for
-    /// bit, per backend, per device count, inline and overlapped.
+    /// bit, per backend, per device count.
     #[test]
     fn full_batch_cache_is_bitwise_off(
         devices in 2usize..=8,
         arch_idx in 0usize..ARCHS.len(),
         backend_idx in 0usize..BACKENDS.len(),
         policy_idx in 0usize..POLICIES.len(),
-        overlap in any::<bool>(),
         graph_seed in 1u64..4,
     ) {
         let c = case(graph_seed);
@@ -101,8 +99,48 @@ proptest! {
             BuildOptions::default(),
         );
         let mut cfg = base_cfg(ARCHS[arch_idx], 3);
+        cfg.backend = Some(BACKENDS[backend_idx]);
+        cfg.feature_cache = Some(CachePolicy::Off);
+        let off = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
+            .expect("healthy cluster");
+        cfg.feature_cache = Some(POLICIES[policy_idx]);
+        let on = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
+            .expect("healthy cluster");
+        prop_assert_eq!(
+            &off.epoch_losses, &on.epoch_losses,
+            "losses diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
+        );
+        prop_assert_eq!(
+            off.outputs.max_abs_diff(&on.outputs), 0.0,
+            "outputs diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
+        );
+        prop_assert!(off.cache.is_none(), "Off must report no cache stats");
+        prop_assert!(on.cache.is_some(), "active policy must report stats");
+    }
+
+    /// Sampled block path (finite fanouts): the cache serves layer-0
+    /// fetch and prefetch without perturbing a single bit.
+    #[test]
+    fn sampled_cache_is_bitwise_off(
+        devices in 2usize..=6,
+        backend_idx in 0usize..BACKENDS.len(),
+        policy_idx in 0usize..POLICIES.len(),
+        fanout in 2usize..5,
+        batch_size in 16usize..64,
+        overlap in any::<bool>(),
+    ) {
+        let c = case(5);
+        let info = build_comm_info(
+            &c.graph,
+            Topology::dgx1_subset(devices),
+            BuildOptions::default(),
+        );
+        let mut cfg = base_cfg(Architecture::Gcn, 2);
         cfg.overlap = overlap;
         cfg.backend = Some(BACKENDS[backend_idx]);
+        cfg.sampling = Some(SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]));
         cfg.feature_cache = Some(CachePolicy::Off);
         let off = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
@@ -118,48 +156,6 @@ proptest! {
             off.outputs.max_abs_diff(&on.outputs), 0.0,
             "outputs diverge: {} devices, {:?}, {:?}, overlap={}",
             devices, BACKENDS[backend_idx], POLICIES[policy_idx], overlap
-        );
-        prop_assert!(off.cache.is_none(), "Off must report no cache stats");
-        prop_assert!(on.cache.is_some(), "active policy must report stats");
-    }
-
-    /// Sampled block path (finite fanouts): the cache serves layer-0
-    /// fetch and prefetch without perturbing a single bit.
-    #[test]
-    fn sampled_cache_is_bitwise_off(
-        devices in 2usize..=6,
-        backend_idx in 0usize..BACKENDS.len(),
-        policy_idx in 0usize..POLICIES.len(),
-        fanout in 2usize..5,
-        batch_size in 16usize..64,
-        prefetch in any::<bool>(),
-    ) {
-        let c = case(5);
-        let info = build_comm_info(
-            &c.graph,
-            Topology::dgx1_subset(devices),
-            BuildOptions::default(),
-        );
-        let mut cfg = base_cfg(Architecture::Gcn, 2);
-        cfg.backend = Some(BACKENDS[backend_idx]);
-        let mut scfg = SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]);
-        scfg.prefetch = prefetch;
-        cfg.sampling = Some(scfg);
-        cfg.feature_cache = Some(CachePolicy::Off);
-        let off = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-            .expect("healthy cluster");
-        cfg.feature_cache = Some(POLICIES[policy_idx]);
-        let on = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-            .expect("healthy cluster");
-        prop_assert_eq!(
-            &off.epoch_losses, &on.epoch_losses,
-            "losses diverge: {} devices, {:?}, {:?}, prefetch={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], prefetch
-        );
-        prop_assert_eq!(
-            off.outputs.max_abs_diff(&on.outputs), 0.0,
-            "outputs diverge: {} devices, {:?}, {:?}, prefetch={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], prefetch
         );
     }
 
@@ -260,10 +256,9 @@ fn collective_count(info: &dgcl::CommInfo, c: &Case, cfg: &TrainConfig) -> u64 {
 /// Collectives one full-neighbourhood step adds to a run of `layers`
 /// layers: `layers − 1` gathers (layer 0's aggregate is not recomputed),
 /// `layers − 1` scatters (layer 0's aggregate gradient is never formed),
-/// and one allreduce inline or, overlapped, a loss bucket plus one
-/// bucket per layer.
-fn ops_per_step(layers: u64, overlap: bool) -> u64 {
-    2 * (layers - 1) + if overlap { layers + 1 } else { 1 }
+/// and one allreduce of every gradient plus the loss.
+fn ops_per_step(layers: u64) -> u64 {
+    2 * layers - 1
 }
 
 #[test]
@@ -271,10 +266,10 @@ fn full_batch_collective_count_is_pinned_and_cache_independent() {
     // On top of the per-step ops, a run issues L more: the one layer-0
     // exchange of the run (layer 0 reads the immutable raw features, so
     // its aggregate is computed once and reused by every forward) and
-    // the final inference forward's L − 1 gathers. So
-    // N = (2L − 1)·E + L inline and (3L − 1)·E + L overlapped. Full
-    // neighbourhood runs never consult the feature cache: same N with
-    // the cache on or off.
+    // the final inference forward's L − 1 gathers. So N = (2L − 1)·E + L.
+    // Full-neighbourhood runs never consult the feature cache and spawn
+    // no prefetch worker, so N is the same with the cache or `overlap`
+    // on or off.
     let c = case(3);
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
     let (layers, epochs) = (2u64, 3u64);
@@ -285,7 +280,7 @@ fn full_batch_collective_count_is_pinned_and_cache_independent() {
             cfg.feature_cache = Some(policy);
             assert_eq!(
                 collective_count(&info, &c, &cfg),
-                ops_per_step(layers, overlap) * epochs + layers,
+                ops_per_step(layers) * epochs + layers,
                 "overlap={overlap}, {policy:?}"
             );
         }
@@ -304,7 +299,7 @@ fn an_extra_epoch_adds_no_layer0_exchange() {
         let short = collective_count(&info, &c, &cfg);
         cfg.epochs += 1;
         let long = collective_count(&info, &c, &cfg);
-        assert_eq!(long - short, ops_per_step(2, overlap), "overlap={overlap}");
+        assert_eq!(long - short, ops_per_step(2), "overlap={overlap}");
     }
 }
 
@@ -312,7 +307,7 @@ fn an_extra_epoch_adds_no_layer0_exchange() {
 fn exact_sampling_reuses_the_layer0_aggregate_in_every_batch() {
     // A masked (fanout ∞) step is a full-neighbourhood step, so the
     // hoist covers each of an epoch's B batches, not one step per epoch:
-    // N = (2L − 1)·B·E + L inline.
+    // N = (2L − 1)·B·E + L.
     let c = case(3);
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
     let n = c.graph.num_vertices();
@@ -322,7 +317,7 @@ fn exact_sampling_reuses_the_layer0_aggregate_in_every_batch() {
     cfg.sampling = Some(SamplingConfig::exact(batch, layers as usize));
     assert_eq!(
         collective_count(&info, &c, &cfg),
-        ops_per_step(layers, false) * batches * epochs + layers
+        ops_per_step(layers) * batches * epochs + layers
     );
 }
 
@@ -342,18 +337,17 @@ fn block_step_collective_count_is_pinned_and_cache_and_prefetch_independent() {
     let batches = n.div_ceil(batch) as u64;
     for dims in [&[6, 5, 3][..], &[6, 5, 4, 3]] {
         let layers = dims.len() - 1;
-        for prefetch in [false, true] {
+        for overlap in [false, true] {
             for policy in [CachePolicy::Off, CachePolicy::Auto] {
                 let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
                 cfg.dims = dims.to_vec();
-                let mut scfg = SamplingConfig::new(batch, vec![Some(3); layers]);
-                scfg.prefetch = prefetch;
-                cfg.sampling = Some(scfg);
+                cfg.overlap = overlap;
+                cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(3); layers]));
                 cfg.feature_cache = Some(policy);
                 assert_eq!(
                     collective_count(&info, &c, &cfg),
                     2 * batches * epochs + layers as u64,
-                    "L={layers}, prefetch={prefetch}, {policy:?}"
+                    "L={layers}, overlap={overlap}, {policy:?}"
                 );
             }
         }

@@ -1,5 +1,5 @@
 //! Property suite for the chunk-pipelined collectives and the
-//! communication–compute overlap.
+//! communication–compute overlap (the sampled feature prefetch).
 //!
 //! Three invariants:
 //!
@@ -9,17 +9,19 @@
 //!    device count 2..=8, the pipelined `graph_allgather` /
 //!    `scatter_backward` return exactly what the uncompiled reference
 //!    returns, on every rank.
-//! 2. **Overlap never changes bits.** Training with the bucketed
-//!    per-layer allreduce on a background worker (`TrainConfig::overlap`)
+//! 2. **Overlap never changes bits.** Sampled training that fetches the
+//!    next batch's features on a background worker (`TrainConfig::overlap`)
 //!    produces losses and outputs bitwise equal to the trainer that
-//!    reduces inline, at every chunk size.
+//!    fetches inline, at every chunk size of its final full-neighbourhood
+//!    forward.
 //! 3. **A crash mid-chunk fails fast.** A rank that dies with some
 //!    chunks of an operation already delivered ([`FaultEvent::CrashMidOp`])
 //!    poisons every survivor within the collective deadline — never a
-//!    hang, never a partial result — with overlap on or off.
+//!    hang, never a partial result.
 
 use std::time::{Duration, Instant};
 
+use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
 use dgcl::{
     build_comm_info, run_cluster, BuildOptions, ClusterFailure, FabricConfig, FaultEvent,
@@ -84,7 +86,7 @@ proptest! {
     }
 }
 
-/// Invariant 2: the overlapped trainer is bitwise equal to the inline
+/// Invariant 2: the prefetching trainer is bitwise equal to the inline
 /// trainer at every chunk size (deterministic sweep — no randomness to
 /// explore, so a plain loop beats proptest here).
 #[test]
@@ -100,7 +102,8 @@ fn overlapped_training_is_bitwise_identical_to_inline() {
             ..BuildOptions::default()
         };
         let info = build_comm_info(&graph, Topology::fig6(), options);
-        let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
+        let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 4, 3], 2);
+        cfg.sampling = Some(SamplingConfig::new(64, vec![Some(3), Some(3)]));
         cfg.overlap = false;
         let inline = train_distributed(&info, &graph, &features, &targets, &cfg)
             .expect("inline run healthy");
@@ -120,8 +123,7 @@ fn overlapped_training_is_bitwise_identical_to_inline() {
 
 /// Invariant 3: a rank dying mid-operation — after some chunks of the
 /// op already shipped — fails every survivor with a poison naming it,
-/// within the collective deadline, with overlap on or off. Op 1 is the
-/// layer-0 gather, which runs on the calling thread either way.
+/// within the collective deadline. Op 1 is the layer-0 gather.
 #[test]
 fn crash_mid_chunk_fails_every_survivor_within_deadline() {
     with_watchdog(Duration::from_secs(120), || {
@@ -137,48 +139,45 @@ fn crash_mid_chunk_fails_every_survivor_within_deadline() {
             ..BuildOptions::default()
         };
         let info = build_comm_info(&graph, Topology::fig6(), options);
-        for overlap in [true, false] {
-            let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
-            cfg.overlap = overlap;
-            let deadline = Duration::from_secs(20);
-            let config = FabricConfig {
-                collective_deadline: deadline,
-                faults: FaultPlan {
-                    // Rank 1 dies during op 1 after one pipeline action.
-                    events: vec![FaultEvent::CrashMidOp {
-                        rank: 1,
-                        at_op: 1,
-                        after_actions: 1,
-                    }],
-                },
-                ..FabricConfig::default()
-            };
-            let start = Instant::now();
-            let err = train_distributed_with(&info, &graph, &features, &targets, &cfg, config)
-                .expect_err("a rank crashing mid-chunk must fail training");
-            assert!(
-                start.elapsed() < deadline,
-                "overlap {overlap}: unwind took {:?}, deadline was {deadline:?}",
-                start.elapsed()
-            );
-            assert_eq!(err.rank, 1, "overlap {overlap}: {err}");
-            assert!(
-                matches!(
-                    err.cause,
-                    ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 1 })
-                ),
-                "overlap {overlap}: {err}"
-            );
-            let survivors: Vec<_> = err.surviving_errors().collect();
-            assert_eq!(survivors.len(), info.num_devices() - 1);
-            for (rank, failure) in survivors {
-                match failure {
-                    ClusterFailure::Error(RuntimeError::Poisoned { origin, reason }) => {
-                        assert_eq!(*origin, 1, "rank {rank} blames the crashed rank");
-                        assert!(reason.contains("injected crash"), "{reason}");
-                    }
-                    other => panic!("overlap {overlap}, rank {rank}: expected poison, got {other}"),
+        let cfg = TrainConfig::new(Architecture::Gcn, &[6, 3], 2);
+        let deadline = Duration::from_secs(20);
+        let config = FabricConfig {
+            collective_deadline: deadline,
+            faults: FaultPlan {
+                // Rank 1 dies during op 1 after one pipeline action.
+                events: vec![FaultEvent::CrashMidOp {
+                    rank: 1,
+                    at_op: 1,
+                    after_actions: 1,
+                }],
+            },
+            ..FabricConfig::default()
+        };
+        let start = Instant::now();
+        let err = train_distributed_with(&info, &graph, &features, &targets, &cfg, config)
+            .expect_err("a rank crashing mid-chunk must fail training");
+        assert!(
+            start.elapsed() < deadline,
+            "unwind took {:?}, deadline was {deadline:?}",
+            start.elapsed()
+        );
+        assert_eq!(err.rank, 1, "{err}");
+        assert!(
+            matches!(
+                err.cause,
+                ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 1 })
+            ),
+            "{err}"
+        );
+        let survivors: Vec<_> = err.surviving_errors().collect();
+        assert_eq!(survivors.len(), info.num_devices() - 1);
+        for (rank, failure) in survivors {
+            match failure {
+                ClusterFailure::Error(RuntimeError::Poisoned { origin, reason }) => {
+                    assert_eq!(*origin, 1, "rank {rank} blames the crashed rank");
+                    assert!(reason.contains("injected crash"), "{reason}");
                 }
+                other => panic!("rank {rank}: expected poison, got {other}"),
             }
         }
     });

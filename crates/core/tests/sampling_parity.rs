@@ -11,20 +11,18 @@
 //! Around the anchor:
 //!
 //! * Finite-fanout runs are deterministic (run-to-run bitwise equal) and
-//!   independent of whether feature prefetch rides the overlap worker.
+//!   independent of `TrainConfig::overlap`, which moves the next batch's
+//!   feature fetch to the overlap worker.
 //! * Finite-fanout runs have a numerical anchor too: every rank trains on
 //!   the chain of its own seeds, and the draws are keyed per vertex, so a
 //!   `P`-device run is the 1-device run of the same config up to the order
 //!   the gradient sums fold in — epoch losses within 1e-4 relative.
 //! * A rank that owns none of a batch's seeds still serves its rows and
 //!   joins the allreduce: seeds confined to one part, batches of 1 and 7.
-//! * Exact multi-batch runs are bitwise independent of
-//!   `TrainConfig::overlap`, which moves their gradient buckets to the worker.
 //! * Sampled training still trains: losses decrease over epochs.
 //! * An out-of-range training vertex surfaces as a typed
 //!   [`ClusterError`] through `run_cluster` — never a rank-thread abort.
 
-use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_single, TrainConfig};
 use dgcl::{build_comm_info, BackendKind, BuildOptions};
@@ -64,10 +62,6 @@ fn case(seed: u64) -> Case {
 
 fn base_cfg(arch: Architecture, epochs: usize) -> TrainConfig {
     let mut cfg = TrainConfig::new(arch, &[6, 5, 3], epochs);
-    // Inline reference: the overlap flag must not be a variable in the
-    // bitwise comparisons (`exact_multi_batch_is_overlap_neutral` varies
-    // it on purpose).
-    cfg.overlap = false;
     if arch == Architecture::Gin {
         cfg.lr = 1e-6;
     }
@@ -127,16 +121,15 @@ proptest! {
         );
         let mut cfg = base_cfg(Architecture::Gcn, 2);
         cfg.backend = Some(BACKENDS[backend_idx]);
-        let mut scfg = SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]);
-        scfg.prefetch = false;
-        cfg.sampling = Some(scfg);
+        cfg.overlap = false;
+        cfg.sampling = Some(SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]));
         let a = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
         let b = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
         prop_assert_eq!(&a.epoch_losses, &b.epoch_losses, "rerun diverged");
         prop_assert_eq!(a.outputs.max_abs_diff(&b.outputs), 0.0, "rerun diverged");
-        cfg.sampling.as_mut().expect("set above").prefetch = true;
+        cfg.overlap = true;
         let p = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
         prop_assert_eq!(&a.epoch_losses, &p.epoch_losses, "prefetch changed losses");
@@ -189,40 +182,6 @@ fn exact_multi_batch_matches_single_device_masked_sgd() {
             (a - b).abs() < 1e-2 * a.abs().max(1.0),
             "epoch {e}: single-device masked loss {a} vs distributed {b}"
         );
-    }
-}
-
-#[test]
-fn exact_multi_batch_is_overlap_neutral() {
-    // Exact batches are full-neighbourhood steps, so `overlap` puts
-    // their collectives on the pipelined executor and their per-layer
-    // gradient buckets on the worker (an active cache policy serves
-    // nothing here). Where communication runs must not move a bit, on
-    // either backend.
-    let c = case(9);
-    let n = c.graph.num_vertices();
-    let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
-    for backend in BACKENDS {
-        for cache in [CachePolicy::Off, CachePolicy::Auto] {
-            let mut cfg = base_cfg(Architecture::Gcn, 3);
-            cfg.backend = Some(backend);
-            cfg.feature_cache = Some(cache);
-            cfg.sampling = Some(SamplingConfig::exact(n / 3, 2));
-            let inline = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-                .expect("healthy cluster");
-            cfg.overlap = true;
-            let overlapped = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-                .expect("healthy cluster");
-            assert_eq!(
-                inline.epoch_losses, overlapped.epoch_losses,
-                "{backend:?}, {cache:?}: overlap changed losses"
-            );
-            assert_eq!(
-                inline.outputs.max_abs_diff(&overlapped.outputs),
-                0.0,
-                "{backend:?}, {cache:?}: overlap changed outputs"
-            );
-        }
     }
 }
 
@@ -296,10 +255,10 @@ fn a_rank_without_seeds_serves_its_rows_and_joins_the_allreduce() {
             cfg.lr = 5e-3;
             let mut scfg = SamplingConfig::new(batch_size, vec![Some(3), Some(3)]);
             scfg.train_vertices = Some(seeds.clone());
+            cfg.sampling = Some(scfg);
             let mut reports = Vec::new();
-            for prefetch in [false, true, true] {
-                scfg.prefetch = prefetch;
-                cfg.sampling = Some(scfg.clone());
+            for overlap in [false, true, true] {
+                cfg.overlap = overlap;
                 reports.push(
                     train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
                         .expect("healthy cluster"),

@@ -48,7 +48,7 @@
 //!    with [`CostState::revert`]), so the result depends only on the
 //!    batch boundaries — never on thread scheduling.
 //! 3. **Search-state reuse.** The Dijkstra scratch (heap, distance and
-//!    parent arrays) lives in an epoch-stamped [`SearchScratch`]; an
+//!    parent arrays) lives in an epoch-stamped `SearchScratch`; an
 //!    extension resets it by bumping a counter instead of rewriting
 //!    `O(m²)` entries, and steady-state planning allocates nothing.
 //!

@@ -183,13 +183,12 @@ fn partitioned_compute_seconds(pg: &PartitionedGraph, cfg: &EpochConfig) -> f64 
     total
 }
 
-/// Per-epoch communication cost of a staged plan, split into the parts
-/// the overlap model hides differently.
+/// Per-epoch communication cost of a staged plan, by part.
 struct PlanCommParts {
     /// Forward + backward wire time across all layers.
     transfer_seconds: f64,
-    /// Gradient-apply time across all layers (the part bucketed
-    /// allreduce overlap can hide behind backward compute).
+    /// Time folding received gradients into the embedding buffer,
+    /// across all layers.
     apply_seconds: f64,
     /// Extra sub-stage barrier cost of the non-atomic split.
     substage_seconds: f64,
@@ -292,12 +291,8 @@ pub struct OverlapBreakdown {
     pub compute_seconds: f64,
     /// Communication per epoch under the barriered schedule.
     pub comm_barriered_seconds: f64,
-    /// Communication per epoch under the chunk-pipelined schedule, with
-    /// the overlappable gradient-apply already subtracted.
+    /// Communication per epoch under the chunk-pipelined schedule.
     pub comm_pipelined_seconds: f64,
-    /// Gradient-apply time hidden behind backward compute by the
-    /// bucketed-allreduce overlap.
-    pub hidden_apply_seconds: f64,
 }
 
 impl OverlapBreakdown {
@@ -306,17 +301,17 @@ impl OverlapBreakdown {
         self.compute_seconds + self.comm_barriered_seconds
     }
 
-    /// Epoch time with chunk pipelining and communication–compute
-    /// overlap.
+    /// Epoch time with chunk-pipelined collectives and serial
+    /// communication.
     pub fn pipelined_epoch_seconds(&self) -> f64 {
         self.compute_seconds + self.comm_pipelined_seconds
     }
 }
 
 /// Simulates one DGCL epoch twice — barriered (PR 2's serial schedule)
-/// and pipelined (chunked transfers via [`simulate_plan_pipelined`] plus
-/// the trainer's bucketed-allreduce overlap, which hides gradient-apply
-/// behind the backward half of compute) — and reports both.
+/// and pipelined (chunked transfers via [`simulate_plan_pipelined`]) —
+/// and reports both. Compute and gradient-apply are the same in both:
+/// only the transfers differ.
 ///
 /// # Panics
 ///
@@ -333,16 +328,11 @@ pub fn simulate_overlap(
     let outcome = spst_plan(&pg, topology, 4 * cfg.feature_size as u64, cfg.seed);
     let barriered = plan_comm_parts(&outcome.plan, &pg, topology, cfg, None);
     let pipelined = plan_comm_parts(&outcome.plan, &pg, topology, cfg, Some(chunk_rows));
-    // The worker applies each layer's reduced gradients while the next
-    // layer's backward matmuls run; the backward half of the epoch's
-    // compute bounds what can be hidden.
-    let hidden = pipelined.apply_seconds.min(0.5 * compute);
     OverlapBreakdown {
         devices: topology.num_gpus(),
         compute_seconds: compute,
         comm_barriered_seconds: barriered.total_seconds(),
-        comm_pipelined_seconds: pipelined.total_seconds() - hidden,
-        hidden_apply_seconds: hidden,
+        comm_pipelined_seconds: pipelined.total_seconds(),
     }
 }
 
@@ -755,7 +745,6 @@ mod tests {
                     b.pipelined_epoch_seconds(),
                     b.barriered_epoch_seconds()
                 );
-                assert!(b.hidden_apply_seconds > 0.0);
             }
         }
     }
