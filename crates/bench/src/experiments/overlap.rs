@@ -1,40 +1,21 @@
 //! Overlap benchmark: pipelined chunked collectives vs the barriered
-//! schedule, and the sampled feature prefetch vs an inline fetch.
+//! schedule.
 //!
-//! Two views:
-//!
-//! * **Simulated** — [`simulate_overlap`] runs the fluid network model
-//!   twice per (dataset, device-count) cell: once with PR 2's barriered
-//!   stage schedule, once with fixed-chunk pipelining. This is the
-//!   hardware projection — it models V100-class links, so the pipelined
-//!   column must come out strictly below the barriered one wherever a
-//!   plan has relays to pipeline through.
-//! * **Measured** — what `TrainConfig::overlap` switches today: the
-//!   overlap worker's one job, prefetching batch `k+1`'s feature rows
-//!   while batch `k` computes. One real threaded sampled run per dataset,
-//!   shaped like the `e2e` `sampled-cached` workload (4 GPUs, GCN
-//!   32-16-8, batch 128, fanout 4×4, cache `Auto`), with `overlap` off
-//!   (`inline_seconds`: each step fetches its own rows) then on
-//!   (`overlapped_seconds`). Both are bitwise identical; the wall-clock
-//!   delta is only meaningful with spare cores (the JSON records `cpus`
-//!   so a 1-CPU runner documents its ceiling instead of faking a win).
+//! [`simulate_overlap`] runs the fluid network model twice per (dataset,
+//! device-count) cell: once with the barriered stage schedule, once with
+//! fixed-chunk pipelining. This is the hardware projection — it
+//! models V100-class links, so the pipelined column must come out
+//! strictly below the barriered one wherever a plan has relays to
+//! pipeline through.
 //!
 //! Results go to `BENCH_overlap.json`. Set `DGCL_BENCH_SMOKE=1` to
-//! shrink sizes and repetitions for CI smoke runs.
+//! mark the artifact as a CI smoke run.
 
-use dgcl::featcache::CachePolicy;
-use dgcl::sampling::SamplingConfig;
-use dgcl::trainer::{train_distributed, TrainConfig};
-use dgcl::{build_comm_info, BuildOptions};
-use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
 use dgcl_sim::{simulate_overlap, GnnModel};
-use dgcl_tensor::XavierInit;
 use dgcl_topology::Topology;
 
-use crate::harness::{
-    cpus, median_seconds, ms, obj, print_table, smoke, write_artifact, Json, RunContext,
-};
+use crate::harness::{ms, obj, print_table, smoke, write_artifact, Json, RunContext};
 
 /// Chunk size (rows) used for every pipelined cell; matches
 /// `BuildOptions::default().chunk_rows`.
@@ -44,10 +25,8 @@ const CHUNK_ROWS: usize = 64;
 const DEVICES: [usize; 3] = [2, 4, 8];
 
 pub fn run(ctx: &mut RunContext) {
-    let smoke = smoke();
-
-    // Simulated sweep: both datasets the acceptance gate names, at every
-    // device count, pipelined vs barriered on the fluid-flow model.
+    // Both datasets the acceptance gate names, at every device count,
+    // pipelined vs barriered on the fluid-flow model.
     let mut sims: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
@@ -90,82 +69,14 @@ pub fn run(ctx: &mut RunContext) {
         "  (fluid-flow network model; pipelined = fixed-chunk relay forwarding.\n   chunk_rows = {CHUNK_ROWS}.)"
     );
 
-    // Measured: the real threaded sampled trainer, prefetch off vs on.
-    // Identical losses by construction; only where the fetch runs differs.
-    let mut measured: Vec<Json> = Vec::new();
-    let mut measured_rows = Vec::new();
-    let reps = if smoke { 1 } else { 3 };
-    let epochs = if smoke { 1 } else { 2 };
-    let (dims, batch) = ([32, 16, 8], 128);
-    let mut init = XavierInit::new(ctx.seed);
-    for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
-        let graph = ctx.graph(dataset);
-        let nv = graph.num_vertices();
-        let features = init.features(nv, dims[0]);
-        let targets = init.features(nv, dims[2]);
-        let info = build_comm_info(&graph, Topology::dgx1_subset(4), BuildOptions::default());
-        let mut cfg = TrainConfig::new(Architecture::Gcn, &dims, epochs);
-        cfg.lr = 5e-4;
-        cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(4), Some(4)]));
-        cfg.feature_cache = Some(CachePolicy::Auto);
-        let mut time = |overlap: bool| {
-            cfg.overlap = overlap;
-            median_seconds(reps, || {
-                std::hint::black_box(
-                    train_distributed(&info, &graph, &features, &targets, &cfg)
-                        .expect("healthy cluster"),
-                );
-            }) / epochs as f64
-        };
-        let inline = time(false);
-        let overlapped = time(true);
-        let speedup = inline / overlapped.max(1e-12);
-        measured_rows.push(vec![
-            dataset.name().to_string(),
-            nv.div_ceil(batch).to_string(),
-            ms(inline),
-            ms(overlapped),
-            format!("{speedup:.2}x"),
-        ]);
-        measured.push(obj! {
-            "dataset": dataset.name(),
-            "batches_per_epoch": nv.div_ceil(batch),
-            "inline_seconds": inline,
-            "overlapped_seconds": overlapped,
-            "speedup": speedup,
-        });
-    }
-    print_table(
-        "Overlap: measured sampled epoch, inline fetch vs prefetch (4 simulated GPUs, threads)",
-        &[
-            "Dataset",
-            "Batches/ep",
-            "Inline (ms)",
-            "Prefetch (ms)",
-            "Speedup",
-        ],
-        &measured_rows,
-    );
-    println!(
-        "  (threaded shared-memory fabric; prefetch needs spare cores to show a\n   wall-clock win — the JSON records `cpus` so CI can tell a regression\n   from a 1-CPU ceiling. Losses are bitwise identical either way.)"
-    );
-
-    let note = if cpus() == 1 {
-        "single-cpu machine: measured wall-clock prefetch is ceiling-limited at ~1x; \
-         the simulated columns model V100-class links and hold regardless"
-    } else {
-        "simulated columns use the fluid-flow V100 model; measured columns are \
-         real threaded wall clock per sampled epoch and need spare cores to show prefetch"
-    };
     write_artifact(
         "overlap",
         "overlap",
         obj! {
-            "smoke": smoke,
+            "smoke": smoke(),
             "chunk_rows": CHUNK_ROWS,
-            "note": note,
+            "note": "simulated on the fluid-flow V100 model",
             "simulated": sims,
-            "measured": measured,
         },
     );
 }

@@ -5,8 +5,8 @@
 //!
 //! * **Full-batch epoch** — the baseline every sampled configuration is
 //!   priced against.
-//! * **Sampled epochs** — the block path at a tight and a loose fanout,
-//!   with prefetch on: wall-clock per epoch plus the per-update count
+//! * **Sampled epochs** — the block path at a tight and a loose fanout:
+//!   wall-clock per epoch plus the per-update count
 //!   (batches per epoch), since sampling's win is update frequency at
 //!   bounded per-update cost, not per-epoch volume.
 //! * **Model verdicts** — [`dgcl_sim::SamplingModel`] per-update and

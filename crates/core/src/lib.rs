@@ -66,7 +66,6 @@ pub mod error;
 pub mod fabric;
 pub mod fault;
 pub mod featcache;
-pub(crate) mod overlap;
 pub mod pipeline;
 pub mod recovery;
 pub mod runtime;

@@ -14,7 +14,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dgcl_graph::VertexId;
 use dgcl_partition::relation::LocalGraph;
@@ -25,7 +24,6 @@ use crate::collectives::{AllreduceAlgo, BroadcastAlgo, CollectiveEngine, GroupSp
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, FabricConfig, MsgKey};
-use crate::overlap::{OverlapWorker, Pending};
 use crate::pipeline::{self, PipelineScratch};
 use crate::sampling::{execute_gather, GatherPlan};
 
@@ -35,7 +33,7 @@ pub struct DeviceHandle<'a> {
     /// This device's rank.
     pub rank: usize,
     info: &'a CommInfo,
-    fabric: Arc<Fabric>,
+    fabric: &'a Fabric,
     op_counter: Cell<u64>,
     scratch: RefCell<PipelineScratch>,
     engine: RefCell<CollectiveEngine>,
@@ -67,7 +65,7 @@ impl<'a> DeviceHandle<'a> {
 
     /// The fabric this device communicates over.
     pub fn fabric(&self) -> &Fabric {
-        &self.fabric
+        self.fabric
     }
 
     /// Enters the next collective: bumps the operation counter, fires any
@@ -131,11 +129,9 @@ impl<'a> DeviceHandle<'a> {
 
     /// Runs one collective: enters the next op
     /// ([`DeviceHandle::begin_op`]), hands its id to `body`, and poisons
-    /// the fabric with any error this device originated. `body` may
-    /// instead hand the op to an [`OverlapWorker`] (the sampled feature
-    /// prefetch) and return at once: the id is assigned here, on the
-    /// calling thread, in program order (identical across ranks), so the
-    /// worker's message keys agree across ranks whenever it executes.
+    /// the fabric with any error this device originated. Every rank runs
+    /// the same program on its one thread, so op ids — and the message
+    /// keys that embed them — agree across ranks.
     pub(crate) fn with_op<T>(
         &self,
         body: impl FnOnce(u64) -> Result<T, RuntimeError>,
@@ -172,7 +168,7 @@ impl<'a> DeviceHandle<'a> {
         let lg = self.local_graph();
         self.with_op(|op| {
             pipeline::forward_allgather(
-                &self.fabric,
+                self.fabric,
                 self.rank,
                 op,
                 &self.info.forward_schedules[self.rank],
@@ -292,7 +288,7 @@ impl<'a> DeviceHandle<'a> {
         let lg = self.local_graph();
         self.with_op(|op| {
             pipeline::backward_scatter(
-                &self.fabric,
+                self.fabric,
                 self.rank,
                 op,
                 &self.info.backward_schedules[self.rank],
@@ -426,7 +422,7 @@ impl<'a> DeviceHandle<'a> {
         self.with_op(|op| {
             self.engine
                 .borrow_mut()
-                .allreduce(&self.fabric, op, algo, mats)
+                .allreduce(self.fabric, op, algo, mats)
         })
     }
 
@@ -456,7 +452,7 @@ impl<'a> DeviceHandle<'a> {
         self.with_op(|op| {
             self.engine
                 .borrow_mut()
-                .broadcast(&self.fabric, op, algo, root, mat)
+                .broadcast(self.fabric, op, algo, root, mat)
         })
     }
 
@@ -483,7 +479,7 @@ impl<'a> DeviceHandle<'a> {
         self.with_op(|op| {
             self.engine
                 .borrow_mut()
-                .broadcast_group(&self.fabric, op, algo, group, root_pos, mat)
+                .broadcast_group(self.fabric, op, algo, group, root_pos, mat)
         })
     }
 
@@ -499,37 +495,15 @@ impl<'a> DeviceHandle<'a> {
         self.with_op(|_| Ok(()))
     }
 
-    /// Spawns this device's background prefetch worker (see
-    /// [`crate::overlap`]). One worker per device is enough: it executes
-    /// submitted row exchanges FIFO, overlapping them with whatever the
-    /// calling thread computes in the meantime.
-    pub(crate) fn overlap_worker(&self) -> OverlapWorker {
-        OverlapWorker::spawn(self.fabric.clone(), self.rank)
-    }
-
     /// Assembles the value matrix of this rank's request list from the
-    /// rows' owners, inline on the calling thread: the mini-batch
-    /// analogue of the graph allgather, the sampled trainer's one feature
-    /// fetch per step.
+    /// rows' owners: the mini-batch analogue of the graph allgather, the
+    /// sampled trainer's one feature fetch per step.
     ///
     /// # Errors
     ///
     /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
     pub fn exchange_rows(&self, plan: &GatherPlan) -> Result<Matrix, RuntimeError> {
-        self.with_op(|op| execute_gather(&self.fabric, self.rank, op, plan))
-    }
-
-    /// Blocks on a background row exchange submitted earlier, poisoning
-    /// the fabric if the wait itself fails (the worker already poisoned
-    /// for errors it originated).
-    ///
-    /// # Errors
-    ///
-    /// The exchange's [`RuntimeError`], or a timeout if the worker
-    /// vanished.
-    pub(crate) fn wait_pending(&self, pending: Pending) -> Result<Matrix, RuntimeError> {
-        let r = pending.wait();
-        self.poison_on_err(r)
+        self.with_op(|op| execute_gather(self.fabric, self.rank, op, plan))
     }
 }
 
@@ -576,19 +550,18 @@ where
     F: Fn(DeviceHandle<'_>) -> Result<R, RuntimeError> + Sync,
 {
     let deadline = config.collective_deadline;
-    let fabric = Arc::new(Fabric::with_config(info.num_devices(), config));
+    let fabric = Fabric::with_config(info.num_devices(), config);
     let mut outcomes: Vec<Option<Result<R, ClusterFailure>>> =
         (0..info.num_devices()).map(|_| None).collect();
     crossbeam::thread::scope(|scope| {
         let mut joins = Vec::new();
         for rank in 0..info.num_devices() {
-            let fabric = fabric.clone();
-            let body = &body;
+            let (fabric, body) = (&fabric, &body);
             joins.push(scope.spawn(move |_| {
                 let handle = DeviceHandle {
                     rank,
                     info,
-                    fabric: fabric.clone(),
+                    fabric,
                     op_counter: Cell::new(0),
                     scratch: RefCell::new(PipelineScratch::default()),
                     engine: RefCell::new(CollectiveEngine::new(rank, info.num_devices())),

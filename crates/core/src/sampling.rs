@@ -15,9 +15,7 @@
 //! * `BlockSteps` — the trainer's **sampled-blocks** step kind (finite
 //!   fanouts): each rank trains on the batch seeds it owns — its own
 //!   block chain, one feature fetch, every layer local, one gradient
-//!   allreduce — with [`crate::trainer::TrainConfig::overlap`] on, the
-//!   overlap worker prefetches batch `k+1`'s features while batch `k`
-//!   computes. This module moves rows; the
+//!   allreduce, all on the rank's own thread. This module moves rows; the
 //!   compute over a chain ([`dgcl_gnn::forward_chain`], block
 //!   aggregation and its adjoint) is `dgcl_gnn`'s, and a serving flush
 //!   runs the same walk. With all fanouts ∞ the trainer
@@ -43,7 +41,6 @@ use dgcl_tensor::Matrix;
 use crate::error::RuntimeError;
 use crate::fabric::{expect_payload, Fabric, MsgKey};
 use crate::featcache::{AscendingWalk, ClusterCache, FeatureCache};
-use crate::overlap::{OverlapWorker, Pending};
 use crate::runtime::DeviceHandle;
 use crate::trainer::{input_learns, sync_step, EpochCtx};
 
@@ -172,8 +169,8 @@ pub(crate) type Request<'a> = (&'a [VertexId], &'a [Vec<usize>]);
 /// sender owns, in list order, minus those in the receiver's
 /// [`ClusterCache`] (cache sets are shared knowledge too). Those never
 /// cross the wire: the requester embeds their values — and its own rows —
-/// in its plan at build time, which also keeps the plan self-contained on
-/// the prefetch worker.
+/// in its plan at build time, as it embeds the rows it sends, so
+/// [`DeviceHandle::exchange_rows`] needs nothing but the plan.
 #[derive(Debug)]
 pub struct GatherPlan {
     /// The output with this rank's own and cache-served rows in place;
@@ -287,8 +284,7 @@ impl GatherPlan {
 /// Executes a [`GatherPlan`] under a pre-assigned op: posts each peer
 /// its rows, then fills the plan's output (own and cache-served rows
 /// already in place) from each contributing peer's message, drained in
-/// ascending rank order. Runs on the main thread or on the
-/// [`OverlapWorker`] (prefetch) — op-tagged keys keep the two apart.
+/// ascending rank order.
 pub(crate) fn execute_gather(
     fabric: &Fabric,
     rank: usize,
@@ -329,16 +325,12 @@ pub(crate) fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId
 /// collectives per step whatever the depth. A rank that owns none of a
 /// batch's seeds still serves its rows and joins the allreduce with zero
 /// gradients and zero loss. Holds what outlives a step: the recycle pool
-/// for block-chain scratch, and — with `overlap` on — the chain and the
-/// pending feature fetch of the *next* batch, posted on an
-/// [`OverlapWorker`] while the current one computes.
+/// for block-chain scratch.
 pub(crate) struct BlockSteps<'a> {
     handle: &'a DeviceHandle<'a>,
     ctx: &'a EpochCtx<'a>,
     scfg: &'a SamplingConfig,
-    worker: Option<OverlapWorker>,
     pool: BlockPool,
-    prefetched: Option<(Vec<LayerBlock>, Pending)>,
 }
 
 impl<'a> BlockSteps<'a> {
@@ -351,9 +343,7 @@ impl<'a> BlockSteps<'a> {
             handle,
             ctx,
             scfg,
-            worker: ctx.cfg.overlap.then(|| handle.overlap_worker()),
             pool: BlockPool::new(),
-            prefetched: None,
         }
     }
 
@@ -407,8 +397,8 @@ impl<'a> BlockSteps<'a> {
         Ok((mine, plan))
     }
 
-    /// Forward, loss, backward and [`sync_step`] of batch `bi`; returns
-    /// the cluster-summed loss.
+    /// Sampling, feature fetch, forward, loss, backward and [`sync_step`]
+    /// of batch `bi`; returns the cluster-summed loss.
     pub(crate) fn step(
         &mut self,
         net: &mut GnnNetwork,
@@ -418,19 +408,8 @@ impl<'a> BlockSteps<'a> {
     ) -> Result<f32, RuntimeError> {
         let handle = self.handle;
         let rank = handle.rank;
-        let (blocks, h) = match self.prefetched.take() {
-            Some((blocks, pending)) => (blocks, handle.wait_pending(pending)?),
-            None => {
-                let (blocks, plan) = self.sample(epoch, batches, bi)?;
-                (blocks, handle.exchange_rows(&plan)?)
-            }
-        };
-        if self.worker.is_some() && bi + 1 < batches.len() {
-            let (next, plan) = self.sample(epoch, batches, bi + 1)?;
-            let worker = self.worker.as_ref().expect("checked above");
-            let pending = handle.with_op(|op| worker.submit_exchange(op, plan))?;
-            self.prefetched = Some((next, pending));
-        }
+        let (blocks, plan) = self.sample(epoch, batches, bi)?;
+        let h = handle.exchange_rows(&plan)?;
         let out = forward_chain(net.layers_mut(), &blocks, h);
         // Loss over this rank's seeds, which it owns.
         let seeds = blocks.last().expect("≥ 1 layer").dst.iter().copied();

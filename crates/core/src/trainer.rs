@@ -45,13 +45,8 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Seed for weight initialisation (shared by all replicas).
     pub weight_seed: u64,
-    /// `true`: sampled-blocks steps (finite fanouts) fetch batch `k+1`'s
-    /// feature rows on a background worker while batch `k` computes;
-    /// `false`: each step fetches its batch's rows inline. The two are
-    /// bitwise identical. Full-neighbourhood steps (full-batch,
-    /// and sampling with every fanout ∞) ignore it: layer 0's gather runs
-    /// once per run and every other gather needs the previous layer's
-    /// output, so none can run ahead.
+    /// No effect: every step runs on its rank's own thread. Kept only
+    /// because the frozen `e2e` benchmark sets it.
     pub overlap: bool,
     /// Aggregation backend override. `None` (the default) runs whatever
     /// [`CommInfo::backend`] recorded — the build policy's verdict;
@@ -77,8 +72,7 @@ pub struct TrainConfig {
 }
 
 impl TrainConfig {
-    /// A config with learning rate `1e-3`, a fixed weight seed and
-    /// sampled-feature prefetch enabled.
+    /// A config with learning rate `1e-3` and a fixed weight seed.
     pub fn new(arch: Architecture, dims: &[usize], epochs: usize) -> Self {
         Self {
             arch,
@@ -393,8 +387,8 @@ pub(crate) fn sync_step(
 /// *full-neighbourhood* (full-batch, or sampling with every fanout ∞:
 /// whole-graph forward and backward, the loss masked to the step's seed
 /// batch; no sampling is one unmasked step per epoch) or *sampled
-/// blocks* (finite fanouts: [`BlockSteps::step`], whose feature fetch
-/// [`TrainConfig::overlap`] runs a batch ahead).
+/// blocks* (finite fanouts: [`BlockSteps::step`], one feature fetch and
+/// one allreduce per step).
 ///
 /// Listing 1 gathers before every layer of every step, but layer 0's
 /// input never changes ([`input_learns`]), so its distributed aggregate

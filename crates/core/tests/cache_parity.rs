@@ -19,9 +19,9 @@
 //!   bytes than capacity 0, and volume is monotone in capacity.
 //! * A full-neighbourhood run issues a number of collectives that is a
 //!   formula in layers, steps and epochs, the same with the cache on or
-//!   off and with `overlap` on or off, with layer 0's exchange in it once
-//!   per run; a sampled-blocks run's is one too — two per step whatever
-//!   the depth — the same with the cache or the prefetch on or off.
+//!   off, with layer 0's exchange in it once per run; a sampled-blocks
+//!   run's is one too — two per step whatever the depth — the same with
+//!   the cache on or off.
 
 use dgcl::featcache::CachePolicy;
 use dgcl::sampling::SamplingConfig;
@@ -120,8 +120,8 @@ proptest! {
         prop_assert!(on.cache.is_some(), "active policy must report stats");
     }
 
-    /// Sampled block path (finite fanouts): the cache serves layer-0
-    /// fetch and prefetch without perturbing a single bit.
+    /// Sampled block path (finite fanouts): the cache serves the
+    /// feature fetch without perturbing a single bit.
     #[test]
     fn sampled_cache_is_bitwise_off(
         devices in 2usize..=6,
@@ -129,7 +129,6 @@ proptest! {
         policy_idx in 0usize..POLICIES.len(),
         fanout in 2usize..5,
         batch_size in 16usize..64,
-        overlap in any::<bool>(),
     ) {
         let c = case(5);
         let info = build_comm_info(
@@ -138,7 +137,6 @@ proptest! {
             BuildOptions::default(),
         );
         let mut cfg = base_cfg(Architecture::Gcn, 2);
-        cfg.overlap = overlap;
         cfg.backend = Some(BACKENDS[backend_idx]);
         cfg.sampling = Some(SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]));
         cfg.feature_cache = Some(CachePolicy::Off);
@@ -149,13 +147,13 @@ proptest! {
             .expect("healthy cluster");
         prop_assert_eq!(
             &off.epoch_losses, &on.epoch_losses,
-            "losses diverge: {} devices, {:?}, {:?}, overlap={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], overlap
+            "losses diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
         );
         prop_assert_eq!(
             off.outputs.max_abs_diff(&on.outputs), 0.0,
-            "outputs diverge: {} devices, {:?}, {:?}, overlap={}",
-            devices, BACKENDS[backend_idx], POLICIES[policy_idx], overlap
+            "outputs diverge: {} devices, {:?}, {:?}",
+            devices, BACKENDS[backend_idx], POLICIES[policy_idx]
         );
     }
 
@@ -267,23 +265,19 @@ fn full_batch_collective_count_is_pinned_and_cache_independent() {
     // exchange of the run (layer 0 reads the immutable raw features, so
     // its aggregate is computed once and reused by every forward) and
     // the final inference forward's L − 1 gathers. So N = (2L − 1)·E + L.
-    // Full-neighbourhood runs never consult the feature cache and spawn
-    // no prefetch worker, so N is the same with the cache or `overlap`
-    // on or off.
+    // Full-neighbourhood runs never consult the feature cache, so N is
+    // the same with the cache on or off.
     let c = case(3);
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
     let (layers, epochs) = (2u64, 3u64);
-    for overlap in [false, true] {
-        for policy in [CachePolicy::Off, CachePolicy::Auto] {
-            let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
-            cfg.overlap = overlap;
-            cfg.feature_cache = Some(policy);
-            assert_eq!(
-                collective_count(&info, &c, &cfg),
-                ops_per_step(layers) * epochs + layers,
-                "overlap={overlap}, {policy:?}"
-            );
-        }
+    for policy in [CachePolicy::Off, CachePolicy::Auto] {
+        let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
+        cfg.feature_cache = Some(policy);
+        assert_eq!(
+            collective_count(&info, &c, &cfg),
+            ops_per_step(layers) * epochs + layers,
+            "{policy:?}"
+        );
     }
 }
 
@@ -293,14 +287,11 @@ fn an_extra_epoch_adds_no_layer0_exchange() {
     // costs exactly one step's ops, none of them a layer-0 gather.
     let c = case(3);
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
-    for overlap in [false, true] {
-        let mut cfg = base_cfg(Architecture::Sage, 2);
-        cfg.overlap = overlap;
-        let short = collective_count(&info, &c, &cfg);
-        cfg.epochs += 1;
-        let long = collective_count(&info, &c, &cfg);
-        assert_eq!(long - short, ops_per_step(2), "overlap={overlap}");
-    }
+    let mut cfg = base_cfg(Architecture::Sage, 2);
+    let short = collective_count(&info, &c, &cfg);
+    cfg.epochs += 1;
+    let long = collective_count(&info, &c, &cfg);
+    assert_eq!(long - short, ops_per_step(2));
 }
 
 #[test]
@@ -322,14 +313,14 @@ fn exact_sampling_reuses_the_layer0_aggregate_in_every_batch() {
 }
 
 #[test]
-fn block_step_collective_count_is_pinned_and_cache_and_prefetch_independent() {
+fn block_step_collective_count_is_pinned_and_cache_independent() {
     // A sampled-blocks step is trainer-local: one feature exchange (the
     // rows of every rank's own block chain, from their owners), every
     // layer computed where the seeds live, one allreduce — 2 collectives
-    // for any depth, whether the exchange runs inline, a batch ahead on
-    // the prefetch worker, or mostly out of the cache. The final inference
-    // forward is full-neighbourhood: L more. N = 2·B·E + L; a step count
-    // that grows with L means an inter-layer exchange is back.
+    // for any depth, whether the exchange crosses the wire or is served
+    // mostly out of the cache. The final inference forward is
+    // full-neighbourhood: L more. N = 2·B·E + L; a step count that grows
+    // with L means an inter-layer exchange is back.
     let c = case(3);
     let info = build_comm_info(&c.graph, Topology::fig6(), BuildOptions::default());
     let n = c.graph.num_vertices();
@@ -337,19 +328,16 @@ fn block_step_collective_count_is_pinned_and_cache_and_prefetch_independent() {
     let batches = n.div_ceil(batch) as u64;
     for dims in [&[6, 5, 3][..], &[6, 5, 4, 3]] {
         let layers = dims.len() - 1;
-        for overlap in [false, true] {
-            for policy in [CachePolicy::Off, CachePolicy::Auto] {
-                let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
-                cfg.dims = dims.to_vec();
-                cfg.overlap = overlap;
-                cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(3); layers]));
-                cfg.feature_cache = Some(policy);
-                assert_eq!(
-                    collective_count(&info, &c, &cfg),
-                    2 * batches * epochs + layers as u64,
-                    "L={layers}, overlap={overlap}, {policy:?}"
-                );
-            }
+        for policy in [CachePolicy::Off, CachePolicy::Auto] {
+            let mut cfg = base_cfg(Architecture::Gcn, epochs as usize);
+            cfg.dims = dims.to_vec();
+            cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(3); layers]));
+            cfg.feature_cache = Some(policy);
+            assert_eq!(
+                collective_count(&info, &c, &cfg),
+                2 * batches * epochs + layers as u64,
+                "L={layers}, {policy:?}"
+            );
         }
     }
 }

@@ -15,10 +15,11 @@
 
 use std::time::{Duration, Instant};
 
+use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
 use dgcl::{
-    build_comm_info, run_cluster_with, AllreduceAlgo, BroadcastAlgo, BuildOptions, ClusterFailure,
-    CommInfo, FabricConfig, FaultEvent, FaultPlan, RuntimeError,
+    build_comm_info, run_cluster_with, AllreduceAlgo, BroadcastAlgo, BuildOptions, ClusterError,
+    ClusterFailure, CommInfo, FabricConfig, FaultEvent, FaultPlan, RuntimeError,
 };
 use dgcl_gnn::Architecture;
 use dgcl_graph::{CsrGraph, Dataset};
@@ -104,26 +105,70 @@ fn crash_fault_fails_every_survivor_within_deadline() {
             "unwind took {:?}, deadline was {deadline:?}",
             start.elapsed()
         );
-        assert_eq!(err.rank, 1, "{err}");
-        assert!(
-            matches!(
-                err.cause,
-                ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 3 })
-            ),
-            "{err}"
-        );
-        // Nothing survives a crashed peer on a connected plan: every
-        // other rank reports the poison with the crashed rank as origin.
-        let survivors: Vec<_> = err.surviving_errors().collect();
-        assert_eq!(survivors.len(), c.info.num_devices() - 1);
-        for (rank, failure) in survivors {
-            match failure {
-                ClusterFailure::Error(RuntimeError::Poisoned { origin, reason }) => {
-                    assert_eq!(*origin, 1, "rank {rank} blames the crashed rank");
-                    assert!(reason.contains("injected crash"), "{reason}");
-                }
-                other => panic!("rank {rank}: expected poison, got {other}"),
+        assert_crash_poisons_every_survivor(&err, 1, 3);
+    });
+}
+
+/// `err` names `rank`'s injected crash entering op `at_op` as its origin,
+/// and every other rank failed with that poison — nothing survives a
+/// crashed peer on a connected plan.
+fn assert_crash_poisons_every_survivor(err: &ClusterError, rank: usize, at_op: u64) {
+    assert_eq!(err.rank, rank, "{err}");
+    assert!(
+        matches!(
+            err.cause,
+            ClusterFailure::Error(RuntimeError::InjectedCrash { rank: r, at_op: k })
+                if r == rank && k == at_op
+        ),
+        "{err}"
+    );
+    let survivors: Vec<_> = err.surviving_errors().collect();
+    assert_eq!(survivors.len(), err.per_rank.len() - 1, "{err}");
+    for (survivor, failure) in survivors {
+        match failure {
+            ClusterFailure::Error(RuntimeError::Poisoned { origin, reason }) => {
+                assert_eq!(*origin, rank, "rank {survivor} blames the crashed rank");
+                assert!(reason.contains("injected crash"), "{reason}");
             }
+            other => panic!("rank {survivor}: expected poison, got {other}"),
+        }
+    }
+}
+
+#[test]
+fn crash_on_a_sampled_step_fails_every_survivor_within_deadline() {
+    // A sampled-blocks step issues two collectives, so the `2·B·E + L`
+    // pin (cache_parity.rs) places every op of the run: step s enters op
+    // 2s + 1 for its feature exchange and 2s + 2 for its allreduce, and
+    // the final full-neighbourhood forward's first gather is op 2·B·E + 1.
+    with_watchdog(Duration::from_secs(120), || {
+        let graph = Dataset::WikiTalk.generate(0.0005, 3);
+        let n = graph.num_vertices();
+        let info = build_comm_info(&graph, Topology::dgx1_subset(4), BuildOptions::default());
+        let mut init = XavierInit::new(8);
+        let features = init.features(n, 6);
+        let targets = init.features(n, 3);
+        let (epochs, batch) = (2, n / 3);
+        let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 5, 3], epochs);
+        cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(3), Some(3)]));
+        let steps = (n.div_ceil(batch) * epochs) as u64;
+        let deadline = Duration::from_secs(5);
+        // Step 1's exchange, step 1's allreduce, the final forward.
+        for (rank, at_op) in [(1, 3), (2, 4), (3, 2 * steps + 1)] {
+            let config = FabricConfig {
+                collective_deadline: deadline,
+                faults: FaultPlan::crash(rank, at_op),
+                ..FabricConfig::default()
+            };
+            let start = Instant::now();
+            let err = train_distributed_with(&info, &graph, &features, &targets, &cfg, config)
+                .expect_err("a crashed rank must fail sampled training");
+            assert!(
+                start.elapsed() < deadline,
+                "crash at op {at_op}: unwind took {:?}, deadline was {deadline:?}",
+                start.elapsed()
+            );
+            assert_crash_poisons_every_survivor(&err, rank, at_op);
         }
     });
 }
@@ -157,25 +202,7 @@ fn crash_mid_collective_case<R: Send + std::fmt::Debug>(
         "unwind took {:?}, deadline was {deadline:?}",
         start.elapsed()
     );
-    assert_eq!(err.rank, 1, "{err}");
-    assert!(
-        matches!(
-            err.cause,
-            ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 1 })
-        ),
-        "{err}"
-    );
-    let survivors: Vec<_> = err.surviving_errors().collect();
-    assert_eq!(survivors.len(), info.num_devices() - 1);
-    for (rank, failure) in survivors {
-        match failure {
-            ClusterFailure::Error(RuntimeError::Poisoned { origin, reason }) => {
-                assert_eq!(*origin, 1, "rank {rank} blames the crashed rank");
-                assert!(reason.contains("injected crash"), "{reason}");
-            }
-            other => panic!("rank {rank}: expected poison, got {other}"),
-        }
-    }
+    assert_crash_poisons_every_survivor(&err, 1, 1);
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! The invariant elastic recovery rests on: **resuming from a
 //! checkpoint is invisible**. For any crash epoch, any serialization
-//! round trip, any architecture, full-batch or sampled with the feature
-//! prefetch on or off, a run that stops mid-training, serializes its
+//! round trip, any architecture, full-batch or sampled, a run that stops
+//! mid-training, serializes its
 //! checkpoint to bytes, deserializes and resumes, is *bitwise*
 //! identical to the uninterrupted run — the same loss at every later
 //! epoch and the same final outputs. Without this, "recovered" training
@@ -34,7 +34,6 @@ proptest! {
         stop_epoch in 1usize..4,
         arch_idx in 0usize..ARCHS.len(),
         sampled in any::<bool>(),
-        overlap in any::<bool>(),
         graph_seed in 1u64..4,
     ) {
         let epochs = 4;
@@ -45,8 +44,6 @@ proptest! {
         let features = init.features(n, 6);
         let targets = init.features(n, 3);
         let mut cfg = TrainConfig::new(ARCHS[arch_idx], &[6, 4, 3], epochs);
-        // Only sampled blocks have a next batch's features to prefetch.
-        cfg.overlap = overlap;
         if sampled {
             cfg.sampling = Some(SamplingConfig::new(64, vec![Some(3), Some(3)]));
         }

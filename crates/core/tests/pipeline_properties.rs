@@ -1,7 +1,6 @@
-//! Property suite for the chunk-pipelined collectives and the
-//! communication–compute overlap (the sampled feature prefetch).
+//! Property suite for the chunk-pipelined collectives.
 //!
-//! Three invariants:
+//! Two invariants:
 //!
 //! 1. **Chunking never changes bits.** For every chunk size — one row per
 //!    message, the default-ish 16, and `usize::MAX` (one chunk per
@@ -9,20 +8,14 @@
 //!    device count 2..=8, the pipelined `graph_allgather` /
 //!    `scatter_backward` return exactly what the uncompiled reference
 //!    returns, on every rank.
-//! 2. **Overlap never changes bits.** Sampled training that fetches the
-//!    next batch's features on a background worker (`TrainConfig::overlap`)
-//!    produces losses and outputs bitwise equal to the trainer that
-//!    fetches inline, at every chunk size of its final full-neighbourhood
-//!    forward.
-//! 3. **A crash mid-chunk fails fast.** A rank that dies with some
+//! 2. **A crash mid-chunk fails fast.** A rank that dies with some
 //!    chunks of an operation already delivered ([`FaultEvent::CrashMidOp`])
 //!    poisons every survivor within the collective deadline — never a
 //!    hang, never a partial result.
 
 use std::time::{Duration, Instant};
 
-use dgcl::sampling::SamplingConfig;
-use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
+use dgcl::trainer::{train_distributed_with, TrainConfig};
 use dgcl::{
     build_comm_info, run_cluster, BuildOptions, ClusterFailure, FabricConfig, FaultEvent,
     FaultPlan, RuntimeError,
@@ -86,42 +79,7 @@ proptest! {
     }
 }
 
-/// Invariant 2: the prefetching trainer is bitwise equal to the inline
-/// trainer at every chunk size (deterministic sweep — no randomness to
-/// explore, so a plain loop beats proptest here).
-#[test]
-fn overlapped_training_is_bitwise_identical_to_inline() {
-    let graph = Dataset::WikiTalk.generate(0.0005, 3);
-    let n = graph.num_vertices();
-    let mut init = XavierInit::new(8);
-    let features = init.features(n, 6);
-    let targets = init.features(n, 3);
-    for chunk_rows in CHUNK_SIZES {
-        let options = BuildOptions {
-            chunk_rows,
-            ..BuildOptions::default()
-        };
-        let info = build_comm_info(&graph, Topology::fig6(), options);
-        let mut cfg = TrainConfig::new(Architecture::Gcn, &[6, 4, 3], 2);
-        cfg.sampling = Some(SamplingConfig::new(64, vec![Some(3), Some(3)]));
-        cfg.overlap = false;
-        let inline = train_distributed(&info, &graph, &features, &targets, &cfg)
-            .expect("inline run healthy");
-        cfg.overlap = true;
-        let overlapped = train_distributed(&info, &graph, &features, &targets, &cfg)
-            .expect("overlapped run healthy");
-        assert_eq!(
-            inline.epoch_losses, overlapped.epoch_losses,
-            "losses diverged under overlap (chunk_rows {chunk_rows})"
-        );
-        assert_eq!(
-            inline.outputs, overlapped.outputs,
-            "outputs diverged under overlap (chunk_rows {chunk_rows})"
-        );
-    }
-}
-
-/// Invariant 3: a rank dying mid-operation — after some chunks of the
+/// Invariant 2: a rank dying mid-operation — after some chunks of the
 /// op already shipped — fails every survivor with a poison naming it,
 /// within the collective deadline. Op 1 is the layer-0 gather.
 #[test]

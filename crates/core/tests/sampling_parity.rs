@@ -10,9 +10,7 @@
 //!
 //! Around the anchor:
 //!
-//! * Finite-fanout runs are deterministic (run-to-run bitwise equal) and
-//!   independent of `TrainConfig::overlap`, which moves the next batch's
-//!   feature fetch to the overlap worker.
+//! * Finite-fanout runs are deterministic (run-to-run bitwise equal).
 //! * Finite-fanout runs have a numerical anchor too: every rank trains on
 //!   the chain of its own seeds, and the draws are keyed per vertex, so a
 //!   `P`-device run is the 1-device run of the same config up to the order
@@ -104,10 +102,9 @@ proptest! {
         );
     }
 
-    /// Finite fanouts: the block path is run-to-run deterministic and
-    /// numerically independent of the prefetch worker.
+    /// Finite fanouts: the block path is run-to-run deterministic.
     #[test]
-    fn block_path_is_deterministic_and_prefetch_neutral(
+    fn block_path_is_deterministic(
         devices in 2usize..=6,
         backend_idx in 0usize..BACKENDS.len(),
         fanout in 2usize..5,
@@ -121,7 +118,6 @@ proptest! {
         );
         let mut cfg = base_cfg(Architecture::Gcn, 2);
         cfg.backend = Some(BACKENDS[backend_idx]);
-        cfg.overlap = false;
         cfg.sampling = Some(SamplingConfig::new(batch_size, vec![Some(fanout), Some(fanout)]));
         let a = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
             .expect("healthy cluster");
@@ -129,11 +125,6 @@ proptest! {
             .expect("healthy cluster");
         prop_assert_eq!(&a.epoch_losses, &b.epoch_losses, "rerun diverged");
         prop_assert_eq!(a.outputs.max_abs_diff(&b.outputs), 0.0, "rerun diverged");
-        cfg.overlap = true;
-        let p = train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-            .expect("healthy cluster");
-        prop_assert_eq!(&a.epoch_losses, &p.epoch_losses, "prefetch changed losses");
-        prop_assert_eq!(a.outputs.max_abs_diff(&p.outputs), 0.0, "prefetch changed outputs");
     }
 }
 
@@ -256,24 +247,15 @@ fn a_rank_without_seeds_serves_its_rows_and_joins_the_allreduce() {
             let mut scfg = SamplingConfig::new(batch_size, vec![Some(3), Some(3)]);
             scfg.train_vertices = Some(seeds.clone());
             cfg.sampling = Some(scfg);
-            let mut reports = Vec::new();
-            for overlap in [false, true, true] {
-                cfg.overlap = overlap;
-                reports.push(
-                    train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-                        .expect("healthy cluster"),
-                );
-            }
+            let [a, b] = [(); 2].map(|()| {
+                train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
+                    .expect("healthy cluster")
+            });
             let what = format!("{devices} devices, batch {batch_size}");
-            let losses = &reports[0].epoch_losses;
+            let losses = &a.epoch_losses;
             assert!(losses.last() < losses.first(), "{what}: {losses:?}");
-            for r in &reports[1..] {
-                assert_eq!(
-                    &r.epoch_losses, losses,
-                    "{what}: rerun or prefetch diverged"
-                );
-                assert_eq!(r.outputs.max_abs_diff(&reports[0].outputs), 0.0, "{what}");
-            }
+            assert_eq!(&b.epoch_losses, losses, "{what}: rerun diverged");
+            assert_eq!(b.outputs.max_abs_diff(&a.outputs), 0.0, "{what}");
         }
     }
 }
