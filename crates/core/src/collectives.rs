@@ -1,30 +1,32 @@
-//! The collective algorithm zoo: ring and halving/doubling allreduce
-//! plus flat/chain/binomial-tree broadcast, compiled onto the chunk
-//! pipeline.
+//! The collective algorithm zoo: flat, ring and halving/doubling
+//! allreduce plus flat/chain/binomial-tree broadcast, compiled onto the
+//! chunk pipeline.
 //!
-//! The fabric's rendezvous allreduce (the reference) funnels every
-//! contribution through one shared slot table — simple, but its cost
-//! grows with the full vector times the device count. The classic
-//! bandwidth-optimal alternatives move `2(n−1)/n` of the data per
-//! device instead. This module implements them *on top of the existing
-//! pipeline machinery*: each algorithm is expressed as a synthetic
+//! Every collective is a program of send/receive primitives, the way
+//! NCCL builds them: each algorithm is expressed as a synthetic
 //! [`DeviceSchedule`] over a flat element space, compiled by
 //! [`pipeline::compile`] into the same dependency-list
 //! [`PipelineSchedule`] the planner's allgather uses, and driven by the
 //! same executor — so chunk streaming, deadline bounding, poison
-//! propagation and fault injection all come for free.
+//! propagation and fault injection all come for free. The flat
+//! allreduce (gather into rank 0, broadcast back) has the fewest hops
+//! but pushes the full vector times the device count through rank 0;
+//! the bandwidth-optimal ring and halving/doubling move `2(n−1)/n` of
+//! the data per device instead.
 //!
 //! # Bitwise parity
 //!
-//! Every algorithm must reproduce the rendezvous result *bitwise*: a
-//! left-associated fold of the per-rank contributions in rank order
-//! (`((c₀+c₁)+c₂)+…`). IEEE-754 addition is commutative bitwise but not
-//! associative, which rules out the textbook formulations:
+//! Every algorithm must produce the same bits: a left-associated fold
+//! of the per-rank contributions in rank order (`((c₀+c₁)+c₂)+…`).
+//! IEEE-754 addition is commutative bitwise but not associative, which
+//! rules out the textbook formulations:
 //!
+//! * **Flat** is the fold itself: rank 0 adds the arrivals onto its own
+//!   contribution in rank order.
 //! * **Ring** is the *chain-pipelined* variant, not the rotated ring:
 //!   the whole vector flows `0→1→…→n−1` accumulating at each hop
-//!   (`cᵢ + partial` — a single commutation of the reference fold, so
-//!   bitwise equal), then chains back with overwrites. The rotated ring
+//!   (`cᵢ + partial` — a single commutation of the fold, so bitwise
+//!   equal), then chains back with overwrites. The rotated ring
 //!   would fold segment `s` starting at rank `s`, a different
 //!   association.
 //! * **Halving/doubling** is a *direct-exchange* reduce-scatter (every
@@ -34,9 +36,9 @@
 //!   recursive-doubling allgather, which is pure data movement. The
 //!   butterfly reduce-scatter would build `(c₀+c₁)+(c₂+c₃)`.
 //!
-//! Accumulation is always seeded by an *overwrite* from the rank-0
-//! contribution, never from zero (`0.0 + (-0.0)` is `+0.0`, which would
-//! break parity on negative zeros).
+//! Accumulation is always seeded by the rank-0 contribution (in place
+//! or by an *overwrite*), never from zero (`0.0 + (-0.0)` is `+0.0`,
+//! which would break parity on negative zeros).
 //!
 //! Algorithm *selection* lives in `dgcl-sim` ([`AlgorithmSelector`]):
 //! the cost models mirror the fabric's chunked execution, and the
@@ -66,10 +68,10 @@ pub enum AllreducePolicy {
 }
 
 impl Default for AllreducePolicy {
-    /// The reference algorithm — default configs reproduce the
-    /// pre-zoo runtime exactly.
+    /// The flat allreduce. Training replaces this default with a tuned
+    /// selector; every algorithm yields the same bits.
     fn default() -> Self {
-        AllreducePolicy::Fixed(AllreduceAlgo::Rendezvous)
+        AllreducePolicy::Fixed(AllreduceAlgo::Flat)
     }
 }
 
@@ -238,6 +240,28 @@ fn segment(elems: usize, n: usize, s: usize) -> std::ops::Range<u32> {
     lo as u32..hi as u32
 }
 
+/// Flat allreduce for device `rank` of `n`: a flat gather into rank 0,
+/// then a flat broadcast back.
+///
+/// Stage 0: ranks `1..n` send their whole vector to rank 0, which adds
+/// the arrivals onto its own contribution in ascending rank order
+/// (entry order fixes the apply order, as in halving/doubling's fold).
+/// Stage 1: rank 0 sends the sum to every rank, which overwrites with
+/// it.
+fn flat_allreduce(rank: usize, n: usize, elems: usize) -> Vec<Entry> {
+    let all: Vec<u32> = (0..elems as u32).collect();
+    if rank == 0 {
+        let folds = (1..n).map(|p| Entry::recv(0, p, all.clone(), ApplyMode::Accumulate));
+        let sends = (1..n).map(|p| Entry::send(1, p, all.clone()));
+        folds.chain(sends).collect()
+    } else {
+        vec![
+            Entry::send(0, 0, all.clone()),
+            Entry::recv(1, 0, all, ApplyMode::Overwrite),
+        ]
+    }
+}
+
 /// Chain-pipelined ring allreduce for device `rank` of `n`.
 ///
 /// Reduce phase: the full vector flows `0→1→…→n−1`, each hop adding the
@@ -402,13 +426,14 @@ impl CollectiveEngine {
         }
     }
 
-    /// Element-wise sum of `mats` across all ranks under `algo`,
-    /// bitwise identical to [`Fabric::allreduce`]. Must be called by
-    /// every rank with the same op id, algorithm and shapes.
+    /// Element-wise sum of `mats` across all ranks under `algo`: the
+    /// rank-ordered fold `((c₀+c₁)+c₂)+…`, the same bits under every
+    /// algorithm. Must be called by every rank with the same op id,
+    /// algorithm and shapes.
     ///
-    /// Rendezvous (and the degenerate single-device / empty cases)
-    /// routes through the fabric's reference implementation so op
-    /// accounting and blocking behaviour stay exactly as before.
+    /// A single device gets its input back. An empty call moves nothing
+    /// but stays a barrier: it returns once every peer has entered op
+    /// `op`, so op ids stay aligned across ranks.
     ///
     /// # Errors
     ///
@@ -421,13 +446,19 @@ impl CollectiveEngine {
         algo: AllreduceAlgo,
         mut mats: Vec<Matrix>,
     ) -> Result<Vec<Matrix>, RuntimeError> {
-        let elems: usize = mats.iter().map(Matrix::len).sum();
-        if algo == AllreduceAlgo::Rendezvous || self.devices < 2 || elems == 0 {
-            return fabric.allreduce(self.rank, mats);
-        }
         let (rank, n) = (self.rank, self.devices);
+        let elems: usize = mats.iter().map(Matrix::len).sum();
+        if n < 2 {
+            return Ok(mats);
+        }
+        if elems == 0 {
+            for peer in 0..n {
+                fabric.wait_ready(peer, op, rank)?;
+            }
+            return Ok(mats);
+        }
         let entries = || match algo {
-            AllreduceAlgo::Rendezvous => unreachable!("handled above"),
+            AllreduceAlgo::Flat => flat_allreduce(rank, n, elems),
             AllreduceAlgo::Ring => ring_allreduce(rank, n, elems),
             AllreduceAlgo::HalvingDoubling => halving_doubling_allreduce(rank, n, elems),
         };
@@ -601,11 +632,14 @@ mod tests {
 
     #[test]
     fn ring_schedules_pair_up() {
-        for n in 2..=8 {
-            for elems in [1usize, 7, 64] {
-                let per_rank: Vec<Vec<Entry>> =
-                    (0..n).map(|r| ring_allreduce(r, n, elems)).collect();
-                sends_match_recvs(&per_rank);
+        // The flat schedule is checked alongside the ring.
+        type Builder = fn(usize, usize, usize) -> Vec<Entry>;
+        for build in [ring_allreduce as Builder, flat_allreduce] {
+            for n in 2..=8 {
+                for elems in [1usize, 7, 64] {
+                    let per_rank: Vec<Vec<Entry>> = (0..n).map(|r| build(r, n, elems)).collect();
+                    sends_match_recvs(&per_rank);
+                }
             }
         }
     }
@@ -657,24 +691,29 @@ mod tests {
 
     #[test]
     fn halving_doubling_folds_in_rank_order() {
-        // The receives for our own segment must arrive at stage 0 in
-        // rank order, seeded by an overwrite from rank 0.
+        // The stage-0 receives that fold a segment must arrive in rank
+        // order. Halving/doubling seeds with an overwrite from rank 0;
+        // the flat root folds peers 1.. onto its own contribution.
         for n in [3usize, 5, 8] {
-            let entries = halving_doubling_allreduce(1, n, 64);
-            let folds: Vec<(usize, ApplyMode)> = entries
-                .iter()
-                .filter(|e| e.stage == 0 && !e.recv.is_empty())
-                .map(|e| (e.peer, e.mode))
-                .collect();
-            assert_eq!(folds.len(), n);
-            for (p, (peer, mode)) in folds.iter().enumerate() {
-                assert_eq!(*peer, p, "receives in rank order");
-                let expect = if p == 0 {
-                    ApplyMode::Overwrite
-                } else {
-                    ApplyMode::Accumulate
-                };
-                assert_eq!(*mode, expect);
+            for (entries, first) in [
+                (halving_doubling_allreduce(1, n, 64), 0),
+                (flat_allreduce(0, n, 64), 1),
+            ] {
+                let folds: Vec<(usize, ApplyMode)> = entries
+                    .iter()
+                    .filter(|e| e.stage == 0 && !e.recv.is_empty())
+                    .map(|e| (e.peer, e.mode))
+                    .collect();
+                assert_eq!(folds.len(), n - first);
+                for (i, (peer, mode)) in folds.iter().enumerate() {
+                    assert_eq!(*peer, first + i, "receives in rank order");
+                    let expect = if *peer == 0 {
+                        ApplyMode::Overwrite
+                    } else {
+                        ApplyMode::Accumulate
+                    };
+                    assert_eq!(*mode, expect);
+                }
             }
         }
     }
@@ -699,6 +738,7 @@ mod tests {
         for n in [2usize, 5, 8] {
             for rank in 0..n {
                 for entries in [
+                    flat_allreduce(rank, n, 100),
                     ring_allreduce(rank, n, 100),
                     halving_doubling_allreduce(rank, n, 100),
                 ] {

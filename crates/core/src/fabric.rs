@@ -12,10 +12,11 @@
 //! * *done* — message availability in the mailbox (posting the payload
 //!   and setting the done flag are one atomic insert here).
 //!
-//! There is no master in the data path: the only shared state is
-//! peer-to-peer mailboxes and the allreduce rendezvous used for model
-//! (not embedding) synchronisation, mirroring the paper's use of
-//! Horovod/DDP for the small model weights.
+//! There is no master in the data path: the only shared state is the
+//! peer-to-peer mailboxes and the ready flags. Every collective, the
+//! model-gradient allreduce included, is a program of sends and
+//! receives over them, so a device blocks in exactly two ways: a
+//! mailbox [`Fabric::recv`] or a [`Fabric::wait_ready`].
 //!
 //! # Abortability
 //!
@@ -38,7 +39,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dgcl_tensor::Matrix;
 use parking_lot::{Condvar, Mutex};
 
 use crate::collectives::AllreducePolicy;
@@ -81,7 +81,7 @@ type HeldMessages = HashMap<(usize, usize), Vec<(MsgKey, Vec<f32>)>>;
 /// Runtime configuration of one cluster run's fabric.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Upper bound on any single ready/done/allreduce wait. A peer that
+    /// Upper bound on any single ready/done wait. A peer that
     /// makes no progress for this long produces [`RuntimeError::Timeout`]
     /// on the waiter instead of an eternal block.
     pub collective_deadline: Duration,
@@ -91,7 +91,8 @@ pub struct FabricConfig {
     pub poll_interval: Duration,
     /// Which allreduce algorithm [`DeviceHandle::allreduce`] dispatches
     /// to, either fixed or picked per message size by a tuned selector.
-    /// The default keeps the rendezvous reference.
+    /// The default is the flat allreduce (gather into rank 0, broadcast
+    /// back).
     ///
     /// [`DeviceHandle::allreduce`]: crate::runtime::DeviceHandle::allreduce
     pub allreduce: AllreducePolicy,
@@ -127,19 +128,6 @@ struct Mailbox {
     signal: Condvar,
 }
 
-enum ReducePhase {
-    Filling,
-    Draining,
-}
-
-struct ReduceState {
-    phase: ReducePhase,
-    slots: Vec<Option<Vec<Matrix>>>,
-    filled: usize,
-    departed: usize,
-    result: Option<Vec<Matrix>>,
-}
-
 /// First-failure record: the rank that poisoned the fabric and why.
 struct PoisonInfo {
     rank: usize,
@@ -161,8 +149,6 @@ pub struct Fabric {
     mailboxes: Vec<Mailbox>,
     /// Per-device operation counter (the ready flag).
     ready: Vec<AtomicU64>,
-    reduce: Mutex<ReduceState>,
-    reduce_signal: Condvar,
     /// Fast-path flag mirroring `poison.is_some()`; checked from spin
     /// loops without taking the lock.
     poison_flag: AtomicBool,
@@ -190,14 +176,6 @@ impl Fabric {
                 .map(|_| Mailbox::default())
                 .collect(),
             ready: (0..num_devices).map(|_| AtomicU64::new(0)).collect(),
-            reduce: Mutex::new(ReduceState {
-                phase: ReducePhase::Filling,
-                slots: (0..num_devices).map(|_| None).collect(),
-                filled: 0,
-                departed: 0,
-                result: None,
-            }),
-            reduce_signal: Condvar::new(),
             poison_flag: AtomicBool::new(false),
             poison: Mutex::new(None),
             held: Mutex::new(HashMap::new()),
@@ -298,7 +276,6 @@ impl Fabric {
         for mb in &self.mailboxes {
             mb.signal.notify_all();
         }
-        self.reduce_signal.notify_all();
     }
 
     /// Whether any device has failed.
@@ -339,8 +316,8 @@ impl Fabric {
         }
     }
 
-    /// One bounded-wait bookkeeping step, shared by every blocking poll
-    /// loop (ready flags, mailbox receives, the allreduce rendezvous):
+    /// One bounded-wait bookkeeping step, shared by both blocking poll
+    /// loops (ready flags and mailbox receives):
     /// fails if the fabric is poisoned or `start` has outlived the
     /// collective deadline, otherwise the caller polls again after
     /// [`FabricConfig::poll_interval`].
@@ -547,96 +524,6 @@ impl Fabric {
         self.check_poison()?;
         Ok(None)
     }
-
-    /// Sums the per-device contributions element-wise (in rank order, so
-    /// every device observes the identical result) and returns the total
-    /// to each caller. All devices must call with equally-shaped inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Protocol`] if contributions disagree in arity,
-    /// [`RuntimeError::Poisoned`]/[`RuntimeError::Timeout`] if the
-    /// rendezvous cannot complete.
-    pub fn allreduce(&self, rank: usize, mats: Vec<Matrix>) -> Result<Vec<Matrix>, RuntimeError> {
-        // A rank whose previous round was aborted by poison still has its
-        // contribution in the slot; its next call (nothing stops a caller
-        // retrying after an error) must not deposit on top of it and
-        // complete a round that a dead rank never joined.
-        self.check_poison()?;
-        let start = Instant::now();
-        let rendezvous = || "rendezvous never completed".to_string();
-        let mut st = self.reduce.lock();
-        while !matches!(st.phase, ReducePhase::Filling) {
-            self.wait_tick(start, rank, "allreduce", rendezvous)?;
-            self.reduce_signal
-                .wait_for(&mut st, self.config.poll_interval);
-        }
-        st.slots[rank] = Some(mats);
-        st.filled += 1;
-        if st.filled == self.num_devices {
-            let mut acc: Option<Vec<Matrix>> = None;
-            for (d, slot) in st.slots.iter_mut().enumerate() {
-                let mats = slot.take().expect("all slots filled");
-                match &mut acc {
-                    None => acc = Some(mats),
-                    Some(total) => {
-                        if total.len() != mats.len() {
-                            let err = RuntimeError::Protocol {
-                                rank: d,
-                                detail: format!(
-                                    "allreduce arity mismatch: rank {d} contributed {} matrices, expected {}",
-                                    mats.len(),
-                                    total.len()
-                                ),
-                            };
-                            return Err(err);
-                        }
-                        for (t, m) in total.iter_mut().zip(&mats) {
-                            t.add_assign(m);
-                        }
-                        // The contribution has been folded in; its
-                        // storage goes back to the pool instead of the
-                        // allocator.
-                        for m in mats {
-                            self.recycle(m.into_vec());
-                        }
-                    }
-                }
-            }
-            st.result = Some(acc.expect("at least one device"));
-            st.phase = ReducePhase::Draining;
-            st.departed = 0;
-            self.reduce_signal.notify_all();
-        } else {
-            while !matches!(st.phase, ReducePhase::Draining) {
-                self.wait_tick(start, rank, "allreduce", rendezvous)?;
-                self.reduce_signal
-                    .wait_for(&mut st, self.config.poll_interval);
-            }
-        }
-        st.departed += 1;
-        let out = if st.departed == self.num_devices {
-            // Last reader: move the result out instead of cloning it.
-            let out = st.result.take().expect("result present");
-            st.phase = ReducePhase::Filling;
-            st.filled = 0;
-            self.reduce_signal.notify_all();
-            out
-        } else {
-            // Earlier readers copy into pool-backed buffers so even the
-            // fan-out of the result allocates nothing in steady state.
-            let total = st.result.as_ref().expect("result present");
-            total
-                .iter()
-                .map(|m| {
-                    let mut buf = self.checkout(m.len());
-                    buf.extend_from_slice(m.as_slice());
-                    Matrix::from_vec(m.rows(), m.cols(), buf)
-                })
-                .collect()
-        };
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -735,45 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn poison_wakes_blocked_allreduce() {
-        let f = std::sync::Arc::new(Fabric::new(3));
-        let t = {
-            let f = f.clone();
-            std::thread::spawn(move || f.allreduce(0, vec![Matrix::full(1, 1, 1.0)]))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        f.poison(
-            2,
-            ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 2, at_op: 1 }),
-        );
-        let err = t.join().expect("no panic").expect_err("poisoned");
-        assert!(
-            matches!(err, RuntimeError::Poisoned { origin: 2, .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn allreduce_after_poison_contributes_nothing() {
-        // A survivor calls again after a peer died: every call must
-        // fail, none may fill the rendezvous.
-        let f = Fabric::new(2);
-        f.poison(
-            1,
-            ClusterFailure::Error(RuntimeError::InjectedCrash { rank: 1, at_op: 1 }),
-        );
-        for _ in 0..2 {
-            let err = f
-                .allreduce(0, vec![Matrix::full(1, 1, 1.0)])
-                .expect_err("poisoned");
-            assert!(
-                matches!(err, RuntimeError::Poisoned { origin: 1, .. }),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
     fn first_poison_wins() {
         let f = Fabric::new(4);
         f.poison(3, ClusterFailure::Panic("first".to_string()));
@@ -781,24 +629,6 @@ mod tests {
         let (rank, cause) = f.poison_info().expect("poisoned");
         assert_eq!(rank, 3);
         assert_eq!(cause, ClusterFailure::Panic("first".to_string()));
-    }
-
-    #[test]
-    fn allreduce_sums_across_threads() {
-        let f = std::sync::Arc::new(Fabric::new(3));
-        let handles: Vec<_> = (0..3)
-            .map(|rank| {
-                let f = f.clone();
-                std::thread::spawn(move || {
-                    let m = Matrix::full(2, 2, (rank + 1) as f32);
-                    f.allreduce(rank, vec![m])
-                })
-            })
-            .collect();
-        for h in handles {
-            let out = h.join().expect("no panic").expect("allreduce");
-            assert_eq!(out[0], Matrix::full(2, 2, 6.0));
-        }
     }
 
     #[test]
@@ -917,26 +747,5 @@ mod tests {
         f.send(0, 1, (2, 1, 0, 0), vec![2.0]).expect("send release");
         assert_eq!(f.recv(0, 1, (2, 1, 0, 0)).expect("recv"), vec![2.0]);
         assert_eq!(f.recv(0, 1, (2, 0, 0, 0)).expect("recv"), vec![1.0]);
-    }
-
-    #[test]
-    fn allreduce_is_reusable() {
-        let f = std::sync::Arc::new(Fabric::new(2));
-        for round in 1..4 {
-            let handles: Vec<_> = (0..2)
-                .map(|rank| {
-                    let f = f.clone();
-                    std::thread::spawn(move || {
-                        f.allreduce(rank, vec![Matrix::full(1, 1, round as f32)])
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(
-                    h.join().expect("no panic").expect("allreduce")[0],
-                    Matrix::full(1, 1, 2.0 * round as f32)
-                );
-            }
-        }
     }
 }

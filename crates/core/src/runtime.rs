@@ -393,10 +393,12 @@ impl<'a> DeviceHandle<'a> {
     /// synchronisation). Every device receives the identical result.
     ///
     /// The algorithm comes from the fabric's
-    /// [`crate::collectives::AllreducePolicy`] — the rendezvous
-    /// reference by default, or a cost-model-picked ring /
-    /// halving-doubling schedule. All algorithms are bitwise identical,
-    /// so the policy affects wall-clock only.
+    /// [`crate::collectives::AllreducePolicy`] — the flat allreduce
+    /// (gather into rank 0, broadcast back) by default, or a
+    /// cost-model-picked flat / ring / halving-doubling schedule. All
+    /// algorithms are bitwise identical, so the policy affects
+    /// wall-clock only. An empty call is a barrier: it returns once
+    /// every device has entered it.
     ///
     /// # Errors
     ///
@@ -883,8 +885,21 @@ mod tests {
             faults: crate::fault::FaultPlan::crash(2, 1),
             ..FabricConfig::default()
         };
-        let err = run_cluster_with(&info, cfg, |handle| handle.allreduce(Vec::new()))
-            .expect_err("rank 2 crashes");
+        let err = run_cluster_with(&info, cfg, |handle| {
+            let first = handle.allreduce(vec![Matrix::full(1, 1, 1.0)]);
+            if handle.rank != 2 {
+                // A survivor's retry after the poison fails again and
+                // completes nothing.
+                let retry = handle.allreduce(vec![Matrix::full(1, 1, 1.0)]);
+                assert!(
+                    matches!(retry, Err(RuntimeError::Poisoned { origin: 2, .. })),
+                    "rank {}: {retry:?}",
+                    handle.rank
+                );
+            }
+            first
+        })
+        .expect_err("rank 2 crashes");
         assert_eq!(err.rank, 2);
         assert!(
             matches!(
@@ -893,5 +908,19 @@ mod tests {
             ),
             "{err}"
         );
+        for (r, outcome) in err.per_rank.iter().enumerate() {
+            if r != 2 {
+                assert!(
+                    matches!(
+                        outcome,
+                        Some(ClusterFailure::Error(RuntimeError::Poisoned {
+                            origin: 2,
+                            ..
+                        }))
+                    ),
+                    "rank {r}: {outcome:?}"
+                );
+            }
+        }
     }
 }

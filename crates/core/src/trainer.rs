@@ -270,7 +270,7 @@ pub fn train_distributed_resumable(
     // (chaos tests pinning an algorithm) stands.
     if matches!(
         fabric_config.allreduce,
-        AllreducePolicy::Fixed(AllreduceAlgo::Rendezvous)
+        AllreducePolicy::Fixed(AllreduceAlgo::Flat)
     ) {
         fabric_config.allreduce = AllreducePolicy::Auto(AlgorithmSelector::tune(
             &info.topology,

@@ -216,6 +216,15 @@ fn crash_mid_ring_allreduce_poisons_every_survivor() {
 }
 
 #[test]
+fn crash_mid_default_allreduce_poisons_every_survivor() {
+    with_watchdog(Duration::from_secs(120), || {
+        crash_mid_collective_case(|handle| {
+            handle.allreduce(vec![Matrix::full(16, 8, handle.rank as f32 + 0.5)])
+        });
+    });
+}
+
+#[test]
 fn crash_mid_tree_broadcast_poisons_every_survivor() {
     with_watchdog(Duration::from_secs(120), || {
         crash_mid_collective_case(|handle| {
@@ -245,7 +254,7 @@ fn silent_desertion_times_out_instead_of_hanging() {
         let start = Instant::now();
         let err = run_cluster_with(&info, config, |handle| {
             if handle.rank == 0 {
-                return Ok(0); // Deserts the rendezvous silently.
+                return Ok(0); // Deserts the allreduce silently.
             }
             let reduced = handle.allreduce(vec![Matrix::full(1, 1, 1.0)])?;
             Ok(reduced.len())
@@ -263,7 +272,7 @@ fn silent_desertion_times_out_instead_of_hanging() {
             matches!(
                 err.cause,
                 ClusterFailure::Error(RuntimeError::Timeout {
-                    op: "allreduce",
+                    op: "wait_ready" | "recv",
                     ..
                 })
             ),

@@ -1,8 +1,9 @@
 //! Property suite for the collective algorithm zoo.
 //!
-//! The zoo's contract is *bitwise* parity: ring and halving/doubling
-//! allreduce must reproduce the rendezvous reference exactly — same
-//! fold order up to commutations IEEE-754 addition preserves — on every
+//! The zoo's contract is *bitwise* parity: flat, ring and
+//! halving/doubling allreduce must each reproduce the rank-ordered fold
+//! computed locally in the test exactly — same fold order up to
+//! commutations IEEE-754 addition preserves — on every
 //! rank, for every device count 2..=8 (including non-powers-of-two,
 //! which exercise the uneven Bruck rounds), at every chunk size from
 //! per-element streaming to one-chunk-per-payload. Broadcast must
@@ -49,12 +50,12 @@ fn test_mats(rank: usize) -> Vec<Matrix> {
         .collect()
 }
 
-/// The rendezvous fold computed locally: contributions added in rank
-/// order, left-associated — the bit pattern every algorithm must hit.
-fn expected_sum(devices: usize) -> Vec<Matrix> {
-    let mut acc = test_mats(0);
+/// The oracle, computed locally: contributions added in rank order,
+/// left-associated — the bit pattern every algorithm must hit.
+fn expected_sum(devices: usize, mats_of: impl Fn(usize) -> Vec<Matrix>) -> Vec<Matrix> {
+    let mut acc = mats_of(0);
     for rank in 1..devices {
-        for (a, m) in acc.iter_mut().zip(test_mats(rank)) {
+        for (a, m) in acc.iter_mut().zip(mats_of(rank)) {
             a.add_assign(&m);
         }
     }
@@ -78,7 +79,7 @@ fn config(chunk: usize) -> FabricConfig {
 }
 
 /// Runs all three allreduce algorithms in one cluster and returns the
-/// per-rank results as (rendezvous, ring, halving-doubling).
+/// per-rank results as (flat, ring, halving-doubling).
 type TripleResult = Vec<(Vec<Matrix>, Vec<Matrix>, Vec<Matrix>)>;
 fn run_triple(
     info: &dgcl::CommInfo,
@@ -86,10 +87,10 @@ fn run_triple(
     mats_of: impl Fn(usize) -> Vec<Matrix> + Sync,
 ) -> TripleResult {
     run_cluster_with(info, config(chunk), |handle| {
-        let rdv = handle.allreduce_with(AllreduceAlgo::Rendezvous, mats_of(handle.rank))?;
+        let flat = handle.allreduce_with(AllreduceAlgo::Flat, mats_of(handle.rank))?;
         let ring = handle.allreduce_with(AllreduceAlgo::Ring, mats_of(handle.rank))?;
         let hd = handle.allreduce_with(AllreduceAlgo::HalvingDoubling, mats_of(handle.rank))?;
-        Ok((rdv, ring, hd))
+        Ok((flat, ring, hd))
     })
     .expect("healthy cluster")
 }
@@ -100,21 +101,21 @@ fn run_triple(
 fn all_algorithms_are_bitwise_identical_across_the_grid() {
     for devices in 2..=8usize {
         let info = comm_info(devices);
-        let expect = expected_sum(devices);
+        let expect = expected_sum(devices, test_mats);
         for chunk in CHUNK_SIZES {
             let results = run_triple(&info, chunk, test_mats);
-            for (rank, (rdv, ring, hd)) in results.iter().enumerate() {
+            for (rank, (flat, ring, hd)) in results.iter().enumerate() {
                 assert_eq!(
-                    rdv, &expect,
-                    "rank {rank}: rendezvous != rank-ordered fold (n={devices} chunk={chunk})"
+                    flat, &expect,
+                    "rank {rank}: flat != rank-ordered fold (n={devices} chunk={chunk})"
                 );
                 assert_eq!(
-                    ring, rdv,
-                    "rank {rank}: ring != rendezvous (n={devices} chunk={chunk})"
+                    ring, &expect,
+                    "rank {rank}: ring != rank-ordered fold (n={devices} chunk={chunk})"
                 );
                 assert_eq!(
-                    hd, rdv,
-                    "rank {rank}: halving-doubling != rendezvous (n={devices} chunk={chunk})"
+                    hd, &expect,
+                    "rank {rank}: halving-doubling != rank-ordered fold (n={devices} chunk={chunk})"
                 );
             }
         }
@@ -124,8 +125,8 @@ fn all_algorithms_are_bitwise_identical_across_the_grid() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random data, random shapes: the three algorithms still agree
-    /// bitwise on every rank.
+    /// Random data, random shapes: the three algorithms still equal the
+    /// rank-ordered fold bitwise on every rank.
     #[test]
     fn algorithms_agree_on_random_data(
         devices in 2usize..=8,
@@ -140,12 +141,12 @@ proptest! {
             let mut init = XavierInit::new(seed * 64 + rank as u64);
             vec![init.features(rows, cols), init.features(1, 1)]
         };
+        let expect = expected_sum(devices, mats_of);
         let results = run_triple(&info, chunk, mats_of);
-        let (rdv0, _, _) = &results[0];
-        for (rank, (rdv, ring, hd)) in results.iter().enumerate() {
-            prop_assert_eq!(rdv, rdv0, "rank {} disagrees with rank 0", rank);
-            prop_assert_eq!(ring, rdv, "rank {}: ring != rendezvous", rank);
-            prop_assert_eq!(hd, rdv, "rank {}: halving-doubling != rendezvous", rank);
+        for (rank, (flat, ring, hd)) in results.iter().enumerate() {
+            prop_assert_eq!(flat, &expect, "rank {}: flat != rank-ordered fold", rank);
+            prop_assert_eq!(ring, &expect, "rank {}: ring != rank-ordered fold", rank);
+            prop_assert_eq!(hd, &expect, "rank {}: halving-doubling != rank-ordered fold", rank);
         }
     }
 }
@@ -227,7 +228,7 @@ fn results_are_invariant_to_compute_threads_and_reruns() {
 #[test]
 fn empty_allreduce_keeps_op_ids_aligned() {
     let info = comm_info(4);
-    let expect = expected_sum(4);
+    let expect = expected_sum(4, test_mats);
     let results = run_cluster_with(&info, config(16), |handle| {
         let empty = handle.allreduce(Vec::new())?;
         assert!(empty.is_empty(), "empty in, empty out");
@@ -265,10 +266,18 @@ fn tiny_vectors_with_empty_segments_stay_bitwise() {
                 }
                 vec![m]
             };
+            let expect = expected_sum(devices, mats_of);
             let results = run_triple(&info, 1, mats_of);
-            for (rank, (rdv, ring, hd)) in results.iter().enumerate() {
-                assert_eq!(ring, rdv, "rank {rank}: ring (n={devices} elems={elems})");
-                assert_eq!(hd, rdv, "rank {rank}: hd (n={devices} elems={elems})");
+            for (rank, (flat, ring, hd)) in results.iter().enumerate() {
+                assert_eq!(
+                    flat, &expect,
+                    "rank {rank}: flat (n={devices} elems={elems})"
+                );
+                assert_eq!(
+                    ring, &expect,
+                    "rank {rank}: ring (n={devices} elems={elems})"
+                );
+                assert_eq!(hd, &expect, "rank {rank}: hd (n={devices} elems={elems})");
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Cost models for the fabric's collective algorithm zoo, and the
 //! autotuner that picks an algorithm per message size.
 //!
-//! The runtime (in `dgcl-core`) ships three allreduce algorithms — the
-//! centralized rendezvous reference, a chain-pipelined ring and
+//! The runtime (in `dgcl-core`) ships three allreduce algorithms — a
+//! flat gather-to-rank-0-and-broadcast, a chain-pipelined ring and
 //! recursive halving/doubling — plus flat, chain and binomial-tree
 //! broadcasts. This module prices each of them on the fluid-flow
 //! network model so an [`AlgorithmSelector`] can be tuned offline, per
@@ -20,9 +20,9 @@
 //! T = fill + (C − 1) · (steady + flag) + barrier
 //! ```
 //!
-//! The rendezvous reference is not chunk-pipelined — it is priced as
-//! two barriered flat episodes (gather to rank 0, broadcast back),
-//! which is exactly why it loses at scale.
+//! The flat allreduce is priced as two barriered, unpipelined flat
+//! episodes (gather to rank 0, broadcast back), which is why it loses at
+//! scale.
 
 use dgcl_topology::Topology;
 
@@ -32,8 +32,9 @@ use crate::transport::{flow_overhead_seconds, stage_barrier_seconds};
 /// The allreduce algorithms the fabric implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllreduceAlgo {
-    /// Centralized rendezvous on rank 0 (the reference implementation).
-    Rendezvous,
+    /// Flat gather into rank 0, which folds in rank order, then a flat
+    /// broadcast back.
+    Flat,
     /// Chain-pipelined ring: reduce 0→…→n−1, broadcast back.
     Ring,
     /// Direct-exchange reduce-scatter + recursive-doubling allgather.
@@ -43,7 +44,7 @@ pub enum AllreduceAlgo {
 impl AllreduceAlgo {
     /// All algorithms, in a fixed order for sweeps and reports.
     pub const ALL: [AllreduceAlgo; 3] = [
-        AllreduceAlgo::Rendezvous,
+        AllreduceAlgo::Flat,
         AllreduceAlgo::Ring,
         AllreduceAlgo::HalvingDoubling,
     ];
@@ -51,7 +52,7 @@ impl AllreduceAlgo {
     /// Stable name for tables and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            AllreduceAlgo::Rendezvous => "rendezvous",
+            AllreduceAlgo::Flat => "flat",
             AllreduceAlgo::Ring => "ring",
             AllreduceAlgo::HalvingDoubling => "halving-doubling",
         }
@@ -127,6 +128,12 @@ fn pipelined(fill: f64, steady: f64, chunks: u64) -> f64 {
 /// Predicted latency of one `bytes`-sized allreduce over GPUs
 /// `0..devices` of `topology` with `algo`, assuming the executor's
 /// `chunk_bytes` pipelining granularity.
+///
+/// [`AllreduceAlgo::Flat`] is priced as one unpipelined chunk per
+/// phase. That is exact for messages of at most `chunk_bytes` (the
+/// gradients of the benchmark models are under 10 KB) and an
+/// over-estimate above it, where the compiled flat schedule streams
+/// chunks like the others.
 pub fn allreduce_cost(
     topology: &Topology,
     devices: usize,
@@ -139,7 +146,7 @@ pub fn allreduce_cost(
         return 0.0;
     }
     match algo {
-        AllreduceAlgo::Rendezvous => {
+        AllreduceAlgo::Flat => {
             // Flat gather into rank 0, then flat broadcast back; one
             // barrier after each phase, no chunk pipelining.
             let gather: Vec<_> = (1..n).map(|d| (d, 0, bytes)).collect();
@@ -308,7 +315,7 @@ impl AlgorithmSelector {
                     .into_iter()
                     .min_by(|a, b| a.1.total_cmp(&b.1))
                     .map(|(a, _)| a)
-                    .unwrap_or(AllreduceAlgo::Rendezvous);
+                    .unwrap_or(AllreduceAlgo::Flat);
                 (bytes, best)
             })
             .collect();
@@ -329,7 +336,7 @@ impl AlgorithmSelector {
             .find(|&&(upper, _)| bytes <= upper)
             .or(self.table.last())
             .map(|&(_, algo)| algo)
-            .unwrap_or(AllreduceAlgo::Rendezvous)
+            .unwrap_or(AllreduceAlgo::Flat)
     }
 
     /// The tuned `(upper bound, algorithm)` table, for reports.
@@ -369,15 +376,16 @@ mod tests {
 
     #[test]
     fn rendezvous_loses_at_scale() {
-        // The whole point of the zoo: on a large message the centralized
-        // reference is not the best algorithm on any real topology.
+        // The whole point of the zoo: on a large message the flat
+        // gather-and-broadcast is not the best algorithm on any real
+        // topology.
         for topo in [Topology::dgx1(), Topology::pcie_host(8)] {
             let costs = allreduce_costs(&topo, 8, 64 << 20, CHUNK);
             let best = costs
                 .iter()
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("non-empty");
-            assert_ne!(best.0, AllreduceAlgo::Rendezvous, "{costs:?}");
+            assert_ne!(best.0, AllreduceAlgo::Flat, "{costs:?}");
         }
     }
 
