@@ -15,6 +15,10 @@
 //!   no vertex-cut halo is ever materialised. Per-device receive volume
 //!   is `O(n·f/c)` regardless of the cut.
 //!
+//! Neither backend touches the fabric: every message either one sends —
+//! gather and scatter chunks, CAGNET's group broadcasts, chain hops and
+//! thin return — moves through the one executor, [`crate::pipeline`].
+//!
 //! The offline [`BackendSelector`](dgcl_sim::BackendSelector) prices
 //! both on the fluid network model and
 //! [`build_comm_info`](crate::comm_info::build_comm_info) records the
@@ -44,7 +48,7 @@ use dgcl_tensor::{compute_threads, spmm_csr_dense_into, CsrBlock, Matrix};
 
 use crate::collectives::{BroadcastAlgo, GroupSpec};
 use crate::error::RuntimeError;
-use crate::fabric::{expect_payload, MsgKey};
+use crate::pipeline::{ChunkIo, PipelineSchedule};
 use crate::runtime::DeviceHandle;
 
 /// How [`build_comm_info`](crate::comm_info::build_comm_info) picks the
@@ -326,61 +330,54 @@ fn cagnet_exchange(
     // Chain combine: the running panel hops rightward, each column
     // folding its stored rounds in before forwarding. Q_j ranges are
     // ascending in j, so the overall fold order is ascending rounds.
+    // Every hop, like the return below, is a one-stage exchange.
     for hop in 0..c - 1 {
         if col_j == hop {
             for (t, fat_h) in &stored {
                 accumulate(&mut z, *t, fat_h);
             }
-            dev.with_op(|op| {
-                let key: MsgKey = (op, 0, 0, 0);
-                dev.fabric().wait_ready(rank + 1, op, rank)?;
-                dev.fabric()
-                    .send(rank, rank + 1, key, z.as_slice().to_vec())
+            let send = PipelineSchedule::exchange(&[(rank + 1, 0..my_fat)], &[]);
+            dev.execute(&send, cols, |req| {
+                if let ChunkIo::Pack { payload, .. } = req {
+                    payload.extend_from_slice(z.as_slice());
+                }
             })?;
         } else if col_j == hop + 1 {
-            let payload = dev.with_op(|op| {
-                let key: MsgKey = (op, 0, 0, 0);
-                let payload = dev.fabric().recv(rank - 1, rank, key)?;
-                expect_payload(rank, payload.len(), my_fat * cols, key)?;
-                Ok(payload)
+            let recv = PipelineSchedule::exchange(&[], &[(rank - 1, 0..my_fat)]);
+            dev.execute(&recv, cols, |req| {
+                if let ChunkIo::Apply { payload, .. } = req {
+                    z.as_mut_slice().copy_from_slice(payload);
+                }
             })?;
-            z = Matrix::from_vec(my_fat, cols, payload);
         } else {
             dev.align_op()?;
         }
     }
-    if col_j == c - 1 {
+    // Return: the chain tail folds its own stored rounds in, keeps its
+    // thin slice (the panel's last) and hands each grid-row mate theirs.
+    let tail = row_f * c + c - 1;
+    let mut mine = Matrix::zeros(num_local, cols);
+    let ret = if rank == tail {
         for (t, fat_h) in &stored {
             accumulate(&mut z, *t, fat_h);
         }
-    }
-    // Return: the chain tail owns the finished fat panel and hands each
-    // grid-row mate its thin slice.
-    if col_j == c - 1 {
-        dev.with_op(|op| {
-            let key: MsgKey = (op, 0, 0, 0);
-            let mut mine = Matrix::zeros(num_local, cols);
-            let mut off = 0usize;
-            for q in 0..c {
-                let m = row_f * c + q;
-                let slice = &z.as_slice()[off * cols..(off + len(m)) * cols];
-                if m == rank {
-                    mine.as_mut_slice().copy_from_slice(slice);
-                } else {
-                    dev.fabric().wait_ready(m, op, rank)?;
-                    dev.fabric().send(rank, m, key, slice.to_vec())?;
-                }
-                off += len(m);
-            }
-            Ok(mine)
-        })
+        let mut off = 0usize;
+        let mut sends = Vec::with_capacity(c - 1);
+        for m in row_f * c..tail {
+            sends.push((m, off..off + len(m)));
+            off += len(m);
+        }
+        mine.as_mut_slice()
+            .copy_from_slice(&z.as_slice()[off * cols..]);
+        PipelineSchedule::exchange(&sends, &[])
     } else {
-        dev.with_op(|op| {
-            let key: MsgKey = (op, 0, 0, 0);
-            let tail = row_f * c + c - 1;
-            let payload = dev.fabric().recv(tail, rank, key)?;
-            expect_payload(rank, payload.len(), num_local * cols, key)?;
-            Ok(Matrix::from_vec(num_local, cols, payload))
-        })
-    }
+        PipelineSchedule::exchange(&[], &[(tail, 0..num_local)])
+    };
+    dev.execute(&ret, cols, |req| match req {
+        ChunkIo::Pack { rows, payload, .. } => {
+            payload.extend_from_slice(&z.as_slice()[rows.start * cols..rows.end * cols]);
+        }
+        ChunkIo::Apply { payload, .. } => mine.as_mut_slice().copy_from_slice(payload),
+    })?;
+    Ok(mine)
 }

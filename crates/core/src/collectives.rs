@@ -8,7 +8,9 @@
 //! [`pipeline::compile`] into the same dependency-list
 //! [`PipelineSchedule`] the planner's allgather uses, and driven by the
 //! same executor — so chunk streaming, deadline bounding, poison
-//! propagation and fault injection all come for free. The flat
+//! propagation and fault injection all come for free. An empty
+//! allreduce moves nothing: it is `pipeline::barrier`, a wait for every
+//! peer's ready flag that keeps op ids aligned. The flat
 //! allreduce (gather into rank 0, broadcast back) has the fewest hops
 //! but pushes the full vector times the device count through rank 0;
 //! the bandwidth-optimal ring and halving/doubling move `2(n−1)/n` of
@@ -47,7 +49,6 @@
 
 use std::collections::HashMap;
 
-use dgcl_plan::tuples::StageIo;
 use dgcl_tensor::Matrix;
 
 use crate::error::RuntimeError;
@@ -131,7 +132,6 @@ impl Entry {
 struct Compiled {
     sched: DeviceSchedule,
     pipe: PipelineSchedule,
-    ios: Vec<StageIo>,
     /// Receive semantics per table entry.
     apply: Vec<ApplyMode>,
 }
@@ -204,30 +204,16 @@ fn assemble(mut entries: Vec<Entry>, elems: usize, chunk_elems: usize) -> Compil
             }),
         }
     }
-    let ios: Vec<StageIo> = entries
-        .iter()
-        .map(|e| StageIo {
-            stage: e.stage,
-            substage: 0,
-            peer: e.peer,
-            send: Vec::new(),
-            recv: Vec::new(),
-        })
-        .collect();
     let apply: Vec<ApplyMode> = entries.iter().map(|e| e.mode).collect();
     let sched = DeviceSchedule {
         groups,
         send_refs: entries.iter().map(|e| e.send.clone()).collect(),
+        peers: entries.iter().map(|e| e.peer).collect(),
         recv_refs: entries.into_iter().map(|e| e.recv).collect(),
         scratch_rows: 0,
     };
     let pipe = pipeline::compile(&sched, elems, chunk_elems);
-    Compiled {
-        sched,
-        pipe,
-        ios,
-        apply,
-    }
+    Compiled { sched, pipe, apply }
 }
 
 /// Element range of contiguous segment `s` when `elems` elements are
@@ -452,9 +438,7 @@ impl CollectiveEngine {
             return Ok(mats);
         }
         if elems == 0 {
-            for peer in 0..n {
-                fabric.wait_ready(peer, op, rank)?;
-            }
+            pipeline::barrier(fabric, rank, op)?;
             return Ok(mats);
         }
         let entries = || match algo {
@@ -561,27 +545,24 @@ impl CollectiveEngine {
         for m in mats.iter() {
             flat.extend_from_slice(m.as_slice());
         }
-        let apply = &c.apply;
-        pipeline::execute(
-            fabric,
-            self.rank,
-            op,
-            &c.sched,
-            &c.pipe,
-            &c.ios,
-            1,
-            &mut self.scratch,
-            |req| match req {
-                ChunkIo::Pack { refs, payload, .. } => {
-                    for &r in refs {
-                        payload.push(flat[r as usize]);
-                    }
+        let (pipe, scratch) = (&c.pipe, &mut self.scratch);
+        pipeline::execute(fabric, self.rank, op, pipe, 1, scratch, |req| match req {
+            ChunkIo::Pack {
+                entry,
+                rows,
+                payload,
+            } => {
+                for &r in &c.sched.send_refs[entry as usize][rows] {
+                    payload.push(flat[r as usize]);
                 }
-                ChunkIo::Apply {
-                    entry,
-                    refs,
-                    payload,
-                } => match apply[entry as usize] {
+            }
+            ChunkIo::Apply {
+                entry,
+                rows,
+                payload,
+            } => {
+                let refs = &c.sched.recv_refs[entry as usize][rows];
+                match c.apply[entry as usize] {
                     ApplyMode::Overwrite => {
                         for (i, &r) in refs.iter().enumerate() {
                             flat[r as usize] = payload[i];
@@ -592,9 +573,9 @@ impl CollectiveEngine {
                             flat[r as usize] += payload[i];
                         }
                     }
-                },
-            },
-        )?;
+                }
+            }
+        })?;
         let mut cursor = 0;
         for m in mats.iter_mut() {
             let len = m.len();

@@ -13,10 +13,13 @@
 //!   and setting the done flag are one atomic insert here).
 //!
 //! There is no master in the data path: the only shared state is the
-//! peer-to-peer mailboxes and the ready flags. Every collective, the
-//! model-gradient allreduce included, is a program of sends and
-//! receives over them, so a device blocks in exactly two ways: a
-//! mailbox [`Fabric::recv`] or a [`Fabric::wait_ready`].
+//! peer-to-peer mailboxes and the ready flags. Every operation, the
+//! model-gradient allreduce and the sampled row exchange included, is a
+//! program of sends and receives over them run by one executor
+//! ([`crate::pipeline`]), so a device blocks in exactly two ways, a
+//! mailbox [`Fabric::recv`] or a [`Fabric::wait_ready`], and only inside
+//! that executor — or inside the uncompiled reference walkers of
+//! [`crate::runtime`] it is tested against.
 //!
 //! # Abortability
 //!
@@ -46,10 +49,10 @@ use crate::error::{ClusterFailure, RuntimeError};
 use crate::fault::FaultPlan;
 
 /// Identifies one batched message: `(operation, stage, substage, chunk)`.
-/// Unchunked paths (the reference walkers, the sampled row exchange,
-/// CAGNET's chain hops) always use chunk `0`; the pipelined executor keys
-/// each fixed-size row chunk separately so a relay can forward chunk `k`
-/// while chunk `k + 1` is still in flight.
+/// Unchunked messages (the reference walkers', and every one-stage
+/// exchange's at key `(op, 0, 0, 0)`) use chunk `0`; the pipelined
+/// executor keys each fixed-size row chunk separately so a relay can
+/// forward chunk `k` while chunk `k + 1` is still in flight.
 pub type MsgKey = (u64, u32, u32, u32);
 
 /// Flags a payload whose length disagrees with the schedule — a protocol

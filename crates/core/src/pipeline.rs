@@ -1,6 +1,9 @@
 //! Chunk-pipelined execution of the compiled device schedules: the one
-//! executor every planned gather / scatter and every compiled collective
-//! of the zoo runs on.
+//! executor every message of the runtime moves through — the planned
+//! gather / scatter, every compiled collective of the zoo, the sampled
+//! row exchange and CAGNET's chain hop and return. Outside this module
+//! only the uncompiled `*_reference` walkers of [`crate::runtime`] call
+//! the fabric's send, receive and ready-wait primitives.
 //!
 //! A stage barrier moves each `(stage, substage, peer)` payload as one
 //! message and blocks on an entire stage before forwarding a single row —
@@ -32,6 +35,11 @@
 //! buffers through the fabric pool, so steady-state execution stays
 //! allocation-free.
 //!
+//! The executor reads only a [`PipelineSchedule`]: each action names its
+//! peer and rows, which the caller's closure resolves against its own
+//! layout. One-stage exchanges build theirs with
+//! [`PipelineSchedule::exchange`] instead of [`compile`].
+//!
 //! # Determinism
 //!
 //! Forward rows are written exactly once (single writer in the routing
@@ -60,9 +68,6 @@
 
 use std::ops::Range;
 
-use dgcl_plan::tuples::StageIo;
-use dgcl_tensor::Matrix;
-
 use crate::error::{ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, MsgKey};
 use crate::schedule::DeviceSchedule;
@@ -84,8 +89,11 @@ pub enum ActionKind {
 pub struct ChunkAction {
     /// Send or receive.
     pub kind: ActionKind,
-    /// Index into the device's table entries (and `send_refs`/`recv_refs`).
+    /// Index into the device's table entries (and `send_refs`/`recv_refs`);
+    /// for a [`PipelineSchedule::exchange`], into its `sends` or `recvs`.
     pub entry: u32,
+    /// The device the chunk goes to or comes from.
+    pub peer: u32,
     /// Stage of the entry (redundant with the table, kept for key
     /// construction without an indirection).
     pub stage: u32,
@@ -93,7 +101,9 @@ pub struct ChunkAction {
     pub substage: u32,
     /// Chunk index within the entry; the fourth [`MsgKey`] component.
     pub chunk: u32,
-    /// Row range within the entry's ref list this chunk covers.
+    /// Row range this chunk covers: within the entry's ref list for a
+    /// [`compile`]d schedule, within the caller's flat row layout for a
+    /// [`PipelineSchedule::exchange`].
     pub rows: Range<u32>,
     /// Range into [`PipelineSchedule::deps`] listing the actions that
     /// must complete before this one may run.
@@ -111,6 +121,44 @@ pub struct PipelineSchedule {
     pub deps: Vec<u32>,
 }
 
+impl PipelineSchedule {
+    /// The schedule of a one-stage exchange: every `(peer, rows)` of
+    /// `sends`, then of `recvs`, becomes one unchunked action at message
+    /// key `(op, 0, 0, 0)` whose `entry` is its index in its list and
+    /// whose `rows` index the caller's flat row layout. Empty entries are
+    /// dropped and no action depends on another.
+    ///
+    /// Valid only when no receive writes a row a send reads. Then its
+    /// actions match what [`compile`] derives at `chunk_rows =
+    /// usize::MAX` in kind, peer, key and row count, and neither has
+    /// dependencies. It skips `compile`'s per-row reader lists, which
+    /// cost an allocation per row: too much for a plan built every step.
+    pub fn exchange(sends: &[(usize, Range<usize>)], recvs: &[(usize, Range<usize>)]) -> Self {
+        let sends = sends.iter().map(|s| (ActionKind::Send, s));
+        let recvs = recvs.iter().map(|r| (ActionKind::Recv, r));
+        let actions = sends
+            .enumerate()
+            .chain(recvs.enumerate())
+            .filter(|(_, (_, (_, rows)))| !rows.is_empty())
+            .map(|(entry, (kind, (peer, rows)))| ChunkAction {
+                kind,
+                entry: entry as u32,
+                peer: *peer as u32,
+                stage: 0,
+                substage: 0,
+                chunk: 0,
+                rows: rows.start as u32..rows.end as u32,
+                deps: 0..0,
+            })
+            .collect();
+        PipelineSchedule {
+            chunk_rows: usize::MAX,
+            actions,
+            deps: Vec::new(),
+        }
+    }
+}
+
 /// Reusable executor state: one completion flag per action. Held per
 /// device (and per collective engine) so repeated operations allocate
 /// nothing.
@@ -123,25 +171,24 @@ pub struct PipelineScratch {
 /// row closure. A single closure serves both so it can borrow the output
 /// and scratch buffers mutably at once.
 pub enum ChunkIo<'a> {
-    /// Append the rows named by `refs` to `payload` (send path).
+    /// Append the chunk's rows to `payload` (send path).
     Pack {
-        /// Table entry the chunk belongs to, for callers whose packing
-        /// semantics differ per entry (the collective zoo). The planner
-        /// closures ignore it.
+        /// The action's [`ChunkAction::entry`], for callers whose rows
+        /// or packing semantics differ per entry.
         entry: u32,
-        /// Packed row references of the chunk.
-        refs: &'a [u32],
-        /// Destination payload, pre-sized to `refs.len() * cols`.
+        /// The action's [`ChunkAction::rows`].
+        rows: Range<usize>,
+        /// Destination payload, pre-sized to `rows.len() * cols`.
         payload: &'a mut Vec<f32>,
     },
-    /// Apply `payload`'s rows to the rows named by `refs` (receive path).
+    /// Apply `payload`'s rows to the chunk's rows (receive path).
     Apply {
-        /// Table entry the chunk belongs to, for callers whose apply
-        /// semantics differ per entry (overwrite vs accumulate).
+        /// The action's [`ChunkAction::entry`], for callers whose rows
+        /// or apply semantics (overwrite vs accumulate) differ per entry.
         entry: u32,
-        /// Packed row references of the chunk.
-        refs: &'a [u32],
-        /// The received rows, `refs.len() * cols` floats.
+        /// The action's [`ChunkAction::rows`].
+        rows: Range<usize>,
+        /// The received rows, `rows.len() * cols` floats.
         payload: &'a [f32],
     },
 }
@@ -180,6 +227,7 @@ pub fn compile(sched: &DeviceSchedule, row_space: usize, chunk_rows: usize) -> P
                 actions.push(ChunkAction {
                     kind: ActionKind::Send,
                     entry: idx as u32,
+                    peer: sched.peers[idx] as u32,
                     stage: group.stage as u32,
                     substage: group.substage as u32,
                     chunk: chunk as u32,
@@ -213,6 +261,7 @@ pub fn compile(sched: &DeviceSchedule, row_space: usize, chunk_rows: usize) -> P
                 actions.push(ChunkAction {
                     kind: ActionKind::Recv,
                     entry: idx as u32,
+                    peer: sched.peers[idx] as u32,
                     stage: group.stage as u32,
                     substage: group.substage as u32,
                     chunk: chunk as u32,
@@ -237,21 +286,18 @@ fn deps_done(pipe: &PipelineSchedule, a: &ChunkAction, completed: &[bool]) -> bo
 }
 
 /// Runs one pipelined operation: executes every action of `pipe` in any
-/// dependency-respecting order, calling `io` to pack and apply chunk
-/// rows. `ios` supplies the peer of each table entry.
+/// dependency-respecting order, calling `io` to pack and apply the rows
+/// of each chunk, `cols` floats per row.
 ///
 /// # Errors
 ///
 /// Any [`RuntimeError`]. The caller is responsible for poisoning the
 /// fabric on errors it originated (the runtime's `poison_on_err`).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute<F>(
     fabric: &Fabric,
     rank: usize,
     op: u64,
-    sched: &DeviceSchedule,
     pipe: &PipelineSchedule,
-    ios: &[StageIo],
     cols: usize,
     scratch: &mut PipelineScratch,
     mut io: F,
@@ -280,14 +326,15 @@ where
         }
         Ok(())
     };
+    let key = |a: &ChunkAction| -> MsgKey { (op, a.stage, a.substage, a.chunk) };
+    let rows = |a: &ChunkAction| a.rows.start as usize..a.rows.end as usize;
     // One closure for both the polled and the blocking receive path.
     let apply = |io: &mut F, a: &ChunkAction, payload: Vec<f32>| -> Result<(), RuntimeError> {
-        let refs = &sched.recv_refs[a.entry as usize][a.rows.start as usize..a.rows.end as usize];
-        let key: MsgKey = (op, a.stage, a.substage, a.chunk);
-        expect_payload(rank, payload.len(), refs.len() * cols, key)?;
+        let rows = rows(a);
+        expect_payload(rank, payload.len(), rows.len() * cols, key(a))?;
         io(ChunkIo::Apply {
             entry: a.entry,
-            refs,
+            rows,
             payload: &payload,
         });
         fabric.recycle(payload);
@@ -303,25 +350,23 @@ where
             if !deps_done(pipe, a, &scratch.completed) {
                 continue;
             }
-            let key: MsgKey = (op, a.stage, a.substage, a.chunk);
-            let peer = ios[a.entry as usize].peer;
+            let peer = a.peer as usize;
             match a.kind {
                 ActionKind::Send => {
                     maybe_crash(executed)?;
                     // Cheap after the first chunk: the flag is monotonic.
                     fabric.wait_ready(peer, op, rank)?;
-                    let refs = &sched.send_refs[a.entry as usize]
-                        [a.rows.start as usize..a.rows.end as usize];
-                    let mut payload = fabric.checkout(refs.len() * cols);
+                    let rows = rows(a);
+                    let mut payload = fabric.checkout(rows.len() * cols);
                     io(ChunkIo::Pack {
                         entry: a.entry,
-                        refs,
+                        rows,
                         payload: &mut payload,
                     });
-                    fabric.send(rank, peer, key, payload)?;
+                    fabric.send(rank, peer, key(a), payload)?;
                 }
                 ActionKind::Recv => {
-                    let Some(payload) = fabric.try_recv(peer, rank, key)? else {
+                    let Some(payload) = fabric.try_recv(peer, rank, key(a))? else {
                         continue;
                     };
                     maybe_crash(executed)?;
@@ -348,14 +393,12 @@ where
                     rank,
                     detail: format!(
                         "pipeline stalled on send action {first_incomplete} ({:?})",
-                        (op, a.stage, a.substage, a.chunk)
+                        key(a)
                     ),
                 });
             }
-            let key: MsgKey = (op, a.stage, a.substage, a.chunk);
-            let peer = ios[a.entry as usize].peer;
             // Deadline- and poison-bounded, like every fabric wait.
-            let payload = fabric.recv(peer, rank, key)?;
+            let payload = fabric.recv(a.peer as usize, rank, key(a))?;
             maybe_crash(executed)?;
             apply(&mut io, a, payload)?;
             scratch.completed[first_incomplete] = true;
@@ -366,142 +409,26 @@ where
     Ok(())
 }
 
-/// The compiled `graph_allgather`: the forward (overwrite)
-/// row-reference encoding of [`DeviceSchedule::forward`], moved by
-/// [`execute`] over `pipe`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_allgather(
-    fabric: &Fabric,
-    rank: usize,
-    op: u64,
-    sched: &DeviceSchedule,
-    pipe: &PipelineSchedule,
-    ios: &[StageIo],
-    num_local: usize,
-    num_total: usize,
-    local: &Matrix,
-    scratch: &mut PipelineScratch,
-) -> Result<Matrix, RuntimeError> {
-    assert_eq!(local.rows(), num_local, "expected local rows only");
-    let cols = local.cols();
-    let mut out = Matrix::zeros(num_total, cols);
-    out.as_mut_slice()[..num_local * cols].copy_from_slice(local.as_slice());
-    // Rows this device relays without consuming.
-    let mut relay = fabric.checkout(sched.scratch_rows * cols);
-    relay.resize(sched.scratch_rows * cols, 0.0);
-    execute(
-        fabric,
-        rank,
-        op,
-        sched,
-        pipe,
-        ios,
-        cols,
-        scratch,
-        |req| match req {
-            ChunkIo::Pack { refs, payload, .. } => {
-                for &r in refs {
-                    let r = r as usize;
-                    let row = if r < num_total {
-                        out.row(r)
-                    } else {
-                        let start = (r - num_total) * cols;
-                        &relay[start..start + cols]
-                    };
-                    payload.extend_from_slice(row);
-                }
-            }
-            ChunkIo::Apply { refs, payload, .. } => {
-                for (i, &r) in refs.iter().enumerate() {
-                    let row = &payload[i * cols..(i + 1) * cols];
-                    let r = r as usize;
-                    if r < num_total {
-                        out.set_row(r, row);
-                    } else {
-                        let start = (r - num_total) * cols;
-                        relay[start..start + cols].copy_from_slice(row);
-                    }
-                }
-            }
-        },
-    )?;
-    fabric.recycle(relay);
-    Ok(out)
-}
-
-/// The compiled `scatter_backward`: the backward (accumulate)
-/// row-reference encoding of [`DeviceSchedule::backward`], moved by
-/// [`execute`] over `pipe`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn backward_scatter(
-    fabric: &Fabric,
-    rank: usize,
-    op: u64,
-    sched: &DeviceSchedule,
-    pipe: &PipelineSchedule,
-    ios: &[StageIo],
-    num_local: usize,
-    num_total: usize,
-    grad_full: &Matrix,
-    scratch: &mut PipelineScratch,
-) -> Result<Matrix, RuntimeError> {
-    assert_eq!(grad_full.rows(), num_total, "expected full rows");
-    let cols = grad_full.cols();
-    let mut grad_local = grad_full.head_rows(num_local);
-    // Accumulator scratch: `num_remote` rows seeded with this device's
-    // own consumption gradient, then relay rows (and the optional
-    // always-zero row) from zero.
-    let mut acc = fabric.checkout(sched.scratch_rows * cols);
-    acc.resize(sched.scratch_rows * cols, 0.0);
-    let seeded = (num_total - num_local) * cols;
-    acc[..seeded].copy_from_slice(&grad_full.as_slice()[num_local * cols..]);
-    execute(
-        fabric,
-        rank,
-        op,
-        sched,
-        pipe,
-        ios,
-        cols,
-        scratch,
-        |req| match req {
-            ChunkIo::Pack { refs, payload, .. } => {
-                for &r in refs {
-                    let r = r as usize;
-                    let row = if r < num_local {
-                        grad_local.row(r)
-                    } else {
-                        let start = (r - num_local) * cols;
-                        &acc[start..start + cols]
-                    };
-                    payload.extend_from_slice(row);
-                }
-            }
-            ChunkIo::Apply { refs, payload, .. } => {
-                for (i, &r) in refs.iter().enumerate() {
-                    let row = &payload[i * cols..(i + 1) * cols];
-                    let r = r as usize;
-                    let dst = if r < num_local {
-                        &mut grad_local.row_mut(r)[..]
-                    } else {
-                        let start = (r - num_local) * cols;
-                        &mut acc[start..start + cols]
-                    };
-                    for (g, &x) in dst.iter_mut().zip(row) {
-                        *g += x;
-                    }
-                }
-            }
-        },
-    )?;
-    fabric.recycle(acc);
-    Ok(grad_local)
+/// The operation that moves nothing: returns once every rank's ready
+/// flag has reached `op`, so a rank with nothing to send still meets its
+/// peers at the same op id.
+///
+/// # Errors
+///
+/// [`RuntimeError::Poisoned`] or [`RuntimeError::Timeout`], like every
+/// fabric wait.
+pub(crate) fn barrier(fabric: &Fabric, rank: usize, op: u64) -> Result<(), RuntimeError> {
+    for peer in 0..fabric.num_devices() {
+        fabric.wait_ready(peer, op, rank)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm_info::{build_comm_info, BuildOptions};
+    use crate::schedule::StageGroup;
     use dgcl_graph::Dataset;
     use dgcl_topology::Topology;
 
@@ -540,6 +467,10 @@ mod tests {
                     assert!(
                         (a.rows.end - a.rows.start) as usize <= pipe.chunk_rows,
                         "chunk respects chunk_rows"
+                    );
+                    assert_eq!(
+                        a.peer as usize, sched.peers[a.entry as usize],
+                        "entry's peer"
                     );
                     covered[a.entry as usize] = a.rows.end;
                 }
@@ -589,5 +520,54 @@ mod tests {
                 assert!(pipe.actions.iter().all(|a| a.chunk == 0));
             }
         }
+    }
+
+    #[test]
+    fn exchange_is_what_compile_derives_for_disjoint_rows() {
+        // One stage whose sends read rows `0..8` and whose receives each
+        // write rows of their own from 8 up, so no receive writes a row a
+        // send reads. The entries, in ascending peer order, send only,
+        // receive only, do both and do neither.
+        let lens = [(1, 3, 0), (2, 0, 4), (4, 2, 2), (5, 0, 0), (6, 3, 1)];
+        let mut sched = DeviceSchedule {
+            groups: vec![StageGroup {
+                stage: 0,
+                substage: 0,
+                ios: 0..lens.len(),
+            }],
+            send_refs: Vec::new(),
+            recv_refs: Vec::new(),
+            peers: Vec::new(),
+            scratch_rows: 0,
+        };
+        let (mut sends, mut recvs) = (Vec::new(), Vec::new());
+        let (mut sent, mut received) = (0, 0);
+        for (peer, s, r) in lens {
+            sched.peers.push(peer);
+            sched.send_refs.push((0..s as u32).collect());
+            sched
+                .recv_refs
+                .push((8 + received..8 + received + r).map(|i| i as u32).collect());
+            sends.push((peer, sent..sent + s));
+            recvs.push((peer, received..received + r));
+            sent += s;
+            received += r;
+        }
+        let compiled = compile(&sched, 8 + received, usize::MAX);
+        let exchange = PipelineSchedule::exchange(&sends, &recvs);
+        let shape = |p: &PipelineSchedule| -> Vec<(ActionKind, u32, usize)> {
+            assert!(p.deps.is_empty(), "no dependencies");
+            p.actions
+                .iter()
+                .map(|a| {
+                    assert_eq!((a.stage, a.substage, a.chunk), (0, 0, 0));
+                    assert!(a.deps.is_empty());
+                    (a.kind, a.peer, a.rows.len())
+                })
+                .collect()
+        };
+        assert_eq!(shape(&compiled), shape(&exchange));
+        assert_eq!(exchange.actions.len(), 6, "empty entries are dropped");
+        assert_eq!(compiled.chunk_rows, exchange.chunk_rows);
     }
 }

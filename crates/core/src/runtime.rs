@@ -1,10 +1,11 @@
 //! The per-device runtime: graph allgather, backward scatter and model
 //! allreduce over the shared fabric.
 //!
-//! The planned gather and scatter have one compiled executor, the chunked
+//! Every operation moves its messages through one executor, the chunked
 //! dependency walk of [`crate::pipeline`]. The uncompiled `*_reference`
 //! table walkers are separate code on purpose: they are the independent
-//! oracle the compiled path is tested against.
+//! oracle the compiled path is tested against, and the only code outside
+//! that module that calls the fabric's send, receive and ready-wait.
 //!
 //! Every collective returns `Result<_, RuntimeError>`: a protocol
 //! violation, an injected crash, a poisoned fabric or a missed deadline
@@ -24,8 +25,8 @@ use crate::collectives::{AllreduceAlgo, BroadcastAlgo, CollectiveEngine, GroupSp
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, FabricConfig, MsgKey};
-use crate::pipeline::{self, PipelineScratch};
-use crate::sampling::{execute_gather, GatherPlan};
+use crate::pipeline::{self, ChunkIo, PipelineSchedule, PipelineScratch};
+use crate::sampling::GatherPlan;
 
 /// A device's view of the cluster: its rank, its local graph and the
 /// collective operations of the paper's client API.
@@ -165,21 +166,53 @@ impl<'a> DeviceHandle<'a> {
     /// Panics if `local` does not have exactly `num_local` rows (caller
     /// API misuse, not a cluster condition).
     pub fn graph_allgather(&self, local: &Matrix) -> Result<Matrix, RuntimeError> {
-        let lg = self.local_graph();
-        self.with_op(|op| {
-            pipeline::forward_allgather(
-                self.fabric,
-                self.rank,
-                op,
-                &self.info.forward_schedules[self.rank],
-                &self.info.forward_pipelines[self.rank],
-                &self.info.forward_tables.per_device[self.rank],
-                lg.num_local,
-                lg.num_total(),
-                local,
-                &mut self.scratch.borrow_mut(),
-            )
-        })
+        let (lg, sched) = (self.local_graph(), &self.info.forward_schedules[self.rank]);
+        let (num_local, num_total) = (lg.num_local, lg.num_total());
+        assert_eq!(local.rows(), num_local, "expected local rows only");
+        let cols = local.cols();
+        let mut out = Matrix::zeros(num_total, cols);
+        out.as_mut_slice()[..num_local * cols].copy_from_slice(local.as_slice());
+        // Rows this device relays without consuming: the row references
+        // past `num_total` (`DeviceSchedule::forward`).
+        let mut relay = self.fabric.checkout(sched.scratch_rows * cols);
+        relay.resize(sched.scratch_rows * cols, 0.0);
+        let pipe = &self.info.forward_pipelines[self.rank];
+        self.execute(pipe, cols, |req| match req {
+            ChunkIo::Pack {
+                entry,
+                rows,
+                payload,
+            } => {
+                for &r in &sched.send_refs[entry as usize][rows] {
+                    let r = r as usize;
+                    let row = if r < num_total {
+                        out.row(r)
+                    } else {
+                        let start = (r - num_total) * cols;
+                        &relay[start..start + cols]
+                    };
+                    payload.extend_from_slice(row);
+                }
+            }
+            ChunkIo::Apply {
+                entry,
+                rows,
+                payload,
+            } => {
+                for (i, &r) in sched.recv_refs[entry as usize][rows].iter().enumerate() {
+                    let row = &payload[i * cols..(i + 1) * cols];
+                    let r = r as usize;
+                    if r < num_total {
+                        out.set_row(r, row);
+                    } else {
+                        let start = (r - num_total) * cols;
+                        relay[start..start + cols].copy_from_slice(row);
+                    }
+                }
+            }
+        })?;
+        self.fabric.recycle(relay);
+        Ok(out)
     }
 
     /// Exactly [`DeviceHandle::graph_allgather`], under the name the
@@ -285,21 +318,58 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// Panics if `grad_full` does not have `num_total` rows.
     pub fn scatter_backward(&self, grad_full: &Matrix) -> Result<Matrix, RuntimeError> {
-        let lg = self.local_graph();
-        self.with_op(|op| {
-            pipeline::backward_scatter(
-                self.fabric,
-                self.rank,
-                op,
-                &self.info.backward_schedules[self.rank],
-                &self.info.backward_pipelines[self.rank],
-                &self.info.backward_tables.per_device[self.rank],
-                lg.num_local,
-                lg.num_total(),
-                grad_full,
-                &mut self.scratch.borrow_mut(),
-            )
-        })
+        let (lg, sched) = (self.local_graph(), &self.info.backward_schedules[self.rank]);
+        let (num_local, num_total) = (lg.num_local, lg.num_total());
+        assert_eq!(grad_full.rows(), num_total, "expected full rows");
+        let cols = grad_full.cols();
+        let mut grad_local = grad_full.head_rows(num_local);
+        // Accumulator scratch (`DeviceSchedule::backward`): `num_remote`
+        // rows seeded with this device's own consumption gradient, then
+        // relay rows (and the optional always-zero row) from zero.
+        let mut acc = self.fabric.checkout(sched.scratch_rows * cols);
+        acc.resize(sched.scratch_rows * cols, 0.0);
+        let seeded = (num_total - num_local) * cols;
+        acc[..seeded].copy_from_slice(&grad_full.as_slice()[num_local * cols..]);
+        let pipe = &self.info.backward_pipelines[self.rank];
+        self.execute(pipe, cols, |req| match req {
+            ChunkIo::Pack {
+                entry,
+                rows,
+                payload,
+            } => {
+                for &r in &sched.send_refs[entry as usize][rows] {
+                    let r = r as usize;
+                    let row = if r < num_local {
+                        grad_local.row(r)
+                    } else {
+                        let start = (r - num_local) * cols;
+                        &acc[start..start + cols]
+                    };
+                    payload.extend_from_slice(row);
+                }
+            }
+            ChunkIo::Apply {
+                entry,
+                rows,
+                payload,
+            } => {
+                for (i, &r) in sched.recv_refs[entry as usize][rows].iter().enumerate() {
+                    let row = &payload[i * cols..(i + 1) * cols];
+                    let r = r as usize;
+                    let dst = if r < num_local {
+                        &mut grad_local.row_mut(r)[..]
+                    } else {
+                        let start = (r - num_local) * cols;
+                        &mut acc[start..start + cols]
+                    };
+                    for (g, &x) in dst.iter_mut().zip(row) {
+                        *g += x;
+                    }
+                }
+            }
+        })?;
+        self.fabric.recycle(acc);
+        Ok(grad_local)
     }
 
     /// Exactly [`DeviceHandle::scatter_backward`], under the name the
@@ -428,19 +498,10 @@ impl<'a> DeviceHandle<'a> {
         })
     }
 
-    /// Broadcasts `root`'s matrix to every rank (binomial tree). All
-    /// ranks pass a matrix of the same shape; non-root contents are
-    /// overwritten with the root's.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
-    pub fn broadcast(&self, root: usize, mat: Matrix) -> Result<Matrix, RuntimeError> {
-        self.broadcast_with(BroadcastAlgo::BinomialTree, root, mat)
-    }
-
-    /// [`DeviceHandle::broadcast`] with an explicit algorithm. Every
-    /// rank must pass the same algorithm and root on the same call.
+    /// Broadcasts `root`'s matrix to every rank under `algo`. All ranks
+    /// pass a matrix of the same shape; non-root contents are
+    /// overwritten with the root's. Every rank must pass the same
+    /// algorithm and root on the same call.
     ///
     /// # Errors
     ///
@@ -505,7 +566,21 @@ impl<'a> DeviceHandle<'a> {
     ///
     /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
     pub fn exchange_rows(&self, plan: &GatherPlan) -> Result<Matrix, RuntimeError> {
-        self.with_op(|op| execute_gather(self.fabric, self.rank, op, plan))
+        self.with_op(|op| plan.execute(self.fabric, self.rank, op, &mut self.scratch.borrow_mut()))
+    }
+
+    /// Runs `pipe` as this device's next op on [`crate::pipeline`]'s
+    /// executor, `cols` floats per row, `io` packing and applying rows.
+    pub(crate) fn execute(
+        &self,
+        pipe: &PipelineSchedule,
+        cols: usize,
+        io: impl FnMut(ChunkIo<'_>),
+    ) -> Result<(), RuntimeError> {
+        self.with_op(|op| {
+            let scratch = &mut self.scratch.borrow_mut();
+            pipeline::execute(self.fabric, self.rank, op, pipe, cols, scratch, io)
+        })
     }
 }
 

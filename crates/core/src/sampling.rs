@@ -6,12 +6,13 @@
 //! bounded blocks actually reference. The pieces here:
 //!
 //! * [`SamplingConfig`] — batch size, per-layer fanouts, seed, seed set.
-//! * `owner_split` + [`GatherPlan`] + `execute_gather` — the batch-sized
-//!   analogue of the graph allgather: every rank requests one ascending
-//!   row list, every row is served by its owner, and who sends what to
-//!   whom is derived on both ends of every message from shared knowledge.
-//!   Runs over the raw fabric with op-aligned keys: the poison protocol
-//!   and fault injector apply.
+//! * `owner_split` + [`GatherPlan`] — the batch-sized analogue of the
+//!   graph allgather: every rank requests one ascending row list, every
+//!   row is served by its owner, and who sends what to whom is derived on
+//!   both ends of every message from shared knowledge. A plan carries a
+//!   one-stage [`PipelineSchedule::exchange`] and runs on the one
+//!   executor ([`crate::pipeline`]), so the poison protocol, every fault
+//!   of the injector and the fabric's recycle pool apply.
 //! * `BlockSteps` — the trainer's **sampled-blocks** step kind (finite
 //!   fanouts): each rank trains on the batch seeds it owns — its own
 //!   block chain, one feature fetch, every layer local, one gradient
@@ -39,8 +40,9 @@ use dgcl_graph::{CsrGraph, VertexId};
 use dgcl_tensor::Matrix;
 
 use crate::error::RuntimeError;
-use crate::fabric::{expect_payload, Fabric, MsgKey};
+use crate::fabric::Fabric;
 use crate::featcache::{AscendingWalk, ClusterCache, FeatureCache};
+use crate::pipeline::{self, ChunkIo, PipelineSchedule, PipelineScratch};
 use crate::runtime::DeviceHandle;
 use crate::trainer::{input_learns, sync_step, EpochCtx};
 
@@ -124,36 +126,39 @@ pub(crate) fn owner_split(
 
 /// For each ascending vertex of `rows`, the row of `have` (ascending
 /// global ids, the rows a rank's local matrices hold) that backs it.
-fn local_rows(have: &[VertexId], rows: impl Iterator<Item = VertexId>) -> Vec<usize> {
+fn local_rows<'a>(
+    have: &'a [VertexId],
+    rows: impl Iterator<Item = VertexId> + 'a,
+) -> impl Iterator<Item = usize> + 'a {
     let mut walk = AscendingWalk::new(have);
-    rows.map(|v| walk.find(v).expect("owner holds its rows"))
-        .collect()
+    rows.map(move |v| walk.find(v).expect("owner holds its rows"))
 }
 
-/// The message between one requester and one owner: of the requester's
-/// list positions `owned` (one entry of its list's [`owner_split`]), those
-/// its cache lacks, in list order; `hit(position, cache row)` sees the
-/// rest. Sender and receiver both call this with the same arguments —
-/// lists, partition and cache sets are shared knowledge — so a message
-/// carries exactly the rows its receiver expects.
+/// Appends to `wire` the message between one requester and one owner: of
+/// the requester's list positions `owned` (one entry of its list's
+/// [`owner_split`]), those its cache lacks, in list order;
+/// `hit(position, cache row)` sees the rest. Sender and receiver both
+/// call this with the same arguments — lists, partition and cache sets
+/// are shared knowledge — so a message carries exactly the rows its
+/// receiver expects.
 fn wire_rows(
     rows: &[VertexId],
     owned: &[usize],
     cache: Option<&FeatureCache>,
+    wire: &mut Vec<usize>,
     mut hit: impl FnMut(usize, usize),
-) -> Vec<usize> {
+) {
     let Some(cache) = cache else {
-        return owned.to_vec();
+        wire.extend_from_slice(owned);
+        return;
     };
     let mut walk = AscendingWalk::new(&cache.ids);
-    let mut wire = Vec::with_capacity(owned.len());
     for &p in owned {
         match walk.find(rows[p]) {
             Some(ci) => hit(p, ci),
             None => wire.push(p),
         }
     }
-    wire
 }
 
 /// One rank's request in a row exchange: its strictly ascending global
@@ -171,52 +176,37 @@ pub(crate) type Request<'a> = (&'a [VertexId], &'a [Vec<usize>]);
 /// cross the wire: the requester embeds their values — and its own rows —
 /// in its plan at build time, as it embeds the rows it sends, so
 /// [`DeviceHandle::exchange_rows`] needs nothing but the plan.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct GatherPlan {
     /// The output with this rank's own and cache-served rows in place;
     /// the rows a peer's message fills are still zero.
     base: Matrix,
-    /// Ascending peers and the rows each is sent (empty sends are
-    /// dropped).
-    sends: Vec<(usize, Matrix)>,
-    /// Ascending contributing peers and the output positions their
-    /// message fills, in wire order.
-    recvs: Vec<(usize, Vec<usize>)>,
+    /// The rows this rank sends, every peer's in ascending peer order; a
+    /// send action's `rows` index it.
+    sends: Matrix,
+    /// The output positions the messages fill, in wire order, every
+    /// peer's in ascending peer order; a receive action's `rows` index
+    /// it.
+    positions: Vec<usize>,
+    /// The one-stage schedule of the exchange.
+    exchange: PipelineSchedule,
 }
 
 impl GatherPlan {
-    /// Builds the uncached plan of the exchange in which *every* rank
-    /// assembles `rows` (global ids, strictly ascending — a
-    /// [`LayerBlock`]'s `src` or `dst` list). `have` lists the global
-    /// ids backing `values`' rows (ascending); it must contain every row
-    /// of `rows` this rank owns.
+    /// Builds the plan of the exchange in which *every* rank assembles
+    /// `rows` (global ids, strictly ascending — a [`LayerBlock`]'s `src`
+    /// or `dst` list) against the cluster's feature cache: rows in this
+    /// rank's cache are served locally (values embedded in the plan), and
+    /// sends skip rows resident in each receiver's cache. `have` lists
+    /// the global ids backing `values`' rows (ascending); it must contain
+    /// every row of `rows` this rank owns. Bumps this rank's
+    /// [`CacheStats`](crate::featcache::CacheStats) with the exchange's
+    /// hit/miss rows.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is unsorted or repeats a row, or if `have` lacks
     /// a row of `rows` this rank owns.
-    pub fn build(
-        rows: &[VertexId],
-        partition: &[u32],
-        num_parts: usize,
-        rank: usize,
-        have: &[VertexId],
-        values: &Matrix,
-    ) -> Self {
-        let split = owner_split(rows, partition, num_parts);
-        let requests = vec![(rows, &split[..]); num_parts];
-        Self::for_requests(&requests, rank, have, values, None)
-    }
-
-    /// [`GatherPlan::build`] against the cluster's feature cache: rows
-    /// in this rank's cache are served locally (values embedded in the
-    /// plan), and sends skip rows resident in each receiver's cache.
-    /// Bumps this rank's [`CacheStats`](crate::featcache::CacheStats)
-    /// with the exchange's hit/miss rows.
-    ///
-    /// # Panics
-    ///
-    /// See [`GatherPlan::build`].
     pub fn build_cached(
         rows: &[VertexId],
         partition: &[u32],
@@ -232,8 +222,8 @@ impl GatherPlan {
     }
 
     /// The plan of the exchange in which rank `q` requests `requests[q]`
-    /// — the one body; [`GatherPlan::build`] is the case of `P` equal
-    /// lists.
+    /// — the one body; [`GatherPlan::build_cached`] is the case of `P`
+    /// equal lists.
     pub(crate) fn for_requests(
         requests: &[Request<'_>],
         rank: usize,
@@ -251,62 +241,79 @@ impl GatherPlan {
             base.set_row(p, values.row(r));
         }
         let mine = cache.map(|c| &c.caches[rank]);
-        let (mut hits, mut fetched) = (0, 0);
-        let mut recvs = Vec::new();
-        for peer in peers() {
-            let wire = wire_rows(rows, &split[peer], mine, |p, ci| {
-                base.set_row(p, mine.expect("a hit has a cache").rows.row(ci));
-                hits += 1;
-            });
-            fetched += wire.len() as u64;
-            if !wire.is_empty() {
-                recvs.push((peer, wire));
-            }
-        }
+        let mut hits = 0;
+        let mut positions = Vec::with_capacity(rows.len() - split[rank].len());
+        let recvs: Vec<_> = peers()
+            .map(|peer| {
+                let start = positions.len();
+                wire_rows(rows, &split[peer], mine, &mut positions, |p, ci| {
+                    base.set_row(p, mine.expect("a hit has a cache").rows.row(ci));
+                    hits += 1;
+                });
+                (peer, start..positions.len())
+            })
+            .collect();
         if let Some(m) = mine {
-            m.stats.record(hits, fetched, values.cols());
+            m.stats.record(hits, positions.len() as u64, values.cols());
         }
         // Sends: the mirror image — this rank's rows of each peer's
         // list, minus the ones that peer's cache serves.
-        let sends = peers()
-            .filter_map(|peer| {
+        let owed = |peer: usize| requests[peer].1[rank].len();
+        let mut wire = Vec::with_capacity(peers().map(owed).max().unwrap_or(0));
+        let mut sent = Vec::with_capacity(peers().map(owed).sum());
+        let sends: Vec<_> = peers()
+            .map(|peer| {
                 let (rows, split) = requests[peer];
                 let theirs = cache.map(|c| &c.caches[peer]);
-                let wire = wire_rows(rows, &split[rank], theirs, |_, _| {});
-                let out = local_rows(have, wire.iter().map(|&p| rows[p]));
-                (!out.is_empty()).then(|| (peer, values.gather_rows(&out)))
+                wire.clear();
+                wire_rows(rows, &split[rank], theirs, &mut wire, |_, _| {});
+                let start = sent.len();
+                sent.extend(local_rows(have, wire.iter().map(|&p| rows[p])));
+                (peer, start..sent.len())
             })
             .collect();
-        Self { base, sends, recvs }
-    }
-}
-
-/// Executes a [`GatherPlan`] under a pre-assigned op: posts each peer
-/// its rows, then fills the plan's output (own and cache-served rows
-/// already in place) from each contributing peer's message, drained in
-/// ascending rank order.
-pub(crate) fn execute_gather(
-    fabric: &Fabric,
-    rank: usize,
-    op: u64,
-    plan: &GatherPlan,
-) -> Result<Matrix, RuntimeError> {
-    let key: MsgKey = (op, 0, 0, 0);
-    for (peer, rows) in &plan.sends {
-        fabric.wait_ready(*peer, op, rank)?;
-        fabric.send(rank, *peer, key, rows.as_slice().to_vec())?;
-    }
-    let mut out = plan.base.clone();
-    let cols = out.cols();
-    for (peer, pos) in &plan.recvs {
-        let payload = fabric.recv(*peer, rank, key)?;
-        expect_payload(rank, payload.len(), pos.len() * cols, key)?;
-        let got = Matrix::from_vec(pos.len(), cols, payload);
-        for (r, &p) in pos.iter().enumerate() {
-            out.set_row(p, got.row(r));
+        Self {
+            base,
+            sends: values.gather_rows(&sent),
+            positions,
+            exchange: PipelineSchedule::exchange(&sends, &recvs),
         }
     }
-    Ok(out)
+
+    /// Runs the exchange under a pre-assigned op on the one executor:
+    /// posts each peer its rows and fills the plan's output (own and
+    /// cache-served rows already in place) from each peer's message.
+    pub(crate) fn execute(
+        &self,
+        fabric: &Fabric,
+        rank: usize,
+        op: u64,
+        scratch: &mut PipelineScratch,
+    ) -> Result<Matrix, RuntimeError> {
+        let mut out = self.base.clone();
+        let cols = out.cols();
+        pipeline::execute(
+            fabric,
+            rank,
+            op,
+            &self.exchange,
+            cols,
+            scratch,
+            |req| match req {
+                ChunkIo::Pack { rows, payload, .. } => {
+                    payload.extend_from_slice(
+                        &self.sends.as_slice()[rows.start * cols..rows.end * cols],
+                    );
+                }
+                ChunkIo::Apply { rows, payload, .. } => {
+                    for (i, &p) in self.positions[rows].iter().enumerate() {
+                        out.set_row(p, &payload[i * cols..(i + 1) * cols]);
+                    }
+                }
+            },
+        )?;
+        Ok(out)
+    }
 }
 
 /// The training seed set: the configured subset, or every vertex.
@@ -413,7 +420,8 @@ impl<'a> BlockSteps<'a> {
         let out = forward_chain(net.layers_mut(), &blocks, h);
         // Loss over this rank's seeds, which it owns.
         let seeds = blocks.last().expect("≥ 1 layer").dst.iter().copied();
-        let target_rows = local_rows(&handle.comm_info().pg.local[rank], seeds);
+        let target_rows: Vec<usize> =
+            local_rows(&handle.comm_info().pg.local[rank], seeds).collect();
         let diff = out.sub(&self.ctx.targets[rank].gather_rows(&target_rows));
         let local_loss = 0.5 * diff.norm_sq();
         // Backward down the same chain: scatter each layer's aggregate
@@ -444,6 +452,8 @@ impl<'a> BlockSteps<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::featcache::CacheStats;
+    use crate::pipeline::ActionKind;
     use dgcl_gnn::aggregate::block_aggregate;
     use dgcl_gnn::{AggKind, Architecture};
     use dgcl_graph::sample::build_block;
@@ -597,7 +607,6 @@ mod tests {
     }
 
     fn boundary(n: usize, cached: bool) -> Boundary {
-        use crate::featcache::CacheStats;
         let partition: Vec<u32> = (0..UNIVERSE).map(|v| (v * 7 + 3) % n as u32).collect();
         let lists = (0..n as u32)
             .map(|r| {
@@ -673,6 +682,30 @@ mod tests {
         }
     }
 
+    /// A cluster cache in which no rank holds a row.
+    fn empty_cache(n: usize) -> ClusterCache {
+        ClusterCache {
+            caches: (0..n)
+                .map(|_| FeatureCache {
+                    ids: Vec::new(),
+                    rows: Matrix::zeros(0, 2),
+                    stats: CacheStats::default(),
+                })
+                .collect(),
+        }
+    }
+
+    /// `plan`'s messages of one kind, read back from its schedule as
+    /// `(peer, rows)`: rows of `sends` for a send, of `positions` for a
+    /// receive.
+    fn messages(
+        plan: &GatherPlan,
+        kind: ActionKind,
+    ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        let actions = plan.exchange.actions.iter().filter(move |a| a.kind == kind);
+        actions.map(|a| (a.peer as usize, a.rows.start as usize..a.rows.end as usize))
+    }
+
     #[test]
     fn per_rank_requests_pair_every_send_with_its_recv_and_place_every_row_once() {
         for n in 2..=4 {
@@ -683,8 +716,9 @@ mod tests {
                     let (rows, what) = (&b.lists[me], format!("n={n} cached={cached} rank {me}"));
                     // A position is served locally (own or cached: in the
                     // base, with its value) or by exactly one message.
-                    let mut wired: Vec<usize> =
-                        plan.recvs.iter().flat_map(|(_, p)| p.clone()).collect();
+                    let mut wired: Vec<usize> = messages(plan, ActionKind::Recv)
+                        .flat_map(|(_, r)| plan.positions[r].iter().copied())
+                        .collect();
                     wired.sort_unstable();
                     assert!(wired.windows(2).all(|w| w[0] < w[1]), "{what}");
                     let mut hits = 0;
@@ -714,17 +748,13 @@ mod tests {
                     for (peer, theirs) in plans.iter().enumerate().filter(|&(p, _)| p != me) {
                         // What `peer` posts to `me` is what `me` expects
                         // from `peer`, row for row, in wire order.
-                        let sent: Vec<&[f32]> = theirs
-                            .sends
-                            .iter()
+                        let sent: Vec<&[f32]> = messages(theirs, ActionKind::Send)
                             .filter(|(to, _)| *to == me)
-                            .flat_map(|(_, m)| (0..m.rows()).map(|r| m.row(r)))
+                            .flat_map(|(_, r)| r.map(|i| theirs.sends.row(i)))
                             .collect();
-                        let expected = plan
-                            .recvs
-                            .iter()
+                        let expected = messages(plan, ActionKind::Recv)
                             .filter(|(from, _)| *from == peer)
-                            .flat_map(|(_, pos)| pos.iter().map(|&p| rows[p]));
+                            .flat_map(|(_, r)| plan.positions[r].iter().map(|&p| rows[p]));
                         assert_eq!(sent, b.feature_rows(expected), "{what} <- {peer}");
                     }
                 }
@@ -744,7 +774,8 @@ mod tests {
                         scope.spawn(move || {
                             let plan = b.plan(rank);
                             fabric.set_ready(rank, 1);
-                            let got = execute_gather(fabric, rank, 1, &plan).unwrap();
+                            let mut scratch = PipelineScratch::default();
+                            let got = plan.execute(fabric, rank, 1, &mut scratch).unwrap();
                             let rows: Vec<&[f32]> = (0..got.rows()).map(|r| got.row(r)).collect();
                             let list = b.lists[rank].iter().copied();
                             assert_eq!(rows, b.feature_rows(list), "n={n} cached={cached} {rank}");
@@ -761,20 +792,16 @@ mod tests {
             for cached in [false, true] {
                 let mut b = boundary(n, cached);
                 b.lists = vec![b.lists[0].clone(); n];
+                // A cache of empty caches serves nothing: the uncached plan.
+                let empty = empty_cache(n);
+                let cache = b.cache.as_ref().unwrap_or(&empty);
                 for rank in 0..n {
                     let (have, values) = b.local(rank);
                     let (rows, part) = (&b.lists[0], &b.partition);
-                    let symmetric = match &b.cache {
-                        Some(c) => GatherPlan::build_cached(rows, part, n, rank, &have, &values, c),
-                        None => GatherPlan::build(rows, part, n, rank, &have, &values),
-                    };
+                    let symmetric =
+                        GatherPlan::build_cached(rows, part, n, rank, &have, &values, cache);
                     let general = b.plan(rank);
-                    assert!(
-                        symmetric.base == general.base
-                            && symmetric.sends == general.sends
-                            && symmetric.recvs == general.recvs,
-                        "n={n} cached={cached} rank {rank}"
-                    );
+                    assert_eq!(symmetric, general, "n={n} cached={cached} rank {rank}");
                 }
             }
         }
@@ -784,14 +811,32 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn gather_plan_rejects_an_unsorted_row_list() {
         let values = Matrix::zeros(4, 1);
-        GatherPlan::build(&[0, 2, 1], &[0; 4], 1, 0, &[0, 1, 2, 3], &values);
+        let rows = [0, 2, 1];
+        GatherPlan::build_cached(
+            &rows,
+            &[0; 4],
+            1,
+            0,
+            &[0, 1, 2, 3],
+            &values,
+            &empty_cache(1),
+        );
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn gather_plan_rejects_a_repeated_row() {
         let values = Matrix::zeros(4, 1);
-        GatherPlan::build(&[0, 2, 2], &[0; 4], 1, 0, &[0, 1, 2, 3], &values);
+        let rows = [0, 2, 2];
+        GatherPlan::build_cached(
+            &rows,
+            &[0; 4],
+            1,
+            0,
+            &[0, 1, 2, 3],
+            &values,
+            &empty_cache(1),
+        );
     }
 
     #[test]

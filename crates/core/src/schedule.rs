@@ -64,6 +64,8 @@ pub struct DeviceSchedule {
     pub send_refs: Vec<Vec<u32>>,
     /// Per table entry: pre-resolved row references for `T^r`.
     pub recv_refs: Vec<Vec<u32>>,
+    /// Per table entry: the peer device it sends to and receives from.
+    pub peers: Vec<usize>,
     /// Rows of scratch the operation needs (forward: relay rows;
     /// backward: `num_remote` remote rows plus relay rows).
     pub scratch_rows: usize,
@@ -147,6 +149,7 @@ impl DeviceSchedule {
             groups,
             send_refs,
             recv_refs,
+            peers: ios.iter().map(|io| io.peer).collect(),
             scratch_rows: relay_slots.len(),
         })
     }
@@ -230,6 +233,7 @@ impl DeviceSchedule {
             groups,
             send_refs,
             recv_refs,
+            peers: ios.iter().map(|io| io.peer).collect(),
             scratch_rows: num_remote + relay_slots.len() + usize::from(needs_zero_row),
         })
     }

@@ -18,7 +18,7 @@
 //!
 //! The finite-fanout sampled step is pinned too, at what it allocates
 //! today: its plans, gathered matrices and activations are not pooled yet
-//! (ROADMAP item 2's open half), so the budget is a ratchet, not zero.
+//! (ROADMAP item 6), so the budget is a ratchet, not zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -232,12 +232,12 @@ fn warm_block_step_stays_within_allocation_budget() {
     let (devices, epochs) = (4, 3);
     let allocs = measure(Mode::BlockStep, 0, epochs);
     let per_step = allocs as f64 / (devices * epochs * BLOCK_BATCHES) as f64;
-    // Measured 121.3 per rank-step (the owner-computes step this one
+    // Measured 113.2 per rank-step (the owner-computes step this one
     // replaced: 192), + 5 %. Every step fetches on its rank's own thread,
-    // so no worker timing moves the count. What is left is an allocation
-    // per plan, message, matrix and activation of the step; pooling those
-    // is ROADMAP item 2's open half.
-    let budget = 127.0;
+    // so no worker timing moves the count, and its messages are pooled
+    // fabric payloads. What is left is an allocation per plan, matrix and
+    // activation of the step; pooling those is ROADMAP item 6.
+    let budget = 119.0;
     eprintln!("steady-state allocations: block step={per_step:.1} per rank-step, budget={budget}");
     assert!(
         per_step <= budget,

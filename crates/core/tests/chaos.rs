@@ -18,11 +18,12 @@ use std::time::{Duration, Instant};
 use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
 use dgcl::{
-    build_comm_info, run_cluster_with, AllreduceAlgo, BroadcastAlgo, BuildOptions, ClusterError,
-    ClusterFailure, CommInfo, FabricConfig, FaultEvent, FaultPlan, RuntimeError,
+    backend_for, build_comm_info, run_cluster_with, AllreduceAlgo, BackendKind, BackendPolicy,
+    BroadcastAlgo, BuildOptions, CachePolicy, ClusterCache, ClusterError, ClusterFailure, CommInfo,
+    FabricConfig, FaultEvent, FaultPlan, GatherPlan, RuntimeError,
 };
-use dgcl_gnn::Architecture;
-use dgcl_graph::{CsrGraph, Dataset};
+use dgcl_gnn::{AggKind, Architecture};
+use dgcl_graph::{CsrGraph, Dataset, VertexId};
 use dgcl_sim::faults::simulate_plan_faulted;
 use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
@@ -173,42 +174,48 @@ fn crash_on_a_sampled_step_fails_every_survivor_within_deadline() {
     });
 }
 
-/// Shared harness for the zoo crash cases: rank 1 dies mid-pipeline
-/// during `body`'s collective; every survivor must report the poison
-/// within the collective deadline.
+/// Shared harness for the mid-operation crash cases: `rank` dies inside
+/// op `at_op` of `body` after `after_actions` pipeline actions; every
+/// survivor must report the poison within the collective deadline.
 fn crash_mid_collective_case<R: Send + std::fmt::Debug>(
+    info: &CommInfo,
+    (rank, at_op, after_actions): (usize, u64, usize),
     body: impl Fn(dgcl::DeviceHandle<'_>) -> Result<R, RuntimeError> + Sync,
 ) {
-    let graph = Dataset::WikiTalk.generate(0.0005, 3);
-    let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
     let deadline = Duration::from_secs(20);
     let config = FabricConfig {
         collective_deadline: deadline,
-        // Tiny chunks: many actions in flight when rank 1 dies.
+        // Tiny chunks: many actions in flight when the rank dies.
         collective_chunk: 4,
         faults: FaultPlan {
             events: vec![FaultEvent::CrashMidOp {
-                rank: 1,
-                at_op: 1,
-                after_actions: 1,
+                rank,
+                at_op,
+                after_actions,
             }],
         },
         ..FabricConfig::default()
     };
     let start = Instant::now();
-    let err = run_cluster_with(&info, config, body).expect_err("crash mid-op must fail");
+    let err = run_cluster_with(info, config, body).expect_err("crash mid-op must fail");
     assert!(
         start.elapsed() < deadline,
         "unwind took {:?}, deadline was {deadline:?}",
         start.elapsed()
     );
-    assert_crash_poisons_every_survivor(&err, 1, 1);
+    assert_crash_poisons_every_survivor(&err, rank, at_op);
+}
+
+/// The planned four-GPU cluster the zoo crash cases run on.
+fn fig6_info() -> CommInfo {
+    let graph = Dataset::WikiTalk.generate(0.0005, 3);
+    build_comm_info(&graph, Topology::fig6(), BuildOptions::default())
 }
 
 #[test]
 fn crash_mid_ring_allreduce_poisons_every_survivor() {
     with_watchdog(Duration::from_secs(120), || {
-        crash_mid_collective_case(|handle| {
+        crash_mid_collective_case(&fig6_info(), (1, 1, 1), |handle| {
             let mats = vec![Matrix::full(16, 8, handle.rank as f32 + 0.5)];
             handle.allreduce_with(AllreduceAlgo::Ring, mats)
         });
@@ -218,7 +225,7 @@ fn crash_mid_ring_allreduce_poisons_every_survivor() {
 #[test]
 fn crash_mid_default_allreduce_poisons_every_survivor() {
     with_watchdog(Duration::from_secs(120), || {
-        crash_mid_collective_case(|handle| {
+        crash_mid_collective_case(&fig6_info(), (1, 1, 1), |handle| {
             handle.allreduce(vec![Matrix::full(16, 8, handle.rank as f32 + 0.5)])
         });
     });
@@ -227,7 +234,7 @@ fn crash_mid_default_allreduce_poisons_every_survivor() {
 #[test]
 fn crash_mid_tree_broadcast_poisons_every_survivor() {
     with_watchdog(Duration::from_secs(120), || {
-        crash_mid_collective_case(|handle| {
+        crash_mid_collective_case(&fig6_info(), (1, 1, 1), |handle| {
             let mat = Matrix::full(16, 8, handle.rank as f32 + 0.5);
             let out = handle.broadcast_with(BroadcastAlgo::BinomialTree, 0, mat)?;
             // The root and its completed subtree owe nobody anything in
@@ -235,6 +242,58 @@ fn crash_mid_tree_broadcast_poisons_every_survivor() {
             // step) is where they must observe the poison.
             handle.allreduce(vec![out])
         });
+    });
+}
+
+#[test]
+fn crash_mid_row_exchange_poisons_every_survivor() {
+    // Rank 1 dies after its first send of the sampled-step exchange.
+    with_watchdog(Duration::from_secs(120), || {
+        let graph = Dataset::WikiTalk.generate(0.0005, 3);
+        let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
+        let n = graph.num_vertices();
+        let features = XavierInit::new(8).features(n, 6);
+        let per_device = info.dispatch_features(&features);
+        let cache = ClusterCache::build(&info, &features, CachePolicy::Auto).expect("cache on");
+        let rows: Vec<VertexId> = (0..n as VertexId).collect();
+        crash_mid_collective_case(&info, (1, 1, 1), |handle| {
+            let (rank, pg) = (handle.rank, &handle.comm_info().pg);
+            let (part, have) = (&pg.partition, &pg.local[rank]);
+            let values = &per_device[rank];
+            let plan =
+                GatherPlan::build_cached(&rows, part, pg.num_parts, rank, have, values, &cache);
+            handle.exchange_rows(&plan)?;
+            // A rank that got rank 1's rows before it died owes nobody
+            // anything; the next collective is where it must observe
+            // the poison.
+            handle.allreduce(Vec::new())
+        });
+    });
+}
+
+#[test]
+fn crash_mid_cagnet_chain_poisons_every_survivor() {
+    // On the 2 × 2 grid, ops 1–2 assemble the fat panels, op 3 is the
+    // one broadcast wave, op 4 the chain hop (rank 0 → 1, rank 2 → 3)
+    // and op 5 the thin return (rank 1 → 0, rank 3 → 2).
+    with_watchdog(Duration::from_secs(120), || {
+        let graph = Dataset::WikiTalk.generate(0.0005, 3);
+        let options = BuildOptions {
+            backend: BackendPolicy::Fixed(BackendKind::Cagnet { replication: 2 }),
+            ..BuildOptions::default()
+        };
+        let info = build_comm_info(&graph, Topology::fig6(), options);
+        let features = XavierInit::new(8).features(graph.num_vertices(), 6);
+        let per_device = info.dispatch_features(&features);
+        for (rank, at_op) in [(0, 4), (1, 5)] {
+            crash_mid_collective_case(&info, (rank, at_op, 0), |handle| {
+                let cagnet = backend_for(info.backend);
+                cagnet.agg_forward(&handle, &per_device[handle.rank], AggKind::Sum)?;
+                // The other grid row's hop and return never meet the
+                // dead rank; the next collective is where they must.
+                handle.allreduce(Vec::new())
+            });
+        }
     });
 }
 
