@@ -614,6 +614,14 @@ where
 /// [`run_cluster`] with an explicit fabric configuration (collective
 /// deadline, recycle-pool caps, fault plan).
 ///
+/// The rank threads share the process's cores, so this is the one place
+/// that divides them: it reads the process value
+/// [`dgcl_tensor::compute_threads`] once and gives each rank thread a
+/// kernel budget of `max(1, that / num_devices)`
+/// ([`dgcl_tensor::set_thread_budget`]). Every kernel a body runs asks
+/// the pool for its worker count, so none spawns workers that time-slice
+/// against the other ranks; results are bitwise the same at any budget.
+///
 /// # Errors
 ///
 /// See [`run_cluster`].
@@ -627,6 +635,7 @@ where
     F: Fn(DeviceHandle<'_>) -> Result<R, RuntimeError> + Sync,
 {
     let deadline = config.collective_deadline;
+    let budget = (dgcl_tensor::compute_threads() / info.num_devices()).max(1);
     let fabric = Fabric::with_config(info.num_devices(), config);
     let mut outcomes: Vec<Option<Result<R, ClusterFailure>>> =
         (0..info.num_devices()).map(|_| None).collect();
@@ -635,6 +644,7 @@ where
         for rank in 0..info.num_devices() {
             let (fabric, body) = (&fabric, &body);
             joins.push(scope.spawn(move |_| {
+                dgcl_tensor::set_thread_budget(budget);
                 let handle = DeviceHandle {
                     rank,
                     info,
@@ -712,13 +722,31 @@ mod tests {
     use super::*;
     use crate::comm_info::{build_comm_info, BuildOptions};
     use dgcl_graph::Dataset;
-    use dgcl_tensor::XavierInit;
+    use dgcl_tensor::{compute_threads, set_compute_threads, XavierInit};
     use dgcl_topology::Topology;
 
     fn setup() -> (dgcl_graph::CsrGraph, CommInfo) {
         let graph = Dataset::WikiTalk.generate(0.0006, 5);
         let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
         (graph, info)
+    }
+
+    #[test]
+    fn each_rank_gets_its_share_of_the_process_threads() {
+        // The process value is global: one reader-and-writer at a time.
+        static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        let (_, info) = setup();
+        let devices = info.num_devices();
+        let before = compute_threads();
+        for global in [1, devices, 3 * devices] {
+            set_compute_threads(global);
+            let seen = run_cluster(&info, |_| Ok(compute_threads())).expect("healthy cluster");
+            let share = (global / devices).max(1);
+            assert_eq!(seen, vec![share; devices], "global {global}");
+            assert_eq!(compute_threads(), global, "the caller keeps its value");
+        }
+        set_compute_threads(before);
     }
 
     #[test]

@@ -210,7 +210,9 @@ fn results_are_invariant_to_compute_threads_and_reruns() {
     let info = comm_info(5);
     let before = pool::compute_threads();
     let mut runs = Vec::new();
-    for threads in [1usize, 4, 4] {
+    // `run_cluster_with` divides the process value between the 5 ranks:
+    // these are per-rank budgets of 1, 4 and 4.
+    for threads in [5usize, 20, 20] {
         pool::set_compute_threads(threads);
         runs.push(run_triple(&info, 16, test_mats));
     }

@@ -80,7 +80,7 @@ pub fn aggregate_backward(
 }
 
 /// Sum-aggregates neighbour embeddings: `out[v] = Σ_{u ∈ N(v)} h[u]` for
-/// the first `num_out` vertices, on the global worker count.
+/// the first `num_out` vertices, on the pool's worker count.
 ///
 /// # Panics
 ///

@@ -27,5 +27,5 @@ pub mod spmm;
 pub use activation::Activation;
 pub use init::XavierInit;
 pub use matrix::Matrix;
-pub use pool::{compute_threads, set_compute_threads};
+pub use pool::{compute_threads, set_compute_threads, set_thread_budget};
 pub use spmm::{spmm_csr_dense_into, spmm_pattern_into, CsrBlock};

@@ -231,7 +231,7 @@ impl Matrix {
         (left, right)
     }
 
-    /// The transpose of the matrix, on the global worker count
+    /// The transpose of the matrix, on the pool's worker count
     /// ([`crate::pool::compute_threads`]).
     pub fn transpose(&self) -> Matrix {
         self.transpose_threads(crate::pool::compute_threads())

@@ -20,7 +20,7 @@ const BLOCK_K: usize = 128;
 const PAR_FLOPS_MIN: usize = 1 << 16;
 
 impl Matrix {
-    /// Matrix product `self * rhs`, on the global worker count
+    /// Matrix product `self * rhs`, on the pool's worker count
     /// ([`pool::compute_threads`]).
     ///
     /// # Panics

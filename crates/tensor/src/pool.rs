@@ -16,7 +16,23 @@
 //! every thread count, making kernel results *bitwise identical* for
 //! `threads = 1, 2, 4, …` (property-tested in
 //! `tests/compute_engine.rs`). Parallelism changes wall-clock only.
+//!
+//! # Thread budget
+//!
+//! The default worker count is decided in one place and read from two
+//! levels. The *process* value ([`set_compute_threads`], else the
+//! machine's `available_parallelism` clamped to 8) is what single-device
+//! training, the serving batcher and every kernel outside a cluster see.
+//! A distributed run's rank threads share those cores, so
+//! `dgcl::run_cluster_with` divides the process value by the rank count
+//! and hands each rank thread `max(1, process / ranks)` through
+//! [`set_thread_budget`]; [`compute_threads`] reads that per-thread
+//! budget first. At budget 1 every kernel takes [`par_row_chunks`]'s
+//! inline path, so ranks no longer spawn scoped workers that time-slice
+//! against each other. By the determinism contract the budget moves
+//! wall-clock only.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Rows per work chunk. Fixed so chunk boundaries are a function of the
@@ -26,15 +42,37 @@ pub const CHUNK_ROWS: usize = 16;
 /// `0` means "resolve from the machine" (see [`compute_threads`]).
 static COMPUTE_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the global worker count used by the parallel kernels when no
-/// explicit count is passed. `0` restores the default
-/// (`available_parallelism`, clamped to 8 like the planner tier).
+thread_local! {
+    /// This thread's kernel budget; `0` means unset (use the process value).
+    static THREAD_BUDGET: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Sets the process worker count: what the parallel kernels use when no
+/// explicit count is passed, on every thread without a budget of its own
+/// ([`set_thread_budget`]). `0` restores the default
+/// (`available_parallelism`, clamped to 8 like the planner tier). A
+/// distributed run divides this value between its rank threads.
 pub fn set_compute_threads(threads: usize) {
     COMPUTE_THREADS.store(threads, Ordering::SeqCst);
 }
 
-/// The global worker count the parallel kernels use by default.
+/// Sets the calling thread's kernel budget, which [`compute_threads`]
+/// returns on this thread in place of the process value. `0` clears it.
+/// `dgcl::run_cluster_with` sets it on each rank thread to
+/// `max(1, compute_threads() / ranks)`.
+pub fn set_thread_budget(threads: usize) {
+    THREAD_BUDGET.with(|b| b.set(threads));
+}
+
+/// The worker count the parallel kernels use by default: the calling
+/// thread's budget if one is set ([`set_thread_budget`]), else the
+/// process value ([`set_compute_threads`], else the machine's
+/// `available_parallelism` clamped to 8).
 pub fn compute_threads() -> usize {
+    let budget = THREAD_BUDGET.with(Cell::get);
+    if budget > 0 {
+        return budget;
+    }
     match COMPUTE_THREADS.load(Ordering::SeqCst) {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -141,13 +179,36 @@ mod tests {
         par_row_chunks(2, &mut out, 3, |_, _| {});
     }
 
+    /// The process value is global: one test touching it at a time.
+    static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn global_thread_setting_round_trips() {
+        let _global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         let before = compute_threads();
         set_compute_threads(3);
         assert_eq!(compute_threads(), 3);
         set_compute_threads(0);
         assert!(compute_threads() >= 1);
         set_compute_threads(before);
+    }
+
+    #[test]
+    fn thread_budget_is_per_thread_and_read_first() {
+        let _global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+        let before = compute_threads();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                set_thread_budget(3);
+                assert_eq!(compute_threads(), 3, "the budget is read first");
+                set_thread_budget(0);
+                assert_eq!(compute_threads(), before, "0 clears the budget");
+            });
+        });
+        assert_eq!(
+            compute_threads(),
+            before,
+            "the caller's reading is untouched"
+        );
     }
 }

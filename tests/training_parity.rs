@@ -183,3 +183,32 @@ fn single_device_cluster_is_trivially_exact() {
     assert_eq!(single.epoch_losses, dist.epoch_losses);
     assert_eq!(single.outputs, dist.outputs);
 }
+
+/// A rank's kernel budget moves wall-clock only. Two devices share the
+/// process threads, so a process value of 2 runs every kernel inline
+/// (budget 1 per rank) and 8 runs them on 4 workers per rank; with over
+/// a thousand rows per rank and a 64 × 32 layer, the first layer's
+/// matmuls are above the pool's spawn threshold at budget 4.
+#[test]
+fn rank_kernel_budget_is_bitwise_invisible() {
+    let graph = Dataset::WebGoogle.generate(0.0025, 49);
+    let n = graph.num_vertices();
+    let info = build_comm_info(&graph, Topology::pcie_host(2), BuildOptions::default());
+    assert!(
+        info.pg.local.iter().all(|l| l.len() >= 1024),
+        "every rank owns at least 1 024 rows"
+    );
+    let mut init = XavierInit::new(49);
+    let features = init.features(n, 64);
+    let targets = init.features(n, 8);
+    let mut cfg = TrainConfig::new(Architecture::Gcn, &[64, 32, 8], 2);
+    cfg.lr = 5e-4;
+    let before = dgcl_tensor::compute_threads();
+    let [inline, pooled] = [2, 8].map(|process| {
+        dgcl_tensor::set_compute_threads(process);
+        train_distributed(&info, &graph, &features, &targets, &cfg).expect("healthy cluster")
+    });
+    dgcl_tensor::set_compute_threads(before);
+    assert_eq!(inline.epoch_losses, pooled.epoch_losses);
+    assert_eq!(inline.outputs, pooled.outputs);
+}
