@@ -9,6 +9,16 @@
 //!    graph.
 //! 3. **Uncoarsening** — the partition is projected back level by level,
 //!    with boundary FM refinement and explicit rebalancing at each level.
+//!
+//! # Cost
+//!
+//! Coarsening builds each coarse row directly: fine vertices are bucketed
+//! by coarse id and each row's edges are merged in a dense accumulator,
+//! so only that row's targets are sorted, never the whole edge list. The
+//! initial growing's fallback to "any free vertex" resumes from a cursor
+//! instead of rescanning, so it reads O(n) entries per part. Both yield
+//! exactly the partition the sort-based coarsening and the rescanning
+//! fallback yielded.
 
 use dgcl_graph::CsrGraph;
 use rand::rngs::StdRng;
@@ -184,50 +194,71 @@ fn coarsen(
         }
         next_coarse += 1;
     }
-    let cn = next_coarse as usize;
+    (contract(g, &map, next_coarse as usize), map)
+}
+
+/// Builds the coarse graph of `g` whose `cn` vertices are the classes of
+/// `map`: vertex weights add up, edges between two classes merge into one
+/// whose weight is their sum, and edges inside a class vanish.
+///
+/// Row by row: the fine vertices are bucketed by coarse id, and each
+/// coarse row accumulates its members' neighbours into a dense `acc`
+/// (stamped by `seen`) before sorting only the targets it touched. Rows
+/// come out in ascending coarse id with ascending targets, the same CSR a
+/// global sort of every `(cv, cu, w)` triple yields, without that sort.
+fn contract(g: &WeightedGraph, map: &[u32], cn: usize) -> WeightedGraph {
+    let n = g.num_vertices();
     let mut vweights = vec![0u64; cn];
+    let mut start = vec![0usize; cn + 1];
     for v in 0..n {
         vweights[map[v] as usize] += g.vweights[v];
+        start[map[v] as usize + 1] += 1;
     }
-    // Aggregate coarse edges through a sort.
-    let mut triples: Vec<(u32, u32, u64)> = Vec::with_capacity(g.targets.len());
-    for v in 0..n as u32 {
-        let cv = map[v as usize];
-        for (u, w) in g.neighbors(v) {
-            let cu = map[u as usize];
-            if cu != cv {
-                triples.push((cv, cu, w));
-            }
-        }
+    for c in 0..cn {
+        start[c + 1] += start[c];
     }
-    triples.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    let mut fill = start.clone();
+    let mut members = vec![0u32; n];
+    for (v, &c) in map.iter().enumerate() {
+        members[fill[c as usize]] = v as u32;
+        fill[c as usize] += 1;
+    }
+    let mut acc = vec![0u64; cn];
+    let mut seen = vec![u32::MAX; cn];
+    let mut row: Vec<u32> = Vec::new();
     let mut offsets = Vec::with_capacity(cn + 1);
     let mut targets = Vec::new();
     let mut eweights = Vec::new();
     offsets.push(0);
-    let mut cursor = 0usize;
     for cv in 0..cn as u32 {
-        while cursor < triples.len() && triples[cursor].0 == cv {
-            let (_, cu, mut w) = triples[cursor];
-            cursor += 1;
-            while cursor < triples.len() && triples[cursor].0 == cv && triples[cursor].1 == cu {
-                w += triples[cursor].2;
-                cursor += 1;
+        for &v in &members[start[cv as usize]..start[cv as usize + 1]] {
+            for (u, w) in g.neighbors(v) {
+                let cu = map[u as usize];
+                if cu == cv {
+                    continue;
+                }
+                if seen[cu as usize] != cv {
+                    seen[cu as usize] = cv;
+                    acc[cu as usize] = 0;
+                    row.push(cu);
+                }
+                acc[cu as usize] += w;
             }
-            targets.push(cu);
-            eweights.push(w);
         }
+        row.sort_unstable();
+        for &cu in &row {
+            targets.push(cu);
+            eweights.push(acc[cu as usize]);
+        }
+        row.clear();
         offsets.push(targets.len());
     }
-    (
-        WeightedGraph {
-            offsets,
-            targets,
-            eweights,
-            vweights,
-        },
-        map,
-    )
+    WeightedGraph {
+        offsets,
+        targets,
+        eweights,
+        vweights,
+    }
 }
 
 /// Greedy region growing for the initial k-way partition.
@@ -244,6 +275,10 @@ fn grow_initial(g: &WeightedGraph, k: usize, rng: &mut StdRng) -> Partition {
             break;
         }
         let seed_vertex = remaining[rng.gen_range(0..remaining.len())];
+        // Vertices only ever leave FREE and `remaining` is fixed while `p`
+        // grows, so the first free entry never moves back: each fallback
+        // resumes its scan where the last one stopped.
+        let mut cursor = 0usize;
         let mut weight = 0u64;
         let mut frontier: Vec<u32> = vec![seed_vertex];
         partition[seed_vertex as usize] = p;
@@ -265,8 +300,14 @@ fn grow_initial(g: &WeightedGraph, k: usize, rng: &mut StdRng) -> Partition {
             }
             let chosen = match best {
                 Some((u, _)) => u,
-                None => match remaining.iter().find(|&&v| partition[v as usize] == FREE) {
-                    Some(&u) => u,
+                None => match remaining[cursor..]
+                    .iter()
+                    .position(|&v| partition[v as usize] == FREE)
+                {
+                    Some(i) => {
+                        cursor += i;
+                        remaining[cursor]
+                    }
                     None => break,
                 },
             };
@@ -402,6 +443,117 @@ mod tests {
     use crate::simple::random_partition;
     use dgcl_graph::generators::{barabasi_albert, erdos_renyi};
     use dgcl_graph::GraphBuilder;
+    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+
+    /// The sort-and-merge coarse-edge aggregation `contract` replaced: one
+    /// `(cv, cu, w)` triple per fine edge, sorted, duplicates summed.
+    fn contract_reference(g: &WeightedGraph, map: &[u32], cn: usize) -> WeightedGraph {
+        let n = g.num_vertices();
+        let mut vweights = vec![0u64; cn];
+        for v in 0..n {
+            vweights[map[v] as usize] += g.vweights[v];
+        }
+        let mut triples: Vec<(u32, u32, u64)> = Vec::with_capacity(g.targets.len());
+        for v in 0..n as u32 {
+            let cv = map[v as usize];
+            for (u, w) in g.neighbors(v) {
+                let cu = map[u as usize];
+                if cu != cv {
+                    triples.push((cv, cu, w));
+                }
+            }
+        }
+        triples.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        let mut offsets = Vec::with_capacity(cn + 1);
+        let mut targets = Vec::new();
+        let mut eweights = Vec::new();
+        offsets.push(0);
+        let mut cursor = 0usize;
+        for cv in 0..cn as u32 {
+            while cursor < triples.len() && triples[cursor].0 == cv {
+                let (_, cu, mut w) = triples[cursor];
+                cursor += 1;
+                while cursor < triples.len() && triples[cursor].0 == cv && triples[cursor].1 == cu {
+                    w += triples[cursor].2;
+                    cursor += 1;
+                }
+                targets.push(cu);
+                eweights.push(w);
+            }
+            offsets.push(targets.len());
+        }
+        WeightedGraph {
+            offsets,
+            targets,
+            eweights,
+            vweights,
+        }
+    }
+
+    /// A random weighted graph on `n` vertices (self-loops and parallel
+    /// edges included) and a random map onto classes of at most two
+    /// vertices, the shape heavy-edge matching produces.
+    fn random_instance(n: usize, edges: usize, seed: u64) -> (WeightedGraph, Vec<u32>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+        for _ in 0..edges {
+            let v = rng.gen_range(0..n);
+            let u = rng.gen_range(0..n as u32);
+            rows[v].push((u, rng.gen_range(1..1000)));
+        }
+        let mut offsets = vec![0];
+        let mut targets = Vec::new();
+        let mut eweights = Vec::new();
+        for row in &rows {
+            for &(u, w) in row {
+                targets.push(u);
+                eweights.push(w);
+            }
+            offsets.push(targets.len());
+        }
+        let vweights = (0..n).map(|_| rng.gen_range(1..5)).collect();
+        let g = WeightedGraph {
+            offsets,
+            targets,
+            eweights,
+            vweights,
+        };
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(&mut rng);
+        let mut map = vec![0u32; n];
+        let mut cn = 0;
+        let mut i = 0;
+        while i < n {
+            let pair = i + 1 < n && rng.gen_bool(0.5);
+            map[order[i] as usize] = cn as u32;
+            if pair {
+                map[order[i + 1] as usize] = cn as u32;
+                i += 1;
+            }
+            i += 1;
+            cn += 1;
+        }
+        (g, map, cn)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn contract_matches_sort_and_merge(
+            n in 1usize..200,
+            density in 0usize..8,
+            seed in any::<u64>(),
+        ) {
+            let (g, map, cn) = random_instance(n, n * density, seed);
+            let fast = contract(&g, &map, cn);
+            let slow = contract_reference(&g, &map, cn);
+            prop_assert_eq!(fast.offsets, slow.offsets);
+            prop_assert_eq!(fast.targets, slow.targets);
+            prop_assert_eq!(fast.eweights, slow.eweights);
+            prop_assert_eq!(fast.vweights, slow.vweights);
+        }
+    }
 
     #[test]
     fn two_cliques_split_cleanly() {

@@ -129,8 +129,11 @@ impl PartitionedGraph {
                 demands[i][j].push(u);
             }
         }
+        // One global-to-local table serves every part: each build fills
+        // only its own entries and resets them before returning.
+        let mut to_local = vec![u32::MAX; graph.num_vertices()];
         let local_graphs = (0..num_parts)
-            .map(|d| build_local_graph(graph, &local[d], &remote[d]))
+            .map(|d| build_local_graph(graph, &local[d], &remote[d], &mut to_local))
             .collect();
         Self {
             num_parts,
@@ -251,21 +254,22 @@ impl PartitionedGraph {
     }
 }
 
-fn build_local_graph(graph: &CsrGraph, local: &[VertexId], remote: &[VertexId]) -> LocalGraph {
+/// Re-indexes `local`'s rows over `local ++ remote`. `to_local` maps
+/// global to local ids; it must be all `u32::MAX` on entry and is left
+/// that way on return.
+fn build_local_graph(
+    graph: &CsrGraph,
+    local: &[VertexId],
+    remote: &[VertexId],
+    to_local: &mut [u32],
+) -> LocalGraph {
     let num_local = local.len();
     let mut global_ids = Vec::with_capacity(num_local + remote.len());
     global_ids.extend_from_slice(local);
     global_ids.extend_from_slice(remote);
-    let lookup = |global: VertexId| -> u32 {
-        if let Ok(i) = local.binary_search(&global) {
-            i as u32
-        } else {
-            let i = remote
-                .binary_search(&global)
-                .expect("neighbour must be local or remote");
-            (num_local + i) as u32
-        }
-    };
+    for (i, &global) in global_ids.iter().enumerate() {
+        to_local[global as usize] = i as u32;
+    }
     let total = global_ids.len();
     let mut offsets = Vec::with_capacity(total + 1);
     offsets.push(0usize);
@@ -276,12 +280,18 @@ fn build_local_graph(graph: &CsrGraph, local: &[VertexId], remote: &[VertexId]) 
         // aggregation kernels fold each row sequentially, so this makes
         // local aggregation accumulate in exactly the single-device
         // order — bitwise parity instead of a mere commutation.
-        let row: Vec<u32> = graph.neighbors(v).iter().map(|&u| lookup(u)).collect();
-        targets.extend_from_slice(&row);
+        for &u in graph.neighbors(v) {
+            let l = to_local[u as usize];
+            assert!(l != u32::MAX, "neighbour must be local or remote");
+            targets.push(l);
+        }
         offsets.push(targets.len());
     }
     for _ in 0..remote.len() {
         offsets.push(targets.len());
+    }
+    for &global in &global_ids {
+        to_local[global as usize] = u32::MAX;
     }
     LocalGraph {
         graph: CsrGraph::from_parts(offsets, targets),

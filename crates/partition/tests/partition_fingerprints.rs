@@ -1,0 +1,124 @@
+//! Pins the partitioner's output bit for bit.
+//!
+//! Each cell partitions a generated dataset with [`hierarchical`] and
+//! hashes the partition vector and every part's re-indexed local graph.
+//! A change to the partitioner's bookkeeping (how coarse edges are
+//! aggregated, how the initial growing finds a free vertex, how the
+//! relation maps neighbours) must leave both hashes as they are; a change
+//! that moves a single vertex or reorders a single row fails here.
+//!
+//! The small cells run in tier-1. The `#[ignore]` cells are the graphs
+//! the `e2e` benchmark's full-batch workloads partition; run them with
+//! `cargo test --release -p dgcl-partition --test partition_fingerprints -- --ignored`.
+
+use dgcl_graph::Dataset;
+use dgcl_partition::hierarchical::hierarchical;
+use dgcl_partition::PartitionedGraph;
+
+/// FNV-1a 64 over the little-endian bytes of each `u32`.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn words(mut self, words: impl IntoIterator<Item = u32>) -> Self {
+        for w in words {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        self
+    }
+}
+
+/// `(partition hash, local-graph hash)` of `dataset` at `scale`
+/// (generated with seed 7) partitioned over `groups` with seed 42.
+fn fingerprints(dataset: Dataset, scale: f64, groups: &[usize]) -> (u64, u64) {
+    let graph = dataset.generate(scale, 7);
+    let partition = hierarchical(&graph, groups, 42);
+    let parts = Fnv::new().words(partition.iter().copied()).0;
+    let k: usize = groups.iter().sum();
+    let pg = PartitionedGraph::new(&graph, partition, k);
+    let mut local = Fnv::new();
+    for d in 0..k {
+        let g = &pg.local_graph(d).graph;
+        local = local
+            .words(g.targets().iter().copied())
+            .words(g.offsets().iter().map(|&o| o as u32));
+    }
+    (parts, local.0)
+}
+
+fn check(dataset: Dataset, scale: f64, groups: &[usize], expected: (u64, u64)) {
+    let (parts, local) = fingerprints(dataset, scale, groups);
+    assert_eq!(
+        (format!("{parts:016x}"), format!("{local:016x}")),
+        (
+            format!("{:016x}", expected.0),
+            format!("{:016x}", expected.1)
+        ),
+        "{} x{scale} on {groups:?}: (partition, local graphs) hashes moved",
+        dataset.name()
+    );
+}
+
+/// Three coarsening levels whose coarse edges merge several fine ones.
+#[test]
+fn reddit_two_parts() {
+    check(
+        Dataset::Reddit,
+        0.004,
+        &[2],
+        (0x50af_aa1f_2b8c_1ae5, 0xda88_583c_9b2e_d000),
+    );
+}
+
+/// A skewed graph whose initial growing often runs out of frontier and
+/// falls back to the next free vertex.
+#[test]
+fn wikitalk_two_machines_of_eight() {
+    check(
+        Dataset::WikiTalk,
+        0.005,
+        &[8, 8],
+        (0xb7fe_2616_cbb8_356c, 0xec54_078c_6ebe_af4c),
+    );
+}
+
+#[test]
+fn webgoogle_four_parts() {
+    check(
+        Dataset::WebGoogle,
+        0.002,
+        &[4],
+        (0x477e_4834_2ecb_1a16, 0x5f0e_398d_cec1_6a87),
+    );
+}
+
+/// The `fullbatch-dense` benchmark graph.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn reddit_benchmark_scale() {
+    check(
+        Dataset::Reddit,
+        0.04,
+        &[2],
+        (0xb369_ac3b_b9b9_a584, 0x8b3b_80ad_51a8_0c33),
+    );
+}
+
+/// The `fullbatch-halo` benchmark graph.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn wikitalk_benchmark_scale() {
+    check(
+        Dataset::WikiTalk,
+        0.05,
+        &[8, 8],
+        (0xe254_0ed1_0d88_c5ba, 0x73f3_cdd2_e310_58db),
+    );
+}
