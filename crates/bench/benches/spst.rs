@@ -3,7 +3,10 @@
 //! Benchmarks the exact sequential planner against the batched fast
 //! path (`SpstConfig::batched`) at one and several threads, so the
 //! demand-class-reuse win and the thread-scaling win are visible
-//! separately.
+//! separately. One more cell runs the exact planner on the `e2e`
+//! `fullbatch-halo` inputs (Wiki-Talk ×0.05 on two IB-joined DGX-1s,
+//! hierarchical partition): at 16 GPUs the search may use fifteen
+//! stages, most of them still empty, which 4 and 8 GPUs never show.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgcl_bench::RunContext;
@@ -42,6 +45,12 @@ fn bench_spst(c: &mut Criterion) {
             );
         }
     }
+    let graph = Dataset::WikiTalk.generate(0.05, 7);
+    let topo = Topology::dgx1_pair_ib();
+    let pg = partition_for(&graph, &topo, 42);
+    group.bench_function("Wiki-Talk-x0.05-seq/16", |b| {
+        b.iter(|| spst_plan(&pg, &topo, 1024, 42))
+    });
     group.finish();
 }
 

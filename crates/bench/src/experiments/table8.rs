@@ -9,7 +9,9 @@
 //! sequential planner's.
 //!
 //! Besides the text table, the run emits `BENCH_spst.json` next to the
-//! working directory so CI can track planning speedups machine-readably.
+//! working directory so CI can track planning speedups machine-readably,
+//! with each planner's deterministic search counters (states expanded,
+//! weights priced) beside the wall-clock times.
 
 use dgcl_graph::Dataset;
 use dgcl_plan::plan::validate_plan;
@@ -67,6 +69,10 @@ pub fn run(ctx: &mut RunContext) {
                 "speculative_commits": par.stats.speculative_commits,
                 "full_searches": par.stats.full_searches,
                 "demands": par.stats.demands,
+                "seq_states_expanded": seq.stats.states_expanded,
+                "seq_weight_evals": seq.stats.weight_evals,
+                "par_states_expanded": par.stats.states_expanded,
+                "par_weight_evals": par.stats.weight_evals,
             });
         }
     }

@@ -171,7 +171,7 @@ impl CommBackend for CagnetBackend {
         if kind == AggKind::Mean {
             // A block sees a slice of a row: the divisor is the vertex's
             // global degree.
-            let degrees = dev.comm_info().cagnet.degrees(dev.rank);
+            let degrees = dev.comm_info().cagnet().degrees(dev.rank);
             mean_scale(&mut out, 1, |i| degrees[i] as usize);
         }
         Ok(out)
@@ -186,7 +186,7 @@ impl CommBackend for CagnetBackend {
         if kind == AggKind::Sum {
             return cagnet_exchange(dev, grad_agg, self.replication, true);
         }
-        let degrees = dev.comm_info().cagnet.degrees(dev.rank);
+        let degrees = dev.comm_info().cagnet().degrees(dev.rank);
         let mut scaled = grad_agg.clone();
         mean_scale(&mut scaled, 1, |i| degrees[i] as usize);
         cagnet_exchange(dev, &scaled, self.replication, true)
@@ -197,7 +197,7 @@ impl CommBackend for CagnetBackend {
 /// forward aggregation multiplies the adjacency, backward its
 /// transpose.
 fn pick_block<'a>(dev: &DeviceHandle<'a>, transpose: bool, d: usize, t: usize) -> &'a CsrBlock {
-    let cb = &dev.comm_info().cagnet;
+    let cb = dev.comm_info().cagnet();
     if transpose {
         cb.tblock(d, t)
     } else {

@@ -1,6 +1,6 @@
 //! `buildCommInfo`: partitioning, planning and table compilation.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dgcl_graph::CsrGraph;
 use dgcl_partition::hierarchical::hierarchical;
@@ -44,11 +44,11 @@ pub struct BuildOptions {
     /// [`SpstConfig::batched`] so the demand-class cache amortises the
     /// survivors' near-identical demands.
     pub spst: SpstConfig,
-    /// Hot-vertex remote feature cache policy. The admission ranking is
-    /// always computed (it is partition-derived and cheap); this only
-    /// sets the default capacity policy training runs under —
-    /// [`CachePolicy::Off`] keeps every path uncached, and
-    /// `TrainConfig::feature_cache` can override per run.
+    /// Hot-vertex remote feature cache policy: the default capacity
+    /// policy training runs under. [`CachePolicy::Off`] keeps every path
+    /// uncached, and `TrainConfig::feature_cache` can override per run.
+    /// The admission ranking is built on first use
+    /// ([`CommInfo::feature_cache`]), whatever this says.
     pub feature_cache: CachePolicy,
 }
 
@@ -103,12 +103,17 @@ pub struct CommInfo {
     pub backend: BackendKind,
     /// What the offline selector priced, whatever the policy decided.
     pub backend_choice: BackendChoice,
-    /// Block-partitioned adjacency for the CAGNET backend (always
-    /// built; a planned run simply never reads it).
-    pub cagnet: Arc<CagnetBlocks>,
-    /// Offline feature-cache admission ranking and Auto capacities
-    /// (always scored; [`CachePolicy::Off`] runs simply never read it).
-    pub feature_cache: Arc<FeatureCacheSets>,
+    /// The build-time feature cache policy
+    /// ([`BuildOptions::feature_cache`]); training may override it per
+    /// run.
+    pub feature_cache_policy: CachePolicy,
+    /// Feature row width in `f32` elements the cache sizing model
+    /// assumes (from [`BuildOptions::bytes_per_vertex`]).
+    cache_width: usize,
+    /// See [`CommInfo::cagnet`].
+    cagnet: OnceLock<Arc<CagnetBlocks>>,
+    /// See [`CommInfo::feature_cache`].
+    feature_cache: OnceLock<Arc<FeatureCacheSets>>,
 }
 
 /// Partitions `graph` across the topology's GPUs (hierarchically when it
@@ -194,15 +199,6 @@ pub fn try_build_comm_info(
         }
         BackendKind::Planned => BackendKind::Planned,
     };
-    let cagnet = Arc::new(CagnetBlocks::new(graph, &pg));
-    // Scored on the *final* partition (CAGNET may have rebuilt it) so
-    // cached sets always match the demands the runtime exchanges over.
-    let feature_cache = Arc::new(FeatureCacheSets::score(
-        graph,
-        &pg,
-        (options.bytes_per_vertex / 4).max(1) as usize,
-        options.feature_cache,
-    ));
     let outcome = spst_plan_with_config(
         &pg,
         &topology,
@@ -255,12 +251,55 @@ pub fn try_build_comm_info(
         estimated_allgather_seconds: outcome.cost.total_time(),
         backend,
         backend_choice,
-        cagnet,
-        feature_cache,
+        feature_cache_policy: options.feature_cache,
+        cache_width: (options.bytes_per_vertex / 4).max(1) as usize,
+        cagnet: OnceLock::new(),
+        feature_cache: OnceLock::new(),
     })
 }
 
 impl CommInfo {
+    /// Block-partitioned adjacency for the CAGNET backend, built on first
+    /// use: a planned run never reads it. `train_distributed` builds it
+    /// from the caller's graph before the ranks spawn when the run's
+    /// backend is CAGNET; any other first reader builds it from the graph
+    /// re-assembled out of the local graphs
+    /// ([`PartitionedGraph::global_graph`]), which is the same graph.
+    pub fn cagnet(&self) -> &CagnetBlocks {
+        self.cagnet
+            .get_or_init(|| Arc::new(CagnetBlocks::new(&self.pg.global_graph(), &self.pg)))
+    }
+
+    /// Offline feature-cache admission ranking and Auto capacities,
+    /// scored on first use: a [`CachePolicy::Off`] run never reads it.
+    /// Built like [`CommInfo::cagnet`] (by `train_distributed` when the
+    /// run's policy is not `Off`), and scored on the *final* partition
+    /// (CAGNET may have rebuilt it), so cached sets always match the
+    /// demands the runtime exchanges over.
+    pub fn feature_cache(&self) -> &FeatureCacheSets {
+        self.feature_cache
+            .get_or_init(|| Arc::new(self.score_cache(&self.pg.global_graph())))
+    }
+
+    fn score_cache(&self, graph: &CsrGraph) -> FeatureCacheSets {
+        FeatureCacheSets::score(graph, &self.pg, self.cache_width, self.feature_cache_policy)
+    }
+
+    /// Builds what a run with `backend` and `cache` reads and nothing
+    /// else, from `graph` (the graph this info was built from), so the
+    /// rank threads find it ready and the global graph is not
+    /// re-assembled.
+    pub(crate) fn build_for_run(&self, graph: &CsrGraph, backend: BackendKind, cache: CachePolicy) {
+        if matches!(backend, BackendKind::Cagnet { .. }) {
+            self.cagnet
+                .get_or_init(|| Arc::new(CagnetBlocks::new(graph, &self.pg)));
+        }
+        if cache != CachePolicy::Off {
+            self.feature_cache
+                .get_or_init(|| Arc::new(self.score_cache(graph)));
+        }
+    }
+
     /// Number of simulated devices.
     pub fn num_devices(&self) -> usize {
         self.pg.num_parts
@@ -337,6 +376,31 @@ mod tests {
         assert_eq!(sizes, n);
         let collected = info.collect_outputs(&dispatched);
         assert_eq!(collected, features);
+    }
+
+    #[test]
+    fn derived_structures_are_built_by_need() {
+        let (graph, info) = info();
+        let built = |i: &CommInfo| (i.cagnet.get().is_some(), i.feature_cache.get().is_some());
+        info.build_for_run(&graph, BackendKind::Planned, CachePolicy::Off);
+        assert_eq!(built(&info), (false, false));
+        let lazy = info.clone();
+        info.build_for_run(
+            &graph,
+            BackendKind::Cagnet { replication: 1 },
+            CachePolicy::Auto,
+        );
+        assert_eq!(built(&info), (true, true));
+        // A first reader with no graph at hand re-assembles it from the
+        // local graphs and builds the same structures.
+        assert_eq!(
+            format!("{:?}", lazy.cagnet()),
+            format!("{:?}", info.cagnet())
+        );
+        assert_eq!(
+            format!("{:?}", lazy.feature_cache()),
+            format!("{:?}", info.feature_cache())
+        );
     }
 
     #[test]

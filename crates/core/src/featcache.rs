@@ -60,10 +60,9 @@ pub enum CachePolicy {
 }
 
 /// The offline admission ranking and model-chosen capacities, one entry
-/// per rank. Built once by
-/// [`build_comm_info`](crate::comm_info::build_comm_info) from the
-/// partition alone, so every rank reading the [`CommInfo`] agrees on
-/// every cache set.
+/// per rank. Built once, on first use, by
+/// [`CommInfo::feature_cache`] from the graph and the partition alone, so
+/// every rank reading the [`CommInfo`] agrees on every cache set.
 #[derive(Debug, Clone)]
 pub struct FeatureCacheSets {
     /// Per rank: every non-owned vertex in descending
@@ -291,7 +290,7 @@ impl ClusterCache {
         if policy == CachePolicy::Off {
             return None;
         }
-        let sets = &info.feature_cache;
+        let sets = info.feature_cache();
         let caches = (0..info.num_devices())
             .map(|rank| {
                 let ids = sets.cached_ids(rank, policy);
@@ -344,7 +343,7 @@ mod tests {
     #[test]
     fn ranking_is_descending_score_with_ascending_tiebreak() {
         let (graph, info, _) = setup();
-        let sets = &info.feature_cache;
+        let sets = info.feature_cache();
         let pg = &info.pg;
         for d in 0..pg.num_parts {
             let refs = pg.remote_ref_counts(&graph, d);
@@ -370,7 +369,7 @@ mod tests {
     #[test]
     fn capacities_are_nested_prefixes() {
         let (_, info, _) = setup();
-        let sets = &info.feature_cache;
+        let sets = info.feature_cache();
         for rank in 0..info.num_devices() {
             let small = sets.cached_ids(rank, CachePolicy::Fixed(3));
             let big = sets.cached_ids(rank, CachePolicy::Fixed(10));
@@ -391,7 +390,7 @@ mod tests {
         for (rank, c) in cache.caches.iter().enumerate() {
             assert_eq!(
                 c.ids.len(),
-                info.feature_cache.capacity(rank, CachePolicy::Auto)
+                info.feature_cache().capacity(rank, CachePolicy::Auto)
             );
             for (i, &v) in c.ids.iter().enumerate() {
                 assert_eq!(

@@ -295,7 +295,8 @@ pub fn train_distributed_resumable(
             info.num_devices()
         );
     }
-    let cache_policy = cfg.feature_cache.unwrap_or(info.feature_cache.policy);
+    let cache_policy = cfg.feature_cache.unwrap_or(info.feature_cache_policy);
+    info.build_for_run(graph, backend_kind, cache_policy);
     let cache = ClusterCache::build(info, features, cache_policy);
     let mut net0 = GnnNetwork::new(cfg.arch, &cfg.dims, cfg.weight_seed);
     let (start_epoch, prior_losses) = match resume {

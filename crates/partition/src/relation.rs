@@ -243,6 +243,37 @@ impl PartitionedGraph {
         counts
     }
 
+    /// The global graph this partition was built from, re-assembled from
+    /// the local graphs: each vertex's row is its owner's local row mapped
+    /// back to global ids, in the same neighbour order. The result equals
+    /// the input graph of [`PartitionedGraph::new`] row for row, so a
+    /// structure derived from the graph can be built later without the
+    /// caller keeping the graph.
+    pub fn global_graph(&self) -> CsrGraph {
+        let n = self.partition.len();
+        let mut row = vec![0usize; n];
+        for owned in &self.local {
+            for (i, &v) in owned.iter().enumerate() {
+                row[v as usize] = i;
+            }
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        let edges = self
+            .local_graphs
+            .iter()
+            .map(|lg| lg.graph.num_edges())
+            .sum();
+        let mut targets = Vec::with_capacity(edges);
+        for (v, &p) in self.partition.iter().enumerate() {
+            let lg = &self.local_graphs[p as usize];
+            let locals = lg.graph.neighbors(row[v] as VertexId);
+            targets.extend(locals.iter().map(|&l| lg.global_ids[l as usize]));
+            offsets.push(targets.len());
+        }
+        CsrGraph::from_parts(offsets, targets)
+    }
+
     /// Total number of vertex embeddings crossing partitions per layer
     /// (the sum of all `|V_ij|`).
     pub fn total_demand(&self) -> usize {
@@ -379,6 +410,18 @@ mod tests {
                     assert_eq!(pg.owner(v) as usize, i);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn global_graph_round_trips() {
+        let skewed = dgcl_graph::Dataset::WikiTalk.generate(0.0005, 3);
+        let parts = crate::multilevel::kway(&skewed, 4, 3);
+        for (g, partition) in [(fig1_graph(), fig1_partition()), (skewed, parts)] {
+            let pg = PartitionedGraph::new(&g, partition, 4);
+            let back = pg.global_graph();
+            assert_eq!(back.offsets(), g.offsets());
+            assert_eq!(back.targets(), g.targets());
         }
     }
 

@@ -36,6 +36,9 @@ pub struct CostState {
     num_slots: usize,
     /// Cached per-stage maxima (seconds).
     stage_time: Vec<f64>,
+    /// Per-stage change counter, bumped by every mutation of the stage
+    /// (see [`CostState::stage_version`]).
+    version: Vec<u64>,
 }
 
 /// Directed hop slot: two slots per physical connection.
@@ -102,6 +105,7 @@ impl CostState {
             bytes: vec![0; slots * max_stages],
             num_slots: slots,
             stage_time: vec![0.0; max_stages],
+            version: vec![0; max_stages],
         }
     }
 
@@ -122,6 +126,24 @@ impl CostState {
     /// Panics if `stage` is out of range.
     pub fn stage_time(&self, stage: usize) -> f64 {
         self.stage_time[stage]
+    }
+
+    /// How many times `stage` has been mutated. Every [`CostState::add`],
+    /// [`CostState::add_logged`] and every stage [`CostState::revert`]
+    /// restores bumps it, so while it reads the same, every query of the
+    /// stage (its hop volumes, its time, any delta priced on it) returns
+    /// the same value. The SPST search keys its weight memo on it. The
+    /// counter only grows, so a value is never reused for a different
+    /// state of the stage — but it is meaningful only for this state:
+    /// a clone's counters diverge from the original's under the same
+    /// numbers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is out of range.
+    #[inline]
+    pub fn stage_version(&self, stage: usize) -> u64 {
+        self.version[stage]
     }
 
     /// The increase in total plan time if `bytes` were routed over `route`
@@ -307,6 +329,7 @@ impl CostState {
         log: &mut CostLog,
     ) -> f64 {
         log.stages.push((stage, self.stage_time[stage]));
+        self.version[stage] += 1;
         let volumes = &mut self.bytes[stage * self.num_slots..];
         let mut new_max = self.stage_time[stage];
         for hop in &route.hops {
@@ -333,6 +356,7 @@ impl CostState {
         // Reverse pops restore each stage's earliest recorded time last.
         while let Some((stage, t)) = log.stages.pop() {
             self.stage_time[stage] = t;
+            self.version[stage] += 1;
         }
     }
 
@@ -343,6 +367,7 @@ impl CostState {
     ///
     /// Panics if `stage` is out of range.
     pub fn add(&mut self, stage: usize, route: &Route, bytes: u64) -> f64 {
+        self.version[stage] += 1;
         let volumes = &mut self.bytes[stage * self.num_slots..];
         let mut new_max = self.stage_time[stage];
         for hop in &route.hops {
@@ -602,6 +627,28 @@ mod tests {
             assert_eq!(dp.to_bits(), dl.to_bits());
         }
         assert_eq!(plain.total_time().to_bits(), logged.total_time().to_bits());
+    }
+
+    #[test]
+    fn every_mutation_bumps_only_its_stage_version() {
+        let topo = Topology::fig6();
+        let mut cs = CostState::new(&topo, 3);
+        let route = topo.route(0, 2).clone();
+        let untouched = cs.stage_version(2);
+        let v0 = cs.stage_version(0);
+        let v1 = cs.stage_version(1);
+        cs.add(0, &route, 1000);
+        assert!(cs.stage_version(0) > v0);
+        assert_eq!(cs.stage_version(1), v1);
+        let mut log = CostLog::new();
+        cs.add_logged(1, &route, 1000, &mut log);
+        let logged = cs.stage_version(1);
+        assert!(logged > v1);
+        // The restored stage reads as it did before the add, under a new
+        // version: a version is never reused for a different state.
+        cs.revert(&mut log);
+        assert!(cs.stage_version(1) > logged);
+        assert_eq!(cs.stage_version(2), untouched);
     }
 
     #[test]

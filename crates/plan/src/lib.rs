@@ -12,7 +12,7 @@
 //! * [`spst::spst_plan`] — the shortest-path-spanning-tree planner
 //!   (Algorithm 1), plus [`spst::spst_plan_with_config`], the batched
 //!   fast path: demand-class tree reuse, speculative parallel batches
-//!   and allocation-free search-state reuse (see the `spst` module docs
+//!   and allocation-free search-state and weight reuse (see the `spst` module docs
 //!   for the determinism contract).
 //! * [`baselines`] — peer-to-peer, swap (NeuGraph-style) and replication
 //!   (Medusa-style) alternatives the paper compares against.

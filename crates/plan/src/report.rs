@@ -134,6 +134,11 @@ pub fn render_planner_stats(stats: &crate::spst::PlannerStats) -> String {
         stats.cache_stale, stats.cache_rejected
     );
     let _ = writeln!(out, "  speculative batches: {}", stats.batches);
+    let _ = writeln!(
+        out,
+        "  search work: {} states expanded, {} weights priced",
+        stats.states_expanded, stats.weight_evals
+    );
     out
 }
 
@@ -180,8 +185,11 @@ mod tests {
             cache_stale: 3,
             cache_rejected: 2,
             batches: 4,
+            states_expanded: 700,
+            weight_evals: 900,
         };
         let text = render_planner_stats(&stats);
+        assert!(text.contains("700 states expanded, 900 weights priced"));
         assert!(text.contains("100 demands in 10 classes"));
         assert!(text.contains("50 (50.0%)"));
         assert!(text.contains("of which 5 re-plans"));

@@ -47,10 +47,32 @@
 //!    against the pristine snapshot (they undo their own trial commits
 //!    with [`CostState::revert`]), so the result depends only on the
 //!    batch boundaries — never on thread scheduling.
-//! 3. **Search-state reuse.** The Dijkstra scratch (heap, distance and
-//!    parent arrays) lives in an epoch-stamped `SearchScratch`; an
-//!    extension resets it by bumping a counter instead of rewriting
-//!    `O(m²)` entries, and steady-state planning allocates nothing.
+//! 3. **Search-state and weight reuse.** The Dijkstra scratch (heap,
+//!    distance and parent arrays) lives in an epoch-stamped
+//!    `SearchScratch`; an extension resets it by bumping a counter
+//!    instead of rewriting `O(m²)` entries, and steady-state planning
+//!    allocates nothing. Two exact cuts make each search cheaper, and
+//!    both are always on, the exact planner included:
+//!    - *A per-stage weight memo.* A relaxation `(depth, gpu → next)`
+//!      reads only stage `depth`'s hop volumes and time, and a commit
+//!      changes only the stages its tree touches. The scratch keeps every
+//!      weight it priced, stamped with [`CostState::stage_version`], and
+//!      reuses it while the stage's version is unchanged: the same
+//!      expression on the same inputs, so the same float.
+//!    - *Empty-stage dominance.* On a stage with no volume yet, a pair's
+//!      weight is the same float at every depth, so past the first empty
+//!      stage the layered graph repeats layer after layer. A GPU expanded
+//!      at one empty depth is not expanded again deeper in the same
+//!      search: every continuation of the deeper copy is matched by the
+//!      shallower one with the same weights, at no larger a distance,
+//!      and the heap's `(dist, depth, gpu)` order already prefers it.
+//!
+//!    On the `e2e` `fullbatch-halo` inputs (16 GPUs, 4 of 15 stages used)
+//!    the two cuts take the exact search from 1.95M expanded states and
+//!    24.5M priced weights to 0.72M and 1.03M, with the plan bit for bit
+//!    the same ([`PlannerStats::states_expanded`] and
+//!    [`PlannerStats::weight_evals`] count the work;
+//!    `tests/plan_fingerprints.rs` pins the plans).
 //!
 //! Determinism contract: for a fixed `(seed, threads, tolerance,
 //! batch_size)` the planner is bit-deterministic, and at `threads = 1,
@@ -122,9 +144,12 @@ pub struct SpstConfig {
     pub batch_size: usize,
     /// Maximum communication-tree depth the fast path searches (`0` =
     /// exact, up to `gpus - 1`). Exact plans put only a few percent of
-    /// their volume below depth 4 on an 8-GPU machine, but the layered
-    /// search wastes most of its time flooding those deep, zero-delta
-    /// plateaus; capping the depth is the single biggest search speedup.
+    /// their volume below depth 4 on an 8-GPU machine. The search no
+    /// longer floods the deep stages that are still empty (the
+    /// empty-stage dominance cut, see the module docs), so what the cap
+    /// still buys is fewer layers over stages that already carry volume,
+    /// and smaller trees to cache and re-price; it is also part of the
+    /// batched planner's determinism key, so changing it changes plans.
     /// Exact trees grow deeper with the machine, so the planner widens
     /// the cap to `3 * gpus / 8` layers on larger topologies (6 at 16
     /// GPUs — depth 4 there costs ~10% plan quality on dense graphs).
@@ -186,6 +211,14 @@ pub struct PlannerStats {
     pub cache_rejected: usize,
     /// Speculative batches executed (0 for the sequential planner).
     pub batches: usize,
+    /// Layered-search states expanded (popped and relaxed) across every
+    /// search, the speculative workers' trial searches included. A
+    /// deterministic measure of search work: it depends only on the
+    /// inputs and the configuration.
+    pub states_expanded: usize,
+    /// Edge weights the searches priced with [`CostState::delta_slots`],
+    /// counting only weights the per-stage memo could not reuse.
+    pub weight_evals: usize,
 }
 
 /// One directed edge of a communication tree: GPU `src` forwards to GPU
@@ -300,6 +333,12 @@ impl PartialOrd for HeapEntry {
 /// every distance). An entry is live only when its stamp matches the
 /// current epoch; stale entries read as `∞` / no-parent, exactly as if
 /// freshly cleared.
+///
+/// A scratch belongs to one [`CostState`]: its weight memo is validated
+/// against that state's stage versions, which mean nothing for another
+/// state (a clone's counters diverge under the same numbers). Every
+/// speculative worker therefore builds its own scratch next to its own
+/// clone.
 struct SearchScratch {
     m: usize,
     max_stages: usize,
@@ -310,6 +349,15 @@ struct SearchScratch {
     dist: Vec<f64>,
     parent: Vec<Option<(usize, usize)>>,
     heap: BinaryHeap<HeapEntry>,
+    /// Edge weight memo: `memo_w[(depth·m + gpu)·m + next]` holds
+    /// `delta_slots(depth, gpu → next) + tie_bytes(gpu, next)` as last
+    /// computed, valid iff `memo_stamp` at the same index equals
+    /// `CostState::stage_version(depth)`.
+    memo_w: Vec<f64>,
+    memo_stamp: Vec<u64>,
+    /// Per GPU, the smallest depth at or past the first empty stage that
+    /// this search has expanded (`usize::MAX` if none).
+    empty_min_depth: Vec<usize>,
     /// Depth of each GPU in the tree under construction, `None` if absent.
     member_depth: Vec<Option<usize>>,
     /// Destinations not yet covered by the tree.
@@ -319,6 +367,10 @@ struct SearchScratch {
     tree: Vec<TreeEdge>,
     /// Allocation-free scratch for whole-tree pricing re-checks.
     price: PriceScratch,
+    /// Search work done with this scratch
+    /// ([`PlannerStats::states_expanded`], [`PlannerStats::weight_evals`]).
+    states_expanded: usize,
+    weight_evals: usize,
 }
 
 impl SearchScratch {
@@ -334,11 +386,17 @@ impl SearchScratch {
             dist: vec![f64::INFINITY; n],
             parent: vec![None; n],
             heap: BinaryHeap::new(),
+            memo_w: vec![0.0; max_stages * m * m],
+            // Stage versions count up from 0 and never reach this.
+            memo_stamp: vec![u64::MAX; max_stages * m * m],
+            empty_min_depth: vec![usize::MAX; m],
             member_depth: vec![None; m],
             remaining: vec![false; m],
             path: Vec::new(),
             tree: Vec::new(),
             price: cost.price_scratch(),
+            states_expanded: 0,
+            weight_evals: 0,
         }
     }
 }
@@ -442,11 +500,16 @@ fn plan_tree(
         dist,
         parent,
         heap,
+        memo_w,
+        memo_stamp,
+        empty_min_depth,
         member_depth,
         remaining,
         path,
         tree,
         price: _,
+        states_expanded,
+        weight_evals,
     } = scratch;
     let (m, max_stages) = (*m, *max_stages);
     let state = |gpu: usize, depth: usize| depth * m + gpu;
@@ -470,6 +533,14 @@ fn plan_tree(
         *epoch += 1;
         let ep = *epoch;
         heap.clear();
+        // Stages `empty_from..max_stages` carry no volume yet (the search
+        // itself commits nothing, so this holds for the whole extension).
+        let empty_from = (0..max_stages)
+            .rev()
+            .take_while(|&stage| cost.stage_time(stage) == 0.0)
+            .last()
+            .unwrap_or(max_stages);
+        empty_min_depth.fill(usize::MAX);
         for (g, md) in member_depth.iter().enumerate() {
             if let Some(d) = md {
                 let s = state(g, *d);
@@ -511,6 +582,34 @@ fn plan_tree(
             if depth >= max_stages {
                 continue;
             }
+            // Empty-stage dominance. Every stage from `empty_from` on is
+            // empty, and on an empty stage `delta_slots` returns the same
+            // float for a pair at every depth, so there the layered graph
+            // repeats layer after layer. If `(gpu, d')` with
+            // `empty_from <= d' < depth` was already expanded, every path
+            // onward from `(gpu, depth)` has a copy from `(gpu, d')` over
+            // the same GPUs with the same weights, ending at a smaller
+            // depth at a distance no larger (`(gpu, d')` popped first,
+            // and float addition is monotone). States pop in
+            // `(dist, depth, gpu)` order, so a target reached through
+            // `(gpu, depth)` always has a copy that pops first: the first
+            // target popped, which the keep-first rule chooses, and its
+            // path never run through `(gpu, depth)`, and skipping the
+            // expansion leaves the target, its distance and its path
+            // unchanged. The target check stays ahead of this cut.
+            if depth >= empty_from {
+                if empty_min_depth[gpu] < depth {
+                    continue;
+                }
+                empty_min_depth[gpu] = depth;
+            }
+            *states_expanded += 1;
+            // A relaxation `(depth, gpu -> next)` reads only stage
+            // `depth`'s hop volumes and time, so its weight is reused
+            // while the stage's version is unchanged: between extensions
+            // a commit touches only the stages its path uses.
+            let version = cost.stage_version(depth);
+            let memo_row = (depth * m + gpu) * m;
             for (next, in_tree) in member_depth.iter().enumerate() {
                 if next == gpu || in_tree.is_some() {
                     continue;
@@ -537,8 +636,17 @@ fn plan_tree(
                         continue;
                     }
                 }
-                let w = cost.delta_slots(depth, pairs.slots(gpu, next), bytes_per_vertex)
-                    + pairs.tie_bytes(gpu, next);
+                let k = memo_row + next;
+                let w = if memo_stamp[k] == version {
+                    memo_w[k]
+                } else {
+                    *weight_evals += 1;
+                    let w = cost.delta_slots(depth, pairs.slots(gpu, next), bytes_per_vertex)
+                        + pairs.tie_bytes(gpu, next);
+                    memo_w[k] = w;
+                    memo_stamp[k] = version;
+                    w
+                };
                 let nd = d + w;
                 if nd < cur {
                     stamp[sn] = ep;
@@ -995,7 +1103,8 @@ pub fn spst_plan_with_config(
                             let mut local = snapshot.clone();
                             let mut local_log = CostLog::new();
                             let mut local_scratch = SearchScratch::new(m, search_depth, &local);
-                            part.iter()
+                            let trees = part
+                                .iter()
                                 .map(|(_, src, dsts)| {
                                     let predicted = plan_tree(
                                         topology_ref,
@@ -1013,14 +1122,23 @@ pub fn spst_plan_with_config(
                                     local.revert(&mut local_log);
                                     (local_scratch.tree.clone(), predicted)
                                 })
-                                .collect::<Vec<_>>()
+                                .collect::<Vec<_>>();
+                            (
+                                trees,
+                                local_scratch.states_expanded,
+                                local_scratch.weight_evals,
+                            )
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("speculative planner worker"))
-                    .collect()
+                let mut speculative = Vec::with_capacity(batch.len());
+                for h in handles {
+                    let (trees, expanded, evals) = h.join().expect("speculative planner worker");
+                    speculative.extend(trees);
+                    stats.states_expanded += expanded;
+                    stats.weight_evals += evals;
+                }
+                speculative
             })
             .expect("speculative planner scope");
             // Commit sequentially in demand order.
@@ -1049,6 +1167,8 @@ pub fn spst_plan_with_config(
             }
         }
     }
+    stats.states_expanded += scratch.states_expanded;
+    stats.weight_evals += scratch.weight_evals;
     let plan = CommPlan::from_edges(m, edges);
     SpstOutcome {
         plan,

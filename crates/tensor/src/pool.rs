@@ -34,6 +34,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Rows per work chunk. Fixed so chunk boundaries are a function of the
 /// output shape only (see the determinism contract above).
@@ -41,6 +42,11 @@ pub const CHUNK_ROWS: usize = 16;
 
 /// `0` means "resolve from the machine" (see [`compute_threads`]).
 static COMPUTE_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// The machine value, resolved once: `available_parallelism` reads the
+/// cgroup files on every call (tens of microseconds and a few heap
+/// allocations), too much for a per-kernel default.
+static MACHINE_THREADS: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// This thread's kernel budget; `0` means unset (use the process value).
@@ -74,10 +80,12 @@ pub fn compute_threads() -> usize {
         return budget;
     }
     match COMPUTE_THREADS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8),
+        0 => *MACHINE_THREADS.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .clamp(1, 8)
+        }),
         n => n,
     }
 }
