@@ -1,9 +1,7 @@
 //! Criterion bench for the SPST planner (Table 8's measurement).
 //!
-//! Benchmarks the exact sequential planner against the batched fast
-//! path (`SpstConfig::batched`) at one and several threads, so the
-//! demand-class-reuse win and the thread-scaling win are visible
-//! separately. One more cell runs the exact planner on the `e2e`
+//! Benchmarks the exact planner against the demand-class cache
+//! (`SpstConfig::cached()`). One more cell runs the exact planner on the `e2e`
 //! `fullbatch-halo` inputs (Wiki-Talk ×0.05 on two IB-joined DGX-1s,
 //! hierarchical partition): at 16 GPUs the search may use fifteen
 //! stages, most of them still empty, which 4 and 8 GPUs never show.
@@ -30,18 +28,9 @@ fn bench_spst(c: &mut Criterion) {
                 |b, _| b.iter(|| spst_plan(&pg, &topo, 1024, 42)),
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("{}-batched1", dataset.name()), gpus),
+                BenchmarkId::new(format!("{}-cached", dataset.name()), gpus),
                 &gpus,
-                |b, _| {
-                    b.iter(|| spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::batched(1)))
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{}-batched4", dataset.name()), gpus),
-                &gpus,
-                |b, _| {
-                    b.iter(|| spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::batched(4)))
-                },
+                |b, _| b.iter(|| spst_plan_with_config(&pg, &topo, 1024, 42, SpstConfig::cached())),
             );
         }
     }

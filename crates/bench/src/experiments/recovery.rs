@@ -4,8 +4,8 @@
 //! Two questions, straight from the elastic-recovery design:
 //!
 //! * **Replan cost** — after an eviction the survivors' demands fall
-//!   into few demand classes, so replanning with the batched planner
-//!   (demand-class cache on) should resolve most demands from cache
+//!   into few demand classes, so replanning with the demand-class
+//!   cache (`SpstConfig::cached()`) should resolve most demands from cache
 //!   where the exact cold planner runs a full spanning-tree search per
 //!   demand. Measured per graph on the 3-GPU survivor topology:
 //!   wall-clock (best of N) plus the planner's own demand-resolution
@@ -45,13 +45,10 @@ pub fn run(ctx: &mut RunContext) {
 
     // Replan comparison: the topology recovery actually replans on —
     // fig6 with one GPU evicted. Timed at the planner (the partition
-    // and table compilation around it are identical either way). One
-    // planner thread: the demand-class cache alone, so neither the
-    // verdict nor the counters depend on the box's core count (at this
-    // size speculative batches on more threads cost more than they save;
-    // table8 measures that tier).
+    // and table compilation around it are identical either way). The
+    // warm planner is the one `train_elastic` replans with.
     let survivors = Topology::fig6().evict_gpus(&[2]);
-    let warm_config = SpstConfig::batched(1);
+    let warm_config = SpstConfig::cached();
     let mut replans: Vec<Json> = Vec::new();
     let mut rows = Vec::new();
     for dataset in [Dataset::WikiTalk, Dataset::WebGoogle] {
@@ -82,8 +79,7 @@ pub fn run(ctx: &mut RunContext) {
             cold_stats.full_searches.to_string(),
             format!(
                 "{} ({} cached)",
-                warm_stats.full_searches,
-                warm_stats.cache_commits + warm_stats.speculative_commits
+                warm_stats.full_searches, warm_stats.cache_commits
             ),
         ]);
         replans.push(obj! {
@@ -94,12 +90,12 @@ pub fn run(ctx: &mut RunContext) {
             "demands": cold_stats.demands,
             "cold_full_searches": cold_stats.full_searches,
             "warm_full_searches": warm_stats.full_searches,
-            "warm_cache_commits": warm_stats.cache_commits + warm_stats.speculative_commits,
+            "warm_cache_commits": warm_stats.cache_commits,
             "warm_beats_cold": warm_seconds < cold_seconds,
         });
     }
     print_table(
-        "Recovery: survivor replan, cold exact vs warm batched (3 GPUs)",
+        "Recovery: survivor replan, cold exact vs warm class-cached (3 GPUs)",
         &[
             "Dataset",
             "Cold (ms)",
@@ -111,7 +107,7 @@ pub fn run(ctx: &mut RunContext) {
         &rows,
     );
     println!(
-        "  (cold = exact sequential planner, one spanning-tree search per demand;\n   warm = batched planner, demand-class cache resolving repeat classes.)"
+        "  (cold = exact sequential planner, one spanning-tree search per demand;\n   warm = demand-class cache resolving repeat classes.)"
     );
 
     // End-to-end: inject one crash per mode and run the elastic driver.

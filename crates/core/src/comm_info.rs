@@ -39,9 +39,9 @@ pub struct BuildOptions {
     /// enough. Either way [`CommInfo::backend_choice`] records what the
     /// selector would have picked.
     pub backend: BackendPolicy,
-    /// Planner configuration. The default is the exact sequential
-    /// planner (bit-identical plans, no cache); recovery replans pass
-    /// [`SpstConfig::batched`] so the demand-class cache amortises the
+    /// Planner configuration. The default is the exact planner
+    /// (bit-identical plans, no cache); recovery replans pass
+    /// [`SpstConfig::cached`] so the demand-class cache amortises the
     /// survivors' near-identical demands.
     pub spst: SpstConfig,
     /// Hot-vertex remote feature cache policy: the default capacity

@@ -16,11 +16,11 @@
 //!    [`Topology::evict_gpus`] removes them (GPUs are leaves of the
 //!    routing topology, so survivors stay connected);
 //! 3. **replan** — the graph is repartitioned over the survivors and
-//!    the SPST planner re-runs with [`RecoveryConfig::replan`]
-//!    (batched, demand-class cache enabled by default): the survivors'
-//!    demands fall into few classes, so the warm replan resolves most
-//!    demands from cache commits where the cold initial plan ran full
-//!    searches — [`RecoveryEvent::replan_stats`] records the evidence;
+//!    the SPST planner re-runs with the demand-class cache
+//!    ([`SpstConfig::cached`]): the survivors' demands fall into few
+//!    classes, so the warm replan resolves most demands from cache
+//!    commits where the cold initial plan ran full searches —
+//!    [`RecoveryEvent::replan_stats`] records the evidence;
 //! 4. **resume** — the checkpoint restores onto the new partition (the
 //!    weights are replicated, so "remapping" is rebuilding
 //!    [`CommInfo`] and re-dispatching the driver-held global features)
@@ -70,13 +70,8 @@ pub struct RecoveryConfig {
     /// the last [`ClusterError`].
     pub max_evictions: usize,
     /// Build options for the initial plan and (with
-    /// [`RecoveryConfig::replan`] substituted) every survivor replan.
+    /// [`SpstConfig::cached`] as the planner) every survivor replan.
     pub build: BuildOptions,
-    /// Planner configuration for survivor replans. Defaults to
-    /// [`SpstConfig::batched`] over the build's thread count — the
-    /// demand-class cache is what makes a replan cheaper than the cold
-    /// initial plan.
-    pub replan: SpstConfig,
     /// Serialized-checkpoint cadence; `None` keeps only the in-memory
     /// tier.
     pub spec: Option<CheckpointSpec>,
@@ -90,7 +85,6 @@ impl Default for RecoveryConfig {
             fabrics: Vec::new(),
             max_evictions: 2,
             build: BuildOptions::default(),
-            replan: SpstConfig::batched(4),
             spec: None,
             resume: ResumePolicy::Memory,
         }
@@ -203,8 +197,8 @@ pub fn train_elastic(
                 }
                 topology = topology.evict_gpus(&dead);
                 // Warm replan over the survivors: same seed and payload
-                // sizing, batched planner with the demand-class cache.
-                build.spst = rcfg.replan;
+                // sizing, with the demand-class cache.
+                build.spst = SpstConfig::cached();
                 let replan_start = Instant::now();
                 info = Arc::new(build_comm_info(graph, topology.clone(), build));
                 let replan_seconds = replan_start.elapsed().as_secs_f64();

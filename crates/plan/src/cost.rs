@@ -36,8 +36,8 @@ pub struct CostState {
     num_slots: usize,
     /// Cached per-stage maxima (seconds).
     stage_time: Vec<f64>,
-    /// Per-stage change counter, bumped by every mutation of the stage
-    /// (see [`CostState::stage_version`]).
+    /// Per-stage change counter, bumped by every [`CostState::add`] to
+    /// the stage (see [`CostState::stage_version`]).
     version: Vec<u64>,
 }
 
@@ -57,36 +57,6 @@ pub struct PriceScratch {
     touched: Vec<usize>,
     stage_stamp: Vec<u64>,
     stage_max: Vec<f64>,
-}
-
-/// Undo log for [`CostState::add_logged`] / [`CostState::revert`].
-///
-/// Reusable across trees: [`CostState::revert`] drains it, so a worker
-/// keeps one log alive and pays no allocation after the first tree.
-#[derive(Debug, Clone, Default)]
-pub struct CostLog {
-    /// `(stage, stage_time before the add)`, one per logged add.
-    stages: Vec<(usize, f64)>,
-    /// `(stage, slot, bytes)` per touched hop.
-    hops: Vec<(usize, usize, u64)>,
-}
-
-impl CostLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when there is nothing to revert.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty() && self.hops.is_empty()
-    }
-
-    /// Forgets the recorded adds without undoing them (keep the commit).
-    pub fn clear(&mut self) {
-        self.stages.clear();
-        self.hops.clear();
-    }
 }
 
 impl CostState {
@@ -128,15 +98,12 @@ impl CostState {
         self.stage_time[stage]
     }
 
-    /// How many times `stage` has been mutated. Every [`CostState::add`],
-    /// [`CostState::add_logged`] and every stage [`CostState::revert`]
-    /// restores bumps it, so while it reads the same, every query of the
-    /// stage (its hop volumes, its time, any delta priced on it) returns
-    /// the same value. The SPST search keys its weight memo on it. The
-    /// counter only grows, so a value is never reused for a different
-    /// state of the stage — but it is meaningful only for this state:
-    /// a clone's counters diverge from the original's under the same
-    /// numbers.
+    /// How many times [`CostState::add`] has committed volume to `stage`.
+    /// While it reads the same, every query of the stage (its hop
+    /// volumes, its time, any delta priced on it) returns the same value;
+    /// the SPST search keys its weight memo on it. A version only ever
+    /// grows because a stage only ever gains volume, so a value is never
+    /// reused for a different state of the stage.
     ///
     /// # Panics
     ///
@@ -310,53 +277,6 @@ impl CostState {
             touched: Vec::new(),
             stage_stamp: vec![0; self.stage_time.len()],
             stage_max: vec![0.0; self.stage_time.len()],
-        }
-    }
-
-    /// [`CostState::add`] that also records enough state into `log` for
-    /// [`CostState::revert`] to undo it bit-exactly. The SPST planner's
-    /// speculative workers commit into a scratch copy while growing a
-    /// tree (later extensions must price earlier ones), then roll back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range.
-    pub fn add_logged(
-        &mut self,
-        stage: usize,
-        route: &Route,
-        bytes: u64,
-        log: &mut CostLog,
-    ) -> f64 {
-        log.stages.push((stage, self.stage_time[stage]));
-        self.version[stage] += 1;
-        let volumes = &mut self.bytes[stage * self.num_slots..];
-        let mut new_max = self.stage_time[stage];
-        for hop in &route.hops {
-            let s = slot(hop.conn.index(), hop.forward);
-            volumes[s] += bytes;
-            log.hops.push((stage, s, bytes));
-            let t = volumes[s] as f64 * self.hop_inv_bandwidth[s];
-            if t > new_max {
-                new_max = t;
-            }
-        }
-        let delta = new_max - self.stage_time[stage];
-        self.stage_time[stage] = new_max;
-        delta
-    }
-
-    /// Undoes every [`CostState::add_logged`] recorded in `log` (in
-    /// reverse order), restoring volumes and stage times bit-exactly,
-    /// and leaves `log` empty.
-    pub fn revert(&mut self, log: &mut CostLog) {
-        while let Some((stage, s, b)) = log.hops.pop() {
-            self.bytes[stage * self.num_slots + s] -= b;
-        }
-        // Reverse pops restore each stage's earliest recorded time last.
-        while let Some((stage, t)) = log.stages.pop() {
-            self.stage_time[stage] = t;
-            self.version[stage] += 1;
         }
     }
 
@@ -578,58 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn add_logged_then_revert_restores_bit_exactly() {
-        let topo = Topology::fig6();
-        let mut cs = CostState::new(&topo, 4);
-        cs.add(0, &topo.route(0, 2).clone(), 7_000_000);
-        cs.add(2, &topo.route(3, 1).clone(), 1_234_567);
-        let baseline = cs.clone();
-
-        let mut log = CostLog::new();
-        let d1 = cs.add_logged(0, &topo.route(1, 3).clone(), 4_000_000, &mut log);
-        let d2 = cs.add_logged(1, &topo.route(0, 1).clone(), 2_000_000, &mut log);
-        let d3 = cs.add_logged(0, &topo.route(1, 3).clone(), 4_000_000, &mut log);
-        assert!(d1 > 0.0 && d2 > 0.0 && d3 > 0.0);
-        assert!(cs.total_time() > baseline.total_time());
-
-        cs.revert(&mut log);
-        assert!(log.is_empty());
-        for stage in 0..4 {
-            assert_eq!(
-                cs.stage_time(stage).to_bits(),
-                baseline.stage_time(stage).to_bits()
-            );
-            for conn in topo.conns() {
-                for fwd in [false, true] {
-                    assert_eq!(
-                        cs.hop_bytes(stage, conn.id.index(), fwd),
-                        baseline.hop_bytes(stage, conn.id.index(), fwd)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn add_logged_matches_add() {
-        let topo = Topology::fig6();
-        let mut plain = CostState::new(&topo, 3);
-        let mut logged = CostState::new(&topo, 3);
-        let mut log = CostLog::new();
-        for (stage, a, b, bytes) in [
-            (0usize, 0, 2, 5_000_000u64),
-            (0, 1, 3, 3_000_000),
-            (1, 2, 0, 9_999),
-        ] {
-            let r = topo.route(a, b).clone();
-            let dp = plain.add(stage, &r, bytes);
-            let dl = logged.add_logged(stage, &r, bytes, &mut log);
-            assert_eq!(dp.to_bits(), dl.to_bits());
-        }
-        assert_eq!(plain.total_time().to_bits(), logged.total_time().to_bits());
-    }
-
-    #[test]
     fn every_mutation_bumps_only_its_stage_version() {
         let topo = Topology::fig6();
         let mut cs = CostState::new(&topo, 3);
@@ -640,14 +508,8 @@ mod tests {
         cs.add(0, &route, 1000);
         assert!(cs.stage_version(0) > v0);
         assert_eq!(cs.stage_version(1), v1);
-        let mut log = CostLog::new();
-        cs.add_logged(1, &route, 1000, &mut log);
-        let logged = cs.stage_version(1);
-        assert!(logged > v1);
-        // The restored stage reads as it did before the add, under a new
-        // version: a version is never reused for a different state.
-        cs.revert(&mut log);
-        assert!(cs.stage_version(1) > logged);
+        cs.add(1, &route, 1000);
+        assert!(cs.stage_version(1) > v1);
         assert_eq!(cs.stage_version(2), untouched);
     }
 

@@ -10,10 +10,10 @@
 //!   physical-hop volume accounting with `O(hops)` incremental cost
 //!   queries (Algorithm 2, computed incrementally).
 //! * [`spst::spst_plan`] — the shortest-path-spanning-tree planner
-//!   (Algorithm 1), plus [`spst::spst_plan_with_config`], the batched
-//!   fast path: demand-class tree reuse, speculative parallel batches
-//!   and allocation-free search-state and weight reuse (see the `spst` module docs
-//!   for the determinism contract).
+//!   (Algorithm 1), plus [`spst::spst_plan_with_config`], which adds the
+//!   demand-class tree cache; both reuse search state and edge weights
+//!   without allocating (see the `spst` module docs for the determinism
+//!   contract).
 //! * [`baselines`] — peer-to-peer, swap (NeuGraph-style) and replication
 //!   (Medusa-style) alternatives the paper compares against.
 //! * [`plan::CommPlan`] — the staged plan, with a propagation validator.
@@ -45,7 +45,7 @@ pub mod report;
 pub mod spst;
 pub mod tuples;
 
-pub use cost::{CostLog, CostState};
+pub use cost::CostState;
 pub use plan::{CommPlan, CommStep};
 pub use spst::{
     spst_plan, spst_plan_with_config, spst_plan_with_order, PlannerStats, SpstConfig, SpstOutcome,

@@ -92,8 +92,8 @@ pub fn render_plan(plan: &CommPlan, topology: &Topology) -> String {
 }
 
 /// Renders [`PlannerStats`](crate::spst::PlannerStats) as a one-glance
-/// summary: how the batched fast path resolved each demand and how well
-/// the demand-class cache held up.
+/// summary: how the planner resolved each demand and how well the
+/// demand-class cache held up.
 pub fn render_planner_stats(stats: &crate::spst::PlannerStats) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -117,23 +117,15 @@ pub fn render_planner_stats(stats: &crate::spst::PlannerStats) -> String {
     );
     let _ = writeln!(
         out,
-        "  speculative commits: {:>8} ({:.1}%)",
-        stats.speculative_commits,
-        pct(stats.speculative_commits)
-    );
-    let _ = writeln!(
-        out,
-        "  full searches:       {:>8} ({:.1}%, of which {} re-plans)",
+        "  full searches:       {:>8} ({:.1}%)",
         stats.full_searches,
-        pct(stats.full_searches),
-        stats.replans
+        pct(stats.full_searches)
     );
     let _ = writeln!(
         out,
         "  cache misses: {} stale, {} over-tolerance",
         stats.cache_stale, stats.cache_rejected
     );
-    let _ = writeln!(out, "  speculative batches: {}", stats.batches);
     let _ = writeln!(
         out,
         "  search work: {} states expanded, {} weights priced",
@@ -178,13 +170,10 @@ mod tests {
         let stats = crate::spst::PlannerStats {
             demands: 100,
             classes: 10,
-            full_searches: 20,
+            full_searches: 50,
             cache_commits: 50,
-            speculative_commits: 30,
-            replans: 5,
             cache_stale: 3,
             cache_rejected: 2,
-            batches: 4,
             states_expanded: 700,
             weight_evals: 900,
         };
@@ -192,7 +181,6 @@ mod tests {
         assert!(text.contains("700 states expanded, 900 weights priced"));
         assert!(text.contains("100 demands in 10 classes"));
         assert!(text.contains("50 (50.0%)"));
-        assert!(text.contains("of which 5 re-plans"));
         assert!(text.contains("3 stale, 2 over-tolerance"));
     }
 

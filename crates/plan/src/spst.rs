@@ -17,12 +17,12 @@
 //! later ones), contention avoidance (shared hops accumulate cost) and
 //! load balance (adding to an underloaded link costs zero).
 //!
-//! # The batched fast path
+//! # Two reuse tiers
 //!
 //! The search above is exact but expensive: every tree extension runs a
 //! layered Dijkstra over `O(m²)` states. [`spst_plan_with_config`] layers
-//! three optimisations on top of it, none of which change what a tree
-//! *is* — only how often the full search runs:
+//! two optimisations on top of it, neither of which changes what a tree
+//! *is* — only how often, and how expensively, the full search runs:
 //!
 //! 1. **Demand-class reuse.** Vertices with the same `(src, dsts)`
 //!    multicast signature (at most `m · 2^(m-1)` classes for `m` GPUs,
@@ -38,16 +38,7 @@
 //!    A rejected re-check falls back to the full search and refreshes
 //!    the cache, which is what preserves the greedy load-balancing
 //!    property.
-//! 2. **Speculative parallel batches.** With `threads > 1`, demands are
-//!    planned in batches against a *frozen snapshot* of the cost state by
-//!    scoped worker threads, then committed sequentially in demand order.
-//!    A speculative tree is accepted if its delta on the live state is
-//!    still within `tolerance` of its predicted delta on the snapshot;
-//!    otherwise the demand is re-planned live. Workers plan every demand
-//!    against the pristine snapshot (they undo their own trial commits
-//!    with [`CostState::revert`]), so the result depends only on the
-//!    batch boundaries — never on thread scheduling.
-//! 3. **Search-state and weight reuse.** The Dijkstra scratch (heap,
+//! 2. **Search-state and weight reuse.** The Dijkstra scratch (heap,
 //!    distance and parent arrays) lives in an epoch-stamped
 //!    `SearchScratch`; an extension resets it by bumping a counter
 //!    instead of rewriting `O(m²)` entries, and steady-state planning
@@ -74,10 +65,10 @@
 //!    [`PlannerStats::weight_evals`] count the work;
 //!    `tests/plan_fingerprints.rs` pins the plans).
 //!
-//! Determinism contract: for a fixed `(seed, threads, tolerance,
-//! batch_size)` the planner is bit-deterministic, and at `threads = 1,
-//! tolerance = 0` it is bit-identical to the exact sequential planner
-//! (the reuse tiers are disabled, not merely unlikely to fire).
+//! Determinism contract: for a fixed `(seed, order, tolerance)` the
+//! planner is bit-deterministic, and at `tolerance = 0` it is
+//! bit-identical to the exact sequential planner (the class cache is
+//! disabled, not merely unlikely to fire).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -90,7 +81,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::cost::{CostLog, CostState, PriceScratch};
+use crate::cost::{CostState, PriceScratch};
 use crate::plan::CommPlan;
 
 /// Result of running the SPST planner.
@@ -103,7 +94,7 @@ pub struct SpstOutcome {
     pub cost: CostState,
     /// Wall-clock planning time in seconds (Table 8 measures this).
     pub planning_seconds: f64,
-    /// How each demand was resolved (full search, cache hit, speculation).
+    /// How each demand was resolved (full search or cache hit).
     pub stats: PlannerStats,
 }
 
@@ -125,69 +116,53 @@ pub enum VertexOrder {
     ByFanoutDesc,
 }
 
-/// Configuration of the batched SPST planner.
+/// Configuration of the SPST planner.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpstConfig {
     /// Vertex processing order.
     pub order: VertexOrder,
-    /// Worker threads for speculative batch planning. `1` disables
-    /// speculation entirely (no snapshots, no batches).
-    pub threads: usize,
-    /// Relative cost-drift tolerance for committing a cached or
-    /// speculative tree without re-searching. `0.0` disables the
-    /// demand-class cache and makes speculation accept only bit-exact
-    /// predictions, reproducing the exact sequential planner.
+    /// Relative cost-drift tolerance for committing a cached tree without
+    /// re-searching. `0.0` disables the demand-class cache and the search
+    /// depth cap, reproducing the exact planner.
     pub tolerance: f64,
-    /// Demands per speculative batch; `0` picks `threads * 32`. Part of
-    /// the determinism key: different batch sizes may produce different
-    /// (equally valid) plans.
-    pub batch_size: usize,
-    /// Maximum communication-tree depth the fast path searches (`0` =
-    /// exact, up to `gpus - 1`). Exact plans put only a few percent of
-    /// their volume below depth 4 on an 8-GPU machine. The search no
-    /// longer floods the deep stages that are still empty (the
-    /// empty-stage dominance cut, see the module docs), so what the cap
-    /// still buys is fewer layers over stages that already carry volume,
-    /// and smaller trees to cache and re-price; it is also part of the
-    /// batched planner's determinism key, so changing it changes plans.
-    /// Exact trees grow deeper with the machine, so the planner widens
-    /// the cap to `3 * gpus / 8` layers on larger topologies (6 at 16
-    /// GPUs — depth 4 there costs ~10% plan quality on dense graphs).
-    /// Ignored when `tolerance == 0` so the exact configuration stays
-    /// bit-identical to the seed planner.
-    pub depth_cap: usize,
 }
 
 impl Default for SpstConfig {
-    /// The exact planner: sequential, zero tolerance.
+    /// The exact planner: zero tolerance.
     fn default() -> Self {
         Self {
             order: VertexOrder::Shuffled,
-            threads: 1,
             tolerance: 0.0,
-            batch_size: 0,
-            depth_cap: 0,
         }
     }
 }
 
 impl SpstConfig {
-    /// The batched fast path at its defaults: `threads` workers, 5%
-    /// drift tolerance, automatic batch size.
-    pub fn batched(threads: usize) -> Self {
+    /// The demand-class cache at its defaults: 5% drift tolerance.
+    pub fn cached() -> Self {
         Self {
             order: VertexOrder::Shuffled,
-            threads: threads.max(1),
             tolerance: 0.05,
-            batch_size: 0,
-            depth_cap: 4,
         }
     }
 }
 
-/// Counters describing how the planner resolved each demand. The three
+/// Maximum communication-tree depth the search covers when the class
+/// cache is on (`tolerance > 0`). Exact plans put only a few percent of
+/// their volume below depth 4 on an 8-GPU machine. The search does not
+/// flood the deep stages that are still empty (the empty-stage dominance
+/// cut, see the module docs), so what the cap buys is fewer layers over
+/// stages that already carry volume, and smaller trees to cache and
+/// re-price; changing it changes the cached plans. Exact trees grow
+/// deeper with the machine, so the planner widens the cap to
+/// `3 * gpus / 8` layers on larger topologies (6 at 16 GPUs — depth 4
+/// there costs ~10% plan quality on dense graphs). The exact
+/// configuration keeps the full `gpus - 1` layers.
+const CACHED_DEPTH_CAP: usize = 4;
+
+/// Counters describing how the planner resolved each demand. The two
 /// commit counters partition the demand set:
-/// `full_searches + cache_commits + speculative_commits == demands`.
+/// `full_searches + cache_commits == demands`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlannerStats {
     /// Total multicast demands planned.
@@ -195,26 +170,18 @@ pub struct PlannerStats {
     /// Distinct `(src, dsts)` demand signatures (the reuse cache's
     /// capacity; populated even when `tolerance == 0` keeps it unused).
     pub classes: usize,
-    /// Demands resolved by a full layered search (includes `replans`).
+    /// Demands resolved by a full layered search.
     pub full_searches: usize,
     /// Demands committed straight from the demand-class cache.
     pub cache_commits: usize,
-    /// Demands committed from a speculative batch-planned tree.
-    pub speculative_commits: usize,
-    /// Speculative trees rejected at commit time and re-planned live
-    /// (a subset of `full_searches`).
-    pub replans: usize,
     /// Cache lookups that found an entry but skipped it because the plan
     /// total grew past tolerance since the entry's search.
     pub cache_stale: usize,
     /// Cache lookups whose re-priced tree delta drifted past tolerance.
     pub cache_rejected: usize,
-    /// Speculative batches executed (0 for the sequential planner).
-    pub batches: usize,
     /// Layered-search states expanded (popped and relaxed) across every
-    /// search, the speculative workers' trial searches included. A
-    /// deterministic measure of search work: it depends only on the
-    /// inputs and the configuration.
+    /// search. A deterministic measure of search work: it depends only
+    /// on the inputs and the configuration.
     pub states_expanded: usize,
     /// Edge weights the searches priced with [`CostState::delta_slots`],
     /// counting only weights the per-stage memo could not reuse.
@@ -335,10 +302,7 @@ impl PartialOrd for HeapEntry {
 /// freshly cleared.
 ///
 /// A scratch belongs to one [`CostState`]: its weight memo is validated
-/// against that state's stage versions, which mean nothing for another
-/// state (a clone's counters diverge under the same numbers). Every
-/// speculative worker therefore builds its own scratch next to its own
-/// clone.
+/// against that state's stage versions.
 struct SearchScratch {
     m: usize,
     max_stages: usize,
@@ -429,20 +393,6 @@ struct CachedTree {
 /// `O(CLASS_TREES · tree)` cost instead of a full search.
 const CLASS_TREES: usize = 4;
 
-/// Headroom factor for the speculative tier's zero-delta bypass: a
-/// batch-planned tree whose snapshot aged past the freshness window may
-/// still commit if it realises a zero delta carrying `ZERO_HEADROOM`
-/// times its payload. Plain zero-delta is step-optimal but can fill hops
-/// to the brim of their stage maxima, silently constraining every later
-/// demand; requiring headroom stops the bypass before the brim. The
-/// demand-class cache deliberately has no such bypass — its entries age
-/// without bound, and repeated zero-delta commits of an old tree pile
-/// volume onto hops a fresh search would rebalance away from (measured:
-/// 6-13% plan-cost inflation on dense 4-GPU configs). The speculative
-/// tree's staleness is capped by one batch window, which keeps the
-/// compounding second-order.
-const ZERO_HEADROOM: u64 = 4;
-
 /// Fraction of the tolerance reserved as the *global* drift budget: reuse
 /// commits may spend at most `DRIFT_BUDGET * tolerance * total_time` of
 /// cumulative excess (live delta over search baseline) across the whole
@@ -477,15 +427,11 @@ impl CachedClass {
 }
 
 /// Grows one communication tree with the exact layered search, committing
-/// each chosen edge into `cost` via [`CostState::add_logged`] (so callers
-/// can either keep the commit, clearing `log`, or undo it with
-/// [`CostState::revert`]). Leaves the tree in `scratch.tree` and returns
-/// the realised total cost delta.
-#[allow(clippy::too_many_arguments)]
+/// each chosen edge into `cost`. Leaves the tree in `scratch.tree` and
+/// returns the realised total cost delta.
 fn plan_tree(
     topology: &Topology,
     cost: &mut CostState,
-    log: &mut CostLog,
     scratch: &mut SearchScratch,
     pairs: &PairTable,
     src: usize,
@@ -703,11 +649,10 @@ fn plan_tree(
             let (parent_gpu, _parent_depth) = pair[0];
             let (child_gpu, child_depth) = pair[1];
             let stage = child_depth - 1;
-            realised += cost.add_logged(
+            realised += cost.add(
                 stage,
                 topology.route(parent_gpu, child_gpu),
                 bytes_per_vertex,
-                log,
             );
             tree.push(TreeEdge {
                 src: parent_gpu as u32,
@@ -761,19 +706,14 @@ fn price_tree(
     )
 }
 
-/// Resolves one demand through the tiered fast path, leaving the
-/// committed tree in `scratch.tree`:
-///
-/// 1. cached class tree, if its live delta is within tolerance of the
-///    cache baseline;
-/// 2. the speculative batch-planned tree, if its live delta is within
-///    tolerance of its snapshot prediction;
-/// 3. a full layered search (which refreshes the class cache).
+/// Resolves one demand, leaving the committed tree in `scratch.tree`:
+/// the cheapest cached class tree whose live delta is within tolerance of
+/// its search baseline, else a full layered search (which refreshes the
+/// class cache).
 #[allow(clippy::too_many_arguments)]
 fn commit_demand(
     topology: &Topology,
     cost: &mut CostState,
-    log: &mut CostLog,
     scratch: &mut SearchScratch,
     pairs: &PairTable,
     cache: &mut [CachedClass],
@@ -784,12 +724,11 @@ fn commit_demand(
     src: u32,
     dsts: &[u32],
     bytes: u64,
-    speculative: Option<(&[TreeEdge], f64, f64)>,
 ) {
     let use_cache = tolerance > 0.0;
     let total_now = cost.total_time();
-    let budget = DRIFT_BUDGET * tolerance * total_now;
     if use_cache {
+        let budget = DRIFT_BUDGET * tolerance * total_now;
         let class = &cache[class_id];
         // Re-price every fresh cached tree on the live state and take the
         // cheapest — rotating among recent shapes is what reproduces the
@@ -823,8 +762,7 @@ fn commit_demand(
                 // have rebalanced away from, and no per-commit check sees
                 // that (measured: a zero-delta bypass here inflates dense
                 // 4-GPU plans 6-13% past the sequential cost across
-                // seeds). Only the time-bounded speculative tier keeps a
-                // bypass; staleness there is capped by one batch window.
+                // seeds).
                 continue;
             };
             if best.is_none_or(|(_, d, _)| delta_now < d) {
@@ -852,63 +790,7 @@ fn commit_demand(
             stats.cache_stale += 1;
         }
     }
-    if let Some((spec_tree, predicted, snapshot_total)) = speculative {
-        let growth = total_now - snapshot_total;
-        let fresh = growth <= snapshot_total * tolerance + COMMIT_SLACK;
-        let accepted = if fresh {
-            let delta_now = price_tree(cost, pairs, spec_tree, bytes, &mut scratch.price);
-            let excess = (delta_now - predicted).max(0.0);
-            (delta_now <= predicted * (1.0 + tolerance) + tolerance * growth + COMMIT_SLACK
-                && *drift_spent + excess <= budget + COMMIT_SLACK)
-                .then_some(excess)
-        } else {
-            // Zero-delta headroom bypass: the snapshot aged past the
-            // freshness window within this batch, but a tree that still
-            // prices to zero carrying `1 + ZERO_HEADROOM` times its
-            // payload rides under the stage maxima with room to spare;
-            // deltas are monotone in bytes, so the one scaled pricing
-            // also certifies a zero delta at the payload itself.
-            (price_tree(
-                cost,
-                pairs,
-                spec_tree,
-                bytes * (1 + ZERO_HEADROOM),
-                &mut scratch.price,
-            ) <= COMMIT_SLACK)
-                .then_some(0.0)
-        };
-        if let Some(excess) = accepted {
-            scratch.tree.clear();
-            scratch.tree.extend_from_slice(spec_tree);
-            commit_tree(cost, topology, &scratch.tree, bytes);
-            *drift_spent += excess;
-            stats.speculative_commits += 1;
-            if use_cache {
-                // The speculative tree came from a full search against the
-                // batch snapshot, so its prediction is a search baseline.
-                cache[class_id].push(CachedTree {
-                    edges: spec_tree.to_vec(),
-                    baseline: predicted,
-                    total_at_search: snapshot_total,
-                });
-            }
-            return;
-        }
-        // Committed volume drifted past tolerance while this batch was in
-        // flight; plan the demand against the live state instead.
-        stats.replans += 1;
-    }
-    let realised = plan_tree(
-        topology,
-        cost,
-        log,
-        scratch,
-        pairs,
-        src as usize,
-        dsts,
-        bytes,
-    );
-    log.clear(); // keep the commit
+    let realised = plan_tree(topology, cost, scratch, pairs, src as usize, dsts, bytes);
     stats.full_searches += 1;
     if use_cache {
         cache[class_id].push(CachedTree {
@@ -925,9 +807,8 @@ fn commit_demand(
 /// dimension); the optimal plan is invariant to it (§5.1), but the cost
 /// estimate scales with it.
 ///
-/// This is the exact sequential planner
-/// ([`SpstConfig::default`]); use [`spst_plan_with_config`] for the
-/// batched parallel fast path.
+/// This is the exact planner ([`SpstConfig::default`]); use
+/// [`spst_plan_with_config`] for the demand-class cache.
 ///
 /// # Panics
 ///
@@ -967,8 +848,8 @@ pub fn spst_plan_with_order(
     )
 }
 
-/// Runs the batched SPST planner (see the module docs for the tiered
-/// fast path and the determinism contract).
+/// Runs the SPST planner with `config` (see the module docs for the
+/// class cache and the determinism contract).
 ///
 /// # Panics
 ///
@@ -1009,8 +890,7 @@ pub fn spst_plan_with_config(
         }
     }
 
-    // Per-pair hop slots and pre-scaled tie-break terms, shared read-only
-    // with the speculative workers.
+    // Per-pair hop slots and pre-scaled tie-break terms.
     let pairs = PairTable::new(topology, bytes_per_vertex);
 
     // Resolve every demand's `(src, dsts)` signature to a dense class id
@@ -1032,17 +912,16 @@ pub fn spst_plan_with_config(
         ..PlannerStats::default()
     };
     let mut edges: Vec<(dgcl_graph::VertexId, usize, usize, usize)> = Vec::new();
-    // The capped search depth applies only to the approximate fast path;
-    // the exact configuration keeps the full `m - 1` layers.
-    let search_depth = if config.tolerance > 0.0 && config.depth_cap > 0 {
+    // The capped search depth applies only with the class cache on; the
+    // exact configuration keeps the full `m - 1` layers.
+    let search_depth = if config.tolerance > 0.0 {
         // Widen with the machine: exact trees reach deeper on larger
         // topologies (depth 4 loses ~10% plan quality at 16 GPUs).
-        config.depth_cap.max(3 * m / 8).clamp(1, max_stages)
+        CACHED_DEPTH_CAP.max(3 * m / 8).clamp(1, max_stages)
     } else {
         max_stages
     };
     let mut scratch = SearchScratch::new(m, search_depth, &cost);
-    let mut log = CostLog::new();
     // Cumulative reuse drift spent against the global budget.
     let mut drift_spent = 0.0f64;
     // The cache is only ever indexed when `tolerance > 0`; leave it empty
@@ -1051,124 +930,27 @@ pub fn spst_plan_with_config(
     if config.tolerance > 0.0 {
         cache.resize_with(num_classes, CachedClass::default);
     }
-    let threads = config.threads.max(1);
-
-    if threads == 1 {
-        for (i, (vertex, src, dsts)) in demands.iter().enumerate() {
-            commit_demand(
-                topology,
-                &mut cost,
-                &mut log,
-                &mut scratch,
-                &pairs,
-                &mut cache,
-                &mut stats,
-                &mut drift_spent,
-                config.tolerance,
-                class_ids[i],
-                *src,
-                dsts,
-                bytes_per_vertex,
-                None,
-            );
-            for e in &scratch.tree {
-                edges.push((*vertex, e.src as usize, e.dst as usize, e.stage as usize));
-            }
-        }
-    } else {
-        let batch_size = if config.batch_size == 0 {
-            threads * 32
-        } else {
-            config.batch_size
-        }
-        .max(1);
-        let mut idx = 0usize;
-        while idx < demands.len() {
-            let batch_start = idx;
-            let batch = &demands[idx..(idx + batch_size).min(demands.len())];
-            idx += batch.len();
-            stats.batches += 1;
-            // Speculate against a frozen snapshot of the cost state.
-            // Chunks are contiguous, so flattening the per-chunk results
-            // restores demand order regardless of thread scheduling.
-            let chunk = batch.len().div_ceil(threads);
-            let snapshot_total = cost.total_time();
-            let snapshot = &cost;
-            let (topology_ref, pairs_ref) = (topology, &pairs);
-            let speculative: Vec<(Vec<TreeEdge>, f64)> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move |_| {
-                            let mut local = snapshot.clone();
-                            let mut local_log = CostLog::new();
-                            let mut local_scratch = SearchScratch::new(m, search_depth, &local);
-                            let trees = part
-                                .iter()
-                                .map(|(_, src, dsts)| {
-                                    let predicted = plan_tree(
-                                        topology_ref,
-                                        &mut local,
-                                        &mut local_log,
-                                        &mut local_scratch,
-                                        pairs_ref,
-                                        *src as usize,
-                                        dsts,
-                                        bytes_per_vertex,
-                                    );
-                                    // Undo the trial commit: every demand in
-                                    // the batch is priced against the same
-                                    // pristine snapshot.
-                                    local.revert(&mut local_log);
-                                    (local_scratch.tree.clone(), predicted)
-                                })
-                                .collect::<Vec<_>>();
-                            (
-                                trees,
-                                local_scratch.states_expanded,
-                                local_scratch.weight_evals,
-                            )
-                        })
-                    })
-                    .collect();
-                let mut speculative = Vec::with_capacity(batch.len());
-                for h in handles {
-                    let (trees, expanded, evals) = h.join().expect("speculative planner worker");
-                    speculative.extend(trees);
-                    stats.states_expanded += expanded;
-                    stats.weight_evals += evals;
-                }
-                speculative
-            })
-            .expect("speculative planner scope");
-            // Commit sequentially in demand order.
-            for (j, ((vertex, src, dsts), (spec_tree, predicted))) in
-                batch.iter().zip(&speculative).enumerate()
-            {
-                commit_demand(
-                    topology,
-                    &mut cost,
-                    &mut log,
-                    &mut scratch,
-                    &pairs,
-                    &mut cache,
-                    &mut stats,
-                    &mut drift_spent,
-                    config.tolerance,
-                    class_ids[batch_start + j],
-                    *src,
-                    dsts,
-                    bytes_per_vertex,
-                    Some((spec_tree, *predicted, snapshot_total)),
-                );
-                for e in &scratch.tree {
-                    edges.push((*vertex, e.src as usize, e.dst as usize, e.stage as usize));
-                }
-            }
+    for ((vertex, src, dsts), &class_id) in demands.iter().zip(&class_ids) {
+        commit_demand(
+            topology,
+            &mut cost,
+            &mut scratch,
+            &pairs,
+            &mut cache,
+            &mut stats,
+            &mut drift_spent,
+            config.tolerance,
+            class_id,
+            *src,
+            dsts,
+            bytes_per_vertex,
+        );
+        for e in &scratch.tree {
+            edges.push((*vertex, e.src as usize, e.dst as usize, e.stage as usize));
         }
     }
-    stats.states_expanded += scratch.states_expanded;
-    stats.weight_evals += scratch.weight_evals;
+    stats.states_expanded = scratch.states_expanded;
+    stats.weight_evals = scratch.weight_evals;
     let plan = CommPlan::from_edges(m, edges);
     SpstOutcome {
         plan,
@@ -1397,7 +1179,6 @@ mod tests {
         assert_eq!(a.cost.total_time().to_bits(), b.cost.total_time().to_bits());
         assert_eq!(b.stats.full_searches, b.stats.demands);
         assert_eq!(b.stats.cache_commits, 0);
-        assert_eq!(b.stats.speculative_commits, 0);
     }
 
     #[test]
@@ -1407,16 +1188,7 @@ mod tests {
         let pg = fig6_demand(0, &[2, 3], 32);
         let topo = dgcl_topology::Topology::fig6();
         let exact = spst_plan(&pg, &topo, 1 << 16, 4);
-        let cached = spst_plan_with_config(
-            &pg,
-            &topo,
-            1 << 16,
-            4,
-            SpstConfig {
-                tolerance: 0.05,
-                ..SpstConfig::default()
-            },
-        );
+        let cached = spst_plan_with_config(&pg, &topo, 1 << 16, 4, SpstConfig::cached());
         assert!(validate_plan(&cached.plan, &pg).is_ok());
         assert!(
             cached.stats.cache_commits > 0,
@@ -1429,79 +1201,6 @@ mod tests {
             "cached {} vs exact {}",
             cached.cost.total_time(),
             exact.cost.total_time()
-        );
-    }
-
-    #[test]
-    fn parallel_planner_is_valid_and_close_to_exact() {
-        let graph = Dataset::WebGoogle.generate(0.002, 9);
-        let topo = dgcl_topology::Topology::dgx1();
-        let parts = kway(&graph, 8, 9);
-        let pg = PartitionedGraph::new(&graph, parts, 8);
-        let bytes = 1024;
-        let exact = spst_plan(&pg, &topo, bytes, 9);
-        let parallel = spst_plan_with_config(&pg, &topo, bytes, 9, SpstConfig::batched(4));
-        assert!(validate_plan(&parallel.plan, &pg).is_ok());
-        assert!(parallel.stats.batches > 0);
-        assert_eq!(
-            parallel.stats.full_searches
-                + parallel.stats.cache_commits
-                + parallel.stats.speculative_commits,
-            parallel.stats.demands,
-            "stats do not partition the demand set: {:?}",
-            parallel.stats
-        );
-        assert!(
-            parallel.cost.total_time() <= exact.cost.total_time() * 1.05 + 1e-12,
-            "parallel {} vs exact {}",
-            parallel.cost.total_time(),
-            exact.cost.total_time()
-        );
-    }
-
-    #[test]
-    fn parallel_planner_is_deterministic() {
-        let graph = Dataset::WikiTalk.generate(0.0015, 10);
-        let topo = dgcl_topology::Topology::dgx1();
-        let parts = kway(&graph, 8, 10);
-        let pg = PartitionedGraph::new(&graph, parts, 8);
-        let cfg = SpstConfig::batched(3);
-        let a = spst_plan_with_config(&pg, &topo, 512, 10, cfg);
-        let b = spst_plan_with_config(&pg, &topo, 512, 10, cfg);
-        assert_eq!(a.plan.steps, b.plan.steps);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.cost.total_time().to_bits(), b.cost.total_time().to_bits());
-    }
-
-    #[test]
-    fn zero_tolerance_multithreaded_matches_exact_cost_model_validity() {
-        // tolerance = 0 with threads > 1 still speculates, but only
-        // bit-exact predictions are accepted; the plan stays valid and
-        // every demand is accounted for.
-        let graph = Dataset::WebGoogle.generate(0.001, 12);
-        let topo = dgcl_topology::Topology::fig6();
-        let parts = kway(&graph, 4, 12);
-        let pg = PartitionedGraph::new(&graph, parts, 4);
-        let out = spst_plan_with_config(
-            &pg,
-            &topo,
-            256,
-            12,
-            SpstConfig {
-                threads: 4,
-                tolerance: 0.0,
-                ..SpstConfig::default()
-            },
-        );
-        assert!(validate_plan(&out.plan, &pg).is_ok());
-        assert_eq!(
-            out.stats.full_searches + out.stats.speculative_commits,
-            out.stats.demands
-        );
-        assert_eq!(
-            out.stats.cache_commits, 0,
-            "cache must be off: {:?}",
-            out.stats
         );
     }
 }

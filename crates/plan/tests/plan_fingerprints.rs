@@ -10,10 +10,8 @@
 //! tree, or a single float in the cost state, fails here.
 //!
 //! The cells cover every [`VertexOrder`], the class cache
-//! (`SpstConfig::batched(1)`), the speculative tier with its per-demand
-//! `revert` (`batched(2)`, and `batched(2)` at tolerance 0, which accepts
-//! only bit-exact predictions) and a 16-GPU plan deep enough to use ten
-//! or more stages. The small cells run in tier-1. The `#[ignore]` cells
+//! (`SpstConfig::cached()`) and a 16-GPU plan deep enough to use ten or
+//! more stages. The small cells run in tier-1. The `#[ignore]` cells
 //! are the plans the `e2e` benchmark's full-batch workloads build, on the
 //! partitions `partition_fingerprints` pins; run them with
 //! `cargo test --release -p dgcl-plan --test plan_fingerprints -- --ignored`.
@@ -180,39 +178,8 @@ fn class_cache() {
         0.004,
         &Topology::dgx1_pair_ib(),
         1024,
-        SpstConfig::batched(1),
+        SpstConfig::cached(),
         0xd87b_9030_e8d3_89e3,
-    );
-}
-
-/// Speculative workers plan against a snapshot clone and revert every
-/// trial commit.
-#[test]
-fn speculative_batches() {
-    check(
-        Dataset::WebGoogle,
-        0.002,
-        &Topology::dgx1(),
-        1024,
-        SpstConfig::batched(2),
-        0x1e59_f822_704f_4aa3,
-    );
-}
-
-/// Speculation that accepts only bit-exact predictions, over the full
-/// search depth.
-#[test]
-fn speculative_exact_acceptance() {
-    check(
-        Dataset::WikiTalk,
-        0.005,
-        &Topology::dgx1_pair_ib(),
-        1024,
-        SpstConfig {
-            tolerance: 0.0,
-            ..SpstConfig::batched(2)
-        },
-        0xc717_fc33_2a06_e39d,
     );
 }
 

@@ -1,10 +1,9 @@
 //! The compute worker pool: deterministic row-range parallelism for the
 //! dense and sparse kernels of the training hot path.
 //!
-//! The pool mirrors the planner's thread tier (`SpstConfig::batched`): it
-//! spawns scoped workers on the vendored `crossbeam` shim, so borrowed
-//! inputs flow into workers without `Arc` plumbing and every worker is
-//! joined before the kernel returns.
+//! The pool spawns scoped workers on the vendored `crossbeam` shim, so
+//! borrowed inputs flow into workers without `Arc` plumbing and every
+//! worker is joined before the kernel returns.
 //!
 //! # Determinism contract
 //!

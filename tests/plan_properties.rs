@@ -105,14 +105,13 @@ proptest! {
     fn batched_planner_plans_are_always_valid(
         pg in arb_partitioned(8),
         seed in any::<u64>(),
-        threads in 1usize..5,
     ) {
         let topo = Topology::dgx1();
-        let out = spst_plan_with_config(&pg, &topo, 1024, seed, SpstConfig::batched(threads));
+        let out = spst_plan_with_config(&pg, &topo, 1024, seed, SpstConfig::cached());
         prop_assert!(validate_plan(&out.plan, &pg).is_ok());
         // The commit counters partition the demand set.
         prop_assert_eq!(
-            out.stats.full_searches + out.stats.cache_commits + out.stats.speculative_commits,
+            out.stats.full_searches + out.stats.cache_commits,
             out.stats.demands
         );
     }
@@ -122,8 +121,8 @@ proptest! {
         pg in arb_partitioned(4),
         seed in any::<u64>(),
     ) {
-        // The determinism contract: threads = 1, tolerance = 0 disables
-        // every reuse tier, not merely makes it unlikely to fire.
+        // The determinism contract: tolerance = 0 disables the class
+        // cache, not merely makes it unlikely to fire.
         let topo = Topology::fig6();
         let a = spst_plan(&pg, &topo, 512, seed);
         let b = spst_plan_with_config(&pg, &topo, 512, seed, SpstConfig::default());
@@ -136,15 +135,15 @@ proptest! {
         pg in arb_partitioned(8),
         seed in any::<u64>(),
     ) {
-        // The reuse tiers are tolerance-bounded per commit and globally
+        // Cache commits are tolerance-bounded per commit and globally
         // drift-budgeted; allow double the nominal 5% for greedy
         // trajectory divergence on adversarial random relations.
         let topo = Topology::dgx1();
         let exact = spst_plan(&pg, &topo, 1024, seed);
-        let batched = spst_plan_with_config(&pg, &topo, 1024, seed, SpstConfig::batched(2));
+        let cached = spst_plan_with_config(&pg, &topo, 1024, seed, SpstConfig::cached());
         prop_assert!(
-            batched.cost.total_time() <= exact.cost.total_time() * 1.10 + 1e-12,
-            "batched {} vs exact {}", batched.cost.total_time(), exact.cost.total_time()
+            cached.cost.total_time() <= exact.cost.total_time() * 1.10 + 1e-12,
+            "cached {} vs exact {}", cached.cost.total_time(), exact.cost.total_time()
         );
     }
 
