@@ -3,8 +3,12 @@
 //! Three kernel families, each timed sequentially and on the threaded
 //! compute pool at 1/2/4/8 workers:
 //!
-//! * `matmul` — the cache-blocked threaded dense kernel of
-//!   `dgcl-tensor` (forward projection shape);
+//! * `matmul` — the threaded dense kernel of `dgcl-tensor` (forward
+//!   projection shape);
+//! * `matmul_tn` — the weight-gradient kernel (`h^T · grad`, the
+//!   largest backward kernel of a wide-input layer) against its generic
+//!   `matmul_tn_reference` loop, so the speedup is the width-dispatched
+//!   row accumulator's;
 //! * `aggregate` — row-parallel CSR neighbour aggregation plus the
 //!   gather-form (reverse-CSR) backward against the scatter-form
 //!   reference;
@@ -88,6 +92,23 @@ pub fn run(ctx: &mut RunContext) {
         push(&mut records, &mut rows, "matmul", t, s, times[0]);
     }
 
+    // Weight gradient of a wide-input layer: `h^T · grad` with `h` the
+    // visible rows × input features and `grad` 8 wide, against the
+    // generic loop every width falls back to.
+    let (visible, fin) = if smoke { (1024, 64) } else { (7500, 128) };
+    let h_in = init.features(visible, fin);
+    let grad = init.features(visible, 8);
+    std::hint::black_box(h_in.matmul_tn_reference(&grad)); // Warm-up.
+    let reference = median_seconds(reps, || {
+        std::hint::black_box(h_in.matmul_tn_reference(&grad));
+    });
+    for t in THREADS {
+        let s = median_seconds(reps, || {
+            std::hint::black_box(h_in.matmul_tn_threads(&grad, t));
+        });
+        push(&mut records, &mut rows, "matmul_tn", t, s, reference);
+    }
+
     // CSR aggregation forward on a generated power-law graph.
     let graph = ctx.graph(Dataset::WikiTalk);
     let nv = graph.num_vertices();
@@ -168,7 +189,7 @@ pub fn run(ctx: &mut RunContext) {
         &rows,
     );
     println!(
-        "  (baselines: matmul/aggregate_fwd at 1 thread; aggregate_bwd vs the\n   scatter form; allgather vs the uncompiled table walk. Thread\n   speedups need spare cores — the JSON records `cpus` so a 1-CPU box\n   documents its ceiling instead of faking scaling.)"
+        "  (baselines: matmul/aggregate_fwd at 1 thread; matmul_tn vs its generic\n   loop; aggregate_bwd vs the scatter form; allgather vs the uncompiled\n   table walk. Thread speedups need spare cores — the JSON records `cpus`\n   so a 1-CPU box documents its ceiling instead of faking scaling.)"
     );
 
     // One distributed training epoch per dataset: the end-to-end number
@@ -204,10 +225,10 @@ pub fn run(ctx: &mut RunContext) {
 
     let note = if cpus() == 1 {
         "single-cpu machine: thread-scaling speedups are ceiling-limited at ~1x; \
-         aggregate_bwd and allgather speedups are algorithmic and hold regardless"
+         matmul_tn, aggregate_bwd and allgather speedups are algorithmic and hold regardless"
     } else {
-        "thread columns measure pool scaling; aggregate_bwd and allgather \
-         speedups are algorithmic"
+        "thread columns measure pool scaling; matmul_tn, aggregate_bwd and \
+         allgather speedups are algorithmic"
     };
     write_artifact(
         "compute",

@@ -1,5 +1,6 @@
 //! `buildCommInfo`: partitioning, planning and table compilation.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use dgcl_graph::CsrGraph;
@@ -8,7 +9,7 @@ use dgcl_partition::simple::block_partition;
 use dgcl_partition::{CagnetBlocks, PartitionedGraph};
 use dgcl_plan::plan::validate_plan;
 use dgcl_plan::{spst_plan_with_config, CommPlan, PlannerStats, SendRecvTables, SpstConfig};
-use dgcl_sim::{BackendChoice, BackendKind, BackendSelector};
+use dgcl_sim::{AlgorithmSelector, BackendChoice, BackendKind, BackendSelector};
 use dgcl_tensor::Matrix;
 use dgcl_topology::Topology;
 
@@ -114,6 +115,9 @@ pub struct CommInfo {
     cagnet: OnceLock<Arc<CagnetBlocks>>,
     /// See [`CommInfo::feature_cache`].
     feature_cache: OnceLock<Arc<FeatureCacheSets>>,
+    /// See [`CommInfo::allreduce_selector`]: the first caller's chunk
+    /// size and the selector tuned for it.
+    allreduce: OnceLock<(u64, AlgorithmSelector)>,
 }
 
 /// Partitions `graph` across the topology's GPUs (hierarchically when it
@@ -255,6 +259,7 @@ pub fn try_build_comm_info(
         cache_width: (options.bytes_per_vertex / 4).max(1) as usize,
         cagnet: OnceLock::new(),
         feature_cache: OnceLock::new(),
+        allreduce: OnceLock::new(),
     })
 }
 
@@ -279,6 +284,23 @@ impl CommInfo {
     pub fn feature_cache(&self) -> &FeatureCacheSets {
         self.feature_cache
             .get_or_init(|| Arc::new(self.score_cache(&self.pg.global_graph())))
+    }
+
+    /// The gradient allreduce selector for this topology and device
+    /// count at `chunk_bytes` pipelining granularity
+    /// ([`AlgorithmSelector::tune`]), tuned on first use and kept: the
+    /// tuning is a pure function of those three inputs, so a second
+    /// training call on this info reuses it. Only the first caller's
+    /// `chunk_bytes` is kept; a call with another size tunes afresh and
+    /// returns that selector uncached.
+    pub(crate) fn allreduce_selector(&self, chunk_bytes: u64) -> Cow<'_, AlgorithmSelector> {
+        let tune = || AlgorithmSelector::tune(&self.topology, self.num_devices(), chunk_bytes);
+        let (bytes, selector) = self.allreduce.get_or_init(|| (chunk_bytes, tune()));
+        if *bytes == chunk_bytes {
+            Cow::Borrowed(selector)
+        } else {
+            Cow::Owned(tune())
+        }
     }
 
     fn score_cache(&self, graph: &CsrGraph) -> FeatureCacheSets {
@@ -363,6 +385,49 @@ mod tests {
         assert_eq!(info.num_devices(), 4);
         assert!(info.estimated_allgather_seconds > 0.0);
         assert_eq!(info.forward_tables.num_gpus, 4);
+    }
+
+    #[test]
+    fn allreduce_is_tuned_once_per_comm_info() {
+        let (graph, info) = info();
+        let chunk = 4 * crate::fabric::FabricConfig::default().collective_chunk as u64;
+        let mut init = dgcl_tensor::XavierInit::new(7);
+        let features = init.features(graph.num_vertices(), 6);
+        let targets = init.features(graph.num_vertices(), 3);
+        let cfg = crate::trainer::TrainConfig::new(dgcl_gnn::Architecture::Gcn, &[6, 3], 2);
+        assert!(
+            info.allreduce.get().is_none(),
+            "nothing tuned before training"
+        );
+        let train = || {
+            crate::trainer::train_distributed(&info, &graph, &features, &targets, &cfg)
+                .expect("healthy cluster")
+        };
+        let first = train();
+        let tuned: *const AlgorithmSelector = &info.allreduce.get().expect("tuned by training").1;
+        let second = train();
+        // The second call found the first call's selector: same chunk
+        // size, same table, same allocation.
+        let Cow::Borrowed(cached) = info.allreduce_selector(chunk) else {
+            panic!("training's chunk size is the cached one");
+        };
+        assert!(std::ptr::eq(cached, tuned));
+        assert_eq!(*cached, AlgorithmSelector::tune(&info.topology, 4, chunk));
+        let bits = |r: &crate::trainer::TrainReport| {
+            let losses = r.epoch_losses.iter().map(|x| x.to_bits());
+            losses
+                .chain(r.outputs.as_slice().iter().map(|x| x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&first), bits(&second));
+        // Another chunk size is tuned afresh and not cached.
+        let other = info.allreduce_selector(chunk / 4);
+        assert!(matches!(other, Cow::Owned(_)));
+        assert_eq!(
+            *other,
+            AlgorithmSelector::tune(&info.topology, 4, chunk / 4)
+        );
+        assert!(std::ptr::eq(&info.allreduce.get().expect("kept").1, tuned));
     }
 
     #[test]

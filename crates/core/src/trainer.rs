@@ -24,7 +24,7 @@ use dgcl_tensor::Matrix;
 
 use crate::backend::backend_for;
 use crate::checkpoint::{Checkpoint, CheckpointConfig};
-use crate::collectives::{AlgorithmSelector, AllreduceAlgo, AllreducePolicy};
+use crate::collectives::{AllreduceAlgo, AllreducePolicy};
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, RuntimeError};
 use crate::fabric::FabricConfig;
@@ -157,8 +157,10 @@ pub fn train_distributed(
 ///
 /// The gradient allreduce algorithm is a non-default
 /// `fabric_config.allreduce` policy if the caller set one, otherwise an
-/// [`AlgorithmSelector`] tuned offline for `info`'s topology and device
-/// count.
+/// [`AlgorithmSelector`](crate::collectives::AlgorithmSelector) tuned
+/// offline for `info`'s topology and device count. The tuning runs once
+/// per `info` and is reused by every later call with the same
+/// `collective_chunk`.
 ///
 /// # Errors
 ///
@@ -272,11 +274,9 @@ pub fn train_distributed_resumable(
         fabric_config.allreduce,
         AllreducePolicy::Fixed(AllreduceAlgo::Flat)
     ) {
-        fabric_config.allreduce = AllreducePolicy::Auto(AlgorithmSelector::tune(
-            &info.topology,
-            info.num_devices(),
-            4 * fabric_config.collective_chunk as u64,
-        ));
+        let chunk_bytes = 4 * fabric_config.collective_chunk as u64;
+        fabric_config.allreduce =
+            AllreducePolicy::Auto(info.allreduce_selector(chunk_bytes).into_owned());
     }
     assert_eq!(features.rows(), graph.num_vertices(), "feature rows");
     assert_eq!(targets.rows(), graph.num_vertices(), "target rows");

@@ -1,14 +1,15 @@
 //! AGGREGATE: neighbour aggregation and its adjoint, for every container
 //! the reproduction aggregates over.
 //!
-//! Forward aggregation is one kernel — the pattern-CSR row loop
-//! [`spmm_pattern_into`] — over a [`CsrGraph`]'s row prefix or a sampled
-//! [`LayerBlock`]; a mean is that sum scaled once per row by
-//! [`mean_scale`], the one statement of the mean rule (the CAGNET backend
-//! scales its SpMM output with it too). Output rows are disjoint, so any
-//! thread count gives bitwise-identical results, and a row aggregates the
-//! same bits from whichever container stores its neighbours in the same
-//! order — a fanout-∞ block row *is* the whole-graph row.
+//! Aggregation is one kernel — the pattern-CSR row loop
+//! [`spmm_pattern_into`] — over a [`CsrGraph`]'s row prefix, a sampled
+//! [`LayerBlock`] or (for the adjoint) the edge-reversed CSR; a mean is
+//! that sum scaled once per row by [`mean_scale`], the one statement of
+//! the mean rule (the CAGNET backend scales its SpMM output with it
+//! too). Output rows are disjoint, so any thread count gives
+//! bitwise-identical results, and a row aggregates the same bits from
+//! whichever container stores its neighbours in the same order — a
+//! fanout-∞ block row *is* the whole-graph row.
 //!
 //! The adjoint `grad_h[u] = Σ_{v : u ∈ N(v)} grad_out[v]` (for a mean,
 //! of the gradient scaled by the same rule first: `g · (1/deg)` is one
@@ -107,6 +108,7 @@ pub fn aggregate_sum_threads(adj: &CsrGraph, h: &Matrix, num_out: usize, threads
     spmm_pattern_into(
         &adj.offsets()[..=num_out],
         adj.targets(),
+        None,
         h.as_slice(),
         h.cols(),
         out.as_mut_slice(),
@@ -150,30 +152,21 @@ pub fn aggregate_sum_backward_threads(
     threads: usize,
 ) -> Matrix {
     let rev = adj.reversed();
-    let nv = rev.num_vertices();
-    let sources = grad_out.rows() as u32;
     let cols = grad_out.cols();
     let mut grad_h = Matrix::zeros(num_total, cols);
-    // Not the forward kernel: a reversed row is cut off at the first
-    // source beyond the gradient rows, and rows past `nv` have no list.
-    pool::par_row_chunks(threads, grad_h.as_mut_slice(), cols, |u0, chunk| {
-        for (i, row) in chunk.chunks_mut(cols).enumerate() {
-            let u = u0 + i;
-            if u >= nv {
-                continue;
-            }
-            // Reversed lists are sorted ascending, so the sources beyond
-            // the gradient rows form a suffix.
-            for &v in rev.neighbors(u as u32) {
-                if v >= sources {
-                    break;
-                }
-                for (o, &x) in row.iter_mut().zip(grad_out.row(v as usize)) {
-                    *o += x;
-                }
-            }
-        }
-    });
+    // Rows past the reversed graph's vertices have no list and stay zero.
+    // Reversed lists ascend, so the sources beyond the gradient rows form
+    // a suffix the bound cuts off.
+    let rows = num_total.min(rev.num_vertices());
+    spmm_pattern_into(
+        &rev.offsets()[..=rows],
+        rev.targets(),
+        Some(grad_out.rows() as u32),
+        grad_out.as_slice(),
+        cols,
+        &mut grad_h.as_mut_slice()[..rows * cols],
+        threads,
+    );
     grad_h
 }
 
@@ -254,6 +247,7 @@ pub fn block_aggregate(kind: AggKind, block: &LayerBlock, h_src: &Matrix) -> Mat
     spmm_pattern_into(
         &block.offsets,
         &block.targets,
+        None,
         h_src.as_slice(),
         h_src.cols(),
         out.as_mut_slice(),

@@ -30,9 +30,16 @@ fn vertex_rows(m: &Matrix, set: &[VertexId]) -> Matrix {
 
 /// A random directed graph on `n` vertices plus matching features and
 /// the fanout-∞ [`LayerBlock`] of a vertex subset: edge list drawn as
-/// (src, dst) pairs, self-loops dropped by the builder.
+/// (src, dst) pairs, self-loops dropped by the builder. Widths 8 and 32
+/// are drawn often, so the kernels' width-dispatched row loops run as
+/// well as the generic one.
 fn arb_graph_and_features() -> impl Strategy<Value = (CsrGraph, Matrix, LayerBlock)> {
-    (2usize..60, 1usize..12, 0usize..240).prop_map(|(n, cols, edges)| {
+    let cols = (0usize..15).prop_map(|i| match i {
+        0..=10 => i + 1,
+        11 | 12 => 8,
+        _ => 32,
+    });
+    (2usize..60, cols, 0usize..240).prop_map(|(n, cols, edges)| {
         let mut b = GraphBuilder::new(n);
         let mut h = 0x5DEE_CE66u64;
         for _ in 0..edges {
@@ -84,7 +91,7 @@ proptest! {
             prop_assert_eq!(&aggregate_mean_threads(&g, &h, n, t), &mean_ref, "mean t={}", t);
             let (mut of_graph, mut of_block) = (Matrix::zeros(n, h.cols()), Matrix::zeros(n, h.cols()));
             let (dense, cols) = (h.as_slice(), h.cols());
-            spmm_pattern_into(g.offsets(), g.targets(), dense, cols, of_graph.as_mut_slice(), t);
+            spmm_pattern_into(g.offsets(), g.targets(), None, dense, cols, of_graph.as_mut_slice(), t);
             spmm_csr_dense_into(&as_block, dense, cols, of_block.as_mut_slice(), t);
             prop_assert_eq!(&of_graph, &sum_ref, "raw kernel t={}", t);
             prop_assert_eq!(&of_block, &sum_ref, "CsrBlock t={}", t);

@@ -16,6 +16,9 @@
 //! assert_eq!(a.matmul(&b), a);
 //! ```
 
+#[macro_use]
+mod width;
+
 mod activation;
 mod init;
 mod matrix;
@@ -28,4 +31,4 @@ pub use activation::Activation;
 pub use init::XavierInit;
 pub use matrix::Matrix;
 pub use pool::{compute_threads, set_compute_threads, set_thread_budget};
-pub use spmm::{spmm_csr_dense_into, spmm_pattern_into, CsrBlock};
+pub use spmm::{spmm_csr_dense_into, spmm_pattern_into, spmm_pattern_reference, CsrBlock};

@@ -1,11 +1,19 @@
 //! Linear-algebra kernels on [`Matrix`].
 //!
-//! The three matmul variants are cache-blocked and run on the compute
-//! worker pool ([`crate::pool`]): output rows are split into fixed
-//! chunks processed by scoped workers. Per output element the reduction
-//! over the shared dimension always runs in ascending index order, so
-//! results are bitwise identical at every thread count *and* to the
-//! original unblocked sequential kernels.
+//! The three matmul variants run on the compute worker pool
+//! ([`crate::pool`]): output rows are split into fixed chunks processed
+//! by scoped workers. Per output element the reduction over the shared
+//! dimension always runs in ascending index order, so results are
+//! bitwise identical at every thread count *and* to the original
+//! unblocked sequential kernels.
+//!
+//! `matmul` and `matmul_tn` dispatch on the output width: at 8, 16, 32,
+//! 64 and 128 columns a chunk's output rows are accumulated in stack
+//! arrays and stored once; every other width runs the cache-blocked
+//! generic loop that [`Matrix::matmul_reference`] and
+//! [`Matrix::matmul_tn_reference`] expose. Both forms start each element
+//! from `0.0`, skip the same zero `lhs` entries and add the same
+//! products in the same order, so they agree bit for bit.
 
 use crate::pool;
 use crate::Matrix;
@@ -31,19 +39,14 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value.
+    /// bitwise identical for every `threads` value, and to
+    /// [`Matrix::matmul_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            rhs.rows(),
-            "matmul shape mismatch: {:?} x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
+        self.check_matmul(rhs);
         let (m, k) = self.shape();
         let n = rhs.cols();
         let mut out = Matrix::zeros(m, n);
@@ -52,30 +55,43 @@ impl Matrix {
         } else {
             threads
         };
-        let lhs = self.as_slice();
-        let rhs_data = rhs.as_slice();
+        let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
         pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
-            // Blocked i-k-j: for each k block, stream the block's rhs rows
-            // over every row of the chunk. Per output element the adds run
-            // in ascending k order (blocks ascending, k within a block
-            // ascending) — the unblocked kernel's exact order.
-            for kb in (0..k).step_by(BLOCK_K) {
-                let kend = (kb + BLOCK_K).min(k);
-                for (i, out_row) in chunk.chunks_mut(n).enumerate() {
-                    let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
-                    for (p, &a) in a_row[kb..kend].iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let b_row = &rhs_data[(kb + p) * n..(kb + p + 1) * n];
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
+            by_width!(
+                n,
+                matmul_rows(lhs, rhs, k, row0, chunk),
+                matmul_rows_reference(lhs, rhs, k, n, row0, chunk)
+            )
         });
         out
+    }
+
+    /// `self * rhs` on the caller's thread through the generic loop at
+    /// every width: the reference [`Matrix::matmul_threads`] is tested
+    /// against bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()`.
+    pub fn matmul_reference(&self, rhs: &Matrix) -> Matrix {
+        self.check_matmul(rhs);
+        let k = self.cols();
+        let n = rhs.cols();
+        let mut out = Matrix::zeros(self.rows(), n);
+        if n > 0 {
+            matmul_rows_reference(self.as_slice(), rhs.as_slice(), k, n, 0, out.as_mut_slice());
+        }
+        out
+    }
+
+    fn check_matmul(&self, rhs: &Matrix) {
+        assert_eq!(
+            self.cols(),
+            rhs.rows(),
+            "matmul shape mismatch: {:?} x {:?}",
+            self.shape(),
+            rhs.shape()
+        );
     }
 
     /// `self^T * rhs` without materialising the transpose, on the global
@@ -89,19 +105,14 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_tn`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value.
+    /// bitwise identical for every `threads` value, and to
+    /// [`Matrix::matmul_tn_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_tn_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(
-            self.rows(),
-            rhs.rows(),
-            "matmul_tn shape mismatch: {:?} x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
+        self.check_matmul_tn(rhs);
         let rows = self.rows();
         let m = self.cols();
         let n = rhs.cols();
@@ -111,31 +122,44 @@ impl Matrix {
         } else {
             threads
         };
-        let lhs = self.as_slice();
-        let rhs_data = rhs.as_slice();
+        let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
         pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
-            // Output row i is the reduction over p of lhs[p][i] * rhs[p].
-            // Blocking over p keeps a BLOCK_K x n window of rhs hot across
-            // the chunk's rows; per element the adds stay in ascending p
-            // order — the sequential p-i-j kernel's exact order.
-            for pb in (0..rows).step_by(BLOCK_K) {
-                let pend = (pb + BLOCK_K).min(rows);
-                for (i, out_row) in chunk.chunks_mut(n).enumerate() {
-                    let col = row0 + i;
-                    for p in pb..pend {
-                        let a = lhs[p * m + col];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let b_row = &rhs_data[p * n..(p + 1) * n];
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
+            by_width!(
+                n,
+                matmul_tn_rows(lhs, rhs, m, row0, chunk),
+                matmul_tn_rows_reference(lhs, rhs, rows, m, n, row0, chunk)
+            )
         });
         out
+    }
+
+    /// `self^T * rhs` on the caller's thread through the generic loop at
+    /// every width: the reference [`Matrix::matmul_tn_threads`] is tested
+    /// against bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn matmul_tn_reference(&self, rhs: &Matrix) -> Matrix {
+        self.check_matmul_tn(rhs);
+        let (rows, m) = self.shape();
+        let n = rhs.cols();
+        let mut out = Matrix::zeros(m, n);
+        if n > 0 {
+            let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
+            matmul_tn_rows_reference(lhs, rhs, rows, m, n, 0, out.as_mut_slice());
+        }
+        out
+    }
+
+    fn check_matmul_tn(&self, rhs: &Matrix) {
+        assert_eq!(
+            self.rows(),
+            rhs.rows(),
+            "matmul_tn shape mismatch: {:?} x {:?}",
+            self.shape(),
+            rhs.shape()
+        );
     }
 
     /// `self * rhs^T` without materialising the transpose, on the global
@@ -281,6 +305,118 @@ impl Matrix {
             }
         }
         out
+    }
+}
+
+/// Rows `row0..` of `lhs (· x k) * rhs (k x W)` into `chunk`, each
+/// accumulated from `0.0` in a stack array over ascending `k` and stored
+/// once; a zero `lhs` entry adds nothing and is skipped.
+fn matmul_rows<const W: usize>(lhs: &[f32], rhs: &[f32], k: usize, row0: usize, chunk: &mut [f32]) {
+    let (b_rows, _) = rhs.as_chunks::<W>();
+    for (i, out_row) in chunk.as_chunks_mut::<W>().0.iter_mut().enumerate() {
+        let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
+        let mut acc = [0.0f32; W];
+        for (&a, b_row) in a_row.iter().zip(b_rows) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in acc.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
+        *out_row = acc;
+    }
+}
+
+/// The generic `matmul` loop, accumulating in the zeroed `chunk` itself.
+/// Blocked i-k-j: for each k block, stream the block's rhs rows over
+/// every row of the chunk. Per output element the adds run in ascending
+/// k order (blocks ascending, k within a block ascending) — the
+/// unblocked kernel's exact order, and [`matmul_rows`]'.
+fn matmul_rows_reference(
+    lhs: &[f32],
+    rhs: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    chunk: &mut [f32],
+) {
+    for kb in (0..k).step_by(BLOCK_K) {
+        let kend = (kb + BLOCK_K).min(k);
+        for (i, out_row) in chunk.chunks_mut(n).enumerate() {
+            let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
+            for (p, &a) in a_row[kb..kend].iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let b_row = &rhs[(kb + p) * n..(kb + p + 1) * n];
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
+            }
+        }
+    }
+}
+
+/// Output rows `row0..` of `lhs^T (m x ·) * rhs (· x W)` into `chunk`:
+/// row `i` is the fold over ascending `p` of `lhs[p][i] * rhs[p]`. With
+/// `p` outermost, each step reads one `rhs` row and the chunk's run of
+/// `lhs[p]` (contiguous) into a stack accumulator of the chunk's rows,
+/// stored once at the end; a zero `lhs` entry adds nothing and is
+/// skipped.
+fn matmul_tn_rows<const W: usize>(
+    lhs: &[f32],
+    rhs: &[f32],
+    m: usize,
+    row0: usize,
+    chunk: &mut [f32],
+) {
+    let (out_rows, _) = chunk.as_chunks_mut::<W>();
+    let mut acc = [[0.0f32; W]; pool::CHUNK_ROWS];
+    let acc = &mut acc[..out_rows.len()];
+    let (b_rows, _) = rhs.as_chunks::<W>();
+    for (p, b_row) in b_rows.iter().enumerate() {
+        let a_run = &lhs[p * m + row0..p * m + row0 + acc.len()];
+        for (acc_row, &a) in acc.iter_mut().zip(a_run) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in acc_row.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
+    }
+    out_rows.copy_from_slice(acc);
+}
+
+/// The generic `matmul_tn` loop, accumulating in the zeroed `chunk`
+/// itself. Blocking over p keeps a `BLOCK_K x n` window of rhs hot across
+/// the chunk's rows; per element the adds stay in ascending p order — the
+/// sequential p-i-j kernel's exact order, and [`matmul_tn_rows`]'.
+fn matmul_tn_rows_reference(
+    lhs: &[f32],
+    rhs: &[f32],
+    rows: usize,
+    m: usize,
+    n: usize,
+    row0: usize,
+    chunk: &mut [f32],
+) {
+    for pb in (0..rows).step_by(BLOCK_K) {
+        let pend = (pb + BLOCK_K).min(rows);
+        for (i, out_row) in chunk.chunks_mut(n).enumerate() {
+            let col = row0 + i;
+            for p in pb..pend {
+                let a = lhs[p * m + col];
+                if a == 0.0 {
+                    continue;
+                }
+                let b_row = &rhs[p * n..(p + 1) * n];
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
+            }
+        }
     }
 }
 

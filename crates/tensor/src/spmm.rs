@@ -7,7 +7,8 @@
 //! whole-graph `CsrGraph` and the sampler's rectangular `LayerBlock`s
 //! (through `dgcl_gnn::aggregate`), and the CAGNET backend's
 //! block-partitioned adjacency ([`CsrBlock`] through
-//! [`spmm_csr_dense_into`]).
+//! [`spmm_csr_dense_into`]). The whole-graph adjoint walks the
+//! edge-reversed CSR through it too, with an index bound.
 //!
 //! Patterns carry no values: GNN adjacency is unweighted, so every
 //! stored entry is an implicit `1.0` and a multiply is a plain
@@ -21,6 +22,9 @@
 //! order, split over threads with [`pool::par_row_chunks`] — so results
 //! are bitwise identical at every thread count, and two containers that
 //! store a row's entries in the same order produce the same bits for it.
+//! Whether a row is accumulated in a stack array (the dispatched widths)
+//! or in place ([`spmm_pattern_reference`]) changes where the partial
+//! sums live, never which adds run or their order.
 //! The CAGNET backend stays bitwise equal to the single-device fold by
 //! presenting blocks whose columns ascend in global order and
 //! accumulating blocks in ascending global column-range order.
@@ -130,13 +134,23 @@ pub const PAR_WORK_MIN: usize = 1 << 15;
 /// already holds, on exactly `threads` workers — callers apply
 /// [`PAR_WORK_MIN`].
 ///
+/// With a `bound`, a row stops at its first entry `>= bound`: for rows
+/// whose entries ascend (an edge-reversed CSR), that skips the suffix a
+/// `dense` of only `bound` rows does not cover. `None` walks every entry.
+///
+/// At the row widths `dgcl_tensor` dispatches on (8, 16, 32, 64, 128)
+/// each output row is accumulated in a stack array and stored once; other
+/// widths run [`spmm_pattern_reference`]'s loop. Both add the same values
+/// to each element in the same order, so they agree bit for bit.
+///
 /// # Panics
 ///
 /// Panics if `out` is not `offsets.len() - 1` rows of `cols`, or if an
-/// entry names a row `dense` does not have.
+/// entry walked names a row `dense` does not have.
 pub fn spmm_pattern_into(
     offsets: &[usize],
     indices: &[u32],
+    bound: Option<u32>,
     dense: &[f32],
     cols: usize,
     out: &mut [f32],
@@ -144,17 +158,88 @@ pub fn spmm_pattern_into(
 ) {
     let rows = offsets.len().saturating_sub(1);
     assert_eq!(out.len(), rows * cols, "output is not {rows} x {cols}");
+    let bound = bound.map_or(usize::MAX, |b| b as usize);
     pool::par_row_chunks(threads, out, cols, |first_row, chunk| {
-        for (i, orow) in chunk.chunks_mut(cols).enumerate() {
-            let r = first_row + i;
-            for &c in &indices[offsets[r]..offsets[r + 1]] {
-                let src = &dense[c as usize * cols..(c as usize + 1) * cols];
-                for (o, x) in orow.iter_mut().zip(src) {
-                    *o += *x;
-                }
+        by_width!(
+            cols,
+            spmm_rows(offsets, indices, bound, dense, first_row, chunk),
+            spmm_rows_reference(offsets, indices, bound, dense, cols, first_row, chunk)
+        )
+    });
+}
+
+/// [`spmm_pattern_into`] on the caller's thread through the generic row
+/// loop at every width: the reference the width-dispatched kernel is
+/// tested against bit for bit.
+///
+/// # Panics
+///
+/// See [`spmm_pattern_into`].
+pub fn spmm_pattern_reference(
+    offsets: &[usize],
+    indices: &[u32],
+    bound: Option<u32>,
+    dense: &[f32],
+    cols: usize,
+    out: &mut [f32],
+) {
+    let rows = offsets.len().saturating_sub(1);
+    assert_eq!(out.len(), rows * cols, "output is not {rows} x {cols}");
+    if cols > 0 {
+        let bound = bound.map_or(usize::MAX, |b| b as usize);
+        spmm_rows_reference(offsets, indices, bound, dense, cols, 0, out);
+    }
+}
+
+/// The `W`-wide row loop: output rows `first_row..` of `chunk`, each
+/// seeded from `chunk` into a stack accumulator and stored once.
+fn spmm_rows<const W: usize>(
+    offsets: &[usize],
+    indices: &[u32],
+    bound: usize,
+    dense: &[f32],
+    first_row: usize,
+    chunk: &mut [f32],
+) {
+    let (dense_rows, _) = dense.as_chunks::<W>();
+    for (i, out_row) in chunk.as_chunks_mut::<W>().0.iter_mut().enumerate() {
+        let r = first_row + i;
+        let mut acc = *out_row;
+        for &c in &indices[offsets[r]..offsets[r + 1]] {
+            let c = c as usize;
+            if c >= bound {
+                break;
+            }
+            for (o, &x) in acc.iter_mut().zip(&dense_rows[c]) {
+                *o += x;
             }
         }
-    });
+        *out_row = acc;
+    }
+}
+
+/// The generic row loop, accumulating in `chunk` itself.
+fn spmm_rows_reference(
+    offsets: &[usize],
+    indices: &[u32],
+    bound: usize,
+    dense: &[f32],
+    cols: usize,
+    first_row: usize,
+    chunk: &mut [f32],
+) {
+    for (i, out_row) in chunk.chunks_mut(cols).enumerate() {
+        let r = first_row + i;
+        for &c in &indices[offsets[r]..offsets[r + 1]] {
+            let c = c as usize;
+            if c >= bound {
+                break;
+            }
+            for (o, &x) in out_row.iter_mut().zip(&dense[c * cols..(c + 1) * cols]) {
+                *o += x;
+            }
+        }
+    }
 }
 
 /// `out += block · dense` ([`spmm_pattern_into`] over a [`CsrBlock`]):
@@ -191,7 +276,15 @@ pub fn spmm_csr_dense_into(
     } else {
         threads
     };
-    spmm_pattern_into(&block.offsets, &block.indices, dense, cols, out, threads);
+    spmm_pattern_into(
+        &block.offsets,
+        &block.indices,
+        None,
+        dense,
+        cols,
+        out,
+        threads,
+    );
 }
 
 #[cfg(test)]

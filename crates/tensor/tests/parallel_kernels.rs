@@ -1,5 +1,6 @@
 //! Property tests: every threaded kernel is bitwise-identical to its
-//! sequential form at every worker count.
+//! sequential form at every worker count, and every width-dispatched
+//! kernel to its generic `*_reference` loop.
 //!
 //! The compute pool's determinism contract (fixed chunk boundaries, one
 //! writer per output element, fixed per-element reduction order) means
@@ -8,8 +9,21 @@
 //! a reduction fails loudly instead of silently breaking distributed /
 //! single-device training parity.
 
-use dgcl_tensor::Matrix;
+use dgcl_tensor::{spmm_pattern_into, spmm_pattern_reference, Matrix};
 use proptest::prelude::*;
+
+/// An output width below `below`, or one of the dispatched 64 and 128.
+fn arb_width(below: usize) -> impl Strategy<Value = usize> {
+    (1..below + 2).prop_map(move |n| {
+        if n == below {
+            64
+        } else if n == below + 1 {
+            128
+        } else {
+            n
+        }
+    })
+}
 
 /// Random matrix with dimensions crossing several chunk boundaries
 /// (`CHUNK_ROWS` is 16) and values including exact zeros, so the
@@ -42,7 +56,7 @@ proptest! {
 
     #[test]
     fn matmul_is_thread_count_invariant(
-        (a, b) in (arb_matrix(1..70, 1..20), 1usize..20)
+        (a, b) in (arb_matrix(1..70, 1..20), arb_width(20))
             .prop_map(|(a, n)| { let k = a.cols(); (a, arb_fixed(k, n)) })
     ) {
         let reference = a.matmul_threads(&b, 1);
@@ -54,7 +68,7 @@ proptest! {
 
     #[test]
     fn matmul_tn_is_thread_count_invariant(
-        (a, b) in (arb_matrix(1..50, 1..20), 1usize..16)
+        (a, b) in (arb_matrix(1..50, 1..20), arb_width(16))
             .prop_map(|(a, n)| { let m = a.rows(); (a, arb_fixed(m, n)) })
     ) {
         let reference = a.matmul_tn_threads(&b, 1);
@@ -101,4 +115,123 @@ fn arb_fixed(rows: usize, cols: usize) -> Matrix {
         })
         .collect();
     Matrix::from_vec(rows, cols, data)
+}
+
+/// Widths on both sides of every width the kernels dispatch on.
+const ORACLE_WIDTHS: [usize; 15] = [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129];
+
+/// Worker counts the oracle runs the dispatched kernels at.
+const ORACLE_THREADS: [usize; 3] = [1, 2, 3];
+
+/// One of [`ORACLE_WIDTHS`].
+fn arb_oracle_width() -> impl Strategy<Value = usize> {
+    (0..ORACLE_WIDTHS.len()).prop_map(|i| ORACLE_WIDTHS[i])
+}
+
+/// `len` entries hashed from `seed`, drawn from zeros of both signs,
+/// infinities of both signs, NaNs of both signs, subnormals and normals.
+/// Normals stay in the majority so most sums are finite.
+fn special_fill(len: usize, seed: u64) -> Vec<f32> {
+    (0..len as u64)
+        .map(|i| {
+            let h = (i ^ seed.rotate_left(17))
+                .wrapping_add(seed)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let h = (h ^ (h >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let h = h ^ (h >> 32);
+            let sign = if h & (1 << 40) == 0 { 1.0 } else { -1.0 };
+            match h % 40 {
+                0..=3 => 0.0,
+                4..=7 => -0.0,
+                8 => f32::INFINITY * sign,
+                9 => f32::NAN.copysign(sign),
+                10..=11 => f32::from_bits((h >> 8) as u32 & 0x007F_FFFF | 1) * sign,
+                _ => ((h >> 8) % 2000) as f32 / 256.0 - 3.9,
+            }
+        })
+        .collect()
+}
+
+fn special_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    Matrix::from_vec(rows, cols, special_fill(rows * cols, seed))
+}
+
+/// The bit patterns of a buffer: `==` on `f32` calls `0.0` and `-0.0`
+/// equal and no NaN equal to itself; the oracle wants every bit.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A pattern of `rows` rows over `dense_rows` rows, degrees up to 12,
+/// entries in arbitrary order with repeats (the kernels take both).
+fn arb_pattern(rows: usize, dense_rows: usize, seed: u64) -> (Vec<usize>, Vec<u32>) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize
+    };
+    let mut offsets = vec![0usize];
+    let mut indices = Vec::new();
+    for _ in 0..rows {
+        for _ in 0..next() % 13 {
+            indices.push((next() % dense_rows) as u32);
+        }
+        offsets.push(indices.len());
+    }
+    (offsets, indices)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn matmul_matches_reference_bitwise(
+        (m, k, n, seed) in (1usize..40, 1usize..140, arb_oracle_width(), any::<u64>())
+    ) {
+        // `k` crosses the reference's 128-wide reduction block.
+        let a = special_matrix(m, k, seed);
+        let b = special_matrix(k, n, seed ^ 0xB);
+        let want = bits(a.matmul_reference(&b).as_slice());
+        for t in ORACLE_THREADS {
+            prop_assert_eq!(bits(a.matmul_threads(&b, t).as_slice()), want.clone(), "n={} t={}", n, t);
+        }
+    }
+
+    #[test]
+    fn matmul_tn_matches_reference_bitwise(
+        (rows, m, n, seed) in (1usize..200, 1usize..40, arb_oracle_width(), any::<u64>())
+    ) {
+        // `rows` crosses the reference's 128-wide reduction block, `m`
+        // (output rows) the pool's 16-row chunks.
+        let a = special_matrix(rows, m, seed);
+        let b = special_matrix(rows, n, seed ^ 0xB);
+        let want = bits(a.matmul_tn_reference(&b).as_slice());
+        for t in ORACLE_THREADS {
+            prop_assert_eq!(bits(a.matmul_tn_threads(&b, t).as_slice()), want.clone(), "n={} t={}", n, t);
+        }
+    }
+
+    #[test]
+    fn spmm_matches_reference_bitwise(
+        (rows, dense_rows, cols, seed, cut) in
+            (1usize..40, 1usize..40, arb_oracle_width(), any::<u64>(), 0usize..50)
+    ) {
+        let (offsets, indices) = arb_pattern(rows, dense_rows, seed);
+        let dense = special_fill(dense_rows * cols, seed ^ 0xD);
+        // A non-zero starting `out`, as CAGNET's block chaining leaves it.
+        let start = special_fill(rows * cols, seed ^ 0x5);
+        // Unbounded (forward), and bounded at, inside and past the dense
+        // rows (the reverse-CSR backward).
+        for bound in [None, Some(dense_rows as u32), Some((cut % (dense_rows + 2)) as u32)] {
+            let mut want = start.clone();
+            spmm_pattern_reference(&offsets, &indices, bound, &dense, cols, &mut want);
+            for t in ORACLE_THREADS {
+                let mut got = start.clone();
+                spmm_pattern_into(&offsets, &indices, bound, &dense, cols, &mut got, t);
+                prop_assert_eq!(bits(&got), bits(&want), "cols={} bound={:?} t={}", cols, bound, t);
+            }
+        }
+    }
 }
