@@ -26,8 +26,8 @@
 //!   suite enforces.
 //!
 //! Determinism: samples are pure functions of `(seed, epoch, batch)` and
-//! the seeds, so every rank reconstructs every peer's blocks — hence its
-//! request list — without communication; row exchanges assemble in
+//! the seeds, so every rank reconstructs what each peer's chain reads of
+//! its rows without communication; row exchanges assemble in
 //! ascending rank order and the allreduce folds gradients in ascending
 //! rank order; and resumed runs replay the same batches from the
 //! checkpoint epoch.
@@ -135,25 +135,25 @@ fn local_rows<'a>(
 }
 
 /// Appends to `wire` the message between one requester and one owner: of
-/// the requester's list positions `owned` (one entry of its list's
-/// [`owner_split`]), those its cache lacks, in list order;
-/// `hit(position, cache row)` sees the rest. Sender and receiver both
-/// call this with the same arguments — lists, partition and cache sets
-/// are shared knowledge — so a message carries exactly the rows its
-/// receiver expects.
+/// the ascending positions `owned` of `rows` that the owner owns, those
+/// the requester's cache lacks, in order; `hit(position, cache row)` sees
+/// the rest. The receiver passes its list and one entry of its
+/// [`owner_split`], the sender the rows of that list it owns: the same
+/// rows in the same order — lists, partition and cache sets are shared
+/// knowledge — so a message carries exactly the rows its receiver expects.
 fn wire_rows(
     rows: &[VertexId],
-    owned: &[usize],
+    owned: impl IntoIterator<Item = usize>,
     cache: Option<&FeatureCache>,
     wire: &mut Vec<usize>,
     mut hit: impl FnMut(usize, usize),
 ) {
     let Some(cache) = cache else {
-        wire.extend_from_slice(owned);
+        wire.extend(owned);
         return;
     };
     let mut walk = AscendingWalk::new(&cache.ids);
-    for &p in owned {
+    for p in owned {
         match walk.find(rows[p]) {
             Some(ci) => hit(p, ci),
             None => wire.push(p),
@@ -161,17 +161,13 @@ fn wire_rows(
     }
 }
 
-/// One rank's request in a row exchange: its strictly ascending global
-/// row list and that list's [`owner_split`].
-pub(crate) type Request<'a> = (&'a [VertexId], &'a [Vec<usize>]);
-
 /// One rank's view of a row exchange: every rank requests one strictly
 /// ascending global row list and receives its matrix, output position `i`
 /// *being* row `i` of its list, each row served by its owner. Every rank
-/// derives every request list from shared knowledge (the batch, the
-/// sampler's seed, the partition), so sends and receives pair up without
-/// negotiation: a message carries the rows of the receiver's list its
-/// sender owns, in list order, minus those in the receiver's
+/// derives the rows of each peer's list it owns from shared knowledge (the
+/// batch, the sampler's seed, the partition), so sends and receives pair
+/// up without negotiation: a message carries the rows of the receiver's
+/// list its sender owns, in list order, minus those in the receiver's
 /// [`ClusterCache`] (cache sets are shared knowledge too). Those never
 /// cross the wire: the requester embeds their values — and its own rows —
 /// in its plan at build time, as it embeds the rows it sends, so
@@ -217,24 +213,28 @@ impl GatherPlan {
         cache: &ClusterCache,
     ) -> Self {
         let split = owner_split(rows, partition, num_parts);
-        let requests = vec![(rows, &split[..]); num_parts];
-        Self::for_requests(&requests, rank, have, values, Some(cache))
+        let owned: Vec<VertexId> = split[rank].iter().map(|&p| rows[p]).collect();
+        let owed = vec![&owned[..]; num_parts];
+        Self::for_requests(rows, &split, &owed, rank, have, values, Some(cache))
     }
 
-    /// The plan of the exchange in which rank `q` requests `requests[q]`
-    /// — the one body; [`GatherPlan::build_cached`] is the case of `P`
-    /// equal lists.
+    /// The plan of the exchange in which this rank requests `rows`
+    /// (strictly ascending; `split` is its [`owner_split`]) and each peer
+    /// `q` reads `owed[q]` from it: the ascending rows of `q`'s list that
+    /// this rank owns (`owed[rank]` is not read). This is the one body;
+    /// [`GatherPlan::build_cached`] is the case of `P` equal lists.
     pub(crate) fn for_requests(
-        requests: &[Request<'_>],
+        rows: &[VertexId],
+        split: &[Vec<usize>],
+        owed: &[impl AsRef<[VertexId]>],
         rank: usize,
         have: &[VertexId],
         values: &Matrix,
         cache: Option<&ClusterCache>,
     ) -> Self {
-        let peers = || (0..requests.len()).filter(move |&peer| peer != rank);
+        let peers = || (0..owed.len()).filter(move |&peer| peer != rank);
         // Receives: each owner's rows of this rank's list, minus the
         // ones this rank's cache serves.
-        let (rows, split) = requests[rank];
         let mut base = Matrix::zeros(rows.len(), values.cols());
         let own = local_rows(have, split[rank].iter().map(|&p| rows[p]));
         for (&p, r) in split[rank].iter().zip(own) {
@@ -246,7 +246,8 @@ impl GatherPlan {
         let recvs: Vec<_> = peers()
             .map(|peer| {
                 let start = positions.len();
-                wire_rows(rows, &split[peer], mine, &mut positions, |p, ci| {
+                let owned = split[peer].iter().copied();
+                wire_rows(rows, owned, mine, &mut positions, |p, ci| {
                     base.set_row(p, mine.expect("a hit has a cache").rows.row(ci));
                     hits += 1;
                 });
@@ -258,15 +259,15 @@ impl GatherPlan {
         }
         // Sends: the mirror image — this rank's rows of each peer's
         // list, minus the ones that peer's cache serves.
-        let owed = |peer: usize| requests[peer].1[rank].len();
-        let mut wire = Vec::with_capacity(peers().map(owed).max().unwrap_or(0));
-        let mut sent = Vec::with_capacity(peers().map(owed).sum());
+        let owed = |peer: usize| owed[peer].as_ref();
+        let mut wire = Vec::with_capacity(peers().map(|q| owed(q).len()).max().unwrap_or(0));
+        let mut sent = Vec::with_capacity(peers().map(|q| owed(q).len()).sum());
         let sends: Vec<_> = peers()
             .map(|peer| {
-                let (rows, split) = requests[peer];
+                let rows = owed(peer);
                 let theirs = cache.map(|c| &c.caches[peer]);
                 wire.clear();
-                wire_rows(rows, &split[rank], theirs, &mut wire, |_, _| {});
+                wire_rows(rows, 0..rows.len(), theirs, &mut wire, |_, _| {});
                 let start = sent.len();
                 sent.extend(local_rows(have, wire.iter().map(|&p| rows[p])));
                 (peer, start..sent.len())
@@ -332,12 +333,15 @@ pub(crate) fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId
 /// collectives per step whatever the depth. A rank that owns none of a
 /// batch's seeds still serves its rows and joins the allreduce with zero
 /// gradients and zero loss. Holds what outlives a step: the recycle pool
-/// for block-chain scratch.
+/// for block-chain scratch, the seed scratch and, per peer, the rows this
+/// rank serves it.
 pub(crate) struct BlockSteps<'a> {
     handle: &'a DeviceHandle<'a>,
     ctx: &'a EpochCtx<'a>,
     scfg: &'a SamplingConfig,
     pool: BlockPool,
+    seeds: Vec<VertexId>,
+    owed: Vec<Vec<VertexId>>,
 }
 
 impl<'a> BlockSteps<'a> {
@@ -351,16 +355,18 @@ impl<'a> BlockSteps<'a> {
             ctx,
             scfg,
             pool: BlockPool::new(),
+            seeds: Vec::new(),
+            owed: vec![Vec::new(); handle.comm_info().pg.num_parts],
         }
     }
 
     /// This rank's block chain of batch `bi` and the plan of its feature
-    /// fetch. The batch's seeds split by owner; each owner's chain is a
-    /// pure function of `(seed, epoch, batch)` and its seeds, so this rank
-    /// samples all of them — together about one global chain's work — to
-    /// learn every peer's request list (`blocks[0].src`, the raw features
-    /// its chain reads) the way that peer does, keeps its own and recycles
-    /// the rest. A bad seed unwinds through the poison protocol.
+    /// fetch. The batch's seeds split by owner, and each owner's chain is a
+    /// pure function of `(seed, epoch, batch)` and its seeds. This rank
+    /// samples its own chain in full; of each peer's chain it walks only
+    /// the input rows (`blocks[0].src`) it owns — what it serves that peer,
+    /// learnt the way the peer learns it, without a message. A bad seed
+    /// unwinds through the poison protocol.
     fn sample(
         &mut self,
         epoch: usize,
@@ -368,39 +374,40 @@ impl<'a> BlockSteps<'a> {
         bi: usize,
     ) -> Result<(Vec<LayerBlock>, GatherPlan), RuntimeError> {
         let (rank, pg) = (self.handle.rank, &self.handle.comm_info().pg);
-        let mut batch = batches[bi].clone();
-        batch.sort_unstable();
-        batch.dedup();
+        let (graph, fanouts) = (self.ctx.graph, &self.scfg.fanouts[..]);
         let round = round_seed(self.scfg.seed, epoch, bi);
-        let mut chains = Vec::with_capacity(pg.num_parts);
-        for owned in owner_split(&batch, &pg.partition, pg.num_parts) {
-            let seeds: Vec<VertexId> = owned.iter().map(|&p| batch[p]).collect();
-            let chain = self
+        let owner = |v: VertexId| pg.partition[v as usize] as usize;
+        // The pool sorts and dedups each owner's seeds, as one sort of the
+        // batch would.
+        let seeds_of = |q: usize, seeds: &mut Vec<VertexId>| {
+            seeds.clear();
+            seeds.extend(batches[bi].iter().copied().filter(|&v| owner(v) == q));
+        };
+        seeds_of(rank, &mut self.seeds);
+        let chain = self.pool.sample_blocks(graph, &self.seeds, fanouts, round);
+        let mine = self
+            .handle
+            .poison_on_err(chain.map_err(|e| graph_err(rank, &e)))?;
+        for peer in (0..pg.num_parts).filter(|&q| q != rank) {
+            seeds_of(peer, &mut self.seeds);
+            let keep = |v: VertexId| owner(v) == rank;
+            let out = &mut self.owed[peer];
+            let walk = self
                 .pool
-                .sample_blocks(self.ctx.graph, &seeds, &self.scfg.fanouts, round);
-            let chain = chain.map_err(|e| graph_err(rank, &e));
-            chains.push(self.handle.poison_on_err(chain)?);
+                .sample_sources(graph, &self.seeds, fanouts, round, keep, out);
+            self.handle
+                .poison_on_err(walk.map_err(|e| graph_err(rank, &e)))?;
         }
-        let splits: Vec<_> = chains
-            .iter()
-            .map(|c| owner_split(&c[0].src, &pg.partition, pg.num_parts))
-            .collect();
-        let requests: Vec<Request<'_>> = chains
-            .iter()
-            .zip(&splits)
-            .map(|(c, s)| (&c[0].src[..], &s[..]))
-            .collect();
+        let split = owner_split(&mine[0].src, &pg.partition, pg.num_parts);
         let plan = GatherPlan::for_requests(
-            &requests,
+            &mine[0].src,
+            &split,
+            &self.owed,
             rank,
             &pg.local[rank],
             &self.ctx.features[rank],
             self.ctx.cache,
         );
-        let mine = chains.swap_remove(rank);
-        for chain in chains {
-            self.pool.recycle(chain);
-        }
         Ok((mine, plan))
     }
 
@@ -663,18 +670,25 @@ mod tests {
         /// `lists[q]`.
         fn plan(&self, rank: usize) -> GatherPlan {
             let (have, values) = self.local(rank);
-            let splits: Vec<_> = self
+            let rows = &self.lists[rank];
+            let split = owner_split(rows, &self.partition, self.n);
+            let owed: Vec<Vec<VertexId>> = self
                 .lists
                 .iter()
-                .map(|l| owner_split(l, &self.partition, self.n))
+                .map(|l| {
+                    let mine = |v: &&VertexId| self.partition[**v as usize] as usize == rank;
+                    l.iter().filter(mine).copied().collect()
+                })
                 .collect();
-            let requests: Vec<Request<'_>> = self
-                .lists
-                .iter()
-                .zip(&splits)
-                .map(|(l, s)| (&l[..], &s[..]))
-                .collect();
-            GatherPlan::for_requests(&requests, rank, &have, &values, self.cache.as_ref())
+            GatherPlan::for_requests(
+                rows,
+                &split,
+                &owed,
+                rank,
+                &have,
+                &values,
+                self.cache.as_ref(),
+            )
         }
 
         fn feature_rows<'a>(&'a self, rows: impl Iterator<Item = VertexId> + 'a) -> Vec<&'a [f32]> {

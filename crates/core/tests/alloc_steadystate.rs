@@ -18,7 +18,7 @@
 //!
 //! The finite-fanout sampled step is pinned too, at what it allocates
 //! today: its plans, gathered matrices and activations are not pooled yet
-//! (ROADMAP item 6), so the budget is a ratchet, not zero.
+//! (ROADMAP item 8), so the budget is a ratchet, not zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -120,7 +120,10 @@ fn measure_on(info: &CommInfo, graph: &CsrGraph, mode: Mode, warm: usize, rounds
         // No handle to warm up behind: a `2 · rounds`-epoch run minus a
         // `rounds`-epoch run cancels what a run allocates once (threads,
         // caches, pools growing to their high-water mark) and leaves
-        // `rounds` epochs of warm steps.
+        // `rounds` epochs of warm steps. What a `CommInfo` memoizes on
+        // first use (the allreduce tuning) is paid by an unmeasured run
+        // first, or the short run pays it and the difference hides the
+        // steps it should count.
         let mut init = XavierInit::new(5);
         let (features, targets) = (init.features(n, 8), init.features(n, 4));
         let batch = n.div_ceil(BLOCK_BATCHES);
@@ -134,8 +137,16 @@ fn measure_on(info: &CommInfo, graph: &CsrGraph, mode: Mode, warm: usize, rounds
             COUNTING.store(false, Ordering::Relaxed);
             ALLOCS.load(Ordering::Relaxed)
         };
+        run(1);
         let short = run(rounds);
-        return run(2 * rounds).saturating_sub(short);
+        let long = run(2 * rounds);
+        assert!(
+            long > short,
+            "{} epochs allocated {long} times, {rounds} allocated {short}: \
+             the difference counts no step",
+            2 * rounds
+        );
+        return long - short;
     }
     let mut features = Matrix::zeros(n, 8);
     for v in 0..n {
@@ -246,13 +257,15 @@ fn warm_block_step_stays_within_allocation_budget() {
     let (devices, epochs) = (4, 3);
     let allocs = measure(Mode::BlockStep, 0, epochs);
     let per_step = allocs as f64 / (devices * epochs * BLOCK_BATCHES) as f64;
-    // Measured 93.2 per rank-step (the owner-computes step this one
-    // replaced: 192), + 5 %. Every step fetches on its rank's own thread,
-    // so no worker timing moves the count; its messages are pooled
-    // fabric payloads, and at kernel budget 1 no kernel spawns a scoped
-    // worker. What is left is an allocation per plan, matrix and
-    // activation of the step; pooling those is ROADMAP item 6.
-    let budget = 98.0;
+    // Measured 57.7 per rank-step, + 5 % (93.1 when every rank sampled
+    // every owner's chain in full; 192 for the owner-computes step
+    // before that). Every step fetches on its rank's own thread, so no
+    // worker timing moves the count; its messages are pooled fabric
+    // payloads, its peer walks reuse the pool's scratch and one list per
+    // peer, and at kernel budget 1 no kernel spawns a scoped worker. What
+    // is left is an allocation per plan, matrix and activation of the
+    // step; pooling those is ROADMAP item 8.
+    let budget = 61.0;
     eprintln!("steady-state allocations: block step={per_step:.1} per rank-step, budget={budget}");
     assert!(
         per_step <= budget,

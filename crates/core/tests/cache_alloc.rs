@@ -3,8 +3,8 @@
 //! [`BlockPool`] exists so steady-state sampled training stops paying the
 //! allocator per batch: block carcasses, chain containers and scratch all
 //! recycle. This binary installs a counting `#[global_allocator]` and pins
-//! the contract — **a warm pool samples a batch with zero heap
-//! allocations** — so a future "harmless" `collect()` inside the hot path
+//! the contract — **a warm pool samples a batch, and walks a chain's
+//! source set, with zero heap allocations** — so a future "harmless" `collect()` inside the hot path
 //! fails CI instead of silently re-inflating allocator traffic.
 //!
 //! Everything lives in one `#[test]` so no sibling test can allocate
@@ -101,6 +101,35 @@ fn warm_pool_samples_with_zero_allocations() {
             hubs.len()
         );
     }
+
+    // The source-set walk a rank runs over each peer's chain: the same
+    // pool's scratch, and one output list per peer that keeps its
+    // capacity. Warm, it allocates nothing either.
+    let mut owed: Vec<Vec<VertexId>> = vec![Vec::new(); 4];
+    for measured in [false, true] {
+        let before = allocs();
+        for round in 0u64..5 {
+            for (part, out) in owed.iter_mut().enumerate() {
+                let keep = |v: VertexId| v as usize % 4 == part;
+                pool.sample_sources(&graph, &seeds, &fanouts, 1 + round, keep, out)
+                    .expect("seeds in range");
+            }
+        }
+        let walks = allocs() - before;
+        assert!(
+            !measured || walks == 0,
+            "warm source walks allocated {walks} times over 5 rounds of 4 parts"
+        );
+    }
+    let owned: Vec<VertexId> = plain[0]
+        .src
+        .iter()
+        .copied()
+        .filter(|v| v % 4 == 1)
+        .collect();
+    pool.sample_sources(&graph, &seeds, &fanouts, 1, |v| v % 4 == 1, &mut owed[1])
+        .expect("seeds in range");
+    assert_eq!(owed[1], owned, "the walk is the chain's input, filtered");
 
     // The pooled output is still the plain output, bit for bit.
     let chain = pool

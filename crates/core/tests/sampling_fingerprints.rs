@@ -1,0 +1,258 @@
+//! Pins finite-fanout sampled training bit for bit.
+//!
+//! Each cell trains a sampled configuration with `train_distributed` and
+//! hashes the epoch losses, the output embeddings and the cluster's
+//! feature-cache counters. How a rank learns what its peers request (which
+//! chains it samples, how it walks them, how it builds the plan of its
+//! feature fetch) is bookkeeping: every draw, message and fold must stay
+//! as it is, so a change there must leave every hash as it is. A change
+//! that moves one sampled neighbour, one cached row or one gradient fold
+//! fails here.
+//!
+//! The small cells run in tier-1. The `#[ignore]` cell is the `e2e`
+//! benchmark's `sampled-cached` configuration; run it with
+//! `cargo test --release -p dgcl --test sampling_fingerprints -- --ignored`.
+
+use dgcl::sampling::SamplingConfig;
+use dgcl::trainer::{train_distributed, TrainConfig};
+use dgcl::{build_comm_info, BuildOptions, CachePolicy};
+use dgcl_gnn::Architecture;
+use dgcl_graph::{Dataset, VertexId};
+use dgcl_tensor::XavierInit;
+use dgcl_topology::Topology;
+
+/// FNV-1a 64 over little-endian bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: impl IntoIterator<Item = u8>) {
+        for b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f32s<'a>(&mut self, xs: impl IntoIterator<Item = &'a f32>) {
+        for x in xs {
+            self.bytes(x.to_bits().to_le_bytes());
+        }
+    }
+
+    fn u64s(&mut self, xs: impl IntoIterator<Item = u64>) {
+        for x in xs {
+            self.bytes(x.to_le_bytes());
+        }
+    }
+}
+
+/// One sampled training configuration.
+struct Cell {
+    dataset: Dataset,
+    scale: f64,
+    topology: Topology,
+    arch: Architecture,
+    dims: &'static [usize],
+    epochs: usize,
+    lr: f32,
+    batch: usize,
+    fanout: usize,
+    cache: CachePolicy,
+    /// Training seeds: `None` for every vertex, else those whose owner
+    /// is below this rank count.
+    owners_below: Option<u32>,
+}
+
+/// `(losses, outputs, cache counters)` hashes of `cell`'s run; graph,
+/// features and targets are generated with seed 7.
+fn fingerprints(cell: &Cell) -> (u64, u64, u64) {
+    let graph = cell.dataset.generate(cell.scale, 7);
+    let n = graph.num_vertices();
+    let mut init = XavierInit::new(7);
+    let features = init.features(n, cell.dims[0]);
+    let targets = init.features(n, *cell.dims.last().expect("≥ 1 layer"));
+    let info = build_comm_info(&graph, cell.topology.clone(), BuildOptions::default());
+    let mut cfg = TrainConfig::new(cell.arch, cell.dims, cell.epochs);
+    cfg.lr = cell.lr;
+    let mut sampling =
+        SamplingConfig::new(cell.batch, vec![Some(cell.fanout); cell.dims.len() - 1]);
+    if let Some(below) = cell.owners_below {
+        let seeds: Vec<VertexId> = (0..n as VertexId)
+            .filter(|&v| info.pg.partition[v as usize] < below)
+            .collect();
+        assert!(!seeds.is_empty() && seeds.len() < n, "a proper seed subset");
+        sampling.train_vertices = Some(seeds);
+    }
+    cfg.sampling = Some(sampling);
+    cfg.feature_cache = Some(cell.cache);
+    let report =
+        train_distributed(&info, &graph, &features, &targets, &cfg).expect("healthy cluster");
+    let mut losses = Fnv::new();
+    losses.f32s(&report.epoch_losses);
+    let mut outputs = Fnv::new();
+    outputs.f32s(report.outputs.as_slice());
+    let mut counters = Fnv::new();
+    if let Some(s) = report.cache {
+        counters.u64s([
+            s.hits,
+            s.misses,
+            s.bytes_fetched,
+            s.bytes_saved,
+            s.capacity_rows,
+        ]);
+    }
+    (losses.0, outputs.0, counters.0)
+}
+
+fn check(cell: &Cell, expected: (u64, u64, u64)) {
+    let got = fingerprints(cell);
+    let hex = |h: (u64, u64, u64)| {
+        (
+            format!("{:016x}", h.0),
+            format!("{:016x}", h.1),
+            format!("{:016x}", h.2),
+        )
+    };
+    assert_eq!(
+        hex(got),
+        hex(expected),
+        "{} x{} {:?} on {} GPUs, cache {:?}: (losses, outputs, cache) hashes moved",
+        cell.dataset.name(),
+        cell.scale,
+        cell.arch,
+        cell.topology.num_gpus(),
+        cell.cache
+    );
+}
+
+/// GCN on 4 GPUs of a DGX-1, at the benchmark's batch and fanout, with
+/// the model-sized cache or none.
+fn gcn_four(cache: CachePolicy) -> Cell {
+    Cell {
+        dataset: Dataset::WebGoogle,
+        scale: 0.002,
+        topology: Topology::dgx1_subset(4),
+        arch: Architecture::Gcn,
+        dims: &[16, 8, 4],
+        epochs: 2,
+        lr: 5e-4,
+        batch: 128,
+        fanout: 4,
+        cache,
+        owners_below: None,
+    }
+}
+
+#[test]
+fn gcn_four_gpus_cache_auto() {
+    check(
+        &gcn_four(CachePolicy::Auto),
+        (
+            0xfdda_bae3_36a2_1728,
+            0xe589_f596_c37f_8863,
+            0x9a59_3732_b233_9c7b,
+        ),
+    );
+}
+
+#[test]
+fn gcn_four_gpus_cache_off() {
+    check(
+        &gcn_four(CachePolicy::Off),
+        (
+            0xfdda_bae3_36a2_1728,
+            0xe589_f596_c37f_8863,
+            0xcbf2_9ce4_8422_2325,
+        ),
+    );
+}
+
+/// Two DGX-1s over InfiniBand: 16 owners per batch, most chains tiny.
+#[test]
+fn sage_sixteen_gpus() {
+    check(
+        &Cell {
+            dataset: Dataset::WikiTalk,
+            scale: 0.002,
+            topology: Topology::dgx1_pair_ib(),
+            arch: Architecture::Sage,
+            dims: &[8, 6, 4],
+            epochs: 2,
+            lr: 1e-3,
+            batch: 96,
+            fanout: 3,
+            cache: CachePolicy::Auto,
+            owners_below: None,
+        },
+        (
+            0x264f_ac9e_801d_08ef,
+            0xd19f_225b_cee7_d3ea,
+            0x86ab_c69d_277a_9a9a,
+        ),
+    );
+}
+
+/// Three layers on a full DGX-1.
+#[test]
+fn gin_eight_gpus() {
+    check(
+        &Cell {
+            dataset: Dataset::Reddit,
+            scale: 0.002,
+            topology: Topology::dgx1(),
+            arch: Architecture::Gin,
+            dims: &[8, 6, 5, 4],
+            epochs: 2,
+            lr: 1e-6,
+            batch: 64,
+            fanout: 3,
+            cache: CachePolicy::Auto,
+            owners_below: None,
+        },
+        (
+            0xf5aa_ba97_59a7_188c,
+            0x87dd_cebe_bcba_191e,
+            0xd645_3015_4542_cf28,
+        ),
+    );
+}
+
+/// Seeds owned by ranks 0 and 1 only: ranks 2 and 3 own no seed of any
+/// batch, sample an empty chain and still serve their rows.
+#[test]
+fn ranks_without_seeds() {
+    check(
+        &Cell {
+            owners_below: Some(2),
+            batch: 48,
+            ..gcn_four(CachePolicy::Auto)
+        },
+        (
+            0xa1fe_ca02_e68b_ca25,
+            0x703b_05e2_0a70_57d2,
+            0x7984_456e_01cc_dc41,
+        ),
+    );
+}
+
+/// The `e2e` benchmark's `sampled-cached` workload: Web-Google ×0.02 on
+/// 4 GPUs, GCN 32-16-8, batch 128, fanout 4×4, cache Auto.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn sampled_cached_benchmark_scale() {
+    check(
+        &Cell {
+            scale: 0.02,
+            dims: &[32, 16, 8],
+            ..gcn_four(CachePolicy::Auto)
+        },
+        (
+            0xd0d8_01a8_20d6_bb91,
+            0x1d4c_e17c_df29_c26b,
+            0x7a0c_c45c_0e6d_f14b,
+        ),
+    );
+}

@@ -291,17 +291,7 @@ impl BlockPool {
         fanouts: &[Option<usize>],
         seed: u64,
     ) -> Result<Vec<LayerBlock>, GraphError> {
-        let n = graph.num_vertices();
-        self.dst.clear();
-        self.dst.extend_from_slice(seeds);
-        self.dst.sort_unstable();
-        self.dst.dedup();
-        if let Some(&bad) = self.dst.iter().find(|&&v| (v as usize) >= n) {
-            return Err(GraphError::SeedOutOfRange {
-                seed: bad,
-                num_vertices: n,
-            });
-        }
+        self.load_seeds(graph, seeds)?;
         let mut chain = self.chains.pop().unwrap_or_default();
         debug_assert!(chain.is_empty(), "recycled chains come back empty");
         for layer in (0..fanouts.len()).rev() {
@@ -326,6 +316,73 @@ impl BlockPool {
         }
         chain.reverse();
         Ok(chain)
+    }
+
+    /// The input rows of the chain [`BlockPool::sample_blocks`] would
+    /// build — its `blocks[0].src`, or the sorted seeds when `fanouts` is
+    /// empty — restricted to those `keep` accepts, into `out`
+    /// (ascending). The frontier expands layer by layer with the chain's
+    /// own draws, but no block is built: no offsets, no targets, no
+    /// position lookups, and the last expansion collects only the rows
+    /// `keep` accepts. A warm pool allocates nothing; `out` keeps its
+    /// capacity.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::SeedOutOfRange`] if any seed is out of range, as
+    /// [`BlockPool::sample_blocks`] reports it.
+    pub fn sample_sources(
+        &mut self,
+        graph: &CsrGraph,
+        seeds: &[VertexId],
+        fanouts: &[Option<usize>],
+        seed: u64,
+        keep: impl Fn(VertexId) -> bool,
+        out: &mut Vec<VertexId>,
+    ) -> Result<(), GraphError> {
+        self.load_seeds(graph, seeds)?;
+        out.clear();
+        let Self { dst, flat, idx, .. } = self;
+        if fanouts.is_empty() {
+            out.extend(dst.iter().copied().filter(|&v| keep(v)));
+        }
+        for layer in (0..fanouts.len()).rev() {
+            // A layer's sources are its destinations and their draws.
+            let next = if layer == 0 { &mut *out } else { &mut *flat };
+            let kept = |v: VertexId| layer > 0 || keep(v);
+            next.clear();
+            for &v in dst.iter() {
+                if kept(v) {
+                    next.push(v);
+                }
+                let neigh = graph.neighbors(v);
+                let mut rng = SampleRng::for_vertex(seed, layer, v);
+                chosen_positions(neigh.len(), fanouts[layer], &mut rng, idx);
+                next.extend(idx.iter().map(|&p| neigh[p]).filter(|&u| kept(u)));
+            }
+            next.sort_unstable();
+            next.dedup();
+            if layer > 0 {
+                std::mem::swap(dst, flat);
+            }
+        }
+        Ok(())
+    }
+
+    /// Loads the sorted, deduplicated `seeds` into the frontier.
+    fn load_seeds(&mut self, graph: &CsrGraph, seeds: &[VertexId]) -> Result<(), GraphError> {
+        let n = graph.num_vertices();
+        self.dst.clear();
+        self.dst.extend_from_slice(seeds);
+        self.dst.sort_unstable();
+        self.dst.dedup();
+        match self.dst.iter().find(|&&v| (v as usize) >= n) {
+            Some(&bad) => Err(GraphError::SeedOutOfRange {
+                seed: bad,
+                num_vertices: n,
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -360,6 +417,7 @@ mod tests {
     use super::*;
     use crate::generators::hub_attachment;
     use crate::khop::k_hop_closure_sparse;
+    use proptest::prelude::*;
 
     fn graph() -> CsrGraph {
         hub_attachment(500, 10, 0.8, 3)
@@ -467,6 +525,60 @@ mod tests {
                 num_vertices: 500
             }
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The walk is the chain's input rows, filtered: with every row
+        /// kept it is exactly `blocks[0].src`; with an owner filter it is
+        /// that list's owned rows, in order.
+        #[test]
+        fn source_walk_is_the_filtered_chain_input(
+            graph_seed in 0u64..8,
+            seeds in collection::vec(0u32..300, 0..40),
+            // 0 draws `None`, an unbounded layer.
+            fanouts in collection::vec((0usize..6).prop_map(|f| (f > 0).then_some(f)), 1..4),
+            round in 0u64..1_000,
+            parts in 1u32..5,
+        ) {
+            let g = hub_attachment(300, 6, 0.8, graph_seed);
+            let chain = sample_blocks(&g, &seeds, &fanouts, round).unwrap();
+            let mut pool = BlockPool::new();
+            let mut out = vec![7; 3];
+            pool.sample_sources(&g, &seeds, &fanouts, round, |_| true, &mut out).unwrap();
+            prop_assert_eq!(&out, &chain[0].src);
+            for part in 0..parts {
+                let owned = |v: VertexId| (v * 7 + 3) % parts == part;
+                pool.sample_sources(&g, &seeds, &fanouts, round, owned, &mut out).unwrap();
+                let expected: Vec<VertexId> =
+                    chain[0].src.iter().copied().filter(|&v| owned(v)).collect();
+                prop_assert_eq!(&out, &expected, "part {}/{}", part, parts);
+            }
+        }
+    }
+
+    #[test]
+    fn source_walk_without_layers_is_the_kept_seeds() {
+        let g = graph();
+        let mut pool = BlockPool::new();
+        let mut out = Vec::new();
+        pool.sample_sources(&g, &[9, 4, 9, 6], &[], 1, |v| v != 6, &mut out)
+            .unwrap();
+        assert_eq!(out, vec![4, 9]);
+    }
+
+    #[test]
+    fn source_walk_bad_seed_is_the_chains_error() {
+        let g = graph();
+        let mut pool = BlockPool::new();
+        let mut out = Vec::new();
+        for fanouts in [&[Some(2)][..], &[None, Some(3)], &[]] {
+            let seeds = [1, 7_000, 5_000];
+            let walk = pool.sample_sources(&g, &seeds, fanouts, 0, |_| true, &mut out);
+            let chain = sample_blocks(&g, &seeds, fanouts, 0);
+            assert_eq!(walk.unwrap_err(), chain.unwrap_err(), "{fanouts:?}");
+        }
     }
 
     #[test]
