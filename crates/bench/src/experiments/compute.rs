@@ -8,7 +8,9 @@
 //! * `matmul_tn` — the weight-gradient kernel (`h^T · grad`, the
 //!   largest backward kernel of a wide-input layer) against its generic
 //!   `matmul_tn_reference` loop, so the speedup is the width-dispatched
-//!   row accumulator's;
+//!   blocked kernel's: `matmul_tn` at the `fullbatch-halo` benchmark's
+//!   layer-0 shape (128 × 8 output), `matmul_tn_dense` at
+//!   `fullbatch-dense`'s (64 × 32);
 //! * `aggregate` — row-parallel CSR neighbour aggregation plus the
 //!   gather-form (reverse-CSR) backward against the scatter-form
 //!   reference;
@@ -93,20 +95,34 @@ pub fn run(ctx: &mut RunContext) {
     }
 
     // Weight gradient of a wide-input layer: `h^T · grad` with `h` the
-    // visible rows × input features and `grad` 8 wide, against the
-    // generic loop every width falls back to.
-    let (visible, fin) = if smoke { (1024, 64) } else { (7500, 128) };
-    let h_in = init.features(visible, fin);
-    let grad = init.features(visible, 8);
-    std::hint::black_box(h_in.matmul_tn_reference(&grad)); // Warm-up.
-    let reference = median_seconds(reps, || {
-        std::hint::black_box(h_in.matmul_tn_reference(&grad));
-    });
-    for t in THREADS {
-        let s = median_seconds(reps, || {
-            std::hint::black_box(h_in.matmul_tn_threads(&grad, t));
+    // local rows × input features and `grad` the layer's output width,
+    // against the generic loop every width falls back to. The layer-0
+    // shapes of `fullbatch-halo` (7 500 rows, about a rank's, 128 → 8)
+    // and of `fullbatch-dense` (9 000 rows, 64 → 32).
+    let shapes = if smoke {
+        [
+            ("matmul_tn", 1024, 64, 8),
+            ("matmul_tn_dense", 1024, 32, 32),
+        ]
+    } else {
+        [
+            ("matmul_tn", 7500, 128, 8),
+            ("matmul_tn_dense", 9000, 64, 32),
+        ]
+    };
+    for (kernel, visible, fin, fout) in shapes {
+        let h_in = init.features(visible, fin);
+        let grad = init.features(visible, fout);
+        std::hint::black_box(h_in.matmul_tn_reference(&grad)); // Warm-up.
+        let reference = median_seconds(reps, || {
+            std::hint::black_box(h_in.matmul_tn_reference(&grad));
         });
-        push(&mut records, &mut rows, "matmul_tn", t, s, reference);
+        for t in THREADS {
+            let s = median_seconds(reps, || {
+                std::hint::black_box(h_in.matmul_tn_threads(&grad, t));
+            });
+            push(&mut records, &mut rows, kernel, t, s, reference);
+        }
     }
 
     // CSR aggregation forward on a generated power-law graph.
@@ -189,7 +205,7 @@ pub fn run(ctx: &mut RunContext) {
         &rows,
     );
     println!(
-        "  (baselines: matmul/aggregate_fwd at 1 thread; matmul_tn vs its generic\n   loop; aggregate_bwd vs the scatter form; allgather vs the uncompiled\n   table walk. Thread speedups need spare cores — the JSON records `cpus`\n   so a 1-CPU box documents its ceiling instead of faking scaling.)"
+        "  (baselines: matmul/aggregate_fwd at 1 thread; matmul_tn(_dense) vs its\n   generic loop; aggregate_bwd vs the scatter form; allgather vs the uncompiled\n   table walk. Thread speedups need spare cores — the JSON records `cpus`\n   so a 1-CPU box documents its ceiling instead of faking scaling.)"
     );
 
     // One distributed training epoch per dataset: the end-to-end number

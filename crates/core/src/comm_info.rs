@@ -335,17 +335,26 @@ impl CommInfo {
     ///
     /// Panics if `features` has fewer rows than the graph has vertices.
     pub fn dispatch_features(&self, features: &Matrix) -> Vec<Matrix> {
+        (0..self.num_devices())
+            .map(|d| self.device_rows(d, features))
+            .collect()
+    }
+
+    /// Device `device`'s rows of a global matrix, in device-local order:
+    /// one entry of [`CommInfo::dispatch_features`], which a rank copies
+    /// on its own thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `global` has fewer rows than the graph has vertices.
+    pub fn device_rows(&self, device: usize, global: &Matrix) -> Matrix {
         assert_eq!(
-            features.rows(),
+            global.rows(),
             self.pg.partition.len(),
             "feature rows must match vertex count"
         );
-        (0..self.num_devices())
-            .map(|d| {
-                let rows: Vec<usize> = self.pg.local[d].iter().map(|&v| v as usize).collect();
-                features.gather_rows(&rows)
-            })
-            .collect()
+        let rows: Vec<usize> = self.pg.local[device].iter().map(|&v| v as usize).collect();
+        global.gather_rows(&rows)
     }
 
     /// Reassembles per-device row blocks into a global matrix (the

@@ -332,13 +332,15 @@ pub(crate) fn train_set(scfg: &SamplingConfig, graph: &CsrGraph) -> Vec<VertexId
 /// blocks and meets its peers again only in the gradient allreduce — two
 /// collectives per step whatever the depth. A rank that owns none of a
 /// batch's seeds still serves its rows and joins the allreduce with zero
-/// gradients and zero loss. Holds what outlives a step: the recycle pool
-/// for block-chain scratch, the seed scratch and, per peer, the rows this
-/// rank serves it.
+/// gradients and zero loss. Holds what outlives a step: the rank's own
+/// feature and target rows, the recycle pool for block-chain scratch, the
+/// seed scratch and, per peer, the rows this rank serves it.
 pub(crate) struct BlockSteps<'a> {
     handle: &'a DeviceHandle<'a>,
     ctx: &'a EpochCtx<'a>,
     scfg: &'a SamplingConfig,
+    features: &'a Matrix,
+    targets: &'a Matrix,
     pool: BlockPool,
     seeds: Vec<VertexId>,
     owed: Vec<Vec<VertexId>>,
@@ -349,11 +351,15 @@ impl<'a> BlockSteps<'a> {
         handle: &'a DeviceHandle<'a>,
         ctx: &'a EpochCtx<'a>,
         scfg: &'a SamplingConfig,
+        features: &'a Matrix,
+        targets: &'a Matrix,
     ) -> Self {
         Self {
             handle,
             ctx,
             scfg,
+            features,
+            targets,
             pool: BlockPool::new(),
             seeds: Vec::new(),
             owed: vec![Vec::new(); handle.comm_info().pg.num_parts],
@@ -405,7 +411,7 @@ impl<'a> BlockSteps<'a> {
             &self.owed,
             rank,
             &pg.local[rank],
-            &self.ctx.features[rank],
+            self.features,
             self.ctx.cache,
         );
         Ok((mine, plan))
@@ -429,7 +435,7 @@ impl<'a> BlockSteps<'a> {
         let seeds = blocks.last().expect("≥ 1 layer").dst.iter().copied();
         let target_rows: Vec<usize> =
             local_rows(&handle.comm_info().pg.local[rank], seeds).collect();
-        let diff = out.sub(&self.ctx.targets[rank].gather_rows(&target_rows));
+        let diff = out.sub(&self.targets.gather_rows(&target_rows));
         let local_loss = 0.5 * diff.norm_sq();
         // Backward down the same chain: scatter each layer's aggregate
         // gradient over its block's edges, fold the self-path onto the

@@ -196,9 +196,10 @@ pub fn train_distributed_with(
 pub(crate) struct EpochCtx<'a> {
     pub(crate) cfg: &'a TrainConfig,
     pub(crate) graph: &'a CsrGraph,
-    /// Per-rank feature and target rows ([`CommInfo::dispatch_features`]).
-    pub(crate) features: &'a [Matrix],
-    pub(crate) targets: &'a [Matrix],
+    /// The global feature and target matrices; each rank copies its own
+    /// rows ([`CommInfo::device_rows`]) on its own thread.
+    features: &'a Matrix,
+    targets: &'a Matrix,
     /// The initial replica every rank clones, built once at the driver
     /// so a resumed attempt restores the checkpoint exactly once.
     net0: &'a GnnNetwork,
@@ -315,8 +316,8 @@ pub fn train_distributed_resumable(
     let ctx = EpochCtx {
         cfg,
         graph,
-        features: &info.dispatch_features(features),
-        targets: &info.dispatch_features(targets),
+        features,
+        targets,
         net0: &net0,
         backend_kind,
         cache: cache.as_ref(),
@@ -345,8 +346,10 @@ pub fn train_distributed_resumable(
 ///   ([`Layer::backward_params`]) and its aggregate gradient is neither
 ///   formed nor exchanged back to the owners of its input rows;
 /// * *forward*, an input that never changes has an aggregate that never
-///   changes: [`device_body`] computes it once per run, outside the
-///   epoch loop.
+///   changes: [`device_body`] computes it at the run's first forward and
+///   every later forward reruns the layer's update over the aggregate the
+///   layer caches ([`Layer::forward_again`]), neither recomputed nor
+///   copied.
 pub(crate) fn input_learns(layer: usize) -> bool {
     layer > 0
 }
@@ -391,11 +394,19 @@ pub(crate) fn sync_step(
 /// blocks* (finite fanouts: [`BlockSteps::step`], one feature fetch and
 /// one allreduce per step).
 ///
+/// The rank first copies its own feature and target rows out of the
+/// global matrices, as a GPU loads its partition over its own link, so
+/// no driver thread copies every rank's rows before any rank starts.
+///
 /// Listing 1 gathers before every layer of every step, but layer 0's
 /// input never changes ([`input_learns`]), so its distributed aggregate
 /// is computed once per run, at the first full-neighbourhood forward,
-/// and every later one starts from a copy. It is partition-dependent
-/// state of this attempt, never checkpointed.
+/// and stays in layer 0's cache: every later one reruns only the layer's
+/// update over it ([`Layer::forward_again`]). A sampled-blocks step
+/// replaces that cache with its own block's aggregate, but such a run
+/// takes its first full-neighbourhood forward after its last step. The
+/// aggregate is partition-dependent state of this attempt, never
+/// checkpointed.
 fn device_body(
     handle: &DeviceHandle<'_>,
     ctx: &EpochCtx<'_>,
@@ -403,7 +414,9 @@ fn device_body(
     let rank = handle.rank;
     let cfg = ctx.cfg;
     let agg_kind = cfg.arch.agg_kind();
-    let (features, targets) = (&ctx.features[rank], &ctx.targets[rank]);
+    let info = handle.comm_info();
+    let features = info.device_rows(rank, ctx.features);
+    let targets = info.device_rows(rank, ctx.targets);
     let mut net = ctx.net0.clone();
     let scfg = cfg.sampling.as_ref();
     let seeds = scfg.map_or_else(Vec::new, |s| train_set(s, ctx.graph));
@@ -420,17 +433,17 @@ fn device_body(
     let backend = backend_for(ctx.backend_kind);
     let mut blocks = scfg
         .filter(|s| !s.is_exact())
-        .map(|s| BlockSteps::new(handle, ctx, s));
-    let mut agg0: Option<Matrix> = None;
+        .map(|s| BlockSteps::new(handle, ctx, s, &features, &targets));
+    let mut agg0_cached = false;
     let mut forward = |net: &mut GnnNetwork| -> Result<Matrix, RuntimeError> {
-        let agg = match &agg0 {
-            Some(agg) => agg.clone(),
-            None => agg0
-                .insert(backend.agg_forward(handle, features, agg_kind)?)
-                .clone(),
-        };
         let (first, rest) = net.layers_mut().split_first_mut().expect("≥ 1 layer");
-        let mut h = first.forward_agg(features, agg);
+        let mut h = if agg0_cached {
+            first.forward_again(&features)
+        } else {
+            let agg = backend.agg_forward(handle, &features, agg_kind)?;
+            agg0_cached = true;
+            first.forward_agg(&features, agg)
+        };
         for layer in rest {
             let agg = backend.agg_forward(handle, &h, agg_kind)?;
             h = layer.forward_agg(&h, agg);
@@ -453,11 +466,11 @@ fn device_body(
                 // *before* the norm: same element order, same single
                 // accumulator, so an all-covering (or absent) mask is
                 // bitwise the unmasked loss.
-                let mut grad = out.sub(targets);
+                let mut grad = out.sub(&targets);
                 if let Some(batch) = batches.as_ref().map(|b| &b[bi]) {
                     let mut batch = batch.clone();
                     batch.sort_unstable();
-                    let owned = &handle.comm_info().pg.local[rank];
+                    let owned = &info.pg.local[rank];
                     for (j, v) in owned.iter().enumerate() {
                         if batch.binary_search(v).is_err() {
                             grad.row_mut(j).fill(0.0);

@@ -19,6 +19,10 @@
 //! The finite-fanout sampled step is pinned too, at what it allocates
 //! today: its plans, gathered matrices and activations are not pooled yet
 //! (ROADMAP item 8), so the budget is a ratchet, not zero.
+//!
+//! A warm full-batch epoch is pinned in bytes: layer 0's aggregate of the
+//! raw features never changes, so no epoch may copy it, and what an epoch
+//! allocates per rank stays below the size of one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -36,26 +40,29 @@ struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts one allocation of `size` bytes while the window is open.
+fn count(size: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(size, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -82,10 +89,23 @@ enum Mode {
     /// [`BLOCK_BATCHES`] steps (sample, plan, feature exchange, forward,
     /// backward, allreduce) through `train_distributed`.
     BlockStep,
+    /// Full-batch GCN training over [`FULL_FIN`]-wide features, a round
+    /// being one epoch through `train_distributed`.
+    FullBatch,
 }
 
 const RING_ROWS: usize = 512;
 const BLOCK_BATCHES: usize = 8;
+/// Input width of the full-batch mode: as wide as the `fullbatch-halo`
+/// benchmark's features.
+const FULL_FIN: usize = 128;
+
+/// What a measurement window allocated.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    allocs: usize,
+    bytes: usize,
+}
 
 /// The counter and its switch are process-wide: one measurement at a time.
 static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -98,7 +118,7 @@ static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// so every rank counts at kernel budget 1 on any host: each scoped
 /// worker a kernel spawns is an allocation, and how many it spawns must
 /// not depend on the machine's core count.
-fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
+fn measure(mode: Mode, warm: usize, rounds: usize) -> Window {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let graph = Dataset::WikiTalk.generate(0.0006, 5);
     let mut options = BuildOptions::default();
@@ -114,39 +134,50 @@ fn measure(mode: Mode, warm: usize, rounds: usize) -> usize {
 }
 
 /// [`measure`]'s window on a built `info` over `graph`.
-fn measure_on(info: &CommInfo, graph: &CsrGraph, mode: Mode, warm: usize, rounds: usize) -> usize {
+fn measure_on(info: &CommInfo, graph: &CsrGraph, mode: Mode, warm: usize, rounds: usize) -> Window {
     let n = graph.num_vertices();
-    if mode == Mode::BlockStep {
+    if matches!(mode, Mode::BlockStep | Mode::FullBatch) {
         // No handle to warm up behind: a `2 · rounds`-epoch run minus a
         // `rounds`-epoch run cancels what a run allocates once (threads,
-        // caches, pools growing to their high-water mark) and leaves
-        // `rounds` epochs of warm steps. What a `CommInfo` memoizes on
-        // first use (the allreduce tuning) is paid by an unmeasured run
-        // first, or the short run pays it and the difference hides the
-        // steps it should count.
+        // caches, pools growing to their high-water mark, each rank's
+        // feature rows, layer 0's aggregate) and leaves `rounds` epochs of
+        // warm steps. What a `CommInfo` memoizes on first use (the
+        // allreduce tuning) is paid by an unmeasured run first, or the
+        // short run pays it and the difference hides the steps it should
+        // count.
         let mut init = XavierInit::new(5);
-        let (features, targets) = (init.features(n, 8), init.features(n, 4));
+        let fin = if mode == Mode::FullBatch { FULL_FIN } else { 8 };
+        let (features, targets) = (init.features(n, fin), init.features(n, 4));
         let batch = n.div_ceil(BLOCK_BATCHES);
         assert_eq!(n.div_ceil(batch), BLOCK_BATCHES);
         let run = |epochs: usize| {
-            let mut cfg = TrainConfig::new(Architecture::Gcn, &[8, 6, 4], epochs);
-            cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(4), Some(4)]));
+            let mut cfg = TrainConfig::new(Architecture::Gcn, &[fin, 6, 4], epochs);
+            if mode == Mode::BlockStep {
+                cfg.sampling = Some(SamplingConfig::new(batch, vec![Some(4), Some(4)]));
+            }
             ALLOCS.store(0, Ordering::Relaxed);
+            BYTES.store(0, Ordering::Relaxed);
             COUNTING.store(true, Ordering::Relaxed);
             train_distributed(info, graph, &features, &targets, &cfg).expect("healthy cluster");
             COUNTING.store(false, Ordering::Relaxed);
-            ALLOCS.load(Ordering::Relaxed)
+            Window {
+                allocs: ALLOCS.load(Ordering::Relaxed),
+                bytes: BYTES.load(Ordering::Relaxed),
+            }
         };
         run(1);
         let short = run(rounds);
         let long = run(2 * rounds);
         assert!(
-            long > short,
-            "{} epochs allocated {long} times, {rounds} allocated {short}: \
+            long.allocs > short.allocs && long.bytes > short.bytes,
+            "{} epochs allocated {long:?}, {rounds} allocated {short:?}: \
              the difference counts no step",
             2 * rounds
         );
-        return long - short;
+        return Window {
+            allocs: long.allocs - short.allocs,
+            bytes: long.bytes - short.bytes,
+        };
     }
     let mut features = Matrix::zeros(n, 8);
     for v in 0..n {
@@ -154,6 +185,7 @@ fn measure_on(info: &CommInfo, graph: &CsrGraph, mode: Mode, warm: usize, rounds
     }
     let per_device = info.dispatch_features(&features);
     ALLOCS.store(0, Ordering::Relaxed);
+    BYTES.store(0, Ordering::Relaxed);
     run_cluster(info, |handle| {
         let step = |measured: bool| -> Result<(), dgcl::RuntimeError> {
             let full = match mode {
@@ -165,12 +197,16 @@ fn measure_on(info: &CommInfo, graph: &CsrGraph, mode: Mode, warm: usize, rounds
                     assert_eq!(sum[0].row(0)[0], 6.0, "0 + 1 + 2 + 3");
                     return Ok(());
                 }
-                Mode::BlockStep => unreachable!("measured through train_distributed"),
+                Mode::BlockStep | Mode::FullBatch => {
+                    unreachable!("measured through train_distributed")
+                }
             };
             let grads = match mode {
                 Mode::Pipelined(_) => handle.scatter_backward(&full)?,
                 Mode::Reference => handle.scatter_backward_reference(&full)?,
-                Mode::RingAllreduce | Mode::BlockStep => unreachable!("returned above"),
+                Mode::RingAllreduce | Mode::BlockStep | Mode::FullBatch => {
+                    unreachable!("returned above")
+                }
             };
             assert_eq!(grads.rows(), handle.local_graph().num_local);
             let _ = measured;
@@ -193,7 +229,10 @@ fn measure_on(info: &CommInfo, graph: &CsrGraph, mode: Mode, warm: usize, rounds
     })
     .expect("healthy cluster");
     COUNTING.store(false, Ordering::Relaxed);
-    ALLOCS.load(Ordering::Relaxed)
+    Window {
+        allocs: ALLOCS.load(Ordering::Relaxed),
+        bytes: BYTES.load(Ordering::Relaxed),
+    }
 }
 
 #[test]
@@ -201,9 +240,9 @@ fn steady_state_allgather_stays_within_allocation_budget() {
     let warm = 3;
     let rounds = 5;
     let default_chunk = BuildOptions::default().chunk_rows;
-    let pipelined = measure(Mode::Pipelined(default_chunk), warm, rounds);
-    let one_chunk = measure(Mode::Pipelined(usize::MAX), warm, rounds);
-    let reference = measure(Mode::Reference, warm, rounds);
+    let pipelined = measure(Mode::Pipelined(default_chunk), warm, rounds).allocs;
+    let one_chunk = measure(Mode::Pipelined(usize::MAX), warm, rounds).allocs;
+    let reference = measure(Mode::Reference, warm, rounds).allocs;
     let devices = 4;
     let op_pairs = devices * rounds;
     // Per measured forward+backward pair a compiled path may allocate
@@ -237,7 +276,7 @@ fn steady_state_allgather_stays_within_allocation_budget() {
 #[test]
 fn warm_ring_allreduce_builds_no_schedule() {
     let (warm, rounds, devices) = (3, 5, 4);
-    let ring = measure(Mode::RingAllreduce, warm, rounds);
+    let ring = measure(Mode::RingAllreduce, warm, rounds).allocs;
     // A measured call allocates its input (a `Vec` holding one matrix:
     // two allocations) and nothing else: the compiled schedule is looked
     // up, not rebuilt. Building the ring's entries again costs every
@@ -255,7 +294,7 @@ fn warm_ring_allreduce_builds_no_schedule() {
 #[test]
 fn warm_block_step_stays_within_allocation_budget() {
     let (devices, epochs) = (4, 3);
-    let allocs = measure(Mode::BlockStep, 0, epochs);
+    let allocs = measure(Mode::BlockStep, 0, epochs).allocs;
     let per_step = allocs as f64 / (devices * epochs * BLOCK_BATCHES) as f64;
     // Measured 57.7 per rank-step, + 5 % (93.1 when every rank sampled
     // every owner's chain in full; 192 for the owner-computes step
@@ -270,5 +309,30 @@ fn warm_block_step_stays_within_allocation_budget() {
     assert!(
         per_step <= budget,
         "a warm block step allocated {per_step:.1} times per rank (budget {budget})"
+    );
+}
+
+#[test]
+fn warm_full_batch_epoch_allocates_less_than_one_input_aggregate() {
+    let epochs = 3;
+    let window = measure(Mode::FullBatch, 0, epochs);
+    let graph = Dataset::WikiTalk.generate(0.0006, 5);
+    let info = build_comm_info(&graph, Topology::fig6(), BuildOptions::default());
+    let devices = info.num_devices();
+    let per_rank_epoch = window.bytes as f64 / (devices * epochs) as f64;
+    // One layer-0 aggregate per rank: `num_local x FULL_FIN` floats.
+    let aggregate = (0..devices)
+        .map(|d| info.pg.local[d].len() * FULL_FIN * 4)
+        .sum::<usize>() as f64
+        / devices as f64;
+    eprintln!(
+        "steady-state full-batch epoch: {per_rank_epoch:.0} B and {:.1} allocations per rank, \
+         layer-0 aggregate {aggregate:.0} B",
+        window.allocs as f64 / (devices * epochs) as f64
+    );
+    assert!(
+        per_rank_epoch < aggregate,
+        "a warm full-batch epoch allocated {per_rank_epoch:.0} B per rank, at least one \
+         {aggregate:.0} B layer-0 aggregate: the constant aggregate is being copied"
     );
 }

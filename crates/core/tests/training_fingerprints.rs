@@ -1,0 +1,236 @@
+//! Pins full-batch training bit for bit.
+//!
+//! Each cell trains a full-neighbourhood configuration through the
+//! library's distributed trainer and hashes the epoch losses and the
+//! output embeddings. Where a rank's feature rows are copied, where the
+//! layer-0 aggregate is kept between forwards and how a kernel walks its
+//! operands are bookkeeping: every product, fold and message must stay as
+//! it is, so a change there must leave every hash as it is. A change that
+//! reorders one reduction or drops one gradient fails here.
+//!
+//! The small cells run in tier-1; CommNet at widths 7/12/5 takes only the
+//! kernels' generic loops. The `#[ignore]` cells are the `e2e` benchmark's
+//! full-batch configurations; run them with
+//! `cargo test --release -p dgcl --test training_fingerprints -- --ignored`.
+
+use dgcl::checkpoint::CheckpointConfig;
+use dgcl::fabric::FabricConfig;
+use dgcl::trainer::{train_distributed, train_distributed_resumable, TrainConfig, TrainReport};
+use dgcl::{build_comm_info, BackendKind, BuildOptions};
+use dgcl_gnn::Architecture;
+use dgcl_graph::{CsrGraph, Dataset};
+use dgcl_tensor::{Matrix, XavierInit};
+use dgcl_topology::Topology;
+
+/// FNV-1a 64 over the little-endian bits of every value.
+fn fnv(xs: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in xs {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One full-batch training configuration.
+struct Cell {
+    dataset: Dataset,
+    scale: f64,
+    topology: Topology,
+    arch: Architecture,
+    dims: &'static [usize],
+    epochs: usize,
+    lr: f32,
+    backend: Option<BackendKind>,
+}
+
+/// A GCN cell on Wiki-Talk at a tier-1 size.
+fn small(topology: Topology, arch: Architecture, dims: &'static [usize]) -> Cell {
+    Cell {
+        dataset: Dataset::WikiTalk,
+        scale: 0.0008,
+        topology,
+        arch,
+        dims,
+        epochs: 3,
+        lr: 1e-3,
+        backend: None,
+    }
+}
+
+/// `cell`'s graph, features and targets (all from seed 7) and config.
+fn setup(cell: &Cell) -> (CsrGraph, Matrix, Matrix, TrainConfig) {
+    let graph = cell.dataset.generate(cell.scale, 7);
+    let n = graph.num_vertices();
+    let mut init = XavierInit::new(7);
+    let features = init.features(n, cell.dims[0]);
+    let targets = init.features(n, *cell.dims.last().expect("≥ 1 layer"));
+    let mut cfg = TrainConfig::new(cell.arch, cell.dims, cell.epochs);
+    cfg.lr = cell.lr;
+    cfg.backend = cell.backend;
+    (graph, features, targets, cfg)
+}
+
+fn check(cell: &Cell, report: &TrainReport, expected: (u64, u64)) {
+    assert!(
+        report.epoch_losses.iter().all(|l| l.is_finite()) && report.outputs.all_finite(),
+        "a NaN's sign bit is not portable: every hashed value must be finite"
+    );
+    let got = (fnv(&report.epoch_losses), fnv(report.outputs.as_slice()));
+    let hex = |h: (u64, u64)| (format!("{:016x}", h.0), format!("{:016x}", h.1));
+    assert_eq!(
+        hex(got),
+        hex(expected),
+        "{} x{} {:?} {:?} on {} GPUs: (losses, outputs) hashes moved",
+        cell.dataset.name(),
+        cell.scale,
+        cell.arch,
+        cell.dims,
+        cell.topology.num_gpus(),
+    );
+}
+
+/// Trains `cell` with `train_distributed` and checks its hashes.
+fn run(cell: &Cell, expected: (u64, u64)) {
+    let (graph, features, targets, cfg) = setup(cell);
+    let info = build_comm_info(&graph, cell.topology.clone(), BuildOptions::default());
+    let report =
+        train_distributed(&info, &graph, &features, &targets, &cfg).expect("healthy cluster");
+    check(cell, &report, expected);
+}
+
+#[test]
+fn gcn_two_gpus() {
+    run(
+        &small(Topology::dgx1_subset(2), Architecture::Gcn, &[16, 8, 8]),
+        (0x0d35_14c0_45b5_758e, 0xb4c1_34b8_c6e8_cd88),
+    );
+}
+
+/// Two DGX-1s over InfiniBand: relayed halo rows on every layer.
+#[test]
+fn gcn_sixteen_gpus() {
+    run(
+        &small(Topology::dgx1_pair_ib(), Architecture::Gcn, &[32, 8, 8]),
+        (0x8702_e550_a10c_8ad7, 0x4541_415c_b782_d2ed),
+    );
+}
+
+#[test]
+fn sage_four_gpus() {
+    run(
+        &small(Topology::dgx1_subset(4), Architecture::Sage, &[16, 16, 8]),
+        (0xaf72_8bce_f2b6_6b1a, 0x7e43_05f2_6e46_a957),
+    );
+}
+
+/// Three layers; GIN's stacked sum aggregations over Wiki-Talk's hubs
+/// need a tiny rate for the run to stay finite.
+#[test]
+fn gin_eight_gpus() {
+    run(
+        &Cell {
+            lr: 1e-12,
+            ..small(Topology::dgx1(), Architecture::Gin, &[8, 16, 8, 8])
+        },
+        (0xf97b_64f2_879f_fbe2, 0xe400_d587_a31c_8a1f),
+    );
+}
+
+/// Widths no kernel dispatches on: every product takes a generic loop.
+#[test]
+fn commnet_generic_widths() {
+    run(
+        &small(Topology::fig6(), Architecture::CommNet, &[7, 12, 5]),
+        (0xeb27_c81a_f09e_3644, 0x3104_4d52_f2a2_d563),
+    );
+}
+
+/// CAGNET's replicated broadcast backend in place of the planned one.
+#[test]
+fn gcn_cagnet() {
+    run(
+        &Cell {
+            backend: Some(BackendKind::Cagnet { replication: 2 }),
+            ..small(Topology::dgx1_subset(4), Architecture::Gcn, &[16, 8, 8])
+        },
+        (0x2a36_b42b_2a0a_255d, 0x743a_0ef3_d634_d215),
+    );
+}
+
+/// A run resumed from the checkpoint its first attempt published after
+/// epoch 2 hashes as the uninterrupted run: the attempt recomputes its
+/// own layer-0 aggregate.
+#[test]
+fn gcn_resumed() {
+    let cell = Cell {
+        epochs: 4,
+        ..small(Topology::fig6(), Architecture::Gcn, &[16, 8, 8])
+    };
+    let expected = (0xebf8_cb1a_86c7_6142, 0xbf5b_9360_3542_25e0);
+    let (graph, features, targets, mut cfg) = setup(&cell);
+    let info = build_comm_info(&graph, cell.topology.clone(), BuildOptions::default());
+    let ck = CheckpointConfig::default();
+    cfg.epochs = 2;
+    let first = train_distributed_resumable(
+        &info,
+        &graph,
+        &features,
+        &targets,
+        &cfg,
+        FabricConfig::default(),
+        None,
+        Some(&ck),
+    )
+    .expect("healthy cluster");
+    let ckpt = ck.store.latest().expect("epoch checkpoints published");
+    assert_eq!(ckpt.epochs_done, 2);
+    assert_eq!(ckpt.losses, first.epoch_losses);
+    cfg.epochs = cell.epochs;
+    let resumed = train_distributed_resumable(
+        &info,
+        &graph,
+        &features,
+        &targets,
+        &cfg,
+        FabricConfig::default(),
+        Some(&ckpt),
+        None,
+    )
+    .expect("healthy cluster");
+    check(&cell, &resumed, expected);
+    run(&cell, expected);
+}
+
+/// The `e2e` benchmark's `fullbatch-dense` workload: Reddit ×0.04 on 2
+/// GPUs, GCN 64-32-8.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn fullbatch_dense_benchmark_scale() {
+    run(
+        &Cell {
+            dataset: Dataset::Reddit,
+            scale: 0.04,
+            epochs: 2,
+            ..small(Topology::dgx1_subset(2), Architecture::Gcn, &[64, 32, 8])
+        },
+        (0x4d0b_d6b9_686e_026d, 0xdae3_adf5_bb98_fb25),
+    );
+}
+
+/// The `e2e` benchmark's `fullbatch-halo` workload: Wiki-Talk ×0.05 on two
+/// DGX-1s over InfiniBand, GCN 128-8-8.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn fullbatch_halo_benchmark_scale() {
+    run(
+        &Cell {
+            scale: 0.05,
+            epochs: 2,
+            ..small(Topology::dgx1_pair_ib(), Architecture::Gcn, &[128, 8, 8])
+        },
+        (0x4acd_dca1_5848_186e, 0x2102_ab93_9341_6125),
+    );
+}

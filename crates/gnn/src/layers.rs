@@ -224,6 +224,22 @@ impl Layer {
         self.update(h_local, agg)
     }
 
+    /// [`Layer::forward_agg`] over the aggregate the last forward cached:
+    /// the forward of a layer whose input rows `h_local` and their
+    /// aggregate do not change between calls (layer 0 over the raw
+    /// features). The aggregate is neither recomputed nor copied; the
+    /// outputs are the bits `forward_agg(h_local, agg)` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass has run or `h_local` does not match the
+    /// cached aggregate's shape.
+    pub fn forward_again(&mut self, h_local: &Matrix) -> Matrix {
+        let cache = self.cache.take().expect("a forward before forward_again");
+        assert_eq!(h_local.shape(), cache.agg.shape(), "input shape mismatch");
+        self.update(h_local, cache.agg)
+    }
+
     /// `UPDATE(h_v, a_v)` for the `agg.rows()` local vertices, whose own
     /// rows lead `h`; rows of `h` past them (remote ones) are never read,
     /// and GCN, which has no self path, reads none.
@@ -542,6 +558,41 @@ mod tests {
             let remote = [grad_h.row(4), grad_h.row(5)].concat();
             assert!(remote.iter().any(|&x| x != 0.0), "{arch:?}: remote rows");
         }
+    }
+
+    #[test]
+    fn forward_again_reruns_forward_agg_on_the_cached_aggregate() {
+        let g = ring(6);
+        for arch in ARCHS {
+            let mut init = XavierInit::new(17);
+            let mut again = Layer::new(arch, 3, 2, &mut init);
+            let mut fresh = again.clone();
+            let h = init.features(4, 3);
+            let agg = aggregate(arch.agg_kind(), &g, &init.features(6, 3), 4);
+            again.forward_agg(&h, agg.clone());
+            let grad_out = init.features(4, 2);
+            again.backward_params(&grad_out);
+            again.step(0.5);
+            fresh.forward_agg(&h, agg.clone());
+            fresh.backward_params(&grad_out);
+            fresh.step(0.5);
+            // Same parameters, so the same bits and the same cached state.
+            assert_eq!(
+                again.forward_again(&h),
+                fresh.forward_agg(&h, agg),
+                "{arch:?}"
+            );
+            again.backward_params(&grad_out);
+            fresh.backward_params(&grad_out);
+            assert_eq!(again.gradients(), fresh.gradients(), "{arch:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a forward before forward_again")]
+    fn forward_again_needs_a_forward() {
+        let mut layer = Layer::new(Architecture::Gcn, 3, 2, &mut XavierInit::new(1));
+        layer.forward_again(&Matrix::zeros(4, 3));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! unblocked sequential kernels.
 //!
 //! `matmul` and `matmul_tn` dispatch on the output width: at 8, 16, 32,
-//! 64 and 128 columns a chunk's output rows are accumulated in stack
-//! arrays and stored once; every other width runs the cache-blocked
-//! generic loop that [`Matrix::matmul_reference`] and
+//! 64 and 128 columns output rows are accumulated in stack arrays
+//! (`matmul` a row at a time over a chunk; `matmul_tn` a register group
+//! of rows at a time over one block of the reduction, see
+//! [`matmul_tn_run`]); every other width runs the cache-blocked generic
+//! loop that [`Matrix::matmul_reference`] and
 //! [`Matrix::matmul_tn_reference`] expose. Both forms start each element
 //! from `0.0`, skip the same zero `lhs` entries and add the same
 //! products in the same order, so they agree bit for bit.
@@ -21,6 +23,14 @@ use crate::Matrix;
 /// Cache block over the shared (reduction) dimension: a `BLOCK_K x cols`
 /// window of the streamed operand stays hot across the rows of a chunk.
 const BLOCK_K: usize = 128;
+
+/// Reduction rows per block of the width-dispatched `matmul_tn`: the
+/// block's `lhs` rows stay in cache while every output row of a worker's
+/// run walks them. Measured at every dispatched width (8–128) on output
+/// rows 8–128 wide and 3 000–9 000 reduction rows: blocks of 16–32 rows
+/// were the fastest or within noise of it everywhere, and at `m = 128`
+/// with widths 64 and 128 larger blocks were slower (EXPERIMENTS.md).
+const TN_BLOCK_P: usize = 32;
 
 /// Minimum multiply-add count before a kernel spawns workers; below this
 /// the spawn overhead dominates. Gating only changes scheduling, never
@@ -123,11 +133,11 @@ impl Matrix {
             threads
         };
         let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
-        pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
+        pool::par_row_runs(threads, out.as_mut_slice(), n.max(1), |row0, run| {
             by_width!(
                 n,
-                matmul_tn_rows(lhs, rhs, m, row0, chunk),
-                matmul_tn_rows_reference(lhs, rhs, rows, m, n, row0, chunk)
+                matmul_tn_run(lhs, rhs, m, row0, run),
+                matmul_tn_rows_reference(lhs, rhs, rows, m, n, row0, run)
             )
         });
         out
@@ -358,26 +368,71 @@ fn matmul_rows_reference(
     }
 }
 
-/// Output rows `row0..` of `lhs^T (m x ·) * rhs (· x W)` into `chunk`:
-/// row `i` is the fold over ascending `p` of `lhs[p][i] * rhs[p]`. With
-/// `p` outermost, each step reads one `rhs` row and the chunk's run of
-/// `lhs[p]` (contiguous) into a stack accumulator of the chunk's rows,
-/// stored once at the end; a zero `lhs` entry adds nothing and is
-/// skipped.
-fn matmul_tn_rows<const W: usize>(
+/// Output rows `row0..` of `lhs^T (m x ·) * rhs (· x W)` into the zeroed
+/// `run` (a worker's rows): row `i` is the fold over ascending `p` of
+/// `lhs[p][i] * rhs[p]`. The reduction is cut into [`TN_BLOCK_P`]-row
+/// blocks, and each block is walked once for every output row of the run,
+/// `R = max(1, 32 / W)` rows at a time: a group's rows live in a stack
+/// accumulator for the whole block and go back to `run` at its end, so
+/// the block's `lhs` rows are read from memory once and reused from
+/// cache by every group, and the accumulator fits the registers. Each
+/// element starts from `0.0` (the zeroed `run`), skips the same zero
+/// `lhs` entries and adds in ascending `p` across and within blocks;
+/// storing and reloading a partial sum between blocks does not change
+/// it, so the bits are [`matmul_tn_rows_reference`]'s.
+fn matmul_tn_run<const W: usize>(lhs: &[f32], rhs: &[f32], m: usize, row0: usize, run: &mut [f32]) {
+    match W {
+        8 => matmul_tn_blocked::<W, 4>(lhs, rhs, m, row0, run),
+        16 => matmul_tn_blocked::<W, 2>(lhs, rhs, m, row0, run),
+        _ => matmul_tn_blocked::<W, 1>(lhs, rhs, m, row0, run),
+    }
+}
+
+/// [`matmul_tn_run`] with register groups of `R` output rows; the run's
+/// last `rows % R` rows go one at a time.
+fn matmul_tn_blocked<const W: usize, const R: usize>(
     lhs: &[f32],
     rhs: &[f32],
     m: usize,
     row0: usize,
-    chunk: &mut [f32],
+    run: &mut [f32],
 ) {
-    let (out_rows, _) = chunk.as_chunks_mut::<W>();
-    let mut acc = [[0.0f32; W]; pool::CHUNK_ROWS];
-    let acc = &mut acc[..out_rows.len()];
+    let (out_rows, _) = run.as_chunks_mut::<W>();
+    let (groups, tail) = out_rows.as_chunks_mut::<R>();
+    let tail_row0 = row0 + groups.len() * R;
     let (b_rows, _) = rhs.as_chunks::<W>();
-    for (p, b_row) in b_rows.iter().enumerate() {
-        let a_run = &lhs[p * m + row0..p * m + row0 + acc.len()];
-        for (acc_row, &a) in acc.iter_mut().zip(a_run) {
+    for (pb, b_block) in b_rows.chunks(TN_BLOCK_P).enumerate() {
+        let p0 = pb * TN_BLOCK_P;
+        let a_block = &lhs[p0 * m..(p0 + b_block.len()) * m];
+        for (g, group) in groups.iter_mut().enumerate() {
+            matmul_tn_group(a_block, b_block, m, row0 + g * R, group);
+        }
+        for (i, row) in tail.iter_mut().enumerate() {
+            matmul_tn_group(
+                a_block,
+                b_block,
+                m,
+                tail_row0 + i,
+                std::array::from_mut(row),
+            );
+        }
+    }
+}
+
+/// Adds one reduction block to output rows `col0..col0 + R`: row `r`
+/// gains `a_block[p][col0 + r] * b_block[p]` for ascending `p`, skipping
+/// zero `lhs` entries, in a stack accumulator loaded from and stored back
+/// to `group`.
+fn matmul_tn_group<const W: usize, const R: usize>(
+    a_block: &[f32],
+    b_block: &[[f32; W]],
+    m: usize,
+    col0: usize,
+    group: &mut [[f32; W]; R],
+) {
+    let mut acc = *group;
+    for (a_row, b_row) in a_block.chunks_exact(m).zip(b_block) {
+        for (acc_row, &a) in acc.iter_mut().zip(&a_row[col0..col0 + R]) {
             if a == 0.0 {
                 continue;
             }
@@ -386,13 +441,13 @@ fn matmul_tn_rows<const W: usize>(
             }
         }
     }
-    out_rows.copy_from_slice(acc);
+    *group = acc;
 }
 
 /// The generic `matmul_tn` loop, accumulating in the zeroed `chunk`
 /// itself. Blocking over p keeps a `BLOCK_K x n` window of rhs hot across
 /// the chunk's rows; per element the adds stay in ascending p order — the
-/// sequential p-i-j kernel's exact order, and [`matmul_tn_rows`]'.
+/// sequential p-i-j kernel's exact order, and [`matmul_tn_run`]'s.
 fn matmul_tn_rows_reference(
     lhs: &[f32],
     rhs: &[f32],

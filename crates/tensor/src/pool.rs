@@ -15,6 +15,9 @@
 //! every thread count, making kernel results *bitwise identical* for
 //! `threads = 1, 2, 4, …` (property-tested in
 //! `tests/compute_engine.rs`). Parallelism changes wall-clock only.
+//! [`par_row_runs`] hands a worker its whole run of chunks at once, whose
+//! boundaries do move with the count; a kernel on it computes every row
+//! on its own, so the same holds.
 //!
 //! # Thread budget
 //!
@@ -107,6 +110,30 @@ pub fn par_row_chunks<F>(threads: usize, out: &mut [f32], cols: usize, body: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    par_row_runs(threads, out, cols, |first_row, run| {
+        for (c, chunk) in run.chunks_mut(CHUNK_ROWS * cols).enumerate() {
+            body(first_row + c * CHUNK_ROWS, chunk);
+        }
+    });
+}
+
+/// [`par_row_chunks`] for a kernel that walks a worker's rows together:
+/// `body(first_row, run)` runs once per worker on its contiguous run of
+/// whole [`CHUNK_ROWS`]-row chunks (the last may be short), and once on
+/// the whole buffer when one worker runs inline.
+///
+/// Run boundaries depend on the worker count, so `body` must compute each
+/// row independently of which other rows share its run; only then are
+/// the results the same at every count.
+///
+/// # Panics
+///
+/// Panics if `out.len()` is not a multiple of `cols` (when `cols > 0`) or
+/// if a worker panics.
+pub fn par_row_runs<F>(threads: usize, out: &mut [f32], cols: usize, body: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
     if out.is_empty() || cols == 0 {
         return;
     }
@@ -115,31 +142,26 @@ where
     let num_chunks = out.len().div_ceil(chunk_len);
     let workers = threads.max(1).min(num_chunks);
     if workers <= 1 {
-        for (c, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            body(c * CHUNK_ROWS, chunk);
-        }
+        body(0, out);
         return;
     }
     // Contiguous runs of chunks per worker: worker w takes chunks
-    // [w * per, (w + 1) * per). Assignment affects scheduling only; the
-    // chunk boundaries and per-chunk work are identical at every count.
+    // [w * per, (w + 1) * per). The chunk boundaries are identical at
+    // every count; the run boundaries are not, which `body`'s per-row
+    // independence makes a matter of scheduling only.
     let per = num_chunks.div_ceil(workers);
     let body = &body;
     crossbeam::thread::scope(|scope| {
         let mut joins = Vec::with_capacity(workers);
         let mut rest = out;
-        let mut first_chunk = 0usize;
+        let mut first_row = 0usize;
         while !rest.is_empty() {
             let take = (per * chunk_len).min(rest.len());
             let (run, tail) = rest.split_at_mut(take);
             rest = tail;
-            let start = first_chunk;
-            joins.push(scope.spawn(move |_| {
-                for (c, chunk) in run.chunks_mut(chunk_len).enumerate() {
-                    body((start + c) * CHUNK_ROWS, chunk);
-                }
-            }));
-            first_chunk += take.div_ceil(chunk_len);
+            let start = first_row;
+            joins.push(scope.spawn(move |_| body(start, run)));
+            first_row += take / cols;
         }
         for join in joins {
             join.join().expect("compute pool worker panicked");
@@ -169,6 +191,37 @@ mod tests {
                 for c in 0..cols {
                     assert_eq!(out[r * cols + c], r as f32 + 1.0, "threads {threads}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_are_whole_chunks_covering_every_row_once() {
+        for &threads in &[1usize, 2, 3, 8] {
+            let (rows, cols) = (67, 3);
+            let mut out = vec![0.0f32; rows * cols];
+            let runs = std::sync::Mutex::new(Vec::new());
+            par_row_runs(threads, &mut out, cols, |first_row, run| {
+                runs.lock().unwrap().push((first_row, run.len() / cols));
+                for (i, row) in run.chunks_mut(cols).enumerate() {
+                    row.fill((first_row + i) as f32 + 1.0);
+                }
+            });
+            let mut runs = runs.into_inner().unwrap();
+            runs.sort_unstable();
+            assert!(runs.len() <= threads, "one run per worker at most");
+            for (w, &(first_row, len)) in runs.iter().enumerate() {
+                assert_eq!(first_row % CHUNK_ROWS, 0, "threads {threads}");
+                if w + 1 < runs.len() {
+                    assert_eq!(len % CHUNK_ROWS, 0, "threads {threads}");
+                    assert_eq!(first_row + len, runs[w + 1].0, "threads {threads}");
+                }
+            }
+            for (r, row) in out.chunks(cols).enumerate() {
+                assert!(
+                    row.iter().all(|&x| x == r as f32 + 1.0),
+                    "threads {threads}"
+                );
             }
         }
     }
