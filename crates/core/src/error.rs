@@ -53,6 +53,16 @@ pub enum RuntimeError {
         /// The 0-based epoch at whose boundary it crashed.
         epoch: usize,
     },
+    /// The cluster-summed training loss is no longer finite: the run
+    /// diverged. Every rank holds the same summed loss bits, so every
+    /// rank returns this error at the same step and none is left
+    /// waiting; no rank died, so recovery does not apply.
+    Diverged {
+        /// The 0-based epoch whose loss stopped being finite.
+        epoch: usize,
+        /// That epoch's loss summed up to the failing step.
+        loss: f32,
+    },
 }
 
 impl RuntimeError {
@@ -81,6 +91,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::InjectedEpochCrash { rank, epoch } => {
                 write!(f, "injected crash of rank {rank} at epoch {epoch} boundary")
+            }
+            RuntimeError::Diverged { epoch, loss } => {
+                write!(f, "training diverged in epoch {epoch}: loss {loss}")
             }
         }
     }

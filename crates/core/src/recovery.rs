@@ -40,7 +40,7 @@ use dgcl_topology::Topology;
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointSpec, CheckpointStore};
 use crate::comm_info::{build_comm_info, BuildOptions, CommInfo};
-use crate::error::ClusterError;
+use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::FabricConfig;
 use crate::trainer::{train_distributed_resumable, TrainConfig, TrainReport};
 
@@ -147,7 +147,8 @@ impl ElasticReport {
 /// # Errors
 ///
 /// The last [`ClusterError`] when the eviction budget is exhausted, or
-/// immediately if an eviction would leave no GPU.
+/// immediately if an eviction would leave no GPU or the run diverged
+/// ([`RuntimeError::Diverged`]).
 ///
 /// # Panics
 ///
@@ -191,8 +192,16 @@ pub fn train_elastic(
                 })
             }
             Err(err) => {
+                // A diverged run lost no rank; resuming would diverge again.
+                let diverged = matches!(
+                    err.cause,
+                    ClusterFailure::Error(RuntimeError::Diverged { .. })
+                );
                 let dead = err.dead_ranks();
-                if events.len() == rcfg.max_evictions || dead.len() >= topology.num_gpus() {
+                if diverged
+                    || events.len() == rcfg.max_evictions
+                    || dead.len() >= topology.num_gpus()
+                {
                     return Err(err);
                 }
                 topology = topology.evict_gpus(&dead);

@@ -660,8 +660,15 @@ where
                     Ok(Err(e)) => {
                         // Normally already poisoned by the collective;
                         // first-wins makes re-poisoning harmless and
-                        // covers errors the body constructed itself.
-                        if !matches!(e, RuntimeError::Poisoned { .. }) {
+                        // covers errors the body constructed itself. A
+                        // divergence reaches every rank at the same step,
+                        // so poisoning it would only let a peer still
+                        // draining that step's allreduce report the
+                        // poison instead.
+                        if !matches!(
+                            e,
+                            RuntimeError::Poisoned { .. } | RuntimeError::Diverged { .. }
+                        ) {
                             fabric.poison(rank, ClusterFailure::Error(e.clone()));
                         }
                         Err(ClusterFailure::Error(e))

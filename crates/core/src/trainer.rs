@@ -136,7 +136,9 @@ pub fn train_single(
 ///
 /// # Errors
 ///
-/// [`ClusterError`] if any device fails; no failure mode hangs.
+/// [`ClusterError`] if any device fails, or with
+/// [`RuntimeError::Diverged`] on every rank once an epoch's summed loss
+/// is not finite; no failure mode hangs.
 ///
 /// # Panics
 ///
@@ -164,7 +166,9 @@ pub fn train_distributed(
 ///
 /// # Errors
 ///
-/// [`ClusterError`] if any device fails; no failure mode hangs.
+/// [`ClusterError`] if any device fails, or with
+/// [`RuntimeError::Diverged`] on every rank once an epoch's summed loss
+/// is not finite; no failure mode hangs.
 ///
 /// # Panics
 ///
@@ -251,7 +255,9 @@ impl EpochCtx<'_> {
 ///
 /// # Errors
 ///
-/// [`ClusterError`] if any device fails; no failure mode hangs.
+/// [`ClusterError`] if any device fails, or with
+/// [`RuntimeError::Diverged`] on every rank once an epoch's summed loss
+/// is not finite; no failure mode hangs.
 ///
 /// # Panics
 ///
@@ -497,6 +503,14 @@ fn device_body(
                 }
                 sync_step(handle, &mut net, local_loss, cfg.lr)?
             };
+            // Every rank holds the same summed loss bits, so every rank
+            // stops at this step and none waits on a peer.
+            if !epoch_loss.is_finite() {
+                return Err(RuntimeError::Diverged {
+                    epoch,
+                    loss: epoch_loss,
+                });
+            }
         }
         losses.push(epoch_loss);
         ctx.publish(rank, &net, &losses);

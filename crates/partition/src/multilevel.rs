@@ -12,13 +12,21 @@
 //!
 //! # Cost
 //!
-//! Coarsening builds each coarse row directly: fine vertices are bucketed
-//! by coarse id and each row's edges are merged in a dense accumulator,
-//! so only that row's targets are sorted, never the whole edge list. The
-//! initial growing's fallback to "any free vertex" resumes from a cursor
-//! instead of rescanning, so it reads O(n) entries per part. Both yield
-//! exactly the partition the sort-based coarsening and the rescanning
-//! fallback yielded.
+//! Coarsening copies nothing and never sorts a level's edge list. The
+//! finest level reads the input `CsrGraph` in place: it borrows the
+//! offsets and targets and stores no edge weights, since every input edge
+//! weighs 1. Each coarse row is built directly: fine vertices are
+//! bucketed by coarse id, the row's edges are merged in a dense
+//! accumulator, and the row is emitted ascending either by walking a
+//! bitset of the coarse ids it touched (a dense row) or by sorting just
+//! those ids (a sparse one). A coarse level's arrays are sized once from
+//! its fine level's edge count.
+//! The initial growing's fallback to "any free vertex" resumes from a
+//! cursor instead of rescanning, so it reads O(n) entries per part. All
+//! of this yields exactly the partition the sort-based coarsening over a
+//! weighted copy of the input, and the rescanning fallback, yielded.
+
+use std::borrow::Cow;
 
 use dgcl_graph::CsrGraph;
 use rand::rngs::StdRng;
@@ -30,32 +38,37 @@ use crate::Partition;
 /// Default allowed imbalance: largest part at most 5% above ideal.
 pub const DEFAULT_IMBALANCE: f64 = 1.05;
 
+/// A coarse row is emitted by scanning the touched-id bitset when it
+/// touches at least one id per `DENSE_ROW_SHARE` of the bitset's 64-bit
+/// words; a sparser one sorts its touched ids. Both give the same
+/// ascending row, so this is a cost constant only (see [`contract`]).
+const DENSE_ROW_SHARE: usize = 4;
+
+/// Whether `contract` emits a row of `touched` coarse ids by scanning a
+/// bitset of `words` words rather than by sorting.
+fn scans_bitset(touched: usize, words: usize) -> bool {
+    touched * DENSE_ROW_SHARE >= words
+}
+
 /// Vertex- and edge-weighted graph used internally across coarsening
-/// levels.
-struct WeightedGraph {
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
-    eweights: Vec<u64>,
+/// levels. The finest level borrows the input's CSR arrays and stores no
+/// edge weights, since every input edge weighs 1; coarse levels own
+/// theirs.
+struct WeightedGraph<'g> {
+    offsets: Cow<'g, [usize]>,
+    targets: Cow<'g, [u32]>,
+    /// `None` when every edge weighs 1.
+    eweights: Option<Vec<u64>>,
     vweights: Vec<u64>,
 }
 
-impl WeightedGraph {
-    fn from_csr(g: &CsrGraph) -> Self {
-        let n = g.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut targets = Vec::with_capacity(g.num_edges());
-        for v in 0..n as u32 {
-            targets.extend_from_slice(g.neighbors(v));
-            offsets.push(targets.len());
-        }
-        let eweights = vec![1u64; targets.len()];
-        let vweights = vec![1u64; n];
+impl<'g> WeightedGraph<'g> {
+    fn from_csr(g: &'g CsrGraph) -> Self {
         Self {
-            offsets,
-            targets,
-            eweights,
-            vweights,
+            offsets: Cow::Borrowed(g.offsets()),
+            targets: Cow::Borrowed(g.targets()),
+            eweights: None,
+            vweights: vec![1; g.num_vertices()],
         }
     }
 
@@ -63,12 +76,17 @@ impl WeightedGraph {
         self.vweights.len()
     }
 
+    fn num_edges(&self) -> usize {
+        self.targets.len()
+    }
+
     fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let v = v as usize;
-        self.targets[self.offsets[v]..self.offsets[v + 1]]
+        let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
+        let weights = self.eweights.as_ref().map(|w| &w[range.clone()]);
+        self.targets[range]
             .iter()
-            .zip(&self.eweights[self.offsets[v]..self.offsets[v + 1]])
-            .map(|(&t, &w)| (t, w))
+            .enumerate()
+            .map(move |(i, &t)| (t, weights.map_or(1, |w| w[i])))
     }
 
     fn total_vweight(&self) -> u64 {
@@ -114,7 +132,7 @@ pub fn kway_with_imbalance(graph: &CsrGraph, k: usize, seed: u64, imbalance: f64
     // whole parts (which would make balanced refinement impossible).
     let coarse_target = (30 * k).max(128);
     let max_vertex_weight = ((n as f64 / k as f64) * 0.6).ceil().max(2.0) as u64;
-    let mut levels: Vec<WeightedGraph> = vec![base];
+    let mut levels: Vec<WeightedGraph<'_>> = vec![base];
     let mut maps: Vec<Vec<u32>> = Vec::new();
     loop {
         let current = levels.last().expect("at least the base level");
@@ -162,10 +180,10 @@ fn max_part_weight(total: u64, k: usize, imbalance: f64) -> u64 {
 /// Pairs whose combined weight would exceed `max_vertex_weight` are not
 /// matched.
 fn coarsen(
-    g: &WeightedGraph,
+    g: &WeightedGraph<'_>,
     rng: &mut StdRng,
     max_vertex_weight: u64,
-) -> (WeightedGraph, Vec<u32>) {
+) -> (WeightedGraph<'static>, Vec<u32>) {
     let n = g.num_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
@@ -202,11 +220,15 @@ fn coarsen(
 /// whose weight is their sum, and edges inside a class vanish.
 ///
 /// Row by row: the fine vertices are bucketed by coarse id, and each
-/// coarse row accumulates its members' neighbours into a dense `acc`
-/// (stamped by `seen`) before sorting only the targets it touched. Rows
-/// come out in ascending coarse id with ascending targets, the same CSR a
-/// global sort of every `(cv, cu, w)` triple yields, without that sort.
-fn contract(g: &WeightedGraph, map: &[u32], cn: usize) -> WeightedGraph {
+/// coarse row accumulates its members' neighbours into a dense `acc`,
+/// marking each coarse id it touches in a bitset of `cn` bits. A dense
+/// row is then emitted by walking the bitset's words with
+/// `trailing_zeros`, a sparse one by sorting its touched ids; either way
+/// the row comes out ascending and the bits it set are cleared. Rows come
+/// out in ascending coarse id, the same CSR a global sort of every
+/// `(cv, cu, w)` triple yields, without that sort. A coarse level has no
+/// more edges than its fine level, so the arrays are sized once.
+fn contract(g: &WeightedGraph<'_>, map: &[u32], cn: usize) -> WeightedGraph<'static> {
     let n = g.num_vertices();
     let mut vweights = vec![0u64; cn];
     let mut start = vec![0usize; cn + 1];
@@ -224,11 +246,11 @@ fn contract(g: &WeightedGraph, map: &[u32], cn: usize) -> WeightedGraph {
         fill[c as usize] += 1;
     }
     let mut acc = vec![0u64; cn];
-    let mut seen = vec![u32::MAX; cn];
+    let mut touched = vec![0u64; cn.div_ceil(64)];
     let mut row: Vec<u32> = Vec::new();
     let mut offsets = Vec::with_capacity(cn + 1);
-    let mut targets = Vec::new();
-    let mut eweights = Vec::new();
+    let mut targets = Vec::with_capacity(g.num_edges());
+    let mut eweights = Vec::with_capacity(g.num_edges());
     offsets.push(0);
     for cv in 0..cn as u32 {
         for &v in &members[start[cv as usize]..start[cv as usize + 1]] {
@@ -237,32 +259,47 @@ fn contract(g: &WeightedGraph, map: &[u32], cn: usize) -> WeightedGraph {
                 if cu == cv {
                     continue;
                 }
-                if seen[cu as usize] != cv {
-                    seen[cu as usize] = cv;
+                let (word, bit) = ((cu / 64) as usize, 1u64 << (cu % 64));
+                if touched[word] & bit == 0 {
+                    touched[word] |= bit;
                     acc[cu as usize] = 0;
                     row.push(cu);
                 }
                 acc[cu as usize] += w;
             }
         }
-        row.sort_unstable();
-        for &cu in &row {
-            targets.push(cu);
-            eweights.push(acc[cu as usize]);
+        if scans_bitset(row.len(), touched.len()) {
+            for (i, word) in touched.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    let cu = i * 64 + bits.trailing_zeros() as usize;
+                    targets.push(cu as u32);
+                    eweights.push(acc[cu]);
+                    bits &= bits - 1;
+                }
+                *word = 0;
+            }
+        } else {
+            row.sort_unstable();
+            for &cu in &row {
+                targets.push(cu);
+                eweights.push(acc[cu as usize]);
+                touched[(cu / 64) as usize] = 0;
+            }
         }
         row.clear();
         offsets.push(targets.len());
     }
     WeightedGraph {
-        offsets,
-        targets,
-        eweights,
+        offsets: Cow::Owned(offsets),
+        targets: Cow::Owned(targets),
+        eweights: Some(eweights),
         vweights,
     }
 }
 
 /// Greedy region growing for the initial k-way partition.
-fn grow_initial(g: &WeightedGraph, k: usize, rng: &mut StdRng) -> Partition {
+fn grow_initial(g: &WeightedGraph<'_>, k: usize, rng: &mut StdRng) -> Partition {
     let n = g.num_vertices();
     const FREE: u32 = u32::MAX;
     let mut partition = vec![FREE; n];
@@ -332,7 +369,7 @@ fn grow_initial(g: &WeightedGraph, k: usize, rng: &mut StdRng) -> Partition {
 /// Moves vertices out of overweight parts until the bound holds, or no
 /// move can make progress (possible when one coarse vertex alone exceeds
 /// the bound — later, finer levels fix it).
-fn rebalance(g: &WeightedGraph, partition: &mut [u32], k: usize, max_weight: u64) {
+fn rebalance(g: &WeightedGraph<'_>, partition: &mut [u32], k: usize, max_weight: u64) {
     let mut weights = vec![0u64; k];
     for (v, &p) in partition.iter().enumerate() {
         weights[p as usize] += g.vweights[v];
@@ -385,7 +422,7 @@ fn rebalance(g: &WeightedGraph, partition: &mut [u32], k: usize, max_weight: u64
 
 /// Boundary FM refinement: greedily move boundary vertices to the part
 /// they are most connected to, subject to the weight bound.
-fn refine(g: &WeightedGraph, partition: &mut [u32], k: usize, max_weight: u64, passes: usize) {
+fn refine(g: &WeightedGraph<'_>, partition: &mut [u32], k: usize, max_weight: u64, passes: usize) {
     let n = g.num_vertices();
     let mut weights = vec![0u64; k];
     for (v, &p) in partition.iter().enumerate() {
@@ -443,17 +480,17 @@ mod tests {
     use crate::simple::random_partition;
     use dgcl_graph::generators::{barabasi_albert, erdos_renyi};
     use dgcl_graph::GraphBuilder;
-    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig};
+    use proptest::prelude::{any, prop_assert, proptest, ProptestConfig};
 
     /// The sort-and-merge coarse-edge aggregation `contract` replaced: one
     /// `(cv, cu, w)` triple per fine edge, sorted, duplicates summed.
-    fn contract_reference(g: &WeightedGraph, map: &[u32], cn: usize) -> WeightedGraph {
+    fn contract_reference(g: &WeightedGraph<'_>, map: &[u32], cn: usize) -> WeightedGraph<'static> {
         let n = g.num_vertices();
         let mut vweights = vec![0u64; cn];
         for v in 0..n {
             vweights[map[v] as usize] += g.vweights[v];
         }
-        let mut triples: Vec<(u32, u32, u64)> = Vec::with_capacity(g.targets.len());
+        let mut triples: Vec<(u32, u32, u64)> = Vec::with_capacity(g.num_edges());
         for v in 0..n as u32 {
             let cv = map[v as usize];
             for (u, w) in g.neighbors(v) {
@@ -483,17 +520,41 @@ mod tests {
             offsets.push(targets.len());
         }
         WeightedGraph {
-            offsets,
-            targets,
-            eweights,
+            offsets: Cow::Owned(offsets),
+            targets: Cow::Owned(targets),
+            eweights: Some(eweights),
             vweights,
         }
     }
 
+    /// A random map of `n` vertices onto classes of at most two vertices,
+    /// the shape heavy-edge matching produces, and the class count.
+    fn random_map(n: usize, rng: &mut StdRng) -> (Vec<u32>, usize) {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(rng);
+        let mut map = vec![0u32; n];
+        let mut cn = 0;
+        let mut i = 0;
+        while i < n {
+            let pair = i + 1 < n && rng.gen_bool(0.5);
+            map[order[i] as usize] = cn as u32;
+            if pair {
+                map[order[i + 1] as usize] = cn as u32;
+                i += 1;
+            }
+            i += 1;
+            cn += 1;
+        }
+        (map, cn)
+    }
+
     /// A random weighted graph on `n` vertices (self-loops and parallel
-    /// edges included) and a random map onto classes of at most two
-    /// vertices, the shape heavy-edge matching produces.
-    fn random_instance(n: usize, edges: usize, seed: u64) -> (WeightedGraph, Vec<u32>, usize) {
+    /// edges included) and a random map onto pairs and singletons.
+    fn random_instance(
+        n: usize,
+        edges: usize,
+        seed: u64,
+    ) -> (WeightedGraph<'static>, Vec<u32>, usize) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rows: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
         for _ in 0..edges {
@@ -513,26 +574,55 @@ mod tests {
         }
         let vweights = (0..n).map(|_| rng.gen_range(1..5)).collect();
         let g = WeightedGraph {
-            offsets,
-            targets,
-            eweights,
+            offsets: Cow::Owned(offsets),
+            targets: Cow::Owned(targets),
+            eweights: Some(eweights),
             vweights,
         };
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.shuffle(&mut rng);
-        let mut map = vec![0u32; n];
-        let mut cn = 0;
-        let mut i = 0;
-        while i < n {
-            let pair = i + 1 < n && rng.gen_bool(0.5);
-            map[order[i] as usize] = cn as u32;
-            if pair {
-                map[order[i + 1] as usize] = cn as u32;
-                i += 1;
-            }
-            i += 1;
-            cn += 1;
-        }
+        let (map, cn) = random_map(n, &mut rng);
+        (g, map, cn)
+    }
+
+    /// `contract` of `g` equals the sort-and-merge `contract_reference`
+    /// of `reference`, a graph with the same neighbour stream.
+    fn check_contract(
+        g: &WeightedGraph<'_>,
+        reference: &WeightedGraph<'_>,
+        map: &[u32],
+        cn: usize,
+    ) {
+        let fast = contract(g, map, cn);
+        let slow = contract_reference(reference, map, cn);
+        assert_eq!(fast.offsets, slow.offsets);
+        assert_eq!(fast.targets, slow.targets);
+        assert_eq!(fast.eweights, slow.eweights);
+        assert_eq!(fast.vweights, slow.vweights);
+    }
+
+    /// How many rows of `coarse` (on `cn` vertices) `contract` emits by
+    /// scanning the bitset, and how many of two or more targets it sorts.
+    fn emission_paths(coarse: &WeightedGraph<'_>, cn: usize) -> (usize, usize) {
+        let words = cn.div_ceil(64);
+        let lens = coarse.offsets.windows(2).map(|w| w[1] - w[0]);
+        let scanned = lens.clone().filter(|&l| scans_bitset(l, words)).count();
+        let sorted = lens.filter(|&l| l >= 2 && !scans_bitset(l, words)).count();
+        (scanned, sorted)
+    }
+
+    /// Few coarse ids and long rows: every row scans the bitset.
+    fn dense_instance(seed: u64) -> (WeightedGraph<'static>, Vec<u32>, usize) {
+        random_instance(120, 120 * 24, seed)
+    }
+
+    /// Many coarse ids and short rows: most rows sort.
+    fn sparse_instance(seed: u64) -> (WeightedGraph<'static>, Vec<u32>, usize) {
+        random_instance(20_000, 20_000 * 2, seed)
+    }
+
+    /// An input-like unit-weight CSR and a coarsening map of it.
+    fn unit_instance(n: usize, edges: usize, seed: u64) -> (CsrGraph, Vec<u32>, usize) {
+        let g = erdos_renyi(n, edges, seed);
+        let (map, cn) = random_map(n, &mut StdRng::seed_from_u64(seed ^ 0x5eed));
         (g, map, cn)
     }
 
@@ -546,12 +636,61 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let (g, map, cn) = random_instance(n, n * density, seed);
-            let fast = contract(&g, &map, cn);
-            let slow = contract_reference(&g, &map, cn);
-            prop_assert_eq!(fast.offsets, slow.offsets);
-            prop_assert_eq!(fast.targets, slow.targets);
-            prop_assert_eq!(fast.eweights, slow.eweights);
-            prop_assert_eq!(fast.vweights, slow.vweights);
+            check_contract(&g, &g, &map, cn);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Both emission paths: a small `cn` whose rows scan the bitset,
+        /// and a large `cn` whose rows sort.
+        #[test]
+        fn contract_matches_on_dense_and_sparse_rows(seed in any::<u64>()) {
+            for (g, map, cn) in [dense_instance(seed), sparse_instance(seed)] {
+                check_contract(&g, &g, &map, cn);
+            }
+        }
+
+        /// The borrowed finest level, whose weights are an implicit 1,
+        /// against an explicit all-ones copy of it.
+        #[test]
+        fn contract_of_borrowed_level_matches_all_ones_copy(
+            n in 2usize..3000,
+            density in 1usize..12,
+            seed in any::<u64>(),
+        ) {
+            let (csr, map, cn) = unit_instance(n, n * density, seed);
+            let borrowed = WeightedGraph::from_csr(&csr);
+            prop_assert!(borrowed.eweights.is_none());
+            let copy = WeightedGraph {
+                offsets: Cow::Owned(csr.offsets().to_vec()),
+                targets: Cow::Owned(csr.targets().to_vec()),
+                eweights: Some(vec![1; csr.num_edges()]),
+                vweights: vec![1; n],
+            };
+            check_contract(&borrowed, &copy, &map, cn);
+        }
+    }
+
+    #[test]
+    fn oracle_instances_take_both_emission_paths() {
+        for seed in 0..4 {
+            let (g, map, cn) = dense_instance(seed);
+            let (scanned, _) = emission_paths(&contract_reference(&g, &map, cn), cn);
+            assert!(scanned > cn / 2, "{scanned} of {cn} dense rows scan");
+            let (g, map, cn) = sparse_instance(seed);
+            let (_, sorted) = emission_paths(&contract_reference(&g, &map, cn), cn);
+            assert!(sorted > cn / 2, "{sorted} of {cn} sparse rows sort");
+            let (csr, map, cn) = unit_instance(2000, 2000 * 6, seed);
+            let (scanned, sorted) = emission_paths(
+                &contract_reference(&WeightedGraph::from_csr(&csr), &map, cn),
+                cn,
+            );
+            assert!(
+                scanned > 0 && sorted > 0,
+                "{scanned} scanned, {sorted} sorted"
+            );
         }
     }
 
