@@ -11,6 +11,15 @@
 //!   blocked kernel's: `matmul_tn` at the `fullbatch-halo` benchmark's
 //!   layer-0 shape (128 × 8 output), `matmul_tn_dense` at
 //!   `fullbatch-dense`'s (64 × 32);
+//! * `matmul_nt` — the input-gradient kernel (`grad · W^T`) against its
+//!   generic dot-product loop `matmul_nt_reference`, at the layer-1
+//!   backward shapes of `fullbatch-halo` (`matmul_nt`, 8 × 8 weight) and
+//!   `fullbatch-dense` (`matmul_nt_dense`, 32 × 8);
+//! * `gcn_update` — the dense half of a GCN layer, `relu(agg · W + b)`,
+//!   with bias and activation fused into the product's store against the
+//!   unfused composition `matmul` → `add_row_broadcast` →
+//!   `Activation::forward` on one thread, at `fullbatch-dense`'s layer-0
+//!   shape (a rank's 4 600 rows, 64 → 32);
 //! * `aggregate` — row-parallel CSR neighbour aggregation plus the
 //!   gather-form (reverse-CSR) backward against the scatter-form
 //!   reference;
@@ -34,7 +43,7 @@ use dgcl_gnn::aggregate::{
 };
 use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
-use dgcl_tensor::XavierInit;
+use dgcl_tensor::{Activation, XavierInit};
 use dgcl_topology::Topology;
 
 use crate::harness::{
@@ -125,6 +134,54 @@ pub fn run(ctx: &mut RunContext) {
         }
     }
 
+    // Input gradient of a layer: `grad · W^T` with `grad` a rank's rows ×
+    // the layer's output width and `W` its `fin × fout` weight, against
+    // the generic dot-product loop. The layer-1 backward shapes of
+    // `fullbatch-halo` (7 500 rows, 8 → 8) and `fullbatch-dense` (4 600
+    // rows, 32 → 8).
+    let shapes = if smoke {
+        [("matmul_nt", 1024, 8, 8), ("matmul_nt_dense", 1024, 32, 8)]
+    } else {
+        [("matmul_nt", 7500, 8, 8), ("matmul_nt_dense", 4600, 32, 8)]
+    };
+    for (kernel, local, fin, fout) in shapes {
+        let grad = init.features(local, fout);
+        let w = init.features(fin, fout);
+        std::hint::black_box(grad.matmul_nt_reference(&w)); // Warm-up.
+        let reference = median_seconds(reps, || {
+            std::hint::black_box(grad.matmul_nt_reference(&w));
+        });
+        for t in THREADS {
+            let s = median_seconds(reps, || {
+                std::hint::black_box(grad.matmul_nt_threads(&w, t));
+            });
+            push(&mut records, &mut rows, kernel, t, s, reference);
+        }
+    }
+
+    // The dense half of a GCN layer, fused against the unfused
+    // composition on one thread (fresh output matrices on both sides).
+    let (local, fin, fout) = if smoke {
+        (1024, 64, 32)
+    } else {
+        (4600, 64, 32)
+    };
+    let agg = init.features(local, fin);
+    let w = init.features(fin, fout);
+    let bias = init.features(1, fout);
+    let unfused = || {
+        let z = agg.matmul_threads(&w, 1).add_row_broadcast(&bias);
+        std::hint::black_box(Activation::Relu.forward(&z));
+    };
+    unfused(); // Warm-up.
+    let composition = median_seconds(reps, unfused);
+    for t in THREADS {
+        let s = median_seconds(reps, || {
+            std::hint::black_box(agg.matmul_fused_threads(&w, None, &bias, Activation::Relu, t));
+        });
+        push(&mut records, &mut rows, "gcn_update", t, s, composition);
+    }
+
     // CSR aggregation forward on a generated power-law graph.
     let graph = ctx.graph(Dataset::WikiTalk);
     let nv = graph.num_vertices();
@@ -205,7 +262,7 @@ pub fn run(ctx: &mut RunContext) {
         &rows,
     );
     println!(
-        "  (baselines: matmul/aggregate_fwd at 1 thread; matmul_tn(_dense) vs its\n   generic loop; aggregate_bwd vs the scatter form; allgather vs the uncompiled\n   table walk. Thread speedups need spare cores — the JSON records `cpus`\n   so a 1-CPU box documents its ceiling instead of faking scaling.)"
+        "  (baselines: matmul/aggregate_fwd at 1 thread; matmul_tn(_dense) and\n   matmul_nt(_dense) vs their generic loops; gcn_update vs the unfused product,\n   bias add and ReLU at 1 thread; aggregate_bwd vs the scatter form; allgather\n   vs the uncompiled table walk. Thread speedups need spare cores — the JSON records `cpus`\n   so a 1-CPU box documents its ceiling instead of faking scaling.)"
     );
 
     // One distributed training epoch per dataset: the end-to-end number
@@ -241,10 +298,11 @@ pub fn run(ctx: &mut RunContext) {
 
     let note = if cpus() == 1 {
         "single-cpu machine: thread-scaling speedups are ceiling-limited at ~1x; \
-         matmul_tn, aggregate_bwd and allgather speedups are algorithmic and hold regardless"
+         matmul_tn, matmul_nt, gcn_update, aggregate_bwd and allgather speedups are \
+         algorithmic and hold regardless"
     } else {
-        "thread columns measure pool scaling; matmul_tn, aggregate_bwd and \
-         allgather speedups are algorithmic"
+        "thread columns measure pool scaling; matmul_tn, matmul_nt, gcn_update, \
+         aggregate_bwd and allgather speedups are algorithmic"
     };
     write_artifact(
         "compute",

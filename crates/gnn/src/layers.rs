@@ -242,45 +242,41 @@ impl Layer {
 
     /// `UPDATE(h_v, a_v)` for the `agg.rows()` local vertices, whose own
     /// rows lead `h`; rows of `h` past them (remote ones) are never read,
-    /// and GCN, which has no self path, reads none.
+    /// and GCN, which has no self path, reads none. Each product runs
+    /// with its bias and activation fused into its store
+    /// ([`Matrix::matmul_fused`]), which keeps the bits of the product,
+    /// broadcast add and activation done one after another.
     fn update(&mut self, h: &Matrix, agg: Matrix) -> Matrix {
         let num_local = agg.rows();
+        let (w, b) = (&self.weights, &self.biases);
         let (mids, output) = match self.arch {
-            Architecture::Gcn => {
-                let z = agg
-                    .matmul(&self.weights[0])
-                    .add_row_broadcast(&self.biases[0]);
-                (vec![], Activation::Relu.forward(&z))
-            }
+            Architecture::Gcn => (
+                vec![],
+                agg.matmul_fused(&w[0], None, &b[0], Activation::Relu),
+            ),
             Architecture::CommNet => {
+                // `h W0 + agg W1`, the self product first.
                 let h_local = h.head_rows(num_local);
-                let z = h_local
-                    .matmul(&self.weights[0])
-                    .add(&agg.matmul(&self.weights[1]))
-                    .add_row_broadcast(&self.biases[0]);
-                (vec![h_local], Activation::Tanh.forward(&z))
+                let own = h_local.matmul(&w[0]);
+                let out = agg.matmul_fused(&w[1], Some(&own), &b[0], Activation::Tanh);
+                (vec![h_local], out)
             }
             Architecture::Gin => {
                 let mut s = h.head_rows(num_local);
                 s.scale_assign(1.0 + GIN_EPS);
                 s.add_assign(&agg);
-                let z1 = s
-                    .matmul(&self.weights[0])
-                    .add_row_broadcast(&self.biases[0]);
-                let r = Activation::Relu.forward(&z1);
-                let out = r
-                    .matmul(&self.weights[1])
-                    .add_row_broadcast(&self.biases[1]);
+                let r = s.matmul_fused(&w[0], None, &b[0], Activation::Relu);
+                let out = r.matmul_fused(&w[1], None, &b[1], Activation::Identity);
                 (vec![s, r], out)
             }
             Architecture::Sage => {
                 let s = h.head_rows(num_local).hstack(&agg);
-                let z = s
-                    .matmul(&self.weights[0])
-                    .add_row_broadcast(&self.biases[0]);
-                (vec![s], Activation::Relu.forward(&z))
+                let out = s.matmul_fused(&w[0], None, &b[0], Activation::Relu);
+                (vec![s], out)
             }
         };
+        // The caller owns the returned output; the backward pass reads the
+        // activation's derivative from this copy.
         self.cache = Some(Cache {
             num_total: h.rows(),
             agg,
@@ -375,17 +371,25 @@ impl Layer {
         );
         match self.arch {
             Architecture::Gcn => {
-                let grad_z = Activation::Relu.backward(&cache.output, grad_out);
+                let grad_z = activation_backward(
+                    Activation::Relu,
+                    &cache.output,
+                    grad_out.clone(),
+                    &mut self.grad_biases[0],
+                );
                 self.grad_weights[0].add_assign(&cache.agg.matmul_tn(&grad_z));
-                self.grad_biases[0].add_assign(&grad_z.sum_rows());
                 grad_z
             }
             Architecture::CommNet => {
-                let grad_z = Activation::Tanh.backward(&cache.output, grad_out);
+                let grad_z = activation_backward(
+                    Activation::Tanh,
+                    &cache.output,
+                    grad_out.clone(),
+                    &mut self.grad_biases[0],
+                );
                 let h_local = &cache.mids[0];
                 self.grad_weights[0].add_assign(&h_local.matmul_tn(&grad_z));
                 self.grad_weights[1].add_assign(&cache.agg.matmul_tn(&grad_z));
-                self.grad_biases[0].add_assign(&grad_z.sum_rows());
                 grad_z
             }
             Architecture::Gin => {
@@ -394,17 +398,24 @@ impl Layer {
                 // out = r W2 + b2.
                 self.grad_weights[1].add_assign(&r.matmul_tn(grad_out));
                 self.grad_biases[1].add_assign(&grad_out.sum_rows());
-                let grad_r = grad_out.matmul_nt(&self.weights[1]);
-                let grad_z1 = Activation::Relu.backward(r, &grad_r);
+                let grad_z1 = activation_backward(
+                    Activation::Relu,
+                    r,
+                    grad_out.matmul_nt(&self.weights[1]),
+                    &mut self.grad_biases[0],
+                );
                 self.grad_weights[0].add_assign(&s.matmul_tn(&grad_z1));
-                self.grad_biases[0].add_assign(&grad_z1.sum_rows());
                 grad_z1
             }
             Architecture::Sage => {
                 let s = &cache.mids[0];
-                let grad_z = Activation::Relu.backward(&cache.output, grad_out);
+                let grad_z = activation_backward(
+                    Activation::Relu,
+                    &cache.output,
+                    grad_out.clone(),
+                    &mut self.grad_biases[0],
+                );
                 self.grad_weights[0].add_assign(&s.matmul_tn(&grad_z));
-                self.grad_biases[0].add_assign(&grad_z.sum_rows());
                 grad_z
             }
         }
@@ -421,6 +432,23 @@ impl Layer {
             g.scale_assign(0.0);
         }
     }
+}
+
+/// The gradient at an activation's input from the gradient `grad` at its
+/// `output`, in place, with the bias gradient `grad_bias` gaining the
+/// result's column sums. The sums are formed in a fresh zero row and
+/// then added, as `sum_rows` then `add_assign` do: summing the rows
+/// straight into `grad_bias` would be another order of additions, which
+/// rounds differently, and a `-0.0` there would survive a zero column
+/// that `-0.0 + 0.0` turns into `+0.0`.
+fn activation_backward(
+    act: Activation,
+    output: &Matrix,
+    mut grad: Matrix,
+    grad_bias: &mut Matrix,
+) -> Matrix {
+    grad_bias.add_assign(&act.backward_sum_rows(output, &mut grad));
+    grad
 }
 
 #[cfg(test)]

@@ -19,27 +19,37 @@ impl Activation {
     /// Applies the activation element-wise.
     pub fn forward(self, x: &Matrix) -> Matrix {
         let mut out = x.clone();
+        self.apply(out.as_mut_slice());
+        out
+    }
+
+    /// Applies the activation to `xs` in place, element by element: the
+    /// one statement of each rule, which [`Activation::forward`] and the
+    /// fused `matmul` epilogue ([`Matrix::matmul_fused`]) both run, so a
+    /// fused layer keeps the bits of the unfused one. ReLU clamps with
+    /// `v < 0.0`, which keeps `-0.0` and NaN as they are.
+    #[inline]
+    pub(crate) fn apply(self, xs: &mut [f32]) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
-                for v in out.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
+                // A select, not a conditional store, so that it compiles
+                // to a branch-free blend on a register row.
+                for v in xs {
+                    *v = if *v < 0.0 { 0.0 } else { *v };
                 }
             }
             Activation::Tanh => {
-                for v in out.as_mut_slice() {
+                for v in xs {
                     *v = v.tanh();
                 }
             }
             Activation::Sigmoid => {
-                for v in out.as_mut_slice() {
+                for v in xs {
                     *v = 1.0 / (1.0 + (-*v).exp());
                 }
             }
         }
-        out
     }
 
     /// Gradient of the activation with respect to its input.
@@ -58,27 +68,67 @@ impl Activation {
             "activation backward shape mismatch"
         );
         let mut grad = upstream.clone();
+        self.mask(output.as_slice(), grad.as_mut_slice());
+        grad
+    }
+
+    /// [`Activation::backward`] in place on an owned gradient, fused with
+    /// [`Matrix::sum_rows`] of the result: one pass over `grad` applies the
+    /// derivative to each row and adds the row into the column sums, which
+    /// it returns as a fresh `1 x cols` row. Each element of `grad` and of
+    /// the sums sees the operations of the two unfused calls, in their
+    /// order, so the bits are theirs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn backward_sum_rows(self, output: &Matrix, grad: &mut Matrix) -> Matrix {
+        assert_eq!(
+            output.shape(),
+            grad.shape(),
+            "activation backward shape mismatch"
+        );
+        let cols = grad.cols();
+        let mut sums = Matrix::zeros(1, cols);
+        if cols == 0 {
+            return sums;
+        }
+        let sums_row = sums.as_mut_slice();
+        for (g_row, o_row) in grad
+            .as_mut_slice()
+            .chunks_exact_mut(cols)
+            .zip(output.as_slice().chunks_exact(cols))
+        {
+            self.mask(o_row, g_row);
+            for (s, &g) in sums_row.iter_mut().zip(g_row.iter()) {
+                *s += g;
+            }
+        }
+        sums
+    }
+
+    /// Multiplies `grad` in place by the derivative at `output`, element
+    /// by element (ReLU zeroes where `o <= 0.0`, by a select for the same
+    /// reason as [`Activation::apply`]'s).
+    fn mask(self, output: &[f32], grad: &mut [f32]) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
-                for (g, &o) in grad.as_mut_slice().iter_mut().zip(output.as_slice()) {
-                    if o <= 0.0 {
-                        *g = 0.0;
-                    }
+                for (g, &o) in grad.iter_mut().zip(output) {
+                    *g = if o <= 0.0 { 0.0 } else { *g };
                 }
             }
             Activation::Tanh => {
-                for (g, &o) in grad.as_mut_slice().iter_mut().zip(output.as_slice()) {
+                for (g, &o) in grad.iter_mut().zip(output) {
                     *g *= 1.0 - o * o;
                 }
             }
             Activation::Sigmoid => {
-                for (g, &o) in grad.as_mut_slice().iter_mut().zip(output.as_slice()) {
+                for (g, &o) in grad.iter_mut().zip(output) {
                     *g *= o * (1.0 - o);
                 }
             }
         }
-        grad
     }
 }
 

@@ -7,18 +7,24 @@
 //! bitwise identical at every thread count *and* to the original
 //! unblocked sequential kernels.
 //!
-//! `matmul` and `matmul_tn` dispatch on the output width: at 8, 16, 32,
-//! 64 and 128 columns output rows are accumulated in stack arrays
-//! (`matmul` a row at a time over a chunk; `matmul_tn` a register group
-//! of rows at a time over one block of the reduction, see
-//! [`matmul_tn_run`]); every other width runs the cache-blocked generic
-//! loop that [`Matrix::matmul_reference`] and
-//! [`Matrix::matmul_tn_reference`] expose. Both forms start each element
-//! from `0.0`, skip the same zero `lhs` entries and add the same
-//! products in the same order, so they agree bit for bit.
+//! All three dispatch on the output width: at 8, 16, 32, 64 and 128
+//! columns output rows are accumulated in stack arrays (`matmul` and
+//! `matmul_nt` a row at a time over a chunk, `matmul_nt` over its `rhs`
+//! transposed once; `matmul_tn` a register group of rows at a time over
+//! one block of the reduction, see [`matmul_tn_run`]); every other width
+//! runs the generic loop that [`Matrix::matmul_reference`],
+//! [`Matrix::matmul_tn_reference`] and [`Matrix::matmul_nt_reference`]
+//! expose. Both forms start each element from `0.0`, skip the same zero
+//! `lhs` entries (`matmul_nt` skips none) and add the same products in
+//! the same order, so they agree bit for bit.
+//!
+//! [`Matrix::matmul_fused`] is `matmul` with an epilogue: the dense half
+//! of a GNN layer, `act(addend + x·W + b)`, applied to each output row
+//! once before its one store. Every element sees the operations of the
+//! unfused composition in their order, so fusing keeps the bits.
 
 use crate::pool;
-use crate::Matrix;
+use crate::{Activation, Matrix};
 
 /// Cache block over the shared (reduction) dimension: a `BLOCK_K x cols`
 /// window of the streamed operand stays hot across the rows of a chunk.
@@ -56,6 +62,62 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
+        self.matmul_with(rhs, None, threads)
+    }
+
+    /// The dense half of a GNN layer in one pass: `act(addend + self * rhs
+    /// + bias)`, on the pool's worker count. See
+    /// [`Matrix::matmul_fused_threads`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()`, `bias` is not a `1 x
+    /// rhs.cols()` row or `addend` is not `self.rows() x rhs.cols()`.
+    pub fn matmul_fused(
+        &self,
+        rhs: &Matrix,
+        addend: Option<&Matrix>,
+        bias: &Matrix,
+        act: Activation,
+    ) -> Matrix {
+        self.matmul_fused_threads(rhs, addend, bias, act, pool::compute_threads())
+    }
+
+    /// [`Matrix::matmul_threads`] with an epilogue applied to each output
+    /// row `z` before its one store (in the stack array at the dispatched
+    /// widths, a second pass over the row at every other): `z = a + z`
+    /// with `a` the row of `addend` when one is given, then `z += b` with
+    /// `bias`, then [`Activation::forward`]'s rule. Those are the
+    /// element operations of `addend.add(&self.matmul(rhs))
+    /// .add_row_broadcast(bias)` then `act.forward`, in that order, so the
+    /// result is that composition's bits at every `threads` value.
+    ///
+    /// # Panics
+    ///
+    /// See [`Matrix::matmul_fused`].
+    pub fn matmul_fused_threads(
+        &self,
+        rhs: &Matrix,
+        addend: Option<&Matrix>,
+        bias: &Matrix,
+        act: Activation,
+        threads: usize,
+    ) -> Matrix {
+        let n = rhs.cols();
+        assert_eq!(bias.shape(), (1, n), "bias must be a 1 x {n} row");
+        if let Some(addend) = addend {
+            assert_eq!(addend.shape(), (self.rows(), n), "addend shape mismatch");
+        }
+        let epilogue = Epilogue {
+            addend: addend.map(Matrix::as_slice),
+            bias: bias.as_slice(),
+            act,
+        };
+        self.matmul_with(rhs, Some(&epilogue), threads)
+    }
+
+    /// `self * rhs` with an optional epilogue per output row.
+    fn matmul_with(&self, rhs: &Matrix, epilogue: Option<&Epilogue>, threads: usize) -> Matrix {
         self.check_matmul(rhs);
         let (m, k) = self.shape();
         let n = rhs.cols();
@@ -67,11 +129,14 @@ impl Matrix {
         };
         let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
         pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
-            by_width!(
-                n,
-                matmul_rows(lhs, rhs, k, row0, chunk),
-                matmul_rows_reference(lhs, rhs, k, n, row0, chunk)
-            )
+            by_width!(n, matmul_rows(lhs, rhs, k, epilogue, row0, chunk), {
+                matmul_rows_reference(lhs, rhs, k, n, row0, chunk);
+                if let Some(epilogue) = epilogue {
+                    for (i, row) in chunk.chunks_exact_mut(n).enumerate() {
+                        epilogue.apply(row0 + i, row);
+                    }
+                }
+            })
         });
         out
     }
@@ -183,12 +248,55 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_nt`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value.
+    /// bitwise identical for every `threads` value, and to
+    /// [`Matrix::matmul_nt_reference`]: at the dispatched widths the `rhs`
+    /// (a layer's weight, at most 128 x 128) is transposed once and the
+    /// product runs `matmul`'s row loop without its zero skip, so each
+    /// element is `0.0 + a0 * b0 + a1 * b1 + ...` in ascending order, the
+    /// dot product's exact sequence.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_nt_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
+        self.check_matmul_nt(rhs);
+        let m = self.rows();
+        let k = self.cols();
+        let n = rhs.rows();
+        let threads = if m * k * n < PAR_FLOPS_MIN {
+            1
+        } else {
+            threads
+        };
+        by_width!(n, matmul_nt_fixed(self, rhs, threads), {
+            let mut out = Matrix::zeros(m, n);
+            let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
+            pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
+                matmul_nt_rows_reference(lhs, rhs, k, n, row0, chunk)
+            });
+            out
+        })
+    }
+
+    /// `self * rhs^T` on the caller's thread through the generic dot
+    /// product loop at every width: the reference
+    /// [`Matrix::matmul_nt_threads`] is tested against bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.cols()`.
+    pub fn matmul_nt_reference(&self, rhs: &Matrix) -> Matrix {
+        self.check_matmul_nt(rhs);
+        let n = rhs.rows();
+        let mut out = Matrix::zeros(self.rows(), n);
+        if n > 0 {
+            let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
+            matmul_nt_rows_reference(lhs, rhs, self.cols(), n, 0, out.as_mut_slice());
+        }
+        out
+    }
+
+    fn check_matmul_nt(&self, rhs: &Matrix) {
         assert_eq!(
             self.cols(),
             rhs.cols(),
@@ -196,31 +304,6 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        let m = self.rows();
-        let k = self.cols();
-        let n = rhs.rows();
-        let mut out = Matrix::zeros(m, n);
-        let threads = if m * k * n < PAR_FLOPS_MIN {
-            1
-        } else {
-            threads
-        };
-        let lhs = self.as_slice();
-        let rhs_data = rhs.as_slice();
-        pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
-            for (i, out_row) in chunk.chunks_mut(n).enumerate() {
-                let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &rhs_data[j * k..(j + 1) * k];
-                    let mut acc = 0.0;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            }
-        });
-        out
     }
 
     /// Element-wise sum `self + rhs`.
@@ -318,23 +401,125 @@ impl Matrix {
     }
 }
 
+/// What [`Matrix::matmul_fused`] does to each output row `z` of the
+/// product before storing it.
+struct Epilogue<'a> {
+    /// Row-major, as wide as `z`: `z = a + z` first, when present.
+    addend: Option<&'a [f32]>,
+    /// Added to every row: `z += b`.
+    bias: &'a [f32],
+    /// Applied last.
+    act: Activation,
+}
+
+impl Epilogue<'_> {
+    /// Applies the epilogue to `z`, output row `row`.
+    fn apply(&self, row: usize, z: &mut [f32]) {
+        let n = z.len();
+        if let Some(addend) = self.addend {
+            for (o, &a) in z.iter_mut().zip(&addend[row * n..(row + 1) * n]) {
+                // `addend + product`, the operand order of the unfused
+                // `add`; the lint's `*o += a` would swap it.
+                #[allow(clippy::assign_op_pattern)]
+                {
+                    *o = a + *o;
+                }
+            }
+        }
+        for (o, &b) in z.iter_mut().zip(self.bias) {
+            *o += b;
+        }
+        self.act.apply(z);
+    }
+}
+
 /// Rows `row0..` of `lhs (· x k) * rhs (k x W)` into `chunk`, each
-/// accumulated from `0.0` in a stack array over ascending `k` and stored
-/// once; a zero `lhs` entry adds nothing and is skipped.
-fn matmul_rows<const W: usize>(lhs: &[f32], rhs: &[f32], k: usize, row0: usize, chunk: &mut [f32]) {
+/// accumulated from `0.0` in a stack array over ascending `k`, passed
+/// through `epilogue` when one is given and stored once; a zero `lhs`
+/// entry adds nothing and is skipped, as in [`matmul_rows_reference`].
+fn matmul_rows<const W: usize>(
+    lhs: &[f32],
+    rhs: &[f32],
+    k: usize,
+    epilogue: Option<&Epilogue>,
+    row0: usize,
+    chunk: &mut [f32],
+) {
+    match epilogue {
+        None => row_loop::<W, true>(lhs, rhs, k, row0, chunk, |_, z| z),
+        Some(epilogue) => row_loop::<W, true>(lhs, rhs, k, row0, chunk, |row, mut z| {
+            epilogue.apply(row, &mut z);
+            z
+        }),
+    }
+}
+
+/// The register row loop of [`matmul_rows`] and [`matmul_nt_fixed`]:
+/// each row of `chunk` accumulated from `0.0` in a stack array over
+/// ascending `k`, passed through `epilogue` with its row index and
+/// stored once. The epilogue takes and returns the row by value: lending
+/// it the accumulator would keep the accumulator in memory for the whole
+/// reduction. With `SKIP_ZEROS` a zero `lhs` entry adds nothing and is
+/// skipped; without it every product is added, as in the dot products of
+/// [`matmul_nt_rows_reference`].
+fn row_loop<const W: usize, const SKIP_ZEROS: bool>(
+    lhs: &[f32],
+    rhs: &[f32],
+    k: usize,
+    row0: usize,
+    chunk: &mut [f32],
+    epilogue: impl Fn(usize, [f32; W]) -> [f32; W],
+) {
     let (b_rows, _) = rhs.as_chunks::<W>();
     for (i, out_row) in chunk.as_chunks_mut::<W>().0.iter_mut().enumerate() {
         let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
         let mut acc = [0.0f32; W];
         for (&a, b_row) in a_row.iter().zip(b_rows) {
-            if a == 0.0 {
+            if SKIP_ZEROS && a == 0.0 {
                 continue;
             }
             for (o, &b) in acc.iter_mut().zip(b_row) {
                 *o += a * b;
             }
         }
-        *out_row = acc;
+        *out_row = epilogue(row0 + i, acc);
+    }
+}
+
+/// `lhs * rhs^T` at output width `W`: `rhs` (`W x k`) is transposed once
+/// and every row runs [`row_loop`] without the zero skip.
+fn matmul_nt_fixed<const W: usize>(lhs: &Matrix, rhs: &Matrix, threads: usize) -> Matrix {
+    let k = lhs.cols();
+    let rhs_t = rhs.transpose_threads(1);
+    let mut out = Matrix::zeros(lhs.rows(), W);
+    let (lhs, rhs_t) = (lhs.as_slice(), rhs_t.as_slice());
+    pool::par_row_chunks(threads, out.as_mut_slice(), W, |row0, chunk| {
+        row_loop::<W, false>(lhs, rhs_t, k, row0, chunk, |_, z| z)
+    });
+    out
+}
+
+/// The generic `matmul_nt` loop: output element `(i, j)` is the dot
+/// product of `lhs` row `i` and `rhs` row `j`, from `0.0` over ascending
+/// `p`, with no zero skip.
+fn matmul_nt_rows_reference(
+    lhs: &[f32],
+    rhs: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    chunk: &mut [f32],
+) {
+    for (i, out_row) in chunk.chunks_mut(n).enumerate() {
+        let a_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
+        for (j, o) in out_row.iter_mut().enumerate() {
+            let b_row = &rhs[j * k..(j + 1) * k];
+            let mut acc = 0.0;
+            for (&a, &b) in a_row.iter().zip(b_row) {
+                acc += a * b;
+            }
+            *o = acc;
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! a reduction fails loudly instead of silently breaking distributed /
 //! single-device training parity.
 
-use dgcl_tensor::{spmm_pattern_into, spmm_pattern_reference, Matrix};
+use dgcl_tensor::{spmm_pattern_into, spmm_pattern_reference, Activation, Matrix};
 use proptest::prelude::*;
 
 /// An output width below `below`, or one of the dispatched 64 and 128.
@@ -84,7 +84,12 @@ proptest! {
 
     #[test]
     fn matmul_nt_is_thread_count_invariant(
-        (a, b) in (arb_matrix(1..50, 1..20), 1usize..16)
+        // Output widths below 16, often the dispatched 8 and 32.
+        (a, b) in (arb_matrix(1..50, 1..20), (1usize..20).prop_map(|n| match n {
+            16 | 17 => 8,
+            18 | 19 => 32,
+            n => n,
+        }))
             .prop_map(|(a, n)| { let k = a.cols(); (a, arb_fixed(n, k)) })
     ) {
         let reference = a.matmul_nt_threads(&b, 1);
@@ -230,6 +235,55 @@ proptest! {
         for t in ORACLE_THREADS {
             prop_assert_eq!(bits(a.matmul_tn_threads(&b, t).as_slice()), want.clone(), "n={} t={}", n, t);
         }
+    }
+
+    #[test]
+    fn matmul_nt_matches_reference_bitwise(
+        (m, k, n, seed) in (1usize..40, 1usize..41, arb_oracle_width(), any::<u64>())
+    ) {
+        // The dispatched kernel adds every product, as the dot loop does:
+        // a skipped `0 * inf` would drop a NaN the reference keeps.
+        let a = special_matrix(m, k, seed);
+        let b = special_matrix(n, k, seed ^ 0xB);
+        let want = bits(a.matmul_nt_reference(&b).as_slice());
+        for t in ORACLE_THREADS {
+            prop_assert_eq!(bits(a.matmul_nt_threads(&b, t).as_slice()), want.clone(), "n={} t={}", n, t);
+        }
+    }
+
+    #[test]
+    fn matmul_fused_matches_the_unfused_composition_bitwise(
+        (m, k, n, seed, act, with_addend) in
+            (1usize..40, 1usize..40, arb_oracle_width(), any::<u64>(), 0usize..4, any::<bool>())
+    ) {
+        let act = [Activation::Identity, Activation::Relu, Activation::Tanh, Activation::Sigmoid][act];
+        let a = special_matrix(m, k, seed);
+        let w = special_matrix(k, n, seed ^ 0xB);
+        let bias = special_matrix(1, n, seed ^ 0xC);
+        let addend = with_addend.then(|| special_matrix(m, n, seed ^ 0xA));
+        let mut z = a.matmul_reference(&w);
+        if let Some(addend) = &addend {
+            z = addend.add(&z);
+        }
+        let want = bits(act.forward(&z.add_row_broadcast(&bias)).as_slice());
+        for t in ORACLE_THREADS {
+            let got = a.matmul_fused_threads(&w, addend.as_ref(), &bias, act, t);
+            prop_assert_eq!(bits(got.as_slice()), want.clone(), "n={} t={} {:?}", n, t, act);
+        }
+    }
+
+    #[test]
+    fn activation_backward_sum_rows_matches_the_unfused_pair_bitwise(
+        (m, n, seed, act) in (1usize..40, arb_oracle_width(), any::<u64>(), 0usize..4)
+    ) {
+        let act = [Activation::Identity, Activation::Relu, Activation::Tanh, Activation::Sigmoid][act];
+        let output = act.forward(&special_matrix(m, n, seed));
+        let upstream = special_matrix(m, n, seed ^ 0xB);
+        let want = act.backward(&output, &upstream);
+        let mut grad = upstream.clone();
+        let sums = act.backward_sum_rows(&output, &mut grad);
+        prop_assert_eq!(bits(grad.as_slice()), bits(want.as_slice()));
+        prop_assert_eq!(bits(sums.as_slice()), bits(want.sum_rows().as_slice()));
     }
 
     #[test]
