@@ -32,6 +32,9 @@ pub enum FaultEvent {
     },
     /// Rank `rank` fails permanently *inside* collective `at_op`, after
     /// executing `after_actions` pipeline actions (chunk sends/receives).
+    /// An op with fewer actions dies after its last one (at once, when it
+    /// has none), so the crash always fires in `at_op` or, for an op that
+    /// runs no pipeline, the rank's next one that does.
     /// Unlike [`FaultEvent::Crash`], which fires at the operation
     /// boundary, this models a device dying mid-transfer with some chunks
     /// already delivered — peers must still fail within the deadline.

@@ -406,7 +406,10 @@ where
             executed += 1;
         }
     }
-    Ok(())
+    // An op with fewer actions than the crash's budget dies after its
+    // last one (at once, when it has none), so a scheduled mid-op crash
+    // fires in its op whatever the op's size.
+    maybe_crash(usize::MAX)
 }
 
 /// The operation that moves nothing: returns once every rank's ready
@@ -428,6 +431,8 @@ pub(crate) fn barrier(fabric: &Fabric, rank: usize, op: u64) -> Result<(), Runti
 mod tests {
     use super::*;
     use crate::comm_info::{build_comm_info, BuildOptions};
+    use crate::fabric::FabricConfig;
+    use crate::fault::{FaultEvent, FaultPlan};
     use crate::schedule::StageGroup;
     use dgcl_graph::Dataset;
     use dgcl_topology::Topology;
@@ -569,5 +574,63 @@ mod tests {
         assert_eq!(shape(&compiled), shape(&exchange));
         assert_eq!(exchange.actions.len(), 6, "empty entries are dropped");
         assert_eq!(compiled.chunk_rows, exchange.chunk_rows);
+    }
+
+    /// Runs `pipe` as rank 0's op `op` on a three-rank fabric whose
+    /// rank 0 is scheduled to die in op 2 after `after_actions` actions,
+    /// with every rank ready for `op`; checks that the crash fires
+    /// exactly when `op` is 2, and returns the fabric.
+    fn run_with_mid_op_crash(pipe: &PipelineSchedule, op: u64, after_actions: usize) -> Fabric {
+        let config = FabricConfig {
+            faults: FaultPlan {
+                events: vec![FaultEvent::CrashMidOp {
+                    rank: 0,
+                    at_op: 2,
+                    after_actions,
+                }],
+            },
+            ..FabricConfig::default()
+        };
+        let fabric = Fabric::with_config(3, config);
+        for rank in 0..3 {
+            fabric.set_ready(rank, op);
+        }
+        let mut scratch = PipelineScratch::default();
+        let result = execute(&fabric, 0, op, pipe, 1, &mut scratch, |io| {
+            if let ChunkIo::Pack { rows, payload, .. } = io {
+                payload.extend(rows.map(|r| r as f32));
+            }
+        });
+        if op == 2 {
+            let err = result.expect_err("the scheduled crash fires");
+            assert_eq!(err, RuntimeError::InjectedCrash { rank: 0, at_op: 2 });
+            assert!(fabric.is_poisoned());
+        } else {
+            result.expect("no crash is scheduled before op 2");
+            assert!(!fabric.is_poisoned());
+        }
+        fabric
+    }
+
+    #[test]
+    fn a_mid_op_crash_whose_budget_outlasts_the_op_still_fires() {
+        let sends = PipelineSchedule::exchange(&[(1, 0..2), (2, 2..3)], &[]);
+        // A budget of 5 in an op of 2 sends: both are delivered, then the
+        // rank dies.
+        let fabric = run_with_mid_op_crash(&sends, 2, 5);
+        for (peer, rows) in [(1, vec![0.0, 1.0]), (2, vec![2.0])] {
+            let got = fabric.try_recv(0, peer, (2, 0, 0, 0));
+            assert_eq!(got, Ok(Some(rows)), "peer {peer}");
+        }
+        // An op with no action dies at once.
+        run_with_mid_op_crash(&PipelineSchedule::exchange(&[], &[]), 2, 5);
+        // An op before the scheduled one runs unharmed.
+        run_with_mid_op_crash(&sends, 1, 5);
+        // A budget the op reaches fires mid-op, before the second send.
+        let fabric = run_with_mid_op_crash(&sends, 2, 1);
+        assert!(
+            fabric.try_recv(0, 2, (2, 0, 0, 0)).is_err(),
+            "nothing for peer 2"
+        );
     }
 }

@@ -9,6 +9,10 @@
 //! that moves one sampled neighbour, one cached row or one gradient fold
 //! fails here.
 //!
+//! The partition is an input: the Wiki-Talk and Web-Google cells were
+//! re-pinned when coarsening gained two-hop matching; the Reddit cell,
+//! whose partition it leaves alone, kept its constants.
+//!
 //! The small cells run in tier-1. The `#[ignore]` cell is the `e2e`
 //! benchmark's `sampled-cached` configuration; run it with
 //! `cargo test --release -p dgcl --test sampling_fingerprints -- --ignored`.
@@ -152,8 +156,8 @@ fn gcn_four_gpus_cache_auto() {
         &gcn_four(CachePolicy::Auto),
         (
             0xfdda_bae3_36a2_1728,
-            0xe589_f596_c37f_8863,
-            0x9a59_3732_b233_9c7b,
+            0x7b32_a272_75ac_9822,
+            0xaf9c_4849_4180_7b45,
         ),
     );
 }
@@ -164,7 +168,7 @@ fn gcn_four_gpus_cache_off() {
         &gcn_four(CachePolicy::Off),
         (
             0xfdda_bae3_36a2_1728,
-            0xe589_f596_c37f_8863,
+            0x7b32_a272_75ac_9822,
             0xcbf2_9ce4_8422_2325,
         ),
     );
@@ -188,9 +192,9 @@ fn sage_sixteen_gpus() {
             owners_below: None,
         },
         (
-            0x264f_ac9e_801d_08ef,
-            0xd19f_225b_cee7_d3ea,
-            0x86ab_c69d_277a_9a9a,
+            0x9c21_f6a5_9c81_49ea,
+            0x1253_8fae_71db_8227,
+            0xc0e6_f3ec_90ae_2c44,
         ),
     );
 }
@@ -231,9 +235,9 @@ fn ranks_without_seeds() {
             ..gcn_four(CachePolicy::Auto)
         },
         (
-            0xa1fe_ca02_e68b_ca25,
-            0x703b_05e2_0a70_57d2,
-            0x7984_456e_01cc_dc41,
+            0x4aca_7dc7_65cc_b95f,
+            0xa570_b4ff_00fd_e1f2,
+            0xd428_57ea_35c8_e713,
         ),
     );
 }
@@ -250,9 +254,9 @@ fn sampled_cached_benchmark_scale() {
             ..gcn_four(CachePolicy::Auto)
         },
         (
-            0xd0d8_01a8_20d6_bb91,
-            0x1d4c_e17c_df29_c26b,
-            0x7a0c_c45c_0e6d_f14b,
+            0xd5d8_91d5_c423_b60f,
+            0x054f_489d_59bf_78aa,
+            0xa36a_53a0_5038_ab77,
         ),
     );
 }

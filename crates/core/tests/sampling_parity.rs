@@ -16,14 +16,15 @@
 //!   `P`-device run is the 1-device run of the same config up to the order
 //!   the gradient sums fold in — epoch losses within 1e-4 relative.
 //! * A rank that owns none of a batch's seeds still serves its rows and
-//!   joins the allreduce: seeds confined to one part, batches of 1 and 7.
+//!   joins the allreduce: seeds confined to one part, batches of 1 and 7,
+//!   train bit for bit as one device does.
 //! * Sampled training still trains: losses decrease over epochs.
 //! * An out-of-range training vertex surfaces as a typed
 //!   [`ClusterError`] through `run_cluster` — never a rank-thread abort.
 
 use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_single, TrainConfig};
-use dgcl::{build_comm_info, BackendKind, BuildOptions};
+use dgcl::{build_comm_info, BackendKind, BuildOptions, CommInfo};
 use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
 use dgcl_tensor::{Matrix, XavierInit};
@@ -232,14 +233,21 @@ fn a_rank_without_seeds_serves_its_rows_and_joins_the_allreduce() {
     // Hostile seed sets: every training vertex on rank 0, so every other
     // rank owns no seed of any batch (and with batch size 1 so do all but
     // one). They sample empty chains, still answer the feature exchange
-    // and contribute zero gradients and zero loss.
+    // and contribute zero gradients and zero loss. Adding those zeros
+    // changes no bit, so every device count must train exactly as one
+    // device does on the same seeds.
     let c = case(6);
+    let info_on = |devices: usize| {
+        let topo = Topology::dgx1_subset(devices);
+        build_comm_info(&c.graph, topo, BuildOptions::default())
+    };
+    let train = |info: &CommInfo, cfg: &TrainConfig| {
+        train_distributed(info, &c.graph, &c.features, &c.targets, cfg).expect("healthy cluster")
+    };
+    let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    let one_device = info_on(1);
     for devices in 2..=4 {
-        let info = build_comm_info(
-            &c.graph,
-            Topology::dgx1_subset(devices),
-            BuildOptions::default(),
-        );
+        let info = info_on(devices);
         let seeds: Vec<u32> = info.pg.local[0].iter().copied().take(42).collect();
         for batch_size in [1, 7] {
             let mut cfg = base_cfg(Architecture::Sage, 3);
@@ -247,13 +255,17 @@ fn a_rank_without_seeds_serves_its_rows_and_joins_the_allreduce() {
             let mut scfg = SamplingConfig::new(batch_size, vec![Some(3), Some(3)]);
             scfg.train_vertices = Some(seeds.clone());
             cfg.sampling = Some(scfg);
-            let [a, b] = [(); 2].map(|()| {
-                train_distributed(&info, &c.graph, &c.features, &c.targets, &cfg)
-                    .expect("healthy cluster")
-            });
+            let [a, b] = [(); 2].map(|()| train(&info, &cfg));
+            let one = train(&one_device, &cfg);
             let what = format!("{devices} devices, batch {batch_size}");
             let losses = &a.epoch_losses;
-            assert!(losses.last() < losses.first(), "{what}: {losses:?}");
+            assert_eq!(
+                bits(losses),
+                bits(&one.epoch_losses),
+                "{what}: {losses:?} against one device's {:?}",
+                one.epoch_losses
+            );
+            assert_eq!(one.outputs.max_abs_diff(&a.outputs), 0.0, "{what}");
             assert_eq!(&b.epoch_losses, losses, "{what}: rerun diverged");
             assert_eq!(b.outputs.max_abs_diff(&a.outputs), 0.0, "{what}");
         }

@@ -4,7 +4,10 @@
 //! METIS dependency implements:
 //!
 //! 1. **Coarsening** — repeated heavy-edge matching collapses the graph
-//!    until it is small.
+//!    until it is small. A level on which heavy-edge matching leaves more
+//!    than a tenth of the vertices alone also pairs lone vertices that
+//!    share a neighbour (two-hop matching, as METIS 5 does), so a hub
+//!    graph, whose leaves can pair only with their hub, keeps shrinking.
 //! 2. **Initial partitioning** — greedy region growing on the coarsest
 //!    graph.
 //! 3. **Uncoarsening** — the partition is projected back level by level,
@@ -22,9 +25,10 @@
 //! those ids (a sparse one). A coarse level's arrays are sized once from
 //! its fine level's edge count.
 //! The initial growing's fallback to "any free vertex" resumes from a
-//! cursor instead of rescanning, so it reads O(n) entries per part. All
-//! of this yields exactly the partition the sort-based coarsening over a
-//! weighted copy of the input, and the rescanning fallback, yielded.
+//! cursor instead of rescanning, so it reads O(n) entries per part. None
+//! of this bookkeeping changes a partition: it yields exactly what the
+//! sort-based coarsening over a weighted copy of the input, and the
+//! rescanning fallback, yielded with the same matching.
 
 use std::borrow::Cow;
 
@@ -49,6 +53,11 @@ const DENSE_ROW_SHARE: usize = 4;
 fn scans_bitset(touched: usize, words: usize) -> bool {
     touched * DENSE_ROW_SHARE >= words
 }
+
+/// A level runs two-hop matching when heavy-edge matching leaves more
+/// than one vertex in `TWO_HOP_UNMATCHED_SHARE` alone: METIS 5's 10 %.
+/// Below that share the heavy-edge map is kept as it is.
+const TWO_HOP_UNMATCHED_SHARE: usize = 10;
 
 /// Vertex- and edge-weighted graph used internally across coarsening
 /// levels. The finest level borrows the input's CSR arrays and stores no
@@ -176,9 +185,15 @@ fn max_part_weight(total: u64, k: usize, imbalance: f64) -> u64 {
     (ideal * imbalance).ceil() as u64 + 1
 }
 
-/// Heavy-edge matching: collapse matched pairs into coarse vertices.
-/// Pairs whose combined weight would exceed `max_vertex_weight` are not
-/// matched.
+/// Collapses matched pairs into coarse vertices: heavy-edge matching,
+/// then, when that leaves more than one vertex in
+/// `TWO_HOP_UNMATCHED_SHARE` alone, two-hop matching (see
+/// [`match_two_hop`]). No pair's combined weight exceeds
+/// `max_vertex_weight`.
+///
+/// Coarse ids are handed out in the shuffled visiting order, to the
+/// first member of each pair, so a level that needs no two-hop pass gets
+/// exactly the heavy-edge map.
 fn coarsen(
     g: &WeightedGraph<'_>,
     rng: &mut StdRng,
@@ -187,16 +202,46 @@ fn coarsen(
     let n = g.num_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
-    const UNMATCHED: u32 = u32::MAX;
-    let mut map = vec![UNMATCHED; n];
+    let mut mate = match_heavy_edges(g, &order, max_vertex_weight);
+    let alone = mate
+        .iter()
+        .enumerate()
+        .filter(|&(v, &m)| m as usize == v)
+        .count();
+    if alone * TWO_HOP_UNMATCHED_SHARE > n {
+        match_two_hop(g, &mut mate, max_vertex_weight);
+    }
+    const UNASSIGNED: u32 = u32::MAX;
+    let mut map = vec![UNASSIGNED; n];
     let mut next_coarse = 0u32;
     for &v in &order {
-        if map[v as usize] != UNMATCHED {
+        if map[v as usize] == UNASSIGNED {
+            map[v as usize] = next_coarse;
+            map[mate[v as usize] as usize] = next_coarse;
+            next_coarse += 1;
+        }
+    }
+    // Freed before the contraction, the level's largest step.
+    drop(mate);
+    (contract(g, &map, next_coarse as usize), map)
+}
+
+/// Heavy-edge matching in visiting order `order`: each vertex not yet
+/// matched pairs with its heaviest-edge neighbour not yet matched (the
+/// first such on a tie) whose combined weight stays within
+/// `max_vertex_weight`, or with itself when there is none. Returns
+/// `mate`, where `mate[mate[v]] == v` and `mate[v] == v` for a vertex
+/// left alone.
+fn match_heavy_edges(g: &WeightedGraph<'_>, order: &[u32], max_vertex_weight: u64) -> Vec<u32> {
+    const UNMATCHED: u32 = u32::MAX;
+    let mut mate = vec![UNMATCHED; g.num_vertices()];
+    for &v in order {
+        if mate[v as usize] != UNMATCHED {
             continue;
         }
         let mut best: Option<(u32, u64)> = None;
         for (u, w) in g.neighbors(v) {
-            if map[u as usize] == UNMATCHED
+            if mate[u as usize] == UNMATCHED
                 && u != v
                 && g.vweights[v as usize] + g.vweights[u as usize] <= max_vertex_weight
             {
@@ -206,13 +251,39 @@ fn coarsen(
                 }
             }
         }
-        map[v as usize] = next_coarse;
-        if let Some((u, _)) = best {
-            map[u as usize] = next_coarse;
-        }
-        next_coarse += 1;
+        let u = best.map_or(v, |(u, _)| u);
+        mate[v as usize] = u;
+        mate[u as usize] = v;
     }
-    (contract(g, &map, next_coarse as usize), map)
+    mate
+}
+
+/// Two-hop matching (METIS 5; LaSalle et al., IA3 2015): pairs vertices
+/// that heavy-edge matching left alone and that share a neighbour. On a
+/// hub graph most vertices are leaves whose only neighbour is a hub, so
+/// heavy-edge matching pairs at most one leaf per hub; here each vertex's
+/// lone neighbours pair up with each other, in row order, in one pass
+/// over the edges. A pair whose combined weight would exceed
+/// `max_vertex_weight` is skipped, and the lighter of the two waits for
+/// the next lone neighbour.
+fn match_two_hop(g: &WeightedGraph<'_>, mate: &mut [u32], max_vertex_weight: u64) {
+    for h in 0..g.num_vertices() as u32 {
+        let mut waiting: Option<u32> = None;
+        for (u, _) in g.neighbors(h) {
+            if u == h || mate[u as usize] != u {
+                continue;
+            }
+            waiting = match waiting {
+                Some(p) if g.vweights[p as usize] + g.vweights[u as usize] <= max_vertex_weight => {
+                    mate[p as usize] = u;
+                    mate[u as usize] = p;
+                    None
+                }
+                Some(p) if g.vweights[p as usize] <= g.vweights[u as usize] => Some(p),
+                _ => Some(u),
+            };
+        }
+    }
 }
 
 /// Builds the coarse graph of `g` whose `cn` vertices are the classes of
@@ -478,7 +549,7 @@ mod tests {
     use super::*;
     use crate::metrics::{balance, edge_cut};
     use crate::simple::random_partition;
-    use dgcl_graph::generators::{barabasi_albert, erdos_renyi};
+    use dgcl_graph::generators::{barabasi_albert, erdos_renyi, hub_attachment};
     use dgcl_graph::GraphBuilder;
     use proptest::prelude::{any, prop_assert, proptest, ProptestConfig};
 
@@ -691,6 +762,152 @@ mod tests {
                 scanned > 0 && sorted > 0,
                 "{scanned} scanned, {sorted} sorted"
             );
+        }
+    }
+
+    /// The map heavy-edge matching alone builds, with `coarsen`'s RNG
+    /// draws: how `coarsen` matched before it gained two-hop matching.
+    fn heavy_edge_map(g: &WeightedGraph<'_>, rng: &mut StdRng, max_vertex_weight: u64) -> Vec<u32> {
+        let n = g.num_vertices();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(rng);
+        const UNMATCHED: u32 = u32::MAX;
+        let mut map = vec![UNMATCHED; n];
+        let mut next_coarse = 0u32;
+        for &v in &order {
+            if map[v as usize] != UNMATCHED {
+                continue;
+            }
+            let mut best: Option<(u32, u64)> = None;
+            for (u, w) in g.neighbors(v) {
+                if map[u as usize] == UNMATCHED
+                    && u != v
+                    && g.vweights[v as usize] + g.vweights[u as usize] <= max_vertex_weight
+                {
+                    match best {
+                        Some((_, bw)) if bw >= w => {}
+                        _ => best = Some((u, w)),
+                    }
+                }
+            }
+            map[v as usize] = next_coarse;
+            if let Some((u, _)) = best {
+                map[u as usize] = next_coarse;
+            }
+            next_coarse += 1;
+        }
+        map
+    }
+
+    /// Vertex 0 joined to each of `leaves` leaves.
+    fn star(leaves: usize) -> CsrGraph {
+        let mut b = GraphBuilder::new(leaves + 1);
+        for leaf in 1..=leaves as u32 {
+            b.add_edge(0, leaf);
+        }
+        b.build_symmetric()
+    }
+
+    /// The members of each coarse vertex of `map`.
+    fn classes(map: &[u32]) -> Vec<Vec<u32>> {
+        let cn = map.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut members = vec![Vec::new(); cn];
+        for (v, &c) in map.iter().enumerate() {
+            members[c as usize].push(v as u32);
+        }
+        members
+    }
+
+    #[test]
+    fn a_star_shrinks_by_two_fifths_per_level() {
+        let csr = star(1000);
+        let n = csr.num_vertices();
+        let heavy_edge = heavy_edge_map(
+            &WeightedGraph::from_csr(&csr),
+            &mut StdRng::seed_from_u64(3),
+            n as u64,
+        );
+        let classes_without = classes(&heavy_edge).len();
+        assert!(
+            classes_without as f64 > 0.95 * n as f64,
+            "heavy-edge matching alone stalls: {classes_without} of {n}"
+        );
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut level = WeightedGraph::from_csr(&csr);
+        let mut levels = 0;
+        while level.num_vertices() > 16 {
+            let (coarse, _) = coarsen(&level, &mut rng, n as u64);
+            assert!(
+                coarse.num_vertices() * 5 <= level.num_vertices() * 3,
+                "level {levels}: {} -> {}",
+                level.num_vertices(),
+                coarse.num_vertices()
+            );
+            level = coarse;
+            levels += 1;
+        }
+        assert!(levels >= 6, "{levels} levels");
+    }
+
+    #[test]
+    fn two_hop_pairs_keep_the_weight_cap() {
+        const CAP: u64 = 5;
+        for seed in 0..8 {
+            let csr = hub_attachment(3000, 15, 0.8, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = WeightedGraph::from_csr(&csr);
+            g.vweights = (0..csr.num_vertices())
+                .map(|_| rng.gen_range(1..5))
+                .collect();
+            let (coarse, map) = coarsen(&g, &mut rng, CAP);
+            let mut two_hop_pairs = 0;
+            for (c, members) in classes(&map).iter().enumerate() {
+                let weight: u64 = members.iter().map(|&v| g.vweights[v as usize]).sum();
+                assert_eq!(coarse.vweights[c], weight);
+                match members[..] {
+                    [_] => {}
+                    [v, u] => {
+                        assert!(weight <= CAP, "seed {seed}: {v} and {u} weigh {weight}");
+                        if !csr.neighbors(v).contains(&u) {
+                            two_hop_pairs += 1;
+                        }
+                    }
+                    _ => panic!("seed {seed}: coarse vertex {c} has members {members:?}"),
+                }
+            }
+            assert!(
+                two_hop_pairs > 100,
+                "seed {seed}: {two_hop_pairs} two-hop pairs"
+            );
+        }
+    }
+
+    #[test]
+    fn below_the_threshold_the_map_is_heavy_edge_only() {
+        for seed in 0..4 {
+            let csr = erdos_renyi(2000, 8000, seed);
+            let g = WeightedGraph::from_csr(&csr);
+            let n = g.num_vertices();
+            let cap = n as u64;
+            let (_, map) = coarsen(&g, &mut StdRng::seed_from_u64(seed), cap);
+            assert_eq!(
+                map,
+                heavy_edge_map(&g, &mut StdRng::seed_from_u64(seed), cap)
+            );
+            // The case has teeth: heavy-edge matching leaves some vertices
+            // alone, under the threshold, and two-hop matching would pair
+            // some of them.
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(seed));
+            let mate = match_heavy_edges(&g, &order, cap);
+            let alone = (0..n).filter(|&v| mate[v] as usize == v).count();
+            assert!(
+                alone > 0 && alone * TWO_HOP_UNMATCHED_SHARE <= n,
+                "seed {seed}: {alone} alone"
+            );
+            let mut two_hop = mate.clone();
+            match_two_hop(&g, &mut two_hop, cap);
+            assert_ne!(two_hop, mate, "seed {seed}");
         }
     }
 

@@ -7,6 +7,10 @@
 //! relation maps neighbours) must leave both hashes as they are; a change
 //! that moves a single vertex or reorders a single row fails here.
 //!
+//! Two-hop matching changed the partition of graphs whose heavy-edge
+//! matching stalls, so the Wiki-Talk and Web-Google cells were re-pinned
+//! with it; the Reddit cells, which never run it, kept their constants.
+//!
 //! The small cells run in tier-1. The `#[ignore]` cells are the graphs
 //! the `e2e` benchmark's full-batch workloads partition; run them with
 //! `cargo test --release -p dgcl-partition --test partition_fingerprints -- --ignored`.
@@ -85,7 +89,7 @@ fn wikitalk_two_machines_of_eight() {
         Dataset::WikiTalk,
         0.005,
         &[8, 8],
-        (0xb7fe_2616_cbb8_356c, 0xec54_078c_6ebe_af4c),
+        (0xc057_bc0c_382e_1492, 0x7a16_71e0_122b_149e),
     );
 }
 
@@ -95,7 +99,7 @@ fn webgoogle_four_parts() {
         Dataset::WebGoogle,
         0.002,
         &[4],
-        (0x477e_4834_2ecb_1a16, 0x5f0e_398d_cec1_6a87),
+        (0x8b02_ca4d_05e7_2164, 0xbd92_9d64_5b32_41d3),
     );
 }
 
@@ -119,6 +123,6 @@ fn wikitalk_benchmark_scale() {
         Dataset::WikiTalk,
         0.05,
         &[8, 8],
-        (0xe254_0ed1_0d88_c5ba, 0x73f3_cdd2_e310_58db),
+        (0x4105_aeb2_b515_192c, 0xc810_6318_94ce_6b2b),
     );
 }

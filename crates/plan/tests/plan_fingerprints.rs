@@ -9,6 +9,10 @@
 //! the hash as it is; a change that moves a single vertex to a different
 //! tree, or a single float in the cost state, fails here.
 //!
+//! A plan is a function of its partition: the Wiki-Talk and Web-Google
+//! cells were re-pinned when coarsening gained two-hop matching, and the
+//! Reddit cells, whose partitions it leaves alone, kept their constants.
+//!
 //! The cells cover every [`VertexOrder`], the class cache
 //! (`SpstConfig::cached()`) and a 16-GPU plan deep enough to use ten or
 //! more stages. The small cells run in tier-1. The `#[ignore]` cells
@@ -130,7 +134,7 @@ fn exact_sixteen_gpus_small_payload() {
         &Topology::dgx1_pair_ib(),
         64,
         SpstConfig::default(),
-        0x7242_01c5_e9dc_fbd2,
+        0xb003_ef8a_8735_1fd7,
     );
 }
 
@@ -142,7 +146,7 @@ fn exact_by_id() {
         &Topology::dgx1(),
         1024,
         ordered(VertexOrder::ById),
-        0xebd4_b70c_b8ea_0f4a,
+        0x51df_6c79_04d7_014d,
     );
 }
 
@@ -154,7 +158,7 @@ fn exact_by_fanout() {
         &Topology::dgx1(),
         1024,
         ordered(VertexOrder::ByFanoutDesc),
-        0x0962_3263_0d97_ae2a,
+        0x68f0_0d3e_c076_28b9,
     );
 }
 
@@ -207,6 +211,6 @@ fn wikitalk_benchmark_scale() {
         &Topology::dgx1_pair_ib(),
         1024,
         SpstConfig::default(),
-        0xa058_1340_75c9_d365,
+        0xc7ba_1c69_6b69_bef3,
     );
 }
