@@ -46,7 +46,7 @@ use dgcl_sim::backends::contiguous_split;
 use dgcl_sim::BackendKind;
 use dgcl_tensor::{compute_threads, spmm_csr_dense_into, CsrBlock, Matrix};
 
-use crate::collectives::{BroadcastAlgo, GroupSpec};
+use crate::collectives::GroupSpec;
 use crate::error::RuntimeError;
 use crate::pipeline::{ChunkIo, PipelineSchedule};
 use crate::runtime::DeviceHandle;
@@ -268,7 +268,7 @@ fn cagnet_exchange(
         } else {
             Matrix::zeros(len(m), cols)
         };
-        let buf = dev.broadcast_group(BroadcastAlgo::Flat, row_group, q, buf)?;
+        let buf = dev.broadcast_group(row_group, q, buf)?;
         fat_in.as_mut_slice()[off * cols..(off + len(m)) * cols].copy_from_slice(buf.as_slice());
         off += len(m);
     }
@@ -317,7 +317,7 @@ fn cagnet_exchange(
             } else {
                 Matrix::zeros(fat_len(t), cols)
             };
-            let buf = dev.broadcast_group(BroadcastAlgo::Flat, col_group, t, buf)?;
+            let buf = dev.broadcast_group(col_group, t, buf)?;
             if col_j == 0 {
                 accumulate(&mut z, t, &buf);
             } else {

@@ -1,6 +1,6 @@
 //! The collective algorithm zoo: flat, ring and halving/doubling
-//! allreduce plus flat/chain/binomial-tree broadcast, compiled onto the
-//! chunk pipeline.
+//! allreduce plus a flat group broadcast, compiled onto the chunk
+//! pipeline.
 //!
 //! Every collective is a program of send/receive primitives, the way
 //! NCCL builds them: each algorithm is expressed as a synthetic
@@ -56,7 +56,7 @@ use crate::fabric::Fabric;
 use crate::pipeline::{self, ChunkIo, PipelineSchedule, PipelineScratch};
 use crate::schedule::{DeviceSchedule, StageGroup};
 
-pub use dgcl_sim::{AlgorithmSelector, AllreduceAlgo, BroadcastAlgo};
+pub use dgcl_sim::{AlgorithmSelector, AllreduceAlgo};
 
 /// How the runtime picks an allreduce algorithm per call.
 #[derive(Debug, Clone)]
@@ -140,9 +140,8 @@ struct Compiled {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CacheKey {
     Allreduce(AllreduceAlgo, usize, usize),
-    /// `(algo, root position, group, elems, chunk)` — whole-cluster
-    /// broadcasts are the `GroupSpec::all` special case.
-    Broadcast(BroadcastAlgo, usize, GroupSpec, usize, usize),
+    /// `(root position, group, elems, chunk)`.
+    Broadcast(usize, GroupSpec, usize, usize),
 }
 
 /// An arithmetic subset of ranks a collective runs over: members are
@@ -325,67 +324,18 @@ fn halving_doubling_allreduce(rank: usize, n: usize, elems: usize) -> Vec<Entry>
     entries
 }
 
-/// Broadcast schedule for device `rank` of `n`, rooted at `root`.
-fn broadcast_entries(
-    algo: BroadcastAlgo,
-    rank: usize,
-    n: usize,
-    root: usize,
-    elems: usize,
-) -> Vec<Entry> {
+/// Flat broadcast schedule for device `rank` of `n`: the root sends
+/// its whole vector straight to every peer, in rank order starting at
+/// the rank after its own and wrapping around.
+fn broadcast_entries(rank: usize, n: usize, root: usize, elems: usize) -> Vec<Entry> {
     let all: Vec<u32> = (0..elems as u32).collect();
-    // Rank relative to the root; `abs` maps back.
-    let rel = (rank + n - root) % n;
-    let abs = |r: usize| (r + root) % n;
-    let mut entries = Vec::new();
-    match algo {
-        BroadcastAlgo::Flat => {
-            if rel == 0 {
-                for r in 1..n {
-                    entries.push(Entry::send(0, abs(r), all.clone()));
-                }
-            } else {
-                entries.push(Entry::recv(0, root, all, ApplyMode::Overwrite));
-            }
-        }
-        BroadcastAlgo::Chain => {
-            if rel > 0 {
-                entries.push(Entry::recv(
-                    rel - 1,
-                    abs(rel - 1),
-                    all.clone(),
-                    ApplyMode::Overwrite,
-                ));
-            }
-            if rel < n - 1 {
-                entries.push(Entry::send(rel, abs(rel + 1), all));
-            }
-        }
-        BroadcastAlgo::BinomialTree => {
-            // A non-root receives from the peer that clears its highest
-            // set bit, at the round that bit indexes; it relays on every
-            // later round while the target stays in range.
-            let j = if rel == 0 {
-                0
-            } else {
-                let j = rel.ilog2() as usize;
-                entries.push(Entry::recv(
-                    j,
-                    abs(rel - (1 << j)),
-                    all.clone(),
-                    ApplyMode::Overwrite,
-                ));
-                j + 1
-            };
-            for k in j.. {
-                if rel + (1 << k) >= n {
-                    break;
-                }
-                entries.push(Entry::send(k, abs(rel + (1 << k)), all.clone()));
-            }
-        }
+    if rank == root {
+        (1..n)
+            .map(|r| Entry::send(0, (root + r) % n, all.clone()))
+            .collect()
+    } else {
+        vec![Entry::recv(0, root, all, ApplyMode::Overwrite)]
     }
-    entries
 }
 
 /// Per-device executor for the zoo: compiles collectives on first use
@@ -452,30 +402,11 @@ impl CollectiveEngine {
         Ok(mats)
     }
 
-    /// Broadcasts `root`'s matrix to every rank under `algo`; all ranks
-    /// pass a matrix of the same shape (non-root contents are
-    /// overwritten). Must be called by every rank with the same op id,
-    /// algorithm, root and shape.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`]; see [`CollectiveEngine::allreduce`].
-    pub fn broadcast(
-        &mut self,
-        fabric: &Fabric,
-        op: u64,
-        algo: BroadcastAlgo,
-        root: usize,
-        mat: Matrix,
-    ) -> Result<Matrix, RuntimeError> {
-        self.broadcast_group(fabric, op, algo, GroupSpec::all(self.devices), root, mat)
-    }
-
     /// Broadcasts the matrix of the member at `root_pos` to every member
     /// of `group`; the schedule only ever touches member ranks, so
     /// disjoint groups can run concurrently under the same op id. Every
-    /// member must call with the same op id, algorithm, group, root
-    /// position and shape; non-members must not call at all (they bump
+    /// member must call with the same op id, group, root position and
+    /// shape; non-members must not call at all (they bump
     /// their op counter with an empty collective instead).
     ///
     /// # Errors
@@ -490,7 +421,6 @@ impl CollectiveEngine {
         &mut self,
         fabric: &Fabric,
         op: u64,
-        algo: BroadcastAlgo,
         group: GroupSpec,
         root_pos: usize,
         mut mat: Matrix,
@@ -507,14 +437,14 @@ impl CollectiveEngine {
         // peer to its absolute rank — that is all the executor needs,
         // since messages are addressed by (src, dst, key).
         let entries = || {
-            let mut entries = broadcast_entries(algo, pos, group.len, root_pos, elems);
+            let mut entries = broadcast_entries(pos, group.len, root_pos, elems);
             for e in &mut entries {
                 e.peer = group.rank(e.peer);
             }
             entries
         };
         let chunk = fabric.config().collective_chunk;
-        let key = CacheKey::Broadcast(algo, root_pos, group, elems, chunk);
+        let key = CacheKey::Broadcast(root_pos, group, elems, chunk);
         let mut mats = vec![mat];
         self.run(fabric, op, key, entries, elems, chunk, &mut mats)?;
         mat = mats.pop().expect("one matrix");
@@ -640,31 +570,24 @@ mod tests {
 
     #[test]
     fn broadcast_schedules_pair_up() {
-        for algo in BroadcastAlgo::ALL {
-            for n in 2..=8 {
-                for root in [0, n - 1] {
-                    let per_rank: Vec<Vec<Entry>> = (0..n)
-                        .map(|r| broadcast_entries(algo, r, n, root, 13))
-                        .collect();
-                    sends_match_recvs(&per_rank);
-                }
+        for n in 2..=8 {
+            for root in [0, n - 1] {
+                let per_rank: Vec<Vec<Entry>> =
+                    (0..n).map(|r| broadcast_entries(r, n, root, 13)).collect();
+                sends_match_recvs(&per_rank);
             }
         }
     }
 
     #[test]
     fn broadcast_reaches_every_rank() {
-        for algo in BroadcastAlgo::ALL {
-            for n in 2..=8 {
-                for root in 0..n {
-                    for (rank, entries) in (0..n)
-                        .map(|r| broadcast_entries(algo, r, n, root, 5))
-                        .enumerate()
-                    {
-                        let recvs = entries.iter().filter(|e| !e.recv.is_empty()).count();
-                        let expect = usize::from(rank != root);
-                        assert_eq!(recvs, expect, "{algo:?} n={n} root={root} rank={rank}");
-                    }
+        for n in 2..=8 {
+            for root in 0..n {
+                for (rank, entries) in (0..n).map(|r| broadcast_entries(r, n, root, 5)).enumerate()
+                {
+                    let recvs = entries.iter().filter(|e| !e.recv.is_empty()).count();
+                    let expect = usize::from(rank != root);
+                    assert_eq!(recvs, expect, "n={n} root={root} rank={rank}");
                 }
             }
         }

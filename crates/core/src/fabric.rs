@@ -40,9 +40,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::collectives::AllreducePolicy;
 use crate::error::{ClusterFailure, RuntimeError};
@@ -78,6 +77,15 @@ pub fn expect_payload(
     }
 }
 
+/// Locks `mutex`, recovering the guard if a thread panicked while
+/// holding it. A rank that dies inside the fabric must not turn its
+/// peers' lock calls into panics: they unwind through the fabric's own
+/// poison state instead, with a typed error. Every critical section
+/// leaves its map whole at each point that can panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Messages held back by reorder faults, keyed by `(src, dst)` link.
 type HeldMessages = HashMap<(usize, usize), Vec<(MsgKey, Vec<f32>)>>;
 
@@ -100,7 +108,7 @@ pub struct FabricConfig {
     /// [`DeviceHandle::allreduce`]: crate::runtime::DeviceHandle::allreduce
     pub allreduce: AllreducePolicy,
     /// Elements per pipeline chunk for the zoo collectives (ring,
-    /// halving/doubling, tree broadcast). Chunking never changes bits —
+    /// halving/doubling, broadcast). Chunking never changes bits —
     /// only how finely chunks stream through the dependency pipeline.
     pub collective_chunk: usize,
     /// Maximum number of retired buffers the recycle pool retains.
@@ -204,7 +212,7 @@ impl Fabric {
         if capacity == 0 {
             return Vec::new();
         }
-        let mut pool = self.buffers.lock();
+        let mut pool = lock(&self.buffers);
         let fit = pool
             .bufs
             .iter()
@@ -244,7 +252,7 @@ impl Fabric {
         if bytes == 0 {
             return;
         }
-        let mut pool = self.buffers.lock();
+        let mut pool = lock(&self.buffers);
         if pool.bufs.len() >= self.config.max_pooled_buffers
             || pool.total_bytes + bytes > self.config.max_pooled_bytes
         {
@@ -256,7 +264,7 @@ impl Fabric {
 
     /// Current recycle-pool occupancy: `(buffer count, total bytes)`.
     pub fn pool_stats(&self) -> (usize, usize) {
-        let pool = self.buffers.lock();
+        let pool = lock(&self.buffers);
         (pool.bufs.len(), pool.total_bytes)
     }
 
@@ -270,7 +278,7 @@ impl Fabric {
     /// instead of hanging. Later poisons keep the first record.
     pub fn poison(&self, rank: usize, cause: ClusterFailure) {
         {
-            let mut p = self.poison.lock();
+            let mut p = lock(&self.poison);
             if p.is_none() {
                 *p = Some(PoisonInfo { rank, cause });
             }
@@ -288,8 +296,7 @@ impl Fabric {
 
     /// The first failure as `(rank, cause)`, if any.
     pub fn poison_info(&self) -> Option<(usize, ClusterFailure)> {
-        self.poison
-            .lock()
+        lock(&self.poison)
             .as_ref()
             .map(|p| (p.rank, p.cause.clone()))
     }
@@ -406,7 +413,7 @@ impl Fabric {
         }
         let duplicate = faults.duplicates(src, dst, key.1);
         if faults.reorders(src, dst, key.1) {
-            let mut held = self.held.lock();
+            let mut held = lock(&self.held);
             let q = held.entry((src, dst)).or_default();
             if q.is_empty() {
                 // Hold the message; the link's next send (or the
@@ -432,7 +439,7 @@ impl Fabric {
     /// message of the link has been posted (reordering the pair) and by
     /// blocked receivers (so a hold can never become a hang).
     fn release_held(&self, src: usize, dst: usize) -> Result<(), RuntimeError> {
-        let drained = match self.held.lock().get_mut(&(src, dst)) {
+        let drained = match lock(&self.held).get_mut(&(src, dst)) {
             Some(q) => std::mem::take(q),
             None => return Ok(()),
         };
@@ -455,7 +462,7 @@ impl Fabric {
         tolerate_duplicate: bool,
     ) -> Result<(), RuntimeError> {
         let mb = &self.mailboxes[src * self.num_devices + dst];
-        let mut slots = mb.slots.lock();
+        let mut slots = lock(&mb.slots);
         if let Some(prev) = slots.insert(key, payload) {
             if !tolerate_duplicate {
                 return Err(RuntimeError::Protocol {
@@ -477,7 +484,7 @@ impl Fabric {
     pub fn recv(&self, src: usize, dst: usize, key: MsgKey) -> Result<Vec<f32>, RuntimeError> {
         let mb = &self.mailboxes[src * self.num_devices + dst];
         {
-            let mut slots = mb.slots.lock();
+            let mut slots = lock(&mb.slots);
             if let Some(payload) = slots.remove(&key) {
                 return Ok(payload);
             }
@@ -489,14 +496,19 @@ impl Fabric {
             if !self.config.faults.is_empty() {
                 self.release_held(src, dst)?;
             }
-            let mut slots = mb.slots.lock();
+            let mut slots = lock(&mb.slots);
             if let Some(payload) = slots.remove(&key) {
                 return Ok(payload);
             }
             self.wait_tick(start, dst, "recv", || {
                 format!("message {key:?} from {src} never arrived")
             })?;
-            mb.signal.wait_for(&mut slots, self.config.poll_interval);
+            // The loop re-locks at its top, so the woken guard goes.
+            drop(
+                mb.signal
+                    .wait_timeout(slots, self.config.poll_interval)
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
         }
     }
 
@@ -521,7 +533,7 @@ impl Fabric {
             self.release_held(src, dst)?;
         }
         let mb = &self.mailboxes[src * self.num_devices + dst];
-        if let Some(payload) = mb.slots.lock().remove(&key) {
+        if let Some(payload) = lock(&mb.slots).remove(&key) {
             return Ok(Some(payload));
         }
         self.check_poison()?;
@@ -708,6 +720,54 @@ mod tests {
                 "pool bytes {bytes} exceed cap at round {round}"
             );
         }
+    }
+
+    #[test]
+    fn a_rank_dying_inside_a_lock_leaves_the_fabric_usable() {
+        // A reorder fault routes the send through the `held` map.
+        let cfg = FabricConfig {
+            faults: crate::fault::FaultPlan {
+                events: vec![crate::fault::FaultEvent::Reorder {
+                    src: 0,
+                    dst: 1,
+                    stage: 0,
+                }],
+            },
+            ..FabricConfig::default()
+        };
+        let f = Fabric::with_config(2, cfg);
+        let link = &f.mailboxes[1]; // (src 0, dst 1)
+        std::thread::scope(|s| {
+            let died = s.spawn(|| {
+                let _slots = lock(&link.slots);
+                let _held = lock(&f.held);
+                let _buffers = lock(&f.buffers);
+                let _poison = lock(&f.poison);
+                panic!("rank dies holding the fabric's locks");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(link.slots.is_poisoned() && f.held.is_poisoned());
+        assert!(f.buffers.is_poisoned() && f.poison.is_poisoned());
+        // Held on send, released by the receiver's demand.
+        f.send(0, 1, (1, 0, 0, 0), vec![7.0]).expect("send");
+        assert_eq!(f.recv(0, 1, (1, 0, 0, 0)).expect("recv"), vec![7.0]);
+        // A receiver that waits on the condvar of a poisoned lock.
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| f.recv(0, 1, (2, 1, 0, 0)));
+            std::thread::sleep(Duration::from_millis(10));
+            f.send(0, 1, (2, 1, 0, 0), vec![3.5]).expect("send");
+            assert_eq!(waiter.join().expect("no panic").expect("recv"), vec![3.5]);
+        });
+        f.recycle(f.checkout(16));
+        assert_eq!(f.pool_stats().0, 1);
+        f.poison(1, ClusterFailure::Panic("dead device".to_string()));
+        let err = f.recv(0, 1, (3, 0, 0, 0)).expect_err("poisoned");
+        assert!(
+            matches!(err, RuntimeError::Poisoned { origin: 1, .. }),
+            "{err}"
+        );
+        assert_eq!(f.poison_info().map(|(rank, _)| rank), Some(1));
     }
 
     #[test]

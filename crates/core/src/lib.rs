@@ -80,7 +80,7 @@ pub use checkpoint::{
     CorruptCheckpoint, MemorySink,
 };
 pub use collectives::{
-    AlgorithmSelector, AllreduceAlgo, AllreducePolicy, BroadcastAlgo, CollectiveEngine, GroupSpec,
+    AlgorithmSelector, AllreduceAlgo, AllreducePolicy, CollectiveEngine, GroupSpec,
 };
 pub use comm_info::{build_comm_info, try_build_comm_info, BuildOptions, CommInfo};
 pub use dgcl_sim::{BackendChoice, BackendKind, BackendSelector};

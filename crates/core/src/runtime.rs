@@ -21,7 +21,7 @@ use dgcl_partition::relation::LocalGraph;
 use dgcl_plan::tuples::SendRecvTables;
 use dgcl_tensor::Matrix;
 
-use crate::collectives::{AllreduceAlgo, BroadcastAlgo, CollectiveEngine, GroupSpec};
+use crate::collectives::{AllreduceAlgo, CollectiveEngine, GroupSpec};
 use crate::comm_info::CommInfo;
 use crate::error::{ClusterError, ClusterFailure, RuntimeError};
 use crate::fabric::{expect_payload, Fabric, FabricConfig, MsgKey};
@@ -498,27 +498,6 @@ impl<'a> DeviceHandle<'a> {
         })
     }
 
-    /// Broadcasts `root`'s matrix to every rank under `algo`. All ranks
-    /// pass a matrix of the same shape; non-root contents are
-    /// overwritten with the root's. Every rank must pass the same
-    /// algorithm and root on the same call.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RuntimeError`]; see [`DeviceHandle::graph_allgather`].
-    pub fn broadcast_with(
-        &self,
-        algo: BroadcastAlgo,
-        root: usize,
-        mat: Matrix,
-    ) -> Result<Matrix, RuntimeError> {
-        self.with_op(|op| {
-            self.engine
-                .borrow_mut()
-                .broadcast(self.fabric, op, algo, root, mat)
-        })
-    }
-
     /// Broadcasts the matrix of the member at `root_pos` to every
     /// member of `group` (see [`CollectiveEngine::broadcast_group`]).
     /// Disjoint groups may run concurrently under the same op id; ranks
@@ -534,7 +513,6 @@ impl<'a> DeviceHandle<'a> {
     /// Panics if this rank is not a member of `group`.
     pub fn broadcast_group(
         &self,
-        algo: BroadcastAlgo,
         group: GroupSpec,
         root_pos: usize,
         mat: Matrix,
@@ -542,7 +520,7 @@ impl<'a> DeviceHandle<'a> {
         self.with_op(|op| {
             self.engine
                 .borrow_mut()
-                .broadcast_group(self.fabric, op, algo, group, root_pos, mat)
+                .broadcast_group(self.fabric, op, group, root_pos, mat)
         })
     }
 
@@ -639,11 +617,11 @@ where
     let fabric = Fabric::with_config(info.num_devices(), config);
     let mut outcomes: Vec<Option<Result<R, ClusterFailure>>> =
         (0..info.num_devices()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for rank in 0..info.num_devices() {
             let (fabric, body) = (&fabric, &body);
-            joins.push(scope.spawn(move |_| {
+            joins.push(scope.spawn(move || {
                 dgcl_tensor::set_thread_budget(budget);
                 let handle = DeviceHandle {
                     rank,
@@ -689,8 +667,7 @@ where
             let (rank, outcome) = join.join().expect("device wrapper cannot panic");
             outcomes[rank] = Some(outcome);
         }
-    })
-    .expect("cluster scope");
+    });
     let outcomes: Vec<Result<R, ClusterFailure>> = outcomes
         .into_iter()
         .map(|o| o.expect("all ranks ran"))

@@ -19,8 +19,8 @@ use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
 use dgcl::{
     backend_for, build_comm_info, run_cluster_with, AllreduceAlgo, BackendKind, BackendPolicy,
-    BroadcastAlgo, BuildOptions, CachePolicy, ClusterCache, ClusterError, ClusterFailure, CommInfo,
-    FabricConfig, FaultEvent, FaultPlan, GatherPlan, RuntimeError,
+    BuildOptions, CachePolicy, ClusterCache, ClusterError, ClusterFailure, CommInfo, FabricConfig,
+    FaultEvent, FaultPlan, GatherPlan, GroupSpec, RuntimeError,
 };
 use dgcl_gnn::{AggKind, Architecture};
 use dgcl_graph::{CsrGraph, Dataset, VertexId};
@@ -232,14 +232,15 @@ fn crash_mid_default_allreduce_poisons_every_survivor() {
 }
 
 #[test]
-fn crash_mid_tree_broadcast_poisons_every_survivor() {
+fn crash_mid_broadcast_poisons_every_survivor() {
     with_watchdog(Duration::from_secs(120), || {
         crash_mid_collective_case(&fig6_info(), (1, 1, 1), |handle| {
             let mat = Matrix::full(16, 8, handle.rank as f32 + 0.5);
-            let out = handle.broadcast_with(BroadcastAlgo::BinomialTree, 0, mat)?;
-            // The root and its completed subtree owe nobody anything in
-            // a broadcast; the next collective (as in any real training
-            // step) is where they must observe the poison.
+            let group = GroupSpec::all(handle.comm_info().num_devices());
+            let out = handle.broadcast_group(group, 0, mat)?;
+            // The root and every rank it already reached owe nobody
+            // anything in a broadcast; the next collective (as in any
+            // real training step) is where they must observe the poison.
             handle.allreduce(vec![out])
         });
     });

@@ -6,15 +6,15 @@
 //! commutations IEEE-754 addition preserves — on every
 //! rank, for every device count 2..=8 (including non-powers-of-two,
 //! which exercise the uneven Bruck rounds), at every chunk size from
-//! per-element streaming to one-chunk-per-payload. Broadcast must
-//! deliver the root's matrix bit-for-bit under all three tree shapes.
+//! per-element streaming to one-chunk-per-payload. The flat broadcast
+//! must deliver the root's matrix bit-for-bit.
 //! None of it may depend on the tensor pool's compute-thread count or
 //! on run-to-run scheduling.
 
 use std::sync::Mutex;
 
 use dgcl::{
-    build_comm_info, run_cluster_with, AllreduceAlgo, BroadcastAlgo, BuildOptions, FabricConfig,
+    build_comm_info, run_cluster_with, AllreduceAlgo, BuildOptions, FabricConfig, GroupSpec,
 };
 use dgcl_graph::Dataset;
 use dgcl_tensor::{pool, Matrix, XavierInit};
@@ -151,8 +151,8 @@ proptest! {
     }
 }
 
-/// Every broadcast algorithm delivers the root's matrix bit-for-bit on
-/// every rank, for first and last roots across the device grid.
+/// The broadcast delivers the root's matrix bit-for-bit on every rank,
+/// for first and last roots across the device grid.
 #[test]
 fn broadcast_delivers_the_root_matrix_bitwise() {
     for devices in [2usize, 3, 5, 8] {
@@ -167,31 +167,14 @@ fn broadcast_delivers_the_root_matrix_bitwise() {
                     m
                 };
                 let results = run_cluster_with(&info, config(chunk), |handle| {
-                    let flat =
-                        handle.broadcast_with(BroadcastAlgo::Flat, root, payload(handle.rank))?;
-                    let chain =
-                        handle.broadcast_with(BroadcastAlgo::Chain, root, payload(handle.rank))?;
-                    let tree = handle.broadcast_with(
-                        BroadcastAlgo::BinomialTree,
-                        root,
-                        payload(handle.rank),
-                    )?;
-                    Ok((flat, chain, tree))
+                    handle.broadcast_group(GroupSpec::all(devices), root, payload(handle.rank))
                 })
                 .expect("healthy cluster");
                 let expect = payload(root);
-                for (rank, (flat, chain, tree)) in results.iter().enumerate() {
+                for (rank, got) in results.iter().enumerate() {
                     assert_eq!(
-                        flat, &expect,
-                        "rank {rank}: flat broadcast (n={devices} root={root} chunk={chunk})"
-                    );
-                    assert_eq!(
-                        chain, &expect,
-                        "rank {rank}: chain broadcast (n={devices} root={root} chunk={chunk})"
-                    );
-                    assert_eq!(
-                        tree, &expect,
-                        "rank {rank}: tree broadcast (n={devices} root={root} chunk={chunk})"
+                        got, &expect,
+                        "rank {rank}: broadcast (n={devices} root={root} chunk={chunk})"
                     );
                 }
             }

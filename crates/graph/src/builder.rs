@@ -35,11 +35,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of raw (possibly duplicate) edges added so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Records a directed edge `src -> dst`. Self-loops are dropped.
     ///
     /// # Panics

@@ -102,11 +102,6 @@ impl Dataset {
         }
     }
 
-    /// Whether the paper classifies the graph as dense.
-    pub fn is_dense(self) -> bool {
-        matches!(self, Dataset::Reddit | Dataset::ComOrkut)
-    }
-
     /// Generates the synthetic stand-in at `scale` (fraction of full size).
     ///
     /// The vertex count scales linearly; the edge count scales so that the

@@ -303,15 +303,6 @@ impl CostState {
         delta
     }
 
-    /// Bytes currently attributed to a directed hop at a stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range.
-    pub fn hop_bytes(&self, stage: usize, conn_index: usize, forward: bool) -> u64 {
-        self.bytes[stage * self.num_slots + slot(conn_index, forward)]
-    }
-
     /// Per-stage volume report: for each stage, the total bytes per
     /// physical-connection kind (used by the NVLink-vs-others breakdowns
     /// of Tables 2 and 7).

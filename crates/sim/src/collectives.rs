@@ -3,10 +3,9 @@
 //!
 //! The runtime (in `dgcl-core`) ships three allreduce algorithms — a
 //! flat gather-to-rank-0-and-broadcast, a chain-pipelined ring and
-//! recursive halving/doubling — plus flat, chain and binomial-tree
-//! broadcasts. This module prices each of them on the fluid-flow
-//! network model so an [`AlgorithmSelector`] can be tuned offline, per
-//! topology and device count, from a simulated sweep.
+//! recursive halving/doubling. This module prices each of them on the
+//! fluid-flow network model so an [`AlgorithmSelector`] can be tuned
+//! offline, per topology and device count, from a simulated sweep.
 //!
 //! Every model follows the shape of
 //! [`simulate_plan_pipelined`](crate::network::simulate_plan_pipelined):
@@ -55,35 +54,6 @@ impl AllreduceAlgo {
             AllreduceAlgo::Flat => "flat",
             AllreduceAlgo::Ring => "ring",
             AllreduceAlgo::HalvingDoubling => "halving-doubling",
-        }
-    }
-}
-
-/// The broadcast algorithms the fabric implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BroadcastAlgo {
-    /// Root sends directly to every peer (the reference).
-    Flat,
-    /// Chain relay root→…→last, chunk-pipelined.
-    Chain,
-    /// Binomial tree, chunk-pipelined.
-    BinomialTree,
-}
-
-impl BroadcastAlgo {
-    /// All algorithms, in a fixed order for sweeps and reports.
-    pub const ALL: [BroadcastAlgo; 3] = [
-        BroadcastAlgo::Flat,
-        BroadcastAlgo::Chain,
-        BroadcastAlgo::BinomialTree,
-    ];
-
-    /// Stable name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            BroadcastAlgo::Flat => "flat",
-            BroadcastAlgo::Chain => "chain",
-            BroadcastAlgo::BinomialTree => "binomial-tree",
         }
     }
 }
@@ -199,54 +169,6 @@ pub fn allreduce_cost(
     }
 }
 
-/// Predicted latency of one `bytes`-sized broadcast from rank 0 over
-/// GPUs `0..devices` of `topology` with `algo`.
-pub fn broadcast_cost(
-    topology: &Topology,
-    devices: usize,
-    bytes: u64,
-    chunk_bytes: u64,
-    algo: BroadcastAlgo,
-) -> f64 {
-    let n = devices;
-    if n < 2 || bytes == 0 {
-        return 0.0;
-    }
-    let c = chunks(bytes, chunk_bytes);
-    let cb = bytes.div_ceil(c);
-    match algo {
-        BroadcastAlgo::Flat => {
-            let flows: Vec<_> = (1..n).map(|d| (0, d, cb)).collect();
-            let fill = episode(topology, &flows, false);
-            let steady = episode(topology, &flows, true);
-            pipelined(fill, steady, c)
-        }
-        BroadcastAlgo::Chain => {
-            let hops: Vec<_> = (0..n - 1).map(|d| (d, d + 1, cb)).collect();
-            let fill: f64 = hops.iter().map(|&h| episode(topology, &[h], false)).sum();
-            let steady = episode(topology, &hops, true);
-            pipelined(fill, steady, c)
-        }
-        BroadcastAlgo::BinomialTree => {
-            let mut fill = 0.0;
-            let mut steady = 0.0f64;
-            let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-            let mut k = 0usize;
-            while (1usize << k) < n {
-                let round: Vec<(usize, usize, u64)> = (0..1usize << k)
-                    .filter(|r| r + (1 << k) < n)
-                    .map(|r| (r, r + (1 << k), cb))
-                    .collect();
-                fill += episode(topology, &round, false);
-                edges.extend(&round);
-                k += 1;
-            }
-            steady = steady.max(episode(topology, &edges, true));
-            pipelined(fill, steady, c)
-        }
-    }
-}
-
 /// Cost of every allreduce algorithm at one point, in
 /// [`AllreduceAlgo::ALL`] order.
 pub fn allreduce_costs(
@@ -356,10 +278,6 @@ mod tests {
         let topo = Topology::dgx1();
         for algo in AllreduceAlgo::ALL {
             let t = allreduce_cost(&topo, 8, 1 << 20, CHUNK, algo);
-            assert!(t.is_finite() && t > 0.0, "{algo:?}: {t}");
-        }
-        for algo in BroadcastAlgo::ALL {
-            let t = broadcast_cost(&topo, 8, 1 << 20, CHUNK, algo);
             assert!(t.is_finite() && t > 0.0, "{algo:?}: {t}");
         }
     }

@@ -39,10 +39,7 @@ pub use backends::{
     cagnet_aggregate_cost, planned_gather_cost, BackendChoice, BackendKind, BackendSelector,
 };
 pub use cache::CacheModel;
-pub use collectives::{
-    allreduce_cost, allreduce_costs, broadcast_cost, AlgorithmSelector, AllreduceAlgo,
-    BroadcastAlgo,
-};
+pub use collectives::{allreduce_cost, allreduce_costs, AlgorithmSelector, AllreduceAlgo};
 pub use compute::{GnnModel, GpuProfile};
 pub use epoch::{
     simulate_epoch, simulate_overlap, EpochBreakdown, EpochConfig, Method, OverlapBreakdown,

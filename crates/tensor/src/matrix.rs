@@ -114,13 +114,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its flat row-major buffer (the
-    /// inverse of [`Matrix::from_vec`]), letting callers recycle the
-    /// storage without a copy.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row `r` as a slice.
     ///
     /// # Panics

@@ -1,9 +1,9 @@
 //! The compute worker pool: deterministic row-range parallelism for the
 //! dense and sparse kernels of the training hot path.
 //!
-//! The pool spawns scoped workers on the vendored `crossbeam` shim, so
-//! borrowed inputs flow into workers without `Arc` plumbing and every
-//! worker is joined before the kernel returns.
+//! The pool spawns workers with `std::thread::scope`, so borrowed
+//! inputs flow into workers without `Arc` plumbing and every worker is
+//! joined before the kernel returns.
 //!
 //! # Determinism contract
 //!
@@ -151,7 +151,7 @@ where
     // independence makes a matter of scheduling only.
     let per = num_chunks.div_ceil(workers);
     let body = &body;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut joins = Vec::with_capacity(workers);
         let mut rest = out;
         let mut first_row = 0usize;
@@ -160,14 +160,13 @@ where
             let (run, tail) = rest.split_at_mut(take);
             rest = tail;
             let start = first_row;
-            joins.push(scope.spawn(move |_| body(start, run)));
+            joins.push(scope.spawn(move || body(start, run)));
             first_row += take / cols;
         }
         for join in joins {
             join.join().expect("compute pool worker panicked");
         }
-    })
-    .expect("compute pool scope");
+    });
 }
 
 #[cfg(test)]

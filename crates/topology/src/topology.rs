@@ -174,11 +174,6 @@ impl Topology {
         self.gpus.len()
     }
 
-    /// Number of nodes of any kind.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// All physical connections.
     pub fn conns(&self) -> &[PhysicalConn] {
         &self.conns

@@ -1,9 +1,9 @@
 //! Umbrella crate for the DGCL reproduction workspace.
 //!
 //! This crate exists to host the cross-crate integration tests under
-//! `tests/` and the runnable examples under `examples/`. The library
-//! surface simply re-exports the workspace crates so that examples can
-//! use one coherent namespace.
+//! `tests/` and the runnable example under `examples/`. The library
+//! surface simply re-exports the workspace crates so that they can use
+//! one coherent namespace.
 //!
 //! The repository README follows; its library snippet is compiled and
 //! run as a doctest of this crate.
