@@ -18,17 +18,25 @@
 //! Coarsening copies nothing and never sorts a level's edge list. The
 //! finest level reads the input `CsrGraph` in place: it borrows the
 //! offsets and targets and stores no edge weights, since every input edge
-//! weighs 1. Each coarse row is built directly: fine vertices are
-//! bucketed by coarse id, the row's edges are merged in a dense
-//! accumulator, and the row is emitted ascending either by walking a
-//! bitset of the coarse ids it touched (a dense row) or by sorting just
-//! those ids (a sparse one). A coarse level's arrays are sized once from
-//! its fine level's edge count.
+//! weighs 1. Matching there reads each visited row only up to its first
+//! eligible neighbour, the one the tie rule keeps when every edge weighs
+//! 1; a weighted level reads each visited row whole. Each coarse row is
+//! built directly: fine vertices are bucketed by coarse id, the row's
+//! edges are merged in a dense accumulator with no per-edge branch, and
+//! the row is emitted ascending either by walking a bitset of the coarse
+//! ids it touched (a dense row) or by sorting just those ids (a sparse
+//! one). A coarse level's arrays are sized once from its fine level's
+//! edge count.
+//! Refinement reads every edge of a level once, in its first pass; a
+//! boundary vertex keeps its edge weight into each part as a row of `k`
+//! entries, updated when a neighbour moves, so a later pass reads only
+//! the edges of movers and of interior vertices a move put on the
+//! boundary. A coarse level and its map are freed once projected.
 //! The initial growing's fallback to "any free vertex" resumes from a
 //! cursor instead of rescanning, so it reads O(n) entries per part. None
 //! of this bookkeeping changes a partition: it yields exactly what the
-//! sort-based coarsening over a weighted copy of the input, and the
-//! rescanning fallback, yielded with the same matching.
+//! sort-based coarsening over a weighted copy of the input, full-row
+//! matching, recounting refinement and the rescanning fallback yielded.
 
 use std::borrow::Cow;
 
@@ -104,6 +112,8 @@ impl<'g> WeightedGraph<'g> {
 }
 
 /// Partitions `graph` into `k` balanced parts minimising the edge cut.
+/// `graph` must be symmetric, every edge stored in both directions, as
+/// METIS requires of its input; debug builds check it.
 ///
 /// Uses [`DEFAULT_IMBALANCE`]; see [`kway_with_imbalance`] for control.
 ///
@@ -117,7 +127,7 @@ pub fn kway(graph: &CsrGraph, k: usize, seed: u64) -> Partition {
 
 /// Partitions `graph` into `k` parts with an explicit balance bound:
 /// every part's vertex count stays at or below `imbalance * n / k`
-/// (up to rounding).
+/// (up to rounding). `graph` must be symmetric, as for [`kway`].
 ///
 /// # Panics
 ///
@@ -131,6 +141,7 @@ pub fn kway_with_imbalance(graph: &CsrGraph, k: usize, seed: u64, imbalance: f64
         return Vec::new();
     }
     assert!(k <= n, "cannot split {n} vertices into {k} parts");
+    debug_assert!(graph.is_symmetric(), "kway partitions a symmetric graph");
     if k == 1 {
         return vec![0; n];
     }
@@ -164,15 +175,14 @@ pub fn kway_with_imbalance(graph: &CsrGraph, k: usize, seed: u64, imbalance: f64
     rebalance(coarsest, &mut partition, k, max_weight);
     refine(coarsest, &mut partition, k, max_weight, 8);
 
-    // Phase 3: project back up, refining at each level.
-    for level in (0..maps.len()).rev() {
-        let fine = &levels[level];
-        let map = &maps[level];
-        let mut fine_partition = vec![0u32; fine.num_vertices()];
-        for (v, p) in fine_partition.iter_mut().enumerate() {
-            *p = partition[map[v] as usize];
-        }
-        partition = fine_partition;
+    // Phase 3: project back up, refining at each level. A coarse level and
+    // its map are dropped once projected, so refinement's rows share the
+    // heap only with the levels still to refine.
+    while let Some(map) = maps.pop() {
+        levels.pop();
+        let fine = levels.last().expect("a map's fine level");
+        partition = map.iter().map(|&c| partition[c as usize]).collect();
+        drop(map);
         let max_weight = max_part_weight(fine.total_vweight(), k, imbalance);
         rebalance(fine, &mut partition, k, max_weight);
         refine(fine, &mut partition, k, max_weight, 4);
@@ -211,19 +221,27 @@ fn coarsen(
     if alone * TWO_HOP_UNMATCHED_SHARE > n {
         match_two_hop(g, &mut mate, max_vertex_weight);
     }
+    let (map, cn) = number_pairs(&order, &mate);
+    // Freed before the contraction, the level's largest step.
+    drop(mate);
+    (contract(g, &map, cn), map)
+}
+
+/// Numbers the pairs of `mate` in visiting order `order`: the first
+/// member visited hands its pair the next coarse id. Returns the map and
+/// the number of coarse ids.
+fn number_pairs(order: &[u32], mate: &[u32]) -> (Vec<u32>, usize) {
     const UNASSIGNED: u32 = u32::MAX;
-    let mut map = vec![UNASSIGNED; n];
+    let mut map = vec![UNASSIGNED; mate.len()];
     let mut next_coarse = 0u32;
-    for &v in &order {
+    for &v in order {
         if map[v as usize] == UNASSIGNED {
             map[v as usize] = next_coarse;
             map[mate[v as usize] as usize] = next_coarse;
             next_coarse += 1;
         }
     }
-    // Freed before the contraction, the level's largest step.
-    drop(mate);
-    (contract(g, &map, next_coarse as usize), map)
+    (map, next_coarse as usize)
 }
 
 /// Heavy-edge matching in visiting order `order`: each vertex not yet
@@ -231,9 +249,11 @@ fn coarsen(
 /// first such on a tie) whose combined weight stays within
 /// `max_vertex_weight`, or with itself when there is none. Returns
 /// `mate`, where `mate[mate[v]] == v` and `mate[v] == v` for a vertex
-/// left alone.
+/// left alone. On a unit-weight level every eligible edge ties, so the
+/// scan of a row stops at its first eligible neighbour.
 fn match_heavy_edges(g: &WeightedGraph<'_>, order: &[u32], max_vertex_weight: u64) -> Vec<u32> {
     const UNMATCHED: u32 = u32::MAX;
+    let unit = g.eweights.is_none();
     let mut mate = vec![UNMATCHED; g.num_vertices()];
     for &v in order {
         if mate[v as usize] != UNMATCHED {
@@ -248,6 +268,9 @@ fn match_heavy_edges(g: &WeightedGraph<'_>, order: &[u32], max_vertex_weight: u6
                 match best {
                     Some((_, bw)) if bw >= w => {}
                     _ => best = Some((u, w)),
+                }
+                if unit {
+                    break;
                 }
             }
         }
@@ -292,13 +315,18 @@ fn match_two_hop(g: &WeightedGraph<'_>, mate: &mut [u32], max_vertex_weight: u64
 ///
 /// Row by row: the fine vertices are bucketed by coarse id, and each
 /// coarse row accumulates its members' neighbours into a dense `acc`,
-/// marking each coarse id it touches in a bitset of `cn` bits. A dense
-/// row is then emitted by walking the bitset's words with
-/// `trailing_zeros`, a sparse one by sorting its touched ids; either way
-/// the row comes out ascending and the bits it set are cleared. Rows come
-/// out in ascending coarse id, the same CSR a global sort of every
-/// `(cv, cu, w)` triple yields, without that sort. A coarse level has no
-/// more edges than its fine level, so the arrays are sized once.
+/// marking each coarse id it touches in a bitset of `cn` bits. Every edge
+/// does the same work, with no first-touch branch: it sets its id's bit,
+/// adds into `acc`, and writes the id at the end of the row buffer, whose
+/// length grows only when the bit was clear. The class's own id (its
+/// internal edges) is then dropped once per row: its bit and `acc` entry
+/// are cleared, and a sorted row skips it. A dense row is emitted by walking the bitset's
+/// words with `trailing_zeros`, a sparse one by sorting its touched ids;
+/// either way the row comes out ascending, and each emitted id's `acc`
+/// entry and bit are cleared for the next row. Rows come out in ascending
+/// coarse id, the same CSR a global sort of every `(cv, cu, w)` triple
+/// yields, without that sort. A coarse level has no more edges than its
+/// fine level, so the arrays are sized once.
 fn contract(g: &WeightedGraph<'_>, map: &[u32], cn: usize) -> WeightedGraph<'static> {
     let n = g.num_vertices();
     let mut vweights = vec![0u64; cn];
@@ -316,49 +344,55 @@ fn contract(g: &WeightedGraph<'_>, map: &[u32], cn: usize) -> WeightedGraph<'sta
         members[fill[c as usize]] = v as u32;
         fill[c as usize] += 1;
     }
+    drop(fill);
     let mut acc = vec![0u64; cn];
     let mut touched = vec![0u64; cn.div_ceil(64)];
-    let mut row: Vec<u32> = Vec::new();
+    // A row holds each of the `cn` ids at most once, and every edge writes
+    // one slot past the row's end.
+    let mut row = vec![0u32; cn + 1];
     let mut offsets = Vec::with_capacity(cn + 1);
     let mut targets = Vec::with_capacity(g.num_edges());
     let mut eweights = Vec::with_capacity(g.num_edges());
     offsets.push(0);
-    for cv in 0..cn as u32 {
-        for &v in &members[start[cv as usize]..start[cv as usize + 1]] {
+    for cv in 0..cn {
+        let mut len = 0usize;
+        for &v in &members[start[cv]..start[cv + 1]] {
             for (u, w) in g.neighbors(v) {
-                let cu = map[u as usize];
-                if cu == cv {
-                    continue;
-                }
-                let (word, bit) = ((cu / 64) as usize, 1u64 << (cu % 64));
-                if touched[word] & bit == 0 {
-                    touched[word] |= bit;
-                    acc[cu as usize] = 0;
-                    row.push(cu);
-                }
-                acc[cu as usize] += w;
+                let cu = map[u as usize] as usize;
+                let (word, bit) = (cu / 64, 1u64 << (cu % 64));
+                let fresh = touched[word] & bit == 0;
+                touched[word] |= bit;
+                acc[cu] += w;
+                row[len] = cu as u32;
+                len += usize::from(fresh);
             }
         }
-        if scans_bitset(row.len(), touched.len()) {
+        let (word, bit) = (cv / 64, 1u64 << (cv % 64));
+        let internal = touched[word] & bit != 0;
+        touched[word] &= !bit;
+        acc[cv] = 0;
+        if scans_bitset(len - usize::from(internal), touched.len()) {
             for (i, word) in touched.iter_mut().enumerate() {
                 let mut bits = *word;
                 while bits != 0 {
                     let cu = i * 64 + bits.trailing_zeros() as usize;
                     targets.push(cu as u32);
                     eweights.push(acc[cu]);
+                    acc[cu] = 0;
                     bits &= bits - 1;
                 }
                 *word = 0;
             }
         } else {
+            let row = &mut row[..len];
             row.sort_unstable();
-            for &cu in &row {
+            for &cu in row.iter().filter(|&&cu| cu as usize != cv) {
                 targets.push(cu);
                 eweights.push(acc[cu as usize]);
+                acc[cu as usize] = 0;
                 touched[(cu / 64) as usize] = 0;
             }
         }
-        row.clear();
         offsets.push(targets.len());
     }
     WeightedGraph {
@@ -493,37 +527,69 @@ fn rebalance(g: &WeightedGraph<'_>, partition: &mut [u32], k: usize, max_weight:
 
 /// Boundary FM refinement: greedily move boundary vertices to the part
 /// they are most connected to, subject to the weight bound.
+///
+/// A pass visits `0..n` in order. The first time a vertex is visited, its
+/// edge weight into every part is counted from its edges; a boundary
+/// vertex keeps that count as a row of `k` entries, and an interior one
+/// (every neighbour in its own part) is marked and skipped until a
+/// neighbour moves. A move updates the rows of the vertices whose edges
+/// point at the mover: on a symmetric level (every level of a symmetric
+/// input is one) those are the mover's own neighbours, with the same
+/// weights, and a marked neighbour is counted again when next visited.
+/// Each decision therefore reads exactly what recounting the vertex's
+/// edges would give, so every move is the one a recount makes, while a
+/// pass after the first reads only the edges of movers and their interior
+/// neighbours.
 fn refine(g: &WeightedGraph<'_>, partition: &mut [u32], k: usize, max_weight: u64, passes: usize) {
+    /// Not counted yet, or a neighbour moved since it was found interior.
+    const UNCOUNTED: u32 = u32::MAX;
+    /// Every neighbour in the vertex's own part.
+    const INTERIOR: u32 = u32::MAX - 1;
     let n = g.num_vertices();
+    assert!(n < INTERIOR as usize, "{n} vertices overflow the row index");
     let mut weights = vec![0u64; k];
     for (v, &p) in partition.iter().enumerate() {
         weights[p as usize] += g.vweights[v];
     }
-    let mut conn = vec![0i64; k];
+    // `slot[v]`: the index of `v`'s row in `conn`, or a marker.
+    let mut slot = vec![UNCOUNTED; n];
+    let mut conn: Vec<i64> = Vec::new();
+    let mut count = vec![0i64; k];
     for _ in 0..passes {
         let mut moved = 0usize;
-        for v in 0..n as u32 {
-            let current = partition[v as usize] as usize;
-            conn.iter_mut().for_each(|c| *c = 0);
-            let mut boundary = false;
-            for (u, w) in g.neighbors(v) {
-                let up = partition[u as usize] as usize;
-                conn[up] += w as i64;
-                if up != current {
-                    boundary = true;
+        for v in 0..n {
+            let current = partition[v] as usize;
+            let row = match slot[v] {
+                INTERIOR => continue,
+                UNCOUNTED => {
+                    count.fill(0);
+                    let mut boundary = false;
+                    for (u, w) in g.neighbors(v as u32) {
+                        let up = partition[u as usize] as usize;
+                        count[up] += w as i64;
+                        boundary |= up != current;
+                    }
+                    if !boundary {
+                        slot[v] = INTERIOR;
+                        continue;
+                    }
+                    slot[v] = (conn.len() / k) as u32;
+                    conn.extend_from_slice(&count);
+                    &conn[conn.len() - k..]
                 }
-            }
-            if !boundary {
-                continue;
-            }
-            let vw = g.vweights[v as usize];
+                // A counted vertex that has since become interior has all
+                // its weight in its own part: every gain is negative and
+                // it stays, as a recount's skip would keep it.
+                s => &conn[s as usize * k..(s as usize + 1) * k],
+            };
+            let vw = g.vweights[v];
             let mut best = current;
             let mut best_gain = 0i64;
             for p in 0..k {
                 if p == current || weights[p] + vw > max_weight {
                     continue;
                 }
-                let gain = conn[p] - conn[current];
+                let gain = row[p] - row[current];
                 let better = gain > best_gain
                     || (gain == best_gain && best == current && weights[p] + vw < weights[current]);
                 if better {
@@ -532,10 +598,20 @@ fn refine(g: &WeightedGraph<'_>, partition: &mut [u32], k: usize, max_weight: u6
                 }
             }
             if best != current {
-                partition[v as usize] = best as u32;
+                partition[v] = best as u32;
                 weights[current] -= vw;
                 weights[best] += vw;
                 moved += 1;
+                for (u, w) in g.neighbors(v as u32) {
+                    match slot[u as usize] {
+                        INTERIOR => slot[u as usize] = UNCOUNTED,
+                        UNCOUNTED => {}
+                        s => {
+                            conn[s as usize * k + current] -= w as i64;
+                            conn[s as usize * k + best] += w as i64;
+                        }
+                    }
+                }
             }
         }
         if moved == 0 {
@@ -551,7 +627,7 @@ mod tests {
     use crate::simple::random_partition;
     use dgcl_graph::generators::{barabasi_albert, erdos_renyi, hub_attachment};
     use dgcl_graph::GraphBuilder;
-    use proptest::prelude::{any, prop_assert, proptest, ProptestConfig};
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
     /// The sort-and-merge coarse-edge aggregation `contract` replaced: one
     /// `(cv, cu, w)` triple per fine edge, sorted, duplicates summed.
@@ -598,32 +674,168 @@ mod tests {
         }
     }
 
-    /// A random map of `n` vertices onto classes of at most two vertices,
-    /// the shape heavy-edge matching produces, and the class count.
-    fn random_map(n: usize, rng: &mut StdRng) -> (Vec<u32>, usize) {
+    /// Boundary FM refinement as it was before the connectivity rows:
+    /// every visit recounts the vertex's edge weight into each part.
+    fn refine_reference(
+        g: &WeightedGraph<'_>,
+        partition: &mut [u32],
+        k: usize,
+        max_weight: u64,
+        passes: usize,
+    ) {
+        let n = g.num_vertices();
+        let mut weights = vec![0u64; k];
+        for (v, &p) in partition.iter().enumerate() {
+            weights[p as usize] += g.vweights[v];
+        }
+        let mut conn = vec![0i64; k];
+        for _ in 0..passes {
+            let mut moved = 0usize;
+            for v in 0..n as u32 {
+                let current = partition[v as usize] as usize;
+                conn.iter_mut().for_each(|c| *c = 0);
+                let mut boundary = false;
+                for (u, w) in g.neighbors(v) {
+                    let up = partition[u as usize] as usize;
+                    conn[up] += w as i64;
+                    if up != current {
+                        boundary = true;
+                    }
+                }
+                if !boundary {
+                    continue;
+                }
+                let vw = g.vweights[v as usize];
+                let mut best = current;
+                let mut best_gain = 0i64;
+                for p in 0..k {
+                    if p == current || weights[p] + vw > max_weight {
+                        continue;
+                    }
+                    let gain = conn[p] - conn[current];
+                    let better = gain > best_gain
+                        || (gain == best_gain
+                            && best == current
+                            && weights[p] + vw < weights[current]);
+                    if better {
+                        best = p;
+                        best_gain = gain;
+                    }
+                }
+                if best != current {
+                    partition[v as usize] = best as u32;
+                    weights[current] -= vw;
+                    weights[best] += vw;
+                    moved += 1;
+                }
+            }
+            if moved == 0 {
+                break;
+            }
+        }
+    }
+
+    /// A random symmetric weighted graph on `n` vertices whose last
+    /// `isolated` (at most `n - 1`) have no edge: each of `edges` draws
+    /// adds `(v, u, w)` and `(u, v, w)`, or the self-loop `(v, v, w)` once
+    /// when `u == v`, with `w` below `max_edge_weight`. Parallel edges are
+    /// kept; vertex weights are 1 to 4.
+    fn random_symmetric(
+        n: usize,
+        isolated: usize,
+        edges: usize,
+        max_edge_weight: u64,
+        seed: u64,
+    ) -> WeightedGraph<'static> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let linked = n.saturating_sub(isolated).max(1);
+        let mut rows: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+        for _ in 0..edges {
+            let v = rng.gen_range(0..linked);
+            let u = rng.gen_range(0..linked);
+            let w = rng.gen_range(1..max_edge_weight);
+            rows[v].push((u as u32, w));
+            if u != v {
+                rows[u].push((v as u32, w));
+            }
+        }
+        let mut offsets = vec![0];
+        let mut targets = Vec::new();
+        let mut eweights = Vec::new();
+        for row in &rows {
+            for &(u, w) in row {
+                targets.push(u);
+                eweights.push(w);
+            }
+            offsets.push(targets.len());
+        }
+        WeightedGraph {
+            offsets: Cow::Owned(offsets),
+            targets: Cow::Owned(targets),
+            eweights: Some(eweights),
+            vweights: (0..n).map(|_| rng.gen_range(1..5)).collect(),
+        }
+    }
+
+    /// Runs `refine` and `refine_reference` for `passes` passes from the
+    /// same random start into `k` parts, with the part weight bound tight
+    /// (the ideal plus one) or loose (the whole graph), and returns both
+    /// partitions and the start.
+    fn refine_both(
+        g: &WeightedGraph<'_>,
+        k: usize,
+        tight: bool,
+        passes: usize,
+        seed: u64,
+    ) -> (Partition, Partition, Partition) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start: Partition = (0..g.num_vertices())
+            .map(|_| rng.gen_range(0..k as u32))
+            .collect();
+        let total = g.total_vweight();
+        let max_weight = if tight {
+            max_part_weight(total, k, 1.0)
+        } else {
+            total
+        };
+        let mut fast = start.clone();
+        refine(g, &mut fast, k, max_weight, passes);
+        let mut slow = start.clone();
+        refine_reference(g, &mut slow, k, max_weight, passes);
+        (fast, slow, start)
+    }
+
+    /// A random map of `n` vertices onto classes of one to `max_class`
+    /// vertices, and the class count. With `max_class == 2` these are
+    /// the pairs and singletons heavy-edge matching produces; larger
+    /// classes hold more of the edges inside a class.
+    fn random_map(n: usize, max_class: usize, rng: &mut StdRng) -> (Vec<u32>, usize) {
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.shuffle(rng);
         let mut map = vec![0u32; n];
         let mut cn = 0;
         let mut i = 0;
         while i < n {
-            let pair = i + 1 < n && rng.gen_bool(0.5);
-            map[order[i] as usize] = cn as u32;
-            if pair {
-                map[order[i + 1] as usize] = cn as u32;
-                i += 1;
+            let mut size = 1;
+            while size < max_class && i + size < n && rng.gen_bool(0.5) {
+                size += 1;
             }
-            i += 1;
+            for &v in &order[i..i + size] {
+                map[v as usize] = cn as u32;
+            }
+            i += size;
             cn += 1;
         }
         (map, cn)
     }
 
     /// A random weighted graph on `n` vertices (self-loops and parallel
-    /// edges included) and a random map onto pairs and singletons.
+    /// edges included) and a random map onto classes of at most
+    /// `max_class` vertices.
     fn random_instance(
         n: usize,
         edges: usize,
+        max_class: usize,
         seed: u64,
     ) -> (WeightedGraph<'static>, Vec<u32>, usize) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -650,7 +862,7 @@ mod tests {
             eweights: Some(eweights),
             vweights,
         };
-        let (map, cn) = random_map(n, &mut rng);
+        let (map, cn) = random_map(n, max_class, &mut rng);
         (g, map, cn)
     }
 
@@ -680,33 +892,37 @@ mod tests {
         (scanned, sorted)
     }
 
-    /// Few coarse ids and long rows: every row scans the bitset.
+    /// Few coarse ids and long rows: every row scans the bitset. Classes
+    /// of up to four vertices share many edges.
     fn dense_instance(seed: u64) -> (WeightedGraph<'static>, Vec<u32>, usize) {
-        random_instance(120, 120 * 24, seed)
+        random_instance(120, 120 * 24, 4, seed)
     }
 
     /// Many coarse ids and short rows: most rows sort.
     fn sparse_instance(seed: u64) -> (WeightedGraph<'static>, Vec<u32>, usize) {
-        random_instance(20_000, 20_000 * 2, seed)
+        random_instance(20_000, 20_000 * 2, 2, seed)
     }
 
     /// An input-like unit-weight CSR and a coarsening map of it.
     fn unit_instance(n: usize, edges: usize, seed: u64) -> (CsrGraph, Vec<u32>, usize) {
         let g = erdos_renyi(n, edges, seed);
-        let (map, cn) = random_map(n, &mut StdRng::seed_from_u64(seed ^ 0x5eed));
+        let (map, cn) = random_map(n, 2, &mut StdRng::seed_from_u64(seed ^ 0x5eed));
         (g, map, cn)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// Classes of one to four vertices: singletons, pairs, and
+        /// classes whose members share edges that must vanish.
         #[test]
         fn contract_matches_sort_and_merge(
             n in 1usize..200,
             density in 0usize..8,
+            max_class in 1usize..=4,
             seed in any::<u64>(),
         ) {
-            let (g, map, cn) = random_instance(n, n * density, seed);
+            let (g, map, cn) = random_instance(n, n * density, max_class, seed);
             check_contract(&g, &g, &map, cn);
         }
     }
@@ -741,6 +957,101 @@ mod tests {
                 vweights: vec![1; n],
             };
             check_contract(&borrowed, &copy, &map, cn);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random symmetric weighted graphs, parallel edges, self-loops
+        /// and isolated vertices included, into 2, 3 and 8 parts.
+        #[test]
+        fn refine_matches_recounting_reference(
+            n in 1usize..160,
+            isolated in 0usize..8,
+            density in 0usize..10,
+            k_index in 0usize..3,
+            tight in any::<bool>(),
+            heavy in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let max_edge_weight = if heavy { 1000 } else { 3 };
+            let g = random_symmetric(n, isolated, n * density, max_edge_weight, seed);
+            let k = [2, 3, 8][k_index];
+            let (fast, slow, _) = refine_both(&g, k, tight, 8, seed);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    /// A borrowed input CSR whose rows hold self-loops: a mover's
+    /// self-loop moves with it.
+    #[test]
+    fn refine_matches_reference_on_a_csr_with_self_loops() {
+        for seed in 0..6 {
+            let plain = erdos_renyi(400, 2400, seed);
+            let mut offsets = vec![0];
+            let mut targets = Vec::new();
+            for v in 0..plain.num_vertices() as u32 {
+                let row = plain.neighbors(v);
+                let below = row.partition_point(|&u| u < v);
+                targets.extend_from_slice(&row[..below]);
+                if v % 3 == 0 {
+                    targets.push(v);
+                }
+                targets.extend_from_slice(&row[below..]);
+                offsets.push(targets.len());
+            }
+            let csr = CsrGraph::from_parts(offsets, targets);
+            assert!(csr.is_symmetric());
+            let g = WeightedGraph::from_csr(&csr);
+            for k in [2, 3, 8] {
+                for tight in [false, true] {
+                    let (fast, slow, start) = refine_both(&g, k, tight, 8, seed);
+                    assert_ne!(slow, start, "seed {seed}, k {k}: nothing moved");
+                    assert_eq!(fast, slow, "seed {seed}, k {k}, tight {tight}");
+                }
+            }
+            let p = kway(&csr, 4, seed);
+            assert!(balance(&p, 4) <= DEFAULT_IMBALANCE + 0.02);
+        }
+    }
+
+    /// The oracle's instances have teeth: vertices move in a pass after
+    /// the first, so a row left stale by an earlier move would change a
+    /// decision.
+    #[test]
+    fn refine_oracle_instances_move_after_the_first_pass() {
+        let mut later = 0;
+        for seed in 0..16 {
+            let g = random_symmetric(120, 4, 120 * 6, 3, seed);
+            let tight = seed % 2 == 0;
+            let (_, once, _) = refine_both(&g, 3, tight, 1, seed);
+            let (_, eight, _) = refine_both(&g, 3, tight, 8, seed);
+            later += usize::from(once != eight);
+        }
+        assert!(later >= 8, "{later} of 16 instances move after pass 1");
+    }
+
+    /// The contract oracle's dense class maps hold singletons and classes
+    /// with edges between their members.
+    #[test]
+    fn contract_instances_have_singletons_and_internal_edges() {
+        for seed in 0..4 {
+            let (g, map, cn) = dense_instance(seed);
+            let members = classes(&map);
+            assert_eq!(members.len(), cn);
+            let singletons = members.iter().filter(|m| m.len() == 1).count();
+            let internal = members
+                .iter()
+                .filter(|m| {
+                    m.iter()
+                        .any(|&v| g.neighbors(v).any(|(u, _)| u != v && m.contains(&u)))
+                })
+                .count();
+            assert!(
+                singletons > 5 && internal > 5,
+                "seed {seed}: {singletons} singletons, {internal} classes with internal edges"
+            );
         }
     }
 
@@ -816,6 +1127,48 @@ mod tests {
             members[c as usize].push(v as u32);
         }
         members
+    }
+
+    /// `match_heavy_edges` in the order `coarsen` shuffles with `seed`,
+    /// numbered as `coarsen` numbers it, equals `heavy_edge_map`, which
+    /// reads every edge of a row.
+    fn check_matching(g: &WeightedGraph<'_>, cap: u64, seed: u64) {
+        let n = g.num_vertices();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(seed));
+        let (map, _) = number_pairs(&order, &match_heavy_edges(g, &order, cap));
+        assert_eq!(
+            map,
+            heavy_edge_map(g, &mut StdRng::seed_from_u64(seed), cap),
+            "seed {seed}, cap {cap}"
+        );
+    }
+
+    /// On the borrowed level 0 matching stops at the first eligible
+    /// neighbour; on a weighted level it reads the whole row. Both give
+    /// the oracle's map, with a loose cap and with a tight one over
+    /// random vertex weights.
+    #[test]
+    fn matching_equals_the_heavy_edge_oracle() {
+        for seed in 0..4 {
+            for csr in [
+                erdos_renyi(2000, 8000, seed),
+                hub_attachment(3000, 15, 0.8, seed),
+                dgcl_graph::Dataset::Reddit.generate(0.002, seed),
+            ] {
+                let mut g = WeightedGraph::from_csr(&csr);
+                assert!(g.eweights.is_none());
+                check_matching(&g, csr.num_vertices() as u64, seed);
+                let mut rng = StdRng::seed_from_u64(seed);
+                g.vweights = (0..csr.num_vertices())
+                    .map(|_| rng.gen_range(1..5))
+                    .collect();
+                check_matching(&g, 5, seed);
+            }
+            let (g, _, _) = random_instance(500, 500 * 8, 2, seed);
+            check_matching(&g, 5, seed);
+            check_matching(&g, g.total_vweight(), seed);
+        }
     }
 
     #[test]

@@ -107,18 +107,21 @@ impl PartitionedGraph {
             local[p as usize].push(v as VertexId);
         }
         // Remote vertices: neighbours of local vertices owned elsewhere.
+        // `seen[u]` is the last part that listed `u`, so each part lists a
+        // vertex once and sorts only its distinct remotes.
         let mut remote: Vec<Vec<VertexId>> = vec![Vec::new(); num_parts];
+        let mut seen = vec![u32::MAX; graph.num_vertices()];
         for (d, owned) in local.iter().enumerate() {
             let mut set = Vec::new();
             for &v in owned {
                 for &u in graph.neighbors(v) {
-                    if partition[u as usize] as usize != d {
+                    if partition[u as usize] as usize != d && seen[u as usize] != d as u32 {
+                        seen[u as usize] = d as u32;
                         set.push(u);
                     }
                 }
             }
             set.sort_unstable();
-            set.dedup();
             remote[d] = set;
         }
         // Demands: V_ij = local[i] ∩ remote[j].
@@ -304,7 +307,8 @@ fn build_local_graph(
     let total = global_ids.len();
     let mut offsets = Vec::with_capacity(total + 1);
     offsets.push(0usize);
-    let mut targets = Vec::new();
+    let edges = local.iter().map(|&v| graph.out_degree(v)).sum();
+    let mut targets = Vec::with_capacity(edges);
     for &v in local {
         // Keep each row in the global graph's (ascending global id)
         // neighbour order rather than sorting the mapped local ids: the

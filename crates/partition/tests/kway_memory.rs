@@ -59,13 +59,16 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 /// Bound on the peak of live bytes `kway` reaches above those it started
 /// with. On Reddit ×0.004 (920 vertices, 114 352 edges, 2 parts) the peak
 /// read 2 726 004 B when level 0 was a weighted copy and 2 165 032 B once
-/// it borrowed the input; the copy alone is 1 372 224 B.
+/// it borrowed the input; the copy alone is 1 372 224 B. It read
+/// 2 163 732 B once refinement kept boundary rows and freed each coarse
+/// level after projecting it.
 const REDDIT_PEAK_BOUND: usize = 2_450_000;
 
 /// The same bound on Wiki-Talk ×0.005 (11 950 vertices, 23 898 edges,
 /// 2 parts), a hub graph. Its peak read 1 773 728 B when heavy-edge
 /// matching stalled and left the coarsest level at 9 664 vertices, and
-/// 1 048 304 B once two-hop matching coarsened it to `coarse_target`.
+/// 1 048 304 B once two-hop matching coarsened it to `coarse_target`;
+/// 980 052 B once coarse levels were freed after projection.
 const WIKITALK_PEAK_BOUND: usize = 1_200_000;
 
 #[test]

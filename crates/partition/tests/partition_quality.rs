@@ -16,6 +16,12 @@
 //! Reddit's partitions never run two-hop matching; their ceilings are
 //! the same as before it. The comments give the cut before two-hop
 //! matching where it differs.
+//!
+//! The `#[ignore]` cells are the three graphs the `e2e` benchmark trains
+//! on, at its scales and part layouts, with ceilings read when
+//! refinement began keeping connectivity rows (which moved no vertex).
+//! A change that moves partitions must keep them; run them with
+//! `cargo test --release -p dgcl-partition --test partition_quality -- --ignored`.
 
 use dgcl_graph::Dataset;
 use dgcl_partition::hierarchical::hierarchical;
@@ -30,10 +36,10 @@ fn part_bound(n: usize, k: usize) -> usize {
 /// Partitions `dataset` at `scale` (generated with seed 7) over each
 /// machine layout with seed 42, and checks each cut against its ceiling
 /// and each part against the balance bound.
-fn check(dataset: Dataset, scale: f64, ceilings: [(&[usize], usize); 4]) {
+fn check(dataset: Dataset, scale: f64, ceilings: &[(&[usize], usize)]) {
     let graph = dataset.generate(scale, 7);
     let n = graph.num_vertices();
-    for (groups, ceiling) in ceilings {
+    for &(groups, ceiling) in ceilings {
         let what = format!("{} x{scale} on {groups:?}", dataset.name());
         let partition = hierarchical(&graph, groups, 42);
         let cut = edge_cut(&graph, &partition);
@@ -69,7 +75,7 @@ fn reddit_cuts_and_balance() {
     check(
         Dataset::Reddit,
         0.004,
-        [
+        &[
             (&[2], 6_234),
             (&[4], 9_400),
             (&[8], 11_890),
@@ -83,7 +89,7 @@ fn webgoogle_cuts_and_balance() {
     check(
         Dataset::WebGoogle,
         0.002,
-        [
+        &[
             // 420 before two-hop matching.
             (&[2], 448),
             // 670 before.
@@ -100,7 +106,7 @@ fn wikitalk_cuts_and_balance() {
     check(
         Dataset::WikiTalk,
         0.005,
-        [
+        &[
             // 4 886 before two-hop matching.
             (&[2], 2),
             // 5 150 before.
@@ -111,4 +117,25 @@ fn wikitalk_cuts_and_balance() {
             (&[8, 8], 3_506),
         ],
     );
+}
+
+/// The `fullbatch-dense` benchmark graph.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn reddit_benchmark_scale() {
+    check(Dataset::Reddit, 0.04, &[(&[2], 123_992)]);
+}
+
+/// The `fullbatch-halo` benchmark graph.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn wikitalk_benchmark_scale() {
+    check(Dataset::WikiTalk, 0.05, &[(&[8, 8], 15_858)]);
+}
+
+/// The `sampled-cached` benchmark graph.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn webgoogle_benchmark_scale() {
+    check(Dataset::WebGoogle, 0.02, &[(&[4], 7_444)]);
 }
