@@ -4,8 +4,11 @@
 //! simulation: the exact planner against the demand-class cache
 //! (`SpstConfig::cached()`, `dgcl_plan::spst_plan_with_config`). Shape:
 //! time grows with graph size/density and roughly linearly with the GPU
-//! count; the cached planner's modelled plan cost stays within its 5%
-//! tolerance of the exact planner's.
+//! count. The cached planner, which `build_comm_info` plans with by
+//! default, is held to a modelled plan cost at most 1.10 times the exact
+//! planner's on every cell: CI runs this table at seeds 7, 13 and 42 and
+//! checks each artifact's `cost_ratio`. The worst cell read 1.029
+//! (Reddit at 4 GPUs, seed 13) when that gate was set.
 //!
 //! Besides the text table, the run emits `BENCH_spst.json` next to the
 //! working directory so CI can track planning speedups machine-readably,
@@ -82,7 +85,7 @@ pub fn run(ctx: &mut RunContext) {
         &rows,
     );
     println!(
-        "  (paper, full-scale C++: 0.74-9.91 Reddit, 4.61-110 Com-Orkut, 0.78-6.76\n   Web-Google, 0.37-3.14 Wiki-Talk for 2-16 GPUs; shape: grows with size,\n   density and GPU count. Default runs use scaled graphs — compare shape.\n   Cost ratio is cached/exact modelled plan time; the class cache's\n   tolerance bounds it near 1.)"
+        "  (paper, full-scale C++: 0.74-9.91 Reddit, 4.61-110 Com-Orkut, 0.78-6.76\n   Web-Google, 0.37-3.14 Wiki-Talk for 2-16 GPUs; shape: grows with size,\n   density and GPU count. Default runs use scaled graphs — compare shape.\n   Cost ratio is cached/exact modelled plan time; CI holds it at or\n   below 1.10 at seeds 7, 13 and 42.)"
     );
     write_artifact(
         "spst",

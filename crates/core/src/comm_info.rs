@@ -40,10 +40,12 @@ pub struct BuildOptions {
     /// enough. Either way [`CommInfo::backend_choice`] records what the
     /// selector would have picked.
     pub backend: BackendPolicy,
-    /// Planner configuration. The default is the exact planner
-    /// (bit-identical plans, no cache); recovery replans pass
-    /// [`SpstConfig::cached`] so the demand-class cache amortises the
-    /// survivors' near-identical demands.
+    /// Planner configuration. The default is the demand-class cache
+    /// ([`SpstConfig::cached`]): vertices with the same `(src, dsts)`
+    /// signature reuse a searched tree while its cost stays within
+    /// tolerance, at a modelled plan cost within 1.10 of the exact
+    /// planner's. [`SpstConfig::default`] is the exact planner, one full
+    /// search per demand.
     pub spst: SpstConfig,
     /// Hot-vertex remote feature cache policy: the default capacity
     /// policy training runs under. [`CachePolicy::Off`] keeps every path
@@ -61,7 +63,7 @@ impl Default for BuildOptions {
             non_atomic: true,
             chunk_rows: 64,
             backend: BackendPolicy::Fixed(BackendKind::Planned),
-            spst: SpstConfig::default(),
+            spst: SpstConfig::cached(),
             feature_cache: CachePolicy::Off,
         }
     }
@@ -475,6 +477,11 @@ mod tests {
             format!("{:?}", lazy.feature_cache()),
             format!("{:?}", info.feature_cache())
         );
+    }
+
+    #[test]
+    fn default_build_plans_with_the_class_cache() {
+        assert_eq!(BuildOptions::default().spst, SpstConfig::cached());
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!    [`Topology::evict_gpus`] removes them (GPUs are leaves of the
 //!    routing topology, so survivors stay connected);
 //! 3. **replan** — the graph is repartitioned over the survivors and
-//!    the SPST planner re-runs with the demand-class cache
-//!    ([`SpstConfig::cached`]): the survivors' demands fall into few
-//!    classes, so the warm replan resolves most demands from cache
-//!    commits where the cold initial plan ran full searches —
-//!    [`RecoveryEvent::replan_stats`] records the evidence;
+//!    the SPST planner re-runs with [`RecoveryConfig::build`], the same
+//!    options the initial plan used. With the default demand-class
+//!    cache ([`dgcl_plan::SpstConfig::cached`]) the survivors' demands
+//!    fall into few classes and the replan resolves most of them from
+//!    cache commits; an exact `build` replans exactly.
+//!    [`RecoveryEvent::replan_stats`] records how each demand was
+//!    resolved;
 //! 4. **resume** — the checkpoint restores onto the new partition (the
 //!    weights are replicated, so "remapping" is rebuilding
 //!    [`CommInfo`] and re-dispatching the driver-held global features)
@@ -34,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dgcl_graph::CsrGraph;
-use dgcl_plan::{PlannerStats, SpstConfig};
+use dgcl_plan::PlannerStats;
 use dgcl_tensor::Matrix;
 use dgcl_topology::Topology;
 
@@ -69,8 +71,7 @@ pub struct RecoveryConfig {
     /// How many evictions to tolerate before giving up and returning
     /// the last [`ClusterError`].
     pub max_evictions: usize,
-    /// Build options for the initial plan and (with
-    /// [`SpstConfig::cached`] as the planner) every survivor replan.
+    /// Build options for the initial plan and every survivor replan.
     pub build: BuildOptions,
     /// Serialized-checkpoint cadence; `None` keeps only the in-memory
     /// tier.
@@ -113,7 +114,7 @@ pub struct RecoveryEvent {
     /// Wall-clock of the survivor replan (partitioning + SPST +
     /// table compilation).
     pub replan_seconds: f64,
-    /// The warm replanner's demand-resolution counters.
+    /// The replanner's demand-resolution counters.
     pub replan_stats: PlannerStats,
 }
 
@@ -162,8 +163,7 @@ pub fn train_elastic(
     rcfg: &RecoveryConfig,
 ) -> Result<ElasticReport, ClusterError> {
     let mut topology = topology;
-    let mut build = rcfg.build;
-    let mut info = Arc::new(build_comm_info(graph, topology.clone(), build));
+    let mut info = Arc::new(build_comm_info(graph, topology.clone(), rcfg.build));
     let store = CheckpointStore::default();
     let ck = CheckpointConfig {
         store: store.clone(),
@@ -205,11 +205,9 @@ pub fn train_elastic(
                     return Err(err);
                 }
                 topology = topology.evict_gpus(&dead);
-                // Warm replan over the survivors: same seed and payload
-                // sizing, with the demand-class cache.
-                build.spst = SpstConfig::cached();
+                // Replan over the survivors with the same options.
                 let replan_start = Instant::now();
-                info = Arc::new(build_comm_info(graph, topology.clone(), build));
+                info = Arc::new(build_comm_info(graph, topology.clone(), rcfg.build));
                 let replan_seconds = replan_start.elapsed().as_secs_f64();
                 let newest = store.latest();
                 let ckpt = match rcfg.resume {

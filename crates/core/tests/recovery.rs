@@ -20,6 +20,7 @@ use dgcl::{
 };
 use dgcl_gnn::Architecture;
 use dgcl_graph::{CsrGraph, Dataset};
+use dgcl_plan::SpstConfig;
 use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
 
@@ -279,9 +280,9 @@ fn sink_only_resume_bounds_loss_by_cadence() {
     });
 }
 
-/// The warm replan must actually use the demand-class cache: the
-/// recovery event's planner stats show cache commits, and the initial
-/// cold plan shows none.
+/// Recovery replans with the options the initial plan used. With the
+/// default build both plans commit most demands from the demand-class
+/// cache; an explicitly exact build stays exact through the replan.
 #[test]
 fn recovery_replans_warm() {
     with_watchdog(Duration::from_secs(120), || {
@@ -295,22 +296,34 @@ fn recovery_replans_warm() {
             fabrics: faulty_first_attempt(FaultPlan::crash_at_epoch(0, 1)),
             ..RecoveryConfig::default()
         };
-        let cold = build_comm_info(&graph, Topology::fig6(), rcfg.build);
-        assert_eq!(
-            cold.plan_stats.cache_commits, 0,
-            "the initial plan is exact and cold"
-        );
+        let initial = build_comm_info(&graph, Topology::fig6(), rcfg.build).plan_stats;
         let elastic = train_elastic(&graph, Topology::fig6(), &features, &targets, &cfg, &rcfg)
+            .expect("one crash fits the budget");
+        let replan = elastic.events[0].replan_stats;
+        for (plan, stats) in [("initial plan", initial), ("replan", replan)] {
+            assert!(stats.demands > 0, "{plan}: {stats:?}");
+            assert!(
+                stats.cache_commits > 0 && stats.full_searches < stats.demands,
+                "{plan} resolved no demand from the cache: {stats:?}"
+            );
+        }
+
+        let exact = RecoveryConfig {
+            fabrics: faulty_first_attempt(FaultPlan::crash_at_epoch(0, 1)),
+            build: BuildOptions {
+                spst: SpstConfig::default(),
+                ..BuildOptions::default()
+            },
+            ..RecoveryConfig::default()
+        };
+        let elastic = train_elastic(&graph, Topology::fig6(), &features, &targets, &cfg, &exact)
             .expect("one crash fits the budget");
         let stats = elastic.events[0].replan_stats;
         assert!(stats.demands > 0);
-        assert!(
-            stats.cache_commits > 0,
-            "warm replan resolved no demand from the cache: {stats:?}"
-        );
-        assert!(
-            stats.full_searches < stats.demands,
-            "warm replan ran a full search per demand: {stats:?}"
+        assert_eq!(
+            (stats.cache_commits, stats.full_searches),
+            (0, stats.demands),
+            "an exact build replanned from the cache: {stats:?}"
         );
     });
 }

@@ -37,28 +37,49 @@ pub fn hierarchical(graph: &CsrGraph, group_sizes: &[usize], seed: u64) -> Parti
         "hierarchical partitioning expects equal GPUs per machine"
     );
     let machine_partition = kway(graph, num_machines, seed);
-    // Level 2: split each machine's induced subgraph across its GPUs.
-    let mut partition = vec![0u32; graph.num_vertices()];
-    let mut rank_base = 0u32;
-    for (machine, &gpus) in group_sizes.iter().enumerate() {
-        let vertices: Vec<VertexId> = machine_partition
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m as usize == machine)
-            .map(|(v, _)| v as VertexId)
-            .collect();
-        let (sub, _mapping) = induced_subgraph(graph, &vertices);
-        let sub_partition = if sub.num_vertices() == 0 {
+    // Level 2: split each machine's induced subgraph across its GPUs. A
+    // machine's split reads only its own subgraph and seed, so runs of
+    // machines go to up to `compute_threads()` scoped threads (the first
+    // run on this one) with the same partition as one after the other.
+    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
+    for (v, &m) in machine_partition.iter().enumerate() {
+        members[m as usize].push(v as VertexId);
+    }
+    let split = |machine: usize| {
+        let (sub, _mapping) = induced_subgraph(graph, &members[machine]);
+        if sub.num_vertices() == 0 {
             Vec::new()
         } else {
             kway(
                 &sub,
-                gpus.min(sub.num_vertices()),
+                group_sizes[machine].min(sub.num_vertices()),
                 seed.wrapping_add(machine as u64 + 1),
             )
+        }
+    };
+    let run = num_machines.div_ceil(dgcl_tensor::compute_threads().clamp(1, num_machines));
+    let mut sub_partitions: Vec<Partition> = vec![Vec::new(); num_machines];
+    std::thread::scope(|scope| {
+        let split = &split;
+        let fill = move |(i, out): (usize, &mut [Partition])| {
+            for (machine, part) in (i * run..).zip(out) {
+                *part = split(machine);
+            }
         };
-        for (local, &global) in vertices.iter().enumerate() {
-            partition[global as usize] = rank_base + sub_partition[local];
+        let mut runs = sub_partitions.chunks_mut(run).enumerate();
+        let first = runs.next();
+        for r in runs {
+            scope.spawn(move || fill(r));
+        }
+        if let Some(r) = first {
+            fill(r);
+        }
+    });
+    let mut partition = vec![0u32; graph.num_vertices()];
+    let mut rank_base = 0u32;
+    for ((vertices, sub_partition), &gpus) in members.iter().zip(&sub_partitions).zip(group_sizes) {
+        for (&global, &part) in vertices.iter().zip(sub_partition) {
+            partition[global as usize] = rank_base + part;
         }
         rank_base += gpus as u32;
     }
@@ -150,6 +171,25 @@ mod tests {
         );
         // Total cut should still be sane.
         assert!(edge_cut(&g, &hier) < g.num_edges() / 2);
+    }
+
+    #[test]
+    fn machines_side_by_side_keep_every_bit() {
+        let graphs = [
+            barabasi_albert(3000, 3, 11),
+            dgcl_graph::Dataset::WikiTalk.generate(0.002, 5),
+        ];
+        for g in &graphs {
+            for sizes in [&[8, 8][..], &[4, 4, 4, 4]] {
+                let at = |budget: usize| {
+                    dgcl_tensor::set_thread_budget(budget);
+                    let p = hierarchical(g, sizes, 13);
+                    dgcl_tensor::set_thread_budget(0);
+                    p
+                };
+                assert_eq!(at(1), at(2), "{sizes:?} on {} vertices", g.num_vertices());
+            }
+        }
     }
 
     #[test]

@@ -106,24 +106,14 @@ impl PartitionedGraph {
         for (v, &p) in partition.iter().enumerate() {
             local[p as usize].push(v as VertexId);
         }
-        // Remote vertices: neighbours of local vertices owned elsewhere.
-        // `seen[u]` is the last part that listed `u`, so each part lists a
-        // vertex once and sorts only its distinct remotes.
-        let mut remote: Vec<Vec<VertexId>> = vec![Vec::new(); num_parts];
-        let mut seen = vec![u32::MAX; graph.num_vertices()];
-        for (d, owned) in local.iter().enumerate() {
-            let mut set = Vec::new();
-            for &v in owned {
-                for &u in graph.neighbors(v) {
-                    if partition[u as usize] as usize != d && seen[u as usize] != d as u32 {
-                        seen[u as usize] = d as u32;
-                        set.push(u);
-                    }
-                }
-            }
-            set.sort_unstable();
-            remote[d] = set;
-        }
+        // One walk per part lists its remotes and maps its rows. One id
+        // table serves every part: each walk fills only its own entries
+        // and resets them before returning.
+        let mut ids = vec![UNLISTED; graph.num_vertices()];
+        let (remote, local_graphs): (Vec<_>, Vec<_>) = local
+            .iter()
+            .map(|owned| map_rows(graph, owned, &mut ids))
+            .unzip();
         // Demands: V_ij = local[i] ∩ remote[j].
         let mut demands: Vec<Vec<Vec<VertexId>>> = vec![vec![Vec::new(); num_parts]; num_parts];
         for (j, remotes) in remote.iter().enumerate() {
@@ -132,12 +122,6 @@ impl PartitionedGraph {
                 demands[i][j].push(u);
             }
         }
-        // One global-to-local table serves every part: each build fills
-        // only its own entries and resets them before returning.
-        let mut to_local = vec![u32::MAX; graph.num_vertices()];
-        let local_graphs = (0..num_parts)
-            .map(|d| build_local_graph(graph, &local[d], &remote[d], &mut to_local))
-            .collect();
         Self {
             num_parts,
             partition,
@@ -288,57 +272,228 @@ impl PartitionedGraph {
     }
 }
 
-/// Re-indexes `local`'s rows over `local ++ remote`. `to_local` maps
-/// global to local ids; it must be all `u32::MAX` on entry and is left
-/// that way on return.
-fn build_local_graph(
-    graph: &CsrGraph,
-    local: &[VertexId],
-    remote: &[VertexId],
-    to_local: &mut [u32],
-) -> LocalGraph {
-    let num_local = local.len();
-    let mut global_ids = Vec::with_capacity(num_local + remote.len());
-    global_ids.extend_from_slice(local);
-    global_ids.extend_from_slice(remote);
-    for (i, &global) in global_ids.iter().enumerate() {
-        to_local[global as usize] = i as u32;
+/// An id-table entry for a vertex the current part has not listed.
+const UNLISTED: u32 = u32::MAX;
+
+/// Re-indexes one part's rows (`owned`, its vertices in ascending order)
+/// over `owned ++ remote`, where `remote` lists the neighbours of `owned`
+/// that other parts own, ascending; returns `remote` and the local graph.
+/// `ids` must be all [`UNLISTED`] on entry and is left that way.
+fn map_rows(graph: &CsrGraph, owned: &[VertexId], ids: &mut [u32]) -> (Vec<VertexId>, LocalGraph) {
+    let num_local = owned.len();
+    let base = num_local as u32;
+    for (i, &v) in owned.iter().enumerate() {
+        ids[v as usize] = i as u32;
     }
-    let total = global_ids.len();
-    let mut offsets = Vec::with_capacity(total + 1);
+    let mut offsets = Vec::with_capacity(num_local + 1);
     offsets.push(0usize);
-    let edges = local.iter().map(|&v| graph.out_degree(v)).sum();
+    let edges = owned.iter().map(|&v| graph.out_degree(v)).sum();
     let mut targets = Vec::with_capacity(edges);
-    for &v in local {
+    // Remotes in the order the walk meets them: until the list is sorted,
+    // a row refers to a remote by `base +` its slot here.
+    let mut found: Vec<VertexId> = Vec::new();
+    for &v in owned {
         // Keep each row in the global graph's (ascending global id)
         // neighbour order rather than sorting the mapped local ids: the
         // aggregation kernels fold each row sequentially, so this makes
         // local aggregation accumulate in exactly the single-device
         // order — bitwise parity instead of a mere commutation.
-        for &u in graph.neighbors(v) {
-            let l = to_local[u as usize];
-            assert!(l != u32::MAX, "neighbour must be local or remote");
-            targets.push(l);
-        }
+        targets.extend(graph.neighbors(v).iter().map(|&u| {
+            let id = &mut ids[u as usize];
+            if *id == UNLISTED {
+                *id = base + found.len() as u32;
+                found.push(u);
+            }
+            *id
+        }));
         offsets.push(targets.len());
+    }
+    for &v in owned.iter().chain(&found) {
+        ids[v as usize] = UNLISTED;
+    }
+    // Number the remotes by global id: sort `(id, slot)` pairs, then move
+    // every reference from its slot to its rank, unless the walk met the
+    // remotes in id order. Local ids map to themselves, so the pass reads
+    // a table without a branch.
+    let mut by_id: Vec<u64> = found
+        .iter()
+        .enumerate()
+        .map(|(slot, &u)| (u64::from(u) << 32) | slot as u64)
+        .collect();
+    by_id.sort_unstable();
+    let mut renumber: Vec<u32> = (0..base + found.len() as u32).collect();
+    let mut remote = found;
+    for (rank, &key) in by_id.iter().enumerate() {
+        let slot = (key & u64::from(u32::MAX)) as usize;
+        renumber[num_local + slot] = base + rank as u32;
+        remote[rank] = (key >> 32) as VertexId;
+    }
+    if by_id.windows(2).any(|w| w[0] as u32 > w[1] as u32) {
+        for t in &mut targets {
+            *t = renumber[*t as usize];
+        }
     }
     for _ in 0..remote.len() {
         offsets.push(targets.len());
     }
-    for &global in &global_ids {
-        to_local[global as usize] = u32::MAX;
-    }
-    LocalGraph {
+    let mut global_ids = Vec::with_capacity(num_local + remote.len());
+    global_ids.extend_from_slice(owned);
+    global_ids.extend_from_slice(&remote);
+    let local_graph = LocalGraph {
         graph: CsrGraph::from_parts(offsets, targets),
         num_local,
         global_ids,
-    }
+    };
+    (remote, local_graph)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dgcl_graph::GraphBuilder;
+    use proptest::prelude::{any, proptest, ProptestConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The two-walk form of [`PartitionedGraph::new`]: one walk over
+    /// every part's rows lists its remotes, a second maps the rows.
+    fn two_walks(graph: &CsrGraph, partition: Partition, num_parts: usize) -> PartitionedGraph {
+        let mut local: Vec<Vec<VertexId>> = vec![Vec::new(); num_parts];
+        for (v, &p) in partition.iter().enumerate() {
+            local[p as usize].push(v as VertexId);
+        }
+        let mut remote: Vec<Vec<VertexId>> = vec![Vec::new(); num_parts];
+        let mut seen = vec![u32::MAX; graph.num_vertices()];
+        for (d, owned) in local.iter().enumerate() {
+            let mut set = Vec::new();
+            for &v in owned {
+                for &u in graph.neighbors(v) {
+                    if partition[u as usize] as usize != d && seen[u as usize] != d as u32 {
+                        seen[u as usize] = d as u32;
+                        set.push(u);
+                    }
+                }
+            }
+            set.sort_unstable();
+            remote[d] = set;
+        }
+        let mut demands: Vec<Vec<Vec<VertexId>>> = vec![vec![Vec::new(); num_parts]; num_parts];
+        for (j, remotes) in remote.iter().enumerate() {
+            for &u in remotes {
+                let i = partition[u as usize] as usize;
+                demands[i][j].push(u);
+            }
+        }
+        let mut to_local = vec![u32::MAX; graph.num_vertices()];
+        let local_graphs = (0..num_parts)
+            .map(|d| build_local_graph(graph, &local[d], &remote[d], &mut to_local))
+            .collect();
+        PartitionedGraph {
+            num_parts,
+            partition,
+            local,
+            remote,
+            demands,
+            local_graphs,
+        }
+    }
+
+    /// Re-indexes `local`'s rows over `local ++ remote`. `to_local` maps
+    /// global to local ids; it must be all `u32::MAX` on entry and is left
+    /// that way on return.
+    fn build_local_graph(
+        graph: &CsrGraph,
+        local: &[VertexId],
+        remote: &[VertexId],
+        to_local: &mut [u32],
+    ) -> LocalGraph {
+        let num_local = local.len();
+        let mut global_ids = Vec::with_capacity(num_local + remote.len());
+        global_ids.extend_from_slice(local);
+        global_ids.extend_from_slice(remote);
+        for (i, &global) in global_ids.iter().enumerate() {
+            to_local[global as usize] = i as u32;
+        }
+        let total = global_ids.len();
+        let mut offsets = Vec::with_capacity(total + 1);
+        offsets.push(0usize);
+        let edges = local.iter().map(|&v| graph.out_degree(v)).sum();
+        let mut targets = Vec::with_capacity(edges);
+        for &v in local {
+            // Keep each row in the global graph's (ascending global id)
+            // neighbour order rather than sorting the mapped local ids: the
+            // aggregation kernels fold each row sequentially, so this makes
+            // local aggregation accumulate in exactly the single-device
+            // order — bitwise parity instead of a mere commutation.
+            for &u in graph.neighbors(v) {
+                let l = to_local[u as usize];
+                assert!(l != u32::MAX, "neighbour must be local or remote");
+                targets.push(l);
+            }
+            offsets.push(targets.len());
+        }
+        for _ in 0..remote.len() {
+            offsets.push(targets.len());
+        }
+        for &global in &global_ids {
+            to_local[global as usize] = u32::MAX;
+        }
+        LocalGraph {
+            graph: CsrGraph::from_parts(offsets, targets),
+            num_local,
+            global_ids,
+        }
+    }
+
+    fn assert_same(a: &PartitionedGraph, b: &PartitionedGraph) {
+        assert_eq!(a.num_parts, b.num_parts);
+        assert_eq!(a.partition, b.partition);
+        assert_eq!(a.local, b.local);
+        assert_eq!(a.remote, b.remote);
+        assert_eq!(a.demands, b.demands);
+        for (d, (x, y)) in a.local_graphs.iter().zip(&b.local_graphs).enumerate() {
+            assert_eq!(x.num_local, y.num_local, "part {d}");
+            assert_eq!(x.global_ids, y.global_ids, "part {d}");
+            assert_eq!(x.graph.offsets(), y.graph.offsets(), "part {d}");
+            assert_eq!(x.graph.targets(), y.graph.targets(), "part {d}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random symmetric graphs (isolated vertices included) under
+        /// random partitions that may leave parts empty.
+        #[test]
+        fn one_walk_matches_two_walks(
+            n in 1usize..150,
+            density in 0usize..6,
+            parts in 1usize..7,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new(n);
+            for _ in 0..n * density {
+                b.add_edge(rng.gen_range(0..n) as VertexId, rng.gen_range(0..n) as VertexId);
+            }
+            let g = b.build_symmetric();
+            let partition: Partition = (0..n).map(|_| rng.gen_range(0..parts) as u32).collect();
+            let pg = PartitionedGraph::new(&g, partition.clone(), parts);
+            assert_same(&pg, &two_walks(&g, partition, parts));
+        }
+    }
+
+    #[test]
+    fn one_walk_matches_two_walks_with_self_loops_and_a_partitioner() {
+        // A borrowed CSR keeps self-loops and repeated neighbours.
+        let raw = CsrGraph::from_parts(vec![0, 3, 5, 6, 6], vec![0, 1, 1, 0, 2, 1]);
+        let skewed = dgcl_graph::Dataset::WikiTalk.generate(0.0005, 3);
+        let parts = crate::multilevel::kway(&skewed, 4, 3);
+        for (g, partition, k) in [(raw, vec![0, 1, 1, 0], 2), (skewed, parts, 4)] {
+            let pg = PartitionedGraph::new(&g, partition.clone(), k);
+            assert_same(&pg, &two_walks(&g, partition, k));
+        }
+    }
 
     /// The running example of Figure 1b: 12 vertices a..l partitioned onto
     /// 4 GPUs. Vertex ids: a=0 b=1 c=2 d=3 e=4 f=5 g=6 h=7 i=8 j=9 k=10

@@ -204,11 +204,11 @@ impl std::error::Error for PlanError {}
 /// * after the final stage, every demand `V_ij` must be satisfied.
 pub fn validate_plan(plan: &CommPlan, pg: &PartitionedGraph) -> Result<(), PlanError> {
     let num_gpus = pg.num_parts;
-    // `holds[gpu]` is the set of vertices available on the GPU; seeded
-    // with ownership.
-    let mut holds: Vec<std::collections::HashSet<VertexId>> = (0..num_gpus)
-        .map(|d| pg.local[d].iter().copied().collect())
-        .collect();
+    // The vertices available on each GPU, seeded with ownership.
+    let mut holds = Held::new(num_gpus, pg.partition.len());
+    for (v, &p) in pg.partition.iter().enumerate() {
+        holds.insert(p as usize, v as VertexId);
+    }
     for stage in 0..plan.num_stages {
         // All sends in a stage read the state at the *start* of the stage.
         let mut received: Vec<(usize, VertexId)> = Vec::new();
@@ -220,7 +220,7 @@ pub fn validate_plan(plan: &CommPlan, pg: &PartitionedGraph) -> Result<(), PlanE
                 return Err(PlanError::BadRank { rank: step.dst });
             }
             for &v in &step.vertices {
-                if !holds[step.src].contains(&v) {
+                if !holds.contains(step.src, v) {
                     return Err(PlanError::SendsUnheldVertex {
                         vertex: v,
                         src: step.src,
@@ -231,7 +231,7 @@ pub fn validate_plan(plan: &CommPlan, pg: &PartitionedGraph) -> Result<(), PlanE
             }
         }
         for (dst, v) in received {
-            if !holds[dst].insert(v) {
+            if !holds.insert(dst, v) {
                 return Err(PlanError::DuplicateDelivery {
                     vertex: v,
                     dst,
@@ -242,12 +242,55 @@ pub fn validate_plan(plan: &CommPlan, pg: &PartitionedGraph) -> Result<(), PlanE
     }
     for (j, remotes) in pg.remote.iter().enumerate() {
         for &v in remotes {
-            if !holds[j].contains(&v) {
+            if !holds.contains(j, v) {
                 return Err(PlanError::UnsatisfiedDemand { vertex: v, dst: j });
             }
         }
     }
     Ok(())
+}
+
+/// One bitset of the graph's vertices per GPU.
+struct Held {
+    /// `u64` words per GPU.
+    words: usize,
+    /// Vertex count; ids at or past it are never held.
+    vertices: usize,
+    bits: Vec<u64>,
+}
+
+impl Held {
+    fn new(gpus: usize, vertices: usize) -> Self {
+        let words = vertices.div_ceil(64);
+        Self {
+            words,
+            vertices,
+            bits: vec![0; gpus * words],
+        }
+    }
+
+    fn slot(&self, gpu: usize, v: VertexId) -> (usize, u64) {
+        let v = v as usize;
+        (gpu * self.words + v / 64, 1 << (v % 64))
+    }
+
+    fn contains(&self, gpu: usize, v: VertexId) -> bool {
+        if v as usize >= self.vertices {
+            return false;
+        }
+        let (word, bit) = self.slot(gpu, v);
+        self.bits[word] & bit != 0
+    }
+
+    /// Marks `v` held on `gpu`; `false` if it already was. `v` must be a
+    /// vertex of the graph: only held vertices are sent, so every
+    /// received one is.
+    fn insert(&mut self, gpu: usize, v: VertexId) -> bool {
+        let (word, bit) = self.slot(gpu, v);
+        let fresh = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        fresh
+    }
 }
 
 #[cfg(test)]
@@ -299,6 +342,35 @@ mod tests {
                 vertex: 0,
                 src: 1,
                 stage: 0
+            })
+        );
+    }
+
+    #[test]
+    fn sending_a_vertex_outside_the_graph_is_detected() {
+        let pg = tiny_pg();
+        let plan = CommPlan::from_edges(2, vec![(0, 0, 1, 0), (1, 1, 0, 0), (64, 0, 1, 0)]);
+        assert_eq!(
+            validate_plan(&plan, &pg),
+            Err(PlanError::SendsUnheldVertex {
+                vertex: 64,
+                src: 0,
+                stage: 0
+            })
+        );
+    }
+
+    #[test]
+    fn a_second_delivery_is_detected() {
+        let pg = tiny_pg();
+        // Vertex 1 is delivered to GPU 0 at stage 0, then again at stage 1.
+        let plan = CommPlan::from_edges(2, vec![(0, 0, 1, 0), (1, 1, 0, 0), (1, 1, 0, 1)]);
+        assert_eq!(
+            validate_plan(&plan, &pg),
+            Err(PlanError::DuplicateDelivery {
+                vertex: 1,
+                dst: 0,
+                stage: 1
             })
         );
     }

@@ -16,8 +16,9 @@
 //! The cells cover every [`VertexOrder`], the class cache
 //! (`SpstConfig::cached()`) and a 16-GPU plan deep enough to use ten or
 //! more stages. The small cells run in tier-1. The `#[ignore]` cells
-//! are the plans the `e2e` benchmark's full-batch workloads build, on the
-//! partitions `partition_fingerprints` pins; run them with
+//! plan the `e2e` benchmark's full-batch partitions, the ones
+//! `partition_fingerprints` pins: with the class cache, which is what the
+//! benchmark builds, and with the exact planner, its oracle. Run them with
 //! `cargo test --release -p dgcl-plan --test plan_fingerprints -- --ignored`.
 
 use dgcl_graph::Dataset;
@@ -174,7 +175,8 @@ fn exact_four_gpus() {
     );
 }
 
-/// The class cache commits cached trees between full searches.
+/// The class cache commits cached trees between full searches. Re-pinned
+/// when its search-depth cap went from six layers at 16 GPUs to seven.
 #[test]
 fn class_cache() {
     check(
@@ -183,11 +185,42 @@ fn class_cache() {
         &Topology::dgx1_pair_ib(),
         1024,
         SpstConfig::cached(),
-        0xd87b_9030_e8d3_89e3,
+        0xe58b_701c_e880_6c5c,
     );
 }
 
-/// The `fullbatch-dense` benchmark plan.
+/// The `fullbatch-dense` benchmark plan, which `build_comm_info` builds
+/// with the class cache: two GPUs admit one tree per class, so it is the
+/// exact plan.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn reddit_benchmark_scale_cached() {
+    check(
+        Dataset::Reddit,
+        0.04,
+        &Topology::dgx1_subset(2),
+        1024,
+        SpstConfig::cached(),
+        0xdecd_aea4_9a9b_0a95,
+    );
+}
+
+/// The `fullbatch-halo` benchmark plan, which `build_comm_info` builds
+/// with the class cache.
+#[test]
+#[ignore = "benchmark scale; run in release with --ignored"]
+fn wikitalk_benchmark_scale_cached() {
+    check(
+        Dataset::WikiTalk,
+        0.05,
+        &Topology::dgx1_pair_ib(),
+        1024,
+        SpstConfig::cached(),
+        0xf428_b502_7303_64cd,
+    );
+}
+
+/// The exact planner on the `fullbatch-dense` benchmark partition.
 #[test]
 #[ignore = "benchmark scale; run in release with --ignored"]
 fn reddit_benchmark_scale() {
@@ -201,7 +234,7 @@ fn reddit_benchmark_scale() {
     );
 }
 
-/// The `fullbatch-halo` benchmark plan.
+/// The exact planner on the `fullbatch-halo` benchmark partition.
 #[test]
 #[ignore = "benchmark scale; run in release with --ignored"]
 fn wikitalk_benchmark_scale() {
