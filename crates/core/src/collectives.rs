@@ -9,8 +9,8 @@
 //! [`PipelineSchedule`] the planner's allgather uses, and driven by the
 //! same executor — so chunk streaming, deadline bounding, poison
 //! propagation and fault injection all come for free. An empty
-//! allreduce moves nothing: it is `pipeline::barrier`, a wait for every
-//! peer's ready flag that keeps op ids aligned. The flat
+//! allreduce is the flat allreduce of one zero element: a barrier made
+//! of messages, which keeps op ids aligned. The flat
 //! allreduce (gather into rank 0, broadcast back) has the fewest hops
 //! but pushes the full vector times the device count through rank 0;
 //! the bandwidth-optimal ring and halving/doubling move `2(n−1)/n` of
@@ -367,8 +367,9 @@ impl CollectiveEngine {
     /// algorithm. Must be called by every rank with the same op id,
     /// algorithm and shapes.
     ///
-    /// A single device gets its input back. An empty call moves nothing
-    /// but stays a barrier: it returns once every peer has entered op
+    /// A single device gets its input back. An empty call is still a
+    /// barrier: it runs the flat allreduce of one zero element, whose
+    /// broadcast leaves rank 0 only after every rank has entered op
     /// `op`, so op ids stay aligned across ranks.
     ///
     /// # Errors
@@ -387,10 +388,11 @@ impl CollectiveEngine {
         if n < 2 {
             return Ok(mats);
         }
-        if elems == 0 {
-            pipeline::barrier(fabric, rank, op)?;
-            return Ok(mats);
-        }
+        let (algo, elems) = if elems == 0 {
+            (AllreduceAlgo::Flat, 1)
+        } else {
+            (algo, elems)
+        };
         let entries = || match algo {
             AllreduceAlgo::Flat => flat_allreduce(rank, n, elems),
             AllreduceAlgo::Ring => ring_allreduce(rank, n, elems),
@@ -451,9 +453,10 @@ impl CollectiveEngine {
         Ok(mat)
     }
 
-    /// Flattens `mats`, executes the compiled schedule over the element
-    /// space, and unflattens the result in place. The schedule is cached
-    /// per `key`; `entries` is only called to compile it on a miss.
+    /// Flattens `mats` (zero-padded to `elems`), executes the compiled
+    /// schedule over the element space, and unflattens the result in
+    /// place. The schedule is cached per `key`; `entries` is only called
+    /// to compile it on a miss.
     #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
@@ -475,6 +478,8 @@ impl CollectiveEngine {
         for m in mats.iter() {
             flat.extend_from_slice(m.as_slice());
         }
+        // Pads an empty allreduce to its one zero element.
+        flat.resize(elems, 0.0);
         let (pipe, scratch) = (&c.pipe, &mut self.scratch);
         pipeline::execute(fabric, self.rank, op, pipe, 1, scratch, |req| match req {
             ChunkIo::Pack {

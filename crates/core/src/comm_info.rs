@@ -27,9 +27,6 @@ pub struct BuildOptions {
     /// Embedding payload per vertex in bytes, used by the cost model
     /// during planning (the resulting plan is invariant to it, §5.1).
     pub bytes_per_vertex: u64,
-    /// Whether the backward tables are split into sub-stages for
-    /// non-atomic aggregation (§6.2).
-    pub non_atomic: bool,
     /// Rows per chunk for the pipelined collectives. Payloads larger than
     /// this are split into chunk-keyed messages that stream through
     /// relays; `usize::MAX` degenerates to one chunk per payload.
@@ -60,7 +57,6 @@ impl Default for BuildOptions {
         Self {
             seed: 42,
             bytes_per_vertex: 4 * 256,
-            non_atomic: true,
             chunk_rows: 64,
             backend: BackendPolicy::Fixed(BackendKind::Planned),
             spst: SpstConfig::cached(),
@@ -83,7 +79,8 @@ pub struct CommInfo {
     pub plan: CommPlan,
     /// Forward (embedding allgather) tables.
     pub forward_tables: SendRecvTables,
-    /// Backward (gradient scatter) tables, sub-staged when requested.
+    /// Backward (gradient scatter) tables, split into sub-stages for
+    /// non-atomic aggregation (§6.2).
     pub backward_tables: SendRecvTables,
     /// Per device: the forward tables compiled to row references
     /// (grouped stages, pre-resolved vertex ids, scratch sizing).
@@ -214,12 +211,7 @@ pub fn try_build_comm_info(
     );
     validate_plan(&outcome.plan, &pg).expect("SPST must produce a valid plan");
     let forward_tables = SendRecvTables::from_plan(&outcome.plan);
-    let backward = forward_tables.reversed();
-    let backward_tables = if options.non_atomic {
-        backward.split_substages()
-    } else {
-        backward
-    };
+    let backward_tables = forward_tables.reversed().split_substages();
     let forward_schedules: Vec<DeviceSchedule> = (0..num_gpus)
         .map(|d| DeviceSchedule::forward(&forward_tables, d, pg.local_graph(d)))
         .collect::<Result<_, _>>()?;
@@ -490,16 +482,5 @@ mod tests {
         let info = build_comm_info(&graph, Topology::dgx1_subset(1), BuildOptions::default());
         assert!(info.plan.steps.is_empty());
         assert_eq!(info.num_devices(), 1);
-    }
-
-    #[test]
-    fn atomic_option_skips_substage_split() {
-        let graph = Dataset::WikiTalk.generate(0.0005, 3);
-        let opts = BuildOptions {
-            non_atomic: false,
-            ..BuildOptions::default()
-        };
-        let info = build_comm_info(&graph, Topology::fig6(), opts);
-        assert_eq!(info.backward_tables.num_substages, 1);
     }
 }

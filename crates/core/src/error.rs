@@ -17,8 +17,8 @@ pub enum RuntimeError {
     Timeout {
         /// The rank whose collective timed out (the waiter).
         rank: usize,
-        /// The fabric operation that was waiting (`wait_ready` or
-        /// `recv`).
+        /// The fabric operation that was waiting: always `"recv"`, the
+        /// mailbox receive, the fabric's one blocking wait.
         op: &'static str,
         /// What exactly was being waited for (peer, message key).
         stage: String,

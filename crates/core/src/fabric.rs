@@ -1,45 +1,49 @@
 //! The shared-memory communication fabric connecting simulated devices.
 //!
 //! Real DGCL moves bytes over NVLink/PCIe/IB with the decentralized
-//! ready/done flag protocol of §6.1; here devices are threads and a
-//! message is a `Vec<f32>` dropped into a per-(sender, receiver) mailbox.
-//! The flags map onto this as:
+//! ready/done flag protocol of §6.1: a sender waits for the receiver's
+//! *ready* flag before it writes into the receiver's buffer, then sets
+//! the *done* flag. Here devices are threads and a message is a
+//! `Vec<f32>` dropped into a per-(sender, receiver) mailbox under a key
+//! that names its op, stage, substage and chunk ([`MsgKey`]):
 //!
-//! * *ready* — an atomic per-device operation counter; a sender spins
-//!   until the receiver has entered the same collective before posting,
-//!   exactly like waiting for the peer's ready flag before writing into
-//!   its buffer.
-//! * *done* — message availability in the mailbox (posting the payload
-//!   and setting the done flag are one atomic insert here).
+//! * *ready* has nothing to guard. No two messages share a buffer, so a
+//!   sender posts at once, even before the receiver has entered the op,
+//!   and the message waits under its key until it is received.
+//! * *done* is the post itself (posting the payload and setting the done
+//!   flag are one atomic insert).
+//!
+//! What bounds how much can sit in a mailbox is the program, not the
+//! fabric: every training step ends in a gradient allreduce, which no
+//! rank leaves before every rank has entered it.
 //!
 //! There is no master in the data path: the only shared state is the
-//! peer-to-peer mailboxes and the ready flags. Every operation, the
-//! model-gradient allreduce and the sampled row exchange included, is a
-//! program of sends and receives over them run by one executor
-//! ([`crate::pipeline`]), so a device blocks in exactly two ways, a
-//! mailbox [`Fabric::recv`] or a [`Fabric::wait_ready`], and only inside
-//! that executor — or inside the uncompiled reference walkers of
+//! peer-to-peer mailboxes. Every operation, the model-gradient allreduce
+//! and the sampled row exchange included, is a program of sends and
+//! receives over them run by one executor ([`crate::pipeline`]), so a
+//! device blocks in exactly one way, a mailbox [`Fabric::recv`], and only
+//! inside that executor — or inside the uncompiled reference walkers of
 //! [`crate::runtime`] it is tested against.
 //!
 //! # Abortability
 //!
 //! The paper's protocol has no failure story: a dead peer leaves every
-//! ready/done wait spinning forever. This fabric therefore adds exactly
-//! what production collective stacks (NCCL's abort/timeout semantics)
-//! add on top:
+//! wait on it blocked forever. This fabric therefore adds exactly what
+//! production collective stacks (NCCL's abort/timeout semantics) add on
+//! top:
 //!
 //! * a **poison state** — the first failing device records its rank and
-//!   cause via [`Fabric::poison`]; every blocked wait wakes and unwinds
-//!   with [`RuntimeError::Poisoned`];
-//! * a **collective deadline** — waits that outlive
-//!   [`FabricConfig::collective_deadline`] return
+//!   cause via [`Fabric::poison`]; every blocked receive wakes and
+//!   unwinds with [`RuntimeError::Poisoned`];
+//! * a **collective deadline** — a receive that outlives
+//!   [`FabricConfig::collective_deadline`] returns
 //!   [`RuntimeError::Timeout`] instead of blocking eternally;
 //! * a **fault-injection boundary** — a [`FaultPlan`] can delay,
 //!   duplicate or reorder messages (which the keyed protocol must absorb
 //!   bitwise-identically) or crash ranks (which must poison, not hang).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -86,20 +90,20 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// How long a blocked receive sleeps between poison and deadline
+/// checks. A send or a poison wakes it sooner.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
 /// Messages held back by reorder faults, keyed by `(src, dst)` link.
 type HeldMessages = HashMap<(usize, usize), Vec<(MsgKey, Vec<f32>)>>;
 
 /// Runtime configuration of one cluster run's fabric.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Upper bound on any single ready/done wait. A peer that
-    /// makes no progress for this long produces [`RuntimeError::Timeout`]
-    /// on the waiter instead of an eternal block.
+    /// Upper bound on any single mailbox receive. A peer that makes no
+    /// progress for this long produces [`RuntimeError::Timeout`] on the
+    /// waiter instead of an eternal block.
     pub collective_deadline: Duration,
-    /// How long a blocked wait sleeps between poison/deadline checks.
-    /// Chaos tests and latency sweeps can tighten it; the default keeps
-    /// the historical 5 ms tick.
-    pub poll_interval: Duration,
     /// Which allreduce algorithm [`DeviceHandle::allreduce`] dispatches
     /// to, either fixed or picked per message size by a tuned selector.
     /// The default is the flat allreduce (gather into rank 0, broadcast
@@ -123,7 +127,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         Self {
             collective_deadline: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(5),
             allreduce: AllreducePolicy::default(),
             collective_chunk: 4096,
             max_pooled_buffers: 256,
@@ -158,10 +161,8 @@ pub struct Fabric {
     config: FabricConfig,
     /// `mailboxes[src * n + dst]`.
     mailboxes: Vec<Mailbox>,
-    /// Per-device operation counter (the ready flag).
-    ready: Vec<AtomicU64>,
-    /// Fast-path flag mirroring `poison.is_some()`; checked from spin
-    /// loops without taking the lock.
+    /// Fast-path flag mirroring `poison.is_some()`; checked by every
+    /// receive without taking the lock.
     poison_flag: AtomicBool,
     poison: Mutex<Option<PoisonInfo>>,
     /// Messages held back by reorder faults, per `(src, dst)` link.
@@ -186,7 +187,6 @@ impl Fabric {
             mailboxes: (0..num_devices * num_devices)
                 .map(|_| Mailbox::default())
                 .collect(),
-            ready: (0..num_devices).map(|_| AtomicU64::new(0)).collect(),
             poison_flag: AtomicBool::new(false),
             poison: Mutex::new(None),
             held: Mutex::new(HashMap::new()),
@@ -268,11 +268,6 @@ impl Fabric {
         (pool.bufs.len(), pool.total_bytes)
     }
 
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.num_devices
-    }
-
     /// Poisons the fabric: records `(rank, cause)` if it is the first
     /// failure and wakes every blocked wait so the cluster unwinds
     /// instead of hanging. Later poisons keep the first record.
@@ -323,55 +318,6 @@ impl Fabric {
             Err(self.poison_error())
         } else {
             Ok(())
-        }
-    }
-
-    /// One bounded-wait bookkeeping step, shared by both blocking poll
-    /// loops (ready flags and mailbox receives):
-    /// fails if the fabric is poisoned or `start` has outlived the
-    /// collective deadline, otherwise the caller polls again after
-    /// [`FabricConfig::poll_interval`].
-    fn wait_tick(
-        &self,
-        start: Instant,
-        waiter: usize,
-        op: &'static str,
-        stage: impl FnOnce() -> String,
-    ) -> Result<(), RuntimeError> {
-        if self.is_poisoned() {
-            return Err(self.poison_error());
-        }
-        if start.elapsed() > self.config.collective_deadline {
-            return Err(RuntimeError::Timeout {
-                rank: waiter,
-                op,
-                stage: stage(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Marks `device` as having entered operation `op` (its ready flag).
-    pub fn set_ready(&self, device: usize, op: u64) {
-        self.ready[device].fetch_max(op, Ordering::Release);
-    }
-
-    /// Spins until `device`'s ready flag reaches `op`, unwinding with an
-    /// error if the fabric is poisoned or the deadline passes first.
-    /// `waiter` names the calling rank in the error.
-    pub fn wait_ready(&self, device: usize, op: u64, waiter: usize) -> Result<(), RuntimeError> {
-        if self.ready[device].load(Ordering::Acquire) >= op {
-            return Ok(());
-        }
-        let start = Instant::now();
-        loop {
-            if self.ready[device].load(Ordering::Acquire) >= op {
-                return Ok(());
-            }
-            self.wait_tick(start, waiter, "wait_ready", || {
-                format!("peer {device} never reached op {op}")
-            })?;
-            std::thread::yield_now();
         }
     }
 
@@ -479,16 +425,15 @@ impl Fabric {
     }
 
     /// Blocks until the payload for `key` from `src` arrives at `dst`,
-    /// then removes and returns it. Unwinds with an error on poison or
-    /// deadline.
+    /// then removes and returns it: the fabric's one blocking wait.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Poisoned`] once the fabric is poisoned, and
+    /// [`RuntimeError::Timeout`] (`op: "recv"`) once the wait outlives
+    /// [`FabricConfig::collective_deadline`].
     pub fn recv(&self, src: usize, dst: usize, key: MsgKey) -> Result<Vec<f32>, RuntimeError> {
         let mb = &self.mailboxes[src * self.num_devices + dst];
-        {
-            let mut slots = lock(&mb.slots);
-            if let Some(payload) = slots.remove(&key) {
-                return Ok(payload);
-            }
-        }
         let start = Instant::now();
         loop {
             // A reorder fault may be holding the message; the receiver's
@@ -500,13 +445,18 @@ impl Fabric {
             if let Some(payload) = slots.remove(&key) {
                 return Ok(payload);
             }
-            self.wait_tick(start, dst, "recv", || {
-                format!("message {key:?} from {src} never arrived")
-            })?;
+            self.check_poison()?;
+            if start.elapsed() > self.config.collective_deadline {
+                return Err(RuntimeError::Timeout {
+                    rank: dst,
+                    op: "recv",
+                    stage: format!("message {key:?} from {src} never arrived"),
+                });
+            }
             // The loop re-locks at its top, so the woken guard goes.
             drop(
                 mb.signal
-                    .wait_timeout(slots, self.config.poll_interval)
+                    .wait_timeout(slots, POLL_INTERVAL)
                     .unwrap_or_else(PoisonError::into_inner),
             );
         }
@@ -571,36 +521,6 @@ mod tests {
             matches!(err, RuntimeError::Protocol { rank: 0, .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn ready_flags_are_monotonic() {
-        let f = Fabric::new(1);
-        f.set_ready(0, 5);
-        f.set_ready(0, 3);
-        // Returns immediately: flag stayed at 5.
-        f.wait_ready(0, 5, 0).expect("already ready");
-    }
-
-    #[test]
-    fn wait_ready_times_out_instead_of_hanging() {
-        let f = Fabric::with_config(
-            2,
-            FabricConfig {
-                collective_deadline: Duration::from_millis(50),
-                ..FabricConfig::default()
-            },
-        );
-        let start = Instant::now();
-        let err = f.wait_ready(1, 1, 0).expect_err("peer never arrives");
-        assert!(start.elapsed() < Duration::from_secs(5), "bounded wait");
-        match err {
-            RuntimeError::Timeout { rank, op, .. } => {
-                assert_eq!(rank, 0);
-                assert_eq!(op, "wait_ready");
-            }
-            other => panic!("expected timeout, got {other}"),
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! gather / scatter, every compiled collective of the zoo, the sampled
 //! row exchange and CAGNET's chain hop and return. Outside this module
 //! only the uncompiled `*_reference` walkers of [`crate::runtime`] call
-//! the fabric's send, receive and ready-wait primitives.
+//! the fabric's send and receive primitives.
 //!
 //! A stage barrier moves each `(stage, substage, peer)` payload as one
 //! message and blocks on an entire stage before forwarding a single row —
@@ -354,8 +354,6 @@ where
             match a.kind {
                 ActionKind::Send => {
                     maybe_crash(executed)?;
-                    // Cheap after the first chunk: the flag is monotonic.
-                    fabric.wait_ready(peer, op, rank)?;
                     let rows = rows(a);
                     let mut payload = fabric.checkout(rows.len() * cols);
                     io(ChunkIo::Pack {
@@ -410,21 +408,6 @@ where
     // last one (at once, when it has none), so a scheduled mid-op crash
     // fires in its op whatever the op's size.
     maybe_crash(usize::MAX)
-}
-
-/// The operation that moves nothing: returns once every rank's ready
-/// flag has reached `op`, so a rank with nothing to send still meets its
-/// peers at the same op id.
-///
-/// # Errors
-///
-/// [`RuntimeError::Poisoned`] or [`RuntimeError::Timeout`], like every
-/// fabric wait.
-pub(crate) fn barrier(fabric: &Fabric, rank: usize, op: u64) -> Result<(), RuntimeError> {
-    for peer in 0..fabric.num_devices() {
-        fabric.wait_ready(peer, op, rank)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -577,9 +560,9 @@ mod tests {
     }
 
     /// Runs `pipe` as rank 0's op `op` on a three-rank fabric whose
-    /// rank 0 is scheduled to die in op 2 after `after_actions` actions,
-    /// with every rank ready for `op`; checks that the crash fires
-    /// exactly when `op` is 2, and returns the fabric.
+    /// rank 0 is scheduled to die in op 2 after `after_actions` actions;
+    /// checks that the crash fires exactly when `op` is 2, and returns
+    /// the fabric.
     fn run_with_mid_op_crash(pipe: &PipelineSchedule, op: u64, after_actions: usize) -> Fabric {
         let config = FabricConfig {
             faults: FaultPlan {
@@ -592,9 +575,6 @@ mod tests {
             ..FabricConfig::default()
         };
         let fabric = Fabric::with_config(3, config);
-        for rank in 0..3 {
-            fabric.set_ready(rank, op);
-        }
         let mut scratch = PipelineScratch::default();
         let result = execute(&fabric, 0, op, pipe, 1, &mut scratch, |io| {
             if let ChunkIo::Pack { rows, payload, .. } = io {

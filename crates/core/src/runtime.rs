@@ -5,7 +5,7 @@
 //! dependency walk of [`crate::pipeline`]. The uncompiled `*_reference`
 //! table walkers are separate code on purpose: they are the independent
 //! oracle the compiled path is tested against, and the only code outside
-//! that module that calls the fabric's send, receive and ready-wait.
+//! that module that calls the fabric's send and receive.
 //!
 //! Every collective returns `Result<_, RuntimeError>`: a protocol
 //! violation, an injected crash, a poisoned fabric or a missed deadline
@@ -70,8 +70,8 @@ impl<'a> DeviceHandle<'a> {
     }
 
     /// Enters the next collective: bumps the operation counter, fires any
-    /// injected crash scheduled for this rank, refuses to start on a
-    /// poisoned fabric, and publishes the ready flag.
+    /// injected crash scheduled for this rank, and refuses to start on a
+    /// poisoned fabric.
     pub(crate) fn begin_op(&self) -> Result<u64, RuntimeError> {
         let op = self.op_counter.get() + 1;
         self.op_counter.set(op);
@@ -87,7 +87,6 @@ impl<'a> DeviceHandle<'a> {
             }
         }
         self.fabric.check_poison()?;
-        self.fabric.set_ready(self.rank, op);
         Ok(op)
     }
 
@@ -263,7 +262,6 @@ impl<'a> DeviceHandle<'a> {
                 if io.send.is_empty() {
                     continue;
                 }
-                self.fabric.wait_ready(io.peer, op, self.rank)?;
                 let mut payload = Vec::with_capacity(io.send.len() * cols);
                 for &v in &io.send {
                     match lg.local_id(v) {
@@ -420,7 +418,6 @@ impl<'a> DeviceHandle<'a> {
                 if io.send.is_empty() {
                     continue;
                 }
-                self.fabric.wait_ready(io.peer, op, self.rank)?;
                 let mut payload = Vec::with_capacity(io.send.len() * cols);
                 for &v in &io.send {
                     match acc.get(&v) {
@@ -870,9 +867,10 @@ mod tests {
     #[test]
     fn straggler_devices_do_not_corrupt_results() {
         // Failure injection: devices pause for rank-dependent times
-        // between operations. The decentralized flag protocol must
-        // tolerate arbitrary skew — transient stragglers block only
-        // their own peers (§6.1), never correctness.
+        // between operations. The keyed mailboxes must tolerate
+        // arbitrary skew — a message posted before its receiver enters
+        // the op waits under its key, and a straggler blocks only the
+        // peers that receive from it, never correctness.
         let (graph, info) = setup();
         let n = graph.num_vertices();
         let mut features = Matrix::zeros(n, 2);

@@ -793,7 +793,6 @@ mod tests {
                         let (b, fabric) = (&b, &fabric);
                         scope.spawn(move || {
                             let plan = b.plan(rank);
-                            fabric.set_ready(rank, 1);
                             let mut scratch = PipelineScratch::default();
                             let got = plan.execute(fabric, rank, 1, &mut scratch).unwrap();
                             let rows: Vec<&[f32]> = (0..got.rows()).map(|r| got.row(r)).collect();

@@ -604,25 +604,4 @@ mod tests {
             report.epoch_losses
         );
     }
-
-    #[test]
-    fn atomic_and_non_atomic_backward_agree() {
-        // The sub-stage split must not change numerics, only scheduling.
-        let graph = Dataset::WikiTalk.generate(0.0005, 31);
-        let n = graph.num_vertices();
-        let mut opts = BuildOptions::default();
-        let info_split = build_comm_info(&graph, Topology::fig6(), opts);
-        opts.non_atomic = false;
-        let info_atomic = build_comm_info(&graph, Topology::fig6(), opts);
-        let mut init = XavierInit::new(4);
-        let features = init.features(n, 5);
-        let targets = init.features(n, 2);
-        let cfg = TrainConfig::new(Architecture::Gcn, &[5, 2], 2);
-        let a = train_distributed(&info_split, &graph, &features, &targets, &cfg)
-            .expect("healthy cluster");
-        let b = train_distributed(&info_atomic, &graph, &features, &targets, &cfg)
-            .expect("healthy cluster");
-        let diff = a.outputs.max_abs_diff(&b.outputs);
-        assert!(diff < 1e-4, "substage split changed numerics by {diff}");
-    }
 }

@@ -247,9 +247,9 @@ fn steady_state_allgather_stays_within_allocation_budget() {
     let devices = 4;
     let op_pairs = devices * rounds;
     // Per measured forward+backward pair a compiled path may allocate
-    // the two result matrices it returns plus a small constant (ready
-    // protocol, barrier bookkeeping); everything stage- and chunk-level
-    // must come from the recycle pool. The budget is deliberately
+    // the two result matrices it returns plus a small constant; every
+    // payload, the closing barrier's included, and everything stage- and
+    // chunk-level must come from the recycle pool. The budget is deliberately
     // generous — the uncompiled path blows through it by orders of
     // magnitude. Chunk pipelining must not regress the budget: every
     // per-chunk payload is checked out of and recycled back into the

@@ -11,7 +11,8 @@
 //! None of it may depend on the tensor pool's compute-thread count or
 //! on run-to-run scheduling.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use dgcl::{
     build_comm_info, run_cluster_with, AllreduceAlgo, BuildOptions, FabricConfig, GroupSpec,
@@ -233,6 +234,43 @@ fn empty_allreduce_keeps_op_ids_aligned() {
             hd, &expect,
             "rank {rank}: halving-doubling after empty allreduce"
         );
+    }
+}
+
+/// An empty allreduce is a barrier under every algorithm: no rank
+/// returns from it before the last rank has entered it. The last rank
+/// enters about 100 ms after the others, so an empty call that returned
+/// without waiting would come back long before it.
+#[test]
+fn empty_allreduce_waits_for_the_last_rank() {
+    for devices in [2usize, 3, 4] {
+        let info = comm_info(devices);
+        let late = devices - 1;
+        for algo in [
+            AllreduceAlgo::Flat,
+            AllreduceAlgo::Ring,
+            AllreduceAlgo::HalvingDoubling,
+        ] {
+            let late_entered = OnceLock::new();
+            let returned = run_cluster_with(&info, config(16), |handle| {
+                if handle.rank == late {
+                    std::thread::sleep(Duration::from_millis(100));
+                    late_entered.set(Instant::now()).expect("one late rank");
+                }
+                handle.allreduce_with(algo, Vec::new())?;
+                Ok(Instant::now())
+            })
+            .expect("healthy cluster");
+            let entered = *late_entered.get().expect("the late rank entered");
+            for (rank, at) in returned.iter().enumerate() {
+                assert!(
+                    *at >= entered,
+                    "rank {rank} left the empty {algo:?} allreduce {:?} before rank {late} \
+                     entered it (n={devices})",
+                    entered - *at
+                );
+            }
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Regression: a non-rank-0 device dying mid-collective used to wedge
 //! every peer forever (the §6.1 flag protocol has no failure story — a
-//! peer that never sets its ready flag blocks its neighbours, and
-//! `run_cluster`'s in-order join then blocked the whole process on rank
-//! 0's thread). The abortable fabric must instead return a
+//! peer that never sends blocks every neighbour waiting to receive from
+//! it, and `run_cluster`'s in-order join then blocked the whole process
+//! on rank 0's thread). The abortable fabric must instead return a
 //! [`dgcl::ClusterError`] naming the dead rank, on every rank, well
 //! within the collective deadline.
 

@@ -37,14 +37,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Invariant 1: pipelined == reference, bitwise, per rank, across
-    /// chunk sizes and device counts.
+    /// chunk sizes and device counts. A late rank (`late == devices`
+    /// means none) sleeps before each of its four ops, so its peers
+    /// post messages to it before it has entered the op.
     #[test]
     fn pipelined_collectives_match_reference(
         devices in 2usize..=8,
         chunk_idx in 0usize..CHUNK_SIZES.len(),
         graph_seed in 1u64..5,
+        late_pick in 0usize..=8,
     ) {
         let chunk_rows = CHUNK_SIZES[chunk_idx];
+        let late = late_pick % (devices + 1);
+        let arrive = |rank: usize| {
+            if rank == late {
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        };
         let graph = Dataset::WikiTalk.generate(0.0004, graph_seed);
         let options = BuildOptions {
             chunk_rows,
@@ -59,9 +68,13 @@ proptest! {
         let per_device = info.dispatch_features(&features);
         let results = run_cluster(&info, |handle| {
             let local = &per_device[handle.rank];
+            arrive(handle.rank);
             let fwd_pipe = handle.graph_allgather(local)?;
+            arrive(handle.rank);
             let fwd_ref = handle.graph_allgather_reference(local)?;
+            arrive(handle.rank);
             let bwd_pipe = handle.scatter_backward(&fwd_pipe)?;
+            arrive(handle.rank);
             let bwd_ref = handle.scatter_backward_reference(&fwd_pipe)?;
             Ok((fwd_pipe, fwd_ref, bwd_pipe, bwd_ref))
         })
@@ -69,11 +82,13 @@ proptest! {
         for (rank, (fwd_pipe, fwd_ref, bwd_pipe, bwd_ref)) in results.into_iter().enumerate() {
             prop_assert_eq!(
                 &fwd_pipe, &fwd_ref,
-                "rank {} forward pipelined != reference (chunk_rows {})", rank, chunk_rows
+                "rank {} forward pipelined != reference (chunk_rows {}, late {})",
+                rank, chunk_rows, late
             );
             prop_assert_eq!(
                 &bwd_pipe, &bwd_ref,
-                "rank {} backward pipelined != reference (chunk_rows {})", rank, chunk_rows
+                "rank {} backward pipelined != reference (chunk_rows {}, late {})",
+                rank, chunk_rows, late
             );
         }
     }
