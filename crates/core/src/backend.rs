@@ -51,19 +51,6 @@ use crate::error::RuntimeError;
 use crate::pipeline::{ChunkIo, PipelineSchedule};
 use crate::runtime::DeviceHandle;
 
-/// How [`build_comm_info`](crate::comm_info::build_comm_info) picks the
-/// aggregation backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendPolicy {
-    /// Price both backends with the offline
-    /// [`BackendSelector`](dgcl_sim::BackendSelector) and take the
-    /// cheaper one.
-    Auto,
-    /// Use this backend unconditionally (single-device clusters still
-    /// fall back to planned — there is nothing to communicate).
-    Fixed(BackendKind),
-}
-
 /// One side of the aggregation exchange: everything the trainer needs
 /// from a backend is the distributed aggregate (forward) and its
 /// adjoint (backward). Implementations must be *op-aligned*: every rank

@@ -4,16 +4,15 @@ use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use dgcl_graph::CsrGraph;
-use dgcl_partition::hierarchical::hierarchical;
 use dgcl_partition::simple::block_partition;
 use dgcl_partition::{CagnetBlocks, PartitionedGraph};
 use dgcl_plan::plan::validate_plan;
 use dgcl_plan::{spst_plan_with_config, CommPlan, PlannerStats, SendRecvTables, SpstConfig};
+use dgcl_sim::epoch::partition_for;
 use dgcl_sim::{AlgorithmSelector, BackendChoice, BackendKind, BackendSelector};
 use dgcl_tensor::Matrix;
 use dgcl_topology::Topology;
 
-use crate::backend::BackendPolicy;
 use crate::error::RuntimeError;
 use crate::featcache::{CachePolicy, FeatureCacheSets};
 use crate::pipeline::{self, PipelineSchedule};
@@ -31,12 +30,10 @@ pub struct BuildOptions {
     /// this are split into chunk-keyed messages that stream through
     /// relays; `usize::MAX` degenerates to one chunk per payload.
     pub chunk_rows: usize,
-    /// How the aggregation backend is chosen. The default pins the
-    /// paper's planned path; [`BackendPolicy::Auto`] lets the offline
-    /// [`BackendSelector`] take CAGNET when the priced cut is large
-    /// enough. Either way [`CommInfo::backend_choice`] records what the
-    /// selector would have picked.
-    pub backend: BackendPolicy,
+    /// The aggregation backend; the default is the paper's planned
+    /// path. [`CommInfo::backend_choice`] records what the offline
+    /// [`BackendSelector`] would have picked.
+    pub backend: BackendKind,
     /// Planner configuration. The default is the demand-class cache
     /// ([`SpstConfig::cached`]): vertices with the same `(src, dsts)`
     /// signature reuse a searched tree while its cost stays within
@@ -58,7 +55,7 @@ impl Default for BuildOptions {
             seed: 42,
             bytes_per_vertex: 4 * 256,
             chunk_rows: 64,
-            backend: BackendPolicy::Fixed(BackendKind::Planned),
+            backend: BackendKind::Planned,
             spst: SpstConfig::cached(),
             feature_cache: CachePolicy::Off,
         }
@@ -99,9 +96,10 @@ pub struct CommInfo {
     pub plan_stats: PlannerStats,
     /// The cost model's estimate for one allgather in seconds.
     pub estimated_allgather_seconds: f64,
-    /// The aggregation backend every rank runs (the policy's verdict).
+    /// The aggregation backend every rank runs ([`BuildOptions::backend`],
+    /// planned on a single device).
     pub backend: BackendKind,
-    /// What the offline selector priced, whatever the policy decided.
+    /// What the offline selector priced, whatever the build ran.
     pub backend_choice: BackendChoice,
     /// The build-time feature cache policy
     /// ([`BuildOptions::feature_cache`]); training may override it per
@@ -152,13 +150,7 @@ pub fn try_build_comm_info(
 ) -> Result<CommInfo, RuntimeError> {
     assert!(graph.num_vertices() > 0, "graph must not be empty");
     let num_gpus = topology.num_gpus();
-    let partition = if num_gpus == 1 {
-        vec![0u32; graph.num_vertices()]
-    } else {
-        let sizes: Vec<usize> = topology.gpus_by_machine().iter().map(|g| g.len()).collect();
-        hierarchical(graph, &sizes, options.seed)
-    };
-    let mut pg = PartitionedGraph::new(graph, partition, num_gpus);
+    let mut pg = partition_for(graph, &topology, options.seed);
     // Price both aggregation backends on the partitioner's cut. The
     // selector is offline and deterministic, so every rank reading this
     // CommInfo agrees on the backend with no negotiation.
@@ -180,10 +172,6 @@ pub fn try_build_comm_info(
         &demand_pairs,
     );
     let backend = match options.backend {
-        BackendPolicy::Auto => backend_choice.kind,
-        BackendPolicy::Fixed(kind) => kind,
-    };
-    let backend = match backend {
         // A single device has nothing to communicate; block-partition
         // bookkeeping would be pure overhead.
         BackendKind::Cagnet { .. } if num_gpus < 2 => BackendKind::Planned,
@@ -479,8 +467,15 @@ mod tests {
     #[test]
     fn single_gpu_build_has_empty_plan() {
         let graph = Dataset::WebGoogle.generate(0.0005, 4);
-        let info = build_comm_info(&graph, Topology::dgx1_subset(1), BuildOptions::default());
-        assert!(info.plan.steps.is_empty());
-        assert_eq!(info.num_devices(), 1);
+        let cagnet = BuildOptions {
+            backend: BackendKind::Cagnet { replication: 1 },
+            ..BuildOptions::default()
+        };
+        for options in [BuildOptions::default(), cagnet] {
+            let info = build_comm_info(&graph, Topology::dgx1_subset(1), options);
+            assert!(info.plan.steps.is_empty());
+            assert_eq!(info.num_devices(), 1);
+            assert_eq!(info.backend, BackendKind::Planned);
+        }
     }
 }

@@ -94,6 +94,12 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// checks. A send or a poison wakes it sooner.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
+/// Maximum number of retired buffers the recycle pool retains.
+const MAX_POOLED_BUFFERS: usize = 256;
+
+/// Maximum total bytes (summed capacity) the recycle pool retains.
+const MAX_POOLED_BYTES: usize = 256 << 20;
+
 /// Messages held back by reorder faults, keyed by `(src, dst)` link.
 type HeldMessages = HashMap<(usize, usize), Vec<(MsgKey, Vec<f32>)>>;
 
@@ -115,10 +121,6 @@ pub struct FabricConfig {
     /// halving/doubling, broadcast). Chunking never changes bits —
     /// only how finely chunks stream through the dependency pipeline.
     pub collective_chunk: usize,
-    /// Maximum number of retired buffers the recycle pool retains.
-    pub max_pooled_buffers: usize,
-    /// Maximum total bytes (summed capacity) the recycle pool retains.
-    pub max_pooled_bytes: usize,
     /// Faults to inject at the fabric boundary.
     pub faults: FaultPlan,
 }
@@ -129,8 +131,6 @@ impl Default for FabricConfig {
             collective_deadline: Duration::from_secs(30),
             allreduce: AllreducePolicy::default(),
             collective_chunk: 4096,
-            max_pooled_buffers: 256,
-            max_pooled_bytes: 256 << 20,
             faults: FaultPlan::none(),
         }
     }
@@ -179,7 +179,8 @@ impl Fabric {
         Self::with_config(num_devices, FabricConfig::default())
     }
 
-    /// Creates a fabric with explicit deadline, pool and fault settings.
+    /// Creates a fabric with explicit deadline, collective and fault
+    /// settings.
     pub fn with_config(num_devices: usize, config: FabricConfig) -> Self {
         Self {
             num_devices,
@@ -253,9 +254,7 @@ impl Fabric {
             return;
         }
         let mut pool = lock(&self.buffers);
-        if pool.bufs.len() >= self.config.max_pooled_buffers
-            || pool.total_bytes + bytes > self.config.max_pooled_bytes
-        {
+        if pool.bufs.len() >= MAX_POOLED_BUFFERS || pool.total_bytes + bytes > MAX_POOLED_BYTES {
             return;
         }
         pool.total_bytes += bytes;
@@ -615,31 +614,32 @@ mod tests {
 
     #[test]
     fn pool_stays_bounded_over_varying_sizes() {
-        let f = Fabric::with_config(
-            1,
-            FabricConfig {
-                max_pooled_buffers: 8,
-                max_pooled_bytes: 16 << 10,
-                ..FabricConfig::default()
-            },
-        );
-        // A workload cycling through many distinct payload sizes used to
-        // grow the pool monotonically (recycle never dropped).
-        for round in 0..200usize {
+        let f = Fabric::new(1);
+        // Retiring many distinct payload sizes used to grow the pool
+        // monotonically (recycle never dropped).
+        for round in 0..2 * MAX_POOLED_BUFFERS {
             let size = 16 + (round * 97) % 3000;
-            let mut buf = f.checkout(size);
-            buf.resize(size, 1.0);
-            f.recycle(buf);
-            let (count, bytes) = f.pool_stats();
+            f.recycle(Vec::with_capacity(size));
+            let (count, _) = f.pool_stats();
             assert!(
-                count <= 8,
+                count <= MAX_POOLED_BUFFERS,
                 "pool count {count} exceeds cap at round {round}"
             );
-            assert!(
-                bytes <= 16 << 10,
-                "pool bytes {bytes} exceed cap at round {round}"
-            );
         }
+        assert_eq!(f.pool_stats().0, MAX_POOLED_BUFFERS);
+        // The byte cap: a buffer that would push the summed capacity past
+        // it is dropped. Its pages are never touched, so it costs no
+        // resident memory.
+        let f = Fabric::new(1);
+        f.recycle(Vec::with_capacity(MAX_POOLED_BYTES / 4 - 16));
+        let before = f.pool_stats();
+        f.recycle(Vec::with_capacity(64));
+        assert_eq!(
+            f.pool_stats(),
+            before,
+            "a buffer past the byte cap is dropped"
+        );
+        assert!(before.1 <= MAX_POOLED_BYTES);
     }
 
     #[test]

@@ -8,14 +8,9 @@
 //! (delay/duplicate/reorder only) plan from a seed, which the chaos suite
 //! uses to assert the §6.1 flag protocol's central claim: message timing
 //! and delivery order never change training results, only crashes do.
-//!
-//! The same events mirror into the performance simulator via
-//! [`FaultPlan::mirror_sim`], so wall-clock models and the real runtime
-//! can be subjected to one fault description.
 
 use std::time::Duration;
 
-use dgcl_sim::faults::{SimFault, SimFaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -270,49 +265,6 @@ impl FaultPlan {
                 if (*s, *d, *st) == (src, dst, stage))
         })
     }
-
-    /// Mirrors the plan into the performance simulator's fault events so
-    /// `dgcl-sim` can replay the same scenario against the fluid network
-    /// model (crash op indices map onto plan stages 1:1 there).
-    pub fn mirror_sim(&self) -> SimFaultPlan {
-        SimFaultPlan {
-            events: self
-                .events
-                .iter()
-                .map(|e| match *e {
-                    FaultEvent::Crash { rank, at_op }
-                    | FaultEvent::CrashMidOp { rank, at_op, .. } => SimFault::Crash {
-                        rank,
-                        stage: at_op.saturating_sub(1) as usize,
-                    },
-                    // Epoch boundaries precede any collective of the
-                    // epoch; the fluid model sees a crash at stage 0.
-                    FaultEvent::CrashAtEpoch { rank, .. } => SimFault::Crash { rank, stage: 0 },
-                    FaultEvent::Delay {
-                        src,
-                        dst,
-                        stage,
-                        delay,
-                    } => SimFault::Delay {
-                        src,
-                        dst,
-                        stage: stage as usize,
-                        seconds: delay.as_secs_f64(),
-                    },
-                    FaultEvent::Duplicate { src, dst, stage } => SimFault::Duplicate {
-                        src,
-                        dst,
-                        stage: stage as usize,
-                    },
-                    FaultEvent::Reorder { src, dst, stage } => SimFault::Reorder {
-                        src,
-                        dst,
-                        stage: stage as usize,
-                    },
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -399,25 +351,5 @@ mod tests {
         };
         assert_eq!(plan.delay_for(0, 1, 2), Duration::from_millis(7));
         assert_eq!(plan.delay_for(1, 0, 2), Duration::ZERO);
-    }
-
-    #[test]
-    fn mirror_sim_translates_every_event() {
-        let plan = FaultPlan {
-            events: vec![
-                FaultEvent::Crash { rank: 2, at_op: 3 },
-                FaultEvent::Duplicate {
-                    src: 0,
-                    dst: 1,
-                    stage: 0,
-                },
-            ],
-        };
-        let sim = plan.mirror_sim();
-        assert_eq!(sim.events.len(), 2);
-        assert!(matches!(
-            sim.events[0],
-            SimFault::Crash { rank: 2, stage: 2 }
-        ));
     }
 }

@@ -74,7 +74,7 @@ pub mod schedule;
 pub mod serving;
 pub mod trainer;
 
-pub use backend::{backend_for, BackendPolicy, CagnetBackend, CommBackend, PlannedBackend};
+pub use backend::{backend_for, CagnetBackend, CommBackend, PlannedBackend};
 pub use checkpoint::{
     Checkpoint, CheckpointConfig, CheckpointSink, CheckpointSpec, CheckpointStore,
     CorruptCheckpoint, MemorySink,

@@ -49,10 +49,9 @@ pub struct TrainConfig {
     /// because the frozen `e2e` benchmark sets it.
     pub overlap: bool,
     /// Aggregation backend override. `None` (the default) runs whatever
-    /// [`CommInfo::backend`] recorded — the build policy's verdict;
-    /// `Some(kind)` forces a backend for this run (parity tests compare
-    /// the same info through both). CAGNET replication must divide the
-    /// device count.
+    /// [`CommInfo::backend`] recorded at build time; `Some(kind)` forces
+    /// a backend for this run (parity tests compare the same info
+    /// through both). CAGNET replication must divide the device count.
     pub backend: Option<BackendKind>,
     /// Mini-batch sampled training. `None` (the default) trains
     /// full-batch; `Some` switches every epoch to seeded, fanout-bounded

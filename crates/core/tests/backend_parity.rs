@@ -4,7 +4,7 @@
 //! where cross-device tree folds reassociate the sum (the planned
 //! backward).
 
-use dgcl::backend::{backend_for, BackendPolicy};
+use dgcl::backend::backend_for;
 use dgcl::runtime::run_cluster;
 use dgcl::{build_comm_info, BackendKind, BuildOptions, CommInfo};
 use dgcl_gnn::aggregate::{
@@ -34,7 +34,7 @@ fn cagnet_info(graph: &CsrGraph, devices: usize, c: usize) -> CommInfo {
         graph,
         Topology::pcie_host(devices),
         BuildOptions {
-            backend: BackendPolicy::Fixed(BackendKind::Cagnet { replication: c }),
+            backend: BackendKind::Cagnet { replication: c },
             ..BuildOptions::default()
         },
     )

@@ -18,13 +18,12 @@ use std::time::{Duration, Instant};
 use dgcl::sampling::SamplingConfig;
 use dgcl::trainer::{train_distributed, train_distributed_with, TrainConfig};
 use dgcl::{
-    backend_for, build_comm_info, run_cluster_with, AllreduceAlgo, BackendKind, BackendPolicy,
-    BuildOptions, CachePolicy, ClusterCache, ClusterError, ClusterFailure, CommInfo, FabricConfig,
-    FaultEvent, FaultPlan, GatherPlan, GroupSpec, RuntimeError,
+    backend_for, build_comm_info, run_cluster_with, AllreduceAlgo, BackendKind, BuildOptions,
+    CachePolicy, ClusterCache, ClusterError, ClusterFailure, CommInfo, FabricConfig, FaultEvent,
+    FaultPlan, GatherPlan, GroupSpec, RuntimeError,
 };
 use dgcl_gnn::{AggKind, Architecture};
 use dgcl_graph::{CsrGraph, Dataset, VertexId};
-use dgcl_sim::faults::simulate_plan_faulted;
 use dgcl_tensor::{Matrix, XavierInit};
 use dgcl_topology::Topology;
 
@@ -280,7 +279,7 @@ fn crash_mid_cagnet_chain_poisons_every_survivor() {
     with_watchdog(Duration::from_secs(120), || {
         let graph = Dataset::WikiTalk.generate(0.0005, 3);
         let options = BuildOptions {
-            backend: BackendPolicy::Fixed(BackendKind::Cagnet { replication: 2 }),
+            backend: BackendKind::Cagnet { replication: 2 },
             ..BuildOptions::default()
         };
         let info = build_comm_info(&graph, Topology::fig6(), options);
@@ -370,32 +369,4 @@ fn duplicate_and_reorder_storm_on_one_link_is_absorbed() {
         assert_eq!(clean.outputs, faulted.outputs);
         assert_eq!(clean.epoch_losses, faulted.epoch_losses);
     });
-}
-
-#[test]
-fn fault_plans_mirror_into_the_simulator() {
-    // The same FaultPlan drives both the real runtime and the fluid
-    // network model: a crash that poisons training also truncates the
-    // simulated plan, and a benign plan changes neither delivery set.
-    let c = training_case();
-    let bytes = 4 * 64;
-    let clean = simulate_plan_faulted(
-        &c.info.plan,
-        &c.info.topology,
-        bytes,
-        &FaultPlan::none().mirror_sim(),
-    );
-    let benign = FaultPlan::seeded(5, c.info.num_devices(), 4, Duration::from_millis(1));
-    let benign_sim =
-        simulate_plan_faulted(&c.info.plan, &c.info.topology, bytes, &benign.mirror_sim());
-    assert!(benign_sim.failed.is_none());
-    assert_eq!(benign_sim.delivered, clean.delivered);
-    let crash_sim = simulate_plan_faulted(
-        &c.info.plan,
-        &c.info.topology,
-        bytes,
-        &FaultPlan::crash(1, 1).mirror_sim(),
-    );
-    assert_eq!(crash_sim.failed, Some((1, 0)), "crash at op 1 = stage 0");
-    assert!(crash_sim.delivered.len() < clean.delivered.len());
 }

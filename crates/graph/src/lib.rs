@@ -27,7 +27,6 @@ pub mod generators;
 pub mod io;
 pub mod khop;
 pub mod sample;
-pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;

@@ -1,25 +1,14 @@
-//! Baseline partitioners: hash and random.
+//! Baseline partitioners: random and block.
 //!
-//! These ignore the graph structure and serve as quality baselines for the
-//! multilevel partitioner in tests and ablation benches.
+//! These ignore the graph structure: the random one is the multilevel
+//! partitioner's quality baseline in tests, and the block one gives
+//! CAGNET its contiguous ascending ownership.
 
 use dgcl_graph::CsrGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::Partition;
-
-/// Assigns vertex `v` to part `v % num_parts`.
-///
-/// # Panics
-///
-/// Panics if `num_parts == 0`.
-pub fn hash_partition(graph: &CsrGraph, num_parts: usize) -> Partition {
-    assert!(num_parts > 0, "need at least one part");
-    (0..graph.num_vertices())
-        .map(|v| (v % num_parts) as u32)
-        .collect()
-}
 
 /// Assigns every vertex to a uniformly random part.
 ///
@@ -55,15 +44,8 @@ pub fn block_partition(graph: &CsrGraph, num_parts: usize) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{balance, part_sizes};
+    use crate::metrics::balance;
     use dgcl_graph::generators::erdos_renyi;
-
-    #[test]
-    fn hash_is_perfectly_balanced_when_divisible() {
-        let g = erdos_renyi(100, 200, 1);
-        let p = hash_partition(&g, 4);
-        assert_eq!(part_sizes(&p, 4), vec![25; 4]);
-    }
 
     #[test]
     fn random_is_roughly_balanced() {

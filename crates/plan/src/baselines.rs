@@ -9,9 +9,8 @@
 //!   no communication happens at all (the Medusa approach), at the price
 //!   of duplicated storage and computation.
 //!
-//! The module also provides planner *ablations* used to quantify SPST's
-//! design choices: [`direct_tree_plan`] (no forwarding) and
-//! [`unicast_plan`] (no fusion).
+//! The module also provides the planner *ablation* [`unicast_plan`] (no
+//! fusion), used to quantify SPST's design choices.
 
 use dgcl_graph::khop::k_hop_closure;
 use dgcl_graph::{CsrGraph, VertexId};
@@ -33,15 +32,6 @@ pub fn peer_to_peer(pg: &PartitionedGraph) -> CommPlan {
         }
     }
     CommPlan::from_edges(pg.num_parts, edges)
-}
-
-/// Ablation: trees without multi-hop forwarding. Every destination is
-/// reached directly from the source GPU, but all destinations of one
-/// vertex still share stage 0 (fusion across vertices via batching
-/// remains). Equivalent to [`peer_to_peer`] for the communication relation
-/// but kept separate for clarity in ablation benches.
-pub fn direct_tree_plan(pg: &PartitionedGraph) -> CommPlan {
-    peer_to_peer(pg)
 }
 
 /// Ablation: no fusion — a vertex needed by `r` destinations is sent `r`

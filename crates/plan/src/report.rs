@@ -1,9 +1,8 @@
-//! Plan inspection: per-stage and per-link statistics, human-readable
-//! dumps.
+//! Plan inspection: per-stage and per-link statistics.
 //!
-//! Useful for debugging a plan, for the ablation benches, and for the
-//! utilization views a library user needs when deciding whether their
-//! partition/topology pairing leaves bandwidth on the table.
+//! Useful for debugging a plan and for the utilization views a library
+//! user needs when deciding whether their partition/topology pairing
+//! leaves bandwidth on the table.
 
 use dgcl_topology::{LinkKind, Topology};
 
@@ -56,84 +55,6 @@ pub fn plan_stats(plan: &CommPlan, topology: &Topology) -> PlanStats {
     }
 }
 
-/// Renders a plan as readable text: one line per step with its physical
-/// route, grouped by stage.
-pub fn render_plan(plan: &CommPlan, topology: &Topology) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "plan: {} gpus, {} stages, {} steps, {} transfers",
-        plan.num_gpus,
-        plan.num_stages,
-        plan.steps.len(),
-        plan.total_transfers()
-    );
-    for stage in 0..plan.num_stages {
-        let _ = writeln!(out, "stage {stage}:");
-        for step in plan.stage_steps(stage) {
-            let kinds: Vec<&str> = topology
-                .route(step.src, step.dst)
-                .hops
-                .iter()
-                .map(|h| topology.conn(h.conn).kind.label())
-                .collect();
-            let _ = writeln!(
-                out,
-                "  gpu{} -> gpu{}: {} vertices via [{}]",
-                step.src,
-                step.dst,
-                step.vertices.len(),
-                kinds.join("-")
-            );
-        }
-    }
-    out
-}
-
-/// Renders [`PlannerStats`](crate::spst::PlannerStats) as a one-glance
-/// summary: how the planner resolved each demand and how well the
-/// demand-class cache held up.
-pub fn render_planner_stats(stats: &crate::spst::PlannerStats) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let pct = |n: usize| {
-        if stats.demands == 0 {
-            0.0
-        } else {
-            100.0 * n as f64 / stats.demands as f64
-        }
-    };
-    let _ = writeln!(
-        out,
-        "planner: {} demands in {} classes",
-        stats.demands, stats.classes
-    );
-    let _ = writeln!(
-        out,
-        "  cache commits:       {:>8} ({:.1}%)",
-        stats.cache_commits,
-        pct(stats.cache_commits)
-    );
-    let _ = writeln!(
-        out,
-        "  full searches:       {:>8} ({:.1}%)",
-        stats.full_searches,
-        pct(stats.full_searches)
-    );
-    let _ = writeln!(
-        out,
-        "  cache misses: {} stale, {} over-tolerance",
-        stats.cache_stale, stats.cache_rejected
-    );
-    let _ = writeln!(
-        out,
-        "  search work: {} states expanded, {} weights priced",
-        stats.states_expanded, stats.weight_evals
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,40 +84,5 @@ mod tests {
         let total: u64 = stats.volume_by_kind.iter().map(|(_, v)| v).sum();
         // Each unit transfer contributes one byte per hop of its route.
         assert!(total >= 3);
-    }
-
-    #[test]
-    fn planner_stats_render_partitions_demands() {
-        let stats = crate::spst::PlannerStats {
-            demands: 100,
-            classes: 10,
-            full_searches: 50,
-            cache_commits: 50,
-            cache_stale: 3,
-            cache_rejected: 2,
-            states_expanded: 700,
-            weight_evals: 900,
-        };
-        let text = render_planner_stats(&stats);
-        assert!(text.contains("700 states expanded, 900 weights priced"));
-        assert!(text.contains("100 demands in 10 classes"));
-        assert!(text.contains("50 (50.0%)"));
-        assert!(text.contains("3 stale, 2 over-tolerance"));
-    }
-
-    #[test]
-    fn planner_stats_render_handles_empty_plan() {
-        let text = render_planner_stats(&crate::spst::PlannerStats::default());
-        assert!(text.contains("0 demands"));
-        assert!(text.contains("(0.0%)"));
-    }
-
-    #[test]
-    fn render_contains_routes() {
-        let topo = Topology::fig6();
-        let text = render_plan(&sample_plan(), &topo);
-        assert!(text.contains("stage 0:"));
-        assert!(text.contains("gpu0 -> gpu1"));
-        assert!(text.contains("NV1"));
     }
 }

@@ -16,9 +16,6 @@
 //!   (replication OOMs on the large graphs in Figure 7, as in the paper).
 //! * [`epoch`] — end-to-end per-epoch simulation combining the three for
 //!   every communication method the paper evaluates.
-//! * [`faults`] — fault events mirrored from the runtime's fault-injection
-//!   plans, replayed against the fluid network model (delays stretch
-//!   stages, crashes truncate the plan where the rank died).
 //! * [`minibatch`] — the volume model for sampled mini-batch training
 //!   (expected block volumes per fanout/batch setting).
 //! * [`cache`] — an α–β sizing model for the hot-vertex remote feature
@@ -29,7 +26,6 @@ pub mod cache;
 pub mod collectives;
 pub mod compute;
 pub mod epoch;
-pub mod faults;
 pub mod memory;
 pub mod minibatch;
 pub mod network;
@@ -44,6 +40,5 @@ pub use compute::{GnnModel, GpuProfile};
 pub use epoch::{
     simulate_epoch, simulate_overlap, EpochBreakdown, EpochConfig, Method, OverlapBreakdown,
 };
-pub use faults::{simulate_plan_faulted, FaultedReport, SimFault, SimFaultPlan};
 pub use minibatch::SamplingModel;
 pub use network::{simulate_flows, simulate_plan, simulate_plan_pipelined, Flow, NetworkReport};

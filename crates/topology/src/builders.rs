@@ -225,42 +225,6 @@ impl Topology {
         }
         b.build()
     }
-
-    /// A flat Ethernet cluster: `machines` single-GPU boxes joined by a
-    /// shared switch (modelled as a NIC star). The topology commodity
-    /// clusters have — every link slow and uniform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machines` is 0.
-    pub fn ethernet_cluster(machines: usize) -> Topology {
-        assert!(machines >= 1, "need at least one machine");
-        let mut b = Topology::builder(format!("ethernet[{machines}]"));
-        let hub = b.add_node(NodeKind::Nic {
-            machine: machines as u32,
-        });
-        for m in 0..machines {
-            let cpu = b.add_node(NodeKind::CpuSocket {
-                machine: m as u32,
-                socket: 0,
-            });
-            let mem = b.add_node(NodeKind::HostMemory {
-                machine: m as u32,
-                socket: 0,
-            });
-            b.connect(cpu, mem, LinkKind::HostDram);
-            let gpu = b.add_node(NodeKind::Gpu {
-                rank: m as u32,
-                machine: m as u32,
-                socket: 0,
-            });
-            b.connect(gpu, cpu, LinkKind::Pcie);
-            let nic = b.add_node(NodeKind::Nic { machine: m as u32 });
-            b.connect(cpu, nic, LinkKind::Pcie);
-            b.connect(nic, hub, LinkKind::Ethernet);
-        }
-        b.build()
-    }
 }
 
 #[cfg(test)]
@@ -402,20 +366,5 @@ mod tests {
                 assert_eq!(r.bottleneck_gbps, LinkKind::NvLink2.bandwidth_gbps());
             }
         }
-    }
-
-    #[test]
-    fn ethernet_cluster_routes_through_the_hub() {
-        let t = Topology::ethernet_cluster(4);
-        assert_eq!(t.num_gpus(), 4);
-        assert_eq!(t.num_machines(), 5); // 4 boxes + the hub's pseudo-machine.
-        let r = t.route(0, 3);
-        let eth_hops = r
-            .hops
-            .iter()
-            .filter(|h| t.conn(h.conn).kind == LinkKind::Ethernet)
-            .count();
-        assert_eq!(eth_hops, 2);
-        assert_eq!(r.bottleneck_gbps, LinkKind::Ethernet.bandwidth_gbps());
     }
 }

@@ -3,7 +3,7 @@
 //! architectures, topologies and widths.
 
 use dgcl::trainer::{train_distributed, train_single, TrainConfig};
-use dgcl::{build_comm_info, BackendKind, BackendPolicy, BuildOptions};
+use dgcl::{build_comm_info, BackendKind, BuildOptions};
 use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
 use dgcl_tensor::XavierInit;
@@ -116,7 +116,7 @@ fn check_backend_parity(devices: usize, replication: usize, arch: Architecture, 
         Topology::pcie_host(devices),
         BuildOptions {
             seed,
-            backend: BackendPolicy::Fixed(BackendKind::Cagnet { replication }),
+            backend: BackendKind::Cagnet { replication },
             ..BuildOptions::default()
         },
     );
