@@ -79,7 +79,8 @@ pub trait CommBackend {
     /// The adjoint of [`CommBackend::agg_forward`]: takes the gradient
     /// with respect to this device's aggregate rows and returns the
     /// gradient with respect to its owned embedding rows, with every
-    /// remote consumer's contribution folded in.
+    /// remote consumer's contribution folded in. `grad_agg` is consumed:
+    /// a mean may scale it in place.
     ///
     /// # Errors
     ///
@@ -87,7 +88,7 @@ pub trait CommBackend {
     fn agg_backward(
         &self,
         dev: &DeviceHandle<'_>,
-        grad_agg: &Matrix,
+        grad_agg: Matrix,
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError>;
 }
@@ -124,11 +125,11 @@ impl CommBackend for PlannedBackend {
     fn agg_backward(
         &self,
         dev: &DeviceHandle<'_>,
-        grad_agg: &Matrix,
+        grad_agg: Matrix,
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError> {
         let lg = dev.local_graph();
-        let grad_full = aggregate_backward(kind, &lg.graph, grad_agg, lg.num_total());
+        let grad_full = aggregate_backward(kind, &lg.graph, &grad_agg, lg.num_total());
         dev.scatter_backward(&grad_full)
     }
 }
@@ -167,16 +168,14 @@ impl CommBackend for CagnetBackend {
     fn agg_backward(
         &self,
         dev: &DeviceHandle<'_>,
-        grad_agg: &Matrix,
+        mut grad_agg: Matrix,
         kind: AggKind,
     ) -> Result<Matrix, RuntimeError> {
-        if kind == AggKind::Sum {
-            return cagnet_exchange(dev, grad_agg, self.replication, true);
+        if kind == AggKind::Mean {
+            let degrees = dev.comm_info().cagnet().degrees(dev.rank);
+            mean_scale(&mut grad_agg, 1, |i| degrees[i] as usize);
         }
-        let degrees = dev.comm_info().cagnet().degrees(dev.rank);
-        let mut scaled = grad_agg.clone();
-        mean_scale(&mut scaled, 1, |i| degrees[i] as usize);
-        cagnet_exchange(dev, &scaled, self.replication, true)
+        cagnet_exchange(dev, &grad_agg, self.replication, true)
     }
 }
 

@@ -123,20 +123,23 @@ pub struct CommInfo {
 ///
 /// # Panics
 ///
-/// Panics if the graph is empty, the produced plan fails validation or
-/// the tables fail schedule compilation (either would indicate a planner
-/// bug, not a user error). Use [`try_build_comm_info`] to receive the
+/// Panics if the graph is empty or not symmetric, the produced plan
+/// fails validation or the tables fail schedule compilation (either of
+/// the last two would indicate a planner bug, not a user error). Use
+/// [`try_build_comm_info`] to receive a non-symmetric graph or a
 /// compilation failure as a typed error instead.
 pub fn build_comm_info(graph: &CsrGraph, topology: Topology, options: BuildOptions) -> CommInfo {
-    try_build_comm_info(graph, topology, options)
-        .unwrap_or_else(|e| panic!("schedule compilation failed: {e}"))
+    try_build_comm_info(graph, topology, options).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`build_comm_info`] returning schedule-compilation failures as
-/// [`RuntimeError::Protocol`] rather than panicking.
+/// [`build_comm_info`] returning a non-symmetric graph and
+/// schedule-compilation failures as typed errors rather than panicking.
 ///
 /// # Errors
 ///
+/// [`RuntimeError::InvalidGraph`] naming one edge whose reverse is
+/// missing (or a row that does not ascend): the multilevel partitioner
+/// coarsens an undirected graph, and checks that only in debug builds.
 /// [`RuntimeError::Protocol`] if the planner's tables ask a device to
 /// forward a vertex it never received.
 ///
@@ -149,6 +152,9 @@ pub fn try_build_comm_info(
     options: BuildOptions,
 ) -> Result<CommInfo, RuntimeError> {
     assert!(graph.num_vertices() > 0, "graph must not be empty");
+    graph
+        .check_symmetric()
+        .map_err(RuntimeError::InvalidGraph)?;
     let num_gpus = topology.num_gpus();
     let mut pg = partition_for(graph, &topology, options.seed);
     // Price both aggregation backends on the partitioner's cut. The
@@ -457,6 +463,20 @@ mod tests {
             format!("{:?}", lazy.feature_cache()),
             format!("{:?}", info.feature_cache())
         );
+    }
+
+    #[test]
+    fn a_directed_graph_is_a_typed_error() {
+        // 0 → 1 → … → 7: no edge has its reverse.
+        let mut b = dgcl_graph::GraphBuilder::new(8);
+        for v in 0..7 {
+            b.add_edge(v, v + 1);
+        }
+        let chain = b.build_directed();
+        let err = try_build_comm_info(&chain, Topology::fig6(), BuildOptions::default())
+            .expect_err("the partitioner needs a symmetric graph");
+        let missing = dgcl_graph::GraphError::MissingReverse { from: 0, to: 1 };
+        assert_eq!(err, RuntimeError::InvalidGraph(missing));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use dgcl_graph::GraphError;
+
 /// A failure inside one device's collective operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
@@ -63,6 +65,10 @@ pub enum RuntimeError {
         /// That epoch's loss summed up to the failing step.
         loss: f32,
     },
+    /// [`crate::comm_info::try_build_comm_info`] was given a graph that
+    /// is not symmetric with ascending rows. The multilevel partitioner
+    /// coarsens an undirected graph.
+    InvalidGraph(GraphError),
 }
 
 impl RuntimeError {
@@ -95,6 +101,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Diverged { epoch, loss } => {
                 write!(f, "training diverged in epoch {epoch}: loss {loss}")
             }
+            RuntimeError::InvalidGraph(e) => write!(f, "invalid graph: {e}"),
         }
     }
 }

@@ -492,7 +492,7 @@ fn device_body(
                         // The backend folds remote consumers into the
                         // aggregate half; the direct (self-path) half
                         // lands on the local rows afterwards.
-                        grad = backend.agg_backward(handle, &grad_agg, agg_kind)?;
+                        grad = backend.agg_backward(handle, grad_agg, agg_kind)?;
                         if let Some(direct) = direct {
                             grad.add_assign(&direct);
                         }

@@ -92,8 +92,8 @@ fn check_backward(graph: &CsrGraph, devices: usize, c: usize, cols: usize) {
         let results = run_cluster(&info, |handle| {
             let planned = backend_for(BackendKind::Planned);
             let cagnet = backend_for(info.backend);
-            let p = planned.agg_backward(&handle, &per_device[handle.rank], kind)?;
-            let g = cagnet.agg_backward(&handle, &per_device[handle.rank], kind)?;
+            let p = planned.agg_backward(&handle, per_device[handle.rank].clone(), kind)?;
+            let g = cagnet.agg_backward(&handle, per_device[handle.rank].clone(), kind)?;
             Ok((p, g))
         })
         .expect("healthy cluster");

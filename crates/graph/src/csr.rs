@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use crate::VertexId;
+use crate::{GraphError, VertexId};
 
 /// A directed graph in compressed-sparse-row form.
 ///
@@ -189,9 +189,41 @@ impl CsrGraph {
         self.reversed.get_or_init(|| Box::new(self.reverse()))
     }
 
-    /// Whether the graph equals its own transpose (undirected storage).
+    /// Whether the graph equals its own transpose (undirected storage)
+    /// with strictly ascending rows: [`CsrGraph::check_symmetric`].
     pub fn is_symmetric(&self) -> bool {
-        *self == self.reverse()
+        self.check_symmetric().is_ok()
+    }
+
+    /// Checks that every row strictly ascends and that every edge's
+    /// reverse is stored, in `O(V + E)` without building the transpose:
+    /// sources `v` are walked in ascending order, so the edges into `u`
+    /// arrive in the order `u`'s row lists them, each under `u`'s cursor.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::UnsortedRow`] for the first row that does not
+    /// strictly ascend, else [`GraphError::MissingReverse`] naming one
+    /// edge whose reverse is missing.
+    pub fn check_symmetric(&self) -> Result<(), GraphError> {
+        let n = self.num_vertices() as VertexId;
+        if let Some(vertex) = (0..n).find(|&v| self.neighbors(v).windows(2).any(|w| w[0] >= w[1])) {
+            return Err(GraphError::UnsortedRow { vertex });
+        }
+        let mut cursor = self.offsets[..n as usize].to_vec();
+        let missing = |from, to| Err(GraphError::MissingReverse { from, to });
+        for v in 0..n {
+            for &u in self.neighbors(v) {
+                let (u, at) = (u as usize, &mut cursor[u as usize]);
+                match self.targets[*at..self.offsets[u + 1]].first() {
+                    Some(&w) if w == v => *at += 1,
+                    // `w` came earlier and did not list `u`.
+                    Some(&w) if w < v => return missing(u as VertexId, w),
+                    _ => return missing(v, u as VertexId),
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -258,6 +290,17 @@ mod tests {
         assert!(!chain3().is_symmetric());
         let sym = CsrGraph::from_parts(vec![0, 1, 2], vec![1, 0]);
         assert!(sym.is_symmetric());
+        let missing = |from, to| Err(GraphError::MissingReverse { from, to });
+        assert_eq!(chain3().check_symmetric(), missing(0, 1));
+        // 2 lists 0, which does not list 2; 1 ↔ 2 is whole.
+        let g = CsrGraph::from_parts(vec![0, 0, 1, 3], vec![2, 0, 1]);
+        assert_eq!(g.check_symmetric(), missing(2, 0));
+        // Symmetric as a set, but row 0 descends.
+        let g = CsrGraph::from_parts(vec![0, 2, 3, 4], vec![2, 1, 0, 0]);
+        assert_eq!(
+            g.check_symmetric(),
+            Err(GraphError::UnsortedRow { vertex: 0 })
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ use std::fmt;
 
 use crate::{CsrGraph, VertexId};
 
-/// A malformed input to a graph traversal: out-of-range seeds or an
-/// inconsistent partition.
+/// A malformed input to a graph traversal: out-of-range seeds, an
+/// inconsistent partition, or a graph that is not symmetric.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// A seed vertex id is `>=` the graph's vertex count.
@@ -45,6 +45,19 @@ pub enum GraphError {
         /// The number of parts.
         num_parts: usize,
     },
+    /// A row of the adjacency does not strictly ascend.
+    UnsortedRow {
+        /// The vertex whose row it is.
+        vertex: VertexId,
+    },
+    /// The edge `from → to` is stored but `to → from` is not: the graph
+    /// is not symmetric.
+    MissingReverse {
+        /// The edge's source.
+        from: VertexId,
+        /// The edge's target.
+        to: VertexId,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -62,6 +75,15 @@ impl fmt::Display for GraphError {
             ),
             GraphError::PartIdOutOfRange { part, num_parts } => {
                 write!(f, "part id {part} out of range for {num_parts} parts")
+            }
+            GraphError::UnsortedRow { vertex } => {
+                write!(f, "the row of vertex {vertex} does not strictly ascend")
+            }
+            GraphError::MissingReverse { from, to } => {
+                write!(
+                    f,
+                    "edge {from} -> {to} has no reverse: the graph is not symmetric"
+                )
             }
         }
     }

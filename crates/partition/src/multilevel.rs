@@ -624,7 +624,6 @@ fn refine(g: &WeightedGraph<'_>, partition: &mut [u32], k: usize, max_weight: u6
 mod tests {
     use super::*;
     use crate::metrics::{balance, edge_cut};
-    use crate::simple::random_partition;
     use dgcl_graph::generators::{barabasi_albert, erdos_renyi, hub_attachment};
     use dgcl_graph::GraphBuilder;
     use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -1302,7 +1301,11 @@ mod tests {
         // a random assignment.
         let g = barabasi_albert(2000, 3, 3);
         let smart = edge_cut(&g, &kway(&g, 4, 5));
-        let random = edge_cut(&g, &random_partition(&g, 4, 5));
+        let mut rng = StdRng::seed_from_u64(5);
+        let uniform: Partition = (0..g.num_vertices())
+            .map(|_| rng.gen_range(0..4usize) as u32)
+            .collect();
+        let random = edge_cut(&g, &uniform);
         assert!(
             (smart as f64) < 0.65 * random as f64,
             "cut {smart} not clearly below random {random}"

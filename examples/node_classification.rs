@@ -10,7 +10,7 @@
 //! end-to-end task the paper's intro motivates (semi-supervised node
 //! classification), run through DGCL's full communication stack.
 
-use dgcl::{build_comm_info, run_cluster, BuildOptions};
+use dgcl::{backend_for, build_comm_info, run_cluster, BuildOptions};
 use dgcl_gnn::loss::{accuracy, softmax_cross_entropy};
 use dgcl_gnn::{Architecture, GnnNetwork};
 use dgcl_graph::generators::{community_rmat, RmatConfig};
@@ -52,6 +52,7 @@ fn main() {
     let outputs = run_cluster(&info, |handle| {
         let rank = handle.rank;
         let lg = handle.local_graph();
+        let backend = backend_for(info.backend);
         let mut net = GnnNetwork::new(Architecture::Sage, &dims, 7);
         let mut last = Matrix::zeros(lg.num_local, classes);
         for epoch in 0..epochs {
@@ -65,8 +66,13 @@ fn main() {
             last = h;
             let mut grad = grad_out;
             for layer in net.layers_mut().iter_mut().rev() {
-                let grad_full = layer.backward(&lg.graph, &grad);
-                grad = handle.scatter_backward(&grad_full)?;
+                // The backend folds every consumer's share of the
+                // aggregate gradient in; the self path lands after.
+                let (grad_agg, direct) = layer.backward_agg(&grad);
+                grad = backend.agg_backward(&handle, grad_agg, Architecture::Sage.agg_kind())?;
+                if let Some(direct) = direct {
+                    grad.add_assign(&direct);
+                }
             }
             let mut mats: Vec<Matrix> = net
                 .layers()
