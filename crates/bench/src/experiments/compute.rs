@@ -26,6 +26,8 @@
 //! * `allgather` — the compiled-schedule `graph_allgather` /
 //!   `scatter_backward` against the uncompiled table-walking reference.
 //!
+//! A kernel's worker count is the calling thread's budget
+//! (`set_thread_budget`), set before each timed series and cleared after.
 //! All parallel kernels are bitwise-deterministic, so speedups come with
 //! no numeric drift; thread-scaling numbers are only meaningful when the
 //! machine has spare cores (the JSON records `cpus` so CI can tell a
@@ -38,12 +40,10 @@
 
 use dgcl::trainer::{train_distributed, TrainConfig};
 use dgcl::{build_comm_info, BuildOptions};
-use dgcl_gnn::aggregate::{
-    aggregate_sum_backward_scatter, aggregate_sum_backward_threads, aggregate_sum_threads,
-};
+use dgcl_gnn::aggregate::{aggregate_sum, aggregate_sum_backward, aggregate_sum_backward_scatter};
 use dgcl_gnn::Architecture;
 use dgcl_graph::Dataset;
-use dgcl_tensor::{Activation, XavierInit};
+use dgcl_tensor::{set_thread_budget, Activation, XavierInit};
 use dgcl_topology::Topology;
 
 use crate::harness::{
@@ -52,6 +52,15 @@ use crate::harness::{
 
 /// Thread counts every kernel is measured at.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The median of `reps` runs of `f` with this thread's kernel budget at
+/// `threads`; the budget is cleared after.
+fn median_at(threads: usize, reps: usize, f: impl FnMut()) -> f64 {
+    set_thread_budget(threads);
+    let seconds = median_seconds(reps, f);
+    set_thread_budget(0);
+    seconds
+}
 
 pub fn run(ctx: &mut RunContext) {
     let smoke = smoke();
@@ -90,12 +99,12 @@ pub fn run(ctx: &mut RunContext) {
     let mut init = XavierInit::new(ctx.seed);
     let a = init.features(m, k);
     let b = init.features(k, n);
-    std::hint::black_box(a.matmul_threads(&b, 1)); // Warm caches/pages.
+    std::hint::black_box(a.matmul(&b)); // Warm caches/pages.
     let times: Vec<f64> = THREADS
         .iter()
         .map(|&t| {
-            median_seconds(reps, || {
-                std::hint::black_box(a.matmul_threads(&b, t));
+            median_at(t, reps, || {
+                std::hint::black_box(a.matmul(&b));
             })
         })
         .collect();
@@ -127,8 +136,8 @@ pub fn run(ctx: &mut RunContext) {
             std::hint::black_box(h_in.matmul_tn_reference(&grad));
         });
         for t in THREADS {
-            let s = median_seconds(reps, || {
-                std::hint::black_box(h_in.matmul_tn_threads(&grad, t));
+            let s = median_at(t, reps, || {
+                std::hint::black_box(h_in.matmul_tn(&grad));
             });
             push(&mut records, &mut rows, kernel, t, s, reference);
         }
@@ -152,8 +161,8 @@ pub fn run(ctx: &mut RunContext) {
             std::hint::black_box(grad.matmul_nt_reference(&w));
         });
         for t in THREADS {
-            let s = median_seconds(reps, || {
-                std::hint::black_box(grad.matmul_nt_threads(&w, t));
+            let s = median_at(t, reps, || {
+                std::hint::black_box(grad.matmul_nt(&w));
             });
             push(&mut records, &mut rows, kernel, t, s, reference);
         }
@@ -170,14 +179,14 @@ pub fn run(ctx: &mut RunContext) {
     let w = init.features(fin, fout);
     let bias = init.features(1, fout);
     let unfused = || {
-        let z = agg.matmul_threads(&w, 1).add_row_broadcast(&bias);
+        let z = agg.matmul(&w).add_row_broadcast(&bias);
         std::hint::black_box(Activation::Relu.forward(&z));
     };
     unfused(); // Warm-up.
-    let composition = median_seconds(reps, unfused);
+    let composition = median_at(1, reps, unfused);
     for t in THREADS {
-        let s = median_seconds(reps, || {
-            std::hint::black_box(agg.matmul_fused_threads(&w, None, &bias, Activation::Relu, t));
+        let s = median_at(t, reps, || {
+            std::hint::black_box(agg.matmul_fused(&w, None, &bias, Activation::Relu));
         });
         push(&mut records, &mut rows, "gcn_update", t, s, composition);
     }
@@ -187,12 +196,12 @@ pub fn run(ctx: &mut RunContext) {
     let nv = graph.num_vertices();
     let cols = if smoke { 32 } else { 128 };
     let h = init.features(nv, cols);
-    std::hint::black_box(aggregate_sum_threads(&graph, &h, nv, 1)); // Warm-up.
+    std::hint::black_box(aggregate_sum(&graph, &h, nv)); // Warm-up.
     let times: Vec<f64> = THREADS
         .iter()
         .map(|&t| {
-            median_seconds(reps, || {
-                std::hint::black_box(aggregate_sum_threads(&graph, &h, nv, t));
+            median_at(t, reps, || {
+                std::hint::black_box(aggregate_sum(&graph, &h, nv));
             })
         })
         .collect();
@@ -209,8 +218,8 @@ pub fn run(ctx: &mut RunContext) {
         std::hint::black_box(aggregate_sum_backward_scatter(&graph, &h, nv));
     });
     for t in THREADS {
-        let s = median_seconds(reps, || {
-            std::hint::black_box(aggregate_sum_backward_threads(&graph, &h, nv, t));
+        let s = median_at(t, reps, || {
+            std::hint::black_box(aggregate_sum_backward(&graph, &h, nv));
         });
         push(&mut records, &mut rows, "aggregate_bwd", t, s, scatter);
     }

@@ -164,15 +164,6 @@ impl ClusterError {
             .filter_map(|(r, e)| e.as_ref().map(|e| (r, e)))
     }
 
-    /// Every rank that recorded a failure of any kind.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        self.per_rank
-            .iter()
-            .enumerate()
-            .filter_map(|(r, e)| e.as_ref().map(|_| r))
-            .collect()
-    }
-
     /// The ranks a recovery driver must evict: every rank whose recorded
     /// failure *originated* locally (crash, panic, timeout, protocol
     /// violation), plus the originating rank itself. Ranks that merely
@@ -322,7 +313,6 @@ mod tests {
     fn dead_ranks_are_origins_only() {
         let e = multi_failure();
         assert_eq!(e.dead_ranks(), vec![1, 3]);
-        assert_eq!(e.failed_ranks(), vec![0, 1, 2, 3]);
     }
 
     #[test]

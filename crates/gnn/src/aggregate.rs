@@ -23,7 +23,7 @@
 //! small, rectangular and has no reverse index.
 
 use dgcl_graph::{CsrGraph, LayerBlock};
-use dgcl_tensor::spmm::{spmm_pattern_into, PAR_WORK_MIN};
+use dgcl_tensor::spmm::spmm_pattern_into;
 use dgcl_tensor::{pool, Matrix};
 
 use crate::layers::AggKind;
@@ -31,11 +31,11 @@ use crate::layers::AggKind;
 /// Worker count for a kernel over `nnz` stored entries of `cols`-wide
 /// rows: the pool's, once the work is worth a scoped spawn.
 fn par_threads(nnz: usize, cols: usize) -> usize {
-    if nnz * cols.max(1) < PAR_WORK_MIN {
-        1
-    } else {
-        pool::compute_threads()
-    }
+    pool::workers_for(
+        nnz * cols.max(1),
+        pool::SPARSE_WORK_MIN,
+        pool::compute_threads(),
+    )
 }
 
 /// The mean rule: scales row `i` of `m` by `1 / degree(i)` where that
@@ -81,23 +81,14 @@ pub fn aggregate_backward(
 }
 
 /// Sum-aggregates neighbour embeddings: `out[v] = Σ_{u ∈ N(v)} h[u]` for
-/// the first `num_out` vertices, on the pool's worker count.
+/// the first `num_out` vertices, on the pool's worker count. Results are
+/// bitwise identical at every worker count.
 ///
 /// # Panics
 ///
 /// Panics if `num_out` exceeds the adjacency's vertex count or a
 /// neighbour id exceeds `h`'s rows.
 pub fn aggregate_sum(adj: &CsrGraph, h: &Matrix, num_out: usize) -> Matrix {
-    aggregate_sum_threads(adj, h, num_out, par_threads(adj.num_edges(), h.cols()))
-}
-
-/// [`aggregate_sum`] with an explicit worker count. Results are bitwise
-/// identical for every `threads` value.
-///
-/// # Panics
-///
-/// See [`aggregate_sum`].
-pub fn aggregate_sum_threads(adj: &CsrGraph, h: &Matrix, num_out: usize, threads: usize) -> Matrix {
     assert!(
         num_out <= adj.num_vertices(),
         "num_out {} exceeds {} vertices",
@@ -112,7 +103,7 @@ pub fn aggregate_sum_threads(adj: &CsrGraph, h: &Matrix, num_out: usize, threads
         h.as_slice(),
         h.cols(),
         out.as_mut_slice(),
-        threads,
+        par_threads(adj.num_edges(), h.cols()),
     );
     out
 }
@@ -120,17 +111,8 @@ pub fn aggregate_sum_threads(adj: &CsrGraph, h: &Matrix, num_out: usize, threads
 /// Mean-aggregates neighbour embeddings; vertices without neighbours get
 /// zeros.
 pub fn aggregate_mean(adj: &CsrGraph, h: &Matrix, num_out: usize) -> Matrix {
-    aggregate_mean_threads(adj, h, num_out, par_threads(adj.num_edges(), h.cols()))
-}
-
-/// [`aggregate_mean`] with an explicit worker count.
-pub fn aggregate_mean_threads(
-    adj: &CsrGraph,
-    h: &Matrix,
-    num_out: usize,
-    threads: usize,
-) -> Matrix {
-    let mut out = aggregate_sum_threads(adj, h, num_out, threads);
+    let mut out = aggregate_sum(adj, h, num_out);
+    let threads = par_threads(adj.num_edges(), h.cols());
     mean_scale(&mut out, threads, |v| adj.out_degree(v as u32));
     out
 }
@@ -140,17 +122,6 @@ pub fn aggregate_mean_threads(
 /// atomics or per-vertex allocation. Bitwise-identical to
 /// [`aggregate_sum_backward_scatter`].
 pub fn aggregate_sum_backward(adj: &CsrGraph, grad_out: &Matrix, num_total: usize) -> Matrix {
-    let threads = par_threads(adj.num_edges(), grad_out.cols());
-    aggregate_sum_backward_threads(adj, grad_out, num_total, threads)
-}
-
-/// [`aggregate_sum_backward`] with an explicit worker count.
-pub fn aggregate_sum_backward_threads(
-    adj: &CsrGraph,
-    grad_out: &Matrix,
-    num_total: usize,
-    threads: usize,
-) -> Matrix {
     let rev = adj.reversed();
     let cols = grad_out.cols();
     let mut grad_h = Matrix::zeros(num_total, cols);
@@ -165,32 +136,21 @@ pub fn aggregate_sum_backward_threads(
         grad_out.as_slice(),
         cols,
         &mut grad_h.as_mut_slice()[..rows * cols],
-        threads,
+        par_threads(adj.num_edges(), cols),
     );
     grad_h
 }
 
 /// Backward of [`aggregate_mean`], gather form (see
-/// [`aggregate_sum_backward`]).
+/// [`aggregate_sum_backward`]): the gradient rows scaled once by the
+/// mean rule, then the sum's adjoint.
 ///
 /// # Panics
 ///
 /// Panics if `grad_out` has more rows than `adj` has vertices.
 pub fn aggregate_mean_backward(adj: &CsrGraph, grad_out: &Matrix, num_total: usize) -> Matrix {
     let threads = par_threads(adj.num_edges(), grad_out.cols());
-    aggregate_mean_backward_threads(adj, grad_out, num_total, threads)
-}
-
-/// [`aggregate_mean_backward`] with an explicit worker count: the
-/// gradient rows scaled once by the mean rule, then the sum's adjoint.
-pub fn aggregate_mean_backward_threads(
-    adj: &CsrGraph,
-    grad_out: &Matrix,
-    num_total: usize,
-    threads: usize,
-) -> Matrix {
-    let scaled = mean_scaled(adj, grad_out, threads);
-    aggregate_sum_backward_threads(adj, &scaled, num_total, threads)
+    aggregate_sum_backward(adj, &mean_scaled(adj, grad_out, threads), num_total)
 }
 
 /// `grad_out` with row `v` scaled by the mean rule for `adj`'s vertex `v`.

@@ -8,19 +8,35 @@
 //! output element in exactly the order the original scatter delivered
 //! contributions — so the two formulations must agree to the bit, not
 //! just within a tolerance.
+//!
+//! The whole-graph kernels read their worker count from the calling
+//! thread's budget (`set_thread_budget`), which the properties set around
+//! each call ([`at_budget`]), and stay on one worker while stored edges ×
+//! width is below the spawn gate `pool::SPARSE_WORK_MIN`; the drawn
+//! graphs fall on both sides of it.
 
 use dgcl_gnn::aggregate::{
-    aggregate_mean_backward_scatter, aggregate_mean_backward_threads, aggregate_mean_threads,
-    aggregate_sum_backward_scatter, aggregate_sum_backward_threads, aggregate_sum_threads,
-    block_aggregate, block_aggregate_backward,
+    aggregate_mean, aggregate_mean_backward, aggregate_mean_backward_scatter, aggregate_sum,
+    aggregate_sum_backward, aggregate_sum_backward_scatter, block_aggregate,
+    block_aggregate_backward,
 };
 use dgcl_gnn::AggKind;
 use dgcl_graph::sample::build_block;
 use dgcl_graph::{CsrGraph, GraphBuilder, LayerBlock, VertexId};
-use dgcl_tensor::{spmm_csr_dense_into, spmm_pattern_into, CsrBlock, Matrix};
+use dgcl_tensor::pool::SPARSE_WORK_MIN;
+use dgcl_tensor::{set_thread_budget, spmm_csr_dense_into, spmm_pattern_into, CsrBlock, Matrix};
 use proptest::prelude::*;
 
 const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
+
+/// `f` run with the calling thread's kernel budget at `threads`; the
+/// budget is cleared after.
+fn at_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    set_thread_budget(threads);
+    let out = f();
+    set_thread_budget(0);
+    out
+}
 
 /// `m`'s rows for the global ids `set`.
 fn vertex_rows(m: &Matrix, set: &[VertexId]) -> Matrix {
@@ -32,15 +48,27 @@ fn vertex_rows(m: &Matrix, set: &[VertexId]) -> Matrix {
 /// the fanout-∞ [`LayerBlock`] of a vertex subset: edge list drawn as
 /// (src, dst) pairs, self-loops dropped by the builder. Widths 8 and 32
 /// are drawn often, so the kernels' width-dispatched row loops run as
-/// well as the generic one.
+/// well as the generic one. About half the graphs are past the spawn
+/// gate: 180 more vertices, each with edges to its next `d` neighbours
+/// mod `n`, `d` chosen so stored edges × width reach `SPARSE_WORK_MIN`
+/// (`d < n` once `n` ≥ 182).
 fn arb_graph_and_features() -> impl Strategy<Value = (CsrGraph, Matrix, LayerBlock)> {
     let cols = (0usize..15).prop_map(|i| match i {
         0..=10 => i + 1,
         11 | 12 => 8,
         _ => 32,
     });
-    (2usize..60, cols, 0usize..240).prop_map(|(n, cols, edges)| {
+    (2usize..60, cols, 0usize..240, any::<bool>()).prop_map(|(n, cols, edges, past)| {
+        let n = if past { n + 180 } else { n };
         let mut b = GraphBuilder::new(n);
+        if past {
+            let d = SPARSE_WORK_MIN.div_ceil(n * cols);
+            for u in 0..n {
+                for j in 1..=d {
+                    b.add_edge(u as u32, ((u + j) % n) as u32);
+                }
+            }
+        }
         let mut h = 0x5DEE_CE66u64;
         for _ in 0..edges {
             h = h
@@ -82,13 +110,13 @@ proptest! {
         (g, h, block) in arb_graph_and_features()
     ) {
         let n = g.num_vertices();
-        let sum_ref = aggregate_sum_threads(&g, &h, n, 1);
-        let mean_ref = aggregate_mean_threads(&g, &h, n, 1);
+        let sum_ref = at_budget(1, || aggregate_sum(&g, &h, n));
+        let mean_ref = at_budget(1, || aggregate_mean(&g, &h, n));
         // The raw kernel over the same pattern held as a `CsrBlock`.
         let as_block = CsrBlock::from_parts(n, n, g.offsets().to_vec(), g.targets().to_vec());
         for t in THREADS {
-            prop_assert_eq!(&aggregate_sum_threads(&g, &h, n, t), &sum_ref, "sum t={}", t);
-            prop_assert_eq!(&aggregate_mean_threads(&g, &h, n, t), &mean_ref, "mean t={}", t);
+            prop_assert_eq!(&at_budget(t, || aggregate_sum(&g, &h, n)), &sum_ref, "sum t={}", t);
+            prop_assert_eq!(&at_budget(t, || aggregate_mean(&g, &h, n)), &mean_ref, "mean t={}", t);
             let (mut of_graph, mut of_block) = (Matrix::zeros(n, h.cols()), Matrix::zeros(n, h.cols()));
             let (dense, cols) = (h.as_slice(), h.cols());
             spmm_pattern_into(g.offsets(), g.targets(), None, dense, cols, of_graph.as_mut_slice(), t);
@@ -110,9 +138,9 @@ proptest! {
         // Partial output rows (the distributed layout aggregates only
         // the locally-owned prefix) stay invariant too.
         let partial = n / 2;
-        let p_ref = aggregate_sum_threads(&g, &h, partial, 1);
+        let p_ref = at_budget(1, || aggregate_sum(&g, &h, partial));
         for t in THREADS {
-            prop_assert_eq!(&aggregate_sum_threads(&g, &h, partial, t), &p_ref, "partial t={}", t);
+            prop_assert_eq!(&at_budget(t, || aggregate_sum(&g, &h, partial)), &p_ref, "partial t={}", t);
         }
     }
 
@@ -146,12 +174,12 @@ proptest! {
             let mean_ref = aggregate_mean_backward_scatter(&g, &grad, num_total);
             for t in THREADS {
                 prop_assert_eq!(
-                    &aggregate_sum_backward_threads(&g, &grad, num_total, t),
+                    &at_budget(t, || aggregate_sum_backward(&g, &grad, num_total)),
                     &sum_ref,
                     "sum bwd t={} total={}", t, num_total
                 );
                 prop_assert_eq!(
-                    &aggregate_mean_backward_threads(&g, &grad, num_total, t),
+                    &at_budget(t, || aggregate_mean_backward(&g, &grad, num_total)),
                     &mean_ref,
                     "mean bwd t={} total={}", t, num_total
                 );
@@ -172,7 +200,7 @@ proptest! {
         let reference = aggregate_sum_backward_scatter(&g, &head, n);
         for t in THREADS {
             prop_assert_eq!(
-                &aggregate_sum_backward_threads(&g, &head, n, t),
+                &at_budget(t, || aggregate_sum_backward(&g, &head, n)),
                 &reference,
                 "truncated t={}", t
             );

@@ -111,31 +111,18 @@ impl<'g> WeightedGraph<'g> {
     }
 }
 
-/// Partitions `graph` into `k` balanced parts minimising the edge cut.
-/// `graph` must be symmetric, every edge stored in both directions, as
-/// METIS requires of its input; debug builds check it.
-///
-/// Uses [`DEFAULT_IMBALANCE`]; see [`kway_with_imbalance`] for control.
+/// Partitions `graph` into `k` balanced parts minimising the edge cut:
+/// every part's vertex count stays at or below [`DEFAULT_IMBALANCE`]
+/// times `n / k` (up to rounding). `graph` must be symmetric, every edge
+/// stored in both directions, as METIS requires of its input; debug
+/// builds check it.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` or `k > graph.num_vertices()` (for non-empty
 /// graphs).
 pub fn kway(graph: &CsrGraph, k: usize, seed: u64) -> Partition {
-    kway_with_imbalance(graph, k, seed, DEFAULT_IMBALANCE)
-}
-
-/// Partitions `graph` into `k` parts with an explicit balance bound:
-/// every part's vertex count stays at or below `imbalance * n / k`
-/// (up to rounding). `graph` must be symmetric, as for [`kway`].
-///
-/// # Panics
-///
-/// Panics if `k == 0`, `imbalance < 1.0`, or `k > graph.num_vertices()`
-/// for a non-empty graph.
-pub fn kway_with_imbalance(graph: &CsrGraph, k: usize, seed: u64, imbalance: f64) -> Partition {
     assert!(k > 0, "need at least one part");
-    assert!(imbalance >= 1.0, "imbalance bound must be >= 1.0");
     let n = graph.num_vertices();
     if n == 0 {
         return Vec::new();
@@ -170,7 +157,7 @@ pub fn kway_with_imbalance(graph: &CsrGraph, k: usize, seed: u64, imbalance: f64
 
     // Phase 2: initial partition on the coarsest level.
     let coarsest = levels.last().expect("non-empty");
-    let max_weight = max_part_weight(coarsest.total_vweight(), k, imbalance);
+    let max_weight = max_part_weight(coarsest.total_vweight(), k);
     let mut partition = grow_initial(coarsest, k, &mut rng);
     rebalance(coarsest, &mut partition, k, max_weight);
     refine(coarsest, &mut partition, k, max_weight, 8);
@@ -183,16 +170,16 @@ pub fn kway_with_imbalance(graph: &CsrGraph, k: usize, seed: u64, imbalance: f64
         let fine = levels.last().expect("a map's fine level");
         partition = map.iter().map(|&c| partition[c as usize]).collect();
         drop(map);
-        let max_weight = max_part_weight(fine.total_vweight(), k, imbalance);
+        let max_weight = max_part_weight(fine.total_vweight(), k);
         rebalance(fine, &mut partition, k, max_weight);
         refine(fine, &mut partition, k, max_weight, 4);
     }
     partition
 }
 
-fn max_part_weight(total: u64, k: usize, imbalance: f64) -> u64 {
+fn max_part_weight(total: u64, k: usize) -> u64 {
     let ideal = total as f64 / k as f64;
-    (ideal * imbalance).ceil() as u64 + 1
+    (ideal * DEFAULT_IMBALANCE).ceil() as u64 + 1
 }
 
 /// Collapses matched pairs into coarse vertices: heavy-edge matching,
@@ -793,7 +780,7 @@ mod tests {
             .collect();
         let total = g.total_vweight();
         let max_weight = if tight {
-            max_part_weight(total, k, 1.0)
+            total.div_ceil(k as u64) + 1
         } else {
             total
         };

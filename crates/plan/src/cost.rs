@@ -19,11 +19,11 @@ use dgcl_topology::{Route, Topology};
 /// Mutable cost-model state: per-stage volumes on every directed physical
 /// hop, with cached stage times.
 ///
-/// The incremental query [`CostState::delta`] implements Algorithm 2's
-/// `C(i, e_j)` — the increase in total plan time from routing `bytes` over
-/// a link at a stage — in `O(hops)` instead of re-evaluating the full cost
-/// function, by exploiting that added volume only raises the affected
-/// hops.
+/// The incremental query [`CostState::delta_slots`] implements Algorithm
+/// 2's `C(i, e_j)` — the increase in total plan time from routing `bytes`
+/// over a link at a stage — in `O(hops)` instead of re-evaluating the full
+/// cost function, by exploiting that added volume only raises the
+/// affected hops.
 #[derive(Debug, Clone)]
 pub struct CostState {
     /// Reciprocal bandwidth in seconds/byte per directed hop slot
@@ -113,27 +113,11 @@ impl CostState {
         self.version[stage]
     }
 
-    /// The increase in total plan time if `bytes` were routed over `route`
-    /// at `stage`, without mutating the state (Algorithm 2's `C(i, e_j)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range.
-    pub fn delta(&self, stage: usize, route: &Route, bytes: u64) -> f64 {
-        let volumes = &self.bytes[stage * self.num_slots..];
-        let mut new_max = self.stage_time[stage];
-        for hop in &route.hops {
-            let s = slot(hop.conn.index(), hop.forward);
-            let t = (volumes[s] + bytes) as f64 * self.hop_inv_bandwidth[s];
-            if t > new_max {
-                new_max = t;
-            }
-        }
-        new_max - self.stage_time[stage]
-    }
-
-    /// [`CostState::delta`] over a pre-resolved directed hop slot list
-    /// (the SPST planner's hot path: no `Route` indirection).
+    /// The increase in total plan time if `bytes` were routed at `stage`
+    /// over the directed hop slots of a route ([`CostState::route_slots`]),
+    /// without mutating the state (Algorithm 2's `C(i, e_j)`). The SPST
+    /// planner resolves each route's slots once, so pricing has no
+    /// `Route` indirection.
     ///
     /// # Panics
     ///
@@ -161,52 +145,16 @@ impl CostState {
     }
 
     /// The increase in total plan time if *all* the given legs were
-    /// committed together, without mutating the state.
+    /// committed together, without mutating the state; each leg is a
+    /// stage, a hop slot list ([`CostState::route_slots`]) and its bytes.
     ///
-    /// This is the whole-tree generalisation of [`CostState::delta`]:
-    /// legs may share stages and physical hops (their bytes aggregate
-    /// before the stage maxima are re-taken), so the result is exactly
-    /// the change in [`CostState::total_time`] that the same sequence of
-    /// [`CostState::add`] calls would realise. Used by the SPST planner
-    /// to re-check a cached communication tree in `O(legs × hops)`
-    /// instead of re-running the layered search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any leg's stage is out of range.
-    pub fn delta_many<'r>(&self, legs: impl IntoIterator<Item = (usize, &'r Route, u64)>) -> f64 {
-        // Trees are tiny (≤ GPUs-1 legs × ≤ 4 hops), so linear scans over
-        // small vecs beat hashing.
-        let mut added: Vec<(usize, usize, u64)> = Vec::new();
-        for (stage, route, bytes) in legs {
-            assert!(stage < self.stage_time.len(), "stage {stage} out of range");
-            for hop in &route.hops {
-                let s = slot(hop.conn.index(), hop.forward);
-                match added
-                    .iter_mut()
-                    .find(|(st, sl, _)| *st == stage && *sl == s)
-                {
-                    Some((_, _, b)) => *b += bytes,
-                    None => added.push((stage, s, bytes)),
-                }
-            }
-        }
-        let mut new_times: Vec<(usize, f64)> = Vec::new();
-        for &(stage, s, b) in &added {
-            let t = (self.bytes[stage * self.num_slots + s] + b) as f64 * self.hop_inv_bandwidth[s];
-            match new_times.iter_mut().find(|(st, _)| *st == stage) {
-                Some((_, max)) => *max = max.max(t),
-                None => new_times.push((stage, t.max(self.stage_time[stage]))),
-            }
-        }
-        new_times
-            .iter()
-            .map(|&(stage, max)| max - self.stage_time[stage])
-            .sum()
-    }
-
-    /// [`CostState::delta_many`] over pre-resolved hop slot lists (one per
-    /// leg), avoiding `Route` indirection on the planner's re-check path.
+    /// This is the whole-tree generalisation of
+    /// [`CostState::delta_slots`]: legs may share stages and physical hops
+    /// (their bytes aggregate before the stage maxima are re-taken), so
+    /// the result is exactly the change in [`CostState::total_time`] that
+    /// the same sequence of [`CostState::add`] calls would realise. Used
+    /// by the SPST planner to re-check a cached communication tree in
+    /// `O(legs × hops)` instead of re-running the layered search.
     /// Aggregation state lives in the caller-provided [`PriceScratch`]
     /// (reset by an epoch bump), so steady-state pricing allocates
     /// nothing — the re-check path runs once per cached candidate and is
@@ -440,7 +388,7 @@ mod tests {
         let r02 = topo.route(0, 2).clone();
         let r13 = topo.route(1, 3).clone();
         cs.add(0, &r02, 5_000_000);
-        let predicted = cs.delta(0, &r13, 3_000_000);
+        let predicted = cs.delta_slots(0, &CostState::route_slots(&r13), 3_000_000);
         let realised = cs.add(0, &r13, 3_000_000);
         assert!((predicted - realised).abs() < 1e-12);
     }
@@ -455,7 +403,7 @@ mod tests {
         let nv = topo.route(0, 1).clone();
         cs.add(0, &qpi, 95_600_000); // 10 ms via QPI.
                                      // A small NVLink transfer in the same stage is absorbed.
-        assert_eq!(cs.delta(0, &nv, 24_220), 0.0);
+        assert_eq!(cs.delta_slots(0, &CostState::route_slots(&nv), 24_220), 0.0);
     }
 
     #[test]
@@ -470,7 +418,16 @@ mod tests {
             (0, topo.route(1, 3).clone(), 4_000_000),
             (1, topo.route(0, 1).clone(), 1_000_000),
         ];
-        let predicted = cs.delta_many(legs.iter().map(|(s, r, b)| (*s, r, *b)));
+        let slots: Vec<Vec<usize>> = legs
+            .iter()
+            .map(|(_, r, _)| CostState::route_slots(r))
+            .collect();
+        let predicted = cs.delta_many_slots(
+            legs.iter()
+                .zip(&slots)
+                .map(|((s, _, b), sl)| (*s, sl.as_slice(), *b)),
+            &mut cs.price_scratch(),
+        );
         let mut realised = 0.0;
         for (s, r, b) in &legs {
             realised += cs.add(*s, r, *b);
@@ -485,7 +442,50 @@ mod tests {
     fn delta_many_of_empty_is_zero() {
         let topo = Topology::fig6();
         let cs = CostState::new(&topo, 2);
-        assert_eq!(cs.delta_many(std::iter::empty()), 0.0);
+        assert_eq!(
+            cs.delta_many_slots(std::iter::empty(), &mut cs.price_scratch()),
+            0.0
+        );
+    }
+
+    #[test]
+    fn a_reused_price_scratch_prices_like_a_fresh_one() {
+        // One scratch over many calls, its epoch bumping each time, must
+        // price as a fresh one and as the realised adds do.
+        let topo = Topology::fig6();
+        let mut cs = CostState::new(&topo, 3);
+        let mut scratch = cs.price_scratch();
+        // Legs as (stage, src, dst, MB): 0 → 2 and 1 → 3 share the QPI in
+        // stage 0; 0 → 2 and 1 → 2 share it and GPU 2's PCIe in stage 1.
+        let sets: [&[(usize, usize, usize, u64)]; 3] = [
+            &[(0, 0, 2, 3), (0, 1, 3, 4), (1, 0, 1, 1)],
+            &[],
+            &[(1, 0, 2, 2), (1, 1, 2, 5), (2, 3, 1, 1)],
+        ];
+        for round in 0..12 {
+            let legs = sets[round % 3];
+            let slots: Vec<Vec<usize>> = legs
+                .iter()
+                .map(|&(_, src, dst, _)| CostState::route_slots(topo.route(src, dst)))
+                .collect();
+            let as_legs = || {
+                legs.iter()
+                    .zip(&slots)
+                    .map(|(l, sl)| (l.0, &sl[..], l.3 << 20))
+            };
+            let reused = cs.delta_many_slots(as_legs(), &mut scratch);
+            let fresh = cs.delta_many_slots(as_legs(), &mut cs.price_scratch());
+            assert_eq!(reused.to_bits(), fresh.to_bits(), "round {round}");
+            // Committing the round loads the state the next one prices.
+            let realised: f64 = legs
+                .iter()
+                .map(|&(stage, src, dst, mb)| cs.add(stage, topo.route(src, dst), mb << 20))
+                .sum();
+            assert!(
+                (reused - realised).abs() < 1e-12,
+                "round {round}: {reused} vs {realised}"
+            );
+        }
     }
 
     #[test]

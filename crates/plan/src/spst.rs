@@ -30,7 +30,7 @@
 //!    picture shifted. After a full search, the tree and its realised
 //!    cost delta are cached per class; the next vertex of the class
 //!    re-prices the cached tree with the `O(tree · hops)`
-//!    [`CostState::delta_many`] query and commits it directly when (a)
+//!    [`CostState::delta_many_slots`] query and commits it directly when (a)
 //!    the delta is still within `tolerance` of the cached baseline and
 //!    (b) the total plan time has not grown by more than `tolerance`
 //!    since the search (stage maxima shifting under committed volume is
@@ -216,8 +216,8 @@ pub struct TreeEdge {
 const TIE_EPSILON: f64 = 1e-6;
 
 /// Absolute slack on commit-time delta re-checks, absorbing the
-/// accumulation-order float noise between `delta_many` and a sequence of
-/// `add`s.
+/// accumulation-order float noise between `delta_many_slots` and a
+/// sequence of `add`s.
 const COMMIT_SLACK: f64 = 1e-12;
 
 /// Per-ordered-GPU-pair search constants, resolved once per planner run:

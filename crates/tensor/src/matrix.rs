@@ -225,21 +225,22 @@ impl Matrix {
     }
 
     /// The transpose of the matrix, on the pool's worker count
-    /// ([`crate::pool::compute_threads`]).
+    /// ([`crate::pool::compute_threads`]). A pure permutation: results are
+    /// identical at every worker count.
     pub fn transpose(&self) -> Matrix {
-        self.transpose_threads(crate::pool::compute_threads())
+        self.transpose_with(crate::pool::compute_threads())
     }
 
-    /// [`Matrix::transpose`] with an explicit worker count. A pure
-    /// permutation: results are identical for every `threads` value.
-    pub fn transpose_threads(&self, threads: usize) -> Matrix {
+    /// [`Matrix::transpose`] on at most `threads` workers (`matmul_nt`
+    /// transposes its weight on one).
+    pub(crate) fn transpose_with(&self, threads: usize) -> Matrix {
         // Blocked: each output chunk (a band of source columns) walks the
         // source rows in 64-row tiles so the strided reads of one tile
         // share cache lines before they are evicted.
         const TILE_ROWS: usize = 64;
         let (rows, cols) = (self.rows, self.cols);
         let mut out = Matrix::zeros(cols, rows);
-        let threads = if rows * cols < 1 << 15 { 1 } else { threads };
+        let threads = crate::pool::workers_for(rows * cols, crate::pool::SPARSE_WORK_MIN, threads);
         let src = &self.data;
         crate::pool::par_row_chunks(threads, &mut out.data, rows.max(1), |c0, chunk| {
             for rb in (0..rows).step_by(TILE_ROWS) {

@@ -38,36 +38,29 @@ const BLOCK_K: usize = 128;
 /// with widths 64 and 128 larger blocks were slower (EXPERIMENTS.md).
 const TN_BLOCK_P: usize = 32;
 
-/// Minimum multiply-add count before a kernel spawns workers; below this
-/// the spawn overhead dominates. Gating only changes scheduling, never
-/// results.
-const PAR_FLOPS_MIN: usize = 1 << 16;
-
 impl Matrix {
     /// Matrix product `self * rhs`, on the pool's worker count
-    /// ([`pool::compute_threads`]).
+    /// ([`pool::compute_threads`]). Results are bitwise identical at every
+    /// worker count, and to [`Matrix::matmul_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_threads(rhs, pool::compute_threads())
+        self.matmul_with(rhs, None)
     }
 
-    /// [`Matrix::matmul`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value, and to
-    /// [`Matrix::matmul_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        self.matmul_with(rhs, None, threads)
-    }
-
-    /// The dense half of a GNN layer in one pass: `act(addend + self * rhs
-    /// + bias)`, on the pool's worker count. See
-    /// [`Matrix::matmul_fused_threads`].
+    /// The dense half of a GNN layer in one pass,
+    /// `act(addend + self * rhs + bias)`, on the pool's worker count: this
+    /// is [`Matrix::matmul`] with an epilogue applied to each output row
+    /// `z` before its one store (in the stack array at the dispatched
+    /// widths, a second pass over the row at every other). The epilogue
+    /// is `z = a + z` with `a` the row of `addend` when one is given, then
+    /// `z += b` with `bias`, then [`Activation::forward`]'s rule. Those are
+    /// the element operations of
+    /// `addend.add(&self.matmul(rhs)).add_row_broadcast(bias)` then
+    /// `act.forward`, in that order, so the result is that composition's
+    /// bits at every worker count.
     ///
     /// # Panics
     ///
@@ -80,29 +73,6 @@ impl Matrix {
         bias: &Matrix,
         act: Activation,
     ) -> Matrix {
-        self.matmul_fused_threads(rhs, addend, bias, act, pool::compute_threads())
-    }
-
-    /// [`Matrix::matmul_threads`] with an epilogue applied to each output
-    /// row `z` before its one store (in the stack array at the dispatched
-    /// widths, a second pass over the row at every other): `z = a + z`
-    /// with `a` the row of `addend` when one is given, then `z += b` with
-    /// `bias`, then [`Activation::forward`]'s rule. Those are the
-    /// element operations of `addend.add(&self.matmul(rhs))
-    /// .add_row_broadcast(bias)` then `act.forward`, in that order, so the
-    /// result is that composition's bits at every `threads` value.
-    ///
-    /// # Panics
-    ///
-    /// See [`Matrix::matmul_fused`].
-    pub fn matmul_fused_threads(
-        &self,
-        rhs: &Matrix,
-        addend: Option<&Matrix>,
-        bias: &Matrix,
-        act: Activation,
-        threads: usize,
-    ) -> Matrix {
         let n = rhs.cols();
         assert_eq!(bias.shape(), (1, n), "bias must be a 1 x {n} row");
         if let Some(addend) = addend {
@@ -113,20 +83,16 @@ impl Matrix {
             bias: bias.as_slice(),
             act,
         };
-        self.matmul_with(rhs, Some(&epilogue), threads)
+        self.matmul_with(rhs, Some(&epilogue))
     }
 
     /// `self * rhs` with an optional epilogue per output row.
-    fn matmul_with(&self, rhs: &Matrix, epilogue: Option<&Epilogue>, threads: usize) -> Matrix {
+    fn matmul_with(&self, rhs: &Matrix, epilogue: Option<&Epilogue>) -> Matrix {
         self.check_matmul(rhs);
         let (m, k) = self.shape();
         let n = rhs.cols();
         let mut out = Matrix::zeros(m, n);
-        let threads = if m * k * n < PAR_FLOPS_MIN {
-            1
-        } else {
-            threads
-        };
+        let threads = pool::workers_for(m * k * n, pool::DENSE_WORK_MIN, pool::compute_threads());
         let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
         pool::par_row_chunks(threads, out.as_mut_slice(), n.max(1), |row0, chunk| {
             by_width!(n, matmul_rows(lhs, rhs, k, epilogue, row0, chunk), {
@@ -142,8 +108,8 @@ impl Matrix {
     }
 
     /// `self * rhs` on the caller's thread through the generic loop at
-    /// every width: the reference [`Matrix::matmul_threads`] is tested
-    /// against bit for bit.
+    /// every width: the reference [`Matrix::matmul`] is tested against bit
+    /// for bit.
     ///
     /// # Panics
     ///
@@ -169,34 +135,21 @@ impl Matrix {
         );
     }
 
-    /// `self^T * rhs` without materialising the transpose, on the global
-    /// worker count.
+    /// `self^T * rhs` without materialising the transpose, on the pool's
+    /// worker count. Results are bitwise identical at every worker count,
+    /// and to [`Matrix::matmul_tn_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_tn_threads(rhs, pool::compute_threads())
-    }
-
-    /// [`Matrix::matmul_tn`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value, and to
-    /// [`Matrix::matmul_tn_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_tn_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
         self.check_matmul_tn(rhs);
         let rows = self.rows();
         let m = self.cols();
         let n = rhs.cols();
         let mut out = Matrix::zeros(m, n);
-        let threads = if rows * m * n < PAR_FLOPS_MIN {
-            1
-        } else {
-            threads
-        };
+        let threads =
+            pool::workers_for(rows * m * n, pool::DENSE_WORK_MIN, pool::compute_threads());
         let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
         pool::par_row_runs(threads, out.as_mut_slice(), n.max(1), |row0, run| {
             by_width!(
@@ -209,8 +162,8 @@ impl Matrix {
     }
 
     /// `self^T * rhs` on the caller's thread through the generic loop at
-    /// every width: the reference [`Matrix::matmul_tn_threads`] is tested
-    /// against bit for bit.
+    /// every width: the reference [`Matrix::matmul_tn`] is tested against
+    /// bit for bit.
     ///
     /// # Panics
     ///
@@ -237,37 +190,23 @@ impl Matrix {
         );
     }
 
-    /// `self * rhs^T` without materialising the transpose, on the global
-    /// worker count.
+    /// `self * rhs^T` without materialising the transpose, on the pool's
+    /// worker count. Results are bitwise identical at every worker count,
+    /// and to [`Matrix::matmul_nt_reference`]: at the dispatched widths the
+    /// `rhs` (a layer's weight, at most 128 rows) is transposed once on the
+    /// caller's thread and the product runs `matmul`'s row loop without its
+    /// zero skip, so each element is `0.0 + a0 * b0 + a1 * b1 + ...` in
+    /// ascending order, the dot product's exact sequence.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_nt_threads(rhs, pool::compute_threads())
-    }
-
-    /// [`Matrix::matmul_nt`] with an explicit worker count. Results are
-    /// bitwise identical for every `threads` value, and to
-    /// [`Matrix::matmul_nt_reference`]: at the dispatched widths the `rhs`
-    /// (a layer's weight, at most 128 x 128) is transposed once and the
-    /// product runs `matmul`'s row loop without its zero skip, so each
-    /// element is `0.0 + a0 * b0 + a1 * b1 + ...` in ascending order, the
-    /// dot product's exact sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_nt_threads(&self, rhs: &Matrix, threads: usize) -> Matrix {
         self.check_matmul_nt(rhs);
         let m = self.rows();
         let k = self.cols();
         let n = rhs.rows();
-        let threads = if m * k * n < PAR_FLOPS_MIN {
-            1
-        } else {
-            threads
-        };
+        let threads = pool::workers_for(m * k * n, pool::DENSE_WORK_MIN, pool::compute_threads());
         by_width!(n, matmul_nt_fixed(self, rhs, threads), {
             let mut out = Matrix::zeros(m, n);
             let (lhs, rhs) = (self.as_slice(), rhs.as_slice());
@@ -279,8 +218,8 @@ impl Matrix {
     }
 
     /// `self * rhs^T` on the caller's thread through the generic dot
-    /// product loop at every width: the reference
-    /// [`Matrix::matmul_nt_threads`] is tested against bit for bit.
+    /// product loop at every width: the reference [`Matrix::matmul_nt`] is
+    /// tested against bit for bit.
     ///
     /// # Panics
     ///
@@ -490,7 +429,7 @@ fn row_loop<const W: usize, const SKIP_ZEROS: bool>(
 /// and every row runs [`row_loop`] without the zero skip.
 fn matmul_nt_fixed<const W: usize>(lhs: &Matrix, rhs: &Matrix, threads: usize) -> Matrix {
     let k = lhs.cols();
-    let rhs_t = rhs.transpose_threads(1);
+    let rhs_t = rhs.transpose_with(1);
     let mut out = Matrix::zeros(lhs.rows(), W);
     let (lhs, rhs_t) = (lhs.as_slice(), rhs_t.as_slice());
     pool::par_row_chunks(threads, out.as_mut_slice(), W, |row0, chunk| {

@@ -21,7 +21,7 @@
 //!
 //! # Thread budget
 //!
-//! The default worker count is decided in one place and read from two
+//! A kernel's worker count is decided in one place and read from two
 //! levels. The *process* value ([`set_compute_threads`], else the
 //! machine's `available_parallelism` clamped to 8) is what single-device
 //! training, the serving batcher and every kernel outside a cluster see.
@@ -31,8 +31,10 @@
 //! [`set_thread_budget`]; [`compute_threads`] reads that per-thread
 //! budget first. At budget 1 every kernel takes [`par_row_chunks`]'s
 //! inline path, so ranks no longer spawn scoped workers that time-slice
-//! against each other. By the determinism contract the budget moves
-//! wall-clock only.
+//! against each other. The kernels read [`compute_threads`] through the
+//! spawn gate [`workers_for`] and take no count: a test picks one by
+//! setting its own thread's budget. By the determinism contract the
+//! budget moves wall-clock only.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,6 +43,13 @@ use std::sync::OnceLock;
 /// Rows per work chunk. Fixed so chunk boundaries are a function of the
 /// output shape only (see the determinism contract above).
 pub const CHUNK_ROWS: usize = 16;
+
+/// [`workers_for`]'s minimum for the matmuls, in multiply-adds.
+pub const DENSE_WORK_MIN: usize = 1 << 16;
+
+/// [`workers_for`]'s minimum for the SpMMs (stored entries × row width)
+/// and `Matrix::transpose` (elements).
+pub const SPARSE_WORK_MIN: usize = 1 << 15;
 
 /// `0` means "resolve from the machine" (see [`compute_threads`]).
 static COMPUTE_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -55,11 +64,10 @@ thread_local! {
     static THREAD_BUDGET: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Sets the process worker count: what the parallel kernels use when no
-/// explicit count is passed, on every thread without a budget of its own
-/// ([`set_thread_budget`]). `0` restores the default
-/// (`available_parallelism`, clamped to 8 like the planner tier). A
-/// distributed run divides this value between its rank threads.
+/// Sets the process worker count: what the kernels use on every thread
+/// without a budget of its own ([`set_thread_budget`]). `0` restores the
+/// default (`available_parallelism`, clamped to 8 like the planner tier).
+/// A distributed run divides this value between its rank threads.
 pub fn set_compute_threads(threads: usize) {
     COMPUTE_THREADS.store(threads, Ordering::SeqCst);
 }
@@ -89,6 +97,17 @@ pub fn compute_threads() -> usize {
                 .clamp(1, 8)
         }),
         n => n,
+    }
+}
+
+/// The spawn gate: one worker for a kernel of `work` units below `min`,
+/// where the spawn would cost more than it saves, else `threads`. Gating
+/// changes scheduling only, never results.
+pub fn workers_for(work: usize, min: usize, threads: usize) -> usize {
+    if work < min {
+        1
+    } else {
+        threads
     }
 }
 
@@ -223,6 +242,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_gate_opens_at_its_minimum() {
+        for min in [DENSE_WORK_MIN, SPARSE_WORK_MIN] {
+            assert_eq!(workers_for(min - 1, min, 4), 1, "min {min}");
+            assert_eq!(workers_for(min, min, 4), 4, "min {min}");
+        }
+        assert_eq!((DENSE_WORK_MIN, SPARSE_WORK_MIN), (65_536, 32_768));
     }
 
     #[test]

@@ -119,10 +119,6 @@ impl CsrBlock {
     }
 }
 
-/// Work (stored entries × feature width) below which a sparse kernel is
-/// not worth a scoped spawn and stays on the caller's thread.
-pub const PAR_WORK_MIN: usize = 1 << 15;
-
 /// `out += pattern · dense` for the pattern-CSR `(offsets, indices)`,
 /// threaded and bitwise-deterministic.
 ///
@@ -131,8 +127,8 @@ pub const PAR_WORK_MIN: usize = 1 << 15;
 /// a longer array, as long as it indexes `indices` absolutely). `dense`
 /// and `out` are row-major, `cols` wide. Output row `r` accumulates the
 /// dense rows its entries name, in stored order, after whatever `out`
-/// already holds, on exactly `threads` workers — callers apply
-/// [`PAR_WORK_MIN`].
+/// already holds, on exactly `threads` workers — callers apply the spawn
+/// gate ([`pool::workers_for`] at [`pool::SPARSE_WORK_MIN`]).
 ///
 /// With a `bound`, a row stops at its first entry `>= bound`: for rows
 /// whose entries ascend (an edge-reversed CSR), that skips the suffix a
@@ -245,7 +241,7 @@ fn spmm_rows_reference(
 /// `out += block · dense` ([`spmm_pattern_into`] over a [`CsrBlock`]):
 /// `dense` is row-major `block.cols() × cols`, `out` is row-major
 /// `block.rows() × cols`; callers chain calls over several blocks to
-/// extend the fold. Stays sequential below [`PAR_WORK_MIN`].
+/// extend the fold. Stays sequential below [`pool::SPARSE_WORK_MIN`].
 ///
 /// # Panics
 ///
@@ -271,11 +267,8 @@ pub fn spmm_csr_dense_into(
         out.len(),
         block.rows(),
     );
-    let threads = if block.nnz().saturating_mul(cols) < PAR_WORK_MIN {
-        1
-    } else {
-        threads
-    };
+    let work = block.nnz().saturating_mul(cols);
+    let threads = pool::workers_for(work, pool::SPARSE_WORK_MIN, threads);
     spmm_pattern_into(
         &block.offsets,
         &block.indices,

@@ -8,9 +8,40 @@
 //! properties pin that contract so a future "optimisation" that reorders
 //! a reduction fails loudly instead of silently breaking distributed /
 //! single-device training parity.
+//!
+//! A kernel reads its worker count from the calling thread's budget
+//! (`set_thread_budget`), which each property sets around the call
+//! ([`at_budget`]), and stays on one worker below its spawn gate
+//! (`pool::DENSE_WORK_MIN` multiply-adds, `pool::SPARSE_WORK_MIN`
+//! elements for `transpose`). The thread-count properties draw shapes on
+//! both sides of the gate, so their multi-worker arms run the threaded
+//! path too.
 
-use dgcl_tensor::{spmm_pattern_into, spmm_pattern_reference, Activation, Matrix};
+use dgcl_tensor::pool::{DENSE_WORK_MIN, SPARSE_WORK_MIN};
+use dgcl_tensor::{
+    set_thread_budget, spmm_pattern_into, spmm_pattern_reference, Activation, Matrix,
+};
 use proptest::prelude::*;
+
+/// `f` run with the calling thread's kernel budget at `threads`; the
+/// budget is cleared after.
+fn at_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    set_thread_budget(threads);
+    let out = f();
+    set_thread_budget(0);
+    out
+}
+
+/// `len`, or — when `past` — `len` plus the count that takes a kernel of
+/// `work_per_unit` per unit of `len` to its spawn gate `min`, so a
+/// property draws shapes on both sides of the gate.
+fn across_gate(len: usize, work_per_unit: usize, min: usize, past: bool) -> usize {
+    if past {
+        len + min.div_ceil(work_per_unit)
+    } else {
+        len
+    }
+}
 
 /// An output width below `below`, or one of the dispatched 64 and 128.
 fn arb_width(below: usize) -> impl Strategy<Value = usize> {
@@ -25,18 +56,10 @@ fn arb_width(below: usize) -> impl Strategy<Value = usize> {
     })
 }
 
-/// Random matrix with dimensions crossing several chunk boundaries
-/// (`CHUNK_ROWS` is 16) and values including exact zeros, so the
-/// zero-skip fast path is exercised.
-fn arb_matrix(
-    rows: core::ops::Range<usize>,
-    cols: core::ops::Range<usize>,
-) -> impl Strategy<Value = Matrix> {
-    (rows, cols).prop_map(|(r, c)| filled(r, c))
-}
-
 /// An `r x c` matrix with a deterministic pseudo-random fill derived from
-/// the index; a quarter of entries are exactly zero.
+/// the index; a quarter of entries are exactly zero, so the zero-skip
+/// fast path is exercised. The properties draw `r` and `c` across several
+/// chunk boundaries (`CHUNK_ROWS` is 16).
 fn filled(r: usize, c: usize) -> Matrix {
     let data: Vec<f32> = (0..r * c)
         .map(|i| {
@@ -58,13 +81,15 @@ proptest! {
 
     #[test]
     fn matmul_is_thread_count_invariant(
-        (a, b) in (arb_matrix(1..70, 1..20), arb_width(20))
-            .prop_map(|(a, n)| { let k = a.cols(); (a, arb_fixed(k, n)) })
+        (a, b) in (1usize..70, 1usize..20, arb_width(20), any::<bool>())
+            .prop_map(|(m, k, n, past)| {
+                (filled(across_gate(m, k * n, DENSE_WORK_MIN, past), k), arb_fixed(k, n))
+            })
     ) {
-        let reference = a.matmul_threads(&b, 1);
+        let reference = at_budget(1, || a.matmul(&b));
         prop_assert_eq!(&a.matmul(&b), &reference, "auto thread count");
         for t in THREADS {
-            prop_assert_eq!(&a.matmul_threads(&b, t), &reference, "threads={}", t);
+            prop_assert_eq!(&at_budget(t, || a.matmul(&b)), &reference, "threads={}", t);
         }
     }
 
@@ -72,39 +97,49 @@ proptest! {
     fn matmul_tn_is_thread_count_invariant(
         // Output rows `m = a.cols()` below 20, or 128: eight 16-row chunks
         // that each worker count splits into different runs.
-        (a, b) in ((1usize..50, (1usize..21).prop_map(|m| if m == 20 { 128 } else { m })), arb_width(16))
-            .prop_map(|((rows, m), n)| (filled(rows, m), arb_fixed(rows, n)))
+        (a, b) in ((1usize..50, (1usize..21).prop_map(|m| if m == 20 { 128 } else { m })), arb_width(16), any::<bool>())
+            .prop_map(|((rows, m), n, past)| {
+                let rows = across_gate(rows, m * n, DENSE_WORK_MIN, past);
+                (filled(rows, m), arb_fixed(rows, n))
+            })
     ) {
-        let reference = a.matmul_tn_threads(&b, 1);
+        let reference = at_budget(1, || a.matmul_tn(&b));
         prop_assert_eq!(&a.matmul_tn(&b), &reference, "auto thread count");
         for t in THREADS {
-            prop_assert_eq!(&a.matmul_tn_threads(&b, t), &reference, "threads={}", t);
+            prop_assert_eq!(&at_budget(t, || a.matmul_tn(&b)), &reference, "threads={}", t);
         }
     }
 
     #[test]
     fn matmul_nt_is_thread_count_invariant(
         // Output widths below 16, often the dispatched 8 and 32.
-        (a, b) in (arb_matrix(1..50, 1..20), (1usize..20).prop_map(|n| match n {
+        (a, b) in (1usize..50, 1usize..20, (1usize..20).prop_map(|n| match n {
             16 | 17 => 8,
             18 | 19 => 32,
             n => n,
-        }))
-            .prop_map(|(a, n)| { let k = a.cols(); (a, arb_fixed(n, k)) })
+        }), any::<bool>())
+            .prop_map(|(m, k, n, past)| {
+                (filled(across_gate(m, k * n, DENSE_WORK_MIN, past), k), arb_fixed(n, k))
+            })
     ) {
-        let reference = a.matmul_nt_threads(&b, 1);
+        let reference = at_budget(1, || a.matmul_nt(&b));
         prop_assert_eq!(&a.matmul_nt(&b), &reference, "auto thread count");
         for t in THREADS {
-            prop_assert_eq!(&a.matmul_nt_threads(&b, t), &reference, "threads={}", t);
+            prop_assert_eq!(&at_budget(t, || a.matmul_nt(&b)), &reference, "threads={}", t);
         }
     }
 
     #[test]
-    fn transpose_is_thread_count_invariant(a in arb_matrix(1..90, 1..40)) {
-        let reference = a.transpose_threads(1);
+    fn transpose_is_thread_count_invariant(
+        // Past the gate the columns grow: they are the output's rows, so
+        // its chunks.
+        a in (1usize..90, 1usize..40, any::<bool>())
+            .prop_map(|(r, c, past)| filled(r, across_gate(c, r, SPARSE_WORK_MIN, past)))
+    ) {
+        let reference = at_budget(1, || a.transpose());
         prop_assert_eq!(&a.transpose(), &reference, "auto thread count");
         for t in THREADS {
-            prop_assert_eq!(&a.transpose_threads(t), &reference, "threads={}", t);
+            prop_assert_eq!(&at_budget(t, || a.transpose()), &reference, "threads={}", t);
         }
         prop_assert_eq!(&reference.transpose(), &a, "involution");
     }
@@ -217,7 +252,7 @@ proptest! {
         let b = special_matrix(k, n, seed ^ 0xB);
         let want = bits(a.matmul_reference(&b).as_slice());
         for t in ORACLE_THREADS {
-            prop_assert_eq!(bits(a.matmul_threads(&b, t).as_slice()), want.clone(), "n={} t={}", n, t);
+            prop_assert_eq!(bits(at_budget(t, || a.matmul(&b)).as_slice()), want.clone(), "n={} t={}", n, t);
         }
     }
 
@@ -233,7 +268,7 @@ proptest! {
         let b = special_matrix(rows, n, seed ^ 0xB);
         let want = bits(a.matmul_tn_reference(&b).as_slice());
         for t in ORACLE_THREADS {
-            prop_assert_eq!(bits(a.matmul_tn_threads(&b, t).as_slice()), want.clone(), "n={} t={}", n, t);
+            prop_assert_eq!(bits(at_budget(t, || a.matmul_tn(&b)).as_slice()), want.clone(), "n={} t={}", n, t);
         }
     }
 
@@ -247,7 +282,7 @@ proptest! {
         let b = special_matrix(n, k, seed ^ 0xB);
         let want = bits(a.matmul_nt_reference(&b).as_slice());
         for t in ORACLE_THREADS {
-            prop_assert_eq!(bits(a.matmul_nt_threads(&b, t).as_slice()), want.clone(), "n={} t={}", n, t);
+            prop_assert_eq!(bits(at_budget(t, || a.matmul_nt(&b)).as_slice()), want.clone(), "n={} t={}", n, t);
         }
     }
 
@@ -267,7 +302,7 @@ proptest! {
         }
         let want = bits(act.forward(&z.add_row_broadcast(&bias)).as_slice());
         for t in ORACLE_THREADS {
-            let got = a.matmul_fused_threads(&w, addend.as_ref(), &bias, act, t);
+            let got = at_budget(t, || a.matmul_fused(&w, addend.as_ref(), &bias, act));
             prop_assert_eq!(bits(got.as_slice()), want.clone(), "n={} t={} {:?}", n, t, act);
         }
     }
